@@ -1,43 +1,28 @@
-"""Simulator engine performance: scalar vs batched across workloads.
+"""Simulator engines at benchmark scale: the deterministic half.
 
-Measures simulated throughput (domain cells per wall-clock second) of
-both engines on the COSMO horizontal-diffusion program at the paper's
-vectorization (W = 8), plus the configurations the batched engine v2
-opened up:
+Runs the COSMO horizontal-diffusion program at the paper's
+vectorization (W = 8) through every engine configuration the batched
+engine supports, and pins what must never move:
 
-* **multi-device** (fig14-style): hdiff split across 2 and 4 devices
-  with a deep 64-cycle wire — exercising the lifted in-flight bound
-  (batches used to cap at ~``network_latency`` cycles per plan);
-* **integer programs**: an int32 smoothing chain on native int64 slabs
-  (previously a scalar-engine fallback under ``engine_mode="auto"``);
-* **fractional-rate links**: hdiff across 2 devices on a 1/3
-  words/cycle wire — exercising the super-pattern window planner,
-  benchmarked against both the scalar engine and the per-delivery
-  re-planning path it replaced (``superpattern=False``, the PR 2
-  behaviour of batching one cycle per fractional delivery).
+* **single device** and **multi-device** (fig14-style: 2 and 4 devices
+  behind a deep 64-cycle wire — the lifted in-flight bound);
+* **integer programs**: an int32 smoothing chain on native int64 slabs;
+* **fractional-rate links**: 2 devices on a 1/3 words/cycle wire — the
+  super-pattern window planner, against the per-delivery re-planning
+  path it replaced (``superpattern=False``);
+* **kernel**: the compiled-replay engine — a cold run records the
+  batched engine's control outcome, warm runs replay it.
 
-The batched engine runs paper-scale domains; the scalar engine is timed
-on a reduced domain (its per-cell cost is domain-independent, and the
-full domain would take it tens of minutes).  Cells/second is the
-comparable metric.
+On a reduced domain every configuration is held to the scalar engine
+(exact cycles, stall counters, bitwise outputs); on the paper's domain
+(Sec. IX) the batched engine's cycle, plan and window counts are pinned
+— they are data-independent, so any drift means machine semantics or
+planner behaviour moved.
 
-The **kernel** rows measure the compiled-replay engine added in PR 10:
-a cold run records the batched engine's control decisions and compiles
-them into a content-addressed slab kernel; the warm run replays it with
-no planning or per-window control.  Warm replay must beat the batched
-engine by >= 2x cells/second on the single-device paper-domain hdiff
-row, bitwise identical outputs guarded on the reduced domain.
-
-Results are written to ``benchmarks/BENCH_simulator.json`` so the
-performance trajectory is tracked across PRs.  ``PR1_CELLS_PER_SECOND``
-is the single-device throughput of the PR 1 batched engine re-measured
-on this machine from its git checkout, recorded so the JSON shows the
-coordinate-slab speedup of this PR.
+Nothing here reads a clock or writes a file: wall-clock throughput is
+measured from outside the program by ``benchmarks/e2e`` (see
+``BENCHMARK.json``), never asserted in tier-1.
 """
-
-import json
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -49,14 +34,9 @@ from repro.simulator import SimulatorConfig, simulate
 
 #: The paper's performance-benchmark domain (Sec. IX) and W.
 PAPER_DOMAIN = (128, 128, 80)
-#: Reduced domain for timing the scalar engine.
+#: Reduced domain the scalar engine can afford.
 SCALAR_DOMAIN = (24, 24, 16)
 VECTORIZATION = 8
-
-#: PR 1 batched engine, single-device paper-domain hdiff, re-measured
-#: from the PR 1 checkout on the machine that produced the current
-#: BENCH_simulator.json (context for the vs_pr1 row; not asserted).
-PR1_CELLS_PER_SECOND = 382_037
 
 #: Deep wire for the multi-device rows: without the lifted in-flight
 #: bound every batch would cap at ~64 cycles.
@@ -68,7 +48,14 @@ NETWORK_LATENCY = 64
 FRACTIONAL_RATE = 1.0 / 3.0
 FRACTIONAL_LATENCY = 16
 
-BENCH_FILE = Path(__file__).parent / "BENCH_simulator.json"
+#: Paper-domain batched-engine pins: (cycles, plan_count, window_count).
+PAPER_PINS = {
+    "single": (166470, 161, 0),
+    "two_device": (166534, 171, 0),
+    "four_device": (166662, 188, 0),
+    "integer": (163918, 19, 0),
+    "fractional": (499229, 21, 108),
+}
 
 
 def _int_chain(shape):
@@ -95,185 +82,75 @@ def _int_chain(shape):
     })
 
 
-def _run(program, engine_mode, device_of=None, latency=32, rate=1.0,
+def _hdiff(shape):
+    return horizontal_diffusion(shape=shape, vectorization=VECTORIZATION)
+
+
+def _run(program, engine_mode, device_count=None, latency=32, rate=1.0,
          superpattern=True):
-    inputs = seeded_inputs(program)
+    placement = contiguous_device_split(program, device_count) \
+        if device_count else None
     config = SimulatorConfig(engine_mode=engine_mode,
                              network_latency=latency,
                              network_words_per_cycle=rate,
                              superpattern=superpattern)
-    start = time.perf_counter()
-    result = simulate(program, inputs, config, device_of=device_of)
-    seconds = time.perf_counter() - start
-    return {
-        "domain": list(program.shape),
-        "cells": program.num_cells,
-        "seconds": round(seconds, 4),
-        "cells_per_second": round(program.num_cells / seconds),
-        "cycles": result.cycles,
-    }, result
+    return simulate(program, seeded_inputs(program), config,
+                    device_of=placement)
 
 
-def _row(build, device_count=None, latency=32):
-    """One benchmark row: scalar on the reduced domain, batched on the
-    paper domain, plus the correctness guard on the common domain."""
-    small = build(SCALAR_DOMAIN)
-    large = build(PAPER_DOMAIN)
-    placement = contiguous_device_split(small, device_count) \
-        if device_count else None
-    scalar, scalar_result = _run(small, "scalar", placement, latency)
-    guard, guard_result = _run(small, "batched", placement, latency)
-    assert guard_result.cycles == scalar_result.cycles
-    for name, expected in scalar_result.outputs.items():
-        assert np.array_equal(expected, guard_result.outputs[name],
-                              equal_nan=True), name
-    placement = contiguous_device_split(large, device_count) \
-        if device_count else None
-    batched, _ = _run(large, "batched", placement, latency)
-    speedup = batched["cells_per_second"] / scalar["cells_per_second"]
-    return {
-        "scalar": scalar,
-        "batched": batched,
-        "speedup_cells_per_second": round(speedup, 1),
-    }
-
-
-def _fractional_row(build):
-    """The super-pattern row: scalar and the per-delivery re-planning
-    path (PR 2 behaviour, ``superpattern=False``) on the reduced
-    domain, the super-pattern planner on the paper domain."""
-    small = build(SCALAR_DOMAIN)
-    large = build(PAPER_DOMAIN)
-    placement = contiguous_device_split(small, 2)
-    scalar, scalar_result = _run(small, "scalar", placement,
-                                 latency=FRACTIONAL_LATENCY,
-                                 rate=FRACTIONAL_RATE)
-    guard, guard_result = _run(small, "batched", placement,
-                               latency=FRACTIONAL_LATENCY,
-                               rate=FRACTIONAL_RATE)
-    assert guard_result.cycles == scalar_result.cycles
-    assert guard_result.stall_cycles == scalar_result.stall_cycles
-    for name, expected in scalar_result.outputs.items():
-        assert np.array_equal(expected, guard_result.outputs[name],
-                              equal_nan=True), name
-    per_delivery, _ = _run(small, "batched", placement,
-                           latency=FRACTIONAL_LATENCY,
-                           rate=FRACTIONAL_RATE, superpattern=False)
-    placement = contiguous_device_split(large, 2)
-    superpattern, _ = _run(large, "batched", placement,
-                           latency=FRACTIONAL_LATENCY,
-                           rate=FRACTIONAL_RATE)
-    return {
-        "rate_words_per_cycle": FRACTIONAL_RATE,
-        "network_latency": FRACTIONAL_LATENCY,
-        "scalar": scalar,
-        "per_delivery_replanning": per_delivery,
-        "superpattern": superpattern,
-        "speedup_cells_per_second": round(
-            superpattern["cells_per_second"]
-            / scalar["cells_per_second"], 1),
-        "speedup_vs_per_delivery": round(
-            superpattern["cells_per_second"]
-            / per_delivery["cells_per_second"], 1),
-    }
-
-
-def _kernel_row(build, batched_row):
-    """Cold record-and-compile vs warm replay on the paper domain,
-    with the bitwise guard against the batched engine on the reduced
-    domain (where a scalar cross-check already ran in ``_row``)."""
-    small = build(SCALAR_DOMAIN)
-    guard_batched, guard_result = _run(small, "batched")
-    _cold_small, _ = _run(small, "kernel")
-    guard_kernel, kernel_result = _run(small, "kernel")
-    assert kernel_result.cycles == guard_result.cycles
-    assert kernel_result.profile.kernel_cached
-    for name, expected in guard_result.outputs.items():
-        assert np.array_equal(expected, kernel_result.outputs[name],
+def _assert_same_run(expected, actual):
+    assert actual.cycles == expected.cycles
+    assert actual.stall_cycles == expected.stall_cycles
+    assert actual.channel_occupancy == expected.channel_occupancy
+    for name, array in expected.outputs.items():
+        assert np.array_equal(array, actual.outputs[name],
                               equal_nan=True), name
 
-    large = build(PAPER_DOMAIN)
-    cold, _ = _run(large, "kernel")
-    # The first replay lazily builds the native backend module (a
-    # one-time gcc invocation per kernel digest per process) and
-    # bitwise-validates its first chunk; absorb that before timing the
-    # steady-state replay.
-    first_replay, _ = _run(large, "kernel")
-    warm, warm_result = _run(large, "kernel")
-    assert warm_result.profile.kernel_cached
-    batched_cps = batched_row["batched"]["cells_per_second"]
-    return {
-        "cold_record_and_compile": cold,
-        "first_replay_with_backend_build": first_replay,
-        "warm_replay": warm,
-        "speedup_warm_vs_batched": round(
-            warm["cells_per_second"] / batched_cps, 1),
-    }
+
+def _row(label, build, **machine):
+    """One configuration: scalar parity on the reduced domain, then the
+    pinned control-flow counts on the paper domain."""
+    small = build(SCALAR_DOMAIN)
+    _assert_same_run(_run(small, "scalar", **machine),
+                     _run(small, "batched", **machine))
+    result = _run(build(PAPER_DOMAIN), "batched", **machine)
+    profile = result.profile
+    assert profile.scalar_cycles == 0
+    assert (result.cycles, profile.plan_count,
+            profile.window_count) == PAPER_PINS[label]
+    return result
 
 
 def test_engine_throughput():
-    hdiff = lambda shape: horizontal_diffusion(  # noqa: E731
-        shape=shape, vectorization=VECTORIZATION)
+    single = _row("single", _hdiff)
+    _row("two_device", _hdiff, device_count=2, latency=NETWORK_LATENCY)
+    _row("four_device", _hdiff, device_count=4, latency=NETWORK_LATENCY)
+    _row("integer", _int_chain)
+    fractional = dict(device_count=2, latency=FRACTIONAL_LATENCY,
+                      rate=FRACTIONAL_RATE)
+    _row("fractional", _hdiff, **fractional)
 
-    single = _row(hdiff)
-    two_device = _row(hdiff, device_count=2, latency=NETWORK_LATENCY)
-    four_device = _row(hdiff, device_count=4, latency=NETWORK_LATENCY)
-    integer = _row(_int_chain)
-    fractional = _fractional_row(hdiff)
-    kernel = _kernel_row(hdiff, single)
+    # Super-pattern windows are a pure planning optimization: the
+    # per-delivery path it replaced reaches the identical machine state
+    # with one plan per delivered word.
+    small = _hdiff(SCALAR_DOMAIN)
+    windowed = _run(small, "batched", **fractional)
+    per_delivery = _run(small, "batched", superpattern=False,
+                        **fractional)
+    _assert_same_run(windowed, per_delivery)
+    assert windowed.profile.window_count > 0
+    assert per_delivery.profile.window_count == 0
+    assert per_delivery.profile.plan_count \
+        > 100 * windowed.profile.plan_count
 
-    vs_pr1 = round(single["batched"]["cells_per_second"]
-                   / PR1_CELLS_PER_SECOND, 2)
-    record = {
-        "workload": "horizontal_diffusion",
-        "vectorization": VECTORIZATION,
-        "network_latency_multi_device": NETWORK_LATENCY,
-        "single_device": single,
-        "two_device": two_device,
-        "four_device": four_device,
-        "integer_chain": integer,
-        "fractional_rate": fractional,
-        "kernel_replay": kernel,
-        "single_device_vs_pr1": {
-            "pr1_cells_per_second": PR1_CELLS_PER_SECOND,
-            "cells_per_second": single["batched"]["cells_per_second"],
-            "speedup": vs_pr1,
-        },
-    }
-    BENCH_FILE.write_text(json.dumps(record, indent=2) + "\n")
-
-    for label, row in (("1-device", single), ("2-device", two_device),
-                       ("4-device", four_device),
-                       ("int-chain", integer)):
-        print(f"\n{label:9s}: scalar "
-              f"{row['scalar']['cells_per_second']:>10,} c/s | batched "
-              f"{row['batched']['cells_per_second']:>10,} c/s | "
-              f"{row['speedup_cells_per_second']}x")
-    print(f"rate-1/3 : scalar "
-          f"{fractional['scalar']['cells_per_second']:>10,} c/s | "
-          f"super-pattern "
-          f"{fractional['superpattern']['cells_per_second']:>10,} c/s | "
-          f"{fractional['speedup_vs_per_delivery']}x vs per-delivery")
-    print(f"kernel   : batched "
-          f"{single['batched']['cells_per_second']:>10,} c/s | "
-          f"warm replay "
-          f"{kernel['warm_replay']['cells_per_second']:>10,} c/s | "
-          f"{kernel['speedup_warm_vs_batched']}x")
-    print(f"single-device vs PR1 batched engine: {vs_pr1}x "
-          f"(written to {BENCH_FILE.name})")
-
-    # Acceptance bars: the batched engine stays an order of magnitude
-    # ahead of scalar on a single device, the lifted in-flight bound
-    # keeps deep-wire multi-device runs >= 5x scalar, integer programs
-    # actually benefit from batching, and super-pattern windows beat
-    # the per-delivery re-planning path on fractional-rate links by
-    # the PR's >= 5x target.
-    assert single["speedup_cells_per_second"] >= 10.0
-    assert two_device["speedup_cells_per_second"] >= 5.0
-    assert four_device["speedup_cells_per_second"] >= 5.0
-    assert integer["speedup_cells_per_second"] >= 3.0
-    assert fractional["speedup_vs_per_delivery"] >= 5.0
-    assert fractional["speedup_cells_per_second"] >= 5.0
-    # Warm kernel replay skips planning and per-window control
-    # entirely; the PR 10 bar is >= 2x batched throughput.
-    assert kernel["speedup_warm_vs_batched"] >= 2.0
+    # Kernel engine on the paper domain: the cold run records, the warm
+    # run replays the compiled pass — same control outcome, bitwise the
+    # batched engine's outputs.
+    large = _hdiff(PAPER_DOMAIN)
+    cold = _run(large, "kernel")
+    warm = _run(large, "kernel")
+    assert not cold.profile.kernel_cached
+    assert warm.profile.kernel_cached
+    assert warm.profile.kernel_slabs == len(large.stencils)
+    _assert_same_run(single, cold)
+    _assert_same_run(single, warm)

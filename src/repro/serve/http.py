@@ -18,6 +18,7 @@ queries through :func:`repro.api.query`, so the two can never skew.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import time
@@ -45,6 +46,10 @@ from .schema import (
 #: Default bind address; loopback because the protocol has no auth.
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8173
+
+#: Largest POST body read (inline program JSON is a few KiB); a fixed
+#: bound so one request cannot make a handler thread buffer gigabytes.
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass
@@ -96,6 +101,8 @@ class _Server(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{SCHEMA_VERSION}"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on accepted sockets: a response is one small write.
+    disable_nagle_algorithm = True
 
     # The access log goes to the query log + metrics, not stderr.
     def log_message(self, format, *args):  # noqa: A002
@@ -105,7 +112,22 @@ class _Handler(BaseHTTPRequestHandler):
         self._route(body=None)
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The unread body (of unknown size) would be parsed as the
+            # next request: close instead of resynchronizing.
+            self._send(400, error_response(
+                "Content-Length is not a non-negative integer", 400),
+                close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            self._send(413, error_response(
+                f"request body exceeds {MAX_BODY_BYTES} bytes", 413),
+                close=True)
+            return
         raw = self.rfile.read(length) if length else b""
         body = None
         if raw:
@@ -156,14 +178,26 @@ class _Handler(BaseHTTPRequestHandler):
                                  status=status)
         self._send(status, payload)
 
-    def _send(self, status: int, payload: dict):
+    def _send(self, status: int, payload: dict, close: bool = False):
         data = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
+        if close:
+            self.send_header("Connection", "close")
+        # Headers and body leave in one write: end_headers() straight
+        # to the socket would flush the headers alone, and on a
+        # keep-alive connection the body's second small segment then
+        # waits out the client's delayed ACK (~40 ms against a ~10 us
+        # lookup).  (An HTTP/0.9 request line gets no header block.)
+        wfile, self.wfile = self.wfile, io.BytesIO()
         try:
-            self.wfile.write(data)
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = wfile
+        try:
+            wfile.write(head + data)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to clean up
 

@@ -22,11 +22,13 @@ The units mirror :mod:`repro.simulator.units` but hold NumPy state:
 
 * :class:`BatchedSourceUnit` slices ``(B, W)`` slabs straight out of
   the input array instead of boxing tuples;
-* :class:`BatchedStencilUnit` keeps per-field sliding windows as flat
-  ring arrays (float64, or int64 for integer-typed fields), resolves a
-  batch's accesses with coordinate/boundary slabs precomputed once per
-  program, and evaluates the stencil through the array-mode compiler
-  (:class:`~repro.simulator.compile.ArrayCompiledStencil`);
+* :class:`BatchedStencilUnit` reads its taps as slices of its inbound
+  edge buffers (float64, or int64 for integer-typed fields — the
+  sliding window *is* the channel's storage), resolves boundaries with
+  coordinate/boundary slabs precomputed once per program, evaluates
+  the stencil through the array-mode compiler
+  (:class:`~repro.simulator.compile.ArrayCompiledStencil`) and stores
+  the result once, into its outbound edge buffers;
 * :class:`BatchedSinkUnit` writes slabs directly into the output array.
 
 Every supported configuration runs on this fast path:
@@ -180,9 +182,9 @@ class CoordSlabs:
         for extent in domain:
             n *= extent
         self.num_cells = n
-        self.t = np.arange(n, dtype=np.int64)
+        t = np.arange(n, dtype=np.int64)
         strides = row_major_strides(domain)
-        self.coords = tuple((self.t // stride) % extent
+        self.coords = tuple((t // stride) % extent
                             for stride, extent in zip(strides, domain))
         self._boundary: Dict[Tuple, Optional[Tuple]] = {}
 
@@ -209,14 +211,13 @@ class CoordSlabs:
         return entry
 
 
-def _write_slab(channel, rows: np.ndarray, now: int, b: int):
-    """Push ``b`` words (one per cycle from ``now``) onto a channel,
-    computing per-row delivery times for network links."""
+def _commit_slab(channel, now: int, b: int):
+    """Push the ``b`` oldest staged words of a channel (one per cycle
+    from ``now``), computing per-row delivery times for network links."""
     if isinstance(channel, ArrayNetworkLink):
-        times = _iota(b) + (now + channel.latency)
-        channel.write_rows(rows, times)
+        channel.commit_rows(b, _iota(b) + (now + channel.latency))
     else:
-        channel.write_rows(rows)
+        channel.commit_rows(b)
 
 
 class BatchedSourceUnit(SourceUnit):
@@ -250,17 +251,21 @@ class BatchedSourceUnit(SourceUnit):
     def run_batch(self, now: int, b: int):
         slab = self.rows[self.next_word:self.next_word + b]
         for channel in self.out_channels:
-            _write_slab(channel, slab, now, b)
+            channel.stage_rows(slab)
+            _commit_slab(channel, now, b)
         self.next_word += b
 
 
 class BatchedStencilUnit(StencilBookkeeping):
     """Vectorized variant of :class:`~repro.simulator.units.StencilUnit`.
 
-    Field data lives in flat ring windows (float64, or int64 for
-    integer-typed fields) sized to cover the read-ahead plus one
-    maximum batch; access resolution is a gather of ``t + flat_offset``
-    (mod window) with boundary masks precomputed over the whole domain.
+    The unit owns no field data: its sliding windows *are* its inbound
+    edge buffers (a pop is a counter advance, the popped words stay
+    readable as history), every tap is a contiguous ring slice of
+    ``lo + flat_offset`` cells, and computed words are stored once,
+    straight into the outbound edge buffers, where they sit staged
+    until the latency line — a ring of ready-times only — drains them
+    (see ``docs/ARCHITECTURE.md``, "Batched data plane").
 
     ``coord_slabs`` carries the machine-wide :class:`CoordSlabs`
     shared by every stencil unit, so per-batch coordinate generation is
@@ -294,8 +299,8 @@ class BatchedStencilUnit(StencilBookkeeping):
         # array-mode compiler (argument order matches by design).
         self.compiled = compiled_stencil(stencil.ast, mode="array")
         fields = sorted(self.in_channels)
-        (self.access_info, readahead, self.init_words, self.pop_start,
-         self.min_flat) = schedule_reads(
+        (self.access_info, _readahead, self.init_words, self.pop_start,
+         _min_flat) = schedule_reads(
             domain, width, program.index_names, self.compiled.accesses,
             fields)
         self.fields = fields
@@ -305,8 +310,8 @@ class BatchedStencilUnit(StencilBookkeeping):
         # integer streams that boundary fills can leak floats into).
         # The second element of the meta is the int-typedness seed of
         # the stream's lanes (see float_leaky_streams).  The simulator
-        # passes its machine-wide resolver so windows match the
-        # producing channels exactly.
+        # passes its machine-wide resolver so the seeds match the edge
+        # buffers exactly.
         if stream_meta is None:
             leaky = float_leaky_streams(program)
 
@@ -318,44 +323,25 @@ class BatchedStencilUnit(StencilBookkeeping):
                     return np.int64, True
                 return np.float64, (True if leak == "nan" else None)
 
-        # Sliding windows: ring arrays indexed by global cell index
-        # (mod size).  Sized so one maximum batch plus the read-ahead
-        # plus trailing history (negative offsets, copy-boundary
-        # centers) never laps itself.
-        self._window: Dict[str, np.ndarray] = {}
-        self._wmask: Dict[str, int] = {}
-        self._field_int: Dict[str, Optional[bool]] = {}
-        for field in fields:
-            span = ((readahead[field] + max_batch_words + 2) * width
-                    + max(0, -self.min_flat[field]) + width)
-            size = _pow2_ceil(span)
-            dtype, int_seed = stream_meta(field)
-            self._window[field] = np.zeros(size, dtype=dtype)
-            self._wmask[field] = size - 1
-            self._field_int[field] = int_seed
+        self._field_int: Dict[str, Optional[bool]] = {
+            field: stream_meta(field)[1] for field in fields}
         self.line_dtype = stream_meta(stencil.name)[0]
 
-        # Machine-wide coordinate slabs: flat cell indices, coordinate
-        # arrays, and memoized per-offset boundary data, sliced per
-        # batch instead of recomputed.
+        # Machine-wide coordinate slabs: coordinate arrays and memoized
+        # per-offset boundary data, sliced per batch instead of
+        # recomputed.
         if coord_slabs is None:
             coord_slabs = CoordSlabs(domain)
-        self._t_all = coord_slabs.t
         self._coords_all = coord_slabs.coords
         self._access_boundary = [coord_slabs.boundary(full, width)
                                  for _access, full, _flat
                                  in self.access_info]
 
-        # Scratch gather-index buffer reused across batches.
-        self._gather = np.empty((max_batch_words + 1) * width,
-                                dtype=np.int64)
-
-        # Latency line as parallel rings of rows and ready-times.
+        # Latency line: a ring of ready-times; the words themselves sit
+        # staged in the outbound edge buffers.
         self.line_capacity = self.compute_latency + 1
-        line_rows = self.line_capacity + max_batch_words + 1
-        self._line_rows = _RowRing(line_rows, width,
-                                   dtype=self.line_dtype)
-        self._line_times = _RowRing(line_rows, dtype=np.int64)
+        self._line_times = _RowRing(self.line_capacity + max_batch_words
+                                    + 1)
 
         self.local_step = 0
         self.stall_cycles = 0
@@ -370,11 +356,25 @@ class BatchedStencilUnit(StencilBookkeeping):
         self.boundary = boundary
         self.fill_value = math.nan
 
+    @staticmethod
+    def history_words(program: StencilProgram, stencil: StencilDefinition,
+                      field: str) -> int:
+        """Words behind its pop pointer that ``stencil`` still reads
+        from the stream of ``field``: computing word ``w`` happens in
+        the step that pops word ``w + readahead`` and reaches back to
+        cell ``w * W + min(min_flat, 0)`` (the center, for copy
+        boundaries) — the rows the inbound edge buffer must retain."""
+        width = program.vectorization
+        accesses = compiled_stencil(stencil.ast, mode="array").accesses
+        _info, readahead, _init, _start, min_flat = schedule_reads(
+            program.shape, width, program.index_names, accesses, [field])
+        return readahead[field] - (min(min_flat[field], 0) // width)
+
     # -- introspection -------------------------------------------------------
 
     @property
     def line_len(self) -> int:
-        return len(self._line_rows)
+        return len(self._line_times)
 
     @property
     def line_head_time(self) -> int:
@@ -388,7 +388,7 @@ class BatchedStencilUnit(StencilBookkeeping):
     @property
     def done(self) -> bool:
         return (self.local_step >= self.init_words + self.num_words
-                and not len(self._line_rows))
+                and not len(self._line_times))
 
     # -- scalar fallback (exact mirror of StencilUnit.step) ------------------
 
@@ -401,74 +401,57 @@ class BatchedStencilUnit(StencilBookkeeping):
         if empty:
             self._note_stall(f"waiting on input(s) {empty}")
             return progressed
-        if len(self._line_rows) >= self.line_capacity:
+        if len(self._line_times) >= self.line_capacity:
             self._note_stall("output backpressure (latency line full)")
             return progressed
         for field in needed:
-            row = self.in_channels[field].pop()
-            self._window_write(field, self.local_step,
-                               np.asarray(row).reshape(1, -1))
+            self.in_channels[field].pop()
         if self.local_step >= self.init_words:
-            out = self.compute_words(self.local_step - self.init_words, 1)
-            self._line_rows.push_rows(out)
-            self._line_times.push_rows(np.asarray(
-                [now + self.compute_latency], dtype=np.int64))
+            self._line_push(
+                self.compute_words(self.local_step - self.init_words, 1),
+                np.asarray([now + self.compute_latency], dtype=np.int64))
         self.local_step += 1
         return True
 
     def _drain(self, now: int) -> bool:
-        if not len(self._line_rows):
+        if not len(self._line_times):
             return False
         if self.line_head_time > now:
             return False
         if any(c.full for c in self.out_channels):
             return False
-        row = self._line_rows.pop_rows(1)[0]
         self._line_times.pop_rows(1)
         for channel in self.out_channels:
-            channel.push(row)
+            channel.push_staged()
         self._mark_pushed(now, 1)
         return True
 
-    def _push_out(self, rows: np.ndarray, now: int, b: int):
-        """Batch-path output: statistics are applied by record_batch."""
-        for channel in self.out_channels:
-            _write_slab(channel, rows, now, b)
-        self._mark_pushed(now, b)
-
     # -- batched operation ---------------------------------------------------
 
-    def _window_write(self, field: str, local: int, rows: np.ndarray):
-        """Store arrived words of ``field`` at the cell indices implied
-        by ``local``, the unit-local step of the first arriving word."""
-        start = (local - self.pop_start[field]) * self.width
-        window = self._window[field]
-        size = window.size
-        pos = start & self._wmask[field]
-        values = rows.reshape(-1)
-        n = values.size
-        first = min(n, size - pos)
-        window[pos:pos + first] = values[:first]
-        if first < n:
-            window[:n - first] = values[first:]
+    def _line_push(self, rows: np.ndarray, times: np.ndarray):
+        """Enter computed words into the latency line: the one store of
+        each word, into every outbound edge buffer."""
+        for channel in self.out_channels:
+            channel.stage_rows(rows)
+        self._line_times.push_rows(times)
 
     def compute_words(self, w0: int, b: int) -> np.ndarray:
-        """Vectorized stencil evaluation of words ``[w0, w0 + b)``."""
+        """Vectorized stencil evaluation of words ``[w0, w0 + b)``.
+
+        Taps are views of the inbound edge buffers (and the result may
+        alias one): the caller stores it before anything writes there.
+        """
         width = self.width
         lo = w0 * width
-        hi = lo + b * width
-        t = self._t_all[lo:hi]
+        n = b * width
+        hi = lo + n
         coords = tuple(c[lo:hi] for c in self._coords_all)
         args = []
         intish = []
-        gather = self._gather[:t.size]
         for (access, _full, flat), boundary in zip(
                 self.access_info, self._access_boundary):
-            window = self._window[access.field]
-            mask = self._wmask[access.field]
-            np.add(t, flat, out=gather)
-            gather &= mask
-            values = window.take(gather)
+            stream = self.in_channels[access.field]
+            values = stream.cells(lo + flat, n)
             # Lane int-typedness mirrors cell mode's Python values, not
             # the slab dtype: NaN-demoted integer streams ride float64
             # but their non-NaN lanes are still Python ints in cell
@@ -492,8 +475,7 @@ class BatchedStencilUnit(StencilBookkeeping):
                             fill_int = (isinstance(fill, int)
                                         and not isinstance(fill, bool))
                         else:  # copy: the center value
-                            np.bitwise_and(t, mask, out=gather)
-                            fill = window.take(gather)
+                            fill = stream.cells(lo, n)
                             fill_int = base_int is True
                     values = np.where(in_bounds, values, fill)
                     # Cell mode types each lane individually: an int
@@ -514,13 +496,11 @@ class BatchedStencilUnit(StencilBookkeeping):
         """Execute ``b`` identical cycles of the planned pattern."""
         if advance:
             for field in needed:
-                rows = self.in_channels[field].read_rows(b)
-                self._window_write(field, self.local_step, rows)
+                self.in_channels[field].skip_rows(b)
             if self.local_step >= self.init_words:
-                out = self.compute_words(self.local_step - self.init_words,
-                                         b)
-                self._line_rows.push_rows(out)
-                self._line_times.push_rows(
+                self._line_push(
+                    self.compute_words(self.local_step - self.init_words,
+                                       b),
                     _iota(b) + (now + self.compute_latency))
         elif stall_reason:
             self.stall_cycles += b
@@ -528,9 +508,10 @@ class BatchedStencilUnit(StencilBookkeeping):
                 self.stall_after_init += b
             self._block = stall_reason
         if drain:
-            rows = self._line_rows.pop_rows(b)
             self._line_times.pop_rows(b)
-            self._push_out(rows, now, b)
+            for channel in self.out_channels:
+                _commit_slab(channel, now, b)
+            self._mark_pushed(now, b)
         if advance:
             self.local_step += b
 
@@ -618,7 +599,7 @@ class _WindowEvents:
 
     __slots__ = ("pushes", "advances", "line_pushes", "drains",
                  "arrivals", "stalls", "stalls_after_init", "pops",
-                 "first_pop_local", "first_compute_local", "stall_reason")
+                 "first_compute_local", "stall_reason")
 
     def __init__(self):
         self.pushes: List[int] = []       # source push cycle offsets
@@ -629,7 +610,6 @@ class _WindowEvents:
         self.stalls = 0
         self.stalls_after_init = 0
         self.pops: Dict[str, int] = {}    # per-field words consumed
-        self.first_pop_local: Dict[str, int] = {}
         self.first_compute_local: Optional[int] = None
         self.stall_reason = ""
 
@@ -775,19 +755,40 @@ class BatchedSimulator(Simulator):
             slabs = self._coords = CoordSlabs(self.program.shape)
         return slabs
 
-    def _make_channel(self, name: str, capacity: int, data: str):
-        return ArrayChannel(name, capacity, self.program.vectorization,
-                            headroom=self._batch_cap(),
-                            dtype=self._stream_meta(data)[0])
+    def _stream_width(self) -> int:
+        """Lanes per streamed word (the control engine narrows it to 0)."""
+        return self.program.vectorization
+
+    def _edge_layout(self, key) -> dict:
+        """Buffer rows of edge ``key`` beyond its FIFO capacity:
+        ``headroom`` for one maximum batch in transit plus the
+        producing stencil's latency line (its words are stored in this
+        buffer from the moment they are computed), ``history`` for the
+        consumed words the consuming stencil's taps still read."""
+        src, dst, data = key
+        headroom = self._batch_cap()
+        if src.startswith("stencil:"):
+            headroom += max(
+                0, self.analysis.node_delays[src].compute_cycles) + 1
+        history = 0
+        kind, _, name = dst.partition(":")
+        if kind == "stencil":
+            history = BatchedStencilUnit.history_words(
+                self.program, self.program.stencil(name), data)
+        return {"headroom": headroom, "history": history,
+                "dtype": self._stream_meta(data)[0]}
+
+    def _make_channel(self, key, name: str, capacity: int, data: str):
+        return ArrayChannel(name, capacity, self._stream_width(),
+                            **self._edge_layout(key))
 
     def _make_link(self, key, name: str, capacity: int, data: str):
         config = self.config
         return ArrayNetworkLink(
-            name, capacity, self.program.vectorization,
+            name, capacity, self._stream_width(),
             latency=config.network_latency,
             words_per_cycle=config.link_rate(key),
-            headroom=self._batch_cap(),
-            dtype=self._stream_meta(data)[0])
+            **self._edge_layout(key))
 
     def _make_source(self, name: str, data: np.ndarray, outs):
         return BatchedSourceUnit(name, data, self.program.vectorization,
@@ -1382,7 +1383,6 @@ class BatchedSimulator(Simulator):
                     for field in needed:
                         pop_from(unit.in_channels[field])
                         ev.pops[field] = ev.pops.get(field, 0) + 1
-                        ev.first_pop_local.setdefault(field, step)
                     if step >= unit.init_words:
                         line.append(now_v + unit.compute_latency)
                         ev.line_pushes.append(off)
@@ -1677,28 +1677,25 @@ class BatchedSimulator(Simulator):
         for field in unit.fields:
             count = ev.pops.get(field, 0) * k
             if count:
-                rows = unit.in_channels[field].read_rows(count)
-                unit._window_write(field, ev.first_pop_local[field], rows)
+                unit.in_channels[field].skip_rows(count)
         computed = len(ev.line_pushes) * k
         if computed:
-            out = unit.compute_words(
-                ev.first_compute_local - unit.init_words, computed)
-            unit._line_rows.push_rows(out)
-            unit._line_times.push_rows(
+            unit._line_push(
+                unit.compute_words(
+                    ev.first_compute_local - unit.init_words, computed),
                 _window_times(ev.line_pushes, now, q, k)
                 + unit.compute_latency)
         drained = len(ev.drains) * k
         if drained:
-            rows = unit._line_rows.pop_rows(drained)
             unit._line_times.pop_rows(drained)
             times = None
             for channel in unit.out_channels:
                 if isinstance(channel, ArrayNetworkLink):
                     if times is None:
                         times = _window_times(ev.drains, now, q, k)
-                    channel.write_rows(rows, times + channel.latency)
+                    channel.commit_rows(drained, times + channel.latency)
                 else:
-                    channel.write_rows(rows)
+                    channel.commit_rows(drained)
             if unit.first_push_cycle is None:
                 unit.first_push_cycle = now + ev.drains[0]
             unit.last_push_cycle = now + (k - 1) * q + ev.drains[-1]

@@ -10,14 +10,17 @@ Two implementations exist for each:
 * :class:`Channel` / :class:`NetworkLink` — deque-of-words, used by the
   scalar engine, where a word is whatever Python object the producer
   pushes (a ``W``-tuple of floats in practice).
-* :class:`ArrayChannel` / :class:`ArrayNetworkLink` — NumPy ring
-  buffers storing words as rows of an ``(n, W)`` slab (float64 for
-  float-typed streams, int64 for integer-typed ones), used by the
-  batched engine.  They speak the same scalar ``push``/``pop`` protocol
-  (words are 1-D rows) plus a slab protocol
-  (``write_rows``/``read_rows``) and analytic per-batch statistics
-  (:meth:`ArrayChannel.record_batch`), so a batch of ``B`` cycles can be
-  accounted without touching Python once per word.
+* :class:`ArrayChannel` / :class:`ArrayNetworkLink` — one NumPy
+  buffer per edge storing words as rows of an ``(n, W)`` slab (float64
+  for float-typed streams, int64 for integer-typed ones), used by the
+  batched engine.  Each word is written once and read in place
+  (:class:`_EdgeBuffer`): the FIFO is a set of counters over the
+  buffer, which also holds the producer's latency-line words and the
+  consumer's sliding-window history.  They speak the same scalar
+  ``push``/``pop`` protocol (words are 1-D rows) plus a slab protocol
+  (``stage_rows``/``commit_rows``/``read_rows``) and analytic per-batch
+  statistics (:meth:`ArrayChannel.record_batch`), so a batch of ``B``
+  cycles can be accounted without touching Python once per word.
 
 :class:`ArrayNetworkLink` additionally exposes the rate limiter's
 credit accrual in closed form (:meth:`ArrayNetworkLink.next_ready_in`,
@@ -338,20 +341,38 @@ class NetworkLink:
                 f"in_flight={len(self._in_flight)})")
 
 
-class _RowRing:
-    """A preallocated FIFO of fixed-shape NumPy rows.
+def _ring_slice(buf: np.ndarray, pos: int, n: int) -> np.ndarray:
+    """``n`` entries of ring ``buf`` from ``pos`` — a *view* unless the
+    range wraps (then one concatenate)."""
+    end = pos + n
+    if end <= len(buf):
+        return buf[pos:end]
+    return np.concatenate((buf[pos:], buf[:end - len(buf)]))
 
-    Backs the batched channels: rows live in one contiguous array, reads
-    and writes move slabs with at most two slice copies (wraparound).
+
+def _ring_store(buf: np.ndarray, pos: int, values: np.ndarray):
+    """Store ``values`` into ring ``buf`` from ``pos`` (at most two
+    slice copies)."""
+    n = len(values)
+    first = min(n, len(buf) - pos)
+    buf[pos:pos + first] = values[:first]
+    if first < n:
+        buf[:n - first] = values[first:]
+
+
+class _RowRing:
+    """A preallocated FIFO of ready-times (in-flight link words,
+    latency-line words).
+
+    ``pop_rows`` and ``snapshot`` hand out views of the ring when the
+    range does not wrap: every caller consumes them before the next
+    ``push_rows``, after which a view is dead.
     """
 
-    __slots__ = ("_buf", "_rows", "_head", "_size")
+    __slots__ = ("_buf", "_head", "_size")
 
-    def __init__(self, rows: int, width: Optional[int] = None,
-                 dtype=np.float64):
-        shape = (rows,) if width is None else (rows, width)
-        self._buf = np.zeros(shape, dtype=dtype)
-        self._rows = rows
+    def __init__(self, rows: int):
+        self._buf = np.zeros(rows, dtype=np.int64)
         self._head = 0
         self._size = 0
 
@@ -360,26 +381,19 @@ class _RowRing:
 
     def push_rows(self, rows: np.ndarray):
         b = len(rows)
-        if self._size + b > self._rows:
+        if self._size + b > len(self._buf):
             raise SimulationError(
-                f"ring overflow: {self._size}+{b} > {self._rows}")
-        tail = (self._head + self._size) % self._rows
-        first = min(b, self._rows - tail)
-        self._buf[tail:tail + first] = rows[:first]
-        if first < b:
-            self._buf[:b - first] = rows[first:]
+                f"ring overflow: {self._size}+{b} > {len(self._buf)}")
+        _ring_store(self._buf, (self._head + self._size) % len(self._buf),
+                    rows)
         self._size += b
 
     def pop_rows(self, b: int) -> np.ndarray:
         if b > self._size:
             raise SimulationError(
                 f"ring underflow: {b} > {self._size}")
-        out = np.empty((b,) + self._buf.shape[1:], dtype=self._buf.dtype)
-        first = min(b, self._rows - self._head)
-        out[:first] = self._buf[self._head:self._head + first]
-        if first < b:
-            out[first:] = self._buf[:b - first]
-        self._head = (self._head + b) % self._rows
+        out = _ring_slice(self._buf, self._head, b)
+        self._head = (self._head + b) % len(self._buf)
         self._size -= b
         return out
 
@@ -389,14 +403,8 @@ class _RowRing:
         return self._buf[self._head]
 
     def snapshot(self) -> np.ndarray:
-        """The live contents, oldest first (copies at most two slices)."""
-        size, head = self._size, self._head
-        out = np.empty((size,) + self._buf.shape[1:], dtype=self._buf.dtype)
-        first = min(size, self._rows - head)
-        out[:first] = self._buf[head:head + first]
-        if first < size:
-            out[first:] = self._buf[:size - first]
-        return out
+        """The live contents, oldest first."""
+        return _ring_slice(self._buf, self._head, self._size)
 
 
 def timely_prefix_length(times: np.ndarray, now: int) -> int:
@@ -415,162 +423,219 @@ def timely_prefix_length(times: np.ndarray, now: int) -> int:
     return int(np.argmax(late))
 
 
-def _batch_stats(channel, cycles: int, pushed: bool, popped: bool,
-                 consumer_first: bool):
-    """Apply ``cycles`` cycles of a fixed push/pop pattern to a channel's
-    statistics, exactly as the scalar engine would have recorded them.
+class _EdgeBuffer:
+    """The one buffer of an edge: each word of the stream is written
+    once, at ``word index mod rows``, and read in place from there.
 
-    Per cycle the producer pushes ``pushed`` words and the consumer pops
-    ``popped``; ``consumer_first`` states whether the consumer unit steps
-    before the producer within a cycle (it determines the transient
-    occupancy seen at push time, which is when ``max_occupancy`` is
-    sampled).
+    Monotone word counters partition the ring (oldest first):
+
+    * ``[_rd - history, _rd)`` — consumed, but still read by the
+      consuming stencil's taps (:meth:`cells`);
+    * ``[_rd, _ready)`` — poppable; ``[_ready, _wr)`` — in flight on a
+      network link (plain channels keep ``_ready == _wr``);
+    * ``[_wr, _staged)`` — computed by the producing stencil and still
+      travelling its latency line (:meth:`stage_rows`).
+
+    Moving a word between regions is a counter advance; the FIFO
+    statistics never see the staged or history rows.  Rows and cells are
+    handed out as *views* unless the range wraps (one concatenate): a
+    view is dead after the next write to its ring.
     """
-    occupancy = len(channel)
-    delta = int(pushed) - int(popped)
-    if pushed:
-        t_peak = cycles - 1 if delta > 0 else 0
-        peak = occupancy + t_peak * delta + 1
-        if consumer_first and popped:
-            peak -= 1
-        if peak > channel.max_occupancy:
-            channel.max_occupancy = peak
-        channel.pushes += cycles
-    if popped:
-        channel.pops += cycles
+
+    __slots__ = ("dtype", "_buf", "_flat", "_history", "_staged", "_wr",
+                 "_ready", "_rd")
+
+    def __init__(self, buf: np.ndarray, history: int = 0):
+        self._buf = buf
+        self._flat = buf.reshape(-1)
+        self.dtype = buf.dtype
+        self._history = history
+        self._staged = self._wr = self._ready = self._rd = 0
+
+    def stage_rows(self, rows: np.ndarray):
+        """Store the stream's next ``len(rows)`` words."""
+        b = len(rows)
+        rows_total = len(self._buf)
+        if self._staged + b - self._rd + self._history > rows_total:
+            raise SimulationError(
+                f"ring overflow: {self._staged - self._rd}+{b}"
+                f"+{self._history} > {rows_total}")
+        _ring_store(self._buf, self._staged % rows_total, rows)
+        self._staged += b
+
+    def _commit(self, b: int):
+        """Move the ``b`` oldest staged words into the FIFO."""
+        if self._wr + b > self._staged:
+            raise SimulationError(
+                f"ring underflow: {b} > {self._staged - self._wr} staged")
+        self._wr += b
+
+    def cells(self, start: int, n: int) -> np.ndarray:
+        """Stream cells ``[start, start + n)``; lanes outside the
+        retained range hold arbitrary values (callers mask them)."""
+        return _ring_slice(self._flat, start % self._flat.size, n)
+
+    def skip_rows(self, b: int) -> int:
+        """Consume ``b`` poppable words in place (they stay readable
+        through :meth:`cells` as history); returns the first's index."""
+        start = self._rd
+        if start + b > self._ready:
+            raise SimulationError(
+                f"ring underflow: {b} > {self._ready - start}")
+        self._rd = start + b
+        return start
+
+    def read_rows(self, b: int) -> np.ndarray:
+        return _ring_slice(self._buf, self.skip_rows(b) % len(self._buf),
+                           b)
 
 
-class ArrayChannel:
-    """NumPy ring-buffer variant of :class:`Channel`.
+class ArrayChannel(_EdgeBuffer):
+    """NumPy edge-buffer variant of :class:`Channel`.
 
-    Words are rows of width ``W``; slabs of ``B`` words move in two
-    slice copies.  ``headroom`` extra rows absorb the transient where a
-    batch writes all ``B`` producer words before the consumer's ``B``
-    pops are applied.  ``dtype`` selects the slab element type: float64
-    for float-typed streams, int64 for integer-typed ones (matching the
+    Words are rows of width ``W``.  ``headroom`` extra rows absorb the
+    transient where a batch writes all ``B`` producer words before the
+    consumer's ``B`` pops are applied, plus the producer's latency
+    line; ``history`` rows keep consumed words readable for the
+    consumer's taps.  ``dtype`` selects the element type: float64 for
+    float-typed streams, int64 for integer-typed ones (matching the
     scalar engine's exact Python-int words up to 2**63).
     """
 
-    __slots__ = ("name", "capacity", "width", "dtype", "_ring", "pushes",
-                 "pops", "max_occupancy")
+    __slots__ = ("name", "capacity", "width", "pushes", "pops",
+                 "max_occupancy")
+
+    kind = "channel"
 
     def __init__(self, name: str, capacity: int, width: int,
-                 headroom: int = 0, dtype=np.float64):
+                 headroom: int = 0, dtype=np.float64, history: int = 0):
         if capacity < 1:
             raise SimulationError(
-                f"channel {name!r}: capacity must be >= 1, got {capacity}")
+                f"{self.kind} {name!r}: capacity must be >= 1, "
+                f"got {capacity}")
+        super().__init__(
+            np.zeros((capacity + headroom + history + 1, width),
+                     dtype=dtype), history)
         self.name = name
         self.capacity = capacity
         self.width = width
-        self.dtype = np.dtype(dtype)
-        self._ring = _RowRing(capacity + headroom + 1, width, dtype=dtype)
         self.pushes = 0
         self.pops = 0
         self.max_occupancy = 0
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return self._wr - self._rd
 
     @property
     def full(self) -> bool:
-        return len(self._ring) >= self.capacity
+        return self._wr - self._rd >= self.capacity
 
     @property
     def empty(self) -> bool:
-        return not len(self._ring)
+        return self._ready == self._rd
 
     # -- scalar protocol (used by the batched engine's fallback steps) ------
 
     def push(self, word):
+        self.stage_rows(
+            np.asarray(word, dtype=self.dtype).reshape(1, self.width))
+        self.push_staged()
+
+    def push_staged(self):
+        """Push the oldest staged word (a latency-line drain)."""
         if self.full:
-            raise SimulationError(f"push to full channel {self.name!r}")
-        row = np.asarray(word, dtype=self.dtype).reshape(1, self.width)
-        self._ring.push_rows(row)
+            raise SimulationError(f"push to full {self.kind} {self.name!r}")
+        self.commit_rows(1)
         self.pushes += 1
-        if len(self._ring) > self.max_occupancy:
-            self.max_occupancy = len(self._ring)
+        if len(self) > self.max_occupancy:
+            self.max_occupancy = len(self)
 
     def pop(self) -> np.ndarray:
         if self.empty:
-            raise SimulationError(f"pop from empty channel {self.name!r}")
+            raise SimulationError(
+                f"pop from empty {self.kind} {self.name!r}")
         self.pops += 1
-        return self._ring.pop_rows(1)[0]
+        return self.read_rows(1)[0]
 
     def peek(self) -> np.ndarray:
         if self.empty:
-            raise SimulationError(f"peek at empty channel {self.name!r}")
-        return self._ring.peek0()
+            raise SimulationError(
+                f"peek at empty {self.kind} {self.name!r}")
+        return self._buf[self._rd % len(self._buf)]
 
     # -- slab protocol (statistics are applied via record_batch) ------------
 
-    def write_rows(self, rows: np.ndarray):
-        self._ring.push_rows(rows)
+    def commit_rows(self, b: int):
+        """Push the ``b`` oldest staged words (a latency-line drain)."""
+        self._commit(b)
+        self._ready = self._wr
 
-    def read_rows(self, b: int) -> np.ndarray:
-        return self._ring.pop_rows(b)
+    def write_rows(self, rows: np.ndarray):
+        self.stage_rows(rows)
+        self.commit_rows(len(rows))
 
     def record_batch(self, cycles: int, pushed: bool, popped: bool,
                      consumer_first: bool):
-        _batch_stats(self, cycles, pushed, popped, consumer_first)
+        """Apply ``cycles`` cycles of a fixed push/pop pattern to the
+        statistics, exactly as the scalar engine would have recorded
+        them.
+
+        Per cycle the producer pushes ``pushed`` words and the consumer
+        pops ``popped``; ``consumer_first`` states whether the consumer
+        unit steps before the producer within a cycle (it determines
+        the transient occupancy seen at push time, which is when
+        ``max_occupancy`` is sampled).
+        """
+        occupancy = len(self)
+        delta = int(pushed) - int(popped)
+        if pushed:
+            t_peak = cycles - 1 if delta > 0 else 0
+            peak = occupancy + t_peak * delta + 1
+            if consumer_first and popped:
+                peak -= 1
+            if peak > self.max_occupancy:
+                self.max_occupancy = peak
+            self.pushes += cycles
+        if popped:
+            self.pops += cycles
 
     def __repr__(self) -> str:
         return (f"ArrayChannel({self.name!r}, {len(self)}/"
                 f"{self.capacity})")
 
 
-class ArrayNetworkLink:
-    """NumPy ring-buffer variant of :class:`NetworkLink`.
+class ArrayNetworkLink(ArrayChannel):
+    """NumPy edge-buffer variant of :class:`NetworkLink`.
 
     In-flight words carry per-row delivery times; the batched engine
-    moves timely prefixes in one slab (:meth:`deliver_rows`), bounds
-    batches with :meth:`timely_prefix`, and plans fractional-rate
+    moves timely prefixes in one counter advance (:meth:`deliver_rows`),
+    bounds batches with :meth:`timely_prefix`, and plans fractional-rate
     deliveries from the closed-form credit schedule
     (:meth:`next_ready_in` / :meth:`advance_credit`).
     """
 
-    __slots__ = ("name", "capacity", "latency", "dtype", "_limiter",
-                 "_now", "_in_rows", "_in_times", "_ready", "pushes",
-                 "pops", "max_occupancy", "_wait_cache")
+    __slots__ = ("latency", "_limiter", "_now", "_in_times", "_wait_cache")
+
+    kind = "link"
 
     def __init__(self, name: str, capacity: int, width: int,
                  latency: int = 16, words_per_cycle: float = 1.0,
-                 headroom: int = 0, dtype=np.float64):
-        if capacity < 1:
-            raise SimulationError(
-                f"link {name!r}: capacity must be >= 1, got {capacity}")
-        self.name = name
-        self.capacity = capacity
+                 headroom: int = 0, dtype=np.float64, history: int = 0):
+        super().__init__(name, capacity, width, headroom=headroom,
+                         dtype=dtype, history=history)
         self.latency = latency
-        self.dtype = np.dtype(dtype)
         self._limiter = RateLimiter(words_per_cycle)
         self._now = 0
-        rows = capacity + headroom + 1
-        self._in_rows = _RowRing(rows, width, dtype=dtype)
-        self._in_times = _RowRing(rows, dtype=np.int64)
-        self._ready = _RowRing(rows, width, dtype=dtype)
-        self.pushes = 0
-        self.pops = 0
-        self.max_occupancy = 0
+        self._in_times = _RowRing(capacity + headroom + 1)
         self._wait_cache: Optional[Tuple[float, Optional[int]]] = None
 
     @property
     def words_per_cycle(self) -> float:
         return self._limiter.rate
 
-    def __len__(self) -> int:
-        return len(self._in_rows) + len(self._ready)
-
-    @property
-    def full(self) -> bool:
-        return len(self) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not len(self._ready)
-
     @property
     def in_flight_len(self) -> int:
-        return len(self._in_rows)
+        return len(self._in_times)
 
     @property
     def head_time(self) -> int:
@@ -598,40 +663,13 @@ class ArrayNetworkLink:
         self._limiter.credit = credit
         self._wait_cache = None
 
-    # -- scalar protocol ----------------------------------------------------
-
-    def push(self, word):
-        if self.full:
-            raise SimulationError(f"push to full link {self.name!r}")
-        row = np.asarray(word, dtype=self.dtype)
-        # reshape(1, -1) cannot infer a width from a size-0 row (the
-        # control-run engine streams width-0 words); spell it out.
-        self._in_rows.push_rows(row.reshape(1, row.size))
-        self._in_times.push_rows(
-            np.asarray([self._now + self.latency], dtype=np.int64))
-        self.pushes += 1
-        if len(self) > self.max_occupancy:
-            self.max_occupancy = len(self)
-
-    def pop(self) -> np.ndarray:
-        if self.empty:
-            raise SimulationError(f"pop from empty link {self.name!r}")
-        self.pops += 1
-        return self._ready.pop_rows(1)[0]
-
-    def peek(self) -> np.ndarray:
-        if self.empty:
-            raise SimulationError(f"peek at empty link {self.name!r}")
-        return self._ready.peek0()
-
     def step(self, now: int):
         """Advance time: deliver in-flight words whose latency elapsed."""
         self._now = now
         self._limiter.refill()
-        while (len(self._in_rows) and self._limiter.ready
+        while (len(self._in_times) and self._limiter.ready
                and self._in_times.peek0() <= now):
-            self._ready.push_rows(self._in_rows.pop_rows(1))
-            self._in_times.pop_rows(1)
+            self.deliver_rows(1)
             self._limiter.spend()
 
     def step_frozen(self, now: int):
@@ -646,10 +684,9 @@ class ArrayNetworkLink:
         self._now = now
         self._limiter.refill_scaled(scale)
         self._wait_cache = None
-        while (len(self._in_rows) and self._limiter.ready
+        while (len(self._in_times) and self._limiter.ready
                and self._in_times.peek0() <= now):
-            self._ready.push_rows(self._in_rows.pop_rows(1))
-            self._in_times.pop_rows(1)
+            self.deliver_rows(1)
             self._limiter.spend()
 
     # -- slab protocol ------------------------------------------------------
@@ -728,22 +765,26 @@ class ArrayNetworkLink:
             self._wait_cache = None
 
     def deliver_rows(self, b: int):
-        self._ready.push_rows(self._in_rows.pop_rows(b))
+        """The ``b`` oldest in-flight words become poppable."""
         self._in_times.pop_rows(b)
+        self._ready += b
+
+    def commit_rows(self, b: int, times: Optional[np.ndarray] = None):
+        """Send the ``b`` oldest staged words down the wire, arriving
+        at ``times`` (omitted by the scalar protocol's single-word
+        push, which leaves at the link's current cycle)."""
+        self._commit(b)
+        if times is None:
+            times = np.asarray([self._now + self.latency], dtype=np.int64)
+        else:
+            self._now = int(times[-1]) - self.latency
+        self._in_times.push_rows(times)
 
     def write_rows(self, rows: np.ndarray, times: np.ndarray):
-        self._in_rows.push_rows(rows)
-        self._in_times.push_rows(np.asarray(times, dtype=np.int64))
-        self._now = int(times[-1]) - self.latency
-
-    def read_rows(self, b: int) -> np.ndarray:
-        return self._ready.pop_rows(b)
-
-    def record_batch(self, cycles: int, pushed: bool, popped: bool,
-                     consumer_first: bool):
-        _batch_stats(self, cycles, pushed, popped, consumer_first)
+        self.stage_rows(rows)
+        self.commit_rows(len(rows), np.asarray(times, dtype=np.int64))
 
     def __repr__(self) -> str:
         return (f"ArrayNetworkLink({self.name!r}, "
-                f"ready={len(self._ready)}, "
-                f"in_flight={len(self._in_rows)})")
+                f"ready={self._ready - self._rd}, "
+                f"in_flight={len(self._in_times)})")

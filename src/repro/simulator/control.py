@@ -36,7 +36,6 @@ from .batched import (
     BatchedSourceUnit,
     BatchedStencilUnit,
 )
-from .channel import ArrayChannel, ArrayNetworkLink, _RowRing
 from .engine import SimulationResult, SimulatorConfig
 
 
@@ -46,7 +45,6 @@ class _ControlCoords:
 
     def __init__(self, domain: Tuple[int, ...]):
         self.domain = tuple(domain)
-        self.t = np.empty(0, dtype=np.int64)
         self.coords = tuple(np.empty(0, dtype=np.int64)
                             for _ in domain)
 
@@ -71,47 +69,11 @@ class ControlStencilUnit(BatchedStencilUnit):
     """A stencil unit that moves words without computing values.
 
     All scheduling state (``init_words``, ``pop_start``, read-ahead,
-    latency line length) comes from the parent constructor unchanged;
-    only the data carriers are narrowed to zero lanes."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # Replace the data carriers the parent sized for real slabs.
-        for field in self.fields:
-            self._window[field] = np.zeros(
-                1, dtype=self._window[field].dtype)
-            self._wmask[field] = 0
-        self._gather = np.empty(0, dtype=np.int64)
-        line_rows = len(self._line_times._buf)
-        self._line_rows = _RowRing(line_rows, 0, dtype=self.line_dtype)
+    latency line) comes from the parent unchanged; the unit owns no
+    data buffers, and its edge buffers are zero lanes wide."""
 
     def compute_words(self, w0: int, b: int) -> np.ndarray:
         return np.zeros((b, 0), dtype=self.line_dtype)
-
-    def step(self, now: int) -> bool:
-        # Mirror of the parent's scalar step; the parent reshapes
-        # popped rows with reshape(1, -1), which cannot infer a width
-        # from a zero-lane row (and the window write is moot anyway).
-        progressed = self._drain(now)
-        if self.local_step >= self.init_words + self.num_words:
-            return progressed
-        needed = self.needed_fields()
-        empty = [f for f in needed if self.in_channels[f].empty]
-        if empty:
-            self._note_stall(f"waiting on input(s) {empty}")
-            return progressed
-        if len(self._line_rows) >= self.line_capacity:
-            self._note_stall("output backpressure (latency line full)")
-            return progressed
-        for field in needed:
-            self.in_channels[field].pop()
-        if self.local_step >= self.init_words:
-            self._line_rows.push_rows(
-                np.zeros((1, 0), dtype=self.line_dtype))
-            self._line_times.push_rows(np.asarray(
-                [now + self.compute_latency], dtype=np.int64))
-        self.local_step += 1
-        return True
 
 
 class ControlSinkUnit(BatchedSinkUnit):
@@ -132,19 +94,8 @@ class ControlSimulator(BatchedSimulator):
             slabs = self._coords = _ControlCoords(self.program.shape)
         return slabs
 
-    def _make_channel(self, name: str, capacity: int, data: str):
-        return ArrayChannel(name, capacity, 0,
-                            headroom=self._batch_cap(),
-                            dtype=self._stream_meta(data)[0])
-
-    def _make_link(self, key, name: str, capacity: int, data: str):
-        config = self.config
-        return ArrayNetworkLink(
-            name, capacity, 0,
-            latency=config.network_latency,
-            words_per_cycle=config.link_rate(key),
-            headroom=self._batch_cap(),
-            dtype=self._stream_meta(data)[0])
+    def _stream_width(self) -> int:
+        return 0
 
     def _make_source(self, name: str, data: np.ndarray, outs):
         return ControlSourceUnit(name, data,

@@ -203,7 +203,8 @@ class Simulator:
     # ``data`` names the field the edge carries; the batched engine uses
     # it to pick the slab dtype (int64 for integer-typed streams).
 
-    def _make_channel(self, name: str, capacity: int, data: str):
+    def _make_channel(self, key: ChannelKey, name: str, capacity: int,
+                      data: str):
         return Channel(name, capacity)
 
     def _make_link(self, key: ChannelKey, name: str, capacity: int,
@@ -243,8 +244,8 @@ class Simulator:
                 self.channels[key] = link
                 self.links.append(link)
             else:
-                self.channels[key] = self._make_channel(name, capacity,
-                                                        edge.data)
+                self.channels[key] = self._make_channel(
+                    key, name, capacity, edge.data)
 
         for name, spec in program.inputs.items():
             node_id = f"input:{name}"

@@ -78,17 +78,18 @@ from .batched import (
     BatchedSourceUnit,
     BatchedStencilUnit,
 )
-from .channel import _RowRing
+from .channel import _EdgeBuffer
 from .engine import SimulationResult, resolve_input_array
 
-#: Words per generated-kernel compute chunk.  Bounds the gather scratch
-#: and keeps each slab compute inside cache-friendly working sets while
-#: amortizing the per-call overhead over tens of thousands of cells.
+#: Words per generated-kernel compute chunk.  Keeps each slab compute
+#: (its boundary-fill and expression temporaries) inside cache-friendly
+#: working sets while amortizing the per-call overhead over tens of
+#: thousands of cells.
 CHUNK_WORDS = 65536
 
 #: On-disk kernel artifact schema; bump on any record/source change so
 #: stale artifacts stop hitting instead of replaying wrong records.
-KERNEL_SCHEMA = 1
+KERNEL_SCHEMA = 2
 
 #: Environment override for the compute backend.
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
@@ -350,9 +351,16 @@ def _unit_restricted(unit) -> bool:
     for field in unit.fields:
         if unit._field_int[field] is not None:
             return False
-        if unit._window[field].dtype != np.float64:
+        if unit.in_channels[field].dtype != np.float64:
             return False
     return _restricted_expr_ok(unit.stencil.ast)
+
+
+def _whole_streams(unit) -> List[np.ndarray]:
+    """The unit's input streams as flat arrays (views: the hit path
+    binds each whole stream as the unit's edge buffer)."""
+    return [unit.in_channels[f].cells(0, unit.num_cells)
+            for f in unit.fields]
 
 
 def _access_taps(unit):
@@ -425,8 +433,8 @@ def _c_source_for(unit) -> Optional[Tuple[str, int]]:
     """C source of a per-chunk compute for ``unit``, or None when the
     unit is outside the restricted class.  The signature is
     ``run(lo, n, f0, ..., out)`` over cells ``[lo, lo + n)`` of the
-    full streams (the hit path stores each stream at window offset 0,
-    so ``f[cell]`` is the stream value)."""
+    full streams (the hit path binds each whole stream as the unit's
+    edge buffer, so ``f[cell]`` is the stream value)."""
     if not _unit_restricted(unit):
         return None
     taps = _access_taps(unit)
@@ -542,8 +550,9 @@ class _CffiBackend:
                     .observe(clock.now() - began)
         lib, ffi = cached
         width = unit.width
-        pointers = [ffi.cast("double *", unit._window[f].ctypes.data)
-                    for f in unit.fields]
+        streams = _whole_streams(unit)
+        pointers = [ffi.cast("double *", stream.ctypes.data)
+                    for stream in streams]
 
         def fast(w0: int, b: int) -> np.ndarray:
             n = b * width
@@ -666,7 +675,7 @@ class _NumbaBackend:
                               backend=self.name) \
                 .observe(clock.now() - began)
         width = unit.width
-        streams = [unit._window[f] for f in unit.fields]
+        streams = _whole_streams(unit)
         digest = "numba:" + hashlib.sha1(source.encode()).hexdigest()
 
         def fast(w0: int, b: int) -> np.ndarray:
@@ -694,6 +703,10 @@ class _KernelContext:
         self.sinks = sinks
         self.backend = backend
         self._bound: Dict[str, object] = {}
+
+    #: Wraps a whole stream slab as a stencil unit's inbound edge
+    #: buffer: taps read it in place, nothing is copied.
+    stream = _EdgeBuffer
 
     def alloc(self, name: str) -> np.ndarray:
         unit = self.units[name]
@@ -847,6 +860,7 @@ class KernelSimulator(BatchedSimulator):
             "    sinks = ctx.sinks",
             "    compute = ctx.compute",
             "    alloc = ctx.alloc",
+            "    stream = ctx.stream",
         ]
         live = dict(consumers)
 
@@ -859,9 +873,8 @@ class KernelSimulator(BatchedSimulator):
             name = stencil.name
             lines.append(f"    u = units[{name!r}]")
             for field in needs[name]:
-                lines.append(
-                    f"    u._window_write({field!r}, "
-                    f"u.pop_start[{field!r}], slabs[{field!r}])")
+                lines.append(f"    u.in_channels[{field!r}] = "
+                             f"stream(slabs[{field!r}])")
             lines.append(f"    out = alloc({name!r})")
             lines.append(f"    for w0 in range(0, {num_words}, {chunk}):")
             lines.append(f"        b = min({chunk}, {num_words} - w0)")
@@ -905,7 +918,6 @@ class KernelSimulator(BatchedSimulator):
         record = artifact["record"]
         program = self.program
         width = program.vectorization
-        num_words = program.num_cells // width
         slabs: Dict[str, np.ndarray] = {}
         with span("kernel.build"):
             # Input validation and source range checks run the shared
@@ -925,7 +937,6 @@ class KernelSimulator(BatchedSimulator):
                 raise SimulationError(
                     f"simulation exceeded {cap} cycles "
                     f"(expected ~{expected})")
-            chunk = max(1, min(CHUNK_WORDS, num_words))
             units: Dict[str, BatchedStencilUnit] = {}
             for stencil in program.stencils:
                 node_id = f"stencil:{stencil.name}"
@@ -933,20 +944,13 @@ class KernelSimulator(BatchedSimulator):
                        for e in self.graph.in_edges(node_id)}
                 latency = self.analysis.node_delays[node_id] \
                     .compute_cycles
-                unit = BatchedStencilUnit(
+                # The pass binds each whole input stream as the unit's
+                # edge buffer and never touches the latency line.
+                units[stencil.name] = BatchedStencilUnit(
                     program, stencil, ins, [], latency,
-                    max_batch_words=num_words,
+                    max_batch_words=0,
                     coord_slabs=self._coord_slabs(),
                     stream_meta=self._stream_meta)
-                # The pass never touches the latency line and computes
-                # at most one chunk at a time: shrink the scratch the
-                # full-machine constructor sized for num_words batches.
-                unit._gather = np.empty((chunk + 1) * width,
-                                        dtype=np.int64)
-                unit._line_rows = _RowRing(1, width,
-                                           dtype=unit.line_dtype)
-                unit._line_times = _RowRing(1, dtype=np.int64)
-                units[stencil.name] = unit
             sinks: Dict[str, BatchedSinkUnit] = {}
             for out in program.outputs:
                 sinks[out] = BatchedSinkUnit(

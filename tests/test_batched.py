@@ -602,3 +602,106 @@ class TestBatchedSourceUnit:
         np.testing.assert_array_equal(
             np.asarray(scalar_words, dtype=np.float64),
             batched_words)
+
+
+class TestZeroCopyDataPlane:
+    """The batched data plane writes each word once and reads it in
+    place: pops and taps are views of the edge buffer whenever the
+    range does not wrap (one concatenate when it does), and a stencil
+    result that *is* such a view survives its source being
+    overwritten because the latency line stores it first."""
+
+    WIDTH = 2
+
+    def _unit(self, code, capacity=4, batch=4):
+        from repro.core import StencilProgram
+        from repro.simulator.batched import BatchedStencilUnit
+        program = StencilProgram.from_json({
+            "inputs": {"a": {"dtype": "float64", "dims": ["i"]}},
+            "outputs": ["s"],
+            "shape": [80],
+            "vectorization": self.WIDTH,
+            "program": {"s": {"code": code,
+                              "boundary_condition": "shrink"}},
+        })
+        stencil = program.stencil("s")
+        latency = 1
+        inbound = ArrayChannel(
+            "in", capacity, self.WIDTH, headroom=batch,
+            history=BatchedStencilUnit.history_words(program, stencil,
+                                                     "a"))
+        outbound = ArrayChannel("out", capacity, self.WIDTH,
+                                headroom=batch + latency + 1)
+        unit = BatchedStencilUnit(program, stencil, {"a": inbound},
+                                  [outbound], latency, batch)
+        return unit, inbound, outbound
+
+    def _feed(self, channel, first_word, words):
+        cells = np.arange(first_word * self.WIDTH,
+                          (first_word + words) * self.WIDTH,
+                          dtype=np.float64)
+        channel.write_rows(cells.reshape(words, self.WIDTH))
+        channel.skip_rows(words)
+
+    def test_pops_are_views_until_the_ring_wraps(self):
+        channel = ArrayChannel("c", 6, width=1, headroom=0)  # 7 rows
+        channel.write_rows(np.arange(5.0).reshape(5, 1))
+        rows = channel.read_rows(5)
+        assert np.shares_memory(rows, channel._buf)
+        assert rows.ravel().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        channel.write_rows(np.arange(5.0, 10.0).reshape(5, 1))
+        wrapped = channel.read_rows(5)            # rows 5, 6, 0, 1, 2
+        assert not np.shares_memory(wrapped, channel._buf)
+        assert wrapped.ravel().tolist() == [5.0, 6.0, 7.0, 8.0, 9.0]
+
+    def test_taps_are_views_of_the_inbound_edge_buffer(self):
+        unit, inbound, _outbound = self._unit("a[i-1] + a[i+1]")
+        seen = []
+        compiled = unit.compiled
+        unit.compiled = lambda args, coords, **kw: (
+            seen.extend(args), compiled(args, coords, **kw))[1]
+        self._feed(inbound, 0, 4)
+        out = unit.compute_words(1, 2)            # interior: no fills
+        assert out.ravel().tolist() == [1 + 3, 2 + 4, 3 + 5, 4 + 6]
+        assert len(seen) == 2
+        assert all(np.shares_memory(values, inbound._buf)
+                   for values in seen)
+
+    def test_wrapping_taps_still_read_the_right_cells(self):
+        unit, inbound, _outbound = self._unit("a[i-1] + a[i+1]")
+        expected = lambda w: [  # noqa: E731
+            2.0 * c for c in range(w * self.WIDTH, (w + 2) * self.WIDTH)]
+        self._feed(inbound, 0, 4)
+        assert unit.compute_words(1, 2).ravel().tolist() == expected(1)
+        # Stream on until the taps of one batch straddle the ring end.
+        rows = len(inbound._buf)
+        for first in range(4, 3 * rows, 2):
+            self._feed(inbound, first, 2)
+            got = unit.compute_words(first - 1, 2)
+            assert got.ravel().tolist() == expected(first - 1), first
+
+    def test_identity_result_survives_source_overwrite(self):
+        unit, inbound, outbound = self._unit("a[i]", capacity=2, batch=2)
+        self._feed(inbound, 0, 2)
+        out = unit.compute_words(0, 2)
+        assert np.shares_memory(out, inbound._buf)   # the result *is* a view
+        unit._line_push(out, np.asarray([1, 2], dtype=np.int64))
+        # Stream the source ring all the way round: the view is dead...
+        rows = len(inbound._buf)
+        for first in range(2, 2 + rows, 2):
+            self._feed(inbound, first, 2)
+        assert out.ravel().tolist() != [0.0, 1.0, 2.0, 3.0]
+        # ...but the word was stored once, in the outbound buffer.
+        outbound.commit_rows(2)
+        assert outbound.read_rows(2).ravel().tolist() \
+            == [0.0, 1.0, 2.0, 3.0]
+
+    def test_history_rows_cannot_be_overwritten(self):
+        channel = ArrayChannel("c", 2, width=1, headroom=1, history=2)
+        for word in range(6):                      # 6 rows in the ring
+            channel.write_rows(np.full((1, 1), float(word)))
+            channel.skip_rows(1)
+        channel.write_rows(np.zeros((3, 1)))       # capacity + headroom
+        with pytest.raises(SimulationError, match="overflow"):
+            channel.write_rows(np.zeros((2, 1)))
+        assert channel.cells(4, 2).tolist() == [4.0, 5.0]  # history intact

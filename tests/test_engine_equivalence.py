@@ -686,6 +686,101 @@ class TestFaultInjection:
                               fault_plan=plan, deadlock_window=128)
 
 
+def _copy_boundary_program():
+    # Copy fills read the *center* cell: behind every tap in "s" (all
+    # offsets ahead of the center), between the taps in "t".
+    return StencilProgram.from_json({
+        "inputs": {"a": {"dtype": "float64", "dims": ["i", "j"]}},
+        "outputs": ["t"],
+        "shape": [6, 8],
+        "vectorization": 2,
+        "program": {
+            "s": {"code": "a[i,j+1] + 2.0 * a[i+1,j+2]",
+                  "boundary_condition": {"a": {"type": "copy"}}},
+            "t": {"code": "s[i-1,j] - s[i,j-1] + s[i,j+1]",
+                  "boundary_condition": {"s": {"type": "copy"}}},
+        },
+    })
+
+
+def _int_leak_program():
+    # int64 input, float-constant fill: "s" and "t" ride demoted
+    # float64 buffers, "a" a native int64 one.
+    return StencilProgram.from_json({
+        "inputs": {"a": {"dtype": "int64", "dims": ["i", "j"]}},
+        "outputs": ["t"],
+        "shape": [8, 8],
+        "program": {
+            "s": {"code": "a[i-1,j] * 3 + a[i,j+1]",
+                  "boundary_condition": {
+                      "a": {"type": "constant", "value": 2.5}}},
+            "t": {"code": "s[i,j-1] + s[i,j] * 2",
+                  "boundary_condition": {
+                      "s": {"type": "constant", "value": 0}}},
+        },
+    })
+
+
+def _identity_program():
+    # "s" evaluates to its input tap itself (a view of the inbound
+    # edge buffer) and fans out to a sink and a consumer.
+    return StencilProgram.from_json({
+        "inputs": {"a": {"dtype": "float32", "dims": ["i", "j"]}},
+        "outputs": ["s", "t"],
+        "shape": [8, 8],
+        "vectorization": 2,
+        "program": {
+            "s": {"code": "a[i,j]", "boundary_condition": "shrink"},
+            "t": {"code": "s[i,j-2] + s[i,j+2]",
+                  "boundary_condition": {
+                      "s": {"type": "constant", "value": 0.5}}},
+        },
+    })
+
+
+def _links_with_fault():
+    # 2-device split behind a half-rate link with an outage and a
+    # degraded window: (program, simulate kwargs).
+    from repro.faults import FaultPlan, LinkFault
+    program = chain_program(3, shape=(4, 8, 8), vectorization=2)
+    plan = FaultPlan(link_faults=(
+        LinkFault("s1", "s2", 40, 90),
+        LinkFault("s1", "s2", 120, 160, rate_scale=0.5)))
+    return program, dict(device_of={"s0": 0, "s1": 0, "s2": 1},
+                         fault_plan=plan, network_latency=4,
+                         network_words_per_cycle=0.5)
+
+
+class TestEdgeBufferWraparound:
+    """Tiny batches over minimal channels: every edge buffer is a few
+    rows long and wraps on nearly every batch, so pops, taps, staged
+    latency-line words and link deliveries all cross the ring end
+    against the scalar oracle."""
+
+    CASES = {
+        "copy_boundary": lambda: (_copy_boundary_program(), {}),
+        "int64_float_leak": lambda: (_int_leak_program(), {}),
+        "fan_out": lambda: (diamond_program(), {}),
+        "identity_view": lambda: (_identity_program(), {}),
+        "links_with_fault": _links_with_fault,
+    }
+
+    @pytest.mark.parametrize("max_batch_words", [1, 2, 3, 7])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_scalar_parity(self, case, max_batch_words):
+        program, kwargs = self.CASES[case]()
+        if program.field_dtype(next(iter(program.inputs))).is_integer:
+            rng = np.random.default_rng(5)
+            inputs = {"a": rng.integers(-20, 20, program.shape)
+                      + (1 << 40)}
+        else:
+            inputs = random_inputs(program)
+        device_of = kwargs.pop("device_of", None)
+        assert_equivalent(program, inputs, device_of=device_of,
+                          max_batch_words=max_batch_words,
+                          min_channel_depth=1, **kwargs)
+
+
 class TestEngineSelection:
     def test_auto_prefers_batched(self):
         assert resolve_engine_mode(SimulatorConfig()) == "batched"

@@ -13,6 +13,8 @@ on an ephemeral port:
   background sweep inserts into it.
 """
 
+import http.client
+import io
 import json
 import threading
 import time
@@ -42,6 +44,7 @@ from repro.serve import (
     query_log_path,
     snapshot_path,
 )
+from repro.serve.http import MAX_BODY_BYTES, _Handler
 
 SHAPE = (16, 16, 8)
 SMALL = ConfigSpace(vectorizations=(1,), device_counts=(1,),
@@ -327,6 +330,87 @@ class TestLiveServer:
             status, body = get(server,
                                "/v1/best?program=hdiff&shape=0,0")
             assert status == 400
+        finally:
+            server.close()
+
+    def test_response_leaves_in_one_write(self):
+        # Headers and body in separate writes make a keep-alive client
+        # wait out its delayed ACK for the body (~40 ms per hit);
+        # asserted on the writes themselves, not on a latency.
+        class RecordingWfile:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+                return len(data)
+
+            def flush(self):
+                pass
+
+        assert _Handler.disable_nagle_algorithm  # TCP_NODELAY on accept
+        seed_report()
+        server = make_server()
+        try:
+            inline = json.dumps({"program": "hdiff",
+                                 "shape": list(SHAPE)}).encode()
+            requests = [
+                (b"GET /v1/best?program=hdiff&shape=16,16,8 HTTP/1.1"
+                 b"\r\nHost: x\r\n\r\n", 200),
+                (b"GET /v1/nope HTTP/1.1\r\nHost: x\r\n\r\n", 404),
+                (b"POST /v1/best HTTP/1.1\r\nHost: x\r\n"
+                 b"Content-Length: %d\r\n\r\n%s"
+                 % (len(inline), inline), 200),
+                (b"POST /v1/best HTTP/1.1\r\nHost: x\r\n"
+                 b"Content-Length: 3\r\n\r\n{{{", 400),
+                (b"GET /v1/healthz\r\n", None),  # HTTP/0.9: bare body
+            ]
+            for raw, expected in requests:
+                handler = _Handler.__new__(_Handler)
+                handler.server = server.httpd
+                handler.client_address = ("127.0.0.1", 0)
+                handler.rfile = io.BytesIO(raw)
+                handler.wfile = RecordingWfile()
+                handler.handle_one_request()
+                (written,) = handler.wfile.writes
+                if expected is None:
+                    assert json.loads(written)["kind"] == "healthz"
+                    continue
+                head, _, body = written.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 %d " % expected)
+                assert b"Content-Length: %d\r\n" % len(body) \
+                    in head + b"\r\n"
+                json.loads(body)
+        finally:
+            server.close()
+
+    def test_post_body_length_is_validated_and_bounded(self):
+        server = make_server()
+        try:
+            host, port = server.address
+            for length, expected in (("abc", 400), ("-5", 400),
+                                     (str(MAX_BODY_BYTES + 1), 413)):
+                conn = http.client.HTTPConnection(host, port, timeout=30)
+                try:
+                    conn.putrequest("POST", "/v1/best")
+                    conn.putheader("Content-Length", length)
+                    conn.endheaders()  # no body: the server must not wait
+                    response = conn.getresponse()
+                    body = json.loads(response.read())
+                    assert response.status == expected, length
+                    assert body["kind"] == "error"
+                    assert response.getheader("Connection") == "close"
+                finally:
+                    conn.close()
+            # The largest accepted length is still read and parsed.
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                conn.request("POST", "/v1/best",
+                             body=b" " * (MAX_BODY_BYTES - 2) + b"{}")
+                assert conn.getresponse().status == 400  # no program
+            finally:
+                conn.close()
+            assert get(server, "/v1/healthz")[0] == 200
         finally:
             server.close()
 
