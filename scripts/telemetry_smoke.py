@@ -30,9 +30,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
+#: Persisting (into the run's private REPRO_CACHE_DIR) so the sweep
+#: opens its load/persist spans too.
 SWEEP = ["--program", "laplace2d", "--shape", "24,24",
          "--widths", "1,2,4", "--strategy", "exhaustive",
-         "--workers", "2", "--no-cache-persist"]
+         "--workers", "2"]
+
+#: One span per sweep stage: together they cover its wall time.
+SWEEP_SPANS = {"explore.load", "explore.prune", "explore.select",
+               "explore.simulate", "explore.report", "explore.persist"}
 
 #: Counter totals that must not depend on the backend.
 EQUIVALENT = ("explore.sweeps", "explore.points_priced",
@@ -82,7 +88,8 @@ def check_trace(path: Path, expect_workers: bool):
     lanes = {event["args"]["name"] for event in events
              if event["ph"] == "M"}
     spans = {event["name"] for event in events if event["ph"] == "X"}
-    assert "explore.simulate" in spans, f"missing sweep spans: {spans}"
+    assert SWEEP_SPANS <= spans, \
+        f"missing sweep spans: {SWEEP_SPANS - spans}"
     if expect_workers:
         workers = {name for name in lanes
                    if name.startswith("worker-")}

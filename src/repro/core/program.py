@@ -13,12 +13,13 @@ produces exactly one output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Dict, List, Mapping, Tuple
 
 from ..errors import DefinitionError
-from ..expr import analysis as expr_analysis
-from ..expr.ast_nodes import Expr
+from ..expr import analysis as expr_analysis, cse as expr_cse
+from ..expr.ast_nodes import Expr, unparse
 from ..expr.parser import parse as parse_expr
 from .boundary import BoundaryConditions
 from .dtypes import DType, dtype
@@ -35,27 +36,53 @@ class StencilDefinition:
         code: the source text of the per-cell computation.
         ast: the parsed expression.
         boundary: boundary-condition specification.
+
+    Everything derived from ``ast`` is a *fact* of this frozen object:
+    computed on first use and kept on the instance for its lifetime
+    (``docs/ARCHITECTURE.md``, "Program facts").  Readers must treat
+    the returned containers as read-only.
     """
+
+    # ``cached_property`` takes no lock on Python >= 3.12: two threads
+    # racing on a first access may both compute the value.  Facts are
+    # pure functions of a frozen object, so the duplicates are equal
+    # and either may win.
 
     name: str
     code: str
     ast: Expr
     boundary: BoundaryConditions
 
-    @property
+    @cached_property
     def accessed_fields(self) -> Tuple[str, ...]:
         """Names of all fields this stencil reads, sorted."""
         return tuple(sorted(expr_analysis.accessed_fields(self.ast)))
 
-    @property
+    @cached_property
     def accesses(self) -> Dict[str, List[Tuple[int, ...]]]:
         """Distinct offsets per accessed field (field-local dims)."""
         return expr_analysis.field_accesses(self.ast)
 
-    @property
+    @cached_property
     def access_dims(self) -> Dict[str, Tuple[str, ...]]:
         """Index dimensions used to subscript each accessed field."""
         return expr_analysis.field_access_dims(self.ast)
+
+    @cached_property
+    def census(self) -> expr_analysis.OpCensus:
+        """Syntactic operation census of one evaluation (Sec. IX-A)."""
+        return expr_analysis.census(self.ast)
+
+    @cached_property
+    def census_cse(self) -> expr_analysis.OpCensus:
+        """Operation census after common-subexpression sharing — the
+        hardware the HLS compiler builds."""
+        return expr_cse.census_after_cse(self.ast)
+
+    @cached_property
+    def canonical_code(self) -> str:
+        """``code`` normalized through the AST printer."""
+        return unparse(self.ast)
 
     def extent(self) -> Dict[str, Tuple[int, int]]:
         """Min/max offset per *iteration* dimension across all accesses.
@@ -123,11 +150,56 @@ class StencilProgram:
     def stencil_names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.stencils)
 
+    @cached_property
+    def _by_name(self) -> Dict[str, StencilDefinition]:
+        return {s.name: s for s in self.stencils}
+
+    @cached_property
+    def _dtypes(self) -> Dict[str, DType]:
+        """Element type of every data container: one inference pass
+        over the stencils, in definition order."""
+        # Deferred: the typechecker imports this package's dtypes.
+        from ..expr.typecheck import infer_type
+        types = {n: f.dtype for n, f in self.inputs.items()}
+        for stencil in self.stencils:
+            types[stencil.name] = infer_type(stencil.ast, types)
+        return types
+
+    @cached_property
+    def _consumers(self) -> Dict[str, Tuple[str, ...]]:
+        """Data container -> the stencils reading it, program order."""
+        readers: Dict[str, List[str]] = {}
+        for stencil in self.stencils:
+            for field_name in stencil.accessed_fields:
+                readers.setdefault(field_name, []).append(stencil.name)
+        return {name: tuple(names) for name, names in readers.items()}
+
+    @cached_property
+    def content_hash(self) -> str:
+        """Content address of the program's canonical JSON description.
+
+        Stencil expressions are normalized through the AST printer, so
+        formatting differences — including the rewritten-but-equal text
+        a no-op transform produces — do not change the identity: a
+        fusion or canonicalization pass that leaves a program
+        semantically unchanged hashes to the same artifact keys.
+        """
+        return _content_hash(self, self.vectorization)
+
+    @cached_property
+    def family_hash(self) -> str:
+        """:attr:`content_hash` with the vectorization normalized to 1
+        — the identity measurement caches use, where the width is a
+        configuration axis rather than program identity."""
+        if self.vectorization == 1:
+            return self.content_hash
+        return _content_hash(self, 1)
+
     def stencil(self, name: str) -> StencilDefinition:
-        for s in self.stencils:
-            if s.name == name:
-                return s
-        raise DefinitionError(f"no stencil named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise DefinitionError(f"no stencil named {name!r}") from None
 
     def producers(self) -> Dict[str, str]:
         """Map each data name to what produces it: 'input' or 'stencil'."""
@@ -137,8 +209,7 @@ class StencilProgram:
 
     def consumers_of(self, name: str) -> Tuple[str, ...]:
         """Stencils that read data container ``name``."""
-        return tuple(s.name for s in self.stencils
-                     if name in s.accessed_fields)
+        return self._consumers.get(name, ())
 
     def field_dims(self, name: str) -> Tuple[str, ...]:
         """Dimension names of a data container (input or stencil result).
@@ -147,7 +218,7 @@ class StencilProgram:
         """
         if name in self.inputs:
             return self.inputs[name].dims
-        if name in self.stencil_names:
+        if name in self._by_name:
             return self.index_names
         raise DefinitionError(f"unknown data container {name!r}")
 
@@ -156,18 +227,15 @@ class StencilProgram:
 
         Stencil results are typed by inference over their expression.
         """
-        from ..expr.typecheck import infer_type
         if name in self.inputs:
             return self.inputs[name].dtype
-        types: Dict[str, DType] = {n: f.dtype for n, f in self.inputs.items()}
-        for s in self.stencils:
-            types[s.name] = infer_type(s.ast, types)
-            if name == s.name:
-                return types[name]
+        if name in self._by_name:
+            return self._dtypes[name]
         raise DefinitionError(f"unknown data container {name!r}")
 
     def with_vectorization(self, width: int) -> "StencilProgram":
-        """A copy of the program with a different vectorization factor."""
+        """A copy of the program with a different vectorization factor
+        (sharing this program's stencil objects, and so their facts)."""
         return replace(self, vectorization=width)
 
     def with_shape(self, shape) -> "StencilProgram":
@@ -255,6 +323,16 @@ class StencilProgram:
         return json.dumps(self.to_json(), indent=indent)
 
 
+def _content_hash(program: StencilProgram, width: int) -> str:
+    # Deferred: repro.lowering imports this module.
+    from ..lowering.cache import content_key
+    spec = program.to_json()
+    for stencil in program.stencils:
+        spec["program"][stencil.name]["code"] = stencil.canonical_code
+    spec["vectorization"] = width
+    return content_key("program", spec)
+
+
 def _validate_program(program: StencilProgram):
     """Structural validation applied at construction time."""
     if not 1 <= len(program.shape) <= 3:
@@ -276,6 +354,7 @@ def _validate_program(program: StencilProgram):
         raise DefinitionError("program has no outputs")
 
     index_names = program.index_names
+    by_name = program._by_name
     names_seen = set(program.inputs)
     for spec in program.inputs.values():
         for d in spec.dims:
@@ -283,33 +362,26 @@ def _validate_program(program: StencilProgram):
                 raise DefinitionError(
                     f"input {spec.name!r} spans dimension {d!r} outside "
                     f"the {len(index_names)}D iteration space")
-    defined = set(program.inputs)
     for stencil in program.stencils:
         if stencil.name in names_seen:
             raise DefinitionError(
                 f"duplicate definition of {stencil.name!r}")
         names_seen.add(stencil.name)
         for field_name in stencil.accessed_fields:
-            if field_name not in defined and field_name not in {
-                    s.name for s in program.stencils}:
+            if field_name not in program.inputs \
+                    and field_name not in by_name:
                 raise DefinitionError(
                     f"stencil {stencil.name!r} reads undefined field "
                     f"{field_name!r}")
-        access_dims = stencil.access_dims
-        for field_name, dims in access_dims.items():
-            expected = None
-            if field_name in program.inputs:
-                expected = program.inputs[field_name].dims
-            elif field_name in {s.name for s in program.stencils}:
-                expected = index_names
-            if expected is not None and dims != expected:
+        for field_name, dims in stencil.access_dims.items():
+            expected = program.inputs[field_name].dims \
+                if field_name in program.inputs else index_names
+            if dims != expected:
                 raise DefinitionError(
                     f"stencil {stencil.name!r} accesses {field_name!r} "
                     f"with dims {dims}, declared {expected}")
-        defined.add(stencil.name)
-    stencil_names = {s.name for s in program.stencils}
     for out in program.outputs:
-        if out not in stencil_names:
+        if out not in by_name:
             raise DefinitionError(
                 f"output {out!r} is not produced by any stencil")
     _check_acyclic(program)
@@ -317,7 +389,7 @@ def _validate_program(program: StencilProgram):
 
 def _check_acyclic(program: StencilProgram):
     """Reject cyclic dependency structures (the input must be a DAG)."""
-    produced_by = {s.name: s for s in program.stencils}
+    produced_by = program._by_name
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {name: WHITE for name in produced_by}
 

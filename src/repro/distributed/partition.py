@@ -21,7 +21,10 @@ from ..core.program import StencilProgram
 from ..errors import MappingError
 from ..graph.dag import StencilGraph
 from ..hardware.platform import FPGAPlatform, ResourceVector, STRATIX10
-from ..hardware.resources import stencil_unit_resources
+from ..hardware.resources import (
+    ResourceEstimate,
+    stencil_unit_resources,
+)
 
 #: Edge key: (src node id, dst node id, data name).
 EdgeKey = Tuple[str, str, str]
@@ -63,6 +66,13 @@ class Partition:
                 count += 1
         return count
 
+    @property
+    def link_element_bytes(self) -> int:
+        """Size of the widest element a cut stream carries: what a
+        link operand costs in bandwidth (4 when nothing is cut)."""
+        return max((self.program.field_dtype(data).bytes
+                    for _src, _dst, data in self.cut_edges), default=4)
+
     def required_link_operands_per_cycle(self) -> float:
         """Vector lanes crossing each device boundary per cycle."""
         width = self.program.vectorization
@@ -85,7 +95,8 @@ def partition_program(program: StencilProgram,
                       platform: FPGAPlatform = STRATIX10,
                       max_devices: int = 8,
                       fill_fraction: float = 0.85,
-                      analysis: Optional[BufferingAnalysis] = None
+                      analysis: Optional[BufferingAnalysis] = None,
+                      resources: Optional[ResourceEstimate] = None
                       ) -> Partition:
     """Greedy topological partitioning under a resource budget.
 
@@ -93,7 +104,9 @@ def partition_program(program: StencilProgram,
     the current one would exceed ``fill_fraction`` of any available
     resource. Raises :class:`MappingError` when ``max_devices`` devices
     cannot hold the program, or when a single stencil unit alone
-    overflows a device.
+    overflows a device.  ``resources`` — the single-device estimate
+    from the same analysis, when the caller holds it — supplies the
+    per-stencil unit costs instead of re-deriving them.
     """
     analysis = analysis or analysis_for(program)
     graph = analysis.graph
@@ -104,7 +117,8 @@ def partition_program(program: StencilProgram,
     used = ResourceVector()
     device = 0
     for name in order:
-        unit = stencil_unit_resources(program, name, analysis)
+        unit = resources.per_stencil[name] if resources is not None \
+            else stencil_unit_resources(program, name, analysis)
         if not unit.fits_in(budget):
             raise MappingError(
                 f"stencil {name!r} alone exceeds the per-device budget "
@@ -138,12 +152,15 @@ def contiguous_device_split(program: StencilProgram,
 
 
 def partition_fixed(program: StencilProgram,
-                    device_of: Dict[str, int]) -> Partition:
-    """Wrap an explicit placement into a :class:`Partition`."""
+                    device_of: Dict[str, int],
+                    graph: Optional[StencilGraph] = None) -> Partition:
+    """Wrap an explicit placement into a :class:`Partition`
+    (``graph``: the program's DAG, when the caller already holds it)."""
     missing = set(program.stencil_names) - set(device_of)
     if missing:
         raise MappingError(f"placement missing stencils: {sorted(missing)}")
-    graph = StencilGraph(program)
+    if graph is None:
+        graph = StencilGraph(program)
     num_devices = max(device_of.values()) + 1
     return _finalize(program, graph, dict(device_of), num_devices)
 
@@ -185,19 +202,21 @@ def edge_latency_map(partition: Partition,
 def check_network_feasible(partition: Partition,
                            platform: FPGAPlatform = STRATIX10,
                            frequency_mhz: Optional[float] = None,
-                           element_bytes: int = 4) -> float:
+                           element_bytes: Optional[int] = None) -> float:
     """Verify link bandwidth covers the cut streams; returns headroom.
 
     The paper chains devices with two 40 Gbit/s links; the vectorization
     width of cross-device programs is capped by this bandwidth
     (Sec. VI-B). Returns available/required (>1 means feasible);
-    raises :class:`MappingError` when infeasible.
+    raises :class:`MappingError` when infeasible.  Links are priced at
+    the widest cut stream's element size unless ``element_bytes`` says
+    otherwise.
     """
     required = partition.required_link_operands_per_cycle()
     if required == 0:
         return float("inf")
-    available = platform.network_words_per_cycle(element_bytes,
-                                                 frequency_mhz)
+    available = platform.network_words_per_cycle(
+        element_bytes or partition.link_element_bytes, frequency_mhz)
     headroom = available / required
     if headroom < 1.0:
         raise MappingError(

@@ -92,8 +92,7 @@ def program_fingerprint(program: StencilProgram) -> str:
     lookup resolve a program identity without ever touching the
     artifact cache.
     """
-    from ..lowering import program_content_hash
-    return program_content_hash(program, normalize_width=True)
+    return program.family_hash
 
 
 class ResultCache:
@@ -256,7 +255,8 @@ class ResultCache:
         default* file is capped at :data:`MAX_PERSISTED_ENTRIES` —
         this process's entries first, the rest filled
         deterministically by key order; an explicitly named file is
-        never capped (the caller owns its growth).
+        never capped (the caller owns its growth).  A save that would
+        rewrite the file with what it already holds writes nothing.
         """
         from ..faults.store import FileLock
         capped = path is None
@@ -288,6 +288,10 @@ class ResultCache:
                         break
                     trimmed.setdefault(key, merged[key])
                 merged = trimmed
+            # ``path.exists()``: a missing or just-quarantined file
+            # also reads as empty, and must still be (re)written.
+            if merged == on_disk._entries and path.exists():
+                return True
             snapshot = ResultCache()
             snapshot._entries = merged
             try:

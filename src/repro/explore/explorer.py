@@ -167,7 +167,8 @@ def explore(program: StencilProgram,
     space = space or ConfigSpace.default_for(program, platform)
     cache = cache if cache is not None else ResultCache()
     if persist:
-        cache.load_persistent(cache_path)
+        with span("explore.load"):
+            cache.load_persistent(cache_path)
     cache.reset_stats()
     artifacts = lowering_cache()
     lowering_hits0, relowered0 = artifacts.stats("analysis")
@@ -272,16 +273,20 @@ def explore(program: StencilProgram,
         relowered_programs=relowered1 - relowered0,
         family_hash=program_fingerprint(program),
     )
-    if persist and not cache.save_persistent(cache_path):
-        import sys
-        print("warning: could not write the persistent result cache "
-              "(set REPRO_CACHE_DIR to a writable directory, or pass "
-              "persist=False / --no-cache-persist)", file=sys.stderr)
-    if persist and report.best is not None:
-        # Feed the serve layer: a persisted sweep's Pareto front joins
-        # the report store, so `repro serve` answers this (program,
-        # shape, hardware) triple from memory instead of re-sweeping.
-        report.store()
+    if persist:
+        with span("explore.persist"):
+            if not cache.save_persistent(cache_path):
+                import sys
+                print("warning: could not write the persistent result "
+                      "cache (set REPRO_CACHE_DIR to a writable "
+                      "directory, or pass persist=False / "
+                      "--no-cache-persist)", file=sys.stderr)
+            if report.best is not None:
+                # Feed the serve layer: a persisted sweep's Pareto
+                # front joins the report store, so `repro serve`
+                # answers this (program, shape, hardware) triple from
+                # memory instead of re-sweeping.
+                report.store()
     return report
 
 

@@ -26,6 +26,7 @@ from ..distributed.partition import (
 from ..errors import MappingError, ValidationError
 from ..hardware.platform import FPGAPlatform, ResourceVector, STRATIX10
 from ..hardware.resources import (
+    ResourceEstimate,
     delay_buffer_resources,
     estimate_resources,
 )
@@ -122,106 +123,51 @@ class Prediction:
                 tuple(self.link_rates_resolved or ()))
 
 
+@dataclass(frozen=True)
+class _Machine:
+    """One priced machine: the artifacts it was priced from, and every
+    :class:`Prediction` field that no link rate can change."""
+
+    analysis: BufferingAnalysis
+    estimate: ResourceEstimate
+    verdict: Dict[str, object]
+
+
 class Pruner:
     """Prices configuration points against the analytic models.
 
-    Lowered programs, analyses, and resource estimates all come out of
-    the content-addressed artifact cache (:mod:`repro.lowering`), so a
-    sweep over a large space — including transform axes — prices each
-    *distinct lowered program* once, not each point.
+    Lowered programs come out of the content-addressed artifact cache
+    (:mod:`repro.lowering`) and everything derived from their
+    expressions is a fact they carry (``docs/ARCHITECTURE.md``,
+    "Program facts"), so a sweep over a large space — including
+    transform axes — lowers each *distinct lowered program* once and
+    prices each *distinct machine* once: lowered program, effective
+    placement, effective latency.  What is left per point is the
+    placement lookup, Eq. 1, and building its :class:`Prediction`.
     """
 
     def __init__(self, program: StencilProgram,
                  platform: FPGAPlatform = STRATIX10):
         self.program = program
         self.platform = platform
-        self._estimates: Dict[Tuple, object] = {}
-        self._analyses: Dict[Tuple, BufferingAnalysis] = {}
-        self._lowered: Dict[Tuple, LoweredProgram] = {}
-
-    # -- memoized building blocks -------------------------------------------
-
-    @staticmethod
-    def _flags(point) -> Tuple[bool, bool]:
-        if isinstance(point, ConfigPoint):
-            return point.canonicalize, point.fusion
-        return False, False
+        self._machines: Dict[Tuple, _Machine] = {}
 
     def lowered_at(self, point) -> LoweredProgram:
         """The point's transform+vectorize lowering (cached artifact).
 
         ``point`` may be a :class:`ConfigPoint` or a bare width (the
-        historical call form, meaning no transforms).  Memoized per
-        (width, transforms): one predict() asks for the artifact
-        several times, and re-entering the pipeline costs a content
-        hash over the whole program.
+        historical call form, meaning no transforms).
         """
-        width = point.vectorization if isinstance(point, ConfigPoint) \
-            else int(point)
-        key = (width,) + self._flags(point)
-        if key not in self._lowered:
-            canonicalize, fusion = self._flags(point)
-            self._lowered[key] = lower(self.program, LoweringConfig(
-                canonicalize=canonicalize, fusion=fusion,
-                vectorization=width), platform=self.platform)
-        return self._lowered[key]
+        if isinstance(point, ConfigPoint):
+            config = LoweringConfig(canonicalize=point.canonicalize,
+                                    fusion=point.fusion,
+                                    vectorization=point.vectorization)
+        else:
+            config = LoweringConfig(vectorization=int(point))
+        return lower(self.program, config, platform=self.platform)
 
     def program_at(self, point) -> StencilProgram:
         return self.lowered_at(point).program
-
-    @staticmethod
-    def _artifact_key(lowered: LoweredProgram,
-                      partition: Optional[Partition],
-                      network_latency: int) -> Tuple:
-        """Shared memo identity of the priced machine: lowered program
-        plus effective placement (latency only matters when something
-        spans devices)."""
-        multi = partition is not None \
-            and not partition.is_single_device
-        placement = tuple(sorted(partition.device_of.items())) \
-            if multi else ()
-        return (lowered.program_hash, placement,
-                network_latency if multi else 0)
-
-    def analysis_at(self, point,
-                    partition: Optional[Partition] = None,
-                    network_latency: int = 0) -> BufferingAnalysis:
-        lowered = self.lowered_at(point)
-        multi = partition is not None \
-            and not partition.is_single_device
-        memo_key = self._artifact_key(lowered, partition,
-                                      network_latency)
-        if memo_key not in self._analyses:
-            edge_latency = None
-            if multi:
-                # Price what the simulator will build: every remote
-                # edge — input→stencil links included — carries
-                # latency, and the shared keying means this *is* the
-                # engine's analysis.
-                edge_latency = remote_edge_latency(
-                    lowered.graph, partition.device_of,
-                    network_latency)
-            self._analyses[memo_key] = analysis_for(
-                lowered.program, edge_latency=edge_latency,
-                program_hash=lowered.program_hash)
-        return self._analyses[memo_key]
-
-    def estimate_at(self, point,
-                    partition: Optional[Partition] = None,
-                    network_latency: int = 0):
-        """Resource estimate keyed like the analysis it derives from.
-
-        Multi-device points price from the latency-aware analysis —
-        network links stretch the delay buffers, and those FIFOs cost
-        real M20K.
-        """
-        lowered = self.lowered_at(point)
-        key = self._artifact_key(lowered, partition, network_latency)
-        if key not in self._estimates:
-            self._estimates[key] = estimate_resources(
-                lowered.program, self.platform,
-                self.analysis_at(point, partition, network_latency))
-        return self._estimates[key]
 
     # -- the verdict ---------------------------------------------------------
 
@@ -261,11 +207,15 @@ class Pruner:
                     family_hash=lowered.family_hash,
                     reason=str(exc))
         try:
-            partition = self._place(prog_w, point)
+            partition = self._place(lowered, point)
         except MappingError as exc:
             return Prediction(point=point, feasible=False,
                               family_hash=lowered.family_hash,
                               reason=f"placement failed: {exc}")
+        machine = self._machine(lowered, partition,
+                                point.network_latency)
+        if not machine.verdict["feasible"]:
+            return Prediction(point=point, **machine.verdict)
 
         # Only remote edges become rate-limited links: drop overrides
         # on local edges so machines that coincide (e.g. the same
@@ -279,64 +229,93 @@ class Pruner:
             link_rates = tuple(sorted(
                 (key, rate) for key, rate in resolved.items()
                 if key in remote_set)) or None
+        return Prediction(
+            point=point,
+            predicted_cycles=self._eq1_cycles(
+                prog_w, machine.analysis, point, partition.num_devices,
+                link_rates, remote),
+            link_rates_resolved=link_rates,
+            **machine.verdict)
 
-        devices_used = partition.num_devices
-        estimate = self.estimate_at(point, partition,
-                                    point.network_latency)
-        analysis = self.analysis_at(point, partition,
-                                    point.network_latency)
-        overflow = self._device_overflow(partition, estimate, analysis)
-        if overflow is not None:
-            return Prediction(
-                point=point, feasible=False,
-                device_of=dict(partition.device_of),
-                devices_used=devices_used,
-                family_hash=lowered.family_hash, reason=overflow)
+    # -- helpers -------------------------------------------------------------
 
+    def _place(self, lowered: LoweredProgram,
+               point: ConfigPoint) -> Partition:
+        program = lowered.program
+        if point.partition == "auto":
+            # Packed from the single-device machine's analysis and
+            # per-stencil unit costs.
+            single = self._machine(lowered, partition_fixed(
+                program, contiguous_device_split(program, 1),
+                lowered.graph), 0)
+            return partition_program(
+                program, self.platform, max_devices=point.devices,
+                analysis=single.analysis, resources=single.estimate)
+        return partition_fixed(
+            program, contiguous_device_split(program, point.devices),
+            lowered.graph)
+
+    def _machine(self, lowered: LoweredProgram, partition: Partition,
+                 network_latency: int) -> _Machine:
+        """The priced machine ``partition`` makes of ``lowered`` — the
+        Pruner's one memo, keyed by the lowered program plus the
+        effective placement and latency (which only matter when
+        something spans devices)."""
+        multi = not partition.is_single_device
+        key = (lowered.program_hash,
+               tuple(sorted(partition.device_of.items())) if multi
+               else (),
+               network_latency if multi else 0)
+        if key not in self._machines:
+            self._machines[key] = self._price(lowered, partition,
+                                              network_latency)
+        return self._machines[key]
+
+    def _price(self, lowered: LoweredProgram, partition: Partition,
+               network_latency: int) -> _Machine:
+        program = lowered.program
+        multi = not partition.is_single_device
+        # Price what the simulator will build: every remote edge —
+        # input→stencil links included — carries latency (the shared
+        # keying means this *is* the engine's analysis), and the delay
+        # buffers those links stretch cost real M20K.
+        edge_latency = remote_edge_latency(
+            lowered.graph, partition.device_of, network_latency) \
+            if multi else None
+        analysis = analysis_for(program, edge_latency=edge_latency,
+                                program_hash=lowered.program_hash)
+        estimate = estimate_resources(program, self.platform, analysis)
+        verdict = dict(feasible=False,
+                       device_of=dict(partition.device_of),
+                       devices_used=partition.num_devices,
+                       family_hash=lowered.family_hash)
+        utilization, reason = self._utilization(partition, estimate,
+                                                analysis)
         headroom = float("inf")
-        if devices_used > 1:
+        if reason is None and multi:
             try:
                 headroom = check_network_feasible(partition,
                                                   self.platform)
             except MappingError as exc:
-                return Prediction(
-                    point=point, feasible=False,
-                    device_of=dict(partition.device_of),
-                    devices_used=devices_used,
-                    family_hash=lowered.family_hash, reason=str(exc))
-
-        predicted_cycles = self._eq1_cycles(prog_w, analysis, point,
-                                            devices_used, link_rates,
-                                            remote)
-        report = self._platform_report(prog_w, partition, point)
-
-        device_of = dict(partition.device_of) if devices_used > 1 \
-            else None
-        return Prediction(
-            point=point,
-            feasible=True,
-            device_of=device_of,
-            devices_used=devices_used,
-            predicted_cycles=predicted_cycles,
-            predicted_runtime_us=report.runtime_us,
-            frequency_mhz=report.frequency_mhz,
-            utilization=self._worst_utilization(partition, estimate,
-                                                analysis),
-            network_headroom=headroom,
-            family_hash=lowered.family_hash,
-            link_rates_resolved=link_rates,
-        )
-
-    # -- helpers -------------------------------------------------------------
-
-    def _place(self, prog_w: StencilProgram,
-               point: ConfigPoint) -> Partition:
-        if point.partition == "auto":
-            return partition_program(
-                prog_w, self.platform, max_devices=point.devices,
-                analysis=self.analysis_at(point))
-        device_of = contiguous_device_split(prog_w, point.devices)
-        return partition_fixed(prog_w, device_of)
+                reason = str(exc)
+        if reason is not None:
+            verdict["reason"] = reason
+            return _Machine(analysis, estimate, verdict)
+        if multi:
+            report = model_multi_device(
+                program, partition, self.platform, check_network=False,
+                analysis=analysis, resources=estimate)
+        else:
+            report = model_performance(program, self.platform,
+                                       analysis=analysis,
+                                       resources=estimate)
+            verdict["device_of"] = None
+        verdict.update(feasible=True,
+                       predicted_runtime_us=report.runtime_us,
+                       frequency_mhz=report.frequency_mhz,
+                       utilization=utilization,
+                       network_headroom=headroom)
+        return _Machine(analysis, estimate, verdict)
 
     def _per_device_usage(self, partition: Partition, estimate,
                           analysis: BufferingAnalysis
@@ -364,34 +343,28 @@ class Pruner:
                 + delay_buffer_resources(program, buffer)
         return usage
 
-    def _device_overflow(self, partition: Partition, estimate,
-                         analysis: BufferingAnalysis) -> Optional[str]:
-        """A prune reason when any device's share overflows it."""
+    def _utilization(self, partition: Partition,
+                     estimate: ResourceEstimate,
+                     analysis: BufferingAnalysis
+                     ) -> Tuple[float, Optional[str]]:
+        """Worst per-device resource fraction, and a prune reason when
+        any device's share overflows it."""
         if partition.is_single_device:
-            if not estimate.fits:
-                return (f"design overflows {self.platform.name}: "
-                        f"{estimate.summary()}")
-            return None
+            reason = None if estimate.fits else (
+                f"design overflows {self.platform.name}: "
+                f"{estimate.summary()}")
+            return estimate.utilization.max_fraction, reason
         budget = self.platform.available
-        per_device = self._per_device_usage(partition, estimate,
-                                            analysis)
-        for device, used in sorted(per_device.items()):
+        worst = 0.0
+        for device, used in sorted(self._per_device_usage(
+                partition, estimate, analysis).items()):
+            fraction = used.utilization(budget).max_fraction
+            worst = max(worst, fraction)
             if not used.fits_in(budget):
-                frac = used.utilization(budget).max_fraction
-                return (f"device {device} overflows "
-                        f"{self.platform.name} "
-                        f"({frac:.0%} of the binding resource)")
-        return None
-
-    def _worst_utilization(self, partition: Partition, estimate,
-                           analysis: BufferingAnalysis) -> float:
-        if partition.is_single_device:
-            return estimate.utilization.max_fraction
-        budget = self.platform.available
-        per_device = self._per_device_usage(partition, estimate,
-                                            analysis)
-        return max(used.utilization(budget).max_fraction
-                   for used in per_device.values())
+                return worst, (
+                    f"device {device} overflows {self.platform.name} "
+                    f"({fraction:.0%} of the binding resource)")
+        return worst, None
 
     def _eq1_cycles(self, prog_w: StencilProgram,
                     analysis: BufferingAnalysis, point: ConfigPoint,
@@ -419,16 +392,3 @@ class Pruner:
             if rate < 1.0:
                 steady = math.ceil(steady / rate)
         return analysis.pipeline_latency + steady
-
-    def _platform_report(self, prog_w: StencilProgram,
-                         partition: Partition, point: ConfigPoint):
-        if partition.is_single_device:
-            return model_performance(
-                prog_w, self.platform,
-                analysis=self.analysis_at(point))
-        return model_multi_device(
-            prog_w, partition, self.platform,
-            network_latency=point.network_latency,
-            check_network=False,
-            analysis=self.analysis_at(point, partition,
-                                      point.network_latency))

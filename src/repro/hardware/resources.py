@@ -15,8 +15,6 @@ from typing import Dict, Optional
 from ..analysis.delay_buffers import BufferingAnalysis
 from ..core.program import StencilProgram
 from ..errors import MappingError
-from ..expr.analysis import OpCensus
-from ..expr.cse import census_after_cse
 from . import calibration as cal
 from .platform import FPGAPlatform, ResourceVector, STRATIX10
 
@@ -71,7 +69,7 @@ def stencil_unit_resources(program: StencilProgram, stencil_name: str,
     width = program.vectorization
     # Price the hardware the HLS compiler actually builds: common
     # subexpressions are shared (Sec. V-B notes fusion relies on this).
-    counts = census_after_cse(stencil.ast)
+    counts = stencil.census_cse
 
     dsp = 0.0
     alm = 0.0

@@ -70,25 +70,11 @@ def remote_edges(graph: StencilGraph,
 
 def program_content_hash(program: StencilProgram,
                          normalize_width: bool = False) -> str:
-    """Content address of a program's canonical JSON description.
-
-    Stencil expressions are normalized through the AST printer, so
-    formatting differences — including the rewritten-but-equal text a
-    no-op transform produces — do not change the identity: a fusion or
-    canonicalization pass that leaves a program semantically unchanged
-    hashes to the same artifact keys.
-
-    With ``normalize_width`` the vectorization is normalized to 1 —
-    the *family* hash used by measurement caches, where the width is a
-    configuration axis rather than program identity.
-    """
-    from ..expr.ast_nodes import unparse
-    spec = program.to_json()
-    for stencil in program.stencils:
-        spec["program"][stencil.name]["code"] = unparse(stencil.ast)
-    if normalize_width:
-        spec["vectorization"] = 1
-    return content_key("program", spec)
+    """Content address of a program (a fact it derives once:
+    :attr:`StencilProgram.content_hash`); with ``normalize_width``
+    the *family* hash, which normalizes the vectorization to 1."""
+    return program.family_hash if normalize_width \
+        else program.content_hash
 
 
 @dataclass(frozen=True)
@@ -222,7 +208,7 @@ class ValidatePass(Pass):
         else:
             state.program = StencilProgram.from_json_file(source)
         state.source = state.program
-        state.source_hash = program_content_hash(state.program)
+        state.source_hash = state.program.content_hash
         state.chain_key = content_key("source", state.source_hash)
 
 
@@ -286,15 +272,7 @@ class FingerprintPass(Pass):
         return []
 
     def apply(self, state: _State):
-        # No transform ran ⇒ the program is the source, whose hash the
-        # validate stage already computed.  Hashing costs a full
-        # to_json + unparse pass, and lower() sits on the hot path of
-        # every simulate(); the width-normalized family hash is only
-        # needed by the explorer, so it stays lazy on the artifact.
-        if state.program is state.source:
-            state.program_hash = state.source_hash
-        else:
-            state.program_hash = program_content_hash(state.program)
+        state.program_hash = state.program.content_hash
         state.chain_key = state.program_hash
 
 
@@ -382,7 +360,7 @@ def graph_for(program: StencilProgram,
               cache: Optional[ArtifactCache] = None) -> StencilGraph:
     """The program's stencil DAG, shared through the artifact cache."""
     cache = cache or default_cache()
-    program_hash = program_hash or program_content_hash(program)
+    program_hash = program_hash or program.content_hash
     return cache.get_or_build(content_key("graph", program_hash),
                               lambda: StencilGraph(program))
 
@@ -408,7 +386,7 @@ def analysis_for(program: StencilProgram,
                                graph=graph, edge_latency=dict(
                                    edge_latency or {}) or None)
     cache = cache or default_cache()
-    program_hash = program_hash or program_content_hash(program)
+    program_hash = program_hash or program.content_hash
     edge_latency = dict(edge_latency or {}) or None
     key = content_key("analysis", program_hash,
                       _latency_items(edge_latency))
@@ -453,20 +431,12 @@ class LoweredProgram:
     partition: Optional[object]
     edge_latency: Optional[Dict[ChannelKey, int]]
     cache: ArtifactCache = field(repr=False, default_factory=default_cache)
-    _family_hash: Optional[str] = field(default=None, repr=False)
 
     @property
     def family_hash(self) -> str:
         """Content hash modulo vectorization (measurement-cache
-        identity); computed on first use — only the explorer needs
-        it, and it costs a full program serialization."""
-        if self._family_hash is None:
-            if self.program.vectorization == 1:
-                self._family_hash = self.program_hash
-            else:
-                self._family_hash = program_content_hash(
-                    self.program, normalize_width=True)
-        return self._family_hash
+        identity)."""
+        return self.program.family_hash
 
     @property
     def key(self) -> str:

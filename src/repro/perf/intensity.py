@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.program import StencilProgram
-from ..expr.analysis import OpCensus, census
+from ..expr.analysis import OpCensus
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def program_census(program: StencilProgram) -> OpCensus:
     """Per-cell operation census summed over all stencils."""
     total = OpCensus()
     for stencil in program.stencils:
-        total += census(stencil.ast)
+        total += stencil.census
     return total
 
 

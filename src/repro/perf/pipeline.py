@@ -99,7 +99,8 @@ def model_performance(program: StencilProgram,
                       bandwidth: Optional[BandwidthModel] = None,
                       frequency_mhz: Optional[float] = None,
                       infinite_bandwidth: bool = False,
-                      memory_efficiency: float = 1.0
+                      memory_efficiency: float = 1.0,
+                      resources: Optional[ResourceEstimate] = None
                       ) -> PerformanceReport:
     """Model a single-device execution of ``program`` on ``platform``.
 
@@ -115,9 +116,12 @@ def model_performance(program: StencilProgram,
         memory_efficiency: extra derating of the served bandwidth for
             workload-specific access patterns (e.g. horizontal
             diffusion's mixed read/write streams, Tab. II).
+        resources: the design's resource estimate on ``platform`` from
+            the same analysis, when the caller already holds it.
     """
     analysis = analysis or analysis_for(program)
-    resources = estimate_resources(program, platform, analysis)
+    if resources is None:
+        resources = estimate_resources(program, platform, analysis)
     f = frequency_mhz if frequency_mhz is not None else \
         design_frequency_mhz(resources)
 
@@ -150,7 +154,8 @@ def model_multi_device(program: StencilProgram,
                        platform: FPGAPlatform = STRATIX10,
                        network_latency: int = 32,
                        check_network: bool = True,
-                       analysis: Optional[BufferingAnalysis] = None
+                       analysis: Optional[BufferingAnalysis] = None,
+                       resources: Optional[ResourceEstimate] = None
                        ) -> PerformanceReport:
     """Model a partitioned execution across a device chain (Sec. III-B).
 
@@ -160,15 +165,17 @@ def model_multi_device(program: StencilProgram,
     see ``calibration.MULTI_NODE_FREQ_MHZ``). When the cut streams'
     bandwidth exceeds the links, throughput is throttled accordingly.
 
-    ``analysis`` lets callers that already lowered the partitioned
-    machine (the explorer's Pruner) price from the same artifact; the
-    default recomputes one from the partition's cut edges.
+    ``analysis`` (and the ``resources`` estimated from it) let callers
+    that already lowered the partitioned machine (the explorer's
+    Pruner) price from the same artifacts; the default recomputes them
+    from the partition's cut edges.
     """
     if analysis is None:
         analysis = analysis_for(
             program,
             edge_latency=edge_latency_map(partition, network_latency))
-    resources = estimate_resources(program, platform, analysis)
+    if resources is None:
+        resources = estimate_resources(program, platform, analysis)
 
     if partition.is_single_device:
         f = design_frequency_mhz(resources)
@@ -176,7 +183,8 @@ def model_multi_device(program: StencilProgram,
     else:
         f = min(cal.MULTI_NODE_FREQ_MHZ, platform.fmax_mhz)
         required = partition.required_link_operands_per_cycle()
-        available = platform.network_words_per_cycle(frequency_mhz=f)
+        available = platform.network_words_per_cycle(
+            partition.link_element_bytes, f)
         network_factor = min(1.0, available / required) if required \
             else 1.0
         if check_network and network_factor < 1.0:

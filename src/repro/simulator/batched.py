@@ -728,9 +728,9 @@ class BatchedSimulator(Simulator):
 
     def _stream_meta(self, data: str):
         """``(slab dtype, int-typedness seed)`` of the stream carrying
-        field ``data`` (cached — field_dtype runs type inference):
-        int64 slabs for integer-typed streams, float64 otherwise and
-        for integer streams that boundary fills can leak floats into.
+        field ``data``: int64 slabs for integer-typed streams, float64
+        otherwise and for integer streams that boundary fills can leak
+        floats into.
         The seed is True when every non-NaN cell value is a Python int
         in the scalar engine (see :func:`float_leaky_streams`)."""
         cache = getattr(self, "_stream_metas", None)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.distributed import (
     check_network_feasible,
+    contiguous_device_split,
     edge_latency_map,
     partition_fixed,
     partition_program,
@@ -106,3 +107,40 @@ class TestNetwork:
         program = chain(2, shape=(16, 8, 8))
         partition = partition_fixed(program, {"s0": 0, "s1": 0})
         assert check_network_feasible(partition) == float("inf")
+
+    def test_links_are_priced_at_the_stream_element_size(self):
+        # The int64 image pipeline moves 8-byte pixels: the same cut
+        # typed float32 has twice the headroom on the same links.
+        from repro.core import StencilProgram
+        from repro.programs import image_pipeline
+        from repro.perf import model_multi_device
+        wide = image_pipeline(shape=(32, 32))
+        spec = wide.to_json()
+        for declared in spec["inputs"].values():
+            declared["dtype"] = "float32"
+        narrow = StencilProgram.from_json(spec)
+        assert wide.field_dtype("blur").bytes == 8
+        assert narrow.field_dtype("blur").bytes == 4
+        device_of = contiguous_device_split(wide, 2)
+        cut_wide = partition_fixed(wide, device_of)
+        cut_narrow = partition_fixed(narrow, device_of)
+        assert cut_wide.cut_edges == cut_narrow.cut_edges
+        assert (cut_wide.link_element_bytes,
+                cut_narrow.link_element_bytes) == (8, 4)
+        assert check_network_feasible(cut_wide) == pytest.approx(
+            check_network_feasible(cut_narrow) / 2)
+        # An explicit size still overrides the stream's.
+        assert check_network_feasible(cut_wide, element_bytes=4) \
+            == check_network_feasible(cut_narrow)
+
+        # The throughput model throttles on the same arithmetic: once
+        # the links bind, int64 streams run at half the float32 rate.
+        def factor(program):
+            vectorized = program.with_vectorization(8)
+            report = model_multi_device(
+                vectorized, partition_fixed(vectorized, device_of),
+                check_network=False)
+            return report.memory_throughput_factor
+
+        assert factor(narrow) < 1.0
+        assert factor(wide) == pytest.approx(factor(narrow) / 2)

@@ -1,5 +1,9 @@
 """Tests for the design-space exploration subsystem."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,7 +88,7 @@ class TestPruning:
         program = small_chain()
         pruner = Pruner(program)
         verdict = pruner.predict(ConfigPoint(vectorization=2))
-        analysis = pruner.analysis_at(2)
+        analysis = pruner.lowered_at(2).analysis
         assert verdict.feasible
         assert verdict.predicted_cycles == \
             analysis.pipeline_latency + program.num_cells // 2
@@ -439,6 +443,199 @@ class TestPersistentResultCache:
                          space=ConfigSpace(vectorizations=(1,)),
                          strategy="exhaustive")
         assert report.simulated_points > 0
+
+
+    @pytest.fixture
+    def cache_writes(self, monkeypatch):
+        """Paths ``write_json_atomic`` was asked to (re)write."""
+        from repro.faults import store
+        written = []
+        real = store.write_json_atomic
+
+        def counting(path, *args, **kwargs):
+            written.append(Path(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(store, "write_json_atomic", counting)
+        return written
+
+    def test_save_that_changes_nothing_writes_nothing(self, tmp_path,
+                                                      cache_writes):
+        from repro.explore import Measurement
+        path = tmp_path / "cache.json"
+        cache = ResultCache()
+        cache.put("f", ("k",), Measurement(1, 1, 0.1, "batched"))
+        assert cache.save_persistent(path)
+        assert cache_writes == [path]           # a fresh measurement
+        assert cache.save_persistent(path)
+        reloaded = ResultCache()
+        assert reloaded.load_persistent(path) == 1
+        assert reloaded.save_persistent(path)
+        assert cache_writes == [path]           # nothing new: no write
+        cache.put("f", ("other",), Measurement(2, 2, 0.2, "batched"))
+        assert cache.save_persistent(path)
+        assert cache_writes == [path] * 2       # a fresh measurement
+        path.unlink()
+        assert reloaded.save_persistent(path)
+        assert cache_writes == [path] * 3       # a missing file
+        assert ResultCache().save_persistent(tmp_path / "empty.json")
+        assert (tmp_path / "empty.json").exists()
+        path.write_text("not json")
+        assert reloaded.save_persistent(path)
+        assert cache_writes.count(path) == 4    # a quarantined file
+        assert ResultCache.load(path).to_json() == reloaded.to_json()
+
+    def test_noop_resweep_leaves_the_cache_file_alone(self,
+                                                      cache_writes):
+        program = laplace2d(shape=(16, 16))
+        space = ConfigSpace(vectorizations=(1, 2))
+        path = ResultCache.default_path()
+        explore(program, space=space, strategy="exhaustive")
+        assert cache_writes.count(path) == 1
+        before = path.stat().st_mtime_ns
+        again = explore(program, space=space, strategy="exhaustive")
+        assert again.cache_hits == again.simulated_points > 0
+        assert cache_writes.count(path) == 1
+        assert path.stat().st_mtime_ns == before
+        # The report is legitimately rewritten: its wall time and
+        # cache-hit provenance differ.
+        assert cache_writes.count(again.store_path()) == 2
+
+
+#: The benchmark's explore_sweep workload: the space whose pricing the
+#: tests below pin, by value and by work done.
+_SWEEP = json.loads(
+    (Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
+     / "workloads.json").read_text())["workloads"]["explore_sweep"]
+
+
+def _sweep_points(shape, axes):
+    program = build(_SWEEP["program"], shape=tuple(shape),
+                    vectorization=_SWEEP["vectorization"])
+    space = ConfigSpace(**{axis: tuple(values)
+                           for axis, values in axes.items()})
+    points = list(space.points())
+    if baseline_point(program) not in points:
+        points.append(baseline_point(program))
+    return program, points
+
+
+class TestPricingIsUnchanged:
+    """Every field of every Prediction over the benchmark's spaces,
+    against values pinned from the commit before pricing was
+    restructured around program facts and per-machine memoisation
+    (``tests/data/explore_sweep_predictions.json``)."""
+
+    PINNED = json.loads(
+        (Path(__file__).parent / "data"
+         / "explore_sweep_predictions.json").read_text())
+
+    @pytest.mark.parametrize("name,shape,axes", [
+        ("sweep", _SWEEP["shape"], _SWEEP["space"]),
+        ("quick", _SWEEP["quick"]["shape"], _SWEEP["quick"]["space"]),
+        ("network_axis", _SWEEP["shape"],
+         _SWEEP["network_axis_space"]),
+    ])
+    def test_predictions_match_the_pinned_values(self, name, shape,
+                                                 axes):
+        program, points = _sweep_points(shape, axes)
+        pruner = Pruner(program)
+        pinned = self.PINNED[name]
+        assert len(points) == len(pinned)
+        for point, want in zip(points, pinned):
+            prediction = pruner.predict(point)
+            got = {f.name: getattr(prediction, f.name)
+                   for f in dataclasses.fields(prediction)}
+            got["point"] = point.to_json()
+            # Tuples become lists, as in the pinned file.
+            assert json.loads(json.dumps(got)) == want, point.label()
+
+
+class TestPricingWork:
+    """The pricing invariant as counts of work — no clock is read:
+    each expression-derived fact is derived once per object it
+    describes, and each distinct machine is priced once."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        import repro.explore.prune as prune
+        import repro.expr.cse as cse
+        import repro.expr.typecheck as typecheck
+        import repro.hardware.resources as resources
+        import repro.perf.pipeline as pipeline
+        counts = {"infer_type": 0, "census_after_cse": 0,
+                  "estimate_resources": 0}
+        depth = [0]
+        infer_type = typecheck.infer_type
+
+        def counting_infer(node, field_types):
+            # infer_type recurses through its module global: only
+            # calls from outside count.
+            counts["infer_type"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return infer_type(node, field_types)
+            finally:
+                depth[0] -= 1
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(typecheck, "infer_type", counting_infer)
+        monkeypatch.setattr(cse, "census_after_cse", counted(
+            "census_after_cse", cse.census_after_cse))
+        estimate = counted("estimate_resources",
+                           resources.estimate_resources)
+        for module in (resources, prune, pipeline):
+            monkeypatch.setattr(module, "estimate_resources", estimate)
+        return counts
+
+    def test_facts_once_per_object_and_machines_once(self, work):
+        from repro.lowering import reset_default_cache
+        reset_default_cache()
+        program, points = _sweep_points(_SWEEP["quick"]["shape"],
+                                        _SWEEP["space"])
+        assert len(points) == 80
+        pruner = Pruner(program)
+        predictions = [pruner.predict(point) for point in points]
+
+        lowered = {}
+        for point in points:
+            artifact = pruner.lowered_at(point)
+            lowered[artifact.program_hash] = artifact.program
+        stencils = {id(stencil) for lowered_program in lowered.values()
+                    for stencil in lowered_program.stencils}
+        machines = {
+            (p.family_hash, p.point.vectorization,
+             tuple(sorted(p.device_of.items()))
+             if p.devices_used > 1 else (),
+             p.point.network_latency if p.devices_used > 1 else 0)
+            for p in predictions}
+        assert (len(lowered), len(machines)) == (10, 20)
+
+        # A result type depends on the program's inputs as well as the
+        # stencil, so it is a fact of each lowered program: one
+        # inference per stencil of each.  The post-CSE census depends
+        # on the expression alone, and the widths of a family share
+        # their stencil objects.
+        assert 0 < work["infer_type"] <= sum(
+            len(lowered_program.stencils)
+            for lowered_program in lowered.values())
+        assert 0 < work["census_after_cse"] <= len(stencils)
+        assert 0 < work["estimate_resources"] <= len(machines)
+
+        # A second sweep in the same process (a resweep) derives
+        # nothing again: the lowered programs come back out of the
+        # artifact cache carrying their facts.
+        for name in work:
+            work[name] = 0
+        again = Pruner(program)
+        assert [again.predict(point) for point in points] == predictions
+        assert work["infer_type"] == work["census_after_cse"] == 0
+        assert work["estimate_resources"] <= len(machines)
 
 
 class TestLinkRateModel:

@@ -436,6 +436,30 @@ class TestSweepTelemetry:
         [run] = [s for s in process_spans if s.name == "service.run"]
         assert run.tid == SUPERVISOR_LANE
 
+    def test_sweep_stages_are_spanned_once_each(self, telemetry):
+        # Once per sweep, never per point: together the stage spans
+        # account for a sweep's wall time, set-up and persistence
+        # included.
+        _, tracer = telemetry
+        program = laplace2d().with_shape((24, 24))
+        space = ConfigSpace(vectorizations=(1, 2, 4))
+        explore(program, space=space, strategy="exhaustive", workers=1)
+        names = [record.name for record in tracer.records()
+                 if record.name.startswith("explore.")
+                 and record.name != "explore.point"]
+        assert names == ["explore.load", "explore.prune",
+                         "explore.select", "explore.simulate",
+                         "explore.report", "explore.persist"]
+
+    def test_unpersisted_sweep_opens_no_store_spans(self, telemetry):
+        _, tracer = telemetry
+        explore(laplace2d().with_shape((24, 24)),
+                space=ConfigSpace(vectorizations=(1,)), workers=1,
+                persist=False)
+        names = {record.name for record in tracer.records()}
+        assert "explore.prune" in names
+        assert not names & {"explore.load", "explore.persist"}
+
     def test_prune_reason_labels_are_bounded(self, telemetry):
         from repro.explore.prune import reason_label
         assert reason_label(None) == "none"

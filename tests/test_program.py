@@ -1,10 +1,15 @@
 """Unit tests for StencilProgram definition, validation and JSON I/O."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro.core import StencilProgram
 from repro.errors import DefinitionError
-from util import lst1_program, lst1_spec
+from repro.programs import available_programs, build, horizontal_diffusion
+from util import assert_facts_sound, lst1_program, lst1_spec
 
 
 class TestConstruction:
@@ -147,3 +152,123 @@ class TestSerialization:
         program = lst1_program()
         assert program.stencil("b3").extent() == {
             "i": (-1, 1), "j": (0, 0), "k": (0, 0)}
+
+
+class TestProgramFacts:
+    """Expression-derived quantities are facts of the frozen object
+    they describe: derived once, equal to the pure functions."""
+
+    @pytest.mark.parametrize("name", available_programs())
+    def test_catalog_facts_equal_the_pure_functions(self, name):
+        program = build(name)
+        assert_facts_sound(program)
+        assert_facts_sound(program.with_vectorization(2))
+
+    def test_facts_are_derived_once(self):
+        program = lst1_program()
+        stencil = program.stencil("b3")
+        assert stencil.accesses is stencil.accesses
+        assert stencil.census_cse is stencil.census_cse
+        assert program.content_hash is program.content_hash
+
+    def test_vectorized_copy_shares_the_stencil_objects(self):
+        program = horizontal_diffusion(shape=(8, 8, 8))
+        for stencil in program.stencils:
+            stencil.census_cse
+        wide = program.with_vectorization(4)
+        for mine, theirs in zip(wide.stencils, program.stencils):
+            assert mine is theirs
+            assert "census_cse" in vars(mine)
+        assert wide.family_hash == program.family_hash
+        assert wide.content_hash != program.content_hash
+
+    def test_transformed_programs_carry_their_own_facts(self):
+        from repro.transforms.canonicalize import fold_program
+        from repro.transforms.stencil_fusion import aggressive_fusion
+        program = horizontal_diffusion(shape=(8, 8, 8))
+        assert_facts_sound(program)
+        fused = aggressive_fusion(program)
+        assert len(fused.stencils) < len(program.stencils)
+        # Fusion inlines producers: the survivors read other fields,
+        # so nothing may be inherited from the unfused program.
+        changed = [s.name for s in fused.stencils
+                   if s.accessed_fields
+                   != program.stencil(s.name).accessed_fields]
+        assert changed
+        assert fused.family_hash != program.family_hash
+        assert_facts_sound(fused)
+        assert_facts_sound(fold_program(program))
+
+    def test_populated_facts_survive_pickling(self):
+        program = horizontal_diffusion(shape=(8, 8, 8), vectorization=2)
+        assert_facts_sound(program)
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone == program
+        assert clone.content_hash == program.content_hash
+        assert_facts_sound(clone)
+
+    def test_spilled_analysis_loads_a_program_with_facts(self, tmp_path):
+        from repro.analysis import analyze_buffers
+        from repro.lowering import ArtifactCache, content_key
+        program = lst1_program()
+        assert_facts_sound(program)
+        key = content_key("analysis", program.content_hash)
+        built = ArtifactCache(spill_dir=tmp_path).get_or_build(
+            key, lambda: analyze_buffers(program))
+        assert list(tmp_path.glob("analysis-*.pkl"))
+
+        def rebuild():
+            raise AssertionError("spilled artifact must not rebuild")
+
+        loaded = ArtifactCache(spill_dir=tmp_path).get_or_build(
+            key, rebuild)
+        assert loaded.program == program
+        assert loaded.pipeline_latency == built.pipeline_latency
+        assert_facts_sound(loaded.program)
+
+    def test_concurrent_first_access_agrees(self):
+        # Python 3.11's cached_property serializes first access under
+        # a lock; 3.12's takes none, so racing threads may each compute
+        # the value.  Either way every reader must see an equal one.
+        program = horizontal_diffusion(shape=(8, 8, 8))
+        expected = horizontal_diffusion(shape=(8, 8, 8))
+        barrier = threading.Barrier(8)
+        seen, errors = [], []
+
+        def read():
+            try:
+                barrier.wait(timeout=10)
+                seen.append((
+                    program.content_hash,
+                    [program.field_dtype(n) for n in program.stencil_names],
+                    [program.consumers_of(n) for n in program.inputs],
+                    [(s.accesses, s.census_cse) for s in program.stencils]))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        want = (expected.content_hash,
+                [expected.field_dtype(n) for n in expected.stencil_names],
+                [expected.consumers_of(n) for n in expected.inputs],
+                [(s.accesses, s.census_cse) for s in expected.stencils])
+        assert all(row == want for row in seen)
+
+    def test_name_lookups_reject_unknown_names(self):
+        program = lst1_program()
+        for lookup in (program.stencil, program.field_dims,
+                       program.field_dtype):
+            with pytest.raises(DefinitionError):
+                lookup("nope")
+        assert program.consumers_of("nope") == ()

@@ -14,9 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyze_buffers, certify_analysis
-from repro.core import StencilProgram
+from repro.core import (
+    BoundaryConditions,
+    StencilDefinition,
+    StencilProgram,
+)
 from repro.core.fields import flatten_offset
+from repro.expr import analysis as expr_analysis
 from repro.expr import (
+    census_after_cse,
     evaluate_scalar,
     fold,
     parse,
@@ -34,6 +40,7 @@ from repro.expr.ast_nodes import (
 from repro.run import run_reference
 from repro.simulator import simulate
 from repro.transforms import shift_expr
+from util import assert_facts_sound
 
 # -- strategies ---------------------------------------------------------------
 
@@ -236,6 +243,31 @@ class TestProgramProperties:
             scalar.outputs[out], vector.outputs[out],
             rtol=1e-6, equal_nan=True)
         assert vector.cycles < scalar.cycles
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_facts_equal_the_pure_functions(self, data):
+        """Memoised facts are sound on random programs, at any width."""
+        program = _random_program(data.draw)
+        assert_facts_sound(program)
+        assert_facts_sound(program.with_vectorization(4))
+
+    @given(_expressions())
+    @settings(max_examples=50, deadline=None)
+    def test_stencil_facts_equal_the_pure_functions(self, node):
+        """...and on expressions with selects, calls and negations,
+        which the random programs above never contain."""
+        stencil = StencilDefinition(
+            "s", unparse(node), node, BoundaryConditions.from_json(None))
+        for _ in range(2):  # derived, then read back
+            assert stencil.accessed_fields == \
+                tuple(sorted(expr_analysis.accessed_fields(node)))
+            assert stencil.accesses == expr_analysis.field_accesses(node)
+            assert stencil.access_dims == \
+                expr_analysis.field_access_dims(node)
+            assert stencil.census == expr_analysis.census(node)
+            assert stencil.census_cse == census_after_cse(node)
+            assert stencil.canonical_code == unparse(node)
 
     @given(st.data())
     @settings(max_examples=15, deadline=None)

@@ -25,6 +25,7 @@ from repro.service import (
     find_run_dirs,
 )
 from repro.service.journal import JOURNAL_NAME, new_run_dir
+from util import assert_facts_sound
 
 
 def _fast_service(tmp_path, **overrides) -> ServiceConfig:
@@ -175,6 +176,10 @@ class TestShardCompaction:
 
 def _sweep(tmp_path, backend, widths=(1, 2), **kwargs):
     program = laplace2d().with_shape((24, 24))
+    # Workers receive the program pickled: ship it carrying every
+    # memoised fact, so each process sweep below also checks that such
+    # programs load and simulate on the far side.
+    assert_facts_sound(program)
     kwargs.setdefault("service", _fast_service(tmp_path))
     if backend != "process":
         kwargs.pop("service")

@@ -121,3 +121,50 @@ def random_inputs(program: StencilProgram, seed=0) -> Dict[str, np.ndarray]:
 def edge_keys(program: StencilProgram) -> List[Tuple[str, str, str]]:
     from repro.graph import StencilGraph
     return [(e.src, e.dst, e.data) for e in StencilGraph(program).edges]
+
+
+def reference_program_hash(program: StencilProgram,
+                           normalize_width: bool = False) -> str:
+    """The persisted program-identity formula, spelled out: cache
+    keys on disk depend on it, so the memoised hashes must equal it."""
+    from repro.expr import unparse
+    from repro.lowering import content_key
+    spec = program.to_json()
+    for stencil in program.stencils:
+        spec["program"][stencil.name]["code"] = unparse(stencil.ast)
+    if normalize_width:
+        spec["vectorization"] = 1
+    return content_key("program", spec)
+
+
+def assert_facts_sound(program: StencilProgram):
+    """Every memoised fact of ``program`` and its stencils equals the
+    pure function applied to a twin rebuilt from ``to_json()``, and
+    populating the facts changes nothing observable."""
+    from repro.expr import analysis as pure
+    from repro.expr import census_after_cse, infer_type, unparse
+    from repro.lowering import program_content_hash
+    twin = StencilProgram.from_json(program.to_json())
+    types = {name: spec.dtype for name, spec in twin.inputs.items()}
+    for stencil, ref in zip(program.stencils, twin.stencils):
+        assert stencil.accessed_fields == \
+            tuple(sorted(pure.accessed_fields(ref.ast)))
+        assert stencil.accesses == pure.field_accesses(ref.ast)
+        assert stencil.access_dims == pure.field_access_dims(ref.ast)
+        assert stencil.census == pure.census(ref.ast)
+        assert stencil.census_cse == census_after_cse(ref.ast)
+        assert stencil.canonical_code == unparse(ref.ast)
+        types[ref.name] = infer_type(ref.ast, types)
+        assert program.stencil(ref.name) is stencil
+    for name, expected in types.items():
+        assert program.field_dtype(name) == expected
+        assert program.consumers_of(name) == tuple(
+            ref.name for ref in twin.stencils
+            if name in pure.accessed_fields(ref.ast))
+    for normalize in (False, True):
+        assert program_content_hash(program, normalize) \
+            == reference_program_hash(twin, normalize)
+    # ``twin`` has derived nothing beyond validation; ``program`` now
+    # carries every fact.
+    assert program == twin
+    assert program.to_json() == twin.to_json()
