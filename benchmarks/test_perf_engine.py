@@ -17,7 +17,9 @@ On a reduced domain every configuration is held to the scalar engine
 (exact cycles, stall counters, bitwise outputs); on the paper's domain
 (Sec. IX) the batched engine's cycle, plan and window counts are pinned
 — they are data-independent, so any drift means machine semantics or
-planner behaviour moved.
+planner behaviour moved — and the window planner's *work* is gated as a
+count: how many cycles it stepped on counter state
+(``profile.virtual_cycles``) to plan a link-bound run.
 
 Nothing here reads a clock or writes a file: wall-clock throughput is
 measured from outside the program by ``benchmarks/e2e`` (see
@@ -49,13 +51,26 @@ FRACTIONAL_RATE = 1.0 / 3.0
 FRACTIONAL_LATENCY = 16
 
 #: Paper-domain batched-engine pins: (cycles, plan_count, window_count).
+#: The cycle counts are simulated statistics; the plan and window counts
+#: are *planner* counts — how the window planner happened to cut the
+#: run, re-pinned whenever its policy changes (no simulated statistic
+#: depends on them).
 PAPER_PINS = {
     "single": (166470, 161, 0),
     "two_device": (166534, 171, 0),
     "four_device": (166662, 188, 0),
     "integer": (163918, 19, 0),
-    "fractional": (499229, 21, 108),
+    "fractional": (499229, 23, 45),
 }
+
+#: Window-planner work ceilings, in virtual cycles (parent commit of
+#: the timed-FIFO congruence rule: 19 531 and 4 159).
+FRACTIONAL_VIRTUAL_CYCLES_MAX = 2500
+RUN_LINKS_VIRTUAL_CYCLES_MAX = 1600
+#: The end-to-end benchmark's ``run_links`` machine
+#: (``benchmarks/e2e/workloads.json``): same wire, smaller domain.
+RUN_LINKS_DOMAIN = (64, 64, 32)
+RUN_LINKS_CYCLES = 50717
 
 
 def _int_chain(shape):
@@ -128,7 +143,18 @@ def test_engine_throughput():
     _row("integer", _int_chain)
     fractional = dict(device_count=2, latency=FRACTIONAL_LATENCY,
                       rate=FRACTIONAL_RATE)
-    _row("fractional", _hdiff, **fractional)
+    paper = _row("fractional", _hdiff, **fractional).profile
+    assert paper.virtual_cycles <= FRACTIONAL_VIRTUAL_CYCLES_MAX
+    assert paper.drift_windows > 0
+
+    # The window planner's work on the benchmark's run_links machine:
+    # the ramp and drain repeat as drifting windows instead of being
+    # stepped cycle by cycle.
+    links = _run(_hdiff(RUN_LINKS_DOMAIN), "batched", **fractional)
+    assert links.cycles == RUN_LINKS_CYCLES
+    assert links.profile.scalar_cycles == 0
+    assert links.profile.drift_windows > 0
+    assert links.profile.virtual_cycles <= RUN_LINKS_VIRTUAL_CYCLES_MAX
 
     # Super-pattern windows are a pure planning optimization: the
     # per-delivery path it replaced reaches the identical machine state

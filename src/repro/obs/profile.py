@@ -30,7 +30,7 @@ class EngineProfile:
     engine: str                       #: "scalar", "batched", or "kernel"
     cycles: int                       #: total simulated cycles
     wall_seconds: float               #: engine wall time (obs clock)
-    plan_count: int = 0               #: slab passes planned (batched)
+    plan_count: int = 0               #: single-cycle pattern plans
     scalar_cycles: int = 0            #: cycles stepped one-by-one
     window_count: int = 0             #: super-pattern windows executed
     window_cycles: int = 0            #: cycles covered by windows
@@ -39,6 +39,9 @@ class EngineProfile:
     #: Super-pattern windows proved congruent modulo a *drifting*
     #: occupancy vector (ramp/drain transients batched in one pass).
     drift_windows: int = 0
+    #: Cycles the window planner stepped on counter state to plan the
+    #: executed windows (planner work; not simulated cycles).
+    virtual_cycles: int = 0
     #: Compiled slab passes executed by the kernel engine this run
     #: (0 on a cold run, which interprets while it records).
     kernel_slabs: int = 0
@@ -58,11 +61,17 @@ class EngineProfile:
         return self.scalar_cycles / self.cycles
 
     @property
+    def slab_passes(self) -> int:
+        """Slab passes executed: one per single-cycle pattern plan and
+        one per super-pattern window."""
+        return self.plan_count + self.window_count
+
+    @property
     def mean_batch(self) -> Optional[float]:
         """Average cycles retired per slab pass (batched engine)."""
-        if not self.plan_count:
+        if not self.slab_passes:
             return None
-        return self.batched_cycles / self.plan_count
+        return self.batched_cycles / self.slab_passes
 
     @property
     def cycles_per_second(self) -> Optional[float]:
@@ -83,6 +92,7 @@ class EngineProfile:
             "window_cycles": self.window_cycles,
             "window_sizes": list(self.window_sizes),
             "drift_windows": self.drift_windows,
+            "virtual_cycles": self.virtual_cycles,
             "kernel_slabs": self.kernel_slabs,
             "kernel_cached": self.kernel_cached,
             "cycles_per_second": self.cycles_per_second,
@@ -103,8 +113,10 @@ class EngineProfile:
         if self.engine in ("batched", "kernel") and not self.kernel_cached:
             mean = self.mean_batch
             lines.append(
-                f"  {self.plan_count} slab passes"
-                + (f" (mean batch {mean:.1f} cycles)" if mean else "")
+                f"  {self.slab_passes} slab passes "
+                f"({self.plan_count} pattern plans + "
+                f"{self.window_count} windows"
+                + (f", mean batch {mean:.1f} cycles)" if mean else ")")
                 + f", {self.scalar_cycles} scalar-fallback cycles "
                   f"({self.scalar_fraction:.1%})")
             if self.window_count:
@@ -112,5 +124,6 @@ class EngineProfile:
                          if self.drift_windows else "")
                 lines.append(
                     f"  {self.window_count} super-pattern windows "
-                    f"covering {self.window_cycles} cycles{drift}")
+                    f"covering {self.window_cycles} cycles{drift}, "
+                    f"planned on {self.virtual_cycles} virtual cycles")
         return tuple(lines)

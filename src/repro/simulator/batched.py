@@ -598,20 +598,22 @@ class _WindowEvents:
     masks the window executor replays as slabs)."""
 
     __slots__ = ("pushes", "advances", "line_pushes", "drains",
-                 "arrivals", "stalls", "stalls_after_init", "pops",
-                 "first_compute_local", "stall_reason")
+                 "arrivals", "stalls", "stalls_after_init",
+                 "first_compute_local", "block")
 
-    def __init__(self):
+    def __init__(self, drains: List[int]):
         self.pushes: List[int] = []       # source push cycle offsets
         self.advances = 0                 # stencil words consumed
         self.line_pushes: List[int] = []  # stencil compute offsets
-        self.drains: List[int] = []       # stencil output-push offsets
+        self.drains = drains              # stencil output-push offsets
         self.arrivals: List[int] = []     # sink arrival offsets
         self.stalls = 0
         self.stalls_after_init = 0
-        self.pops: Dict[str, int] = {}    # per-field words consumed
         self.first_compute_local: Optional[int] = None
-        self.stall_reason = ""
+        # What blocked the unit on its last stalled cycle, as data (the
+        # executor renders the diagnostic): full channel names for a
+        # source, empty field names for a stencil (None: line full).
+        self.block: Optional[List[str]] = None
 
 
 class _WindowPlan:
@@ -626,15 +628,16 @@ class _WindowPlan:
         self.period = period
         self.repeats = 1
         # True when the repeats were proven congruent modulo a nonzero
-        # plain-channel occupancy drift (ramp/drain transient batching).
+        # counter drift (ramp/drain transient batching).
         self.drift = False
-        self.events: Dict[int, _WindowEvents] = {}
-        # Per-channel words moved per window, keyed by id(channel).
-        self.chan_push: Dict[int, int] = {}
-        self.chan_pop: Dict[int, int] = {}
-        self.chan_deliver: Dict[int, int] = {}
-        self.chan_peak: Dict[int, int] = {}
-        self.end_credit: Dict[int, float] = {}
+        self.events: List[_WindowEvents] = []   # in unit order
+        # Words moved per window: per channel slot (push, pop, peak
+        # occupancy) and per link (deliveries, closing credit).
+        self.chan_push: List[int] = []
+        self.chan_pop: List[int] = []
+        self.chan_peak: List[int] = []
+        self.chan_deliver: List[int] = []
+        self.end_credit: List[float] = []
         # Zero-progress cycles at the end of the (last) window: the
         # scalar engine's idle streak at that point, carried so a
         # following standstill still deadlocks on the same cycle.
@@ -653,8 +656,8 @@ class _WindowPlan:
         occupancies still drift and no window can repeat)."""
         if self.repeats > 1:
             return True
-        return any(self.chan_deliver.get(id(link))
-                   for link in links if link.words_per_cycle < 1.0)
+        return any(count for count, link in zip(self.chan_deliver, links)
+                   if link.words_per_cycle < 1.0)
 
 
 def _window_times(offsets: Sequence[int], base: int, period: int,
@@ -664,6 +667,45 @@ def _window_times(offsets: Sequence[int], base: int, period: int,
     offs = np.asarray(offsets, dtype=np.int64)
     starts = _iota(repeats) * period + base
     return (starts[:, None] + offs[None, :]).reshape(-1)
+
+
+def _fifo_repeats(start: List[int], end: Sequence[int],
+                  pops: List[int], now: int, q: int,
+                  strict_only: bool) -> float:
+    """How many consecutive windows a timed FIFO — a link's in-flight
+    ring, a stencil's latency line — replays window 1's pops (0: not
+    even congruent), given its ready-times at window ``start`` and
+    ``end`` and the window-relative cycles it popped on.
+
+    Strict case: every time shifted by exactly ``q``, so the FIFO is
+    window 1's translated in time and replays indefinitely.  Otherwise
+    the times themselves are checked, provided window 1 never consulted
+    the FIFO and found it empty or its head immature (``strict_only``;
+    also set for links at >= 1 word/cycle): repeats 2..k pop entries
+    ``start[n:k*n]``, all queued before the window (pushes land behind
+    them), each of which must be mature on the very cycle it is popped.
+    """
+    if len(end) == len(start) and all(
+            e == s + q for e, s in zip(end, start)):
+        return _INF
+    if strict_only:
+        return 0
+    n = len(pops)
+    if not n:
+        return _INF
+    k = len(start) // n
+    if k > 1:
+        due = (now + q * _iota(k)[1:, None]
+               + np.asarray(pops, dtype=np.int64))
+        late = (np.asarray(start[n:k * n], dtype=np.int64)
+                .reshape(k - 1, n) > due).any(axis=1)
+        if late.any():
+            k = 1 + int(np.argmax(late))
+    return k
+
+
+#: Unit kinds of the window planner's counter-machine tables.
+_SOURCE, _STENCIL, _SINK = range(3)
 
 
 class BatchedSimulator(Simulator):
@@ -679,8 +721,10 @@ class BatchedSimulator(Simulator):
     Planner statistics are exposed for tests and benchmarks after
     :meth:`run`: ``plan_count`` single-cycle pattern plans,
     ``scalar_cycles`` cycles stepped by the scalar fallback,
-    ``window_count`` executed super-pattern windows and
-    ``window_cycles`` the cycles they covered.
+    ``window_count`` executed super-pattern windows,
+    ``window_cycles`` the cycles they covered and ``virtual_cycles``
+    the cycles the window planner stepped on counter state to get
+    there.
     """
 
     #: Upper bound on the super-pattern window (the LCM of the link
@@ -689,9 +733,15 @@ class BatchedSimulator(Simulator):
     MAX_WINDOW = 4096
 
     #: How many periods a non-repeating window (ramp/drain transient)
-    #: may stretch: the virtual schedule stays exact for any length, so
-    #: stretching amortizes the slab pass over many periods.
+    #: may stretch at most: the virtual schedule stays exact for any
+    #: length, so stretching amortizes the slab pass over many periods.
     WINDOW_STRETCH = 64
+
+    #: Fewest cycles a non-repeating window stretches before it may end
+    #: on a regular-looking period: an executed window costs a slab
+    #: pass over every unit, about as much host time as 25-40 virtual
+    #: cycles, so shorter windows lose more than they save.
+    MIN_STRETCH = 48
 
     def __init__(self, analysis, config=None,
                  device_of: Optional[Mapping[str, int]] = None):
@@ -701,6 +751,11 @@ class BatchedSimulator(Simulator):
         self.window_count = 0
         self.window_cycles = 0
         self.drift_window_count = 0
+        self.virtual_cycles = 0
+        # Current lower bound on a non-repeating window's stretch
+        # (cycles): doubled after each window that failed to repeat,
+        # reset by one that did (see _plan_window).
+        self._stretch_floor = self.MIN_STRETCH
         # Window sizes feed the run profile's histogram; capped so a
         # pathological sweep of tiny windows cannot grow the list
         # unboundedly (the count/cycle totals above stay exact).
@@ -715,7 +770,8 @@ class BatchedSimulator(Simulator):
                              window_count=self.window_count,
                              window_cycles=self.window_cycles,
                              window_sizes=tuple(self._window_sizes),
-                             drift_windows=self.drift_window_count)
+                             drift_windows=self.drift_window_count,
+                             virtual_cycles=self.virtual_cycles)
 
     # -- construction --------------------------------------------------------
 
@@ -845,8 +901,59 @@ class BatchedSimulator(Simulator):
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     heapq.heappush(heap, j)
-        self._topo_units = [self.units[i] for i in order] \
-            if len(order) == len(self.units) else list(self.units)
+        self._topo_units = order if len(order) == len(self.units) \
+            else list(range(len(self.units)))
+
+        # Counter-machine tables of the window planner, built once so a
+        # virtual cycle does no id(), isinstance or by-id dict lookup.
+        # A channel is its slot t in [0, C); per slot: its capacity,
+        # the counter slot of its ready count (t itself on a plain
+        # channel, whose ready count *is* its total; C + j on link j),
+        # its FIFO slot (j for link j's in-flight ring, else -1) and
+        # its wire latency.  Latency line s has FIFO slot L + s and
+        # counter slot C + L + s.
+        chans = self._chan_list = list(self.channels.values())
+        slot = {id(c): t for t, c in enumerate(chans)}
+        n_chan, n_link = len(chans), len(self.links)
+        ready_of, fifo_of = list(range(n_chan)), [-1] * n_chan
+        for j, link in enumerate(self.links):
+            ready_of[slot[id(link)]] = n_chan + j
+            fifo_of[slot[id(link)]] = j
+        self._vm_links = [slot[id(link)] for link in self.links]
+        self._vm_chans = ([c.capacity for c in chans], ready_of, fifo_of,
+                          [getattr(c, "latency", 0) for c in chans])
+        # Per unit: (kind, unit, out slots, schedule phase boundaries,
+        # ...); a sink adds its in slot, a stencil its in slots, the
+        # needed (field, slot) pairs per pop phase as (end step,
+        # pairs), its line's FIFO and counter slots, line capacity,
+        # compute latency, init words and final step.
+        self._vm_units = table = []
+        fifo = n_link
+        for unit in self.units:
+            outs = tuple(slot[id(c)]
+                         for c in getattr(unit, "out_channels", ()))
+            if isinstance(unit, BatchedSourceUnit):
+                table.append((_SOURCE, unit, outs, (unit.num_words,)))
+            elif isinstance(unit, BatchedStencilUnit):
+                words, start = unit.num_words, unit.pop_start
+                end = unit.init_words + words
+                ins = {f: slot[id(unit.in_channels[f])]
+                       for f in unit.fields}
+                cuts = sorted({cut for first in start.values()
+                               for cut in (first, first + words)})
+                phases = [(cut, tuple(
+                    (f, t) for f, t in ins.items()
+                    if start[f] < cut <= start[f] + words))
+                    for cut in cuts] + [(end, ())]
+                table.append((_STENCIL, unit, outs,
+                              (unit.init_words, end, *cuts),
+                              tuple(ins.values()), phases,
+                              fifo, n_chan + fifo, unit.line_capacity,
+                              unit.compute_latency, unit.init_words, end))
+                fifo += 1
+            else:
+                table.append((_SINK, unit, (), (unit.num_words,),
+                              slot[id(unit.in_channel)]))
 
     # -- planning ------------------------------------------------------------
 
@@ -1152,11 +1259,24 @@ class BatchedSimulator(Simulator):
     # instead takes Q = lcm of all link delivery periods, *virtually*
     # executes Q cycles of the exact scalar semantics on lightweight
     # counter state (recording per-cycle delivery masks and unit
-    # actions), proves the window repeats by state congruence (all
-    # occupancies and credits return to their start values and every
-    # in-flight/latency-line timestamp shifts by exactly Q), bounds the
-    # repeat count by schedule phase boundaries and ring headroom, and
-    # then executes all k*Q cycles as single NumPy slabs per unit.
+    # actions), proves the window repeats by state congruence, bounds
+    # the repeat count by schedule phase boundaries and ring headroom,
+    # and then executes all k*Q cycles as single NumPy slabs per unit.
+    #
+    # Congruence has two rules (docs/ARCHITECTURE.md, "Window
+    # planner").  Every decision of a cycle is either a threshold test
+    # on a counter (channel occupancy, link ready count, latency-line
+    # length) or a head-maturity test on a timed FIFO (a link's
+    # in-flight ring, a stencil's latency line), plus the credit
+    # schedule.  Counters may drift by a constant per window as long as
+    # no recorded decision margin is crossed; a FIFO must be window 1's
+    # shifted by exactly Q, or never have made window 1 wait (then its
+    # already-queued entries are checked against the cycles they will
+    # be popped on); credits must return to their start values.
+    # Identical decisions give identical actions shifted by Q, so the
+    # ramp and drain transients repeat as well as the steady state.
+    # What does not repeat is stretched over many periods instead
+    # (exact for any length), ending once the machine looks periodic.
 
     def _superpattern_period(self) -> Optional[int]:
         """The LCM window of all link delivery schedules, or ``None``
@@ -1195,227 +1315,232 @@ class BatchedSimulator(Simulator):
         if max_cycles - now < q:
             return None
         plan = _WindowPlan(q)
-        events = {id(unit): _WindowEvents() for unit in self.units}
-        plan.events = events
+        chans, links, units = (self._chan_list, self._vm_links,
+                               self._vm_units)
+        capacity, ready_of, fifo_of, latency_of = self._vm_chans
+        n_chan, n_link = len(chans), len(links)
 
-        # Virtual machine state, seeded from the live machine.
-        total: Dict[int, int] = {}
-        ready: Dict[int, int] = {}
-        for channel in self.channels.values():
-            key = id(channel)
-            total[key] = len(channel)
-            ready[key] = len(channel) - (
-                channel.in_flight_len
-                if isinstance(channel, ArrayNetworkLink) else 0)
-        in_flight: Dict[int, Deque[int]] = {}
-        start_flight: Dict[int, List[int]] = {}
-        limiters: Dict[int, RateLimiter] = {}
-        start_credit: Dict[int, float] = {}
-        for link in self.links:
-            key = id(link)
-            times = link.in_flight_times().tolist()
-            in_flight[key] = deque(times)
-            start_flight[key] = times
+        # Virtual machine state, seeded from the live machine: channel
+        # counters and timed FIFOs (slots as laid out in _build), link
+        # credits, per-unit progress (source words pushed, stencil
+        # local step, sink words received) and the work left before
+        # the run completes (steps + latency-line words + words).
+        cnt = [len(c) for c in chans]
+        fifos: List[Deque[int]] = []
+        limiters: List[RateLimiter] = []
+        # A FIFO whose consultations ever found it empty or its head
+        # immature only replays under the strict rule (_fifo_repeats).
+        strict_only: List[bool] = []
+        for t in links:
+            link = chans[t]
+            cnt.append(cnt[t] - link.in_flight_len)
+            fifos.append(deque(link.in_flight_times().tolist()))
             limiter = RateLimiter(link.words_per_cycle)
             limiter.credit = link.credit
-            limiters[key] = limiter
-            start_credit[key] = link.credit
-        local: Dict[int, int] = {}
-        lines: Dict[int, Deque[int]] = {}
-        start_line: Dict[int, List[int]] = {}
-        src_next: Dict[int, int] = {}
-        sink_recv: Dict[int, int] = {}
-        for unit in self.units:
-            key = id(unit)
-            if isinstance(unit, BatchedStencilUnit):
-                local[key] = unit.local_step
-                times = unit._line_times.snapshot().tolist()
-                lines[key] = deque(times)
-                start_line[key] = times
-            elif isinstance(unit, BatchedSourceUnit):
-                src_next[key] = unit.next_word
+            limiters.append(limiter)
+            strict_only.append(limiter.rate >= 1.0)
+        pops: List[List[int]] = [[] for _ in range(n_link)]
+        pos: List[int] = []
+        need: List[Optional[Tuple]] = []
+        events = plan.events
+        remaining = 0
+        for entry in units:
+            unit = entry[1]
+            drains: List[int] = []
+            if entry[0] == _STENCIL:
+                step, phases = unit.local_step, entry[5]
+                line = deque(unit._line_times.snapshot().tolist())
+                fifos.append(line)
+                strict_only.append(False)
+                pops.append(drains)
+                need.append(next((p for p in phases if step < p[0]),
+                                 phases[-1]))
+                remaining += max(entry[11] - step, 0) + len(line)
             else:
-                sink_recv[key] = unit.received
+                step = unit.next_word if entry[0] == _SOURCE \
+                    else unit.received
+                need.append(None)
+                remaining += max(unit.num_words - step, 0)
+            pos.append(step)
+            events.append(_WindowEvents(drains))
+        start_cnt, start_pos = list(cnt), list(pos)
+        start_credit = [limiter.credit for limiter in limiters]
+        start_fifo = [list(fifo) for fifo in fifos]
+        start_remaining = remaining
 
-        chan_push = plan.chan_push
-        chan_pop = plan.chan_pop
-        chan_deliver = plan.chan_deliver
-        chan_peak = plan.chan_peak
+        pushed = plan.chan_push = [0] * n_chan
+        popped = plan.chan_pop = [0] * n_chan
+        peak = plan.chan_peak = [0] * n_chan
+        # Largest per-channel / per-line word count moved so far (ring
+        # headroom is sized for one batch cap of slab traffic).
+        traffic = 0
 
-        def push_to(channel, now_v: int):
-            key = id(channel)
-            total[key] += 1
-            chan_push[key] = chan_push.get(key, 0) + 1
-            if total[key] > chan_peak.get(key, 0):
-                chan_peak[key] = total[key]
-            if isinstance(channel, ArrayNetworkLink):
-                in_flight[key].append(now_v + channel.latency)
-            else:
-                ready[key] += 1
+        # Decision margins over window 1, one table for every counter
+        # (channel totals, link ready counts, line lengths): each
+        # decision below is a threshold test ``value >= limit`` on a
+        # counter that moves linearly under repeated actions, so in
+        # repeat k it sees window 1's value displaced by (k-1)*d, d the
+        # counter's per-window drift.  ``over[i]`` is the least excess
+        # of a test that held (bounds a falling counter), ``under[i]``
+        # the least slack of one that failed (bounds a rising one).
+        # Margins are recorded only for tests that actually ran, which
+        # is exactly the set replayed in every repeat.
+        big = 1 << 62
+        over = [big] * (n_chan + len(fifos))
+        under = [big] * (n_chan + len(fifos))
 
-        def pop_from(channel):
-            key = id(channel)
-            total[key] -= 1
-            ready[key] -= 1
-            chan_pop[key] = chan_pop.get(key, 0) + 1
+        def at_least(i: int, value: int, limit: int) -> bool:
+            if value >= limit:
+                if value - limit < over[i]:
+                    over[i] = value - limit
+                return True
+            if limit - 1 - value < under[i]:
+                under[i] = limit - 1 - value
+            return False
 
-        latency_waited: set = set()
-        flags: List[bool] = []
+        def push_to(t: int, now_v: int):
+            nonlocal traffic
+            cnt[t] = occupancy = cnt[t] + 1
+            if occupancy > peak[t]:
+                peak[t] = occupancy
+            pushed[t] = count = pushed[t] + 1
+            if count > traffic:
+                traffic = count
+            if fifo_of[t] >= 0:
+                fifos[fifo_of[t]].append(now_v + latency_of[t])
 
-        # Full/empty decision margins over window 1, per plain channel
-        # (links are held to strict congruence below).  A plain
-        # channel's ready count tracks its total exactly, so in repeat
-        # k every one of window 1's threshold checks sees the same
-        # occupancy displaced by (k-1)*d, where d is the channel's
-        # per-window drift — the minimum slack across the window's
-        # checks therefore bounds how many repeats preserve every
-        # decision (drifting-occupancy congruence, applied after the
-        # window runs).
-        nf_slack: Dict[int, int] = {}   # not-full:  capacity-1 - total
-        f_excess: Dict[int, int] = {}   # full:      total - capacity
-        ne_slack: Dict[int, int] = {}   # not-empty: ready - 1
-        e_slack: Dict[int, int] = {}    # empty:     -ready
-
-        def check_full(channel) -> bool:
-            key = id(channel)
-            occ = total[key]
-            is_full = occ >= channel.capacity
-            if not isinstance(channel, ArrayNetworkLink):
-                if is_full:
-                    margin = occ - channel.capacity
-                    if margin < f_excess.get(key, margin + 1):
-                        f_excess[key] = margin
-                else:
-                    margin = channel.capacity - 1 - occ
-                    if margin < nf_slack.get(key, margin + 1):
-                        nf_slack[key] = margin
-            return is_full
-
-        def check_empty(channel) -> bool:
-            key = id(channel)
-            avail = ready[key]
-            is_empty = avail <= 0
-            if not isinstance(channel, ArrayNetworkLink):
-                if is_empty:
-                    margin = -avail
-                    if margin < e_slack.get(key, margin + 1):
-                        e_slack[key] = margin
-                else:
-                    margin = avail - 1
-                    if margin < ne_slack.get(key, margin + 1):
-                        ne_slack[key] = margin
-            return is_empty
+        def pop_from(t: int):
+            nonlocal traffic
+            cnt[t] -= 1
+            if ready_of[t] != t:
+                cnt[ready_of[t]] -= 1
+            popped[t] = count = popped[t] + 1
+            if count > traffic:
+                traffic = count
 
         def run_cycle(off: int) -> bool:
+            nonlocal remaining, traffic
+            self.virtual_cycles += 1
             now_v = now + off
             progressed = False
-            for link in self.links:
-                key = id(link)
-                limiter = limiters[key]
+            for j, limiter in enumerate(limiters):
                 limiter.refill()
-                flight = in_flight[key]
+                flight = fifos[j]
                 while flight and limiter.credit >= 1.0 \
                         and flight[0] <= now_v:
                     flight.popleft()
-                    ready[key] += 1
+                    cnt[n_chan + j] += 1
                     limiter.spend()
-                    chan_deliver[key] = chan_deliver.get(key, 0) + 1
-                if flight and limiter.credit >= 1.0 \
-                        and flight[0] > now_v:
-                    # The delivery mask was shaped by the wire latency,
-                    # not just the credit schedule: the stale-backlog
-                    # congruence relaxation below would be unsound.
-                    latency_waited.add(key)
-            for unit in self.units:
-                ev = events[id(unit)]
-                if isinstance(unit, BatchedSourceUnit):
-                    key = id(unit)
-                    if src_next[key] >= unit.num_words:
-                        continue
-                    full = [c for c in unit.out_channels
-                            if check_full(c)]
-                    if full:
-                        ev.stalls += 1
-                        ev.stall_reason = \
-                            f"output full: {[c.name for c in full]}"
-                        continue
-                    for channel in unit.out_channels:
-                        push_to(channel, now_v)
-                    ev.pushes.append(off)
-                    src_next[key] += 1
-                    progressed = True
-                elif isinstance(unit, BatchedStencilUnit):
-                    key = id(unit)
-                    step = local[key]
-                    line = lines[key]
-                    if line and line[0] <= now_v:
-                        # check_full's short-circuit mirrors the scalar
-                        # engine; margins are only recorded for checks
-                        # that actually ran, which is exactly the set
-                        # replayed in every repeat.
-                        if not any(check_full(c)
-                                   for c in unit.out_channels):
+                    pops[j].append(off)
+                    if len(pops[j]) > traffic:
+                        traffic = len(pops[j])
+                if limiter.credit >= 1.0:
+                    # Credit to spare: the ring was empty or its head
+                    # still on the wire, so the delivery mask was not
+                    # purely credit-driven.
+                    strict_only[j] = True
+            for i, entry in enumerate(units):
+                kind = entry[0]
+                ev = events[i]
+                if kind == _STENCIL:
+                    (_, _, outs, _, _, phases, f, slot, line_cap,
+                     latency, init, end) = entry
+                    line = fifos[f]
+                    if not line or line[0] > now_v:
+                        strict_only[f] = True
+                    else:
+                        # The short-circuit mirrors the scalar engine.
+                        for t in outs:
+                            if at_least(t, cnt[t], capacity[t]):
+                                break
+                        else:
                             line.popleft()
-                            for channel in unit.out_channels:
-                                push_to(channel, now_v)
+                            for t in outs:
+                                push_to(t, now_v)
                             ev.drains.append(off)
+                            remaining -= 1
                             progressed = True
-                    if step >= unit.init_words + unit.num_words:
+                    step = pos[i]
+                    if step >= end:
                         continue
-                    needed = [f for f in unit.fields
-                              if unit.pop_start[f] <= step
-                              < unit.pop_start[f] + unit.num_words]
-                    empty = [f for f in needed
-                             if check_empty(unit.in_channels[f])]
-                    if empty:
+                    if step >= need[i][0]:
+                        need[i] = next(p for p in phases if step < p[0])
+                    needed = need[i][1]
+                    empty = None
+                    for field, t in needed:
+                        if not at_least(ready_of[t], cnt[ready_of[t]], 1):
+                            empty = empty or []
+                            empty.append(field)
+                    if empty or at_least(slot, len(line), line_cap):
                         ev.stalls += 1
-                        if step >= unit.init_words:
+                        if step >= init:
                             ev.stalls_after_init += 1
-                        ev.stall_reason = f"waiting on input(s) {empty}"
+                        ev.block = empty
                         continue
-                    if len(line) >= unit.line_capacity:
-                        ev.stalls += 1
-                        if step >= unit.init_words:
-                            ev.stalls_after_init += 1
-                        ev.stall_reason = \
-                            "output backpressure (latency line full)"
-                        continue
-                    for field in needed:
-                        pop_from(unit.in_channels[field])
-                        ev.pops[field] = ev.pops.get(field, 0) + 1
-                    if step >= unit.init_words:
-                        line.append(now_v + unit.compute_latency)
+                    for _field, t in needed:
+                        pop_from(t)
+                    if step >= init:
+                        line.append(now_v + latency)
                         ev.line_pushes.append(off)
+                        if len(ev.line_pushes) > traffic:
+                            traffic = len(ev.line_pushes)
                         if ev.first_compute_local is None:
                             ev.first_compute_local = step
+                    else:
+                        remaining -= 1
                     ev.advances += 1
-                    local[key] = step + 1
+                    pos[i] = step + 1
+                    progressed = True
+                elif kind == _SOURCE:
+                    if pos[i] >= entry[3][0]:
+                        continue
+                    full = [chans[t].name for t in entry[2]
+                            if at_least(t, cnt[t], capacity[t])]
+                    if full:
+                        ev.stalls += 1
+                        ev.block = full
+                        continue
+                    for t in entry[2]:
+                        push_to(t, now_v)
+                    ev.pushes.append(off)
+                    pos[i] += 1
+                    remaining -= 1
                     progressed = True
                 else:  # sink
-                    key = id(unit)
-                    if sink_recv[key] >= unit.num_words:
+                    if pos[i] >= entry[3][0]:
                         continue
-                    if check_empty(unit.in_channel):
+                    t = entry[4]
+                    if not at_least(ready_of[t], cnt[ready_of[t]], 1):
                         ev.stalls += 1
                         continue
-                    pop_from(unit.in_channel)
+                    pop_from(t)
                     ev.arrivals.append(off)
-                    sink_recv[key] += 1
+                    pos[i] += 1
+                    remaining -= 1
                     progressed = True
             return progressed
 
+        def links_hold_words() -> bool:
+            """The deadlock detector's test on a zero-progress cycle:
+            it cannot fire while any link holds a word.  The witness
+            link's margin keeps it holding one in every repeat."""
+            for t in links:
+                if cnt[t]:
+                    over[t] = min(over[t], cnt[t] - 1)
+                    return True
+            return False
+
+        last = -1   # offset of the latest cycle that made progress
         for off in range(q):
-            progressed = run_cycle(off)
-            flags.append(progressed)
-            if not progressed and \
-                    not any(total[id(link)] for link in self.links):
+            if run_cycle(off):
+                last = off
+            elif not links_hold_words():
                 # Standstill with empty links inside the first window:
                 # hand back to the main loop so its frozen-stretch
                 # accounting (or scalar fallback) runs deadlock
                 # detection with unchanged diagnostics.
                 return None
-
-        if not any(flags):
+        if last < 0:
             # Pure stall stretches batch further on the single-cycle
             # planner (it can jump straight to the next delivery).
             return None
@@ -1423,199 +1548,93 @@ class BatchedSimulator(Simulator):
         # Ring headroom: a channel's or latency line's slab traffic per
         # executed stretch must fit the batch headroom.
         cap = self._batch_cap()
-
-        def traffic_at_cap(limit: int) -> bool:
-            return any(
-                count >= limit
-                for counts in (chan_push, chan_pop, chan_deliver)
-                for count in counts.values()
-            ) or any(len(events[id(unit)].line_pushes) >= limit
-                     for unit in self.units)
-
-        if traffic_at_cap(cap + 1):
+        if traffic > cap:
             return None
-        repeats = (max_cycles - now) // q
-        for counts in (chan_push, chan_pop, chan_deliver):
-            for count in counts.values():
-                if count:
-                    repeats = min(repeats, cap // count)
-        for unit in self.units:
-            pushes = len(events[id(unit)].line_pushes)
-            if pushes:
-                repeats = min(repeats, cap // pushes)
-        repeats = max(1, repeats)
+        repeats = min((max_cycles - now) // q, cap // max(traffic, 1))
 
-        # Congruence: the machine state after the window must equal the
-        # start state shifted by exactly q cycles.  Then, by
-        # determinism and time-translation invariance, every further
-        # window repeats the same per-cycle actions until a schedule
-        # phase boundary is crossed.  Links are held to this strictly;
-        # plain channels may instead end displaced by a constant drift
-        # vector, handled below once their drifts are known.
-        congruent = all(
-            total[id(c)] == len(c)
-            and ready[id(c)] == len(c) - c.in_flight_len
-            for c in self.channels.values()
-            if isinstance(c, ArrayNetworkLink))
-        if congruent:
-            for link in self.links:
-                key = id(link)
-                end = in_flight[key]
-                start = start_flight[key]
-                if (limiters[key].credit != start_credit[key]
-                        or len(end) != len(start)):
-                    congruent = False
-                    break
-                if all(e == s + q for e, s in zip(end, start)):
-                    continue  # strict shift: timeliness replays exactly
-                # Stale-backlog relaxation: during fill/drain transients
-                # the in-flight ring mixes consecutively-pushed old
-                # words with period-spaced new ones, so times do not
-                # shift by q — but when the window's delivery mask was
-                # purely credit-driven (no latency wait) and every
-                # position's time grows by at most q, each replayed
-                # window's deliveries are at least as timely as window
-                # 1's.  Only the pre-existing backlog is proven, so the
-                # repeat count is clamped to it.
-                deliveries = chan_deliver.get(key, 0)
-                if (key not in latency_waited and deliveries
-                        and all(e <= s + q
-                                for e, s in zip(end, start))):
-                    repeats = min(repeats, len(start) // deliveries)
-                    continue
-                congruent = False
+        # Congruence: window 2 must make window 1's decisions, shifted
+        # by q cycles — then so does every further window, until a
+        # margin, a FIFO entry or a schedule phase runs out.  Credits
+        # must return to their start values exactly; every timed FIFO
+        # passes the one rule of _fifo_repeats; every counter may end
+        # displaced by a constant drift, bounded by its margins.
+        if [limiter.credit for limiter in limiters] != start_credit:
+            repeats = 0
+        for f, fifo in enumerate(fifos):
+            if repeats < 2:
                 break
-        if congruent:
-            for unit in self.units:
-                if not isinstance(unit, BatchedStencilUnit):
-                    continue
-                end = lines[id(unit)]
-                start = start_line[id(unit)]
-                if len(end) != len(start) or any(
-                        e != s + q for e, s in zip(end, start)):
-                    congruent = False
-                    break
-        drift: Dict[int, int] = {}
-        if congruent:
-            # Drifting-occupancy congruence: during ramp/drain
-            # transients the plain channels fill or empty by a constant
-            # d per window while the link and latency-line schedules
-            # already repeat.  Repeat k then sees window 1's state with
-            # each such channel displaced by (k-1)*d — the recorded
-            # full/empty margins bound the k for which every threshold
-            # decision is preserved, and preserved decisions replay the
-            # identical actions shifted by q, exactly as in the
-            # zero-drift proof.
-            for c in self.channels.values():
-                if isinstance(c, ArrayNetworkLink):
-                    continue
-                d = total[id(c)] - len(c)
-                if d:
-                    drift[id(c)] = d
-            for key, d in drift.items():
-                if d > 0:
-                    if key in nf_slack:
-                        repeats = min(repeats, 1 + nf_slack[key] // d)
-                    if key in e_slack:
-                        repeats = min(repeats, 1 + e_slack[key] // d)
-                else:
-                    if key in f_excess:
-                        repeats = min(repeats, 1 + f_excess[key] // -d)
-                    if key in ne_slack:
-                        repeats = min(repeats, 1 + ne_slack[key] // -d)
-        if congruent:
-            # Phase bound: repeats 2..k replay window 1's decisions only
-            # while no unit crosses a schedule boundary (pop windows,
-            # init fill, completion), so clamp k strictly below the
-            # nearest one — stall cycles *after* a unit's last word in a
-            # window are only accounted correctly while the unit is not
-            # yet done, so even landing exactly on a boundary at the
-            # window end must go through the per-cycle planner.
-            for unit in self.units:
-                ev = events[id(unit)]
-                if isinstance(unit, BatchedSourceUnit):
-                    if ev.pushes:
-                        repeats = min(
-                            repeats, (unit.num_words - unit.next_word - 1)
-                            // len(ev.pushes))
-                elif isinstance(unit, BatchedStencilUnit):
-                    if ev.advances:
-                        step = unit.local_step
-                        bounds = {unit.init_words,
-                                  unit.init_words + unit.num_words}
-                        for field in unit.fields:
-                            bounds.add(unit.pop_start[field])
-                            bounds.add(unit.pop_start[field]
-                                       + unit.num_words)
-                        for bound in bounds:
-                            if bound > step:
-                                repeats = min(
-                                    repeats,
-                                    (bound - step - 1) // ev.advances)
-                elif ev.arrivals:
-                    repeats = min(
-                        repeats, (unit.num_words - unit.received - 1)
-                        // len(ev.arrivals))
-            if drift and repeats < 2:
-                # A drifting window that cannot repeat amortizes worse
-                # than the stretched transient below.
-                congruent = False
-            else:
-                plan.repeats = max(1, repeats)
-                if drift:
-                    plan.drift = True
-                    # Window 1's recorded peak is the lowest of the
-                    # repeats on a filling channel; the true high-water
-                    # mark lands in the last repeat.
-                    for key, d in drift.items():
-                        if d > 0:
-                            plan.chan_peak[key] = (
-                                plan.chan_peak.get(key, 0)
-                                + (plan.repeats - 1) * d)
-        if not congruent:
-            # Transient (ramp, drain): no window can repeat because
-            # occupancies still drift, but the virtual schedule is
-            # exact for any stretch — keep extending it so the slab
-            # pass amortizes over many periods instead of one.
-            def machine_done() -> bool:
-                for unit in self.units:
-                    key = id(unit)
-                    if isinstance(unit, BatchedStencilUnit):
-                        if (local[key] < unit.init_words + unit.num_words
-                                or lines[key]):
-                            return False
-                    elif isinstance(unit, BatchedSourceUnit):
-                        if src_next[key] < unit.num_words:
-                            return False
-                    elif sink_recv[key] < unit.num_words:
-                        return False
-                return True
-
+            repeats = min(repeats, _fifo_repeats(
+                start_fifo[f], fifo, pops[f], now, q, strict_only[f]))
+        drift = [end - start for end, start in zip(cnt, start_cnt)] + [
+            len(end) - len(start)
+            for end, start in zip(fifos[n_link:], start_fifo[n_link:])]
+        for i, d in enumerate(drift):
+            if d > 0:
+                repeats = min(repeats, 1 + under[i] // d)
+            elif d < 0:
+                repeats = min(repeats, 1 + over[i] // -d)
+        # Phase bound: repeats 2..k replay window 1's decisions only
+        # while no unit crosses a schedule boundary (pop windows, init
+        # fill, completion), so clamp k strictly below the nearest one
+        # — stall cycles *after* a unit's last word in a window are
+        # only accounted correctly while the unit is not yet done, so
+        # even landing exactly on a boundary at the window end must go
+        # through the per-cycle planner.  Likewise the run must not
+        # complete inside the repeats (the scalar loop exits there).
+        for entry, step, moved in zip(units, start_pos, pos):
+            moved -= step
+            if moved:
+                for bound in entry[3]:
+                    if bound > step:
+                        repeats = min(repeats,
+                                      (bound - step - 1) // moved)
+        if remaining < start_remaining:
+            repeats = min(repeats, (start_remaining - 1)
+                          // (start_remaining - remaining))
+        if repeats >= 2:
+            plan.repeats = int(repeats)
+            plan.drift = any(drift)
+            # Window 1's recorded peak is the lowest of the repeats on
+            # a filling channel; the true high-water mark lands in the
+            # last repeat.
+            for t in range(n_chan):
+                if drift[t] > 0:
+                    peak[t] += (plan.repeats - 1) * drift[t]
+            self._stretch_floor = self.MIN_STRETCH
+        else:
+            # Transient that does not (yet) repeat: the virtual
+            # schedule is exact for any stretch, so keep extending it
+            # and amortize the slab pass over many periods — until two
+            # consecutive periods moved every unit alike (the next
+            # window will likely repeat), but never below the floor.
             horizon = min(q * self.WINDOW_STRETCH, max_cycles - now)
+            floor = self._stretch_floor
+            self._stretch_floor = min(2 * floor, q * self.WINDOW_STRETCH)
+            mark, moved = start_pos, None
             while plan.period < horizon:
-                if not flags[-1] and not any(
-                        total[id(link)] for link in self.links):
+                if last < plan.period - 1 and not links_hold_words():
                     # Frozen with empty links: stop so the trailing
                     # idle cycles stay countable against the deadlock
                     # window.
                     break
-                if machine_done():
+                if not remaining:
                     # The run completes inside this stretch: the scalar
                     # loop exits here, so one more cycle would inflate
                     # the cycle count.
                     break
-                if traffic_at_cap(cap):
+                if traffic >= cap:
                     break
-                flags.append(run_cycle(plan.period))
+                if not plan.period % q:
+                    step = [a - b for a, b in zip(pos, mark)]
+                    if step == moved and plan.period >= floor:
+                        break
+                    mark, moved = list(pos), step
+                if run_cycle(plan.period):
+                    last = plan.period
                 plan.period += 1
-        idle = 0
-        for progressed in reversed(flags):
-            if progressed:
-                break
-            idle += 1
-        plan.trailing_idle = idle
-        plan.end_credit = {key: limiter.credit
-                           for key, limiter in limiters.items()}
+        plan.trailing_idle = plan.period - 1 - last
+        plan.chan_deliver = [len(offsets) for offsets in pops[:n_link]]
+        plan.end_credit = [limiter.credit for limiter in limiters]
         return plan
 
     # -- super-pattern execution ---------------------------------------------
@@ -1627,33 +1646,30 @@ class BatchedSimulator(Simulator):
         window's event offsets, so the terminal state is exactly what
         ``plan.cycles`` scalar cycles would have produced."""
         k = plan.repeats
-        for unit in self._topo_units:
-            ev = plan.events[id(unit)]
-            if isinstance(unit, BatchedSourceUnit):
-                self._window_source(unit, ev, plan, now)
-            elif isinstance(unit, BatchedStencilUnit):
-                self._window_stencil(unit, ev, plan, now)
-            else:
-                self._window_sink(unit, ev, plan, now)
+        chans, fifo_of = self._chan_list, self._vm_chans[2]
+        for i in self._topo_units:
+            entry, ev = self._vm_units[i], plan.events[i]
+            (self._window_source, self._window_stencil,
+             self._window_sink)[entry[0]](entry, ev, plan, now)
             # Deliveries follow the producer's slab so the in-flight
             # ring holds every row they move; consumers come later in
             # topological order.
-            for channel in getattr(unit, "out_channels", ()):
-                count = plan.chan_deliver.get(id(channel), 0)
-                if count:
-                    channel.deliver_rows(count * k)
-        for link in self.links:
-            link.sync_credit(plan.end_credit[id(link)])
-        for channel in self.channels.values():
-            key = id(channel)
-            channel.pushes += plan.chan_push.get(key, 0) * k
-            channel.pops += plan.chan_pop.get(key, 0) * k
-            peak = plan.chan_peak.get(key, 0)
+            for t in entry[2]:
+                if fifo_of[t] >= 0 and plan.chan_deliver[fifo_of[t]]:
+                    chans[t].deliver_rows(
+                        plan.chan_deliver[fifo_of[t]] * k)
+        for link, credit in zip(self.links, plan.end_credit):
+            link.sync_credit(credit)
+        for channel, pushed, popped, peak in zip(
+                chans, plan.chan_push, plan.chan_pop, plan.chan_peak):
+            channel.pushes += pushed * k
+            channel.pops += popped * k
             if peak > channel.max_occupancy:
                 channel.max_occupancy = peak
 
-    def _window_source(self, unit, ev: _WindowEvents, plan: _WindowPlan,
+    def _window_source(self, entry, ev: _WindowEvents, plan: _WindowPlan,
                        now: int):
+        unit = entry[1]
         count = len(ev.pushes) * plan.repeats
         if count:
             slab = unit.rows[unit.next_word:unit.next_word + count]
@@ -1669,15 +1685,15 @@ class BatchedSimulator(Simulator):
             unit.next_word += count
         if ev.stalls:
             unit.stall_cycles += ev.stalls * plan.repeats
-            unit._block = ev.stall_reason
+            unit._block = f"output full: {ev.block}"
 
-    def _window_stencil(self, unit, ev: _WindowEvents, plan: _WindowPlan,
+    def _window_stencil(self, entry, ev: _WindowEvents, plan: _WindowPlan,
                         now: int):
+        unit = entry[1]
         q, k = plan.period, plan.repeats
-        for field in unit.fields:
-            count = ev.pops.get(field, 0) * k
-            if count:
-                unit.in_channels[field].skip_rows(count)
+        for t in entry[4]:
+            if plan.chan_pop[t]:
+                self._chan_list[t].skip_rows(plan.chan_pop[t] * k)
         computed = len(ev.line_pushes) * k
         if computed:
             unit._line_push(
@@ -1704,10 +1720,12 @@ class BatchedSimulator(Simulator):
         if ev.stalls:
             unit.stall_cycles += ev.stalls * k
             unit.stall_after_init += ev.stalls_after_init * k
-            unit._block = ev.stall_reason
+            unit._block = (f"waiting on input(s) {ev.block}" if ev.block
+                           else "output backpressure (latency line full)")
 
-    def _window_sink(self, unit, ev: _WindowEvents, plan: _WindowPlan,
+    def _window_sink(self, entry, ev: _WindowEvents, plan: _WindowPlan,
                      now: int):
+        unit = entry[1]
         q, k = plan.period, plan.repeats
         count = len(ev.arrivals) * k
         if count:

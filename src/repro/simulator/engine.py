@@ -356,6 +356,10 @@ class Simulator:
             metrics.counter("engine.windows").inc(profile.window_count)
             metrics.counter("engine.window_cycles") \
                 .inc(profile.window_cycles)
+            metrics.counter("engine.drift_windows") \
+                .inc(profile.drift_windows)
+            metrics.counter("engine.virtual_cycles") \
+                .inc(profile.virtual_cycles)
             sizes = metrics.histogram("engine.window_size_cycles")
             for size in profile.window_sizes:
                 sizes.observe(float(size))

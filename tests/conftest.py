@@ -1,12 +1,26 @@
-"""Pytest configuration: make test helpers importable and isolate the
-persistent cross-process caches per test."""
+"""Pytest configuration: make test helpers importable, isolate the
+persistent cross-process caches per test, and register the hypothesis
+profiles."""
 
 import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Hypothesis budgets, for the settings a property test leaves to the
+# profile (the engine differential fuzz leaves its example count):
+# tier-1 draws a small derandomized sample, so a run is reproducible
+# and bounded; CI's scheduled ``fuzz`` job passes
+# ``--hypothesis-profile=fuzz`` for a long random one whose failures
+# are kept in the example database.
+settings.register_profile("tier1", max_examples=200, derandomize=True,
+                          deadline=None)
+settings.register_profile("fuzz", max_examples=500, deadline=None,
+                          print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

@@ -11,6 +11,7 @@ vectorization widths, multi-device placements, and failure modes
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from repro.core import StencilProgram
 from repro.errors import DeadlockError, SimulationError, ValidationError
@@ -22,6 +23,8 @@ from repro.simulator import (
     simulate,
 )
 from repro.simulator.engine import make_simulator
+from test_properties import random_dag_program as _random_program
+from test_properties import random_machines
 from util import (
     chain_program,
     diamond_program,
@@ -51,6 +54,11 @@ def assert_equivalent(program, inputs, device_of=None, **config_kwargs):
     batched = simulate(program, inputs,
                        SimulatorConfig(engine_mode="batched",
                                        **config_kwargs), device_of)
+    assert_same_results(scalar, batched)
+    return scalar, batched
+
+
+def assert_same_results(scalar, batched):
     assert scalar.outputs.keys() == batched.outputs.keys()
     for name in scalar.outputs:
         a, b = scalar.outputs[name], batched.outputs[name]
@@ -67,7 +75,6 @@ def assert_equivalent(program, inputs, device_of=None, **config_kwargs):
                 f"output {name!r} differs in zero signs"
     for field in _EXACT_FIELDS:
         assert getattr(scalar, field) == getattr(batched, field), field
-    return scalar, batched
 
 
 CATALOG_CASES = [
@@ -526,49 +533,6 @@ class TestFailureModes:
                          SimulatorConfig(engine_mode=mode, max_cycles=100))
 
 
-def _random_program(rng):
-    """A random small DAG: random rank, offsets, boundaries, and W."""
-    rank = int(rng.integers(1, 4))
-    dims = ["i", "j", "k"][:rank]
-    shape = [int(rng.integers(4, 9)) * 2 for _ in range(rank)]
-    width = int(rng.choice([w for w in (1, 2, 4) if shape[-1] % w == 0]))
-
-    def access(field):
-        offsets = []
-        for d in dims:
-            o = int(rng.integers(-2, 3))
-            offsets.append(f"{d}{'+' if o > 0 else '-'}{abs(o)}" if o
-                           else d)
-        return f"{field}[{','.join(offsets)}]"
-
-    program = {}
-    available = ["a0"]
-    for n in range(int(rng.integers(2, 5))):
-        reads = list(rng.choice(
-            available, size=min(len(available), int(rng.integers(1, 3))),
-            replace=False))
-        terms = [access(f) for f in reads
-                 for _ in range(int(rng.integers(1, 3)))]
-        code = " + ".join(f"{rng.random():.3f}*{t}" for t in terms)
-        if rng.random() < 0.5:
-            boundary = "shrink"
-        else:
-            boundary = {
-                f: ({"type": "constant", "value": float(rng.random())}
-                    if rng.random() < 0.5 else {"type": "copy"})
-                for f in reads}
-        program[f"s{n}"] = {"code": code, "boundary_condition": boundary}
-        available.append(f"s{n}")
-    return StencilProgram.from_json({
-        "name": "fuzz",
-        "inputs": {"a0": {"dtype": "float32", "dims": dims}},
-        "outputs": [available[-1]],
-        "shape": shape,
-        "vectorization": width,
-        "program": program,
-    })
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
 def test_randomized_programs(seed):
     """Seeded fuzz: random DAGs must be exactly equivalent, and random
@@ -590,6 +554,35 @@ def test_randomized_programs(seed):
         except DeadlockError as exc:
             outcomes[mode] = ("deadlock", exc.cycle, exc.blocked_units)
     assert outcomes["scalar"] == outcomes["batched"]
+
+
+@given(random_machines())
+def test_differential_machine_fuzz(machine):
+    """Differential fuzz as a strategy: any drawn machine — placement,
+    link rate, wire latency, starved capacities, fault plan — ends the
+    same way on both engines (same deadlock cycle, blocked units and
+    diagnostic, same cycle-cap overrun, or exactly equal results).  The
+    example budget is the loaded hypothesis profile's
+    (``tests/conftest.py``): derandomized and small in tier-1, long and
+    random in CI's ``fuzz`` job."""
+    program, device_of, config_kwargs = machine
+    inputs = random_inputs(program)
+    runs = {}
+    for mode in ("scalar", "batched"):
+        config = SimulatorConfig(engine_mode=mode, **config_kwargs)
+        try:
+            runs[mode] = simulate(program, inputs, config, device_of)
+        except (DeadlockError, SimulationError) as exc:
+            runs[mode] = exc
+    scalar, batched = runs["scalar"], runs["batched"]
+    assert type(scalar) is type(batched)
+    if isinstance(scalar, DeadlockError):
+        assert (scalar.cycle, scalar.blocked_units, str(scalar)) \
+            == (batched.cycle, batched.blocked_units, str(batched))
+    elif isinstance(scalar, SimulationError):
+        assert str(scalar) == str(batched)
+    else:
+        assert_same_results(scalar, batched)
 
 
 class TestFaultInjection:
@@ -1030,6 +1023,45 @@ class TestDriftWindows:
         assert batched.profile.drift_windows > 0
         assert batched.profile.drift_windows <= \
             batched.profile.window_count
+
+    def test_ramp_where_only_a_link_drifts(self):
+        # A full-rate producer behind a deep 1/3-rate link: the link
+        # gains two words per period until it is full while every plain
+        # channel already sits at its steady occupancy.
+        program = chain_program(2, shape=(4, 8, 8))
+        link = ("stencil:s0", "stencil:s1", "s0")
+        assert link in edge_keys(program)
+        _scalar, batched = assert_equivalent(
+            program, random_inputs(program), {"s0": 0, "s1": 1},
+            network_words_per_cycle=1 / 3, network_latency=4,
+            channel_capacities={link: 120})
+        assert batched.profile.scalar_cycles == 0
+        assert batched.profile.drift_windows > 0
+
+    def test_drain_where_only_a_latency_line_carries_a_backlog(self):
+        # A 70-cycle pipeline in front of the slow link: once the
+        # source is done (its one-word channel empties at once) the
+        # stencil's latency line still holds ~70 mature words and
+        # drains them one per period — no channel drifts, the line does.
+        program = StencilProgram.from_json({
+            "name": "deep",
+            "inputs": {"inp": {"dtype": "float64",
+                               "dims": ["i", "j", "k"]}},
+            "outputs": ["s1"],
+            "shape": [4, 8, 8],
+            "program": {
+                "s0": {"code": "sqrt(sqrt(sqrt(sqrt(inp[i,j,k] + 1.0))))",
+                       "boundary_condition": "shrink"},
+                "s1": {"code": "s0[i,j,k] * 0.5",
+                       "boundary_condition": "shrink"},
+            },
+        })
+        _scalar, batched = assert_equivalent(
+            program, random_inputs(program), {"s0": 0, "s1": 1},
+            network_words_per_cycle=1 / 3, network_latency=2,
+            channel_capacities={("input:inp", "stencil:s0", "inp"): 1})
+        assert batched.profile.scalar_cycles == 0
+        assert batched.profile.drift_windows > 0
 
     def test_drift_absent_on_trivial_config(self):
         program = build("laplace2d", shape=(16, 16))

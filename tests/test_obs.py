@@ -48,6 +48,20 @@ def disabled_telemetry():
     spans.set_tracer(old_tracer)
 
 
+def _fractional_two_device_run():
+    """A windowed machine: lst1 over 2 devices behind a 1/3 word/cycle
+    link, where almost every cycle is retired by a super-pattern
+    window rather than a single-cycle pattern plan."""
+    program = lst1_program((8, 8, 8))
+    names = program.stencil_names
+    device_of = {name: int(idx >= len(names) // 2)
+                 for idx, name in enumerate(names)}
+    config = SimulatorConfig(engine_mode="batched",
+                             network_words_per_cycle=1 / 3,
+                             network_latency=4)
+    return simulate(program, lst1_inputs((8, 8, 8)), config, device_of)
+
+
 def _counter_values(registry, name):
     snap = registry.snapshot()
     return {tuple(sorted(rec["labels"].items())): rec["value"]
@@ -281,6 +295,32 @@ class TestEngineProfile:
         assert any("slab passes" in line
                    for line in profile.summary_lines())
 
+    def test_mean_batch_counts_window_passes(self, disabled_telemetry):
+        # A windowed run retires nearly every cycle in a few window
+        # passes and only a handful in pattern plans: dividing by the
+        # plans alone (the old definition) overstates the batch size.
+        profile = _fractional_two_device_run().profile
+        assert profile.scalar_cycles == 0
+        assert profile.window_count > 0
+        assert profile.window_cycles > 0.9 * profile.cycles
+        passes = profile.plan_count + profile.window_count
+        assert profile.slab_passes == passes
+        assert profile.mean_batch == profile.cycles / passes
+        assert profile.virtual_cycles > 0
+        spec = profile.to_json()
+        assert spec["mean_batch"] == profile.mean_batch
+        assert spec["virtual_cycles"] == profile.virtual_cycles
+        summary = "\n".join(profile.summary_lines())
+        assert f"{passes} slab passes" in summary
+        assert f"{profile.virtual_cycles} virtual cycles" in summary
+        # The old definition divided every batched cycle by the pattern
+        # plans alone, crediting them with the windows' cycles: > 100x
+        # what those plans actually retired.
+        plan_cycles = profile.cycles - profile.window_cycles
+        old = profile.batched_cycles / profile.plan_count
+        assert old > 100 * plan_cycles / profile.plan_count
+        assert old > 2 * profile.mean_batch
+
     def test_scalar_profile_counts_every_cycle_scalar(
             self, disabled_telemetry):
         program, inputs = lst1_program((6, 6, 6)), lst1_inputs((6, 6, 6))
@@ -301,6 +341,18 @@ class TestEngineProfile:
             "engine.cycles", engine="batched").value == result.cycles
         assert registry.counter("engine.plans").value \
             == result.profile.plan_count
+
+    def test_planner_work_emitted_once_per_run(self, telemetry):
+        registry, _ = telemetry
+        profile = _fractional_two_device_run().profile
+        assert profile.virtual_cycles > 0
+        assert profile.drift_windows > 0
+        assert registry.counter("engine.virtual_cycles").value \
+            == profile.virtual_cycles
+        assert registry.counter("engine.drift_windows").value \
+            == profile.drift_windows
+        assert registry.counter("engine.windows").value \
+            == profile.window_count
 
     def test_telemetry_ops_do_not_scale_with_cycles(self, telemetry):
         """The overhead contract: a longer simulation performs the

@@ -37,10 +37,11 @@ from repro.expr.ast_nodes import (
     Ternary,
     UnaryOp,
 )
+from repro.faults import random_fault_plan
 from repro.run import run_reference
 from repro.simulator import simulate
 from repro.transforms import shift_expr
-from util import assert_facts_sound
+from util import assert_facts_sound, edge_keys
 
 # -- strategies ---------------------------------------------------------------
 
@@ -84,6 +85,118 @@ def _expressions(rank=2, max_depth=3):
         )
 
     return st.recursive(base, extend, max_leaves=8)
+
+
+# -- random machines (engine differential fuzz) --------------------------------
+
+
+def random_dag_program(rng):
+    """A random small DAG: random rank, offsets, boundaries, and W.
+
+    ``rng`` is a NumPy ``Generator`` (the seeded equivalence tests) or
+    a :class:`_DrawnRng` (hypothesis draws, so counterexamples
+    shrink)."""
+    rank = int(rng.integers(1, 4))
+    dims = ["i", "j", "k"][:rank]
+    shape = [int(rng.integers(4, 9)) * 2 for _ in range(rank)]
+    width = int(rng.choice([w for w in (1, 2, 4) if shape[-1] % w == 0]))
+
+    def access(field):
+        offsets = []
+        for d in dims:
+            o = int(rng.integers(-2, 3))
+            offsets.append(f"{d}{'+' if o > 0 else '-'}{abs(o)}" if o
+                           else d)
+        return f"{field}[{','.join(offsets)}]"
+
+    program = {}
+    available = ["a0"]
+    for n in range(int(rng.integers(2, 5))):
+        reads = list(rng.choice(
+            available, size=min(len(available), int(rng.integers(1, 3))),
+            replace=False))
+        terms = [access(f) for f in reads
+                 for _ in range(int(rng.integers(1, 3)))]
+        code = " + ".join(f"{rng.random():.3f}*{t}" for t in terms)
+        if rng.random() < 0.5:
+            boundary = "shrink"
+        else:
+            boundary = {
+                f: ({"type": "constant", "value": float(rng.random())}
+                    if rng.random() < 0.5 else {"type": "copy"})
+                for f in reads}
+        program[f"s{n}"] = {"code": code, "boundary_condition": boundary}
+        available.append(f"s{n}")
+    return StencilProgram.from_json({
+        "name": "fuzz",
+        "inputs": {"a0": {"dtype": "float32", "dims": dims}},
+        "outputs": [available[-1]],
+        "shape": shape,
+        "vectorization": width,
+        "program": program,
+    })
+
+
+class _DrawnRng:
+    """The slice of NumPy's ``Generator`` that
+    :func:`random_dag_program` uses, answered by hypothesis draws."""
+
+    def __init__(self, draw):
+        self._draw = draw
+
+    def integers(self, low, high):
+        return self._draw(st.integers(low, high - 1))
+
+    def random(self):
+        return self._draw(st.integers(0, 999)) / 1000.0
+
+    def choice(self, options, size=None, replace=True):
+        options = list(options)
+        if size is None:
+            return self._draw(st.sampled_from(options))
+        return self._draw(st.lists(st.sampled_from(options), min_size=size,
+                                   max_size=size, unique=not replace))
+
+
+#: Link rates of the machine fuzz: every period from 2 to 7 cycles,
+#: several words per period, the unit rate.
+LINK_RATES = (1 / 5, 1 / 4, 0.3, 1 / 3, 2 / 5, 3 / 7, 1 / 2, 2 / 3, 5 / 7,
+              3 / 4, 1.0)
+LINK_LATENCIES = (0, 1, 2, 3, 8, 16, 40)
+
+
+@st.composite
+def random_machines(draw):
+    """``(program, device_of, SimulatorConfig keywords)`` of a random
+    multi-device machine: a random DAG, a per-stencil or contiguous
+    placement over 2-3 devices, a link rate and wire latency, and
+    optionally starved per-edge capacities (deadlocking draws
+    included) and a fault plan.  The cycle cap bounds the draws that
+    wedge with words still on a link, which no deadlock detector may
+    call (the longest healthy run is ~4096 words at 1/5 word/cycle)."""
+    program = random_dag_program(_DrawnRng(draw))
+    names = program.stencil_names
+    devices = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        device_of = {name: draw(st.integers(0, devices - 1))
+                     for name in names}
+    else:
+        cuts = draw(st.lists(st.integers(1, len(names) - 1),
+                             min_size=devices - 1, max_size=devices - 1))
+        device_of = {name: sum(idx >= cut for cut in cuts)
+                     for idx, name in enumerate(names)}
+    config = {"network_words_per_cycle": draw(st.sampled_from(LINK_RATES)),
+              "network_latency": draw(st.sampled_from(LINK_LATENCIES)),
+              "max_cycles": 40_000}
+    if draw(st.booleans()):
+        config["channel_capacities"] = {
+            key: draw(st.integers(1, 39)) for key in edge_keys(program)}
+        config["deadlock_window"] = 64
+    if draw(st.booleans()):
+        config["fault_plan"] = random_fault_plan(
+            program, seed=draw(st.integers(0, 2 ** 16)), horizon=600,
+            device_of=device_of)
+    return program, device_of, config
 
 
 # -- expression properties -----------------------------------------------------
