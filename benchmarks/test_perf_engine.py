@@ -21,10 +21,15 @@ planner behaviour moved — and the window planner's *work* is gated as a
 count: how many cycles it stepped on counter state
 (``profile.virtual_cycles``) to plan a link-bound run.
 
+The data plane is gated the same way, as counts: ring rows stored per
+run (``profile.stored_words``) and the ``tracemalloc`` peak of one run.
+
 Nothing here reads a clock or writes a file: wall-clock throughput is
 measured from outside the program by ``benchmarks/e2e`` (see
 ``BENCHMARK.json``), never asserted in tier-1.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -53,14 +58,15 @@ FRACTIONAL_LATENCY = 16
 #: Paper-domain batched-engine pins: (cycles, plan_count, window_count).
 #: The cycle counts are simulated statistics; the plan and window counts
 #: are *planner* counts — how the window planner happened to cut the
-#: run, re-pinned whenever its policy changes (no simulated statistic
-#: depends on them).
+#: run, re-pinned whenever its policy or the batch cap changes (no
+#: simulated statistic depends on them).  These are at the default
+#: ``max_batch_words`` of 4 096: one plan retires at most one cap.
 PAPER_PINS = {
-    "single": (166470, 161, 0),
-    "two_device": (166534, 171, 0),
-    "four_device": (166662, 188, 0),
-    "integer": (163918, 19, 0),
-    "fractional": (499229, 23, 45),
+    "single": (166470, 196, 0),
+    "two_device": (166534, 206, 0),
+    "four_device": (166662, 223, 0),
+    "integer": (163918, 54, 0),
+    "fractional": (499229, 23, 80),
 }
 
 #: Window-planner work ceilings, in virtual cycles (parent commit of
@@ -71,6 +77,8 @@ RUN_LINKS_VIRTUAL_CYCLES_MAX = 1600
 #: (``benchmarks/e2e/workloads.json``): same wire, smaller domain.
 RUN_LINKS_DOMAIN = (64, 64, 32)
 RUN_LINKS_CYCLES = 50717
+#: ``tracemalloc`` ceiling of one warm ``simulate`` on that machine.
+RUN_LINKS_PEAK_BYTES = 40 * 2 ** 20
 
 
 def _int_chain(shape):
@@ -137,6 +145,10 @@ def _row(label, build, **machine):
 
 
 def test_engine_throughput():
+    """Times nothing, despite the name (kept from the seed): pins the
+    paper-domain cycle counts, the planner's plan / window counts and
+    its virtual-cycle ceilings, scalar parity on the reduced domain,
+    super-pattern vs per-delivery equality and kernel replay parity."""
     single = _row("single", _hdiff)
     _row("two_device", _hdiff, device_count=2, latency=NETWORK_LATENCY)
     _row("four_device", _hdiff, device_count=4, latency=NETWORK_LATENCY)
@@ -155,6 +167,23 @@ def test_engine_throughput():
     assert links.profile.scalar_cycles == 0
     assert links.profile.drift_windows > 0
     assert links.profile.virtual_cycles <= RUN_LINKS_VIRTUAL_CYCLES_MAX
+
+    # The data plane on the same machine, as counts: every word of every
+    # stream is stored once (one ring per producing unit, not one per
+    # edge: 34 streams feed 70 edges), and one warm run allocates less
+    # than RUN_LINKS_PEAK_BYTES (99.7 MiB with per-edge rings, float64
+    # input copies and whole-domain coordinates; 18 MiB without).
+    program = _hdiff(RUN_LINKS_DOMAIN)
+    streams = len(program.inputs) + len(program.stencils)
+    assert links.profile.stored_words \
+        == streams * (program.num_cells // VECTORIZATION)
+    tracemalloc.start()
+    try:
+        _run(program, "batched", **fractional)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RUN_LINKS_PEAK_BYTES
 
     # Super-pattern windows are a pure planning optimization: the
     # per-delivery path it replaced reaches the identical machine state

@@ -42,6 +42,13 @@ class EngineProfile:
     #: Cycles the window planner stepped on counter state to plan the
     #: executed windows (planner work; not simulated cycles).
     virtual_cycles: int = 0
+    #: Bytes of the batched engine's stream rings (one per producing
+    #: unit, shared by its out-edges), each distinct array counted once.
+    ring_bytes: int = 0
+    #: Ring rows written by slab stores: streams x words when every
+    #: word is stored once (scalar-fallback pushes store one row per
+    #: *edge* and show up as the excess).
+    stored_words: int = 0
     #: Compiled slab passes executed by the kernel engine this run
     #: (0 on a cold run, which interprets while it records).
     kernel_slabs: int = 0
@@ -93,6 +100,8 @@ class EngineProfile:
             "window_sizes": list(self.window_sizes),
             "drift_windows": self.drift_windows,
             "virtual_cycles": self.virtual_cycles,
+            "ring_bytes": self.ring_bytes,
+            "stored_words": self.stored_words,
             "kernel_slabs": self.kernel_slabs,
             "kernel_cached": self.kernel_cached,
             "cycles_per_second": self.cycles_per_second,
@@ -119,6 +128,9 @@ class EngineProfile:
                 + (f", mean batch {mean:.1f} cycles)" if mean else ")")
                 + f", {self.scalar_cycles} scalar-fallback cycles "
                   f"({self.scalar_fraction:.1%})")
+            lines.append(
+                f"  {self.stored_words} words stored in "
+                f"{self.ring_bytes / 2**20:.1f} MiB of stream rings")
             if self.window_count:
                 drift = (f" ({self.drift_windows} drift-congruent)"
                          if self.drift_windows else "")

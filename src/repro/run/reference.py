@@ -31,6 +31,7 @@ import numpy as np
 from ..core.boundary import BoundaryConditions
 from ..core.program import StencilDefinition, StencilProgram
 from ..errors import ValidationError
+from ..expr.analysis import index_vars
 from ..expr.ast_nodes import FieldAccess
 from ..expr.evaluator import evaluate
 from ..graph.dag import StencilGraph
@@ -93,9 +94,11 @@ class _Executor:
         self.arrays: Dict[str, np.ndarray] = {}
         self.valid: Dict[str, Region] = {}
         self.results: Dict[str, FieldResult] = {}
-        grids = np.indices(self.domain)
-        self.index_grids = {name: grids[axis]
-                            for axis, name in enumerate(self.index_names)}
+        # Index grids cost a domain of int64 per axis: built only when
+        # some stencil reads an iteration index as a value.
+        grids = np.indices(self.domain) if any(
+            index_vars(s.ast) for s in program.stencils) else ()
+        self.index_grids = dict(zip(self.index_names, grids))
 
     # -- input binding -------------------------------------------------------
 
@@ -126,42 +129,42 @@ class _Executor:
 
     def execute(self, stencil: StencilDefinition):
         out_dtype = self.program.field_dtype(stencil.name).numpy
-        oob_mask = np.zeros(self.domain, dtype=bool)
-        shrink = stencil.boundary.shrink
 
         def resolve(access: FieldAccess) -> np.ndarray:
-            return self._resolve(stencil, access, oob_mask)
+            return self._resolve(stencil, access)
 
         raw = evaluate(stencil.ast, resolve, self.index_grids)
         result = np.empty(self.domain, dtype=out_dtype)
         result[...] = raw
         valid = self._valid_region(stencil)
         fill = np.nan if np.issubdtype(out_dtype, np.floating) else 0
-        if shrink and oob_mask.any():
-            result[oob_mask] = fill
-        invalid = np.ones(self.domain, dtype=bool)
-        invalid[tuple(slice(lo, hi) for lo, hi in valid)] = False
-        result[invalid] = fill
+        # Under shrink this also covers every cell that read out of the
+        # domain: the valid region lies inside each access's shift box.
+        for slab in _margin_slabs(self.domain, valid):
+            result[slab] = fill
         self.arrays[stencil.name] = result
         self.valid[stencil.name] = valid
         self.results[stencil.name] = FieldResult(stencil.name, result, valid)
 
-    def _resolve(self, stencil: StencilDefinition, access: FieldAccess,
-                 oob_mask: np.ndarray) -> np.ndarray:
+    def _resolve(self, stencil: StencilDefinition,
+                 access: FieldAccess) -> np.ndarray:
         """Shifted view of ``access`` with boundary handling applied."""
         source = self.arrays[access.field]
         offsets = self._full_offsets(access)
-        shifted, in_bounds = _shift(source, offsets)
-        if all(off == 0 for off in offsets):
+        if not any(offsets):
             return source
+        shifted, box = _shift(source, offsets)
         if stencil.boundary.shrink:
-            oob_mask |= ~in_bounds
-            return shifted
+            return shifted   # its margin is invalid (see execute)
         condition = stencil.boundary.for_input(access.field)
         if condition.kind == "constant":
-            return np.where(in_bounds, shifted, condition.value)
-        # copy: replace with the center value.
-        return np.where(in_bounds, shifted, source)
+            # Promoted like ``np.where(in_bounds, shifted, value)``.
+            shifted = shifted.astype(
+                np.result_type(shifted, condition.value), copy=False)
+            for slab in _margin_slabs(self.domain, box):
+                shifted[slab] = condition.value
+        # copy: the margin already holds the center value.
+        return shifted
 
     def _full_offsets(self, access: FieldAccess) -> Tuple[int, ...]:
         """Offsets of an access expanded to the full iteration space."""
@@ -197,23 +200,37 @@ class _Executor:
 
 
 def _shift(source: np.ndarray, offsets: Tuple[int, ...]
-           ) -> Tuple[np.ndarray, np.ndarray]:
+           ) -> Tuple[np.ndarray, Region]:
     """Shift ``source`` so out[idx] == source[idx + off].
 
-    Returns the shifted array (undefined where out of bounds) and a
-    boolean in-bounds mask.
+    Returns the shifted array and the destination box the shift is
+    defined on; the margin outside it (the out-of-bounds reads) holds
+    the unshifted value, harmless for any dtype.
     """
     domain = source.shape
     out = np.empty_like(source)
     src_slices = []
-    dst_slices = []
+    box = []
     for off, extent in zip(offsets, domain):
-        src_slices.append(slice(max(0, off), extent + min(0, off)))
-        dst_slices.append(slice(max(0, -off), extent - max(0, off)))
-    # Fill with the edge value first so "undefined" cells hold something
-    # harmless for any dtype, then mark them via the mask.
-    out[...] = source
-    out[tuple(dst_slices)] = source[tuple(src_slices)]
-    in_bounds = np.zeros(domain, dtype=bool)
-    in_bounds[tuple(dst_slices)] = True
-    return out, in_bounds
+        lo = min(max(0, -off), extent)
+        hi = max(lo, extent - max(0, off))
+        src_slices.append(slice(lo + off, hi + off))
+        box.append((lo, hi))
+    out[tuple(slice(lo, hi) for lo, hi in box)] = source[tuple(src_slices)]
+    for slab in _margin_slabs(domain, box):
+        out[slab] = source[slab]
+    return out, tuple(box)
+
+
+def _margin_slabs(domain: Tuple[int, ...], box: Region):
+    """Disjoint slice tuples covering exactly ``domain`` minus ``box``:
+    per axis, the slabs below and above the box's bounds on that axis,
+    inside the box on earlier axes and spanning the later ones."""
+    inner: Tuple[slice, ...] = ()
+    for (lo, hi), extent in zip(box, domain):
+        for start, stop in ((0, lo), (hi, extent)):
+            if start < stop:
+                yield (*inner, slice(start, stop))
+        if lo >= hi:
+            return   # empty box: the two slabs were the whole remainder
+        inner += (slice(lo, hi),)

@@ -28,7 +28,7 @@ The units mirror :mod:`repro.simulator.units` but hold NumPy state:
   coordinate/boundary slabs precomputed once per program, evaluates
   the stencil through the array-mode compiler
   (:class:`~repro.simulator.compile.ArrayCompiledStencil`) and stores
-  the result once, into its outbound edge buffers;
+  the result once, into the one ring its outbound edges share;
 * :class:`BatchedSinkUnit` writes slabs directly into the output array.
 
 Every supported configuration runs on this fast path:
@@ -72,6 +72,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from functools import cached_property
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,11 +80,13 @@ import numpy as np
 from ..core.fields import row_major_strides
 from ..core.program import StencilDefinition, StencilProgram
 from ..errors import SimulationError
+from ..expr.analysis import index_vars
 from .channel import (
     ArrayChannel,
     ArrayNetworkLink,
     RateLimiter,
     _RowRing,
+    stage_slab,
     timely_prefix_length,
 )
 from ..lowering import compiled_stencil
@@ -169,24 +172,21 @@ def float_leaky_streams(program: StencilProgram) -> Dict[str, str]:
 
 
 class CoordSlabs:
-    """Iteration geometry of one domain, precomputed once per machine
-    and shared by every stencil unit: flat cell indices, per-dimension
-    coordinates, and memoized boundary data per distinct offset vector.
-    Per-batch coordinate generation then degenerates to slicing
-    (profiling attributed ~15% of hdiff time to recomputing the
-    unflatten div/mods per access batch)."""
+    """Iteration geometry of one domain, shared by every stencil unit
+    of a machine: memoized boundary data per distinct offset vector,
+    and per-dimension cell coordinates for the stencils that read an
+    iteration index as a value (sliced per batch)."""
 
     def __init__(self, domain: Tuple[int, ...]):
         self.domain = tuple(domain)
-        n = 1
-        for extent in domain:
-            n *= extent
-        self.num_cells = n
-        t = np.arange(n, dtype=np.int64)
-        strides = row_major_strides(domain)
-        self.coords = tuple((t // stride) % extent
-                            for stride, extent in zip(strides, domain))
         self._boundary: Dict[Tuple, Optional[Tuple]] = {}
+
+    @cached_property
+    def coords(self) -> Tuple[np.ndarray, ...]:
+        """Whole-domain int64 coordinates: built on first use only."""
+        t = np.arange(math.prod(self.domain), dtype=np.int64)
+        return tuple((t // stride) % extent for stride, extent
+                     in zip(row_major_strides(self.domain), self.domain))
 
     def boundary(self, full: Tuple[int, ...], width: int):
         """Boundary data of offset vector ``full``: ``None`` when the
@@ -199,25 +199,32 @@ class CoordSlabs:
             return self._boundary[key]
         entry = None
         if any(full):
-            in_bounds = np.ones(self.num_cells, dtype=bool)
-            for c, off, extent in zip(self.coords, full, self.domain):
+            # A nonzero offset leaves the domain on one face slab.
+            in_bounds = np.ones(self.domain, dtype=bool)
+            for axis, (off, extent) in enumerate(zip(full, self.domain)):
                 if off:
-                    pos = c + off
-                    in_bounds &= (pos >= 0) & (pos < extent)
-            if not in_bounds.all():
-                words = np.unique(np.nonzero(~in_bounds)[0] // width)
-                entry = (in_bounds, words)
+                    face = slice(0, -off) if off < 0 \
+                        else slice(max(extent - off, 0), None)
+                    in_bounds[(slice(None),) * axis + (face,)] = False
+            in_bounds = in_bounds.reshape(-1)
+            words = np.unique(np.nonzero(~in_bounds)[0] // width)
+            entry = (in_bounds, words)
         self._boundary[key] = entry
         return entry
 
 
-def _commit_slab(channel, now: int, b: int):
-    """Push the ``b`` oldest staged words of a channel (one per cycle
-    from ``now``), computing per-row delivery times for network links."""
-    if isinstance(channel, ArrayNetworkLink):
-        channel.commit_rows(b, _iota(b) + (now + channel.latency))
-    else:
-        channel.commit_rows(b)
+def _commit_slab(channels, b: int, departures):
+    """Push the ``b`` oldest staged words of sibling ``channels``;
+    ``departures()`` gives the cycle each word leaves on, from which
+    network links compute per-row delivery times."""
+    times = None
+    for channel in channels:
+        if isinstance(channel, ArrayNetworkLink):
+            if times is None:
+                times = departures()
+            channel.commit_rows(b, times + channel.latency)
+        else:
+            channel.commit_rows(b)
 
 
 class BatchedSourceUnit(SourceUnit):
@@ -225,16 +232,13 @@ class BatchedSourceUnit(SourceUnit):
 
     Inherits the scalar stepping (used on zero-progress fallback
     cycles) and overrides only word materialization — channels carry
-    float64 rows — plus the slab fast path.
+    array rows — plus the slab fast path.
     """
 
     def __init__(self, name: str, data: np.ndarray, vector_width: int,
                  out_channels: Sequence, words_per_cycle: float = 1.0):
         super().__init__(name, data, vector_width, out_channels,
                          words_per_cycle)
-        # Integer fields stream int64 slabs (the scalar engine's words
-        # are exact Python ints); everything else streams float64.
-        slab = np.int64 if self._flat.dtype.kind in "iu" else np.float64
         if (self._flat.dtype.kind == "u" and self._flat.size
                 and int(self._flat.max()) > np.iinfo(np.int64).max):
             # Signed widths always fit; only huge uint64 values do not
@@ -242,17 +246,17 @@ class BatchedSourceUnit(SourceUnit):
             raise SimulationError(
                 f"source {name!r}: integer values exceed int64's exact "
                 f"range (2**63); use engine_mode='scalar'")
-        self.rows = np.ascontiguousarray(self._flat, dtype=slab).reshape(
-            self.num_words, vector_width)
+        # A native-dtype view of the input: the ring store casts each
+        # chunk to the stream's slab dtype (int64 or float64, exact).
+        self.rows = self._flat.reshape(self.num_words, vector_width)
 
     def _materialize_word(self):
         return self.rows[self.next_word]
 
     def run_batch(self, now: int, b: int):
-        slab = self.rows[self.next_word:self.next_word + b]
-        for channel in self.out_channels:
-            channel.stage_rows(slab)
-            _commit_slab(channel, now, b)
+        stage_slab(self.out_channels,
+                   self.rows[self.next_word:self.next_word + b])
+        _commit_slab(self.out_channels, b, lambda: _iota(b) + now)
         self.next_word += b
 
 
@@ -260,17 +264,16 @@ class BatchedStencilUnit(StencilBookkeeping):
     """Vectorized variant of :class:`~repro.simulator.units.StencilUnit`.
 
     The unit owns no field data: its sliding windows *are* its inbound
-    edge buffers (a pop is a counter advance, the popped words stay
+    streams' rings (a pop is a counter advance, the popped words stay
     readable as history), every tap is a contiguous ring slice of
     ``lo + flat_offset`` cells, and computed words are stored once,
-    straight into the outbound edge buffers, where they sit staged
+    straight into the ring its out-edges share, where they sit staged
     until the latency line — a ring of ready-times only — drains them
     (see ``docs/ARCHITECTURE.md``, "Batched data plane").
 
     ``coord_slabs`` carries the machine-wide :class:`CoordSlabs`
-    shared by every stencil unit, so per-batch coordinate generation is
-    a slice instead of a div/mod sweep and boundary masks are computed
-    once per distinct offset vector.
+    shared by every stencil unit, so boundary masks are computed once
+    per distinct offset vector.
     """
 
     def __init__(self, program: StencilProgram,
@@ -327,18 +330,19 @@ class BatchedStencilUnit(StencilBookkeeping):
             field: stream_meta(field)[1] for field in fields}
         self.line_dtype = stream_meta(stencil.name)[0]
 
-        # Machine-wide coordinate slabs: coordinate arrays and memoized
-        # per-offset boundary data, sliced per batch instead of
-        # recomputed.
+        # Machine-wide memoized per-offset boundary data; coordinates
+        # only where the expression reads them (an access-free one also
+        # takes its batch length from them).
         if coord_slabs is None:
             coord_slabs = CoordSlabs(domain)
-        self._coords_all = coord_slabs.coords
+        self._coords_all = coord_slabs.coords if (
+            index_vars(stencil.ast) or not self.compiled.accesses) else ()
         self._access_boundary = [coord_slabs.boundary(full, width)
                                  for _access, full, _flat
                                  in self.access_info]
 
         # Latency line: a ring of ready-times; the words themselves sit
-        # staged in the outbound edge buffers.
+        # staged in the outbound stream's ring.
         self.line_capacity = self.compute_latency + 1
         self._line_times = _RowRing(self.line_capacity + max_batch_words
                                     + 1)
@@ -430,9 +434,8 @@ class BatchedStencilUnit(StencilBookkeeping):
 
     def _line_push(self, rows: np.ndarray, times: np.ndarray):
         """Enter computed words into the latency line: the one store of
-        each word, into every outbound edge buffer."""
-        for channel in self.out_channels:
-            channel.stage_rows(rows)
+        each word, into the ring the outbound edges share."""
+        stage_slab(self.out_channels, rows)
         self._line_times.push_rows(times)
 
     def compute_words(self, w0: int, b: int) -> np.ndarray:
@@ -509,8 +512,7 @@ class BatchedStencilUnit(StencilBookkeeping):
             self._block = stall_reason
         if drain:
             self._line_times.pop_rows(b)
-            for channel in self.out_channels:
-                _commit_slab(channel, now, b)
+            _commit_slab(self.out_channels, b, lambda: _iota(b) + now)
             self._mark_pushed(now, b)
         if advance:
             self.local_step += b
@@ -760,11 +762,17 @@ class BatchedSimulator(Simulator):
         # pathological sweep of tiny windows cannot grow the list
         # unboundedly (the count/cycle totals above stay exact).
         self._window_sizes: List[int] = []
+        # Per producing node: its stream's one ring, its edges' layouts.
+        self._rings: Dict[str, Tuple[np.ndarray, dict]] = {}
 
     def _make_profile(self, cycles: int,
                       wall_seconds: float) -> EngineProfile:
+        chans = self.channels.values()
         return EngineProfile(engine="batched", cycles=cycles,
                              wall_seconds=wall_seconds,
+                             ring_bytes=sum({id(c._buf): c._buf.nbytes
+                                             for c in chans}.values()),
+                             stored_words=sum(c.stored for c in chans),
                              plan_count=self.plan_count,
                              scalar_cycles=self.scalar_cycles,
                              window_count=self.window_count,
@@ -816,10 +824,10 @@ class BatchedSimulator(Simulator):
         return self.program.vectorization
 
     def _edge_layout(self, key) -> dict:
-        """Buffer rows of edge ``key`` beyond its FIFO capacity:
+        """Ring rows edge ``key`` needs beyond its FIFO capacity:
         ``headroom`` for one maximum batch in transit plus the
-        producing stencil's latency line (its words are stored in this
-        buffer from the moment they are computed), ``history`` for the
+        producing stencil's latency line (its words are stored in the
+        ring from the moment they are computed), ``history`` for the
         consumed words the consuming stencil's taps still read."""
         src, dst, data = key
         headroom = self._batch_cap()
@@ -834,9 +842,27 @@ class BatchedSimulator(Simulator):
         return {"headroom": headroom, "history": history,
                 "dtype": self._stream_meta(data)[0]}
 
+    def _edge_storage(self, key) -> dict:
+        """Storage keywords of edge ``key``: its layout plus ``buf``,
+        the ring of the stream its source node produces, shared by all
+        that node's out-edges — as many rows as the neediest of them
+        would want alone (``capacity + headroom + history + 1``); see
+        ``docs/ARCHITECTURE.md`` for why a laggard is never overwritten."""
+        stream = self._rings.get(key[0])
+        if stream is None:
+            layouts = {k: self._edge_layout(k) for k in (
+                (e.src, e.dst, e.data)
+                for e in self.graph.out_edges(key[0]))}
+            rows = max(self._fifo_capacity(k) + 1 + layout["headroom"]
+                       + layout["history"] for k, layout in layouts.items())
+            ring = np.zeros((rows, self._stream_width()),
+                            dtype=layouts[key]["dtype"])
+            stream = self._rings[key[0]] = (ring, layouts)
+        return dict(stream[1][key], buf=stream[0])
+
     def _make_channel(self, key, name: str, capacity: int, data: str):
         return ArrayChannel(name, capacity, self._stream_width(),
-                            **self._edge_layout(key))
+                            **self._edge_storage(key))
 
     def _make_link(self, key, name: str, capacity: int, data: str):
         config = self.config
@@ -844,7 +870,7 @@ class BatchedSimulator(Simulator):
             name, capacity, self._stream_width(),
             latency=config.network_latency,
             words_per_cycle=config.link_rate(key),
-            **self._edge_layout(key))
+            **self._edge_storage(key))
 
     def _make_source(self, name: str, data: np.ndarray, outs):
         return BatchedSourceUnit(name, data, self.program.vectorization,
@@ -1672,16 +1698,10 @@ class BatchedSimulator(Simulator):
         unit = entry[1]
         count = len(ev.pushes) * plan.repeats
         if count:
-            slab = unit.rows[unit.next_word:unit.next_word + count]
-            times = None
-            for channel in unit.out_channels:
-                if isinstance(channel, ArrayNetworkLink):
-                    if times is None:
-                        times = _window_times(ev.pushes, now, plan.period,
-                                              plan.repeats)
-                    channel.write_rows(slab, times + channel.latency)
-                else:
-                    channel.write_rows(slab)
+            stage_slab(unit.out_channels,
+                       unit.rows[unit.next_word:unit.next_word + count])
+            _commit_slab(unit.out_channels, count, lambda: _window_times(
+                ev.pushes, now, plan.period, plan.repeats))
             unit.next_word += count
         if ev.stalls:
             unit.stall_cycles += ev.stalls * plan.repeats
@@ -1704,14 +1724,8 @@ class BatchedSimulator(Simulator):
         drained = len(ev.drains) * k
         if drained:
             unit._line_times.pop_rows(drained)
-            times = None
-            for channel in unit.out_channels:
-                if isinstance(channel, ArrayNetworkLink):
-                    if times is None:
-                        times = _window_times(ev.drains, now, q, k)
-                    channel.commit_rows(drained, times + channel.latency)
-                else:
-                    channel.commit_rows(drained)
+            _commit_slab(unit.out_channels, drained,
+                         lambda: _window_times(ev.drains, now, q, k))
             if unit.first_push_cycle is None:
                 unit.first_push_cycle = now + ev.drains[0]
             unit.last_push_cycle = now + (k - 1) * q + ev.drains[-1]

@@ -10,15 +10,16 @@ Two implementations exist for each:
 * :class:`Channel` / :class:`NetworkLink` — deque-of-words, used by the
   scalar engine, where a word is whatever Python object the producer
   pushes (a ``W``-tuple of floats in practice).
-* :class:`ArrayChannel` / :class:`ArrayNetworkLink` — one NumPy
-  buffer per edge storing words as rows of an ``(n, W)`` slab (float64
-  for float-typed streams, int64 for integer-typed ones), used by the
-  batched engine.  Each word is written once and read in place
-  (:class:`_EdgeBuffer`): the FIFO is a set of counters over the
-  buffer, which also holds the producer's latency-line words and the
-  consumer's sliding-window history.  They speak the same scalar
+* :class:`ArrayChannel` / :class:`ArrayNetworkLink` — one NumPy ring
+  per *stream*, shared by every edge its producer feeds, storing words
+  as rows of an ``(n, W)`` slab (float64 for float-typed streams, int64
+  for integer-typed ones), used by the batched engine.  Each word is
+  written once (:func:`stage_slab`) and read in place
+  (:class:`_EdgeBuffer`): an edge's FIFO is a set of counters over the
+  ring, which also holds the producer's latency-line words and the
+  consumers' sliding-window history.  They speak the same scalar
   ``push``/``pop`` protocol (words are 1-D rows) plus a slab protocol
-  (``stage_rows``/``commit_rows``/``read_rows``) and analytic per-batch
+  (``stage_slab``/``commit_rows``/``read_rows``) and analytic per-batch
   statistics (:meth:`ArrayChannel.record_batch`), so a batch of ``B``
   cycles can be accounted without touching Python once per word.
 
@@ -423,9 +424,25 @@ def timely_prefix_length(times: np.ndarray, now: int) -> int:
     return int(np.argmax(late))
 
 
+def stage_slab(edges, rows: np.ndarray):
+    """Store the stream's next ``len(rows)`` words once, in the ring
+    the sibling ``edges`` of one producer share.  Staged in lockstep,
+    the siblings agree on where the slab goes; each checks that it
+    clears its own live range (a laggard's unread words and history)."""
+    if not edges:
+        return
+    lead = edges[0]
+    pos = lead._staged % len(lead._buf)
+    for edge in edges:
+        edge._stage(len(rows))
+    _ring_store(lead._buf, pos, rows)
+    lead.stored += len(rows)
+
+
 class _EdgeBuffer:
-    """The one buffer of an edge: each word of the stream is written
-    once, at ``word index mod rows``, and read in place from there.
+    """One edge's cursors over the ring of its stream: each word of the
+    stream is written once, at ``word index mod rows``, and read in
+    place from there by every edge sharing the ring.
 
     Monotone word counters partition the ring (oldest first):
 
@@ -434,7 +451,7 @@ class _EdgeBuffer:
     * ``[_rd, _ready)`` — poppable; ``[_ready, _wr)`` — in flight on a
       network link (plain channels keep ``_ready == _wr``);
     * ``[_wr, _staged)`` — computed by the producing stencil and still
-      travelling its latency line (:meth:`stage_rows`).
+      travelling its latency line (:func:`stage_slab`).
 
     Moving a word between regions is a counter advance; the FIFO
     statistics never see the staged or history rows.  Rows and cells are
@@ -443,7 +460,7 @@ class _EdgeBuffer:
     """
 
     __slots__ = ("dtype", "_buf", "_flat", "_history", "_staged", "_wr",
-                 "_ready", "_rd")
+                 "_ready", "_rd", "stored")
 
     def __init__(self, buf: np.ndarray, history: int = 0):
         self._buf = buf
@@ -451,16 +468,15 @@ class _EdgeBuffer:
         self.dtype = buf.dtype
         self._history = history
         self._staged = self._wr = self._ready = self._rd = 0
+        self.stored = 0   # rows this edge wrote into the ring
 
-    def stage_rows(self, rows: np.ndarray):
-        """Store the stream's next ``len(rows)`` words."""
-        b = len(rows)
+    def _stage(self, b: int):
+        """Claim the next ``b`` ring rows for staged words."""
         rows_total = len(self._buf)
         if self._staged + b - self._rd + self._history > rows_total:
             raise SimulationError(
                 f"ring overflow: {self._staged - self._rd}+{b}"
                 f"+{self._history} > {rows_total}")
-        _ring_store(self._buf, self._staged % rows_total, rows)
         self._staged += b
 
     def _commit(self, b: int):
@@ -497,9 +513,11 @@ class ArrayChannel(_EdgeBuffer):
     transient where a batch writes all ``B`` producer words before the
     consumer's ``B`` pops are applied, plus the producer's latency
     line; ``history`` rows keep consumed words readable for the
-    consumer's taps.  ``dtype`` selects the element type: float64 for
-    float-typed streams, int64 for integer-typed ones (matching the
-    scalar engine's exact Python-int words up to 2**63).
+    consumer's taps.  ``buf`` is the stream's ring, shared with the
+    producer's other edges and at least ``capacity + headroom + history
+    + 1`` rows (a stream of one edge may leave it out).  ``dtype``
+    selects the element type: float64 for float-typed streams, int64
+    for integer-typed ones (exact Python-int words up to 2**63).
     """
 
     __slots__ = ("name", "capacity", "width", "pushes", "pops",
@@ -508,14 +526,16 @@ class ArrayChannel(_EdgeBuffer):
     kind = "channel"
 
     def __init__(self, name: str, capacity: int, width: int,
-                 headroom: int = 0, dtype=np.float64, history: int = 0):
+                 headroom: int = 0, dtype=np.float64, history: int = 0,
+                 buf: Optional[np.ndarray] = None):
         if capacity < 1:
             raise SimulationError(
                 f"{self.kind} {name!r}: capacity must be >= 1, "
                 f"got {capacity}")
-        super().__init__(
-            np.zeros((capacity + headroom + history + 1, width),
-                     dtype=dtype), history)
+        if buf is None:
+            buf = np.zeros((capacity + headroom + history + 1, width),
+                           dtype=dtype)
+        super().__init__(buf, history)
         self.name = name
         self.capacity = capacity
         self.width = width
@@ -537,8 +557,9 @@ class ArrayChannel(_EdgeBuffer):
     # -- scalar protocol (used by the batched engine's fallback steps) ------
 
     def push(self, word):
-        self.stage_rows(
-            np.asarray(word, dtype=self.dtype).reshape(1, self.width))
+        # Every sibling stores its producer's word, to the same row.
+        stage_slab((self,), np.asarray(word, dtype=self.dtype)
+                   .reshape(1, self.width))
         self.push_staged()
 
     def push_staged(self):
@@ -571,7 +592,7 @@ class ArrayChannel(_EdgeBuffer):
         self._ready = self._wr
 
     def write_rows(self, rows: np.ndarray):
-        self.stage_rows(rows)
+        stage_slab((self,), rows)
         self.commit_rows(len(rows))
 
     def record_batch(self, cycles: int, pushed: bool, popped: bool,
@@ -620,9 +641,10 @@ class ArrayNetworkLink(ArrayChannel):
 
     def __init__(self, name: str, capacity: int, width: int,
                  latency: int = 16, words_per_cycle: float = 1.0,
-                 headroom: int = 0, dtype=np.float64, history: int = 0):
+                 headroom: int = 0, dtype=np.float64, history: int = 0,
+                 buf: Optional[np.ndarray] = None):
         super().__init__(name, capacity, width, headroom=headroom,
-                         dtype=dtype, history=history)
+                         dtype=dtype, history=history, buf=buf)
         self.latency = latency
         self._limiter = RateLimiter(words_per_cycle)
         self._now = 0
@@ -781,7 +803,7 @@ class ArrayNetworkLink(ArrayChannel):
         self._in_times.push_rows(times)
 
     def write_rows(self, rows: np.ndarray, times: np.ndarray):
-        self.stage_rows(rows)
+        stage_slab((self,), rows)
         self.commit_rows(len(rows), np.asarray(times, dtype=np.int64))
 
     def __repr__(self) -> str:

@@ -104,8 +104,9 @@ class SimulatorConfig:
             element types, and multi-device placements are all batched
             natively.
         max_batch_words: upper bound on how many words the batched
-            engine executes per planning step (bounds its transient
-            memory; no effect on results).
+            engine executes per planning step (no effect on results).
+            The default keeps a slab and the temporaries computed from
+            it in L2: 4096 words of 8 float64 lanes are 256 KiB.
         max_cycles: hard cap, guards against livelock in tests. ``None``
             derives a generous cap from the expected cycle count.
         deadlock_window: consecutive zero-progress cycles after which a
@@ -141,7 +142,7 @@ class SimulatorConfig:
     network_words_per_cycle: float = 1.0
     network_link_rates: Optional[Mapping[ChannelKey, float]] = None
     engine_mode: str = "auto"
-    max_batch_words: int = 32768
+    max_batch_words: int = 4096
     superpattern: bool = True
     fault_plan: Optional[FaultPlan] = None
 
@@ -199,6 +200,12 @@ class Simulator:
         size = buffer.size if buffer is not None else 0
         return size + self.config.min_channel_depth
 
+    def _fifo_capacity(self, key: ChannelKey) -> int:
+        """Capacity of the FIFO on edge ``key``: remote streams need
+        credits covering the wire latency on top of the delay buffer."""
+        remote = self._edge_is_remote(key[0], key[1])
+        return self._capacity(key) + remote * self.config.network_latency
+
     # -- construction hooks (overridden by the batched engine) ---------------
     # ``data`` names the field the edge carries; the batched engine uses
     # it to pick the slab dtype (int64 for integer-typed streams).
@@ -234,13 +241,9 @@ class Simulator:
         for edge in graph.edges:
             key = (edge.src, edge.dst, edge.data)
             name = f"{edge.src}->{edge.dst}:{edge.data}"
-            capacity = self._capacity(key)
+            capacity = self._fifo_capacity(key)
             if self._edge_is_remote(edge.src, edge.dst):
-                # Remote streams need credits covering the wire latency
-                # on top of the computed delay buffer.
-                link = self._make_link(
-                    key, name, capacity + config.network_latency,
-                    edge.data)
+                link = self._make_link(key, name, capacity, edge.data)
                 self.channels[key] = link
                 self.links.append(link)
             else:

@@ -929,6 +929,8 @@ class KernelSimulator(BatchedSimulator):
                 rows = source.rows
                 dtype = self._stream_meta(name)[0]
                 if rows.dtype != dtype:
+                    # The one whole-input conversion left: the pass
+                    # reads the stream in place, no ring store casts it.
                     rows = rows.astype(dtype)
                 slabs[name] = rows
             expected = self._expected_cycles()

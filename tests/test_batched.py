@@ -705,3 +705,92 @@ class TestZeroCopyDataPlane:
         with pytest.raises(SimulationError, match="overflow"):
             channel.write_rows(np.zeros((2, 1)))
         assert channel.cells(4, 2).tolist() == [4.0, 5.0]  # history intact
+
+    # -- one ring per stream, shared by the producer's sibling edges ---------
+
+    def test_sibling_edges_share_their_producers_ring(self):
+        from repro.core import StencilProgram
+        from repro.simulator import SimulatorConfig, build_simulator
+        program = StencilProgram.from_json({
+            "inputs": {"a": {"dtype": "float32", "dims": ["i", "j"]}},
+            "outputs": ["join"],
+            "shape": [12, 8],
+            "vectorization": 2,
+            "program": {
+                "near": {"code": "a[i,j] * 2",
+                         "boundary_condition": "shrink"},
+                "far": {"code": "a[i-2,j] + a[i+2,j]",
+                        "boundary_condition": "shrink"},
+                "join": {"code": "near[i,j] + far[i,j] + a[i,j]",
+                         "boundary_condition": "shrink"},
+            },
+        })
+        sim = build_simulator(program, SimulatorConfig(engine_mode="batched"))
+        a = np.arange(96, dtype=np.float32).reshape(12, 8)
+        profile = sim.run({"a": a}).profile
+        streams = {}
+        for (src, _dst, _data), channel in sim.channels.items():
+            streams.setdefault(src, []).append(channel)
+        assert len(streams["input:a"]) == 3
+        for siblings in streams.values():
+            assert all(c._buf is siblings[0]._buf for c in siblings)
+        rings = [siblings[0]._buf for siblings in streams.values()]
+        assert not any(np.shares_memory(x, y) for i, x in enumerate(rings)
+                       for y in rings[:i])
+        assert profile.ring_bytes == sum(ring.nbytes for ring in rings)
+        # Every word of every stream was stored exactly once.
+        assert profile.scalar_cycles == 0
+        assert profile.stored_words == len(streams) * (96 // 2)
+
+    def test_lagging_siblings_history_survives_the_leader_wrapping(self):
+        from repro.simulator.channel import stage_slab
+        ring = np.zeros((8, 1))
+        lead = ArrayChannel("lead", 4, 1, headroom=3, buf=ring)
+        lag = ArrayChannel("lag", 4, 1, headroom=1, history=2, buf=ring)
+        word = 0
+        for _ in range(9):                 # 18 words: the ring wraps twice
+            stage_slab([lead, lag], np.arange(word, word + 2.0)
+                       .reshape(2, 1))
+            word += 2
+            for edge in (lead, lag):
+                edge.commit_rows(2)
+            # The leader drains at once; the sibling trails four words.
+            assert lead.read_rows(2).ravel().tolist() == [word - 2, word - 1]
+            if word > 4:
+                lag.skip_rows(2)
+            start = max(lag._rd - 2, 0)    # its history, then its FIFO
+            assert lag.cells(start, word - start).tolist() \
+                == list(range(start, word))
+        assert lead.stored == 18 and lag.stored == 0
+        # The leader alone has room for three more words; the sibling's
+        # live range (2 history + 4 unread) does not.
+        with pytest.raises(SimulationError, match="overflow"):
+            stage_slab([lead, lag], np.zeros((3, 1)))
+
+    def test_link_sibling_reads_the_words_its_plain_sibling_read(self):
+        from repro.simulator.channel import stage_slab
+        latency = 40
+        ring = np.zeros((64, 2))
+        plain = ArrayChannel("plain", 8, 2, headroom=8, buf=ring)
+        link = ArrayNetworkLink("link", 8 + latency, 2, latency=latency,
+                                headroom=8, buf=ring)
+        sent = np.arange(2 * 48, dtype=np.float64).reshape(48, 2)
+        got_plain, got_link = [], []
+        for first in range(0, 48, 8):
+            stage_slab([plain, link], sent[first:first + 8])
+            plain.commit_rows(8)
+            link.commit_rows(8, np.arange(first, first + 8) + latency)
+            got_plain.append(plain.read_rows(8).copy())
+            # Nothing is deliverable until a wire latency has passed:
+            # the link trails its sibling by 40 of the ring's 64 rows.
+            due = int(np.searchsorted(link.in_flight_times(), first + 8,
+                                      side="right"))
+            assert bool(due) == (first + 8 >= latency)
+            if due:
+                link.deliver_rows(due)
+                got_link.append(link.read_rows(due).copy())
+        assert link.in_flight_len
+        link.deliver_rows(link.in_flight_len)
+        got_link.append(link.read_rows(len(link)).copy())
+        np.testing.assert_array_equal(np.concatenate(got_plain), sent)
+        np.testing.assert_array_equal(np.concatenate(got_link), sent)

@@ -294,6 +294,11 @@ class TestEngineProfile:
         assert spec["engine"] == "batched"
         assert any("slab passes" in line
                    for line in profile.summary_lines())
+        # The data plane's two counts ride along.
+        assert spec["ring_bytes"] == profile.ring_bytes > 0
+        assert spec["stored_words"] == profile.stored_words > 0
+        assert any("stream rings" in line
+                   for line in profile.summary_lines())
 
     def test_mean_batch_counts_window_passes(self, disabled_telemetry):
         # A windowed run retires nearly every cycle in a few window

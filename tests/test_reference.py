@@ -1,5 +1,8 @@
 """Unit tests for the NumPy reference executor."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -154,3 +157,109 @@ class TestInputValidation:
         inputs["a2"] = np.ones((3, 3), dtype=np.float32)
         with pytest.raises(ValidationError, match="expected shape"):
             run_reference(lst1_program(), inputs)
+
+
+class TestMarginSlabs:
+    DOMAIN = (5, 4, 6)
+
+    @pytest.mark.parametrize("box", [
+        ((1, 4), (1, 3), (2, 5)),      # touches no face
+        ((0, 4), (1, 3), (2, 5)),      # one face
+        ((0, 5), (0, 4), (0, 6)),      # all faces: no margin
+        ((2, 2), (1, 3), (0, 6)),      # empty on the first axis
+        ((1, 4), (1, 3), (6, 6)),      # empty on the last axis
+    ])
+    def test_disjoint_and_cover_the_complement(self, box):
+        from repro.run.reference import _margin_slabs
+        hits = np.zeros(self.DOMAIN, dtype=int)
+        slabs = list(_margin_slabs(self.DOMAIN, box))
+        for slab in slabs:
+            hits[slab] += 1
+        expected = np.ones(self.DOMAIN, dtype=int)
+        expected[tuple(slice(lo, hi) for lo, hi in box)] = 0
+        np.testing.assert_array_equal(hits, expected)
+        assert all(hits[slab].size for slab in slabs)   # none is empty
+
+    def test_shift_leaves_the_center_value_in_the_margin(self):
+        from repro.run.reference import _shift
+        source = np.arange(20.0).reshape(4, 5)
+        shifted, box = _shift(source, (-1, 2))
+        assert box == ((1, 4), (0, 3))
+        np.testing.assert_array_equal(shifted[1:4, 0:3], source[0:3, 2:5])
+        np.testing.assert_array_equal(shifted[0], source[0])
+        np.testing.assert_array_equal(shifted[:, 3:], source[:, 3:])
+        _whole, empty = _shift(source, (4, 0))     # shifted right out
+        assert empty == ((0, 0), (0, 5))
+        np.testing.assert_array_equal(_whole, source)
+
+
+# -- parity with the executor this one replaced -------------------------------
+
+def _parity_programs():
+    """The programs whose reference results are pinned, by digest, in
+    ``tests/data/reference_digests.json``.  The file was written by
+    running this module as a script on the commit *before* the executor
+    stopped shifting, masking and filling whole domains, so it is what
+    "results bitwise unchanged" is checked against."""
+    from repro.programs import build
+
+    def boundary(name, condition, code="a[i-1,j] + a[i,j+2] - a[i,j]",
+                 dtype="float32"):
+        return name, StencilProgram.from_json({
+            "name": name,
+            "inputs": {"a": {"dtype": dtype, "dims": ["i", "j"]}},
+            "outputs": ["t"],
+            "shape": [9, 7],
+            "program": {
+                "s": {"code": code, "boundary_condition": condition},
+                "t": {"code": "s[i+1,j-1] * 0.5 + s[i,j]",
+                      "boundary_condition": "shrink"},
+            },
+        })
+
+    yield "hdiff_24x24x16", build("horizontal_diffusion",
+                                  shape=(24, 24, 16))
+    yield "hdiff_64x64x32", build("horizontal_diffusion",
+                                  shape=(64, 64, 32))
+    yield "laplace2d", build("laplace2d")
+    yield "jacobi3d", build("jacobi3d", shape=(20, 12, 16))
+    yield boundary("constant", {"a": {"type": "constant", "value": 2.5}})
+    yield boundary("constant_on_int",
+                   {"a": {"type": "constant", "value": 2.5}}, dtype="int32")
+    yield boundary("copy", {"a": {"type": "copy"}})
+    yield boundary("index_reading", "shrink",
+                   code="a[i,j-1] * i + (j > 2 ? a[i+1,j] : j)")
+
+
+def _digests(program):
+    import hashlib
+    from util import random_inputs
+    results = run_reference(program, random_inputs(program))
+    return {name: {"sha256": hashlib.sha256(
+                       np.ascontiguousarray(result.data).tobytes()
+                   ).hexdigest(),
+                   "dtype": str(result.data.dtype),
+                   "valid": [list(bounds) for bounds in result.valid]}
+            for name, result in results.items()}
+
+
+_DIGEST_FILE = os.path.join(os.path.dirname(__file__), "data",
+                            "reference_digests.json")
+
+
+_PARITY_CASES = dict(_parity_programs())
+
+
+@pytest.mark.parametrize("case", _PARITY_CASES)
+def test_reference_matches_pinned_digests(case):
+    with open(_DIGEST_FILE) as handle:
+        pinned = json.load(handle)
+    assert _digests(_PARITY_CASES[case]) == pinned[case]
+
+
+if __name__ == "__main__":   # regenerate: python tests/test_reference.py
+    with open(_DIGEST_FILE, "w") as handle:
+        json.dump({case: _digests(program)
+                   for case, program in _PARITY_CASES.items()},
+                  handle, indent=1, sort_keys=True)
+        handle.write("\n")
