@@ -22,13 +22,16 @@ count: how many cycles it stepped on counter state
 (``profile.virtual_cycles``) to plan a link-bound run.
 
 The data plane is gated the same way, as counts: ring rows stored per
-run (``profile.stored_words``) and the ``tracemalloc`` peak of one run.
+run (``profile.stored_words``), the ``tracemalloc`` peak of one run, and
+which machines bind native compute (``profile.native_units``: decided
+by machine size alone, and never moving a pin).
 
 Nothing here reads a clock or writes a file: wall-clock throughput is
 measured from outside the program by ``benchmarks/e2e`` (see
 ``BENCHMARK.json``), never asserted in tier-1.
 """
 
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -79,6 +82,9 @@ RUN_LINKS_DOMAIN = (64, 64, 32)
 RUN_LINKS_CYCLES = 50717
 #: ``tracemalloc`` ceiling of one warm ``simulate`` on that machine.
 RUN_LINKS_PEAK_BYTES = 40 * 2 ** 20
+#: The ``explore_sweep`` workload's domain: like ``run_links``, far
+#: below the size from which ``auto`` binds native compute.
+EXPLORE_SWEEP_DOMAIN = (48, 48, 32)
 
 
 def _int_chain(shape):
@@ -144,12 +150,31 @@ def _row(label, build, **machine):
     return result
 
 
-def test_engine_throughput():
+def test_engine_throughput(monkeypatch):
     """Times nothing, despite the name (kept from the seed): pins the
     paper-domain cycle counts, the planner's plan / window counts and
     its virtual-cycle ceilings, scalar parity on the reduced domain,
     super-pattern vs per-delivery equality and kernel replay parity."""
+    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
     single = _row("single", _hdiff)
+    # Native compute under ``auto``: the paper-domain machine (28.8 M
+    # cell evaluations) binds every unit of the restricted class — all
+    # but the two ``smag_*`` units (min / max / sqrt) — when a C
+    # compiler exists, and the same run on NumPy alone has the same
+    # counts and the same output bits.
+    bound = (22, 2) if shutil.which("cc") else (0, 0)
+    assert (single.profile.native_units,
+            single.profile.native_fallback_units) == bound
+    with monkeypatch.context() as numpy_only:
+        numpy_only.setenv("REPRO_KERNEL_BACKEND", "python")
+        unbound = _run(_hdiff(PAPER_DOMAIN), "batched")
+    assert unbound.profile.native_units == 0
+    assert (unbound.profile.plan_count, unbound.profile.window_count,
+            unbound.profile.virtual_cycles) == (
+        single.profile.plan_count, single.profile.window_count,
+        single.profile.virtual_cycles)
+    _assert_same_run(single, unbound)
+    del unbound
     _row("two_device", _hdiff, device_count=2, latency=NETWORK_LATENCY)
     _row("four_device", _hdiff, device_count=4, latency=NETWORK_LATENCY)
     _row("integer", _int_chain)
@@ -167,6 +192,10 @@ def test_engine_throughput():
     assert links.profile.scalar_cycles == 0
     assert links.profile.drift_windows > 0
     assert links.profile.virtual_cycles <= RUN_LINKS_VIRTUAL_CYCLES_MAX
+    # Machines this small never spawn a compiler.
+    assert links.profile.native_units == 0
+    assert _run(_hdiff(EXPLORE_SWEEP_DOMAIN), "batched") \
+        .profile.native_units == 0
 
     # The data plane on the same machine, as counts: every word of every
     # stream is stored once (one ring per producing unit, not one per

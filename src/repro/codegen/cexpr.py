@@ -50,8 +50,8 @@ def render(node: Expr, access: AccessRenderer,
         index: maps an index variable to its C spelling.
         literal: maps a literal's Python value to its C spelling.  The
             default is OpenCL single precision (``1.5f``); callers
-            generating double-precision C (the kernel engine's cffi
-            backend) pass their own renderer.
+            generating double-precision C (the simulator's native
+            compute kernels) pass their own renderer.
     """
     if literal is None:
         literal = _opencl_literal

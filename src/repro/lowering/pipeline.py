@@ -400,13 +400,19 @@ def analysis_for(program: StencilProgram,
         return cache.get_or_build(key, build)
 
 
-def compiled_stencil(ast, mode: str = "cell"):
+def compiled_stencil(ast, mode: str = "cell", code: Optional[str] = None):
     """The simulator-compile stage: one compiled callable per
-    (expression, mode), shared across every machine construction."""
-    from ..expr.ast_nodes import unparse
+    (expression, mode), shared across every machine construction.
+
+    ``code`` is the expression's canonical text where the caller holds
+    it already (``StencilDefinition.canonical_code``, derived once per
+    frozen definition); without it every lookup re-prints the AST."""
     from ..simulator.compile import compile_stencil
     cache = default_cache()
-    key = content_key("compile", mode, unparse(ast))
+    if code is None:
+        from ..expr.ast_nodes import unparse
+        code = unparse(ast)
+    key = content_key("compile", mode, code)
     with span("lowering.sim-compile", mode=mode):
         return cache.get_or_build(key,
                                   lambda: compile_stencil(ast, mode))

@@ -49,6 +49,15 @@ class EngineProfile:
     #: word is stored once (scalar-fallback pushes store one row per
     #: *edge* and show up as the excess).
     stored_words: int = 0
+    #: Stencil units whose ``compute_words`` ran a compiled C kernel
+    #: this run, and those of a bound machine that ran NumPy instead
+    #: (outside the restricted class, failed compile, or discarded by
+    #: the first-chunk check); both 0 when the machine was not bound.
+    native_units: int = 0
+    native_fallback_units: int = 0
+    #: Seconds this run spent in ``cc`` (0.0 when the process had
+    #: already compiled this machine's translation unit).
+    native_compile_s: float = 0.0
     #: Compiled slab passes executed by the kernel engine this run
     #: (0 on a cold run, which interprets while it records).
     kernel_slabs: int = 0
@@ -102,6 +111,9 @@ class EngineProfile:
             "virtual_cycles": self.virtual_cycles,
             "ring_bytes": self.ring_bytes,
             "stored_words": self.stored_words,
+            "native_units": self.native_units,
+            "native_fallback_units": self.native_fallback_units,
+            "native_compile_s": self.native_compile_s,
             "kernel_slabs": self.kernel_slabs,
             "kernel_cached": self.kernel_cached,
             "cycles_per_second": self.cycles_per_second,
@@ -113,12 +125,17 @@ class EngineProfile:
         if self.engine == "kernel":
             if self.kernel_cached:
                 lines.append(
-                    f"  compiled kernel replayed: {self.kernel_slabs} "
+                    f"  timing record replayed: {self.kernel_slabs} "
                     f"slab passes, 0 interpreted cycles")
             else:
                 lines.append(
-                    "  kernel cold run: interpreted below, compiled "
-                    "kernel cached for the next run")
+                    "  kernel cold run: interpreted below, timing "
+                    "record cached for the next run")
+        bound = self.native_units + self.native_fallback_units
+        if bound:
+            lines.append(
+                f"  data: native {self.native_units}/{bound} units, "
+                f"compile {self.native_compile_s:.2f} s")
         if self.engine in ("batched", "kernel") and not self.kernel_cached:
             mean = self.mean_batch
             lines.append(

@@ -11,15 +11,25 @@ Several execution engines share one machine model:
   words) and executes all ``B`` cycles at once with NumPy slab
   operations and vectorized stencil evaluation;
 * the **kernel engine** (:class:`KernelSimulator`) records a batched
-  run's control decisions into a content-addressed artifact and, on
-  every later run of the same machine, replays the whole simulation as
-  a cached compiled slab pass — no planning, no per-cycle control (see
-  ``docs/KERNELS.md``);
+  run's control outcome as a content-addressed, data-only artifact
+  and, on every later run of the same machine, replays that record and
+  computes the outputs in one channel-free pass over whole streams —
+  no planning, no per-cycle control (see ``docs/KERNELS.md``);
 * the **control engine** (:class:`ControlSimulator`) is the batched
   engine over width-0 streams: exact timing with no data movement,
   which is what lets ``explore(config_parallel=True)`` stack N
   configurations of one program into ~one data pass
   (:func:`simulate_stacked`).
+
+Where the stencil arithmetic is large enough to repay a ~0.2 s compile
+and a C compiler (``cc``) is on the path, the batched and kernel
+engines evaluate eligible stencils through **native compute**
+(:mod:`.native`): one C translation unit per machine, bound at
+``BatchedStencilUnit.compute_words``, each kernel bitwise-validated
+against the NumPy path on its first chunk and falling back to it for
+good on any mismatch (``docs/KERNELS.md``, "Native compute").
+Nothing simulated depends on it, and without ``cc`` everything runs on
+NumPy.
 
 The batching invariant: **identical observable machine state at every
 stall point**.  Outputs are bitwise identical and ``cycles``,

@@ -300,7 +300,8 @@ class BatchedStencilUnit(StencilBookkeeping):
 
         # The identical schedule the scalar unit derives, via the
         # array-mode compiler (argument order matches by design).
-        self.compiled = compiled_stencil(stencil.ast, mode="array")
+        self.compiled = compiled_stencil(stencil.ast, mode="array",
+                                         code=stencil.canonical_code)
         fields = sorted(self.in_channels)
         (self.access_info, _readahead, self.init_words, self.pop_start,
          _min_flat) = schedule_reads(
@@ -369,7 +370,8 @@ class BatchedStencilUnit(StencilBookkeeping):
         cell ``w * W + min(min_flat, 0)`` (the center, for copy
         boundaries) — the rows the inbound edge buffer must retain."""
         width = program.vectorization
-        accesses = compiled_stencil(stencil.ast, mode="array").accesses
+        accesses = compiled_stencil(
+            stencil.ast, mode="array", code=stencil.canonical_code).accesses
         _info, readahead, _init, _start, min_flat = schedule_reads(
             program.shape, width, program.index_names, accesses, [field])
         return readahead[field] - (min(min_flat[field], 0) // width)
@@ -764,12 +766,15 @@ class BatchedSimulator(Simulator):
         self._window_sizes: List[int] = []
         # Per producing node: its stream's one ring, its edges' layouts.
         self._rings: Dict[str, Tuple[np.ndarray, dict]] = {}
+        # What _bind_native did to this run's stencil units.
+        self._native = None
 
     def _make_profile(self, cycles: int,
                       wall_seconds: float) -> EngineProfile:
         chans = self.channels.values()
+        native = self._native.profile() if self._native else {}
         return EngineProfile(engine="batched", cycles=cycles,
-                             wall_seconds=wall_seconds,
+                             wall_seconds=wall_seconds, **native,
                              ring_bytes=sum({id(c._buf): c._buf.nbytes
                                              for c in chans}.values()),
                              stored_words=sum(c.stored for c in chans),
@@ -886,8 +891,21 @@ class BatchedSimulator(Simulator):
         return BatchedSinkUnit(name, channel, self.program.shape,
                                self.program.vectorization, dtype)
 
+    def _bind_native(self, stencil_units):
+        """Swap each eligible unit's ``compute_words`` for this
+        machine's compiled kernel (:mod:`.native`) — the one place the
+        native code is bound, for ring windows and the replay pass.
+        The control engine (zero lanes) computes nothing to bind."""
+        # Deferred: native builds on kernel.py, which imports this module.
+        from .native import bind_native
+        if self._stream_width():
+            self._native = bind_native(stencil_units,
+                                       self.program.num_cells)
+
     def _build(self, inputs):
         super()._build(inputs)
+        self._bind_native([unit for unit in self.units
+                           if isinstance(unit, BatchedStencilUnit)])
         # Producer/consumer step order per channel: whether the consumer
         # unit acts before the producer within a cycle.  It decides both
         # the transient occupancy peak at push time and whether a batch

@@ -217,7 +217,8 @@ class StencilUnit(StencilBookkeeping, Unit):
 
         # Per-access precomputation (full-domain offset vectors, linear
         # offsets) and the per-field read-ahead / fill-start schedule.
-        self.compiled: CompiledStencil = compiled_stencil(stencil.ast)
+        self.compiled: CompiledStencil = compiled_stencil(
+            stencil.ast, code=stencil.canonical_code)
         fields = sorted(self.in_channels)
         (self.access_info, _readahead, self.init_words, self.pop_start,
          self.min_flat) = schedule_reads(

@@ -637,6 +637,43 @@ class TestPricingWork:
         assert work["infer_type"] == work["census_after_cse"] == 0
         assert work["estimate_resources"] <= len(machines)
 
+    def test_cold_sweep_prints_each_expression_once(self, monkeypatch):
+        """The canonical text of an expression keys two caches (the
+        program's content hash, the simulator-compile stage): one cold
+        80-point sweep with its 15 simulations prints each distinct
+        stencil AST at most once for them (454 calls before the compile
+        stage took ``StencilDefinition.canonical_code``).  What the
+        rewriting transforms print into a new definition's ``code`` is
+        their own output and is not counted."""
+        import repro.core.program as core_program
+        import repro.expr.ast_nodes as ast_nodes
+        from repro.lowering import reset_default_cache
+        from util import random_inputs
+        calls = [0]
+        unparse = ast_nodes.unparse
+
+        def counting_unparse(node):
+            calls[0] += 1
+            return unparse(node)
+
+        for module in (core_program, ast_nodes):
+            monkeypatch.setattr(module, "unparse", counting_unparse)
+        program = build(_SWEEP["program"],
+                        shape=tuple(_SWEEP["quick"]["shape"]),
+                        vectorization=_SWEEP["vectorization"])
+        space = ConfigSpace(**{axis: tuple(values) for axis, values
+                               in _SWEEP["space"].items()})
+        reset_default_cache()
+        report = explore(program, inputs=random_inputs(program),
+                         space=space, strategy="greedy", beam_width=8,
+                         workers=1, backend="thread")
+        assert (report.total_points, report.simulated_points) == (80, 15)
+        printed = calls[0]
+        pruner = Pruner(program)
+        asts = {stencil.ast for point in space.points()
+                for stencil in pruner.lowered_at(point).program.stencils}
+        assert 0 < printed <= len(asts)
+
 
 class TestLinkRateModel:
     def test_raising_override_unthrottles_the_prediction(self):

@@ -159,6 +159,41 @@ def test_malformed_record_quarantined():
                for p in kernel_store_dir().iterdir())
 
 
+@pytest.mark.parametrize("schema", [2, 3])
+def test_artifact_source_is_never_executed(schema, tmp_path):
+    """Artifacts are data.  Schema 2 stored a generated ``kernel_pass``
+    that the hit path ``exec``-ed; planted in an artifact of either
+    schema, code is not run — the file is quarantined, the run rebuilt
+    cold."""
+    program = build("laplace2d", shape=(16, 16))
+    inputs = random_inputs(program)
+    cold = simulate(program, inputs, _kernel_cfg())
+    (path,) = _artifacts()
+    marker = tmp_path / "executed"
+    planted = f"open({str(marker)!r}, 'w').close()"
+    data = json.loads(path.read_text())
+    data["schema"] = schema
+    data["source"] = (f"import os; os.system({('touch ' + str(marker))!r})\n"
+                      f"{planted}\n"
+                      f"def kernel_pass(ctx):\n    {planted}\n")
+    path.write_text(json.dumps(data))
+    _drop_in_process_artifacts()
+    rerun = simulate(program, inputs, _kernel_cfg())
+    warm = simulate(program, inputs, _kernel_cfg())
+    assert not marker.exists()
+    assert kernel_cache_stats() == (1, 2)
+    assert not rerun.profile.kernel_cached and warm.profile.kernel_cached
+    assert any(".corrupt-" in p.name for p in kernel_store_dir().iterdir())
+    (rebuilt,) = _artifacts()
+    assert set(json.loads(rebuilt.read_text())) == {"schema", "key",
+                                                    "record"}
+    for result in (rerun, warm):
+        assert result.cycles == cold.cycles
+        for name in cold.outputs:
+            assert np.array_equal(cold.outputs[name], result.outputs[name],
+                                  equal_nan=True)
+
+
 def test_auto_upgrades_after_kernel_run():
     program = build("laplace2d", shape=(16, 16))
     inputs = random_inputs(program)
