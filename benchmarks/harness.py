@@ -1,43 +1,22 @@
-"""Shared benchmark machinery: chain scaling, device filling, and the
-pinned benchmark-regression CLI the CI gate runs.
+"""Shared benchmark machinery for the paper-reproduction tests: chain
+scaling points, device filling, and seeded inputs.
 
-CLI usage (see ``benchmarks/README.md`` for the full contract)::
-
-    python benchmarks/harness.py run --config benchmarks/bench_config.json \
-        --output bench-result.json
-    python benchmarks/harness.py check --baseline benchmarks/bench_baseline.json \
-        --result bench-result.json --max-regression 0.30
-
-``run`` executes the pinned simulator cases and records exact cycle
-counts plus wall-clock throughput; ``check`` compares a result against
-the committed baseline and exits nonzero on any cycle-count drift or on
-a throughput regression beyond the threshold.  Throughput is compared
-*normalized* by a machine-speed calibration score so the gate is robust
-to CI runners of different speeds.
+Wall-clock performance is not measured here: the end-to-end benchmark
+under ``benchmarks/e2e`` (``BENCHMARK.json``) times the program from
+outside, and CI's ``bench-regression`` job runs its exact pins.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.distributed import (
-    Partition,
-    contiguous_device_split,
-    partition_fixed,
-)
+from repro.distributed import partition_fixed
 from repro.hardware import STRATIX10, estimate_resources
-from repro.lowering import default_cache as lowering_cache
 from repro.perf import model_multi_device, model_performance
-from repro.programs import build, chain
+from repro.programs import chain
 from repro.programs.iterative import SCALING_DOMAIN
-from repro.simulator import SimulatorConfig, simulate
 
 
 def single_device_point(num_stencils: int, kernel: str = "jacobi3d",
@@ -84,37 +63,8 @@ def fill_device(kernel: str, vectorization: int = 1,
     return lo
 
 
-# -- benchmark-regression CLI (the CI gate) --------------------------------
-
-def calibrate() -> float:
-    """Machine-speed score: a fixed NumPy-plus-interpreter workload.
-
-    The simulator's cost is a mix of NumPy slab operations and Python
-    planning, so the score blends both.  Normalizing case throughput by
-    this score makes the baseline comparison portable across runner
-    speeds while still catching regressions in the repository's own
-    code (the calibration never imports it beyond NumPy).
-    """
-    rng = np.random.default_rng(0)
-    data = rng.random(500_000)
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        x = np.sin(data)
-        x = x * data + 1.0
-        total = float(x.sum())
-        acc = 0
-        for n in range(200_000):
-            acc += n & 7
-        best = min(best, time.perf_counter() - start)
-        assert total == total and acc >= 0
-    return 1.0 / best
-
-
 def seeded_inputs(program, seed: int = 0) -> dict:
-    """Deterministic random arrays for every program input (shared by
-    the pinned CLI cases and the engine-throughput benchmark, so the
-    two measure identical workloads)."""
+    """Deterministic random arrays for every program input."""
     rng = np.random.default_rng(seed)
     inputs = {}
     for name, spec in program.inputs.items():
@@ -125,185 +75,3 @@ def seeded_inputs(program, seed: int = 0) -> dict:
             data = rng.random(shape) if shape else rng.random()
         inputs[name] = np.asarray(data, dtype=spec.dtype.numpy)
     return inputs
-
-
-def run_case(case: dict, repeats: int = 3) -> dict:
-    """Run one pinned simulator case, returning exact cycles and the
-    best-of-``repeats`` wall-clock throughput."""
-    program = build(case["program"], shape=tuple(case["shape"]),
-                    vectorization=case.get("vectorization", 1))
-    inputs = seeded_inputs(program, case.get("seed", 0))
-    devices = case.get("devices", 1)
-    device_of = contiguous_device_split(program, devices) \
-        if devices > 1 else None
-    config = SimulatorConfig(
-        engine_mode=case.get("engine_mode", "batched"),
-        network_words_per_cycle=case.get("network_words_per_cycle", 1.0),
-        network_latency=case.get("network_latency", 32))
-    best = float("inf")
-    cycles = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = simulate(program, inputs, config, device_of=device_of)
-        best = min(best, time.perf_counter() - start)
-        if cycles is None:
-            cycles = result.cycles
-        elif cycles != result.cycles:
-            raise AssertionError(
-                f"case {case['name']!r}: nondeterministic cycle count "
-                f"({cycles} vs {result.cycles})")
-    return {
-        "cells": program.num_cells,
-        "cycles": cycles,
-        "seconds": round(best, 4),
-        "cells_per_second": round(program.num_cells / best, 1),
-    }
-
-
-def run_config(config_path: Path, slowdown: float = 1.0) -> dict:
-    config = json.loads(config_path.read_text())
-    cases = {}
-    scores = []
-    artifacts = lowering_cache()
-    hits0, misses0 = artifacts.stats()
-    kinds0 = artifacts.stats_by_kind()
-    for case in config["cases"]:
-        # Calibrate immediately before each case: machine-load noise is
-        # time-correlated, so a fresh score tracks it far better than
-        # one global measurement.
-        score = calibrate()
-        scores.append(score)
-        measured = run_case(case, repeats=config.get("repeats", 3))
-        if slowdown != 1.0:
-            # Test hook for the CI gate itself: report the throughput a
-            # `slowdown`-times-slower run would have produced.
-            measured["cells_per_second"] = round(
-                measured["cells_per_second"] / slowdown, 1)
-            measured["synthetic_slowdown"] = slowdown
-        measured["normalized_throughput"] = round(
-            measured["cells_per_second"] / score, 3)
-        cases[case["name"]] = measured
-        print(f"  {case['name']}: {measured['cycles']} cycles, "
-              f"{measured['cells_per_second']:,.0f} cells/s "
-              f"(normalized {measured['normalized_throughput']})")
-    # Delta against the start of this call: run_config may run several
-    # times per process (the `baseline` rounds), and cumulative
-    # process-lifetime counters would misattribute earlier rounds.
-    hits1, misses1 = artifacts.stats()
-    hits, misses = hits1 - hits0, misses1 - misses0
-    deltas = {}
-    for kind, (h, m) in artifacts.stats_by_kind().items():
-        h0, m0 = kinds0.get(kind, (0, 0))
-        if (h - h0) or (m - m0):
-            deltas[kind] = (h - h0, m - m0)
-    per_kind = ", ".join(f"{kind} {h}/{h + m}"
-                         for kind, (h, m) in deltas.items())
-    print(f"  artifact cache: {misses} artifacts built, {hits} hits "
-          f"(hit/lookup by kind: {per_kind})")
-    return {"calibration_score": round(sum(scores) / len(scores), 2),
-            "cases": cases,
-            "artifact_cache": {"hits": hits, "misses": misses}}
-
-
-def check_result(baseline: dict, result: dict,
-                 max_regression: float) -> List[str]:
-    """The baseline-comparison contract enforced by CI: every baseline
-    case must be present, cycle counts must match *exactly* (they are
-    machine-independent), and normalized throughput must not regress
-    by more than ``max_regression``."""
-    failures = []
-    for name, expected in baseline["cases"].items():
-        measured = result["cases"].get(name)
-        if measured is None:
-            failures.append(f"{name}: missing from result")
-            continue
-        if measured["cycles"] != expected["cycles"]:
-            failures.append(
-                f"{name}: cycle-count drift — baseline "
-                f"{expected['cycles']}, measured {measured['cycles']}")
-        floor = expected["normalized_throughput"] * (1.0 - max_regression)
-        if measured["normalized_throughput"] < floor:
-            ratio = (measured["normalized_throughput"]
-                     / expected["normalized_throughput"])
-            failures.append(
-                f"{name}: throughput regression — normalized "
-                f"{measured['normalized_throughput']} vs baseline "
-                f"{expected['normalized_throughput']} "
-                f"({ratio:.2f}x, floor {1.0 - max_regression:.2f}x)")
-    return failures
-
-
-def make_baseline(config_path: Path, rounds: int) -> dict:
-    """Run the config ``rounds`` times and keep, per case, the exact
-    cycle count and the *minimum* normalized throughput observed — a
-    conservative floor, so machine noise above the floor never fails
-    the gate while a real >threshold regression still does."""
-    record = run_config(config_path)
-    for _ in range(rounds - 1):
-        print("  --")
-        again = run_config(config_path)
-        for name, case in record["cases"].items():
-            other = again["cases"][name]
-            if other["cycles"] != case["cycles"]:
-                raise AssertionError(
-                    f"case {name!r}: nondeterministic cycle count")
-            if (other["normalized_throughput"]
-                    < case["normalized_throughput"]):
-                record["cases"][name] = other
-    record["baseline_rounds"] = rounds
-    return record
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Pinned benchmark runner and regression gate")
-    sub = parser.add_subparsers(dest="command", required=True)
-    runner = sub.add_parser("run", help="run the pinned benchmark config")
-    runner.add_argument("--config", type=Path, required=True)
-    runner.add_argument("--output", type=Path, required=True)
-    runner.add_argument(
-        "--synthetic-slowdown", type=float, default=1.0,
-        help="divide measured throughput by this factor (gate-testing "
-             "hook: a value of 2.0 must make `check` fail)")
-    refresher = sub.add_parser(
-        "baseline",
-        help="refresh the committed baseline (several rounds, keeping "
-             "the most conservative throughput floor per case)")
-    refresher.add_argument("--config", type=Path, required=True)
-    refresher.add_argument("--output", type=Path, required=True)
-    refresher.add_argument("--rounds", type=int, default=3)
-    checker = sub.add_parser(
-        "check", help="compare a result against the committed baseline")
-    checker.add_argument("--baseline", type=Path, required=True)
-    checker.add_argument("--result", type=Path, required=True)
-    checker.add_argument("--max-regression", type=float, default=0.30)
-    args = parser.parse_args(argv)
-
-    if args.command == "run":
-        record = run_config(args.config, slowdown=args.synthetic_slowdown)
-        args.output.write_text(json.dumps(record, indent=2) + "\n")
-        print(f"wrote {args.output}")
-        return 0
-
-    if args.command == "baseline":
-        record = make_baseline(args.config, args.rounds)
-        args.output.write_text(json.dumps(record, indent=2) + "\n")
-        print(f"wrote {args.output}")
-        return 0
-
-    baseline = json.loads(args.baseline.read_text())
-    result = json.loads(args.result.read_text())
-    failures = check_result(baseline, result, args.max_regression)
-    if failures:
-        print("benchmark regression check FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(f"benchmark regression check passed "
-          f"({len(baseline['cases'])} cases, cycle counts exact, "
-          f"throughput within {args.max_regression:.0%})")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -63,7 +63,7 @@ class ArtifactCache:
 
     Keys are strings produced by :func:`content_key`; the prefix before
     the first ``":"`` names the artifact kind, and statistics are kept
-    per kind so consumers (the explorer's report, the bench harness)
+    per kind so consumers (the explorer's report, the e2e benchmark)
     can quote e.g. how many buffering analyses a sweep re-ran.
     """
 

@@ -2,10 +2,11 @@
 
 Every simulation (scalar or batched) attaches an
 :class:`EngineProfile` to ``SimulationResult.profile``.  For the
-batched engine this is the plan-level story — how many slab passes
-were planned, how large the super-pattern windows grew, and how many
-cycles fell back to scalar stepping — which is the cheap alternative
-to per-cycle tracing (``simulate_traced``'s ~60–90x slowdown).
+batched engine this is the plan-level story — how many windows the
+planner cut the run into, how large they grew, what planning them
+cost, and how many cycles were true scalar steps — which is the cheap
+alternative to per-cycle tracing (``simulate_traced``'s ~60–90x
+slowdown).
 
 The profile is built **once at end of run** from counters the engine
 already keeps, so it is always on and costs nothing on the hot path;
@@ -30,17 +31,17 @@ class EngineProfile:
     engine: str                       #: "scalar", "batched", or "kernel"
     cycles: int                       #: total simulated cycles
     wall_seconds: float               #: engine wall time (obs clock)
-    plan_count: int = 0               #: single-cycle pattern plans
+    plan_count: int = 0               #: planner invocations
     scalar_cycles: int = 0            #: cycles stepped one-by-one
-    window_count: int = 0             #: super-pattern windows executed
+    window_count: int = 0             #: windows executed (slab passes)
     window_cycles: int = 0            #: cycles covered by windows
     #: Sizes (cycles) of the first executed windows, oldest first.
     window_sizes: Tuple[int, ...] = field(default_factory=tuple)
-    #: Super-pattern windows proved congruent modulo a *drifting*
+    #: Windows proved congruent modulo a *drifting*
     #: occupancy vector (ramp/drain transients batched in one pass).
     drift_windows: int = 0
-    #: Cycles the window planner stepped on counter state to plan the
-    #: executed windows (planner work; not simulated cycles).
+    #: Cycles the planner stepped on counter state, over all its
+    #: invocations (planner work; not simulated cycles).
     virtual_cycles: int = 0
     #: Bytes of the batched engine's stream rings (one per producing
     #: unit, shared by its out-edges), each distinct array counted once.
@@ -78,9 +79,8 @@ class EngineProfile:
 
     @property
     def slab_passes(self) -> int:
-        """Slab passes executed: one per single-cycle pattern plan and
-        one per super-pattern window."""
-        return self.plan_count + self.window_count
+        """Slab passes executed: one per window."""
+        return self.window_count
 
     @property
     def mean_batch(self) -> Optional[float]:
@@ -138,21 +138,17 @@ class EngineProfile:
                 f"compile {self.native_compile_s:.2f} s")
         if self.engine in ("batched", "kernel") and not self.kernel_cached:
             mean = self.mean_batch
+            detail = [f"mean batch {mean:.1f} cycles"] if mean else []
+            if self.drift_windows:
+                detail.append(f"{self.drift_windows} drift-congruent")
             lines.append(
-                f"  {self.slab_passes} slab passes "
-                f"({self.plan_count} pattern plans + "
-                f"{self.window_count} windows"
-                + (f", mean batch {mean:.1f} cycles)" if mean else ")")
-                + f", {self.scalar_cycles} scalar-fallback cycles "
+                f"  {self.window_count} windows"
+                + (f" ({', '.join(detail)})" if detail else "")
+                + f" from {self.plan_count} planner calls on "
+                  f"{self.virtual_cycles} virtual cycles, "
+                  f"{self.scalar_cycles} scalar-step cycles "
                   f"({self.scalar_fraction:.1%})")
             lines.append(
                 f"  {self.stored_words} words stored in "
                 f"{self.ring_bytes / 2**20:.1f} MiB of stream rings")
-            if self.window_count:
-                drift = (f" ({self.drift_windows} drift-congruent)"
-                         if self.drift_windows else "")
-                lines.append(
-                    f"  {self.window_count} super-pattern windows "
-                    f"covering {self.window_cycles} cycles{drift}, "
-                    f"planned on {self.virtual_cycles} virtual cycles")
         return tuple(lines)

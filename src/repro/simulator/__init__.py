@@ -4,12 +4,14 @@ Several execution engines share one machine model:
 
 * the **scalar engine** (:class:`Simulator`) steps every unit once per
   cycle — simple, and the semantic reference;
-* the **batched engine** (:class:`BatchedSimulator`) plans the largest
-  word-batch ``B`` for which the machine's per-cycle behaviour pattern
-  provably repeats (min over channel free space and occupancy,
-  latency-line room, phase boundaries, link delivery windows, remaining
-  words) and executes all ``B`` cycles at once with NumPy slab
-  operations and vectorized stencil evaluation;
+* the **batched engine** (:class:`BatchedSimulator`) steps a window of
+  ``q`` cycles on counter state (``q``: the LCM of the fractional-rate
+  links' delivery periods, 1 without one), proves by state congruence
+  how many times the window repeats (decision margins on channel,
+  link and latency-line counters, timed-FIFO entries, phase
+  boundaries, ring headroom, remaining words) and executes all
+  ``k * q`` cycles at once with NumPy slab operations and vectorized
+  stencil evaluation;
 * the **kernel engine** (:class:`KernelSimulator`) records a batched
   run's control outcome as a content-addressed, data-only artifact
   and, on every later run of the same machine, replays that record and
@@ -34,16 +36,16 @@ NumPy.
 The batching invariant: **identical observable machine state at every
 stall point**.  Outputs are bitwise identical and ``cycles``,
 ``stall_cycles``, and channel occupancy high-water marks match the
-scalar engine exactly; when no unit can progress and no link word is
-buffered or in flight, the batched engine falls back to scalar
-stepping, so deadlock detection (Fig. 4) and its diagnostics are
-unchanged.  Every supported configuration batches: fractional-rate
-links (closed-form credit schedule), integer-typed programs (native
-int64 slabs, exact to 2**63), and multi-device placements (deliveries
-planned from the full in-flight ring, so batches are bounded by channel
-capacity rather than the wire latency).  ``SimulatorConfig.engine_mode``
-selects ``"scalar"``, ``"batched"``, ``"kernel"``, or ``"auto"``
-(kernel when a cached artifact exists, batched otherwise).
+scalar engine exactly; the cycle on which the deadlock detector may
+fire is a true scalar step, so deadlock detection (Fig. 4) and its
+diagnostics are unchanged.  Every supported configuration batches:
+fractional-rate links (one window per LCM of their delivery periods),
+integer-typed programs (native int64 slabs, exact to 2**63), and
+multi-device placements (a window's deliveries follow its producer's
+slab, so batches are bounded by channel capacity rather than the wire
+latency).  ``SimulatorConfig.engine_mode`` selects ``"scalar"``,
+``"batched"``, ``"kernel"``, or ``"auto"`` (kernel when a cached
+artifact exists, batched otherwise).
 """
 
 from .batched import (

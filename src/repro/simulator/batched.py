@@ -1,22 +1,25 @@
 """The batched NumPy execution engine.
 
-Between stall points the simulated machine is *deterministic*: every
-unit either makes progress every cycle or stalls every cycle, and every
-channel occupancy evolves linearly.  The batched engine exploits this by
-planning, per iteration, the largest word-batch ``B`` for which the
-machine's per-cycle behaviour pattern provably repeats — the minimum
-over channel free space, channel occupancy, latency-line room, phase
-boundaries, link delivery windows, and remaining words — and then
-executing all ``B`` cycles at once with NumPy slab operations.
+Between stall points the simulated machine is *deterministic*: its
+per-cycle behaviour repeats — every unit makes the same decision every
+``q`` cycles while each channel occupancy evolves linearly.  The
+batched engine exploits this with one planner: it steps a window of
+``q`` cycles of the exact scalar semantics on counter state, proves by
+state congruence how many times the window repeats — bounded by
+decision margins on channel occupancy, link ready counts and
+latency-line lengths, by the timed FIFOs' queued entries, by schedule
+phase boundaries, ring headroom and remaining words — and then
+executes all ``k * q`` cycles at once with NumPy slab operations
+(``BatchedSimulator._plan_window`` / ``_execute_window``).
 
 The batching invariant: **identical observable machine state at every
 stall point**.  ``cycles``, per-unit ``stall_cycles``, channel
 ``max_occupancy`` high-water marks, streaming-continuity flags, and all
 outputs are exactly — bitwise — what the scalar engine produces,
-because every batch is accounted analytically with the scalar engine's
-own bookkeeping rules.  When no unit can progress (``B == 0``), the
-engine falls back to true scalar stepping, so deadlock detection
-(Fig. 4) and its diagnostics are unchanged.
+because every window is accounted from the virtually stepped cycles
+with the scalar engine's own bookkeeping rules.  The cycle on which
+the deadlock detector may fire is a true scalar step, so deadlock
+detection (Fig. 4) and its diagnostics are unchanged.
 
 The units mirror :mod:`repro.simulator.units` but hold NumPy state:
 
@@ -33,26 +36,20 @@ The units mirror :mod:`repro.simulator.units` but hold NumPy state:
 
 Every supported configuration runs on this fast path:
 
-* **Fractional-rate links** (``words_per_cycle < 1``) are planned from
-  the rate limiter's closed-form credit schedule — between spends the
-  credit is an affine, capped function of the cycle count, so the
-  planner knows the exact cycle of the next delivery and batches the
-  stall stretch in between.  Rates >= 1 admit one word per cycle
-  whenever a timely word exists (producers push at most one word per
-  cycle, so a timely backlog never forms) and batch like rate 1.0.
-  On top of that, the **super-pattern planner** batches *across*
-  deliveries: it takes the LCM period Q of all link delivery
-  schedules, virtually executes one Q-cycle window recording per-cycle
-  delivery masks and unit actions, proves by state congruence that the
-  window repeats, and executes all repeats as single NumPy slabs —
-  steady fractional-rate stretches run with zero per-delivery
-  re-plans (see ``_plan_window``).
-* **Multi-device batches are not bounded by the wire latency**: when a
-  link's producer pushes every cycle of the pattern and the whole
-  in-flight ring is timely (length >= latency), deliveries sustain one
-  word per cycle indefinitely, so the batch is bounded by channel
-  capacity — words pushed during the batch are delivered in the same
-  batch, after the producer's slab lands.
+* **The window period** ``q`` is the LCM of the delivery periods of
+  the fractional-rate links (``words_per_cycle < 1``): credit restarts
+  from exactly 0.0 after every spend, so a saturated link delivers on
+  a strictly periodic mask, and steady fractional-rate stretches run
+  as repeated windows.  Without such a link — one device, or rates
+  >= 1, which admit one word per cycle whenever a timely word exists —
+  ``q`` is 1: a single-cycle pattern is a period-1 window.  Ramps and
+  drains repeat modulo a constant counter drift; what does not repeat
+  is stepped virtually over a longer stretch and executed once.
+* **Dead time costs one window**: a stall that lasts while links hold
+  words passes the same congruence proof and repeats to the horizon
+  (the cycle cap, or the next fault boundary); idle cycles with empty
+  links are stepped virtually with the detector's streak carried in
+  and out of each window.
 * **Integer-typed streams** ride int64 slabs: exact to 2**63 where the
   former float64 slabs capped exactness at 2**53 (the scalar engine
   computes arbitrary-precision Python ints).  Stores into integer
@@ -87,7 +84,6 @@ from .channel import (
     RateLimiter,
     _RowRing,
     stage_slab,
-    timely_prefix_length,
 )
 from ..lowering import compiled_stencil
 from ..obs.profile import MAX_WINDOW_SAMPLES, EngineProfile
@@ -230,9 +226,9 @@ def _commit_slab(channels, b: int, departures):
 class BatchedSourceUnit(SourceUnit):
     """Array-slab variant of :class:`~repro.simulator.units.SourceUnit`.
 
-    Inherits the scalar stepping (used on zero-progress fallback
-    cycles) and overrides only word materialization — channels carry
-    array rows — plus the slab fast path.
+    Inherits the scalar stepping (used on scalar-step cycles) and
+    overrides only word materialization — channels carry array rows;
+    the window executor slices ``rows`` into the stream's ring.
     """
 
     def __init__(self, name: str, data: np.ndarray, vector_width: int,
@@ -252,12 +248,6 @@ class BatchedSourceUnit(SourceUnit):
 
     def _materialize_word(self):
         return self.rows[self.next_word]
-
-    def run_batch(self, now: int, b: int):
-        stage_slab(self.out_channels,
-                   self.rows[self.next_word:self.next_word + b])
-        _commit_slab(self.out_channels, b, lambda: _iota(b) + now)
-        self.next_word += b
 
 
 class BatchedStencilUnit(StencilBookkeeping):
@@ -379,24 +369,15 @@ class BatchedStencilUnit(StencilBookkeeping):
     # -- introspection -------------------------------------------------------
 
     @property
-    def line_len(self) -> int:
-        return len(self._line_times)
-
-    @property
     def line_head_time(self) -> int:
         return int(self._line_times.peek0())
-
-    def line_timely_prefix(self, now: int) -> int:
-        """Largest ``m`` such that the first ``m`` latency-line words are
-        ready for drains at one word per cycle starting this cycle."""
-        return timely_prefix_length(self._line_times.snapshot(), now)
 
     @property
     def done(self) -> bool:
         return (self.local_step >= self.init_words + self.num_words
                 and not len(self._line_times))
 
-    # -- scalar fallback (exact mirror of StencilUnit.step) ------------------
+    # -- scalar step (exact mirror of StencilUnit.step) ----------------------
 
     def step(self, now: int) -> bool:
         progressed = self._drain(now)
@@ -432,7 +413,7 @@ class BatchedStencilUnit(StencilBookkeeping):
         self._mark_pushed(now, 1)
         return True
 
-    # -- batched operation ---------------------------------------------------
+    # -- slab operation (driven by the window executor) ----------------------
 
     def _line_push(self, rows: np.ndarray, times: np.ndarray):
         """Enter computed words into the latency line: the one store of
@@ -496,49 +477,18 @@ class BatchedStencilUnit(StencilBookkeeping):
                             out_dtype=self.line_dtype)
         return out.reshape(b, width)
 
-    def run_batch(self, now: int, b: int, needed: Sequence[str],
-                  advance: bool, drain: bool, stall_reason: str):
-        """Execute ``b`` identical cycles of the planned pattern."""
-        if advance:
-            for field in needed:
-                self.in_channels[field].skip_rows(b)
-            if self.local_step >= self.init_words:
-                self._line_push(
-                    self.compute_words(self.local_step - self.init_words,
-                                       b),
-                    _iota(b) + (now + self.compute_latency))
-        elif stall_reason:
-            self.stall_cycles += b
-            if self.local_step >= self.init_words:
-                self.stall_after_init += b
-            self._block = stall_reason
-        if drain:
-            self._line_times.pop_rows(b)
-            _commit_slab(self.out_channels, b, lambda: _iota(b) + now)
-            self._mark_pushed(now, b)
-        if advance:
-            self.local_step += b
-
 
 class BatchedSinkUnit(SinkUnit):
     """Array-slab variant of :class:`~repro.simulator.units.SinkUnit`.
 
     Inherits the scalar stepping unchanged (an ``ArrayChannel`` pop
     yields a row, which the per-lane store consumes like a tuple) and
-    adds the slab fast path.
+    adds the slab store.
     """
 
-    def run_batch(self, now: int, b: int):
-        rows = self.in_channel.read_rows(b)
-        self.store_rows(rows)
-        if self.first_word_cycle is None:
-            self.first_word_cycle = now
-        self.last_word_cycle = now + b - 1
-
     def store_rows(self, rows: np.ndarray):
-        """Range-check and store a slab of output words (shared by the
-        contiguous batch path and the super-pattern window executor,
-        which accounts arrival cycles itself)."""
+        """Range-check and store a slab of output words (the window
+        executor accounts their arrival cycles itself)."""
         values = rows.reshape(-1)
         if self.flat.dtype.kind in "iu" and values.dtype != self.flat.dtype:
             # Mirror the scalar engine's per-lane store errors instead
@@ -570,34 +520,8 @@ class BatchedSinkUnit(SinkUnit):
         self.received += values.size // self.width
 
 
-class _Plan:
-    """One planned machine cycle, and how many times it repeats."""
-
-    __slots__ = ("batch", "any_progress", "scalar_only", "bounds",
-                 "checks", "chan_push", "chan_pop", "link_deliver",
-                 "link_tail", "source_ops", "stencil_ops", "sink_ops")
-
-    def __init__(self):
-        self.batch = 0
-        self.any_progress = False
-        self.scalar_only = False
-        self.bounds: List[float] = []
-        # (channel, kind, occupancy-at-check); kind keys one of the four
-        # persistence predicates evaluated once all deltas are known.
-        self.checks: List[Tuple[object, str, int]] = []
-        self.chan_push: Dict[int, bool] = {}
-        self.chan_pop: Dict[int, bool] = {}
-        self.link_deliver: Dict[int, bool] = {}
-        # Sustained link deliveries owed after the producer's slab lands
-        # (lifted in-flight bound): link id -> rows still to deliver.
-        self.link_tail: Dict[int, int] = {}
-        self.source_ops: List[Tuple[object, object]] = []
-        self.stencil_ops: List[Tuple[object, dict]] = []
-        self.sink_ops: List[Tuple[object, bool]] = []
-
-
 class _WindowEvents:
-    """Per-unit event record over one virtual super-pattern window:
+    """Per-unit event record over one virtually executed window:
     which window-relative cycles each action fires on (the per-cycle
     masks the window executor replays as slabs)."""
 
@@ -621,15 +545,15 @@ class _WindowEvents:
 
 
 class _WindowPlan:
-    """A virtually executed Q-cycle super-pattern window, proven to
+    """A virtually executed window of ``period`` cycles, proven to
     repeat ``repeats`` times from the live machine state."""
 
     __slots__ = ("period", "repeats", "events", "chan_push", "chan_pop",
                  "chan_deliver", "chan_peak", "end_credit",
                  "trailing_idle", "drift")
 
-    def __init__(self, period: int):
-        self.period = period
+    def __init__(self):
+        self.period = 0   # cycles stepped so far
         self.repeats = 1
         # True when the repeats were proven congruent modulo a nonzero
         # counter drift (ramp/drain transient batching).
@@ -642,26 +566,14 @@ class _WindowPlan:
         self.chan_peak: List[int] = []
         self.chan_deliver: List[int] = []
         self.end_credit: List[float] = []
-        # Zero-progress cycles at the end of the (last) window: the
-        # scalar engine's idle streak at that point, carried so a
-        # following standstill still deadlocks on the same cycle.
+        # The scalar engine's zero-progress streak after the (last)
+        # window's final cycle, carried so a following standstill
+        # still deadlocks on the same cycle.
         self.trailing_idle = 0
 
     @property
     def cycles(self) -> int:
         return self.period * self.repeats
-
-    def worthwhile(self, links) -> bool:
-        """Whether executing this window beats single-cycle pattern
-        plans: always when it repeats, and for a lone window whenever a
-        fractional-rate link delivered inside it — the single-cycle
-        planner cannot batch across a delivery, so it would spend
-        multiple plans on the same stretch (ramp phases, where channel
-        occupancies still drift and no window can repeat)."""
-        if self.repeats > 1:
-            return True
-        return any(count for count, link in zip(self.chan_deliver, links)
-                   if link.words_per_cycle < 1.0)
 
 
 def _window_times(offsets: Sequence[int], base: int, period: int,
@@ -714,7 +626,10 @@ _SOURCE, _STENCIL, _SINK = range(3)
 
 class BatchedSimulator(Simulator):
     """Drop-in :class:`~repro.simulator.engine.Simulator` replacement
-    executing deterministic stretches as NumPy batches.
+    executing deterministic stretches as NumPy batches, cut by one
+    planner: a virtually stepped window of ``q`` cycles (the LCM of the
+    fractional-rate links' delivery periods, 1 without one) and a
+    congruence proof of how often it repeats.
 
     Observable behaviour — outputs (bitwise), cycle count, stall
     counters, occupancy high-water marks, deadlock diagnostics — is
@@ -723,17 +638,16 @@ class BatchedSimulator(Simulator):
     ``tests/test_engine_equivalence.py`` for the enforcement.
 
     Planner statistics are exposed for tests and benchmarks after
-    :meth:`run`: ``plan_count`` single-cycle pattern plans,
-    ``scalar_cycles`` cycles stepped by the scalar fallback,
-    ``window_count`` executed super-pattern windows,
-    ``window_cycles`` the cycles they covered and ``virtual_cycles``
-    the cycles the window planner stepped on counter state to get
-    there.
+    :meth:`run`: ``plan_count`` planner invocations,
+    ``window_count`` the windows they led to execute,
+    ``window_cycles`` the cycles those covered, ``virtual_cycles`` the
+    cycles the planner stepped on counter state to get there and
+    ``scalar_cycles`` the cycles taken as true scalar steps (fault
+    windows, a rate-limited source, the cycle a deadlock is raised on).
     """
 
-    #: Upper bound on the super-pattern window (the LCM of the link
-    #: delivery periods); machines whose LCM exceeds this keep the
-    #: per-delivery planner.
+    #: Upper bound on the window period (the LCM of the link delivery
+    #: periods); machines whose LCM exceeds this plan period-1 windows.
     MAX_WINDOW = 4096
 
     #: How many periods a non-repeating window (ramp/drain transient)
@@ -906,10 +820,11 @@ class BatchedSimulator(Simulator):
         super()._build(inputs)
         self._bind_native([unit for unit in self.units
                            if isinstance(unit, BatchedStencilUnit)])
-        # Producer/consumer step order per channel: whether the consumer
-        # unit acts before the producer within a cycle.  It decides both
-        # the transient occupancy peak at push time and whether a batch
-        # must be bounded by the words already buffered.
+        # Topological unit order (producers strictly before consumers),
+        # used by the window executor: whole-window slabs are applied
+        # unit by unit, so every read must find its rows already
+        # written.  Unit order itself is not guaranteed topological
+        # (stencils appear in program order).
         producer_idx: Dict[int, int] = {}
         consumer_idx: Dict[int, int] = {}
         for idx, unit in enumerate(self.units):
@@ -919,15 +834,6 @@ class BatchedSimulator(Simulator):
                 consumer_idx[id(channel)] = idx
             if hasattr(unit, "in_channel"):
                 consumer_idx[id(unit.in_channel)] = idx
-        self._consumer_first = {
-            key: consumer_idx.get(key, len(self.units)) < prod
-            for key, prod in producer_idx.items()}
-
-        # Topological unit order (producers strictly before consumers),
-        # used by the super-pattern executor: whole-window slabs are
-        # applied unit by unit, so every read must find its rows
-        # already written.  Unit order itself is not guaranteed
-        # topological (stencils appear in program order).
         succ: Dict[int, List[int]] = {i: [] for i in range(len(self.units))}
         indeg = [0] * len(self.units)
         for key, prod in producer_idx.items():
@@ -1000,365 +906,64 @@ class BatchedSimulator(Simulator):
                               slot[id(unit.in_channel)]))
 
     # -- planning ------------------------------------------------------------
-
-    def _plan_cycle(self, now: int) -> _Plan:
-        """Virtually execute one cycle in unit order, recording each
-        unit's action, the occupancy seen at every full/empty check, and
-        the persistence bounds that keep the pattern valid."""
-        self.plan_count += 1
-        plan = _Plan()
-        adj_total: Dict[int, int] = {}
-        adj_ready: Dict[int, int] = {}
-
-        def v_total(channel) -> int:
-            return len(channel) + adj_total.get(id(channel), 0)
-
-        def v_ready(channel) -> int:
-            base = len(channel)
-            if isinstance(channel, ArrayNetworkLink):
-                base -= channel.in_flight_len
-            return base + adj_ready.get(id(channel), 0)
-
-        def v_full(channel) -> bool:
-            return v_total(channel) >= channel.capacity
-
-        def v_empty(channel) -> bool:
-            return v_ready(channel) <= 0
-
-        empty_links: List[ArrayNetworkLink] = []
-        delivering: List[ArrayNetworkLink] = []
-        for link in self.links:
-            key = id(link)
-            in_flight = link.in_flight_len
-            if link.words_per_cycle < 1.0:
-                # Fractional rate: the closed-form credit schedule gives
-                # the exact cycle of the next delivery.  A delivery
-                # spends the credit down to exactly 0.0, so a delivering
-                # pattern cannot repeat (bound 1); the stall stretch up
-                # to the next delivery batches in one plan.
-                if not in_flight:
-                    empty_links.append(link)
-                    continue
-                wait = link.next_ready_in()
-                if wait is None:
-                    continue  # credit can never reach 1: frozen forever
-                deliver_at = max(now + wait, link.head_time)
-                if deliver_at <= now:
-                    plan.link_deliver[key] = True
-                    adj_ready[key] = adj_ready.get(key, 0) + 1
-                    plan.bounds.append(1)
-                else:
-                    plan.bounds.append(deliver_at - now)
-                continue
-            # Rate >= 1 admits one word per cycle whenever a timely word
-            # exists (producers push at most one word per cycle, so a
-            # timely backlog never forms) — identical to rate 1.0.
-            if in_flight and link.head_time <= now:
-                plan.link_deliver[key] = True
-                adj_ready[key] = adj_ready.get(key, 0) + 1
-                # The delivery bound is decided after unit planning:
-                # with the producer pushing every cycle it can sustain
-                # past the current in-flight ring (see below).
-                delivering.append(link)
-            elif in_flight:
-                plan.bounds.append(link.head_time - now)
-            else:
-                empty_links.append(link)
-
-        for unit in self.units:
-            if isinstance(unit, BatchedSourceUnit):
-                self._plan_source(unit, plan, v_full, v_total,
-                                  adj_total, adj_ready)
-            elif isinstance(unit, BatchedStencilUnit):
-                self._plan_stencil(unit, now, plan, v_full, v_empty,
-                                   v_total, v_ready, adj_total, adj_ready)
-            else:
-                self._plan_sink(unit, plan, v_empty, v_ready, adj_total,
-                                adj_ready)
-            if plan.scalar_only:
-                return plan
-
-        for link in delivering:
-            m = link.timely_prefix(now)
-            if (plan.chan_push.get(id(link)) and m == link.in_flight_len
-                    and m >= max(link.latency, 1)):
-                # Lifted in-flight bound: the producer pushes one word
-                # per cycle of the batch, every in-flight word is
-                # timely, and the ring is at least one wire latency
-                # deep — so a word pushed at batch offset i is timely
-                # by its delivery slot m + i, and one-per-cycle
-                # delivery sustains indefinitely.  The batch is bounded
-                # by channel capacity instead of the wire latency;
-                # words pushed during the batch are delivered in the
-                # same batch (plan.link_tail, applied after the
-                # producer's slab lands).
-                continue
-            plan.bounds.append(m)
-
-        # An idle link starts delivering `latency` cycles after the
-        # producer's first push lands on it (fractional rates may take
-        # longer still; a smaller bound is merely conservative).
-        for link in empty_links:
-            if plan.chan_push.get(id(link)):
-                plan.bounds.append(max(link.latency, 1))
-
-        if not plan.any_progress:
-            if not any(len(link) for link in self.links):
-                if not plan.bounds or min(plan.bounds) >= _INF:
-                    # A genuine standstill with nothing scheduled: fall
-                    # back to true scalar stepping so deadlock detection
-                    # and its diagnostics are unchanged.
-                    plan.scalar_only = True
-                    return plan
-                # Frozen stretch with a known bound (a pending latency
-                # line, or a phase bound on a wedged machine): the state
-                # cannot change before it, so batch the stalls.  run()
-                # accounts the idle cycles against the deadlock window,
-                # so a true standstill still raises at exactly the
-                # scalar engine's cycle.
-            # else: units are stalled but link words are still buffered
-            # or in flight.  Channel occupancies cannot change without
-            # unit progress, so the scalar engine could not declare
-            # deadlock either (its check requires empty links) — batch
-            # the stall stretch up to the next delivery instead of
-            # stepping it.
-
-        plan.batch = self._evaluate_bounds(plan)
-        return plan
-
-    def _mark_push(self, channel, plan, adj_total, adj_ready):
-        key = id(channel)
-        plan.chan_push[key] = True
-        adj_total[key] = adj_total.get(key, 0) + 1
-        if not isinstance(channel, ArrayNetworkLink):
-            adj_ready[key] = adj_ready.get(key, 0) + 1
-
-    def _mark_pop(self, channel, plan, adj_total, adj_ready):
-        key = id(channel)
-        plan.chan_pop[key] = True
-        adj_total[key] = adj_total.get(key, 0) - 1
-        adj_ready[key] = adj_ready.get(key, 0) - 1
-
-    def _plan_source(self, unit, plan, v_full, v_total, adj_total,
-                     adj_ready):
-        if unit.done:
-            return
-        if unit.words_per_cycle != 1.0:
-            plan.scalar_only = True
-            return
-        full = [c for c in unit.out_channels if v_full(c)]
-        if full:
-            names = [c.name for c in full]
-            plan.source_ops.append((unit, f"output full: {names}"))
-            for channel in full:
-                plan.checks.append((channel, "stay_full",
-                                    v_total(channel)))
-            return
-        plan.any_progress = True
-        plan.source_ops.append((unit, None))
-        plan.bounds.append(unit.num_words - unit.next_word)
-        for channel in unit.out_channels:
-            plan.checks.append((channel, "stay_not_full",
-                                v_total(channel)))
-            self._mark_push(channel, plan, adj_total, adj_ready)
-
-    def _plan_stencil(self, unit, now, plan, v_full, v_empty, v_total,
-                      v_ready, adj_total, adj_ready):
-        latency = unit.compute_latency
-        line_len = unit.line_len
-        drain = False
-        if line_len and unit.line_head_time <= now:
-            full = [c for c in unit.out_channels if v_full(c)]
-            if not full:
-                drain = True
-                for channel in unit.out_channels:
-                    plan.checks.append((channel, "stay_not_full",
-                                        v_total(channel)))
-                    self._mark_push(channel, plan, adj_total, adj_ready)
-            else:
-                for channel in full:
-                    plan.checks.append((channel, "stay_full",
-                                        v_total(channel)))
-        elif line_len:
-            plan.bounds.append(unit.line_head_time - now)
-
-        advance = False
-        needed: List[str] = []
-        stall_reason = ""
-        finished = unit.local_step >= unit.init_words + unit.num_words
-        if not finished:
-            local = unit.local_step
-            for field in unit.fields:
-                start = unit.pop_start[field]
-                if local < start:
-                    plan.bounds.append(start - local)
-                elif local < start + unit.num_words:
-                    needed.append(field)
-                    plan.bounds.append(start + unit.num_words - local)
-            if local < unit.init_words:
-                plan.bounds.append(unit.init_words - local)
-            plan.bounds.append(unit.init_words + unit.num_words - local)
-
-            empty = [f for f in needed if v_empty(unit.in_channels[f])]
-            if empty:
-                stall_reason = f"waiting on input(s) {empty}"
-                for field in empty:
-                    channel = unit.in_channels[field]
-                    plan.checks.append((channel, "stay_empty",
-                                        v_ready(channel)))
-            elif line_len - int(drain) >= unit.line_capacity:
-                stall_reason = "output backpressure (latency line full)"
-                if drain:
-                    plan.bounds.append(1)
-            else:
-                advance = True
-                plan.any_progress = True
-                for field in needed:
-                    channel = unit.in_channels[field]
-                    plan.checks.append((channel, "stay_nonempty",
-                                        v_ready(channel)))
-                    if self._consumer_first.get(id(channel)):
-                        # Slab pops can only touch words already pushed.
-                        plan.bounds.append(v_ready(channel))
-                    self._mark_pop(channel, plan, adj_total, adj_ready)
-                if local >= unit.init_words and not drain:
-                    # The latency line grows by one word per cycle.
-                    plan.bounds.append(unit.line_capacity - line_len)
-
-        will_append = advance and unit.local_step >= unit.init_words
-        if drain:
-            plan.any_progress = True
-            m = unit.line_timely_prefix(now)
-            sustained = (will_append and m == line_len
-                         and line_len >= max(latency, 1))
-            if not sustained:
-                plan.bounds.append(m)
-        elif not line_len and will_append:
-            # First drain of freshly computed words happens `latency`
-            # cycles later (next cycle for latency 0).
-            plan.bounds.append(max(latency, 1))
-
-        plan.stencil_ops.append((unit, {
-            "needed": needed, "advance": advance, "drain": drain,
-            "stall_reason": stall_reason}))
-
-    def _plan_sink(self, unit, plan, v_empty, v_ready, adj_total,
-                   adj_ready):
-        if unit.done:
-            return
-        channel = unit.in_channel
-        if v_empty(channel):
-            plan.sink_ops.append((unit, False))
-            plan.checks.append((channel, "stay_empty", v_ready(channel)))
-            return
-        plan.any_progress = True
-        plan.sink_ops.append((unit, True))
-        plan.bounds.append(unit.num_words - unit.received)
-        plan.checks.append((channel, "stay_nonempty", v_ready(channel)))
-        if self._consumer_first.get(id(channel)):
-            plan.bounds.append(v_ready(channel))
-        self._mark_pop(channel, plan, adj_total, adj_ready)
-
-    def _evaluate_bounds(self, plan: _Plan) -> int:
-        """Convert the recorded checks into batch bounds: how many cycles
-        each full/empty observation stays true under linear occupancy
-        evolution, then take the global minimum."""
-        bound = min(plan.bounds, default=_INF)
-        bound = min(bound, self._batch_cap())
-        for channel, kind, value in plan.checks:
-            key = id(channel)
-            pushed = int(bool(plan.chan_push.get(key)))
-            popped = int(bool(plan.chan_pop.get(key)))
-            if kind in ("stay_empty", "stay_nonempty"):
-                if isinstance(channel, ArrayNetworkLink):
-                    delta = (int(bool(plan.link_deliver.get(key)))
-                             - popped)
-                else:
-                    delta = pushed - popped
-            else:
-                delta = pushed - popped
-            capacity = channel.capacity
-            if kind == "stay_not_full":
-                if delta > 0:
-                    bound = min(bound, (capacity - 1 - value) // delta + 1)
-            elif kind == "stay_full":
-                if delta < 0:
-                    bound = min(bound, (value - capacity) // (-delta) + 1)
-            elif kind == "stay_nonempty":
-                if delta < 0:
-                    bound = min(bound, (value - 1) // (-delta) + 1)
-            elif kind == "stay_empty":
-                if delta > 0:
-                    bound = min(bound, 1)
-        return max(1, int(bound))
-
-    # -- super-pattern planning ----------------------------------------------
     #
-    # A fractional-rate link delivers on a strictly periodic per-cycle
-    # mask (credit restarts from exactly 0.0 after every spend, so the
-    # inter-delivery gap is the fixed length of the rate's credit
-    # schedule).  Single-cycle patterns cannot span a delivery — the
-    # spend changes the credit — so the per-delivery planner executes a
-    # 1-cycle batch per delivered word.  The super-pattern planner
-    # instead takes Q = lcm of all link delivery periods, *virtually*
-    # executes Q cycles of the exact scalar semantics on lightweight
-    # counter state (recording per-cycle delivery masks and unit
-    # actions), proves the window repeats by state congruence, bounds
-    # the repeat count by schedule phase boundaries and ring headroom,
-    # and then executes all k*Q cycles as single NumPy slabs per unit.
+    # One planner (see the module docstring): step ``q`` cycles on
+    # counter state, recording per-cycle delivery masks and unit
+    # actions; prove how often the window repeats; execute all ``k * q``
+    # cycles as single NumPy slabs per unit.
     #
-    # Congruence has two rules (docs/ARCHITECTURE.md, "Window
-    # planner").  Every decision of a cycle is either a threshold test
-    # on a counter (channel occupancy, link ready count, latency-line
-    # length) or a head-maturity test on a timed FIFO (a link's
-    # in-flight ring, a stencil's latency line), plus the credit
-    # schedule.  Counters may drift by a constant per window as long as
-    # no recorded decision margin is crossed; a FIFO must be window 1's
-    # shifted by exactly Q, or never have made window 1 wait (then its
-    # already-queued entries are checked against the cycles they will
-    # be popped on); credits must return to their start values.
-    # Identical decisions give identical actions shifted by Q, so the
-    # ramp and drain transients repeat as well as the steady state.
-    # What does not repeat is stretched over many periods instead
-    # (exact for any length), ending once the machine looks periodic.
+    # Congruence has two rules (docs/ARCHITECTURE.md, "The planner").
+    # Every decision of a cycle is either a threshold test on a counter
+    # (channel occupancy, link ready count, latency-line length) or a
+    # head-maturity test on a timed FIFO (a link's in-flight ring, a
+    # stencil's latency line), plus the credit schedule.  Counters may
+    # drift by a constant per window as long as no recorded decision
+    # margin is crossed; a FIFO must be window 1's shifted by exactly
+    # q, or never have made window 1 wait (then its already-queued
+    # entries are checked against the cycles they will be popped on);
+    # credits must return to their start values.  Identical decisions
+    # give identical actions shifted by q, so the ramp and drain
+    # transients — and a stall that lasts while links hold words —
+    # repeat as well as the steady state.  What does not repeat is
+    # stretched over many periods instead (exact for any length),
+    # ending once the machine looks periodic.
 
-    def _superpattern_period(self) -> Optional[int]:
-        """The LCM window of all link delivery schedules, or ``None``
-        when super-pattern planning cannot apply: disabled by config,
-        no fractional-rate link (single-cycle patterns already batch
-        maximally), an unschedulable rate, an over-budget LCM, or a
-        rate-limited source (the single-cycle planner's scalar path
-        owns that case)."""
-        if not self.config.superpattern:
-            return None
+    def _window_period(self) -> int:
+        """Cycles per planned window: the LCM of the fractional-rate
+        links' delivery periods; 1 without such a link, and when a
+        rate has no finite schedule or the LCM exceeds ``MAX_WINDOW``
+        (period-1 windows are exact at any rate, they only repeat
+        less).  0 — never plan — with a rate-limited source, whose
+        credit the counter machine does not model: that machine runs
+        on the shared scalar step."""
+        if any(isinstance(unit, BatchedSourceUnit)
+               and unit.words_per_cycle != 1.0 for unit in self.units):
+            return 0
         q = 1
         for link in self.links:
-            if link.words_per_cycle >= 1.0:
-                continue
             g = link.delivery_period()
             if g is None:
-                return None
+                return 1
             q = math.lcm(q, g)
             if q > self.MAX_WINDOW:
-                return None
-        if q <= 1:
-            return None
-        for unit in self.units:
-            if isinstance(unit, BatchedSourceUnit) \
-                    and unit.words_per_cycle != 1.0:
-                return None
+                return 1
         return q
 
-    def _plan_window(self, now: int, q: int,
-                     max_cycles: int) -> Optional[_WindowPlan]:
+    def _plan_window(self, now: int, q: int, horizon: int,
+                     idle_in: int) -> Optional[_WindowPlan]:
         """Virtually execute ``q`` cycles of the machine on counter
         state, mirroring the scalar engine's per-cycle semantics
-        exactly.  Returns the window plan with its proven repeat count,
-        or ``None`` when the stretch is better left to the single-cycle
-        planner (standstill, zero progress, or no room for a window)."""
-        if max_cycles - now < q:
+        exactly, and prove how often they repeat before ``horizon``.
+        ``idle_in`` is the zero-progress streak the deadlock detector
+        has counted so far; the window ends before a cycle it could
+        fire on.  Returns the window plan, or ``None`` when no window
+        can start here: fewer than ``q`` cycles of room, more slab
+        traffic in ``q`` cycles than a ring has headroom for, or a
+        first cycle the detector may fire on."""
+        self.plan_count += 1
+        if horizon - now < q:
             return None
-        plan = _WindowPlan(q)
+        plan = _WindowPlan()
         chans, links, units = (self._chan_list, self._vm_links,
                                self._vm_units)
         capacity, ready_of, fifo_of, latency_of = self._vm_chans
@@ -1574,27 +1179,54 @@ class BatchedSimulator(Simulator):
                     return True
             return False
 
-        last = -1   # offset of the latest cycle that made progress
-        for off in range(q):
-            if run_cycle(off):
-                last = off
-            elif not links_hold_words():
-                # Standstill with empty links inside the first window:
-                # hand back to the main loop so its frozen-stretch
-                # accounting (or scalar fallback) runs deadlock
-                # detection with unchanged diagnostics.
-                return None
-        if last < 0:
-            # Pure stall stretches batch further on the single-cycle
-            # planner (it can jump straight to the next delivery).
+        # The deadlock detector's state: the streak of zero-progress
+        # cycles (the scalar loop's ``idle_streak``), which it reads on
+        # a zero-progress cycle with empty links.  Link occupancy only
+        # changes with unit progress, so links empty before such a
+        # cycle are empty after it: the window ends before a cycle
+        # that could complete the streak, and the main loop takes that
+        # one as a shared scalar step — the raise, its cycle and its
+        # diagnostic stay the oracle's.
+        idle = idle_in
+        deadline = self.config.deadlock_window - 1
+        last = -1        # offset of the latest cycle that made progress
+        frozen = False   # a zero-progress cycle ran with empty links
+
+        def advance() -> bool:
+            """Step the window's next cycle, unless the run is complete
+            (the scalar loop exits there) or the detector could fire."""
+            nonlocal idle, last, frozen
+            if not remaining or (idle >= deadline
+                                 and not links_hold_words()):
+                return False
+            if run_cycle(plan.period):
+                last, idle = plan.period, 0
+            else:
+                idle += 1
+                if not links_hold_words():
+                    frozen = True
+            plan.period += 1
+            return True
+
+        while plan.period < q and advance():
+            pass
+        if not plan.period:
             return None
 
         # Ring headroom: a channel's or latency line's slab traffic per
-        # executed stretch must fit the batch headroom.
+        # executed stretch must fit the batch headroom (a stall moves
+        # nothing, and is bounded by the horizon alone).
         cap = self._batch_cap()
         if traffic > cap:
             return None
-        repeats = min((max_cycles - now) // q, cap // max(traffic, 1))
+        repeats = (horizon - now) // q
+        if traffic:
+            repeats = min(repeats, cap // traffic)
+        if plan.period < q or frozen:
+            # Cut short, or idle with empty links: the streak such a
+            # window starts its repeats on differs from ``idle_in``, so
+            # it is executed once (and stretched, below).
+            repeats = 1
 
         # Congruence: window 2 must make window 1's decisions, shifted
         # by q cycles — then so does every further window, until a
@@ -1622,9 +1254,9 @@ class BatchedSimulator(Simulator):
         # fill, completion), so clamp k strictly below the nearest one
         # — stall cycles *after* a unit's last word in a window are
         # only accounted correctly while the unit is not yet done, so
-        # even landing exactly on a boundary at the window end must go
-        # through the per-cycle planner.  Likewise the run must not
-        # complete inside the repeats (the scalar loop exits there).
+        # even landing exactly on a boundary at the window end is left
+        # to the next window.  Likewise the run must not complete
+        # inside the repeats (the scalar loop exits there).
         for entry, step, moved in zip(units, start_pos, pos):
             moved -= step
             if moved:
@@ -1651,37 +1283,27 @@ class BatchedSimulator(Simulator):
             # and amortize the slab pass over many periods — until two
             # consecutive periods moved every unit alike (the next
             # window will likely repeat), but never below the floor.
-            horizon = min(q * self.WINDOW_STRETCH, max_cycles - now)
+            limit = min(q * self.WINDOW_STRETCH, horizon - now)
             floor = self._stretch_floor
             self._stretch_floor = min(2 * floor, q * self.WINDOW_STRETCH)
             mark, moved = start_pos, None
-            while plan.period < horizon:
-                if last < plan.period - 1 and not links_hold_words():
-                    # Frozen with empty links: stop so the trailing
-                    # idle cycles stay countable against the deadlock
-                    # window.
-                    break
-                if not remaining:
-                    # The run completes inside this stretch: the scalar
-                    # loop exits here, so one more cycle would inflate
-                    # the cycle count.
-                    break
-                if traffic >= cap:
-                    break
+            while plan.period < limit and traffic < cap:
                 if not plan.period % q:
                     step = [a - b for a, b in zip(pos, mark)]
                     if step == moved and plan.period >= floor:
                         break
                     mark, moved = list(pos), step
-                if run_cycle(plan.period):
-                    last = plan.period
-                plan.period += 1
-        plan.trailing_idle = plan.period - 1 - last
+                if not advance():
+                    break
+        # The streak the scalar loop would hold after the last cycle: a
+        # window without progress extends the one it was handed.
+        plan.trailing_idle = idle if last >= 0 \
+            else idle + (plan.repeats - 1) * q
         plan.chan_deliver = [len(offsets) for offsets in pops[:n_link]]
         plan.end_credit = [limiter.credit for limiter in limiters]
         return plan
 
-    # -- super-pattern execution ---------------------------------------------
+    # -- execution -----------------------------------------------------------
 
     def _execute_window(self, plan: _WindowPlan, now: int):
         """Apply ``plan.repeats`` windows as one slab pass in
@@ -1769,63 +1391,6 @@ class BatchedSimulator(Simulator):
             unit.stall_cycles += ev.stalls * k
             unit._block = "waiting on producer"
 
-    # -- execution -----------------------------------------------------------
-
-    def _deliver_tails(self, plan: _Plan, unit):
-        """Deliver the sustained-link rows owed past the pre-batch
-        in-flight ring, now that ``unit``'s slab push landed them."""
-        if not plan.link_tail:
-            return
-        for channel in getattr(unit, "out_channels", ()):
-            tail = plan.link_tail.pop(id(channel), 0)
-            if tail:
-                channel.deliver_rows(tail)
-
-    def _execute_batch(self, plan: _Plan, now: int):
-        b = plan.batch
-        # Links deliver first (they step before units each cycle).  A
-        # sustained batch can owe more deliveries than the pre-batch
-        # in-flight ring holds; the remainder is delivered right after
-        # the producer's slab lands (the plan guarantees the producer
-        # pushes one word per cycle in that case).
-        for link in self.links:
-            key = id(link)
-            delivered = bool(plan.link_deliver.get(key))
-            if delivered:
-                upfront = min(b, link.in_flight_len)
-                link.deliver_rows(upfront)
-                if b > upfront:
-                    plan.link_tail[key] = b - upfront
-            link.advance_credit(b, delivered)
-        # Channel statistics are applied analytically against the
-        # pre-batch occupancy, exactly as B scalar cycles would have.
-        for channel in self.channels.values():
-            key = id(channel)
-            pushed = bool(plan.chan_push.get(key))
-            popped = bool(plan.chan_pop.get(key))
-            if pushed or popped:
-                channel.record_batch(
-                    b, pushed, popped,
-                    bool(self._consumer_first.get(key)))
-        for unit, stall in plan.source_ops:
-            if stall is None:
-                unit.run_batch(now, b)
-                self._deliver_tails(plan, unit)
-            else:
-                unit.stall_cycles += b
-                unit._block = stall
-        for unit, op in plan.stencil_ops:
-            unit.run_batch(now, b, op["needed"], op["advance"],
-                           op["drain"], op["stall_reason"])
-            if op["drain"]:
-                self._deliver_tails(plan, unit)
-        for unit, progress in plan.sink_ops:
-            if progress:
-                unit.run_batch(now, b)
-            else:
-                unit.stall_cycles += b
-                unit._block = "waiting on producer"
-
     # -- main loop -----------------------------------------------------------
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
@@ -1833,8 +1398,7 @@ class BatchedSimulator(Simulator):
         self._build(inputs)
         expected = self._expected_cycles()
         max_cycles = self._max_cycles(expected)
-        sp_period = self._superpattern_period()
-        sp_retry = 0
+        period = self._window_period()
         faults = self._faults
         now = 0
         idle_streak = 0
@@ -1843,68 +1407,44 @@ class BatchedSimulator(Simulator):
                 raise SimulationError(
                     f"simulation exceeded {max_cycles} cycles "
                     f"(expected ~{expected})")
-            if faults is not None and faults.any_active(now):
-                # Inside a fault window every cycle runs through the
-                # shared scalar step — fault semantics stay identical
-                # to the reference engine by construction.  Frozen
-                # cycles inside a window never count toward the
-                # deadlock detector (same rule as the scalar loop).
-                self.scalar_cycles += 1
-                self._step_cycle(now)
-                idle_streak = 0
-                now += 1
+            # Inside a fault window every cycle runs through the shared
+            # scalar step — fault semantics stay identical to the
+            # reference engine by construction.
+            fault_active = faults is not None and faults.any_active(now)
+            window = None
+            if period and not fault_active:
+                # Never plan across a fault boundary: when inactive at
+                # ``now``, the next boundary is a window start strictly
+                # ahead, so the horizon keeps at least one cycle.
+                horizon = max_cycles
+                if faults is not None:
+                    boundary = faults.next_boundary(now)
+                    if boundary is not None:
+                        horizon = min(horizon, boundary)
+                window = self._plan_window(now, period, horizon,
+                                           idle_streak)
+                if window is None and period > 1:
+                    # No room or ring headroom for the LCM window: one
+                    # cycle moves at most one word per channel.
+                    window = self._plan_window(now, 1, horizon,
+                                               idle_streak)
+            if window is not None:
+                self._execute_window(window, now)
+                self.window_count += 1
+                self.window_cycles += window.cycles
+                if window.drift:
+                    self.drift_window_count += 1
+                if len(self._window_sizes) < MAX_WINDOW_SAMPLES:
+                    self._window_sizes.append(window.cycles)
+                now += window.cycles
+                idle_streak = window.trailing_idle
                 continue
-            # Outside a window, never plan a batch across a fault
-            # boundary: when inactive at ``now``, the next boundary is
-            # a window start strictly ahead, so the horizon keeps at
-            # least one plannable cycle.
-            horizon = max_cycles
-            if faults is not None:
-                boundary = faults.next_boundary(now)
-                if boundary is not None:
-                    horizon = min(horizon, boundary)
-            if sp_period is not None and now >= sp_retry:
-                window = self._plan_window(now, sp_period, horizon)
-                if window is not None and window.worthwhile(self.links):
-                    self._execute_window(window, now)
-                    self.window_count += 1
-                    self.window_cycles += window.cycles
-                    if window.drift:
-                        self.drift_window_count += 1
-                    if len(self._window_sizes) < MAX_WINDOW_SAMPLES:
-                        self._window_sizes.append(window.cycles)
-                    now += window.cycles
-                    idle_streak = window.trailing_idle
-                    continue
-                # Delivery-free transient (fill, latency wait, drain
-                # tail): the single-cycle planner batches those further
-                # than one window; retry one period later.
-                sp_retry = now + sp_period
-            plan = self._plan_cycle(now)
-            if not plan.scalar_only:
-                plan.batch = min(plan.batch, horizon - now)
-                frozen = (not plan.any_progress
-                          and not any(len(link) for link in self.links))
-                if frozen:
-                    # Idle cycles with empty links count against the
-                    # deadlock window exactly as scalar steps would.
-                    plan.batch = min(
-                        plan.batch,
-                        self.config.deadlock_window - idle_streak)
-                    idle_streak += plan.batch
-                else:
-                    idle_streak = 0
-                self._execute_batch(plan, now)
-                now += plan.batch
-                if frozen and idle_streak >= self.config.deadlock_window:
-                    raise deadlock_error(self.units, now - 1,
-                                         simulator=self)
-                continue
-            # Exact scalar step: unbatchable patterns, and all
-            # zero-progress cycles so deadlock detection is unchanged.
+            # Exact scalar step, as the scalar engine's loop takes it:
+            # fault windows (whose frozen cycles never count toward the
+            # deadlock detector), a rate-limited source, and the cycle
+            # the detector may fire on.
             self.scalar_cycles += 1
-            progressed = self._step_cycle(now)
-            if progressed:
+            if self._step_cycle(now) or fault_active:
                 idle_streak = 0
             else:
                 idle_streak += 1

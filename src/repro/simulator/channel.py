@@ -19,16 +19,16 @@ Two implementations exist for each:
   ring, which also holds the producer's latency-line words and the
   consumers' sliding-window history.  They speak the same scalar
   ``push``/``pop`` protocol (words are 1-D rows) plus a slab protocol
-  (``stage_slab``/``commit_rows``/``read_rows``) and analytic per-batch
-  statistics (:meth:`ArrayChannel.record_batch`), so a batch of ``B``
-  cycles can be accounted without touching Python once per word.
+  (``stage_slab``/``commit_rows``/``read_rows``/``deliver_rows``) that
+  moves whole slabs as counter advances.  The slab protocol keeps no
+  statistics: the window executor accounts ``pushes``, ``pops`` and
+  ``max_occupancy`` from the cycles its planner stepped virtually.
 
-:class:`ArrayNetworkLink` additionally exposes the rate limiter's
-credit accrual in closed form (:meth:`ArrayNetworkLink.next_ready_in`,
-:meth:`ArrayNetworkLink.advance_credit`): between spends the credit is
-an affine — and capped — function of the cycle count, so the batch
-planner can predict the exact cycle of the next fractional-rate
-delivery without stepping the link cycle by cycle.
+A fractional-rate link's credit restarts from exactly 0.0 after every
+spend, so a saturated link delivers on a strictly periodic mask
+(:meth:`RateLimiter.delivery_period`); the batched engine's planner
+sizes its window from those periods and replays the limiter itself —
+:meth:`ArrayNetworkLink.sync_credit` hands the resulting credit back.
 """
 
 from __future__ import annotations
@@ -62,16 +62,13 @@ class RateLimiter:
     inter-delivery credit trajectory is the fixed per-rate vector of
     :meth:`credit_schedule` and a saturated link delivers on a strictly
     periodic mask with period :meth:`delivery_period` — the closed form
-    the batched engine's super-pattern planner builds its LCM window
-    from.
+    the batched engine's planner builds its LCM window from.
     """
 
     __slots__ = ("rate", "credit")
 
-    #: Refill-replay budget for the closed-form schedule queries.
-    #: Within the budget the schedule is exact; past it
-    #: :meth:`cycles_to_ready` returns the budget as a conservative
-    #: lower bound and :meth:`credit_schedule` gives up (``None``).
+    #: Refill-replay budget of :meth:`credit_schedule`: within it the
+    #: schedule is exact, past it the scan gives up (``None``).
     SCAN_LIMIT = 4096
 
     def __init__(self, rate: float):
@@ -104,29 +101,6 @@ class RateLimiter:
                           max(self.rate, 1.0))
 
     # -- closed-form schedule -------------------------------------------------
-
-    def cycles_to_ready(self, budget: int = SCAN_LIMIT) -> Optional[int]:
-        """Cycles until the limiter can admit a word, counting this
-        cycle's refill: 0 means a word may be admitted this cycle.
-
-        ``None`` means the credit can never reach 1.0 (the refill hit
-        its float64 fixpoint below the cap); a value equal to ``budget``
-        is a conservative lower bound, not an exact wait.  The replay is
-        bitwise-faithful to :meth:`refill`, so the prediction is exactly
-        the scalar stepping behaviour.
-        """
-        credit = self.credit
-        cap = max(self.rate, 1.0)
-        cycles = 0
-        while cycles < budget:
-            refilled = min(credit + self.rate, cap)
-            if refilled >= 1.0:
-                return cycles
-            if refilled == credit:
-                return None
-            credit = refilled
-            cycles += 1
-        return budget
 
     def credit_schedule(self) -> Optional[Tuple[float, ...]]:
         """The per-cycle credit vector of a sub-unit rate between
@@ -408,22 +382,6 @@ class _RowRing:
         return _ring_slice(self._buf, self._head, self._size)
 
 
-def timely_prefix_length(times: np.ndarray, now: int) -> int:
-    """Largest ``m`` such that the first ``m`` entries of ``times`` can
-    be consumed at one per cycle starting this cycle (entry ``j``'s
-    ready time has elapsed by cycle ``now + j``).
-
-    Shared by network links (delivery windows) and the batched stencil
-    unit's latency line (drain windows).
-    """
-    if not times.size:
-        return 0
-    late = times > (now + np.arange(times.size, dtype=np.int64))
-    if not late.any():
-        return int(times.size)
-    return int(np.argmax(late))
-
-
 def stage_slab(edges, rows: np.ndarray):
     """Store the stream's next ``len(rows)`` words once, in the ring
     the sibling ``edges`` of one producer share.  Staged in lockstep,
@@ -554,7 +512,7 @@ class ArrayChannel(_EdgeBuffer):
     def empty(self) -> bool:
         return self._ready == self._rd
 
-    # -- scalar protocol (used by the batched engine's fallback steps) ------
+    # -- scalar protocol (used by the batched engine's scalar steps) --------
 
     def push(self, word):
         # Every sibling stores its producer's word, to the same row.
@@ -584,7 +542,7 @@ class ArrayChannel(_EdgeBuffer):
                 f"peek at empty {self.kind} {self.name!r}")
         return self._buf[self._rd % len(self._buf)]
 
-    # -- slab protocol (statistics are applied via record_batch) ------------
+    # -- slab protocol (the window executor applies the statistics) ---------
 
     def commit_rows(self, b: int):
         """Push the ``b`` oldest staged words (a latency-line drain)."""
@@ -595,31 +553,6 @@ class ArrayChannel(_EdgeBuffer):
         stage_slab((self,), rows)
         self.commit_rows(len(rows))
 
-    def record_batch(self, cycles: int, pushed: bool, popped: bool,
-                     consumer_first: bool):
-        """Apply ``cycles`` cycles of a fixed push/pop pattern to the
-        statistics, exactly as the scalar engine would have recorded
-        them.
-
-        Per cycle the producer pushes ``pushed`` words and the consumer
-        pops ``popped``; ``consumer_first`` states whether the consumer
-        unit steps before the producer within a cycle (it determines
-        the transient occupancy seen at push time, which is when
-        ``max_occupancy`` is sampled).
-        """
-        occupancy = len(self)
-        delta = int(pushed) - int(popped)
-        if pushed:
-            t_peak = cycles - 1 if delta > 0 else 0
-            peak = occupancy + t_peak * delta + 1
-            if consumer_first and popped:
-                peak -= 1
-            if peak > self.max_occupancy:
-                self.max_occupancy = peak
-            self.pushes += cycles
-        if popped:
-            self.pops += cycles
-
     def __repr__(self) -> str:
         return (f"ArrayChannel({self.name!r}, {len(self)}/"
                 f"{self.capacity})")
@@ -628,14 +561,14 @@ class ArrayChannel(_EdgeBuffer):
 class ArrayNetworkLink(ArrayChannel):
     """NumPy edge-buffer variant of :class:`NetworkLink`.
 
-    In-flight words carry per-row delivery times; the batched engine
-    moves timely prefixes in one counter advance (:meth:`deliver_rows`),
-    bounds batches with :meth:`timely_prefix`, and plans fractional-rate
-    deliveries from the closed-form credit schedule
-    (:meth:`next_ready_in` / :meth:`advance_credit`).
+    In-flight words carry per-row delivery times
+    (:meth:`in_flight_times`); the batched engine's planner replays
+    them and the limiter's credit on counter state, then moves the
+    delivered prefix in one counter advance (:meth:`deliver_rows`) and
+    hands the closing credit back (:meth:`sync_credit`).
     """
 
-    __slots__ = ("latency", "_limiter", "_now", "_in_times", "_wait_cache")
+    __slots__ = ("latency", "_limiter", "_now", "_in_times")
 
     kind = "link"
 
@@ -649,7 +582,6 @@ class ArrayNetworkLink(ArrayChannel):
         self._limiter = RateLimiter(words_per_cycle)
         self._now = 0
         self._in_times = _RowRing(capacity + headroom + 1)
-        self._wait_cache: Optional[Tuple[float, Optional[int]]] = None
 
     @property
     def words_per_cycle(self) -> float:
@@ -660,13 +592,9 @@ class ArrayNetworkLink(ArrayChannel):
         return len(self._in_times)
 
     @property
-    def head_time(self) -> int:
-        return int(self._in_times.peek0())
-
-    @property
     def credit(self) -> float:
-        """The limiter's current credit (super-pattern planning reads
-        it to seed a virtual limiter; see :meth:`sync_credit`)."""
+        """The limiter's current credit (the planner seeds a virtual
+        limiter with it; see :meth:`sync_credit`)."""
         return self._limiter.credit
 
     def in_flight_times(self) -> np.ndarray:
@@ -675,15 +603,14 @@ class ArrayNetworkLink(ArrayChannel):
 
     def delivery_period(self) -> Optional[int]:
         """Cycles between deliveries on this link when saturated — the
-        per-link period the super-pattern planner folds into its LCM
-        window (see :meth:`RateLimiter.delivery_period`)."""
+        per-link period the planner folds into its LCM window (see
+        :meth:`RateLimiter.delivery_period`)."""
         return self._limiter.delivery_period()
 
     def sync_credit(self, credit: float):
-        """Overwrite the limiter credit with a value the super-pattern
-        executor accounted virtually, invalidating the memoized wait."""
+        """Overwrite the limiter credit with the value the window
+        planner's virtual limiter closed on."""
         self._limiter.credit = credit
-        self._wait_cache = None
 
     def step(self, now: int):
         """Advance time: deliver in-flight words whose latency elapsed."""
@@ -701,90 +628,15 @@ class ArrayNetworkLink(ArrayChannel):
 
     def step_degraded(self, now: int, scale: float):
         """Advance time through a *degraded* window (see
-        :meth:`NetworkLink.step_degraded`); the memoized closed-form
-        wait is invalid while credit accrues off-schedule."""
+        :meth:`NetworkLink.step_degraded`)."""
         self._now = now
         self._limiter.refill_scaled(scale)
-        self._wait_cache = None
         while (len(self._in_times) and self._limiter.ready
                and self._in_times.peek0() <= now):
             self.deliver_rows(1)
             self._limiter.spend()
 
     # -- slab protocol ------------------------------------------------------
-
-    def timely_prefix(self, now: int) -> int:
-        """Largest ``m`` such that the first ``m`` in-flight words can be
-        delivered at one word per cycle starting this cycle."""
-        return timely_prefix_length(self._in_times.snapshot(), now)
-
-    # -- closed-form credit schedule ----------------------------------------
-    #
-    # For a sub-unit rate the limiter's credit resets to exactly 0.0 on
-    # every spend (the refill cap is 1.0 and a delivery requires the cap
-    # to be reached), so between deliveries the credit is the pure
-    # refill iterate of the rate — an affine, capped function of the
-    # cycle count that can be replayed without stepping the link.  Rates
-    # >= 1.0 refill straight to the cap every cycle (the credit is
-    # memoryless) and admit one word per cycle, exactly like rate 1.0
-    # given that producers push at most one word per cycle.
-
-    #: Refill-replay budget per planning query (shared with the
-    #: limiter's closed-form schedule).  Within the budget the schedule
-    #: is exact; past it a conservative lower bound is returned and the
-    #: planner simply re-plans after that many cycles (amortized cost:
-    #: at most one replayed refill per simulated cycle, the same work
-    #: the scalar engine does).
-    CREDIT_SCAN_LIMIT = RateLimiter.SCAN_LIMIT
-
-    def next_ready_in(self) -> Optional[int]:
-        """Cycles until the limiter can admit a word, counting this
-        cycle's refill: 0 means a delivery this cycle is possible.
-        ``None`` means the credit can never reach 1.0 (the refill hit
-        its float64 fixpoint below the cap); a value of
-        :attr:`CREDIT_SCAN_LIMIT` is a lower bound, not an exact wait.
-
-        The result is memoized against the current credit (and counted
-        down by :meth:`advance_credit`), so repeated planning queries
-        between deliveries do not replay the schedule."""
-        limiter = self._limiter
-        if limiter.rate >= 1.0:
-            return 0
-        cache = self._wait_cache
-        if cache is not None and cache[0] == limiter.credit:
-            return cache[1]
-        wait = limiter.cycles_to_ready(self.CREDIT_SCAN_LIMIT)
-        self._wait_cache = (limiter.credit, wait)
-        return wait
-
-    def advance_credit(self, cycles: int, delivered: bool):
-        """Account ``cycles`` cycles of credit refills executed as one
-        batch (plus the single spend of a fractional-rate delivery
-        batch, which the planner bounds to one cycle)."""
-        limiter = self._limiter
-        if limiter.rate >= 1.0:
-            return
-        cache = self._wait_cache
-        before_credit = limiter.credit
-        if delivered:
-            limiter.refill()
-            limiter.spend()
-            cycles -= 1
-            cache = None  # spend resets the schedule; rescan from 0.0
-        for _ in range(cycles):
-            before = limiter.credit
-            limiter.refill()
-            if limiter.credit == before:
-                break
-        # Count the memoized wait down by the refills just applied (the
-        # refill iteration is deterministic, so the remainder of a
-        # previously exact scan stays exact).
-        if (cache is not None and cache[0] == before_credit
-                and cache[1] is not None
-                and cache[1] < self.CREDIT_SCAN_LIMIT):
-            self._wait_cache = (limiter.credit, max(cache[1] - cycles, 0))
-        else:
-            self._wait_cache = None
 
     def deliver_rows(self, b: int):
         """The ``b`` oldest in-flight words become poppable."""

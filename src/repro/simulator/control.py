@@ -6,10 +6,10 @@ accounting — never depends on the streamed values, only on the word
 structure (how many words move where, when).  The control engine
 exploits this: it is the batched engine with every stream narrowed to
 **zero lanes**.  Word counts, channel capacities, latencies, credit
-schedules, planner decisions and the super-pattern window executor are
-all untouched (a width-0 slab moves through the same rings with the
-same bookkeeping), so every timing observable is bitwise identical to
-a full run — at near-zero data cost.
+schedules, planner decisions and the window executor are all untouched
+(a width-0 slab moves through the same rings with the same
+bookkeeping), so every timing observable is bitwise identical to a
+full run — at near-zero data cost.
 
 This is what makes config-parallel exploration sound
 (:func:`simulate_stacked`, used by ``explore(config_parallel=True)``):

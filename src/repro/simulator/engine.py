@@ -63,9 +63,9 @@ class SimulationResult:
             ``None`` on fault-free runs.
         profile: always-on plan-level engine statistics
             (:class:`~repro.obs.profile.EngineProfile`): which engine
-            ran, wall time, and — for the batched engine — slab
-            passes, super-pattern windows, and scalar-fallback
-            cycles.  The cheap alternative to per-cycle tracing.
+            ran, wall time, and — for the batched engine — planner
+            calls, executed windows, and scalar-step cycles.  The
+            cheap alternative to per-cycle tracing.
     """
 
     outputs: Dict[str, np.ndarray]
@@ -120,12 +120,6 @@ class SimulatorConfig:
             ``(src, dst, data)``; wins over ``network_words_per_cycle``
             for that link. Overrides naming edges that are not remote
             under the placement are ignored (only links rate-limit).
-        superpattern: let the batched engine plan multi-cycle
-            super-pattern windows over the LCM of the fractional-rate
-            link schedules and execute whole windows as single NumPy
-            batches.  Disabling falls back to per-delivery re-planning
-            (results are identical; the knob exists for benchmarking
-            the super-pattern win).
         fault_plan: deterministic fault-injection schedule
             (:class:`~repro.faults.plan.FaultPlan`): link outage /
             degradation windows and unit stall windows, honoured
@@ -143,7 +137,6 @@ class SimulatorConfig:
     network_link_rates: Optional[Mapping[ChannelKey, float]] = None
     engine_mode: str = "auto"
     max_batch_words: int = 4096
-    superpattern: bool = True
     fault_plan: Optional[FaultPlan] = None
 
     def link_rate(self, key: ChannelKey) -> float:

@@ -141,9 +141,8 @@ def _machine_key_parts(sim) -> list:
     """Everything the recorded control-flow outcome depends on.
 
     Deliberately excluded: ``max_cycles`` (enforced at replay against
-    the recorded cycle count), ``max_batch_words`` and ``superpattern``
-    (planner knobs that cannot change observable results), and
-    ``engine_mode`` itself.
+    the recorded cycle count), ``max_batch_words`` (a planner knob
+    that cannot change observable results), and ``engine_mode`` itself.
     """
     program = sim.program
     config = sim.config
@@ -198,6 +197,19 @@ def kernel_available(analysis, config=None,
 
 # -- the restricted class and its first-chunk check --------------------------
 
+def _same_bits(candidate: np.ndarray, reference: np.ndarray) -> bool:
+    """Equal bit patterns, NaN payloads aside — ``==`` alone would call
+    ``-0.0`` and ``+0.0`` equal, which the scalar oracle does not."""
+    if candidate.dtype != reference.dtype \
+            or candidate.shape != reference.shape:
+        return False
+    if reference.dtype.kind != "f":
+        return np.array_equal(candidate, reference)
+    bits = f"u{reference.dtype.itemsize}"
+    return bool(((candidate.view(bits) == reference.view(bits))
+                 | (np.isnan(candidate) & np.isnan(reference))).all())
+
+
 class _CheckedBackendFn:
     """A compiled per-chunk function in ``compute_words``' place, with
     one-time bitwise validation against it.
@@ -239,9 +251,7 @@ class _CheckedBackendFn:
                 candidate = None
             verdict = _VALIDATED[self.digest] = (
                 candidate is not None
-                and candidate.dtype == reference.dtype
-                and candidate.shape == reference.shape
-                and np.array_equal(candidate, reference, equal_nan=True))
+                and _same_bits(candidate, reference))
             if not verdict and metrics.enabled():
                 metrics.counter("kernel.backend_discarded",
                                 backend="native").inc()

@@ -1068,3 +1068,229 @@ class TestDriftWindows:
         _scalar, batched = assert_equivalent(program,
                                              random_inputs(program))
         assert batched.profile.drift_windows >= 0
+
+
+class TestOnePlanner:
+    """One planner: what the single-cycle pattern planner used to own
+    — latency waits with empty links, over-budget and unschedulable
+    link periods, windows too heavy for the rings, idle streaks against
+    the deadlock window, stalls to the cycle cap — held to the scalar
+    oracle on period-q and period-1 windows alone."""
+
+    @staticmethod
+    def _run_both(program, device_of=None, **config_kwargs):
+        """``(scalar outcome, batched outcome, batched simulator)``; an
+        outcome is the run's result, or the error it ended in."""
+        from repro.simulator import build_simulator
+        inputs = random_inputs(program)
+        outcomes = []
+        for mode in ("scalar", "batched"):
+            simulator = build_simulator(
+                program, SimulatorConfig(engine_mode=mode, **config_kwargs),
+                device_of)
+            try:
+                outcomes.append(simulator.run(inputs))
+            except (DeadlockError, SimulationError) as exc:
+                outcomes.append(exc)
+        return outcomes[0], outcomes[1], simulator
+
+    @staticmethod
+    def _assert_same_error(scalar, batched):
+        assert type(scalar) is type(batched)
+        assert str(scalar) == str(batched)
+        if isinstance(scalar, DeadlockError):
+            assert (scalar.cycle, scalar.blocked_units, scalar.report) \
+                == (batched.cycle, batched.blocked_units, batched.report)
+
+    @staticmethod
+    def _stencil_edges(program):
+        """The stencil-to-stencil edges of a chain, in chain order."""
+        return [key for key in edge_keys(program)
+                if key[0].startswith("stencil:")
+                and key[1].startswith("stencil:")]
+
+    @staticmethod
+    def _deep_pipeline(shape):
+        """Two ~70-cycle pipelines in a row: with fewer words than a
+        pipeline is deep, every unit waits on a latency line."""
+        code = "sqrt(sqrt(sqrt(sqrt({}[i,j,k] + 1.0))))"
+        return StencilProgram.from_json({
+            "name": "deep",
+            "inputs": {"inp": {"dtype": "float64",
+                               "dims": ["i", "j", "k"]}},
+            "outputs": ["s1"],
+            "shape": list(shape),
+            "program": {
+                "s0": {"code": code.format("inp"),
+                       "boundary_condition": "shrink"},
+                "s1": {"code": code.format("s0"),
+                       "boundary_condition": "shrink"},
+            },
+        })
+
+    @pytest.mark.parametrize("rate", [1.0, 1.0 / 3.0])
+    def test_latency_waits_with_empty_links(self, rate, monkeypatch):
+        # (a) Four words through two 70-cycle pipelines on two devices:
+        # in the fill and again in the drain tail every unit waits on a
+        # latency line while all links are empty.  Those cycles are
+        # stepped virtually and never reach the (default) deadlock
+        # window; at period 1 a window stretches 64 cycles at most, so
+        # the idle streak is handed from window to window.
+        streaks = []
+        plan_window = BatchedSimulator._plan_window
+
+        def spy(self, now, q, horizon, idle_in):
+            streaks.append(idle_in)
+            return plan_window(self, now, q, horizon, idle_in)
+
+        monkeypatch.setattr(BatchedSimulator, "_plan_window", spy)
+        scalar, batched, simulator = self._run_both(
+            self._deep_pipeline((1, 1, 4)), {"s0": 0, "s1": 1},
+            network_words_per_cycle=rate, network_latency=2)
+        assert_same_results(scalar, batched)
+        assert simulator.scalar_cycles == 0
+        assert simulator.window_cycles == batched.cycles
+        if rate == 1.0:
+            assert max(streaks) > 32
+
+    def test_lcm_beyond_max_window_plans_period_one(self):
+        # (b) Link periods 5, 9, 11 and 14: their LCM is over budget,
+        # so every window is stepped at period 1 — exact at any rate.
+        import math
+
+        from repro.simulator import RateLimiter
+        program = chain_program(5, shape=(2, 4, 4))
+        links = self._stencil_edges(program)
+        rates = dict(zip(links, (1 / 5, 1 / 9, 1 / 11, 1 / 13)))
+        assert math.lcm(*(RateLimiter(rate).delivery_period()
+                          for rate in rates.values())) \
+            > BatchedSimulator.MAX_WINDOW
+        scalar, batched, simulator = self._run_both(
+            program, {f"s{n}": n for n in range(5)},
+            network_latency=3, network_link_rates=rates)
+        assert_same_results(scalar, batched)
+        assert simulator._window_period() == 1
+        assert simulator.scalar_cycles == 0
+
+    def test_unschedulable_rate_plans_period_one(self):
+        # (b) 2**-13 words/cycle has no delivery period within the
+        # schedule scan's budget: one word per 8 192 cycles, period-1
+        # windows all the way (stalls under a credit that never repeats
+        # are stepped virtually, 64 cycles to the window).
+        scalar, batched, simulator = self._run_both(
+            chain_program(2, shape=(1, 2, 2)), {"s0": 0, "s1": 1},
+            network_latency=3, network_words_per_cycle=2.0 ** -13,
+            max_cycles=100_000)
+        assert_same_results(scalar, batched)
+        assert batched.cycles > 4 * 8192
+        assert simulator._window_period() == 1
+        assert simulator.scalar_cycles == 0
+
+    def test_window_heavier_than_the_rings_replans_at_period_one(self):
+        # (c) A 15-cycle LCM window moves up to 15 words per channel,
+        # the rings have headroom for four: the period-15 plan finds no
+        # room and the same planner runs again at period 1.
+        program = chain_program(3, shape=(2, 4, 8))
+        links = self._stencil_edges(program)
+        scalar, batched, simulator = self._run_both(
+            program, {"s0": 0, "s1": 1, "s2": 2}, network_latency=3,
+            network_link_rates=dict(zip(links, (1 / 3, 1 / 5))),
+            max_batch_words=4)
+        assert_same_results(scalar, batched)
+        assert simulator._window_period() == 15
+        assert simulator.plan_count > simulator.window_count
+        assert simulator.scalar_cycles == 0
+
+    @pytest.mark.parametrize("deadlock_window", [64, 200])
+    def test_deadlock_streak_straddles_windows(self, deadlock_window):
+        # (d) The starved diamond idles for the whole deadlock window
+        # before it is called: the streak spans several windows (a
+        # non-repeating window stretches 64 cycles at most) and the
+        # raising cycle — alone — is a scalar step.
+        program = diamond_program(long_branch=2)
+        scalar, batched, simulator = self._run_both(
+            program, deadlock_window=deadlock_window,
+            channel_capacities={k: 2 for k in edge_keys(program)})
+        assert isinstance(scalar, DeadlockError)
+        self._assert_same_error(scalar, batched)
+        assert simulator.scalar_cycles == 1
+        assert simulator.window_cycles == scalar.cycle
+        assert simulator.window_count >= 1 + deadlock_window // 64
+
+    def test_idle_streak_one_short_of_the_deadlock_window(self):
+        # (d) The deep pipeline idles 64 cycles in its fill and 64 in
+        # its drain: a deadlock at any window up to 64, completion from
+        # 65 — where each streak ends one cycle short of the window,
+        # on a cycle taken as a scalar step that then progresses.
+        program = self._deep_pipeline((1, 1, 4))
+        outcomes = {}
+        for deadlock_window in range(60, 70):
+            scalar, batched, simulator = self._run_both(
+                program, deadlock_window=deadlock_window)
+            if isinstance(scalar, DeadlockError):
+                self._assert_same_error(scalar, batched)
+            else:
+                assert_same_results(scalar, batched)
+            outcomes[deadlock_window] = (type(scalar).__name__,
+                                         simulator.scalar_cycles)
+        assert outcomes[64] == ("DeadlockError", 1)
+        assert outcomes[65] == ("SimulationResult", 2)
+        assert outcomes[66] == ("SimulationResult", 0)
+
+    def test_wedged_with_a_link_word_costs_windows_not_cycles(self):
+        # (e) The diamond's join on a second device: the fast link
+        # fills with delivered words the join cannot pop, so no
+        # detector may call the wedge and the run ends at the cycle
+        # cap — in a constant number of windows, whatever the cap.
+        program = diamond_program(long_branch=2)
+        device_of = {name: int(name == "join")
+                     for name in program.stencil_names}
+        config = dict(channel_capacities={k: 2 for k in edge_keys(program)},
+                      deadlock_window=64, network_latency=4)
+        scalar, batched, simulator = self._run_both(
+            program, device_of, max_cycles=5_000, **config)
+        assert isinstance(scalar, SimulationError)
+        assert "exceeded 5000 cycles" in str(scalar)
+        self._assert_same_error(scalar, batched)
+        assert simulator.scalar_cycles == 0
+        assert simulator.window_cycles == 5_000
+        counts = (simulator.plan_count, simulator.virtual_cycles)
+        assert counts[0] <= 4 and counts[1] <= 100
+        from repro.simulator import build_simulator
+        far = build_simulator(
+            program, SimulatorConfig(engine_mode="batched",
+                                     max_cycles=5_000_000, **config),
+            device_of)
+        with pytest.raises(SimulationError, match="exceeded 5000000"):
+            far.run(random_inputs(program))
+        assert (far.plan_count, far.virtual_cycles) == counts
+
+    def test_rate_limited_source_runs_on_scalar_steps(self):
+        # (f) The counter machine does not model a source's memory
+        # bandwidth limiter: such a machine never plans a window.
+        from repro.simulator import Simulator
+        from repro.simulator.batched import BatchedSourceUnit
+        from repro.simulator.units import SourceUnit
+
+        class HalfRateScalar(Simulator):
+            def _make_source(self, name, data, outs):
+                return SourceUnit(name, data, self.program.vectorization,
+                                  outs, words_per_cycle=0.5)
+
+        class HalfRateBatched(BatchedSimulator):
+            def _make_source(self, name, data, outs):
+                return BatchedSourceUnit(name, data,
+                                         self.program.vectorization, outs,
+                                         words_per_cycle=0.5)
+
+        program = lst1_program()
+        device_of = {"b0": 0, "b1": 0, "b2": 0, "b3": 1, "b4": 1}
+        scalar = HalfRateScalar(program, device_of=device_of) \
+            .run(lst1_inputs())
+        simulator = HalfRateBatched(program, device_of=device_of)
+        batched = simulator.run(lst1_inputs())
+        assert_same_results(scalar, batched)
+        words = program.num_cells // program.vectorization
+        assert scalar.cycles >= 2 * words
+        assert simulator.scalar_cycles == batched.cycles
+        assert simulator.plan_count == 0

@@ -228,6 +228,40 @@ def test_wrong_kernel_is_discarded_for_the_rest_of_the_process(monkeypatch):
         [False] * len(program.stencils)
 
 
+def test_kernel_differing_only_in_a_zero_sign_is_discarded(monkeypatch):
+    # ``a * 0.0`` is +0.0 on every lane; a kernel that negates the
+    # expression computes -0.0 everywhere, which ``==`` calls equal.
+    # The first-chunk check compares bits: the kernel is discarded
+    # and the run keeps the oracle's zero signs.
+    program = StencilProgram.from_json({
+        "inputs": {"a": {"dtype": "float64", "dims": ["i", "j"]}},
+        "outputs": ["s"], "shape": [8, 8], "vectorization": 2,
+        "program": {"s": {"code": "a[i,j] * 0.0",
+                          "boundary_condition": "shrink"}}})
+    inputs = random_inputs(program)
+    want = _simulate(program, inputs, mode="scalar")
+    assert not np.signbit(want.outputs["s"]).any()
+    render = native._render_c_expr
+    monkeypatch.setattr(
+        native, "_render_c_expr",
+        lambda unit, taps: f"(-({render(unit, taps)}))")
+    old = metrics.set_registry(MetricsRegistry(enabled=True))
+    try:
+        first = _simulate(program, inputs)
+        second = _simulate(program, inputs)
+        discarded = metrics.registry().counter(
+            "kernel.backend_discarded", backend="native").value
+    finally:
+        metrics.set_registry(old)
+    for result in (first, second):
+        assert result.outputs["s"].tobytes() == want.outputs["s"].tobytes()
+        assert_same_results(want, result)
+        assert (result.profile.native_units,
+                result.profile.native_fallback_units) == (0, 1)
+    assert discarded == 1
+    assert list(kernel._VALIDATED.values()) == [False]
+
+
 # -- (d) no usable compiler -----------------------------------------------------
 
 def _fake_cc(tmp_path, body: str) -> str:

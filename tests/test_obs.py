@@ -292,7 +292,7 @@ class TestEngineProfile:
         assert profile.wall_seconds > 0
         spec = json.loads(json.dumps(profile.to_json()))
         assert spec["engine"] == "batched"
-        assert any("slab passes" in line
+        assert any("planner calls" in line
                    for line in profile.summary_lines())
         # The data plane's two counts ride along.
         assert spec["ring_bytes"] == profile.ring_bytes > 0
@@ -301,30 +301,26 @@ class TestEngineProfile:
                    for line in profile.summary_lines())
 
     def test_mean_batch_counts_window_passes(self, disabled_telemetry):
-        # A windowed run retires nearly every cycle in a few window
-        # passes and only a handful in pattern plans: dividing by the
-        # plans alone (the old definition) overstates the batch size.
+        # Every slab pass is an executed window; ``plan_count`` counts
+        # planner invocations, executed or not, so it can only exceed
+        # the windows (a period-q plan that found no room and was
+        # re-planned at period 1) and is not what a batch is divided by.
         profile = _fractional_two_device_run().profile
         assert profile.scalar_cycles == 0
         assert profile.window_count > 0
-        assert profile.window_cycles > 0.9 * profile.cycles
-        passes = profile.plan_count + profile.window_count
-        assert profile.slab_passes == passes
-        assert profile.mean_batch == profile.cycles / passes
+        assert profile.window_cycles == profile.cycles
+        assert profile.plan_count >= profile.window_count
+        assert profile.slab_passes == profile.window_count
+        assert profile.mean_batch == profile.cycles / profile.window_count
         assert profile.virtual_cycles > 0
         spec = profile.to_json()
         assert spec["mean_batch"] == profile.mean_batch
         assert spec["virtual_cycles"] == profile.virtual_cycles
         summary = "\n".join(profile.summary_lines())
-        assert f"{passes} slab passes" in summary
-        assert f"{profile.virtual_cycles} virtual cycles" in summary
-        # The old definition divided every batched cycle by the pattern
-        # plans alone, crediting them with the windows' cycles: > 100x
-        # what those plans actually retired.
-        plan_cycles = profile.cycles - profile.window_cycles
-        old = profile.batched_cycles / profile.plan_count
-        assert old > 100 * plan_cycles / profile.plan_count
-        assert old > 2 * profile.mean_batch
+        assert (f"{profile.window_count} windows (mean batch "
+                f"{profile.mean_batch:.1f} cycles") in summary
+        assert (f"from {profile.plan_count} planner calls on "
+                f"{profile.virtual_cycles} virtual cycles") in summary
 
     def test_scalar_profile_counts_every_cycle_scalar(
             self, disabled_telemetry):
@@ -362,21 +358,28 @@ class TestEngineProfile:
     def test_telemetry_ops_do_not_scale_with_cycles(self, telemetry):
         """The overhead contract: a longer simulation performs the
         same number of instrument mutations as a short one — the
-        engines aggregate locally and emit once per run."""
+        engines aggregate locally and emit once per run — plus one
+        window-size sample per executed window (capped at
+        ``MAX_WINDOW_SAMPLES``), and windows do not scale with cycles
+        either."""
         registry, _ = telemetry
         shapes = ((6, 6, 6), (12, 12, 12))
         config = SimulatorConfig(engine_mode="batched")
         for shape in shapes:  # warm the artifact cache for both
             simulate(lst1_program(shape), lst1_inputs(shape), config)
-        deltas, cycle_counts = [], []
+        deltas, cycle_counts, windows = [], [], []
         for shape in shapes:
             before = registry.ops
             result = simulate(lst1_program(shape), lst1_inputs(shape),
                               config)
-            deltas.append(registry.ops - before)
+            samples = len(result.profile.window_sizes)
+            assert samples == result.profile.window_count
+            deltas.append(registry.ops - before - samples)
             cycle_counts.append(result.cycles)
+            windows.append(samples)
         assert cycle_counts[1] > 2 * cycle_counts[0]
         assert deltas[0] == deltas[1]
+        assert windows[1] < 2 * windows[0]
 
     def test_disabled_telemetry_is_free_and_identical(
             self, disabled_telemetry):

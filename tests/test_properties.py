@@ -38,6 +38,8 @@ from repro.expr.ast_nodes import (
     UnaryOp,
 )
 from repro.faults import random_fault_plan
+from repro.graph import StencilGraph
+from repro.graph.dag import node_device
 from repro.run import run_reference
 from repro.simulator import simulate
 from repro.transforms import shift_expr
@@ -163,6 +165,13 @@ class _DrawnRng:
 LINK_RATES = (1 / 5, 1 / 4, 0.3, 1 / 3, 2 / 5, 3 / 7, 1 / 2, 2 / 3, 5 / 7,
               3 / 4, 1.0)
 LINK_LATENCIES = (0, 1, 2, 3, 8, 16, 40)
+#: Per-link overrides add long, pairwise coprime delivery periods (64,
+#: 67, 73: any two push the LCM window past ``MAX_WINDOW``) and a rate
+#: with no finite schedule — both plan period-1 windows.
+LONG_PERIOD_RATES = (1 / 64, 1 / 67, 1 / 73, 2.0 ** -13)
+#: Batch caps far below a window's traffic: the LCM window finds no
+#: ring headroom and is re-planned at period 1.
+SMALL_BATCH_CAPS = (2, 7, 64)
 
 
 @st.composite
@@ -170,10 +179,12 @@ def random_machines(draw):
     """``(program, device_of, SimulatorConfig keywords)`` of a random
     multi-device machine: a random DAG, a per-stencil or contiguous
     placement over 2-3 devices, a link rate and wire latency, and
-    optionally starved per-edge capacities (deadlocking draws
-    included) and a fault plan.  The cycle cap bounds the draws that
-    wedge with words still on a link, which no deadlock detector may
-    call (the longest healthy run is ~4096 words at 1/5 word/cycle)."""
+    optionally per-link rates (long and unschedulable periods among
+    them), a small batch cap, starved per-edge capacities (deadlocking
+    draws included) and a fault plan.  The cycle cap bounds the draws
+    that wedge with words still on a link, which no deadlock detector
+    may call (the longest healthy run is ~4096 words at 1/5
+    word/cycle), and the draws whose links are slower than that."""
     program = random_dag_program(_DrawnRng(draw))
     names = program.stencil_names
     devices = draw(st.integers(2, 3))
@@ -188,6 +199,17 @@ def random_machines(draw):
     config = {"network_words_per_cycle": draw(st.sampled_from(LINK_RATES)),
               "network_latency": draw(st.sampled_from(LINK_LATENCIES)),
               "max_cycles": 40_000}
+    if draw(st.integers(0, 7)) == 0:
+        graph = StencilGraph(program)
+        config["network_link_rates"] = {
+            key: draw(st.sampled_from(LONG_PERIOD_RATES
+                                      + (1 / 5, 1 / 3, 1.0)))
+            for key in edge_keys(program)
+            if node_device(graph, key[0], device_of)
+            != node_device(graph, key[1], device_of)}
+        config["max_cycles"] = 12_000
+    if draw(st.integers(0, 3)) == 0:
+        config["max_batch_words"] = draw(st.sampled_from(SMALL_BATCH_CAPS))
     if draw(st.booleans()):
         config["channel_capacities"] = {
             key: draw(st.integers(1, 39)) for key in edge_keys(program)}
