@@ -24,6 +24,7 @@ Exits non-zero on any violation.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -60,6 +61,11 @@ def main():
                REPRO_CACHE_DIR=str(cache_dir),
                PYTHONPATH=str(SRC))
 
+    def reset_cache_dir():
+        # The root holds directories too (reports/, service/...).
+        shutil.rmtree(cache_dir, ignore_errors=True)
+        cache_dir.mkdir(parents=True)
+
     # -- Phase 1: corrupt cache is quarantined, sweep still succeeds.
     cache_dir.mkdir(parents=True)
     cache_path.write_text('{"definitely": "not a measurement"')
@@ -83,8 +89,7 @@ def main():
         "clean cache rebuilt")
 
     # -- Phase 2: kill a sweep mid-run, then resume.
-    for stale in cache_dir.iterdir():
-        stale.unlink()
+    reset_cache_dir()
     child = subprocess.Popen(sweep_argv(tmp, "r2.json", "1,2,4,8"),
                              env=env,
                              stdout=subprocess.DEVNULL,
@@ -138,11 +143,6 @@ def main():
 
     # -- Phase 3: SIGKILL one worker of a process-backend sweep.
     from repro.service.journal import JOURNAL_NAME, JobJournal
-
-    def reset_cache_dir():
-        import shutil
-        shutil.rmtree(cache_dir, ignore_errors=True)
-        cache_dir.mkdir(parents=True)
 
     def process_argv(report_name: str, widths: str) -> list:
         return sweep_argv(tmp, report_name, widths) + \

@@ -12,9 +12,8 @@ Mirrors the workflow of Fig. 13 from the shell:
   devices, placement, network) and rank the surviving configurations.
 * ``serve``    — run the always-warm config-query HTTP service over
   the cached Pareto fronts (``/v1/best``, ``/v1/pareto``, ...).
-* ``cache``    — inspect (``stats``) or clean (``prune``) the
-  persistent explore result cache, artifact spill, report store,
-  serve artifacts, and service run directories.
+* ``cache``    — inspect (``stats``) or clean (``prune``) the cache
+  root, one kind of :mod:`repro.faults.store` at a time.
 * ``list-programs`` — show the bundled program catalog.
 
 ``<program>`` is either a JSON program description or a catalog name
@@ -27,7 +26,8 @@ the shell and Python callers share one behavior.
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
+import shutil
 import signal
 import sys
 from pathlib import Path
@@ -276,27 +276,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background sweeps allowed at once")
     serve.add_argument("--no-query-log", action="store_true",
                        help="do not append answered queries to "
-                            "<cache>/serve/query_log.jsonl")
+                            "the cache root's query log")
     serve.add_argument("--no-telemetry", action="store_true",
                        help="leave the metrics registry disabled "
                             "(/v1/metricsz will be empty)")
 
     cache = sub.add_parser(
         "cache",
-        help="inspect or clean the persistent explore/artifact caches")
+        help="inspect or clean the persistent cache root")
     cache_sub = cache.add_subparsers(dest="cache_command",
                                      required=True)
     cache_stats = cache_sub.add_parser(
         "stats",
-        help="entry counts, shard files, quarantine leftovers")
+        help="one line per kind of file, quarantine leftovers")
     cache_prune = cache_sub.add_parser(
         "prune",
-        help="remove quarantined files and finished service run dirs")
+        help="remove quarantined files and the derived kinds")
     cache_prune.add_argument("--all", action="store_true",
                              dest="prune_all",
-                             help="also delete the caches themselves "
-                                  "(result cache, artifact spill), not "
-                                  "just quarantine/run-dir leftovers")
+                             help="also delete the primary kinds "
+                                  "(result cache, report store, last "
+                                  "explore metrics)")
     for sub_cmd in (cache_stats, cache_prune):
         sub_cmd.add_argument("--cache-dir", type=Path, default=None,
                              help="cache root to inspect (default: "
@@ -680,11 +680,10 @@ def _export_explore_telemetry(args):
     """Write the sweep's metrics snapshot and Chrome trace.
 
     ``--metrics out.json`` alone produces both: the trace lands next
-    to it as ``out.trace.json``.  A copy of the snapshot is kept under
-    the cache root (``telemetry/last_explore_metrics.json``) so
-    ``repro cache stats`` can show the last instrumented sweep.
+    to it as ``out.trace.json``.  A copy of the snapshot is kept in the
+    store so ``repro cache stats`` can show the last instrumented sweep.
     """
-    from .explore.cache import default_cache_dir
+    from .faults import store
     from .obs import metrics, spans, write_chrome_trace
 
     if args.metrics is not None:
@@ -700,283 +699,59 @@ def _export_explore_telemetry(args):
         print(f"wrote trace {trace_path} ({len(records)} spans; "
               f"open in Perfetto / chrome://tracing)")
     try:
-        last = default_cache_dir() / "telemetry"
-        last.mkdir(parents=True, exist_ok=True)
-        metrics.registry().save(last / "last_explore_metrics.json")
+        store.write_json_atomic(store.TELEMETRY.path(),
+                                metrics.snapshot(), fsync=False)
     except OSError:
         pass  # the cache-root copy is a convenience, never an error
 
 
-def _cache_inventory(cache_dir: Path):
-    """What lives under one cache root (explore cache + service runs).
-
-    Returns ``(result_cache_path, quarantine_files, run_dirs,
-    spill_files)`` — the artifact spill is only inventoried when
-    ``REPRO_ARTIFACT_DIR`` points somewhere.
-    """
-    from .lowering.cache import ARTIFACT_DIR_ENV
-    from .service import find_run_dirs
-
-    result_cache = cache_dir / "explore_cache.json"
-    quarantine = []
-    if cache_dir.is_dir():
-        quarantine = sorted(p for p in cache_dir.rglob("*")
-                            if p.is_file() and ".corrupt-" in p.name)
-    run_dirs = list(find_run_dirs(cache_dir / "service"))
-    spill_files = []
-    spill_dir = os.environ.get(ARTIFACT_DIR_ENV)
-    if spill_dir and Path(spill_dir).is_dir():
-        spill_root = Path(spill_dir)
-        spill_files = sorted(p for p in spill_root.iterdir()
-                             if p.is_file() and p.suffix == ".pkl")
-        quarantine.extend(sorted(
-            p for p in spill_root.iterdir()
-            if p.is_file() and ".corrupt-" in p.name))
-    return result_cache, quarantine, run_dirs, spill_files
-
-
 def _cache(args) -> int:
-    from .explore.cache import default_cache_dir
-    from .service.journal import JOURNAL_NAME, JobJournal
+    """``repro cache stats|prune``: one pass over the store's kinds."""
+    from .faults import store
+    from .service.journal import JOURNAL_NAME, JobJournal, run_dir_live
 
-    cache_dir = (Path(args.cache_dir).expanduser()
-                 if args.cache_dir is not None else default_cache_dir())
-    result_cache, quarantine, run_dirs, spill_files = \
-        _cache_inventory(cache_dir)
-
+    root = store.cache_root(args.cache_dir)
     if args.cache_command == "stats":
-        print(f"cache root: {cache_dir}")
-        if result_cache.is_file():
-            from .explore import ResultCache
-            size = result_cache.stat().st_size
-            try:
-                entries = len(ResultCache.load(result_cache))
-                detail = f"{entries} entries"
-            except Exception as exc:
-                detail = f"unreadable: {exc}"
-            print(f"  explore result cache: {result_cache.name} "
-                  f"({detail}, {size} bytes)")
-        else:
-            print("  explore result cache: absent")
-        lock = result_cache.with_name(result_cache.name + ".lock")
-        if lock.exists():
-            print(f"  lock file present: {lock.name}")
-        if spill_files:
-            total = sum(p.stat().st_size for p in spill_files)
-            print(f"  artifact spill: {len(spill_files)} file(s), "
-                  f"{total} bytes ({spill_files[0].parent})")
-        _print_kernel_artifacts(cache_dir)
-        _print_serve_artifacts(cache_dir)
-        print(f"  service run dirs: {len(run_dirs)}")
-        for run_dir in run_dirs:
-            state = JobJournal.replay(run_dir / JOURNAL_NAME)
-            shards = len(list(run_dir.glob("shard-*.json")))
-            telemetry = _run_dir_telemetry(run_dir)
-            telemetry_text = ""
-            if telemetry:
-                names = ", ".join(p.name for p in telemetry)
-                telemetry_text = f", telemetry: {names}"
-            print(f"    {run_dir.name}: {state.summary()}, "
-                  f"{shards} result shard(s){telemetry_text}")
+        print(f"cache root: {root}")
+        for kind in store.KINDS:
+            print(f"  {kind.describe(root)}")
+            if kind is store.RUN_DIRS:
+                for run_dir in kind.members(root):
+                    state = JobJournal.replay(run_dir / JOURNAL_NAME)
+                    print(f"    {run_dir.name}: {state.summary()}")
+        # Listed last: reading a corrupt file above quarantined it.
+        quarantine = store.quarantined(root)
         print(f"  quarantined files: {len(quarantine)}")
         for path in quarantine:
             print(f"    {path}")
-        _print_last_metrics(cache_dir)
         return 0
 
-    # prune: quarantine leftovers and leftover run dirs always;
-    # the caches themselves only with --all.
-    import shutil
-
+    # prune: quarantine leftovers and the derived kinds always, the
+    # primary kinds only with --all; a run dir with a live worker stays.
+    targets = store.quarantined(root) + [
+        path for kind in store.KINDS if kind.derived or args.prune_all
+        for path in kind.members(root)]
     removed = 0
-    for path in quarantine:
-        try:
-            path.unlink()
-            removed += 1
-            print(f"removed {path}")
-        except OSError as exc:
-            print(f"could not remove {path}: {exc}", file=sys.stderr)
-    for run_dir in run_dirs:
-        if _run_dir_live(run_dir):
-            print(f"kept {run_dir} (live worker)")
+    for path in targets:
+        if path.is_dir() and run_dir_live(path):
+            print(f"kept {path} (live worker)")
             continue
         try:
-            shutil.rmtree(run_dir)
-            removed += 1
-            print(f"removed {run_dir}")
-        except OSError as exc:
-            print(f"could not remove {run_dir}: {exc}",
-                  file=sys.stderr)
-    # Serve artifacts are derived state (the snapshot is rebuilt at
-    # server startup, the query log is a log): plain prune removes
-    # them.  The report store feeds the frontier index, so it goes
-    # only with --all, like the caches themselves.
-    from .explore import iter_stored_reports
-    from .serve import query_log_path, snapshot_path
-    for path in (snapshot_path(cache_dir), query_log_path(cache_dir)):
-        if not path.is_file():
-            continue
-        try:
-            path.unlink()
-            removed += 1
-            print(f"removed {path}")
-        except OSError as exc:
-            print(f"could not remove {path}: {exc}", file=sys.stderr)
-    # Compiled simulator kernels are derived state too (the next run
-    # of the machine re-records and re-compiles them): plain prune
-    # removes them.
-    for path in _kernel_artifact_files(cache_dir):
-        try:
-            path.unlink()
-            removed += 1
-            print(f"removed {path}")
-        except OSError as exc:
-            print(f"could not remove {path}: {exc}", file=sys.stderr)
-    if args.prune_all:
-        targets = [result_cache,
-                   result_cache.with_name(result_cache.name + ".lock")]
-        targets.extend(spill_files)
-        targets.extend(iter_stored_reports(cache_dir))
-        telemetry_dir = cache_dir / "telemetry"
-        if telemetry_dir.is_dir():
-            targets.extend(sorted(p for p in telemetry_dir.iterdir()
-                                  if p.is_file()))
-        for path in targets:
-            if not path.exists():
-                continue
-            try:
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
                 path.unlink()
-                removed += 1
-                print(f"removed {path}")
-            except OSError as exc:
-                print(f"could not remove {path}: {exc}",
-                      file=sys.stderr)
+        except OSError as exc:
+            print(f"could not remove {path}: {exc}", file=sys.stderr)
+            continue
+        removed += 1
+        print(f"removed {path}")
+    for kind in store.KINDS:  # a kind's directory goes once it is empty
+        if kind.subdir:
+            with contextlib.suppress(OSError):
+                kind.dir(root).rmdir()
     print(f"pruned {removed} path(s)")
     return 0
-
-
-def _kernel_artifact_files(cache_dir: Path):
-    """Compiled simulator-kernel artifacts under one cache root."""
-    kernels = cache_dir / "kernels"
-    if not kernels.is_dir():
-        return []
-    return sorted(p for p in kernels.iterdir()
-                  if p.is_file() and p.suffix == ".json"
-                  and ".corrupt-" not in p.name)
-
-
-def _print_kernel_artifacts(cache_dir: Path):
-    """``cache stats`` section for the compiled simulator kernels:
-    on-disk artifact count/bytes plus this process's hit/miss counts
-    since load (zero/zero unless this process ran simulations)."""
-    from .simulator import kernel_cache_stats
-
-    files = _kernel_artifact_files(cache_dir)
-    hits, misses = kernel_cache_stats()
-    if files:
-        total = sum(p.stat().st_size for p in files)
-        print(f"  compiled kernels: {len(files)} artifact(s), "
-              f"{total} bytes ({hits} hit(s), {misses} miss(es) "
-              f"since load)")
-    else:
-        print(f"  compiled kernels: none ({hits} hit(s), "
-              f"{misses} miss(es) since load)")
-
-
-def _print_serve_artifacts(cache_dir: Path):
-    """``cache stats`` section for the report store and serve state.
-
-    The report store (``<cache>/reports``) feeds the frontier index;
-    the snapshot (``serve/frontier_index.json``) says what the last
-    server run indexed; the query log (``serve/query_log.jsonl``)
-    records what it answered.
-    """
-    import json
-
-    from .explore import iter_stored_reports
-    from .serve import query_log_path, snapshot_path
-
-    reports = list(iter_stored_reports(cache_dir))
-    if reports:
-        total = sum(p.stat().st_size for p in reports)
-        print(f"  report store: {len(reports)} report(s), "
-              f"{total} bytes")
-    else:
-        print("  report store: empty")
-    snapshot = snapshot_path(cache_dir)
-    if snapshot.is_file():
-        try:
-            entries = len(json.loads(
-                snapshot.read_text()).get("entries", []))
-            detail = f"{entries} front(s)"
-        except Exception as exc:
-            detail = f"unreadable: {exc}"
-        print(f"  serve frontier index: {snapshot.name} ({detail}, "
-              f"{snapshot.stat().st_size} bytes)")
-    query_log = query_log_path(cache_dir)
-    if query_log.is_file():
-        with open(query_log) as handle:
-            lines = sum(1 for _ in handle)
-        print(f"  serve query log: {query_log.name} ({lines} "
-              f"queries, {query_log.stat().st_size} bytes)")
-
-
-def _run_dir_telemetry(run_dir: Path):
-    """Telemetry files a supervised run left in its run dir.
-
-    The supervisor exports ``metrics.json`` and ``trace.json`` (the
-    journal-reconstructed worker timeline) at teardown when telemetry
-    is enabled; ``prune`` removes them with the run dir itself, under
-    the same live-pidfile safety rule.
-    """
-    return sorted(p for p in (run_dir / "metrics.json",
-                              run_dir / "trace.json") if p.is_file())
-
-
-def _print_last_metrics(cache_dir: Path):
-    """``cache stats`` section for the last instrumented sweep."""
-    import json
-
-    path = cache_dir / "telemetry" / "last_explore_metrics.json"
-    if not path.is_file():
-        return
-    try:
-        snap = json.loads(path.read_text())
-        counters = {rec["name"]: 0.0 for rec in snap["counters"]}
-        for rec in snap["counters"]:
-            counters[rec["name"]] += rec["value"]
-        detail = (f"{len(snap['counters'])} counters, "
-                  f"{len(snap['histograms'])} histograms")
-    except Exception as exc:
-        print(f"  last explore metrics: unreadable ({exc})")
-        return
-    print(f"  last explore metrics: {path.name} ({detail})")
-    for name in ("explore.sweeps", "explore.points_measured",
-                 "explore.cache_hits", "engine.cycles"):
-        if counters.get(name):
-            print(f"    {name}: {counters[name]:g}")
-
-
-def _run_dir_live(run_dir: Path) -> bool:
-    """True when any worker pidfile in ``run_dir`` names a live pid.
-
-    Leftover run dirs normally mean a crashed or killed run (a clean
-    run removes its own dir), but ``prune`` must not delete the
-    journal out from under a sweep that is still in flight.
-    """
-    for pidfile in run_dir.glob("worker-*.pid"):
-        try:
-            pid = int(pidfile.read_text().strip())
-        except (OSError, ValueError):
-            continue
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            continue  # dead: the pidfile is leftover
-        except OSError:
-            return True  # exists but not ours (EPERM): live
-        return True
-    return False
 
 
 def _list_programs(args) -> int:

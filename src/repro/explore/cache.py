@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional
 
 from ..core.program import StencilProgram
+from ..faults import store
 from ..obs import metrics
-
-#: Environment override for where persistent caches live.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Bound on the persisted entry count: merge-on-save never prunes by
 #: itself, so without a cap the default-on persistence would grow the
@@ -38,14 +35,6 @@ MAX_PERSISTED_ENTRIES = 8192
 #: cycle counts to end-user installs that never run the repo's
 #: bench-regression gate.
 CACHE_SCHEMA_VERSION = 1
-
-
-def default_cache_dir() -> Path:
-    """Directory for cross-process caches (override: ``REPRO_CACHE_DIR``)."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return Path(override).expanduser()
-    return Path("~/.cache/repro").expanduser()
 
 
 @dataclass(frozen=True)
@@ -198,7 +187,7 @@ class ResultCache:
         identity), so one shared file serves every program; see
         ``docs/ARCHITECTURE.md`` for the invalidation contract.
         """
-        return default_cache_dir() / "explore_cache.json"
+        return store.RESULTS.path()
 
     def to_json(self) -> dict:
         return {key: entry.to_json()
@@ -212,8 +201,7 @@ class ResultCache:
         return cache
 
     def save(self, path):
-        from ..faults.store import write_json_atomic
-        write_json_atomic(path, self.to_json())
+        store.write_json_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "ResultCache":
@@ -230,17 +218,9 @@ class ResultCache:
         end-of-sweep save rebuilds a clean file.
         """
         path = Path(path) if path is not None else self.default_path()
-        try:
-            on_disk = self.load(path)
-        except FileNotFoundError:
-            return 0
-        except Exception as exc:
-            from ..faults.store import quarantine_file
-            quarantine_file(path,
-                            reason=f"unreadable result cache: {exc!r}",
-                            warn=not quiet)
-            return 0
-        return self.merge(on_disk)
+        on_disk = store.read_json_guarded(path, quiet=quiet,
+                                          parse=ResultCache.from_json)
+        return self.merge(on_disk) if on_disk is not None else 0
 
     def save_persistent(self, path=None) -> bool:
         """Merge-and-write this cache to disk; False when unwritable.
@@ -258,7 +238,6 @@ class ResultCache:
         never capped (the caller owns its growth).  A save that would
         rewrite the file with what it already holds writes nothing.
         """
-        from ..faults.store import FileLock
         capped = path is None
         path = Path(path) if path is not None else self.default_path()
         with self._lock:
@@ -268,7 +247,7 @@ class ResultCache:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
             return False
-        with FileLock(path.with_name(path.name + ".lock")):
+        with store.FileLock(path.with_name(path.name + ".lock")):
             on_disk = ResultCache()
             # The sweep already merged (and possibly warned about)
             # this file at load time; this re-read only serves the

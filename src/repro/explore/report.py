@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import ParseError
+from ..faults import store as cache_store
 from .space import ConfigPoint, ConfigSpace
 
 #: Version stamped into every report JSON (and echoed by the serve
@@ -26,10 +27,6 @@ from .space import ConfigPoint, ConfigSpace
 #: lowered-program identity the frontier index keys on).  Old reports
 #: load through :func:`upgrade_report_json`.
 REPORT_SCHEMA_VERSION = 2
-
-#: Subdirectory of the cache root where sweeps persist their reports
-#: (the corpus ``repro serve`` warm-loads its frontier index from).
-REPORT_STORE_DIRNAME = "reports"
 
 
 def upgrade_report_json(spec: Mapping) -> Tuple[dict, bool]:
@@ -61,12 +58,10 @@ def upgrade_report_json(spec: Mapping) -> Tuple[dict, bool]:
     return out, True
 
 
-def report_store_dir(cache_dir=None) -> Path:
-    """Where persisted exploration reports live (``<cache>/reports``)."""
-    from .cache import default_cache_dir
-    root = Path(cache_dir) if cache_dir is not None \
-        else default_cache_dir()
-    return root / REPORT_STORE_DIRNAME
+def report_store_dir() -> Path:
+    """Where persisted exploration reports live (the corpus
+    ``repro serve`` warm-loads its frontier index from)."""
+    return cache_store.REPORTS.dir()
 
 
 def report_store_key(family_hash: Optional[str], program: str,
@@ -83,12 +78,9 @@ def report_store_key(family_hash: Optional[str], program: str,
     return hashlib.sha1(text.encode()).hexdigest()
 
 
-def iter_stored_reports(cache_dir=None) -> Iterator[Path]:
+def iter_stored_reports() -> Iterator[Path]:
     """Paths of every persisted report, deterministic order."""
-    store = report_store_dir(cache_dir)
-    if not store.is_dir():
-        return iter(())
-    return iter(sorted(store.glob("report-*.json")))
+    return iter(cache_store.REPORTS.members())
 
 
 @dataclass(frozen=True)
@@ -354,47 +346,29 @@ class ExplorationReport:
             json.dump(self.to_json(), handle, indent=2)
 
     @classmethod
-    def load(cls, path, upgrade_in_place: bool = False
-             ) -> "ExplorationReport":
-        """Read a report of any supported schema vintage.
-
-        With ``upgrade_in_place``, a file from an older schema is
-        rewritten atomically in the current one (the serve layer does
-        this while warm-loading its index, so the store converges on
-        one schema instead of re-upgrading every start).
-        """
+    def load(cls, path) -> "ExplorationReport":
+        """Read a report of any supported schema vintage."""
         with open(path) as handle:
-            spec = json.load(handle)
-        upgraded_spec, changed = upgrade_report_json(spec)
-        report = cls.from_json(upgraded_spec)
-        if changed and upgrade_in_place:
-            from ..faults.store import write_json_atomic
-            try:
-                write_json_atomic(path, report.to_json())
-            except OSError:
-                pass  # read-only stores still serve, just un-upgraded
-        return report
+            return cls.from_json(json.load(handle))
 
     # -- the report store ----------------------------------------------------
 
-    def store_path(self, cache_dir=None) -> Path:
+    def store_path(self) -> Path:
         """Where this report persists in the report store."""
         key = report_store_key(self.family_hash, self.program,
                                self.shape, self.platform)
-        return report_store_dir(cache_dir) / f"report-{key[:16]}.json"
+        return cache_store.REPORTS.path(key[:16])
 
-    def store(self, cache_dir=None) -> Optional[Path]:
+    def store(self) -> Optional[Path]:
         """Persist this report into the store; ``None`` if unwritable.
 
         The store is what ``repro serve`` warm-loads, so every
         persisted sweep makes the service answer one more (program,
         shape, hardware) triple without re-sweeping.
         """
-        from ..faults.store import write_json_atomic
-        path = self.store_path(cache_dir)
+        path = self.store_path()
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_json_atomic(path, self.to_json())
+            cache_store.write_json_atomic(path, self.to_json())
         except OSError:
             return None
         return path

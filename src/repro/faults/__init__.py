@@ -10,8 +10,8 @@ Four pieces, one contract:
   producing the :class:`FaultReport` both engines must agree on;
 * :mod:`~repro.faults.forensics` — structured :class:`DeadlockReport`
   blame attached to every :class:`~repro.errors.DeadlockError`;
-* :mod:`~repro.faults.store` — quarantine-and-rebuild plus
-  cross-process locking for the persistent caches.
+* :mod:`~repro.faults.store` — the cache root's layout (one kind per
+  file family), quarantine-and-rebuild, and cross-process locking.
 
 With no plan configured the layer is inert: simulations are bitwise
 identical to a build without it (the bench-regression gate pins this).

@@ -1,7 +1,10 @@
-"""Crash-safe storage primitives for the persistent caches.
+"""The store: the cache root's layout and its crash-safe primitives.
 
-The resilience contract of every on-disk cache in this repo
-(``ResultCache`` persistence, ``ArtifactCache`` spill files):
+Everything the package persists lives under one root
+(``$REPRO_CACHE_DIR``, default ``~/.cache/repro``) in one of the
+:data:`KINDS` below; writers and readers take their paths from here,
+and ``repro cache stats|prune`` loops over the same table.  The
+resilience contract every kind follows:
 
 * **quarantine, never crash** — a truncated, garbage, or
   schema-mismatched file is renamed aside (``<name>.corrupt-<pid>``)
@@ -26,13 +29,29 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, List, Optional
 
 try:
     import fcntl
 except ImportError:  # non-POSIX: degrade to unlocked operation
     fcntl = None
+
+#: Environment override for the cache root.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Infix of quarantined file names (``<name>.corrupt-<pid>[-n]``).
+QUARANTINE_TAG = ".corrupt-"
+
+
+def cache_root(root=None) -> Path:
+    """The cache root: ``root`` when given, else ``$REPRO_CACHE_DIR``,
+    else ``~/.cache/repro``.  Resolved on every call, never at import,
+    so a process (or a test) can repoint the variable."""
+    if root is None:
+        root = os.environ.get(CACHE_DIR_ENV) or "~/.cache/repro"
+    return Path(root).expanduser()
 
 
 def write_json_atomic(path, data, indent: int = 2,
@@ -67,8 +86,8 @@ def quarantine_file(path, reason: str = "",
     stamp = os.getpid()
     target = None
     for n in range(10000):
-        suffix = f".corrupt-{stamp}" if n == 0 \
-            else f".corrupt-{stamp}-{n}"
+        suffix = f"{QUARANTINE_TAG}{stamp}" if n == 0 \
+            else f"{QUARANTINE_TAG}{stamp}-{n}"
         candidate = path.with_name(path.name + suffix)
         if not candidate.exists():
             target = candidate
@@ -95,10 +114,15 @@ def quarantine_file(path, reason: str = "",
     return target
 
 
-def read_json_guarded(path, expect: type = dict,
-                      quiet: bool = False) -> Optional[object]:
+def read_json_guarded(path, expect: type = dict, quiet: bool = False,
+                      parse: Optional[Callable] = None
+                      ) -> Optional[object]:
     """Parse JSON from ``path``; quarantine and return ``None`` on any
-    corruption (missing files return ``None`` without quarantine)."""
+    corruption (missing files return ``None`` without quarantine).
+
+    ``parse`` is the caller's shape check: it turns the data into the
+    caller's object, and anything it raises quarantines the file too.
+    """
     path = Path(path)
     try:
         with open(path) as handle:
@@ -106,12 +130,118 @@ def read_json_guarded(path, expect: type = dict,
         if expect is not None and not isinstance(data, expect):
             raise ValueError(f"expected a JSON {expect.__name__}, "
                              f"got {type(data).__name__}")
+        if parse is not None:
+            data = parse(data)
     except FileNotFoundError:
         return None
     except Exception as exc:
         quarantine_file(path, reason=repr(exc), warn=not quiet)
         return None
     return data
+
+
+# -- the layout ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """One family of files under the cache root.
+
+    Its members are the entries of ``subdir`` matching ``pattern``
+    (plus ``<member>.lock`` sidecars with ``lock``); a ``*`` in the
+    pattern stands for a member's key.  A kind with a ``count`` is a
+    single file (``pattern`` is its name), and ``count`` says how many
+    records it holds (``None``: unreadable, the file is then
+    quarantined); a family is counted by members.  *Derived* kinds are
+    rebuilt by whoever needs them and go with a plain ``repro cache
+    prune``; primary kinds only with ``--all``.
+    """
+
+    label: str
+    subdir: str
+    pattern: str
+    derived: bool
+    unit: str
+    count: Optional[Callable[[Path], Optional[int]]] = None
+    lock: bool = False
+
+    def dir(self, root=None) -> Path:
+        return cache_root(root) / self.subdir
+
+    def path(self, key: Optional[str] = None, root=None) -> Path:
+        """The kind's file, or the family member named by ``key``."""
+        name = self.pattern if key is None \
+            else self.pattern.replace("*", key)
+        return self.dir(root) / name
+
+    def members(self, root=None) -> List[Path]:
+        where = self.dir(root)
+        found = set(where.glob(self.pattern))
+        if self.lock:
+            found.update(where.glob(self.pattern + ".lock"))
+        return sorted(found)
+
+    def describe(self, root=None) -> str:
+        """The kind's line of ``repro cache stats``."""
+        if self.count is None:
+            members = self.members(root)
+            size = sum(_size(p) for p in members)
+            return f"{self.label}: {len(members)} {self.unit}, " \
+                   f"{size} bytes"
+        path = self.path(root=root)
+        count = self.count(path) if path.is_file() else None
+        if count is None:
+            return f"{self.label}: absent"
+        return f"{self.label}: {path.name} ({count} {self.unit}, " \
+               f"{path.stat().st_size} bytes)"
+
+
+def _size(path: Path) -> int:
+    try:
+        if path.is_dir():
+            return sum(_size(p) for p in path.iterdir())
+        return path.stat().st_size
+    except OSError:
+        return 0  # removed while counting (a run finishing, say)
+
+
+def _json_count(measure: Callable) -> Callable[[Path], Optional[int]]:
+    return lambda path: read_json_guarded(path, parse=measure)
+
+
+def _line_count(path: Path) -> int:
+    with open(path) as handle:
+        return sum(1 for _ in handle)
+
+
+RESULTS = Kind("explore result cache", "", "explore_cache.json",
+               derived=False, unit="entries", count=_json_count(len),
+               lock=True)
+REPORTS = Kind("report store", "reports", "report-*.json",
+               derived=False, unit="report(s)")
+KERNELS = Kind("compiled kernels", "kernels", "*.json",
+               derived=True, unit="artifact(s)")
+SERVE_INDEX = Kind("serve frontier index", "serve",
+                   "frontier_index.json", derived=True,
+                   unit="front(s)",
+                   count=_json_count(lambda d: len(d["entries"])))
+QUERY_LOG = Kind("serve query log", "serve", "query_log.jsonl",
+                 derived=True, unit="queries", count=_line_count)
+TELEMETRY = Kind("last explore metrics", "telemetry",
+                 "last_explore_metrics.json", derived=False,
+                 unit="counters",
+                 count=_json_count(lambda d: len(d["counters"])))
+RUN_DIRS = Kind("service run dirs", "service", "run-*", derived=True,
+                unit="dir(s)")
+
+#: Every kind, in ``repro cache stats`` order.
+KINDS = (RESULTS, REPORTS, KERNELS, SERVE_INDEX, QUERY_LOG, TELEMETRY,
+         RUN_DIRS)
+
+
+def quarantined(root=None) -> List[Path]:
+    """Quarantine leftovers anywhere under the root."""
+    return sorted(p for p in cache_root(root).rglob(f"*{QUARANTINE_TAG}*")
+                  if p.is_file())
 
 
 class FileLock:

@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from ..obs import metrics
@@ -34,17 +31,6 @@ from ..obs import metrics
 #: set — eviction would quietly break the "repeated sweep re-lowers
 #: nothing" contract, so :attr:`ArtifactCache.evictions` counts it.
 DEFAULT_MAX_ENTRIES = 8192
-
-#: Environment override enabling the optional on-disk artifact spill
-#: (a directory path).  Off by default: the in-process cache is the
-#: product; the spill exists so long-lived batch environments can
-#: carry buffering analyses across processes.
-ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
-
-#: Artifact kinds eligible for the disk spill.  Only plain-data
-#: artifacts belong here: buffering analyses pickle cleanly, while
-#: e.g. compiled stencils may close over unpicklable state.
-PERSISTABLE_KINDS = frozenset({"analysis"})
 
 
 def content_key(kind: str, *parts) -> str:
@@ -67,12 +53,8 @@ class ArtifactCache:
     can quote e.g. how many buffering analyses a sweep re-ran.
     """
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 spill_dir=None):
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.max_entries = max_entries
-        if spill_dir is None:
-            spill_dir = os.environ.get(ARTIFACT_DIR_ENV) or None
-        self.spill_dir = Path(spill_dir) if spill_dir else None
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self._lock = threading.Lock()
         self._building: Dict[str, threading.Lock] = {}
@@ -114,23 +96,13 @@ class ArtifactCache:
                         metrics.counter("artifact_cache.hits",
                                         kind=kind).inc()
                         return self._entries[key]
-                artifact = self._spill_load(key)
-                spilled = artifact is not None
-                if not spilled:
-                    artifact = build()
+                artifact = build()
                 with self._lock:
-                    if spilled:
-                        self._hits[kind] = self._hits.get(kind, 0) + 1
-                        metrics.counter("artifact_cache.spill_loads",
-                                        kind=kind).inc()
-                    else:
-                        # Count the miss only once something was
-                        # actually built — a raising build is not an
-                        # artifact.
-                        self._misses[kind] = \
-                            self._misses.get(kind, 0) + 1
-                        metrics.counter("artifact_cache.misses",
-                                        kind=kind).inc()
+                    # Count the miss only once something was actually
+                    # built — a raising build is not an artifact.
+                    self._misses[kind] = self._misses.get(kind, 0) + 1
+                    metrics.counter("artifact_cache.misses",
+                                    kind=kind).inc()
                     self._entries[key] = artifact
                     self._entries.move_to_end(key)
                     while len(self._entries) > self.max_entries:
@@ -138,56 +110,10 @@ class ArtifactCache:
                         self.evictions += 1
                         metrics.counter(
                             "artifact_cache.evictions").inc()
-                if not spilled:
-                    self._spill_store(key, artifact)
         finally:
             with self._lock:
                 self._building.pop(key, None)
         return artifact
-
-    # -- optional on-disk spill ----------------------------------------------
-
-    def _spill_path(self, key: str) -> Optional[Path]:
-        if self.spill_dir is None or \
-                self._kind(key) not in PERSISTABLE_KINDS:
-            return None
-        return self.spill_dir / (key.replace(":", "-") + ".pkl")
-
-    def _spill_load(self, key: str) -> Optional[object]:
-        """Load a spilled artifact; a corrupt spill file is
-        quarantined (never crashes the build path) and rebuilt."""
-        path = self._spill_path(key)
-        if path is None:
-            return None
-        try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception as exc:
-            from ..faults.store import quarantine_file
-            quarantine_file(path,
-                            reason=f"unreadable artifact spill: "
-                                   f"{exc!r}")
-            return None
-
-    def _spill_store(self, key: str, artifact: object):
-        """Best-effort atomic spill write (failures are silent: the
-        spill is an optimization, never a correctness dependency)."""
-        path = self._spill_path(key)
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            with open(tmp, "wb") as handle:
-                pickle.dump(artifact, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-            metrics.counter("artifact_cache.spill_stores",
-                            kind=self._kind(key)).inc()
-        except Exception:
-            pass
 
     def peek(self, key: str) -> Optional[object]:
         """Non-counting lookup (used by tests and diagnostics)."""

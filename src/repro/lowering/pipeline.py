@@ -359,7 +359,7 @@ def graph_for(program: StencilProgram,
               program_hash: Optional[str] = None,
               cache: Optional[ArtifactCache] = None) -> StencilGraph:
     """The program's stencil DAG, shared through the artifact cache."""
-    cache = cache or default_cache()
+    cache = default_cache() if cache is None else cache
     program_hash = program_hash or program.content_hash
     return cache.get_or_build(content_key("graph", program_hash),
                               lambda: StencilGraph(program))
@@ -385,7 +385,7 @@ def analysis_for(program: StencilProgram,
         return analyze_buffers(program, latency_model=latency_model,
                                graph=graph, edge_latency=dict(
                                    edge_latency or {}) or None)
-    cache = cache or default_cache()
+    cache = default_cache() if cache is None else cache
     program_hash = program_hash or program.content_hash
     edge_latency = dict(edge_latency or {}) or None
     key = content_key("analysis", program_hash,
@@ -503,7 +503,7 @@ def lower(program, config: Optional[LoweringConfig] = None,
     content-addressed cache.
     """
     config = config or LoweringConfig()
-    cache = cache or default_cache()
+    cache = default_cache() if cache is None else cache
     state = _MANAGER.run(program, config, platform, cache)
     return LoweredProgram(
         program=state.program,

@@ -170,8 +170,7 @@ class Session:
             atol: float = 1e-6,
             engine_mode: Optional[str] = None,
             partition: Optional[str] = None,
-            devices: int = 1,
-            **deprecated) -> RunResult:
+            devices: int = 1) -> RunResult:
         """Simulate the design and validate against the reference.
 
         ``engine_mode`` overrides the simulator engine selection
@@ -182,16 +181,9 @@ class Session:
         ``device_of`` map; ``devices > 1`` alone implies the
         contiguous strategy.
 
-        The pre-``repro.api`` keyword spellings ``engine`` (now
-        ``engine_mode``) and ``placement`` (now ``partition``) are
-        accepted for one deprecation cycle with a
-        :class:`DeprecationWarning`.
-
         Raises :class:`ValidationError` when ``validate`` is set and any
         output mismatches the sequential reference on its valid region.
         """
-        engine_mode, partition = self._apply_deprecated_run_kwargs(
-            deprecated, engine_mode, partition)
         if engine_mode is not None:
             config = replace(config or SimulatorConfig(),
                              engine_mode=engine_mode)
@@ -224,34 +216,6 @@ class Session:
             reference=reference,
             validated=validated,
         )
-
-    @staticmethod
-    def _apply_deprecated_run_kwargs(deprecated, engine_mode,
-                                     partition):
-        """Map renamed :meth:`run` kwargs onto their new spellings.
-
-        ``engine`` and ``placement`` predate the :mod:`repro.api`
-        facade; both warn and forward, and passing old and new names
-        together is an error rather than a silent pick.
-        """
-        import warnings
-        renames = {"engine": "engine_mode", "placement": "partition"}
-        current = {"engine_mode": engine_mode, "partition": partition}
-        for old, value in deprecated.items():
-            new = renames.get(old)
-            if new is None:
-                raise TypeError(
-                    f"Session.run() got an unexpected keyword "
-                    f"argument {old!r}")
-            if current[new] is not None:
-                raise ValidationError(
-                    f"pass {new!r}, not both {old!r} and {new!r}")
-            warnings.warn(
-                f"Session.run({old}=...) is deprecated; use "
-                f"{new}=... (same meaning)", DeprecationWarning,
-                stacklevel=3)
-            current[new] = value
-        return current["engine_mode"], current["partition"]
 
     # -- design-space exploration ---------------------------------------------
 

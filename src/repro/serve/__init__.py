@@ -27,7 +27,6 @@ from .index import (
     QueryLog,
     WarmLoadStats,
     query_log_path,
-    serve_artifacts_dir,
     snapshot_path,
 )
 from .jobs import JOB_STATES, JobManager, JobRecord
@@ -61,7 +60,6 @@ __all__ = [
     "parse_query",
     "parse_shape",
     "query_log_path",
-    "serve_artifacts_dir",
     "serve_forever",
     "snapshot_path",
 ]

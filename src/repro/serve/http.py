@@ -28,6 +28,7 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from ..errors import ReproError
+from ..explore.cache import ResultCache
 from ..obs import metrics
 from .index import FrontierIndex, QueryLog
 from .jobs import JobManager
@@ -69,10 +70,8 @@ class ServeConfig:
         telemetry: enable the metrics registry so ``/v1/metricsz``
             has content (serve is long-running; the per-request cost
             is the obs overhead contract's flag check).
-        cache_dir: cache root override (``None``:
-            ``$REPRO_CACHE_DIR`` / ``~/.cache/repro``).
-        query_log: append every answered query to
-            ``<cache>/serve/query_log.jsonl``.
+        query_log: append every answered query to the store's
+            query log.
         explore_kwargs: extra keyword arguments forwarded to
             :func:`repro.api.explore` for miss sweeps (tests shrink
             spaces and timeouts through this).
@@ -86,7 +85,6 @@ class ServeConfig:
     workers: Optional[int] = None
     max_concurrent_jobs: int = 1
     telemetry: bool = True
-    cache_dir: Optional[str] = None
     query_log: bool = True
     explore_kwargs: dict = field(default_factory=dict)
 
@@ -228,12 +226,10 @@ class ReproServer:
         self.config = config or ServeConfig(**overrides)
         if self.config.telemetry:
             metrics.enable()
-        self.index, self.warm_stats = FrontierIndex.warm_load(
-            self.config.cache_dir)
+        self.index, self.warm_stats = FrontierIndex.warm_load()
         self.warm_stats.result_cache_entries = \
-            self._count_result_cache()
-        self.query_log = QueryLog(self.config.cache_dir,
-                                  enabled=self.config.query_log)
+            ResultCache().load_persistent()
+        self.query_log = QueryLog(enabled=self.config.query_log)
         self.jobs = JobManager(
             self.index,
             backend=self.config.backend,
@@ -244,23 +240,12 @@ class ReproServer:
             explore_kwargs=self.config.explore_kwargs,
             on_complete=self._job_completed)
         self.started = time.time()
-        self.index.save_snapshot(self.config.cache_dir)
+        self.index.save_snapshot()
         metrics.gauge("serve.index_entries").set(len(self.index))
         self.httpd = _Server((self.config.host, self.config.port),
                              _Handler)
         self.httpd.app = self
         self._thread: Optional[threading.Thread] = None
-
-    def _count_result_cache(self) -> int:
-        from ..explore import ResultCache
-        try:
-            path = ResultCache.default_path() \
-                if self.config.cache_dir is None \
-                else __import__("pathlib").Path(
-                    self.config.cache_dir) / "explore_cache.json"
-            return len(ResultCache.load(path))
-        except Exception:
-            return 0
 
     # -- address --------------------------------------------------------------
 
@@ -327,7 +312,7 @@ class ReproServer:
 
     def _job_completed(self, job, key):
         metrics.gauge("serve.index_entries").set(len(self.index))
-        self.index.save_snapshot(self.config.cache_dir)
+        self.index.save_snapshot()
 
     def start(self) -> "ReproServer":
         """Run the listener on a daemon thread (returns immediately)."""
@@ -361,7 +346,7 @@ class ReproServer:
             self._thread = None
         if wait_jobs:
             self.jobs.wait_all(wait_jobs)
-        self.index.save_snapshot(self.config.cache_dir)
+        self.index.save_snapshot()
 
     def __enter__(self) -> "ReproServer":
         return self

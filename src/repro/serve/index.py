@@ -1,20 +1,17 @@
 """The always-warm frontier index behind ``repro serve``.
 
-Every persisted exploration report under ``$REPRO_CACHE_DIR/reports``
-is folded into one in-memory map keyed by *(lowered-program family
-hash, shape, hardware descriptor)*.  A warm query is a single dict
-probe: catalog-name requests resolve through an alias table filled at
-load time, and every slow resolution (catalog build + content hash —
-never a lowering, never a simulation) is memoized, so the steady state
+Every persisted exploration report in the report store is folded into
+one in-memory map keyed by *(lowered-program family hash, shape,
+hardware descriptor)*.  A warm query is a single dict probe:
+catalog-name requests resolve through an alias table filled at load
+time, and every slow resolution (catalog build + content hash — never
+a lowering, never a simulation) is memoized, so the steady state
 answers in microseconds.
 
-The index also owns the two serve artifacts ``repro cache`` knows
-about:
-
-* ``<cache>/serve/frontier_index.json`` — a snapshot of what is
-  indexed (inventory for ``cache stats`` and post-mortems);
-* ``<cache>/serve/query_log.jsonl`` — an append-only log of every
-  query the server answered.
+The index also writes the two serve kinds of the store
+(:mod:`repro.faults.store`): a snapshot of what is indexed (inventory
+for ``cache stats`` and post-mortems) and an append-only log of every
+query the server answered.
 """
 
 from __future__ import annotations
@@ -23,37 +20,30 @@ import dataclasses
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
-from ..explore.cache import default_cache_dir, program_fingerprint
+from ..explore.cache import program_fingerprint
 from ..explore.report import (
     ExplorationReport,
     REPORT_SCHEMA_VERSION,
     iter_stored_reports,
 )
-
-#: Subdirectory of the cache root holding the serve artifacts.
-SERVE_DIRNAME = "serve"
-
-#: Snapshot and query-log file names (under ``<cache>/serve``).
-SNAPSHOT_NAME = "frontier_index.json"
-QUERY_LOG_NAME = "query_log.jsonl"
-
-
-def serve_artifacts_dir(cache_dir=None) -> Path:
-    root = Path(cache_dir) if cache_dir is not None \
-        else default_cache_dir()
-    return root / SERVE_DIRNAME
+from ..faults.store import (
+    QUERY_LOG,
+    SERVE_INDEX,
+    read_json_guarded,
+    write_json_atomic,
+)
 
 
-def snapshot_path(cache_dir=None) -> Path:
-    return serve_artifacts_dir(cache_dir) / SNAPSHOT_NAME
+def snapshot_path() -> Path:
+    return SERVE_INDEX.path()
 
 
-def query_log_path(cache_dir=None) -> Path:
-    return serve_artifacts_dir(cache_dir) / QUERY_LOG_NAME
+def query_log_path() -> Path:
+    return QUERY_LOG.path()
 
 
 #: The index key: (family hash, shape, hardware descriptor).
@@ -120,7 +110,6 @@ class WarmLoadStats:
     reports_upgraded: int = 0
     reports_skipped: int = 0
     result_cache_entries: int = 0
-    skipped: Tuple[str, ...] = field(default_factory=tuple)
 
     def to_json(self) -> dict:
         return {"reports_loaded": self.reports_loaded,
@@ -158,44 +147,40 @@ class FrontierIndex:
     # -- building ------------------------------------------------------------
 
     @classmethod
-    def warm_load(cls, cache_dir=None,
-                  upgrade_in_place: bool = True
+    def warm_load(cls, upgrade_in_place: bool = True
                   ) -> Tuple["FrontierIndex", WarmLoadStats]:
         """Fold every stored report into a fresh index.
 
         Reports from PR 3–8 era schemas are upgraded (and rewritten in
         place when the store is writable); reports whose family hash
         predates the stamp are recovered by re-fingerprinting the
-        catalog program they name.  Unreadable files are skipped, never
-        fatal — a corrupt store must not take the service down.
+        catalog program they name.  A file that does not parse as a
+        report is quarantined and skipped, never fatal — a corrupt
+        store must not take the service down.
         """
         index = cls()
         stats = WarmLoadStats()
-        skipped = []
-        for path in iter_stored_reports(cache_dir):
-            try:
-                with open(path) as handle:
-                    raw = json.load(handle)
-                upgraded = "schema_version" not in raw or \
-                    int(raw.get("schema_version", 1)) \
-                    < REPORT_SCHEMA_VERSION
-                report = ExplorationReport.load(
-                    path, upgrade_in_place=upgrade_in_place)
-            except Exception as exc:
+        for path in iter_stored_reports():
+            loaded = read_json_guarded(path, parse=_parse_stored)
+            if loaded is None:
                 stats.reports_skipped += 1
-                skipped.append(f"{path.name}: {exc}")
                 continue
-            report, recovered = _recover_family_hash(report, path,
-                                                     upgrade_in_place)
+            report, upgraded = loaded
+            report, recovered = _recover_family_hash(report)
+            if (upgraded or recovered) and upgrade_in_place:
+                # The store converges on one schema instead of
+                # re-upgrading at every start.
+                try:
+                    write_json_atomic(path, report.to_json())
+                except OSError:
+                    pass  # read-only stores still serve, un-upgraded
             if index.insert_report(report, report_path=str(path)) \
                     is None:
                 stats.reports_skipped += 1
-                skipped.append(f"{path.name}: no simulated entries")
                 continue
             stats.reports_loaded += 1
             if upgraded or recovered:
                 stats.reports_upgraded += 1
-        stats.skipped = tuple(skipped)
         return index, stats
 
     def insert_report(self, report: ExplorationReport,
@@ -298,12 +283,10 @@ class FrontierIndex:
             "lookups": {"hits": hits, "misses": misses},
         }
 
-    def save_snapshot(self, cache_dir=None) -> Optional[Path]:
+    def save_snapshot(self) -> Optional[Path]:
         """Write the inventory snapshot; ``None`` when unwritable."""
-        from ..faults.store import write_json_atomic
-        path = snapshot_path(cache_dir)
+        path = snapshot_path()
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             write_json_atomic(path, self.snapshot_json())
         except OSError:
             return None
@@ -318,8 +301,8 @@ class QueryLog:
     it.
     """
 
-    def __init__(self, cache_dir=None, enabled: bool = True):
-        self.path = query_log_path(cache_dir)
+    def __init__(self, enabled: bool = True):
+        self.path = query_log_path()
         self.enabled = enabled
         self._lock = threading.Lock()
         self.dropped = 0
@@ -350,9 +333,14 @@ class QueryLog:
             self.dropped += 1
 
 
-def _recover_family_hash(report: ExplorationReport, path: Path,
-                         rewrite: bool) -> Tuple[ExplorationReport,
-                                                 bool]:
+def _parse_stored(spec: Mapping) -> Tuple[ExplorationReport, bool]:
+    """A stored report and whether it predates the current schema."""
+    stale = int(spec.get("schema_version", 1)) < REPORT_SCHEMA_VERSION
+    return ExplorationReport.from_json(spec), stale
+
+
+def _recover_family_hash(report: ExplorationReport
+                         ) -> Tuple[ExplorationReport, bool]:
     """Fill a missing family hash by re-fingerprinting the program.
 
     PR 3–8 era reports predate the stamp but name catalog programs;
@@ -368,11 +356,4 @@ def _recover_family_hash(report: ExplorationReport, path: Path,
         family_hash = program_fingerprint(program)
     except Exception:
         return report, False
-    report = dataclasses.replace(report, family_hash=family_hash)
-    if rewrite:
-        from ..faults.store import write_json_atomic
-        try:
-            write_json_atomic(path, report.to_json())
-        except OSError:
-            pass
-    return report, True
+    return dataclasses.replace(report, family_hash=family_hash), True

@@ -181,6 +181,28 @@ def find_run_dirs(root) -> Iterator[Path]:
             yield entry
 
 
+def run_dir_live(run_dir) -> bool:
+    """True when any worker pidfile in ``run_dir`` names a live pid.
+
+    Leftover run dirs normally mean a crashed or killed run (a clean
+    run removes its own dir), but ``repro cache prune`` must not
+    delete the journal out from under a sweep that is still in flight.
+    """
+    for pidfile in Path(run_dir).glob("worker-*.pid"):
+        try:
+            pid = int(pidfile.read_text().strip())
+        except (OSError, ValueError):
+            continue
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue  # dead: the pidfile is leftover
+        except OSError:
+            return True  # exists but not ours (EPERM): live
+        return True
+    return False
+
+
 def new_run_dir(root, tag: Optional[str] = None) -> Path:
     """Create a unique run directory under ``root``."""
     root = Path(root)

@@ -40,9 +40,9 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import ServiceUnavailable
-from ..explore.cache import Measurement, ResultCache, default_cache_dir
+from ..explore.cache import Measurement, ResultCache
 from ..explore.report import PointFailure
-from ..faults.store import read_json_guarded
+from ..faults.store import RUN_DIRS, read_json_guarded
 from ..obs import journal_spans, metrics, spans, write_chrome_trace
 from ..simulator.engine import SimulatorConfig, resolve_engine_mode
 from .journal import JOURNAL_NAME, JobJournal, new_run_dir
@@ -77,8 +77,8 @@ class ServiceConfig:
             before it is quarantined as poisoned.
         spawn_attempts: consecutive spawn failures tolerated before
             the service declares itself unavailable.
-        run_root: where run directories live (``None``:
-            ``<cache dir>/service``).
+        run_root: where run directories live (``None``: the store's
+            run-dir kind under the cache root).
         keep_run_dir: keep the run directory after clean completion
             (``None``: honour ``REPRO_SERVICE_KEEP_RUNDIR``).
         poll: control-loop wait granularity, seconds.
@@ -107,7 +107,7 @@ class ServiceConfig:
     def resolved_run_root(self) -> Path:
         if self.run_root is not None:
             return Path(self.run_root)
-        return default_cache_dir() / "service"
+        return RUN_DIRS.dir()
 
     def resolved_keep_run_dir(self) -> bool:
         if self.keep_run_dir is not None:
@@ -287,12 +287,12 @@ class Supervisor:
             "shard_path": str(shard_path),
             "pidfile": str(pidfile),
             # The spawn context starts workers in fresh interpreters,
-            # so an in-process metrics.enable() does not propagate;
-            # the payload carries it, and each worker persists its
-            # registry to a metrics shard adopted at compaction.
-            "telemetry": metrics.enabled(),
-            "metrics_path": str(self._run_dir /
-                                f"metrics-{worker_id}.json"),
+            # so an in-process metrics.enable() does not propagate: a
+            # metrics shard path turns telemetry on in the worker,
+            # which persists its registry there for compaction.
+            "metrics_path": (str(self._run_dir /
+                                 f"metrics-{worker_id}.json")
+                             if metrics.enabled() else None),
         }
         try:
             ours, theirs = self._ctx.Pipe(duplex=True)

@@ -164,16 +164,16 @@ def worker_main(conn, worker_id: int, payload: dict):
     shard: dict = {}
     # Telemetry rides the payload: the spawn context starts a fresh
     # interpreter, so the supervisor's in-process enable() cannot
-    # reach us through module state.  The worker's registry persists
-    # to its own metrics shard after every lease (same durability
-    # slot as the result shard), and the supervisor adopts the
-    # totals at compaction via merge_snapshot.
+    # reach us through module state.  With a metrics shard path the
+    # worker's registry persists there after every lease (same
+    # durability slot as the result shard), and the supervisor adopts
+    # the totals at compaction via merge_snapshot.
     metrics_path = payload.get("metrics_path")
-    if payload.get("telemetry"):
+    if metrics_path is not None:
         metrics.enable()
 
     def save_metrics():
-        if metrics_path is None or not metrics.enabled():
+        if metrics_path is None:
             return
         try:
             metrics.registry().save(metrics_path)

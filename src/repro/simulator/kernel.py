@@ -62,8 +62,7 @@ from ..expr.ast_nodes import (
     UnaryOp,
 )
 from ..faults.runtime import FaultReport
-from ..faults.store import quarantine_file, read_json_guarded, \
-    write_json_atomic
+from ..faults.store import KERNELS, read_json_guarded, write_json_atomic
 from ..lowering.cache import content_key, default_cache
 from ..lowering.pipeline import program_content_hash
 from ..obs import clock, metrics, span
@@ -92,7 +91,7 @@ KERNEL_SCHEMA = 3
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 #: Process-lifetime hit/miss counts for the kernel artifact store
-#: (disk + in-process combined), surfaced by ``repro cache stats``.
+#: (disk + in-process combined).
 _STATS = {"hits": 0, "misses": 0}
 
 #: First-chunk verdict per compiled-kernel source digest, for the life
@@ -126,13 +125,11 @@ def reset_kernel_cache_stats():
 
 def kernel_store_dir() -> Path:
     """On-disk home of compiled kernel artifacts (JSON files)."""
-    from ..explore.cache import default_cache_dir
-    return default_cache_dir() / "kernels"
+    return KERNELS.dir()
 
 
 def _artifact_path(key: str) -> Path:
-    digest = hashlib.sha1(key.encode()).hexdigest()
-    return kernel_store_dir() / f"{digest}.json"
+    return KERNELS.path(hashlib.sha1(key.encode()).hexdigest())
 
 
 # -- cache key ---------------------------------------------------------------
@@ -453,20 +450,20 @@ class KernelSimulator(BatchedSimulator):
         record = cache.peek(key)
         if record is not None:
             return record
-        path = _artifact_path(key)
-        if not path.exists():
-            return None
-        data = read_json_guarded(path, expect=dict)
-        if data is None:
-            return None
-        record = data.get("record")
-        if (set(data) != {"schema", "key", "record"}
-                or data["schema"] != KERNEL_SCHEMA
-                or data["key"] != key
-                or not isinstance(record, dict)
-                or any(name not in record
-                       for name in self._RECORD_FIELDS)):
-            quarantine_file(path, reason="malformed kernel artifact")
+
+        def check(data: dict) -> dict:
+            record = data.get("record")
+            if (set(data) != {"schema", "key", "record"}
+                    or data["schema"] != KERNEL_SCHEMA
+                    or data["key"] != key
+                    or not isinstance(record, dict)
+                    or any(name not in record
+                           for name in self._RECORD_FIELDS)):
+                raise ValueError("malformed kernel artifact")
+            return record
+
+        record = read_json_guarded(_artifact_path(key), parse=check)
+        if record is None:
             return None
         return cache.get_or_build(key, lambda: record)
 
@@ -482,12 +479,9 @@ class KernelSimulator(BatchedSimulator):
     def _store_record(self, key: str, result: SimulationResult):
         record = self._make_record(result)
         default_cache().get_or_build(key, lambda: record)
-        path = _artifact_path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_json_atomic(path, {"schema": KERNEL_SCHEMA,
-                                     "key": key,
-                                     "record": record})
+            write_json_atomic(_artifact_path(key), {
+                "schema": KERNEL_SCHEMA, "key": key, "record": record})
         except OSError:
             pass  # read-only cache homes disable persistence, not runs
 

@@ -277,6 +277,95 @@ class TestCacheCommand:
         assert main(["cache", "prune", "--all"]) == 0
         assert list(iter_stored_reports()) == []
 
+    def test_every_file_under_the_root_is_one_kind(self, tmp_path,
+                                                   capsys):
+        """Every writer lands in one store kind (or quarantine):
+        ``cache stats`` prints each kind once, ``prune`` removes
+        exactly the derived kinds, ``prune --all`` everything."""
+        import os
+        import time
+        import urllib.request
+        from pathlib import Path
+
+        from repro import api
+        from repro.explore import ConfigSpace
+        from repro.faults import store
+        from repro.obs import metrics, spans
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.spans import Tracer
+        from repro.serve import ReproServer, ServeConfig
+        from repro.service import ServiceConfig
+
+        root = Path(os.environ["REPRO_CACHE_DIR"])
+        space = ConfigSpace(vectorizations=(1,))
+        old_registry = metrics.set_registry(MetricsRegistry())
+        old_tracer = spans.set_tracer(Tracer())
+        try:
+            # A persisted thread sweep, with --metrics (telemetry copy).
+            assert main(["explore", "--program", "laplace2d", "--shape",
+                         "12,12", "--widths", "1", "--metrics",
+                         str(tmp_path / "m.json"), "--output",
+                         str(tmp_path / "r.json")]) == 0
+            # A process-backend sweep that keeps its run dir.
+            api.explore("laplace2d", shape=(16, 16), space=space,
+                        strategy="exhaustive", backend="process",
+                        service=ServiceConfig(workers=1,
+                                              keep_run_dir=True))
+            # A kernel-engine run.
+            api.run("laplace2d", shape=(10, 10), engine_mode="kernel")
+            # A server start, one miss, one query-log line.
+            server = ReproServer(ServeConfig(
+                port=0, backend="thread", max_devices=1, beam_width=1,
+                explore_kwargs={"space": space,
+                                "strategy": "exhaustive"})).start()
+            try:
+                with urllib.request.urlopen(
+                        server.url + "/v1/best?program=laplace2d"
+                        "&shape=8,8", timeout=30) as response:
+                    assert response.status == 202
+                    job = json.loads(response.read())["job"]["job_id"]
+                for _ in range(600):
+                    if server.jobs.get(job).state in ("done", "failed"):
+                        break
+                    time.sleep(0.1)
+                assert server.jobs.get(job).state == "done"
+            finally:
+                server.close()
+        finally:
+            metrics.set_registry(old_registry)
+            spans.set_tracer(old_tracer)
+        capsys.readouterr()
+
+        def files(paths):
+            return {f for p in paths
+                    for f in ([p] if p.is_file() else p.rglob("*"))
+                    if f.is_file()}
+
+        owned = {kind: files(kind.members()) for kind in store.KINDS}
+        every = files([root])
+        for path in every:
+            owners = [kind.label for kind, found in owned.items()
+                      if path in found]
+            if path in set(store.quarantined()):
+                owners.append("quarantine")
+            assert len(owners) == 1, (path, owners)
+        assert all(owned.values()), {k.label: v for k, v in owned.items()}
+
+        assert main(["cache", "stats"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for kind in store.KINDS:
+            (line,) = [text for text in lines
+                       if text.startswith(f"  {kind.label}: ")]
+            assert "absent" not in line and ": 0 " not in line, line
+
+        assert main(["cache", "prune"]) == 0
+        for kind in store.KINDS:
+            left = files(kind.members())
+            assert left == (set() if kind.derived else owned[kind]), \
+                kind.label
+        assert main(["cache", "prune", "--all"]) == 0
+        assert list(root.iterdir()) == []
+
 
 class TestLinkRateOverrides:
     def test_run_with_per_link_rate(self, program_file, capsys):

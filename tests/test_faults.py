@@ -1,10 +1,9 @@
 """Tests for the fault-injection and resilience subsystem
 (``repro.faults``): plan parsing and validation, seeded plan
 generation, deadlock forensics, crash-safe storage primitives, cache
-quarantine/spill hardening, and the explorer's failure handling."""
+quarantine hardening, and the explorer's failure handling."""
 
 import json
-import pickle
 import time
 
 import pytest
@@ -327,43 +326,20 @@ class TestResultCacheHardening:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestArtifactSpill:
-    def test_spill_survives_across_cache_instances(self, tmp_path):
+class TestArtifactCacheInProcess:
+    def test_artifacts_never_reach_disk(self, tmp_path, monkeypatch):
+        """The artifact cache is in-process only: the retired
+        ``REPRO_ARTIFACT_DIR`` spill no longer writes (or unpickles)
+        anything, and a second instance shares nothing."""
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         key = content_key("analysis", "probe")
-        first = ArtifactCache(spill_dir=tmp_path)
+        first = ArtifactCache()
         assert first.get_or_build(key, lambda: {"depth": 42}) == \
             {"depth": 42}
-        assert any(p.suffix == ".pkl" for p in tmp_path.iterdir())
-
-        def boom():
-            raise AssertionError("spilled artifact must not rebuild")
-
-        second = ArtifactCache(spill_dir=tmp_path)
-        assert second.get_or_build(key, boom) == {"depth": 42}
-        assert second.stats("analysis") == (1, 0)
-
-    def test_corrupt_spill_is_quarantined_and_rebuilt(self, tmp_path,
-                                                      capsys):
-        key = content_key("analysis", "probe")
-        spill = tmp_path / (key.replace(":", "-") + ".pkl")
-        spill.write_bytes(b"not a pickle")
-        cache = ArtifactCache(spill_dir=tmp_path)
-        assert cache.get_or_build(key, lambda: "rebuilt") == "rebuilt"
-        assert any(".corrupt-" in p.name for p in tmp_path.iterdir())
-        assert "quarantined" in capsys.readouterr().err
-        # The rebuild re-spilled a clean file over the old path.
-        assert pickle.loads(spill.read_bytes()) == "rebuilt"
-
-    def test_only_persistable_kinds_spill(self, tmp_path):
-        cache = ArtifactCache(spill_dir=tmp_path)
-        cache.get_or_build(content_key("sdfg", "probe"), lambda: "x")
-        assert not any(p.suffix == ".pkl" for p in tmp_path.iterdir())
-
-    def test_env_var_enables_spill(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        assert ArtifactCache().spill_dir == tmp_path
-        monkeypatch.delenv("REPRO_ARTIFACT_DIR")
-        assert ArtifactCache().spill_dir is None
+        second = ArtifactCache()
+        assert second.get_or_build(key, lambda: "rebuilt") == "rebuilt"
+        assert second.stats("analysis") == (0, 1)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _small_sweep_kwargs(tmp_path):

@@ -68,6 +68,16 @@ class TestArtifactCache:
             content_key("a", [1, 2], {"k": 3.0})
         assert content_key("a", 1) != content_key("b", 1)
 
+    def test_an_empty_private_cache_is_used(self):
+        # ArtifactCache defines __len__, so an empty one is falsy: it
+        # must still be the cache lowering fills, not the default.
+        private = ArtifactCache()
+        artifact = lower(lst1_program(), cache=private)
+        artifact.analysis
+        assert artifact.cache is private
+        assert len(private) > 0
+        assert len(default_cache()) == 0
+
 
 class TestContentHash:
     def test_formatting_does_not_change_identity(self):

@@ -187,6 +187,24 @@ class TestFrontierIndex:
         assert len(index) == 1
         assert stats.reports_skipped == 1
 
+    def test_truncated_report_is_quarantined(self, capsys):
+        import os
+        from repro.cli import main
+        seed_report()
+        bad = report_store_dir() / "report-deadbeef00000000.json"
+        bad.write_text('{"truncated": ')
+        index, stats = FrontierIndex.warm_load()
+        assert len(index) == 1
+        assert stats.reports_skipped == 1
+        assert not bad.exists()
+        assert (report_store_dir()
+                / f"{bad.name}.corrupt-{os.getpid()}").exists()
+        capsys.readouterr()
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "report store: 1 report(s)" in out
+        assert "quarantined files: 1" in out
+
     def test_snapshot_roundtrip(self):
         seed_report()
         index, _ = FrontierIndex.warm_load()
@@ -270,6 +288,40 @@ class TestLiveServer:
                 job["best"]["simulated_cycles"]
         finally:
             server.close()
+
+    def test_one_root_across_a_restart(self):
+        """Everything a miss writes lands under ``REPRO_CACHE_DIR``: a
+        restarted server on the same root answers the same query
+        warm, and the process backend's kept run dir sits there too."""
+        import os
+        from pathlib import Path
+        from repro.service import ServiceConfig
+        from repro.service.journal import find_run_dirs
+        root = Path(os.environ["REPRO_CACHE_DIR"])
+        config = ServeConfig(
+            port=0, backend="process", max_devices=1, beam_width=1,
+            explore_kwargs={"space": SMALL, "strategy": "exhaustive",
+                            "service": ServiceConfig(
+                                workers=1, keep_run_dir=True)})
+        query = "/v1/best?program=hdiff&shape=8,8,4"
+        server = ReproServer(config).start()
+        try:
+            status, body = get(server, query)
+            assert status == 202
+            job = wait_job(server, body["job"]["job_id"])
+            assert job["state"] == "done", job.get("error")
+        finally:
+            server.close()
+        server = ReproServer(config).start()
+        try:
+            assert server.warm_stats.reports_loaded == 1
+            status, body = get(server, query)
+            assert status == 200
+            assert body["best"]["simulated_cycles"] == \
+                job["best"]["simulated_cycles"]
+        finally:
+            server.close()
+        assert len(list(find_run_dirs(root / "service"))) == 1
 
     def test_post_with_inline_program(self):
         report = seed_report()

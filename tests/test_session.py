@@ -89,27 +89,18 @@ class TestSession:
 
 
 class TestDeprecatedRunKwargs:
-    """The pre-``repro.api`` spellings warn and forward for one
-    deprecation cycle."""
+    """The pre-``repro.api`` spellings ``engine`` / ``placement`` had
+    their deprecation cycle; they are unknown keywords now."""
 
-    def test_engine_forwards_to_engine_mode(self):
+    def test_engine_is_a_type_error(self):
         session = Session(lst1_program())
-        with pytest.warns(DeprecationWarning, match="engine_mode"):
-            result = session.run(lst1_inputs(), engine="scalar")
-        assert result.validated
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            session.run(lst1_inputs(), engine="scalar")
 
-    def test_placement_forwards_to_partition(self):
+    def test_placement_is_a_type_error(self):
         session = Session(lst1_program())
-        with pytest.warns(DeprecationWarning, match="partition"):
-            result = session.run(lst1_inputs(),
-                                 placement="contiguous", devices=2)
-        assert result.validated
-
-    def test_old_and_new_spelling_together_is_an_error(self):
-        session = Session(lst1_program())
-        with pytest.raises(ValidationError, match="not both"):
-            session.run(lst1_inputs(), engine="scalar",
-                        engine_mode="scalar")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            session.run(lst1_inputs(), placement="contiguous", devices=2)
 
     def test_unknown_kwarg_still_a_type_error(self):
         session = Session(lst1_program())
