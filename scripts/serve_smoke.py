@@ -13,7 +13,10 @@ and asserts the serving acceptance criteria end to end:
    the job dedupes with an identical concurrent miss, and the poll
    endpoint converges to a measured best, after which the same query
    is a warm ``200``.
-3. **Telemetry**: ``/v1/metricsz`` returns the obs registry snapshot
+3. **Workers stay resident**: a second, distinct miss converges
+   without spawning a worker (``service.workers_spawned`` in
+   ``/v1/metricsz`` is unchanged); both miss latencies are printed.
+4. **Telemetry**: ``/v1/metricsz`` returns the obs registry snapshot
    (schema 1) carrying the serve counters and the lookup histogram.
 
 Run from the repo root: ``python scripts/serve_smoke.py [OUTDIR]``.
@@ -38,6 +41,7 @@ WARM_QUERIES = 200
 P50_BUDGET_SECONDS = 0.001
 SHAPE = (24, 24)
 COLD_SHAPE = (16, 16)
+SECOND_COLD_SHAPE = (20, 20)
 
 
 def log(message: str):
@@ -51,6 +55,40 @@ def get(server, path):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def workers_spawned(server) -> float:
+    _, body = get(server, "/v1/metricsz")
+    return sum(rec["value"] for rec in body["metrics"]["counters"]
+               if rec["name"] == "service.workers_spawned")
+
+
+def miss(server, shape, dedupe: bool):
+    """Cold query -> 202 -> poll -> warm 200; returns (job, seconds)."""
+    path = f"/v1/best?program=laplace2d&shape={','.join(map(str, shape))}"
+    start = time.monotonic()
+    status, body = get(server, path)
+    assert status == 202, f"cold query did not 202: {body}"
+    job_id = body["job"]["job_id"]
+    if dedupe:
+        status, body = get(server, path)
+        if status == 202:
+            assert body["job"]["job_id"] == job_id, (
+                "identical miss forked a second job")
+    log(f"cold query {shape} enqueued job {job_id}")
+
+    deadline = time.monotonic() + 300
+    while time.monotonic() < deadline:
+        status, body = get(server, f"/v1/jobs/{job_id}")
+        if body["job"]["state"] in ("done", "failed"):
+            break
+        time.sleep(0.02)
+    job = body["job"]
+    assert job["state"] == "done", f"job did not converge: {job}"
+    assert job["best"]["simulated_cycles"] > 0
+    status, body = get(server, path)
+    assert status == 200, "converged query still cold"
+    return job, time.monotonic() - start
 
 
 def main() -> int:
@@ -105,32 +143,20 @@ def main() -> int:
         log("0 artifact-cache misses across warm queries")
 
         # Cold: 202, dedupe, converge.
-        cold_arg = ",".join(map(str, COLD_SHAPE))
-        cold_path = f"/v1/best?program=laplace2d&shape={cold_arg}"
-        status, body = get(server, cold_path)
-        assert status == 202, f"cold query did not 202: {body}"
-        job_id = body["job"]["job_id"]
-        status, body = get(server, cold_path)
-        if status == 202:
-            assert body["job"]["job_id"] == job_id, (
-                "identical miss forked a second job")
-        log(f"cold query enqueued job {job_id}")
+        job, first_s = miss(server, COLD_SHAPE, dedupe=True)
+        job_id = job["job_id"]
+        log(f"job done: best {job['best']['simulated_cycles']} cycles, "
+            f"miss -> warm in {first_s * 1e3:.0f} ms; converged query "
+            f"is warm")
 
-        deadline = time.monotonic() + 300
-        while time.monotonic() < deadline:
-            status, body = get(server, f"/v1/jobs/{job_id}")
-            if body["job"]["state"] in ("done", "failed"):
-                break
-            time.sleep(0.5)
-        assert body["job"]["state"] == "done", (
-            f"job did not converge: {body['job']}")
-        assert body["job"]["best"]["simulated_cycles"] > 0
-        log(f"job done: best "
-            f"{body['job']['best']['simulated_cycles']} cycles")
-
-        status, body = get(server, cold_path)
-        assert status == 200, "converged query still cold"
-        log("converged query is warm")
+        # A second, distinct miss reuses the resident workers.
+        spawned = workers_spawned(server)
+        assert spawned > 0, "the first miss spawned no worker"
+        _, second_s = miss(server, SECOND_COLD_SHAPE, dedupe=False)
+        assert workers_spawned(server) == spawned, (
+            "the second miss spawned workers instead of reusing them")
+        log(f"second miss -> warm in {second_s * 1e3:.0f} ms with "
+            f"{spawned:g} resident worker(s), none spawned")
 
         # Metrics shape.
         status, body = get(server, "/v1/metricsz")
@@ -158,6 +184,7 @@ def main() -> int:
                 "lookup_p99_seconds": p99,
                 "artifact_cache_misses": misses,
                 "job_id": job_id,
+                "miss_seconds": [first_s, second_s],
                 "metrics": snapshot,
             }, indent=2))
             log(f"artifacts copied to {outdir}")

@@ -27,6 +27,7 @@ from ..errors import (
     SweepInterrupted,
 )
 from ..hardware.platform import FPGAPlatform, STRATIX10
+from ..lowering import LoweringConfig, lower
 from ..lowering import default_cache as lowering_cache
 from ..obs import clock, metrics, span
 from ..simulator.engine import (
@@ -141,8 +142,11 @@ def explore(program: StencilProgram,
             SIGKILL) and reclaims timed-out workers.  If worker
             processes cannot be spawned, the sweep degrades to the
             thread backend with a warning.
-        service: optional :class:`repro.service.ServiceConfig`
-            overriding the process backend's supervision tunables.
+        service: the process backend's workers: a
+            :class:`repro.service.ServiceConfig` (supervision tunables;
+            a private worker pool lives for this call) or a live
+            :class:`repro.service.WorkerPool`, borrowed and left
+            running so its workers serve the owner's next sweep.
         config_parallel: group frontier points that share one lowered
             program and simulate each group as a stack: a full
             simulation of one representative plus a width-0 control
@@ -308,13 +312,17 @@ def _run_backend(backend, pruner, program, platform, frontier,
     completed first are already in ``cache`` and are simply reused.
     """
     if backend == "process":
-        from ..service import ServiceConfig
-        from ..service.supervisor import simulate_frontier_supervised
-        config = service or ServiceConfig()
-        if config.workers is None:
-            from dataclasses import replace
-            config = replace(config,
-                             workers=workers or _DEFAULT_WORKERS)
+        from ..service.supervisor import (
+            ServiceConfig,
+            WorkerPool,
+            simulate_frontier_supervised,
+        )
+        if not isinstance(service, WorkerPool):
+            service = service or ServiceConfig()
+            if service.workers is None:
+                from dataclasses import replace
+                service = replace(service,
+                                  workers=workers or _DEFAULT_WORKERS)
         # config_parallel is rejected for this backend in explore();
         # the supervisor does not know the flag.
         supervised_kwargs = dict(kwargs)
@@ -322,8 +330,10 @@ def _run_backend(backend, pruner, program, platform, frontier,
         try:
             return simulate_frontier_supervised(
                 program, platform, frontier, inputs, engine_mode,
-                cache, config, **supervised_kwargs)
+                cache, service, **supervised_kwargs)
         except ServiceUnavailable as exc:
+            if isinstance(service, WorkerPool) and service.closed:
+                raise  # shut down by its owner: nothing to fall back to
             import sys
             print(f"warning: process backend unavailable ({exc}); "
                   f"falling back to the thread backend",
@@ -332,12 +342,81 @@ def _run_backend(backend, pruner, program, platform, frontier,
                               cache, workers, **kwargs)
 
 
-class _PointFailed(Exception):
-    """Internal carrier: one frontier point failed terminally."""
+class PointFailed(Exception):
+    """Carrier: one frontier point failed terminally."""
 
     def __init__(self, failure: PointFailure):
         self.failure = failure
         super().__init__(failure.message)
+
+
+def _sim_config(prediction: Prediction, deadlock_window: Optional[int],
+                **engine) -> SimulatorConfig:
+    """The simulator configuration a frontier point describes."""
+    point = prediction.point
+    return SimulatorConfig(
+        network_words_per_cycle=point.network_words_per_cycle,
+        network_latency=point.network_latency,
+        min_channel_depth=point.min_channel_depth,
+        network_link_rates=dict(prediction.link_rates_resolved)
+        if prediction.link_rates_resolved else None,
+        **engine,
+        **({"deadlock_window": deadlock_window}
+           if deadlock_window is not None else {}))
+
+
+def measure_point(program: StencilProgram, platform: FPGAPlatform,
+                  prediction: Prediction, inputs, engine_mode: str,
+                  resolved_engine: str,
+                  deadlock_window: Optional[int] = None,
+                  retries: int = 1,
+                  retry_backoff: float = 0.25) -> Measurement:
+    """Lower and simulate one frontier point: the one measurement both
+    sweep backends take (the thread pool and the process workers).
+
+    Deadlocks and model errors are deterministic: they raise
+    :class:`PointFailed` at once.  Anything else is a possibly
+    transient crash, retried ``retries`` times with exponential
+    backoff before it fails the point.
+    """
+    point = prediction.point
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            lowered = lower(program, LoweringConfig(
+                canonicalize=point.canonicalize, fusion=point.fusion,
+                vectorization=point.vectorization), platform=platform)
+            config = _sim_config(prediction, deadlock_window,
+                                 engine_mode=engine_mode)
+            began = clock.now()
+            with span("explore.point", point=point.label(),
+                      engine=resolved_engine):
+                result = simulate(lowered.program, inputs, config,
+                                  device_of=prediction.device_of)
+            return Measurement(
+                simulated_cycles=result.cycles,
+                sim_expected_cycles=result.expected_cycles,
+                wall_seconds=clock.now() - began,
+                # The same resolution that keys the entry: key and
+                # metadata cannot diverge.
+                engine=resolved_engine)
+        except DeadlockError as exc:
+            # Keep the forensics so the report can explain the point.
+            raise PointFailed(PointFailure(
+                kind="deadlock", message=str(exc), attempts=attempts,
+                detail=(exc.report.to_json()
+                        if exc.report is not None else None)))
+        except StencilFlowError as exc:
+            raise PointFailed(PointFailure(
+                kind="error", message=str(exc), attempts=attempts))
+        except Exception as exc:
+            if attempts > retries:
+                raise PointFailed(PointFailure(
+                    kind="error", message=f"{type(exc).__name__}: {exc}",
+                    attempts=attempts))
+            metrics.counter("explore.retries").inc()
+            time.sleep(retry_backoff * (2 ** (attempts - 1)))
 
 
 def _simulate_frontier(pruner: Pruner,
@@ -376,35 +455,15 @@ def _simulate_frontier(pruner: Pruner,
     resolved_engine = resolve_engine_mode(
         SimulatorConfig(engine_mode=engine_mode))
 
-    def measure_once(prediction: Prediction
-                     ) -> Tuple[Measurement, bool]:
+    def measure(prediction: Prediction) -> Tuple[Measurement, bool]:
         key = (resolved_engine,) + prediction.simulation_key
         cached = cache.get(prediction.family_hash, key)
         if cached is not None:
             return cached, True
-        point = prediction.point
-        prog_w = pruner.program_at(point)
-        config = SimulatorConfig(
-            engine_mode=engine_mode,
-            network_words_per_cycle=point.network_words_per_cycle,
-            network_latency=point.network_latency,
-            min_channel_depth=point.min_channel_depth,
-            network_link_rates=dict(prediction.link_rates_resolved)
-            if prediction.link_rates_resolved else None,
-            **({"deadlock_window": deadlock_window}
-               if deadlock_window is not None else {}))
-        began = clock.now()
-        with span("explore.point", point=point.label(),
-                  engine=resolved_engine):
-            result = simulate(prog_w, inputs, config,
-                              device_of=prediction.device_of)
-        measurement = Measurement(
-            simulated_cycles=result.cycles,
-            sim_expected_cycles=result.expected_cycles,
-            wall_seconds=clock.now() - began,
-            # The same resolution that keys the entry: key and
-            # metadata cannot diverge.
-            engine=resolved_engine)
+        measurement = measure_point(
+            pruner.program, pruner.platform, prediction, inputs,
+            engine_mode, resolved_engine, deadlock_window, retries,
+            retry_backoff)
         cache.put(prediction.family_hash, key, measurement)
         return measurement, False
 
@@ -423,20 +482,13 @@ def _simulate_frontier(pruner: Pruner,
             return cached, True
         from ..simulator.control import simulate_control
         point = prediction.point
-        prog_w = pruner.program_at(point)
-        config = SimulatorConfig(
-            network_words_per_cycle=point.network_words_per_cycle,
-            network_latency=point.network_latency,
-            min_channel_depth=point.min_channel_depth,
-            network_link_rates=dict(prediction.link_rates_resolved)
-            if prediction.link_rates_resolved else None,
-            **({"deadlock_window": deadlock_window}
-               if deadlock_window is not None else {}))
         began = clock.now()
         with span("explore.point", point=point.label(),
                   engine="control"):
-            result = simulate_control(prog_w, inputs, config,
-                                      device_of=prediction.device_of)
+            result = simulate_control(
+                pruner.program_at(point), inputs,
+                _sim_config(prediction, deadlock_window),
+                device_of=prediction.device_of)
         measurement = Measurement(
             simulated_cycles=result.cycles,
             sim_expected_cycles=result.expected_cycles,
@@ -448,43 +500,12 @@ def _simulate_frontier(pruner: Pruner,
         cache.put(prediction.family_hash, key, measurement)
         return measurement, False
 
-    def measure(prediction: Prediction) -> Tuple[Measurement, bool]:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                return measure_once(prediction)
-            except DeadlockError as exc:
-                # Deterministic: the machine wedges every time.  Keep
-                # the forensics so the report can explain the point.
-                raise _PointFailed(PointFailure(
-                    kind="deadlock", message=str(exc),
-                    attempts=attempts,
-                    detail=(exc.report.to_json()
-                            if exc.report is not None else None)))
-            except StencilFlowError as exc:
-                raise _PointFailed(PointFailure(
-                    kind="error", message=str(exc),
-                    attempts=attempts))
-            except Exception as exc:
-                # Unexpected worker crash: possibly transient
-                # (resource pressure), retry with backoff.
-                if attempts > retries:
-                    raise _PointFailed(PointFailure(
-                        kind="error",
-                        message=f"{type(exc).__name__}: {exc}",
-                        attempts=attempts))
-                metrics.counter("explore.retries").inc()
-                time.sleep(retry_backoff * (2 ** (attempts - 1)))
-
-    ordered = list(distinct.values())
-    group_list: Optional[List[List[Prediction]]] = None
-    if config_parallel:
-        by_family: Dict[str, List[Prediction]] = {}
-        for prediction in ordered:
-            by_family.setdefault(prediction.family_hash,
-                                 []).append(prediction)
-        group_list = list(by_family.values())
+    # Groups share one lowered program; without config_parallel every
+    # point is a group of one, which measure_group measures plainly.
+    groups: Dict[object, List[Prediction]] = {}
+    for n, prediction in enumerate(distinct.values()):
+        groups.setdefault(prediction.family_hash if config_parallel
+                          else n, []).append(prediction)
     outcomes: Dict[Tuple, Tuple[Measurement, bool]] = {}
     failures: Dict[Tuple, PointFailure] = {}
     completed = 0
@@ -506,7 +527,7 @@ def _simulate_frontier(pruner: Pruner,
                 try:
                     rows.append((key, measure(prediction), None))
                     rep_done = True
-                except _PointFailed as exc:
+                except PointFailed as exc:
                     rows.append((key, None, exc.failure))
                 continue
             try:
@@ -518,7 +539,7 @@ def _simulate_frontier(pruner: Pruner,
                 # and retry policy are identical to a plain sweep.
                 try:
                     rows.append((key, measure(prediction), None))
-                except _PointFailed as exc:
+                except PointFailed as exc:
                     rows.append((key, None, exc.failure))
                 continue
             metrics.counter("explore.control_points").inc()
@@ -532,59 +553,18 @@ def _simulate_frontier(pruner: Pruner,
                 and completed % checkpoint_every == 0:
             checkpoint()
 
-    max_workers = workers or _DEFAULT_WORKERS
-    n_tasks = len(group_list) if group_list is not None \
-        else len(ordered)
-    use_pool = ((max_workers > 1 or point_timeout is not None)
-                and n_tasks > 1)
-    if group_list is not None:
-        def record(rows):
-            for key, outcome, failure in rows:
-                if failure is not None:
-                    failures[key] = failure
-                else:
-                    outcomes[key] = outcome
-                note_done()
-
-        if not use_pool:
-            for group in group_list:
-                record(measure_group(group))
-            return outcomes, failures
-        abandoned = False
-        pool = ThreadPoolExecutor(max_workers=max_workers)
-        try:
-            futures = [(g, pool.submit(measure_group, g))
-                       for g in group_list]
-            for group, future in futures:
-                try:
-                    rows = future.result(timeout=point_timeout)
-                except FuturesTimeout:
-                    future.cancel()
-                    abandoned = True
-                    metrics.counter("explore.timeouts").inc()
-                    for prediction in group:
-                        key = _machine_key(prediction)
-                        if key not in outcomes \
-                                and key not in failures:
-                            failures[key] = PointFailure(
-                                kind="timeout",
-                                message=f"simulation exceeded the "
-                                        f"per-point budget of "
-                                        f"{point_timeout:g}s")
-                            note_done()
-                    continue
-                record(rows)
-        finally:
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-        return outcomes, failures
-    if not use_pool:
-        for prediction in ordered:
-            try:
-                outcomes[_machine_key(prediction)] = \
-                    measure(prediction)
-            except _PointFailed as exc:
-                failures[_machine_key(prediction)] = exc.failure
+    def record(rows):
+        for key, outcome, failure in rows:
+            if failure is not None:
+                failures[key] = failure
+            else:
+                outcomes[key] = outcome
             note_done()
+
+    max_workers = workers or _DEFAULT_WORKERS
+    if (max_workers <= 1 and point_timeout is None) or len(groups) < 2:
+        for group in groups.values():
+            record(measure_group(group))
         return outcomes, failures
 
     # Threads cannot be killed: a timed-out point's worker keeps
@@ -594,22 +574,26 @@ def _simulate_frontier(pruner: Pruner,
     abandoned = False
     pool = ThreadPoolExecutor(max_workers=max_workers)
     try:
-        futures = [(p, pool.submit(measure, p)) for p in ordered]
-        for prediction, future in futures:
-            key = _machine_key(prediction)
+        futures = [(group, pool.submit(measure_group, group))
+                   for group in groups.values()]
+        for group, future in futures:
             try:
-                outcomes[key] = future.result(timeout=point_timeout)
+                rows = future.result(timeout=point_timeout)
             except FuturesTimeout:
                 future.cancel()
                 abandoned = True
                 metrics.counter("explore.timeouts").inc()
-                failures[key] = PointFailure(
-                    kind="timeout",
-                    message=f"simulation exceeded the per-point "
-                            f"budget of {point_timeout:g}s")
-            except _PointFailed as exc:
-                failures[key] = exc.failure
-            note_done()
+                for prediction in group:
+                    key = _machine_key(prediction)
+                    if key not in outcomes and key not in failures:
+                        failures[key] = PointFailure(
+                            kind="timeout",
+                            message=f"simulation exceeded the "
+                                    f"per-point budget of "
+                                    f"{point_timeout:g}s")
+                        note_done()
+                continue
+            record(rows)
     finally:
         pool.shutdown(wait=not abandoned, cancel_futures=True)
     return outcomes, failures

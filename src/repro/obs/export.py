@@ -144,7 +144,7 @@ def journal_spans(journal_records: Iterable[Mapping],
     for rec in records:
         event = rec.get("event")
         ts = float(rec.get("ts", 0.0))
-        if event == "worker_spawned":
+        if event in ("worker_spawned", "worker_reused"):
             worker_open[rec.get("worker")] = rec
         elif event == "worker_dead":
             start = worker_open.pop(rec.get("worker"), None)

@@ -338,14 +338,15 @@ class ReproServer:
             self.close()
 
     def close(self, wait_jobs: float = 0.0):
-        """Stop listening, optionally drain jobs, snapshot the index."""
+        """Stop listening, give running sweeps up to ``wait_jobs``
+        seconds, stop the resident workers (see
+        :meth:`JobManager.close`), and snapshot the index."""
         self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread is not None:
             self._thread.join(5.0)
             self._thread = None
-        if wait_jobs:
-            self.jobs.wait_all(wait_jobs)
+        self.jobs.close(wait_jobs)
         self.index.save_snapshot()
 
     def __enter__(self) -> "ReproServer":

@@ -12,7 +12,8 @@ endpoint starts returning the measured best configuration.
 Jobs dedupe on the index key: two clients asking for the same triple
 share one sweep.  Concurrency is bounded (default: one sweep at a
 time) so a burst of novel queries queues instead of forking a sweep
-per request.
+per request.  Supervised sweeps borrow resident worker pools, spawned
+at the first miss, so later misses pay no spawn or import.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..obs import metrics
 from .index import FrontierIndex, IndexKey
@@ -71,6 +72,9 @@ class JobManager:
         self._jobs: Dict[str, JobRecord] = {}
         self._active_by_key: Dict[IndexKey, str] = {}
         self._threads: Dict[str, threading.Thread] = {}
+        self._pools: List = []  # every pool; the free ones below
+        self._free_pools: List = []
+        self._closed = False
 
     # -- public API -----------------------------------------------------------
 
@@ -113,11 +117,12 @@ class JobManager:
             return out
 
     def wait_all(self, timeout: Optional[float] = None) -> bool:
-        """Join every job thread (tests and clean shutdown)."""
+        """Join every live job thread (tests and clean shutdown)."""
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         with self._lock:
-            threads = list(self._threads.values())
+            threads = [thread for thread in self._threads.values()
+                       if thread.is_alive()]
         for thread in threads:
             remaining = None if deadline is None \
                 else max(0.0, deadline - time.monotonic())
@@ -126,65 +131,103 @@ class JobManager:
                 return False
         return True
 
+    def close(self, wait: float = 0.0) -> bool:
+        """Wait up to ``wait`` seconds for running sweeps, then close
+        the worker pools: a sweep still running aborts and its job
+        ends ``failed``, within the pools' join timeout.  Queued jobs
+        fail without starting.  Returns whether every job ended."""
+        self.wait_all(wait)
+        with self._lock:
+            self._closed = True
+            pools, self._pools = self._pools, []
+        for pool in pools:
+            pool.close()
+        return self.wait_all(max((pool.config.join_timeout
+                                  for pool in pools), default=0.0))
+
     # -- the sweep ------------------------------------------------------------
 
     def _run(self, job: JobRecord, program, shape, platform):
+        try:
+            with self._sema:
+                self._sweep(job, program, shape, platform)
+        finally:
+            with self._lock:
+                self._threads.pop(job.job_id, None)
+
+    def _sweep(self, job: JobRecord, program, shape, platform):
         from .. import api
-        with self._sema:
+        with self._lock:
+            job.state = "running"
+            closed = self._closed
+        pool = None
+        try:
+            if closed:
+                raise RuntimeError("the server is shutting down")
+            resolved = api.resolve_program(program, shape=shape)
+            # explore_kwargs wins field-by-field (tests shrink spaces
+            # and budgets through it); persistence stays on by default
+            # — a sweep a miss paid for must land in the store.
+            kwargs = dict(strategy="greedy", beam_width=self.beam_width,
+                          backend=self.backend, workers=self.workers,
+                          persist=True)
+            kwargs.update(self.explore_kwargs)
+            kwargs.setdefault("space", self._space_for(resolved, platform))
+            if kwargs["backend"] == "process":
+                pool = self._borrow_pool(kwargs.get("service"),
+                                         kwargs["workers"])
+                kwargs["service"] = pool
+            report = api.explore(resolved, platform=platform, **kwargs)
+        except Exception as exc:
             with self._lock:
-                job.state = "running"
-            try:
-                resolved = api.resolve_program(program, shape=shape)
-                # explore_kwargs wins field-by-field (tests shrink
-                # spaces and budgets through it); persistence stays
-                # on by default — a sweep a miss paid for must land
-                # in the store.
-                kwargs = dict(strategy="greedy",
-                              beam_width=self.beam_width,
-                              backend=self.backend,
-                              workers=self.workers, persist=True)
-                kwargs.update(self.explore_kwargs)
-                kwargs.setdefault(
-                    "space", self._space_for(resolved, platform))
-                if kwargs.get("backend") == "process" and \
-                        "service" not in kwargs:
-                    from ..service import ServiceConfig
-                    # Tag supervised runs so their journals attribute
-                    # the sweep to the query service.
-                    kwargs["service"] = ServiceConfig(source="serve")
-                report = api.explore(resolved, platform=platform,
-                                     **kwargs)
-            except Exception as exc:
-                with self._lock:
-                    job.state = "failed"
-                    job.error = f"{type(exc).__name__}: {exc}"
-                    job.finished = time.time()
-                    self._active_by_key.pop(job.key, None)
-                metrics.counter("serve.jobs_failed").inc()
-                return
-            path = report.store_path()
-            key = self.index.insert_report(
-                report, report_path=str(path) if path.is_file()
-                else None)
-            with self._lock:
+                job.state = "failed"
+                job.error = f"{type(exc).__name__}: {exc}"
                 job.finished = time.time()
-                if report.best is None:
-                    job.state = "failed"
-                    job.error = ("sweep completed but produced no "
-                                 "simulated entries")
-                    metrics.counter("serve.jobs_failed").inc()
-                else:
-                    job.state = "done"
-                    job.best = report.best.to_json()
-                    job.report_key = path.name if path is not None \
-                        else None
-                    metrics.counter("serve.jobs_completed").inc()
                 self._active_by_key.pop(job.key, None)
-            if self.on_complete is not None:
-                try:
-                    self.on_complete(job, key)
-                except Exception:
-                    pass  # snapshot refresh must never kill a job
+            metrics.counter("serve.jobs_failed").inc()
+            return
+        finally:
+            if pool is not None:
+                with self._lock:
+                    self._free_pools.append(pool)
+        path = report.store_path()
+        key = self.index.insert_report(
+            report, report_path=str(path) if path.is_file() else None)
+        with self._lock:
+            job.finished = time.time()
+            if report.best is None:
+                job.state = "failed"
+                job.error = ("sweep completed but produced no "
+                             "simulated entries")
+                metrics.counter("serve.jobs_failed").inc()
+            else:
+                job.state = "done"
+                job.best = report.best.to_json()
+                job.report_key = path.name if path is not None \
+                    else None
+                metrics.counter("serve.jobs_completed").inc()
+            self._active_by_key.pop(job.key, None)
+        if self.on_complete is not None:
+            try:
+                self.on_complete(job, key)
+            except Exception:
+                pass  # snapshot refresh must never kill a job
+
+    def _borrow_pool(self, service, workers):
+        """A free worker pool, else a new one (it spawns at its first
+        sweep); the semaphore bounds how many exist."""
+        from dataclasses import replace
+
+        from ..explore.explorer import _DEFAULT_WORKERS
+        from ..service import ServiceConfig, WorkerPool
+        with self._lock:
+            if not self._free_pools:
+                # Journals attribute the pool's sweeps to the service.
+                config = service or ServiceConfig(source="serve")
+                self._pools.append(WorkerPool(replace(config, workers=(
+                    config.workers or workers or _DEFAULT_WORKERS))))
+                self._free_pools.append(self._pools[-1])
+            return self._free_pools.pop()
 
     def _space_for(self, program, platform):
         """The bounded sweep a miss funds.

@@ -16,9 +16,10 @@ Four modules, one contract:
   (death-count) accounting;
 * :mod:`~repro.service.worker`  — the spawn-entry worker: simulate,
   heartbeat, shard results durably;
-* :mod:`~repro.service.supervisor` — the control loop behind
-  ``explore(..., backend="process")`` / ``repro explore --backend
-  process``.
+* :mod:`~repro.service.supervisor` — the worker pool and the
+  per-sweep control loop behind ``explore(..., backend="process")`` /
+  ``repro explore --backend process``; ``repro serve`` keeps one pool
+  resident across its miss sweeps.
 
 On a fault-free sweep the process backend produces a report
 identical to the thread backend's (same entries, cycles, ranks,
@@ -32,6 +33,7 @@ from .lease import Job, Lease, LeaseTable
 from .supervisor import (
     ServiceConfig,
     Supervisor,
+    WorkerPool,
     simulate_frontier_supervised,
 )
 from .worker import POISON_ENV
@@ -45,6 +47,7 @@ __all__ = [
     "POISON_ENV",
     "ServiceConfig",
     "Supervisor",
+    "WorkerPool",
     "find_run_dirs",
     "simulate_frontier_supervised",
 ]

@@ -1,11 +1,15 @@
 """The supervisor: leased, heartbeat-monitored multiprocess sweeps.
 
-``explore(..., backend="process")`` lands here.  The supervisor
-shards the pruned frontier into leased job batches, spawns
-*spawn*-context worker processes (:mod:`repro.service.worker`), and
-runs a control loop that:
+``explore(..., backend="process")`` lands here.  A :class:`WorkerPool`
+owns the *spawn*-context worker processes (:mod:`repro.service.worker`)
+— spawn, liveness, reaping and shutdown — and keeps clean ones
+resident between sweeps, so an owner that runs many sweeps (``repro
+serve``) pays for spawn and import once.  Each sweep's
+:class:`Supervisor` borrows workers from a pool, shards the pruned
+frontier into leased job batches, and runs a control loop that:
 
-* drains worker pipes — results, failures, heartbeats;
+* drains worker pipes — results, failures, heartbeats — dropping any
+  message tagged with another sweep's id;
 * reaps workers whose process died, whose heartbeat lapsed, or whose
   lease expired, SIGKILLing stragglers;
 * recovers already-durable measurements from a dead worker's shard
@@ -17,7 +21,8 @@ runs a control loop that:
   backend, whose timed-out workers can only be abandoned — actually
   reclaims the pool on a per-point timeout by killing the worker;
 * compacts per-worker result shards into the shared cache at the
-  end, and removes the run directory on clean completion.
+  end, returns clean workers to the pool, and removes the run
+  directory on clean completion.
 
 Every transition is journaled (:mod:`repro.service.journal`).  If
 worker processes cannot be spawned at all, :class:`ServiceUnavailable`
@@ -28,16 +33,19 @@ fallback resumes rather than restarts.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import multiprocessing
 import os
 import shutil
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ServiceUnavailable
 from ..explore.cache import Measurement, ResultCache
@@ -116,17 +124,123 @@ class ServiceConfig:
 
 
 class _WorkerHandle:
-    """Supervisor-side state of one live worker process."""
+    """One worker process, as its pool and its current sweep see it."""
 
-    def __init__(self, worker_id: int, process, conn,
-                 shard_path: Path, pidfile: Path, now: float):
+    def __init__(self, worker_id: int, process, conn):
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
-        self.shard_path = shard_path
-        self.pidfile = pidfile
         self.lease = None
-        self.last_beat = now
+        self.last_beat = time.monotonic()
+        self.shard_path: Optional[Path] = None
+        self.pidfile: Optional[Path] = None
+
+
+class WorkerPool:
+    """Spawned, pre-imported worker processes that outlive a sweep.
+
+    The pool owns spawn, liveness, reaping and shutdown.  A
+    :class:`Supervisor` checks workers out for one sweep and checks
+    the clean ones back in; a pool serves one sweep at a time.
+    Workers are spawned lazily, by the first sweep that needs them,
+    and are silent while idle.  :meth:`close` retires idle workers and
+    kills busy ones without respawning them: a sweep still running on
+    the pool journals its remaining points as failed and aborts with
+    :class:`ServiceUnavailable`, so no front it cut short is stored.
+    """
+
+    def __init__(self, config: Optional[ServiceConfig] = None):
+        self.config = config or ServiceConfig()
+        self.ctx = multiprocessing.get_context("spawn")
+        self.closed = False
+        self._lock = threading.Lock()
+        self._idle: List[_WorkerHandle] = []
+        self._busy: Dict[int, _WorkerHandle] = {}
+        self._worker_ids = itertools.count(1)
+        #: Tags every message of one sweep (see :class:`Supervisor`).
+        self.sweep_ids = itertools.count(1)
+
+    def spawn(self) -> _WorkerHandle:
+        """Start one worker (it imports in the background), lent out."""
+        worker_id = next(self._worker_ids)
+        ours, theirs = self.ctx.Pipe(duplex=True)
+        process = self.ctx.Process(
+            target=worker_main,
+            args=(theirs, worker_id,
+                  {"heartbeat_interval": self.config.heartbeat_interval}),
+            name=f"repro-explore-worker-{worker_id}", daemon=True)
+        process.start()
+        theirs.close()
+        handle = _WorkerHandle(worker_id, process, ours)
+        with self._lock:
+            if not self.closed:
+                self._busy[worker_id] = handle
+                metrics.counter("service.workers_spawned").inc()
+                self._note_live()
+                return handle
+        self.kill(handle)
+        raise ServiceUnavailable("the worker pool is closed")
+
+    def checkout(self, count: int) -> List[_WorkerHandle]:
+        """Lend up to ``count`` idle workers, dropping any found dead."""
+        with self._lock:
+            dead = [h for h in self._idle if h.process.exitcode is not None]
+            live = [h for h in self._idle if h.process.exitcode is None]
+            lent, self._idle = live[:count], live[count:]
+            self._busy.update((handle.worker_id, handle) for handle in lent)
+        for handle in dead:
+            metrics.counter("service.workers_dead",
+                            reason="dead at checkout").inc()
+            self.kill(handle)
+        return lent
+
+    def checkin(self, handle: _WorkerHandle):
+        """Take a worker back after a clean sweep; it idles from now."""
+        with self._lock:
+            self._busy.pop(handle.worker_id, None)
+            if not self.closed:
+                self._idle.append(handle)
+                return
+        self.retire([handle])
+
+    def kill(self, handle: _WorkerHandle):
+        """SIGKILL, reap and forget one worker."""
+        with contextlib.suppress(OSError, ValueError, AttributeError):
+            handle.process.kill()
+        handle.process.join(self.config.join_timeout)
+        with contextlib.suppress(OSError):
+            handle.conn.close()
+        with self._lock:
+            self._busy.pop(handle.worker_id, None)
+            self._note_live()
+
+    def retire(self, handles: Sequence[_WorkerHandle]):
+        """Shut workers down in order: ask, wait, then SIGKILL."""
+        for handle in handles:
+            with contextlib.suppress(OSError, ValueError):
+                handle.conn.send({"type": "shutdown"})
+        deadline = time.monotonic() + self.config.join_timeout
+        for handle in handles:
+            handle.process.join(max(0.0, deadline - time.monotonic()))
+            self.kill(handle)  # a no-op signal once the worker exited
+
+    def close(self):
+        """Retire idle workers, kill busy ones, and never spawn again.
+
+        A busy worker's sweep reaps it: its supervisor sees the pool
+        closed, fails the points it has not measured, and aborts."""
+        with self._lock:
+            self.closed = True
+            idle, self._idle = self._idle, []
+            busy = list(self._busy.values())
+        for handle in busy:
+            with contextlib.suppress(OSError, ValueError, AttributeError):
+                handle.process.kill()
+        self.retire(idle)
+
+    def _note_live(self):
+        metrics.gauge("service.workers_live").set(
+            len(self._idle) + len(self._busy))
 
 
 def _machine_key(prediction) -> Tuple:
@@ -134,12 +248,20 @@ def _machine_key(prediction) -> Tuple:
     return (prediction.family_hash, prediction.simulation_key)
 
 
+def _unlink(path: Optional[Path]):
+    if path is not None:
+        with contextlib.suppress(OSError):
+            path.unlink()
+
+
 class Supervisor:
-    """One supervised sweep over a frontier of predictions."""
+    """One supervised sweep over a frontier of predictions, on a
+    private pool (``config`` a :class:`ServiceConfig`, closed when the
+    sweep ends) or a borrowed live :class:`WorkerPool`."""
 
     def __init__(self, program, platform, predictions, inputs,
                  engine_mode: str, cache: ResultCache,
-                 config: ServiceConfig,
+                 config: Union[ServiceConfig, WorkerPool],
                  deadlock_window: Optional[int] = None,
                  point_timeout: Optional[float] = None,
                  retries: int = 1, retry_backoff: float = 0.25,
@@ -149,7 +271,9 @@ class Supervisor:
         self.inputs = inputs
         self.engine_mode = engine_mode
         self.cache = cache
-        self.cfg = config
+        self._owns_pool = not isinstance(config, WorkerPool)
+        self.pool = WorkerPool(config) if self._owns_pool else config
+        self.cfg = self.pool.config
         self.deadlock_window = deadlock_window
         self.point_timeout = point_timeout
         self.retries = retries
@@ -169,17 +293,25 @@ class Supervisor:
         self.failures: Dict[Tuple, PointFailure] = {}
         self._completed = 0
 
-        self._ctx = multiprocessing.get_context("spawn")
+        self.sweep_id: Optional[int] = None
         self._queue: deque = deque()
         self._workers: Dict[int, _WorkerHandle] = {}
         self._leases: Optional[LeaseTable] = None
         self._unresolved: set = set()
         self._jobs_by_id: Dict[int, Job] = {}
-        self._worker_ids = 0
         self._restarts_used = 0
         self._spawn_failures = 0
         self._run_dir: Optional[Path] = None
         self._journal: Optional[JobJournal] = None
+
+    @property
+    def _ctx(self):
+        """The pool's multiprocessing context (a test seam)."""
+        return self.pool.ctx
+
+    @_ctx.setter
+    def _ctx(self, ctx):
+        self.pool.ctx = ctx
 
     # -- public entry ---------------------------------------------------------
 
@@ -196,13 +328,14 @@ class Supervisor:
         if not self._queue:
             return self.outcomes, self.failures
 
+        self.sweep_id = next(self.pool.sweep_ids)
         self._run_dir = new_run_dir(self.cfg.resolved_run_root())
         self._journal = JobJournal(self._run_dir / JOURNAL_NAME)
         self._journal.append(
             "run_started", program=self.program.name,
             engine=self.resolved_engine, jobs=len(self._queue),
             workers=self._target_workers(), pid=os.getpid(),
-            source=self.cfg.source)
+            source=self.cfg.source, sweep=self.sweep_id)
         for job in self._queue:
             self._journal.append("job_enqueued", job=job.job_id,
                                  point=job.prediction.point.label(),
@@ -212,10 +345,14 @@ class Supervisor:
         try:
             with spans.span("service.spawn",
                             workers=self._target_workers()):
-                self._spawn_up_to(self._target_workers())
+                self._checkout()
             with spans.span("service.drain",
                             jobs=len(self._unresolved)):
-                while self._unresolved:
+                # A worker goes back to the pool only with no lease
+                # outstanding, so a clean end also waits for the
+                # last ``lease_done`` (it trails the last result).
+                while self._unresolved or any(
+                        h.lease for h in self._workers.values()):
                     self._pump()
             self._journal.append(
                 "run_completed",
@@ -265,47 +402,31 @@ class Supervisor:
             ttl=self.cfg.lease_ttl,
             max_point_deaths=self.cfg.max_point_deaths)
 
-    def _spawn_up_to(self, count: int):
-        while len(self._workers) < count:
-            self._spawn_worker()
+    def _checkout(self):
+        """Borrow resident workers, spawn the rest (outside the restart
+        budget), then start the sweep on each: a ``sweep`` message
+        larger than the pipe buffer blocks until its worker has
+        imported, and fresh workers should import side by side."""
+        target = self._target_workers()
+        for handle in self.pool.checkout(target):
+            self._workers[handle.worker_id] = handle
+            self._journal.append("worker_reused",
+                                 worker=handle.worker_id,
+                                 pid=handle.process.pid)
+        while len(self._workers) < target and not self.pool.closed \
+                and self._spawn_failures < self.cfg.spawn_attempts:
+            self._spawn_worker(start=False)
+        for handle in list(self._workers.values()):
+            self._start_sweep(handle)
 
-    def _spawn_worker(self):
-        self._worker_ids += 1
-        worker_id = self._worker_ids
-        shard_path = self._run_dir / f"shard-{worker_id}.json"
-        pidfile = self._run_dir / f"worker-{worker_id}.pid"
-        payload = {
-            "program": self.program,
-            "platform": self.platform,
-            "inputs": self.inputs,
-            "engine_mode": self.engine_mode,
-            "resolved_engine": self.resolved_engine,
-            "deadlock_window": self.deadlock_window,
-            "retries": self.retries,
-            "retry_backoff": self.retry_backoff,
-            "heartbeat_interval": self.cfg.heartbeat_interval,
-            "shard_path": str(shard_path),
-            "pidfile": str(pidfile),
-            # The spawn context starts workers in fresh interpreters,
-            # so an in-process metrics.enable() does not propagate: a
-            # metrics shard path turns telemetry on in the worker,
-            # which persists its registry there for compaction.
-            "metrics_path": (str(self._run_dir /
-                                 f"metrics-{worker_id}.json")
-                             if metrics.enabled() else None),
-        }
+    def _spawn_worker(self, start: bool = True):
         try:
-            ours, theirs = self._ctx.Pipe(duplex=True)
-            process = self._ctx.Process(
-                target=worker_main, args=(theirs, worker_id, payload),
-                name=f"repro-explore-worker-{worker_id}",
-                daemon=True)
-            process.start()
-            theirs.close()
+            handle = self.pool.spawn()
         except Exception as exc:
+            if self.pool.closed:
+                return
             self._spawn_failures += 1
             self._journal.append("worker_spawn_failed",
-                                 worker=worker_id,
                                  error=f"{type(exc).__name__}: {exc}")
             if not self._workers and \
                     self._spawn_failures >= self.cfg.spawn_attempts:
@@ -315,18 +436,51 @@ class Supervisor:
                     f"last: {type(exc).__name__}: {exc})")
             return
         self._spawn_failures = 0
-        now = time.monotonic()
-        self._workers[worker_id] = _WorkerHandle(
-            worker_id, process, ours, shard_path, pidfile, now)
-        self._journal.append("worker_spawned", worker=worker_id,
-                             pid=process.pid)
-        metrics.counter("service.workers_spawned").inc()
-        metrics.gauge("service.workers_live").set(len(self._workers))
+        self._workers[handle.worker_id] = handle
+        self._journal.append("worker_spawned", worker=handle.worker_id,
+                             pid=handle.process.pid)
+        if start:
+            self._start_sweep(handle)
+
+    def _start_sweep(self, handle: _WorkerHandle):
+        """Send the per-sweep facts, once per (worker, sweep), before
+        the worker's first lease; the supervisor writes its pidfile."""
+        handle.shard_path = self._run_dir / f"shard-{handle.worker_id}.json"
+        handle.pidfile = self._run_dir / f"worker-{handle.worker_id}.pid"
+        with contextlib.suppress(OSError):
+            handle.pidfile.write_text(str(handle.process.pid))
+        handle.lease = None
+        handle.last_beat = time.monotonic()
+        try:
+            handle.conn.send({
+                "type": "sweep", "sweep_id": self.sweep_id,
+                "program": self.program, "platform": self.platform,
+                "inputs": self.inputs, "engine_mode": self.engine_mode,
+                "resolved_engine": self.resolved_engine,
+                "deadlock_window": self.deadlock_window,
+                "retries": self.retries,
+                "retry_backoff": self.retry_backoff,
+                "shard_path": str(handle.shard_path),
+                # A spawned interpreter does not see our enable(): a
+                # metrics shard path turns its telemetry on.
+                "metrics_path": (str(self._run_dir /
+                                     f"metrics-{handle.worker_id}.json")
+                                 if metrics.enabled() else None),
+            })
+        except (OSError, ValueError):
+            self._reap(handle, "pipe closed on sweep start")
 
     # -- the control loop -----------------------------------------------------
 
     def _pump(self):
-        self._drain_messages()
+        if self.pool.closed:
+            # Journal the cut, then abort: a front missing the points
+            # a shutdown cut off must not be stored as the answer.
+            self._fail_remaining("the worker pool was closed")
+            raise ServiceUnavailable("the worker pool was closed "
+                                     "mid-sweep")
+        # Grant leases before waiting: a resident worker has no
+        # import time to hide a full poll behind.
         now = time.monotonic()
         self._check_workers(now)
         self._assign(now)
@@ -343,6 +497,7 @@ class Supervisor:
             else:
                 self._fail_remaining("worker restart budget "
                                      "exhausted")
+        self._drain_messages()
 
     def _max_restarts(self) -> int:
         if self.cfg.max_worker_restarts is not None:
@@ -371,6 +526,10 @@ class Supervisor:
                 self._handle_message(handle, message)
 
     def _handle_message(self, handle: _WorkerHandle, message: dict):
+        if message.get("sweep_id") != self.sweep_id:
+            # Job ids restart at 1 per sweep: a late message from an
+            # earlier sweep must never resolve a job of this one.
+            return
         kind = message.get("type")
         now = time.monotonic()
         if kind == "heartbeat":
@@ -484,15 +643,7 @@ class Supervisor:
     def _reap(self, handle: _WorkerHandle, reason: str,
               timeout_job_id: Optional[int] = None):
         """Kill a misbehaving worker and settle its lease."""
-        try:
-            handle.process.kill()
-        except (OSError, ValueError, AttributeError):
-            pass
-        handle.process.join(self.cfg.join_timeout)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
+        self.pool.kill(handle)
         self._journal.append("worker_dead", worker=handle.worker_id,
                              reason=reason)
         # Coarse label: the parenthesized exit-code suffix is
@@ -500,11 +651,7 @@ class Supervisor:
         metrics.counter("service.workers_dead",
                         reason=reason.split(" (")[0]).inc()
         self._workers.pop(handle.worker_id, None)
-        metrics.gauge("service.workers_live").set(len(self._workers))
-        try:
-            handle.pidfile.unlink()
-        except OSError:
-            pass
+        _unlink(handle.pidfile)
 
         lease = handle.lease
         if lease is not None:
@@ -553,7 +700,7 @@ class Supervisor:
             self._spawn_worker()
 
     def _assign(self, now: float):
-        for handle in self._workers.values():
+        for handle in list(self._workers.values()):
             if handle.lease is not None or not self._queue:
                 continue
             batch = [self._queue.popleft()
@@ -571,7 +718,8 @@ class Supervisor:
                 deadline=lease.deadline)
             try:
                 handle.conn.send({
-                    "type": "jobs", "lease_id": lease.lease_id,
+                    "type": "jobs", "sweep_id": self.sweep_id,
+                    "lease_id": lease.lease_id,
                     "jobs": [{"job_id": job.job_id,
                               "prediction": job.prediction,
                               "entry_key": job.entry_key}
@@ -603,26 +751,24 @@ class Supervisor:
     # -- teardown -------------------------------------------------------------
 
     def _teardown(self, clean: bool):
-        for handle in list(self._workers.values()):
+        """Return workers to the pool only from a clean end with no
+        lease outstanding; shut every other worker down."""
+        retiring = []
+        for handle in self._workers.values():
+            _unlink(handle.pidfile)
             try:
-                handle.conn.send({"type": "shutdown"})
-            except (OSError, ValueError, BrokenPipeError):
+                if clean and handle.lease is None:
+                    handle.conn.send({"type": "sweep_end",
+                                      "sweep_id": self.sweep_id})
+                    self.pool.checkin(handle)
+                    continue
+            except (OSError, ValueError):
                 pass
-        deadline = time.monotonic() + self.cfg.join_timeout
-        for handle in list(self._workers.values()):
-            handle.process.join(max(0.0,
-                                    deadline - time.monotonic()))
-            if handle.process.exitcode is None:
-                try:
-                    handle.process.kill()
-                except (OSError, ValueError):
-                    pass
-                handle.process.join(self.cfg.join_timeout)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+            retiring.append(handle)
         self._workers.clear()
+        self.pool.retire(retiring)
+        if self._owns_pool:
+            self.pool.close()
         with spans.span("service.compact"):
             self._compact_shards()
         if self._journal is not None:
@@ -647,24 +793,18 @@ class Supervisor:
         if self._run_dir is None \
                 or not (spans.enabled() or metrics.enabled()):
             return
+        # Telemetry must never fail the sweep.
         if spans.enabled():
-            try:
-                records = JobJournal.read(
-                    self._run_dir / JOURNAL_NAME)
-                spans.tracer().extend(journal_spans(records))
-            except Exception:
-                pass  # telemetry must never fail the sweep
+            with contextlib.suppress(Exception):
+                spans.tracer().extend(journal_spans(
+                    JobJournal.read(self._run_dir / JOURNAL_NAME)))
         if metrics.enabled():
-            try:
+            with contextlib.suppress(OSError):
                 metrics.registry().save(self._run_dir / "metrics.json")
-            except OSError:
-                pass
         if spans.enabled():
-            try:
+            with contextlib.suppress(OSError):
                 write_chrome_trace(self._run_dir / "trace.json",
                                    spans.tracer().records())
-            except OSError:
-                pass
 
     def _compact_shards(self):
         """Fold per-worker shards into the shared result cache.
@@ -698,7 +838,7 @@ class Supervisor:
 def simulate_frontier_supervised(
         program, platform, predictions: Sequence, inputs,
         engine_mode: str, cache: ResultCache,
-        config: Optional[ServiceConfig] = None,
+        config: Union[ServiceConfig, WorkerPool, None] = None,
         deadlock_window: Optional[int] = None,
         point_timeout: Optional[float] = None,
         retries: int = 1, retry_backoff: float = 0.25,
@@ -710,7 +850,9 @@ def simulate_frontier_supervised(
     Drop-in sibling of the explorer's thread-pool
     ``_simulate_frontier``: same return shape, same failure
     taxonomy, same cache keys — the report built from either backend
-    is identical on a fault-free run.  Raises
+    is identical on a fault-free run.  ``config`` is a
+    :class:`ServiceConfig` (a private pool for this sweep) or a live
+    :class:`WorkerPool` (borrowed, left running).  Raises
     :class:`~repro.errors.ServiceUnavailable` when worker processes
     cannot be spawned at all (the explorer then falls back to
     threads; measurements completed before the failure are already

@@ -551,6 +551,86 @@ class TestJobManager:
             manager.get(job1.job_id).error
         assert len(index) == 1
 
+    def test_finished_job_threads_are_dropped(self):
+        manager = JobManager(
+            FrontierIndex(), backend="thread",
+            explore_kwargs={"space": SMALL, "strategy": "exhaustive"})
+        platform = api.resolve_platform(None)
+        for shape in ((8, 8, 4), (8, 8, 8), (12, 12, 8)):
+            job, _ = manager.enqueue("hdiff", shape, platform,
+                                     ("family", shape, platform.name))
+            assert manager.wait_all(180)
+            assert manager.get(job.job_id).state == "done"
+        assert len(manager._threads) == 0
+
+    def test_concurrent_misses_share_bounded_pools(self):
+        """Four misses through two job slots: at most two worker pools
+        exist, each spawns its worker once, and every job lands."""
+        from repro.obs import metrics
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service import ServiceConfig
+        manager = JobManager(
+            FrontierIndex(), backend="process", max_concurrent=2,
+            explore_kwargs={"space": SMALL, "strategy": "exhaustive",
+                            "service": ServiceConfig(workers=1)})
+        platform = api.resolve_platform(None)
+        old = metrics.set_registry(MetricsRegistry(enabled=True))
+        try:
+            jobs = [manager.enqueue("hdiff", shape, platform,
+                                    ("family", shape, platform.name))[0]
+                    for shape in ((8, 8, 4), (8, 8, 8), (12, 12, 8),
+                                  (16, 16, 4))]
+            assert manager.wait_all(300)
+            spawned = metrics.registry().counter_total(
+                "service.workers_spawned")
+        finally:
+            metrics.set_registry(old)
+            assert manager.close(30)
+        assert [manager.get(job.job_id).state for job in jobs] == \
+            ["done"] * 4
+        assert 1 <= spawned <= 2
+
+    def test_close_stops_a_sweep_in_flight(self):
+        """Graceful shutdown with a miss in flight: the resident
+        workers are gone afterwards, and the job is settled."""
+        import dataclasses
+        import os
+        from pathlib import Path
+        from repro.service import JobJournal, ServiceConfig
+        from repro.service.journal import JOURNAL_NAME, find_run_dirs
+        root = Path(os.environ["REPRO_CACHE_DIR"]) / "service"
+        config = ServeConfig(
+            port=0, backend="process", max_devices=1, beam_width=1,
+            explore_kwargs={
+                "space": dataclasses.replace(
+                    SMALL, vectorizations=(1, 2, 4, 8)),
+                "strategy": "exhaustive",
+                "service": ServiceConfig(workers=1, keep_run_dir=True)})
+        server = ReproServer(config).start()
+        try:
+            status, body = get(server,
+                               "/v1/best?program=hdiff&shape=64,64,32")
+            assert status == 202
+            job_id = body["job"]["job_id"]
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline and not any(
+                    record["event"] == "job_started"
+                    for run_dir in find_run_dirs(root)
+                    for record in JobJournal.read(run_dir
+                                                  / JOURNAL_NAME)):
+                time.sleep(0.01)
+        finally:
+            server.close()
+        assert server.jobs.get(job_id).state in ("done", "failed")
+        [run_dir] = find_run_dirs(root)
+        pids = [record["pid"]
+                for record in JobJournal.read(run_dir / JOURNAL_NAME)
+                if record["event"] == "worker_spawned"]
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
 
 class TestApiFacade:
     def test_reexported_from_package(self):

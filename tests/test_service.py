@@ -373,3 +373,134 @@ class TestConcurrentPersistence:
         assert cache.save_persistent(path)
         data = json.loads(path.read_text())
         assert len(data) == 1
+
+
+class TestWorkerPool:
+    """A pool's workers outlive a sweep: reused while clean, replaced
+    when found dead, never returned from an aborted sweep."""
+
+    EQUIVALENT = ("explore.sweeps", "explore.points_priced",
+                  "explore.points_measured", "explore.cache_hits",
+                  "engine.runs", "engine.cycles")
+
+    def test_second_sweep_reuses_workers(self, tmp_path):
+        from repro.obs import metrics
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service import WorkerPool
+        thread = _comparable(_sweep(tmp_path, "thread"))
+        pool = WorkerPool(_fast_service(tmp_path, workers=2))
+        old = metrics.set_registry(MetricsRegistry(enabled=True))
+        try:
+            first = _sweep(tmp_path, "process", service=pool)
+            spawned = metrics.registry().counter_total(
+                "service.workers_spawned")
+            second = _sweep(tmp_path, "process", service=pool)
+            assert metrics.registry().counter_total(
+                "service.workers_spawned") == spawned == 2
+        finally:
+            metrics.set_registry(old)
+            pool.close()
+        assert _comparable(first) == thread
+        assert _comparable(second) == thread
+
+    def test_worker_killed_while_idle_is_replaced(self, tmp_path):
+        import signal
+        from repro.service import WorkerPool
+        pool = WorkerPool(_fast_service(tmp_path, workers=1,
+                                        keep_run_dir=True))
+        try:
+            _sweep(tmp_path, "process", service=pool)
+            [victim] = pool._idle
+            os.kill(victim.process.pid, signal.SIGKILL)
+            victim.process.join(10)
+            report = _sweep(tmp_path, "process", service=pool)
+        finally:
+            pool.close()
+        assert not report.failed_points
+        assert report.simulated_points == 2
+        _, second = sorted(find_run_dirs(tmp_path / "service"))
+        state = JobJournal.replay(second / JOURNAL_NAME)
+        assert state.events.get("worker_spawned") == 1
+        assert "worker_reused" not in state.events
+        # The dead idle worker charged nobody: no death, no requeue.
+        assert state.worker_deaths == 0 and state.requeues == 0
+        assert state.completed_run and state.unresolved() == []
+
+    def test_aborted_sweep_returns_no_worker(self, tmp_path):
+        from repro.explore import Pruner, default_inputs
+        from repro.explore.space import ConfigPoint
+        from repro.hardware.platform import STRATIX10
+        from repro.service import WorkerPool
+        program = laplace2d().with_shape((24, 24))
+        pruner = Pruner(program, STRATIX10)
+        predictions = [pruner.predict(ConfigPoint(vectorization=w))
+                       for w in (1, 2, 4)]
+        pool = WorkerPool(_fast_service(tmp_path, workers=2))
+        borrowed = []
+
+        def checkpoint():
+            borrowed.extend(handle.process
+                            for handle in supervisor._workers.values())
+            raise RuntimeError("checkpoint failed")
+
+        supervisor = Supervisor(
+            program, STRATIX10, predictions, default_inputs(program),
+            "auto", ResultCache(), pool, checkpoint_every=1,
+            checkpoint=checkpoint)
+        try:
+            with pytest.raises(RuntimeError, match="checkpoint failed"):
+                supervisor.run()
+            assert borrowed
+            assert pool._idle == [] and pool._busy == {}
+            assert all(process.exitcode is not None
+                       for process in borrowed)
+        finally:
+            pool.close()
+
+    def test_second_sweep_metrics_match_thread_backend(self, tmp_path):
+        from repro.obs import metrics
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service import WorkerPool
+        pool = WorkerPool(_fast_service(tmp_path, workers=2))
+        totals = {}
+        try:
+            for label, backend in (("thread", "thread"),
+                                   ("first", "process"),
+                                   ("second", "process")):
+                old = metrics.set_registry(MetricsRegistry(enabled=True))
+                try:
+                    _sweep(tmp_path, backend, service=pool)
+                    totals[label] = {
+                        name: metrics.registry().counter_total(name)
+                        for name in self.EQUIVALENT}
+                finally:
+                    metrics.set_registry(old)
+        finally:
+            pool.close()
+        assert totals["thread"]["engine.runs"] == 2
+        assert totals["first"] == totals["thread"]
+        assert totals["second"] == totals["thread"]
+
+    def test_stale_sweep_message_is_dropped(self, tmp_path):
+        """Job ids restart at 1 per sweep: a ``result`` tagged with an
+        earlier sweep's id must not resolve this sweep's job 1."""
+        from repro.explore.cache import Measurement
+        prediction = types.SimpleNamespace(
+            family_hash="fam", simulation_key=(1,),
+            point=types.SimpleNamespace(label=lambda: "P"))
+        supervisor = Supervisor(
+            types.SimpleNamespace(name="probe"), platform=None,
+            predictions=[prediction], inputs={}, engine_mode="auto",
+            cache=ResultCache(), config=_fast_service(tmp_path))
+        supervisor._probe_cache()
+        supervisor.sweep_id = 2
+        supervisor._journal = JobJournal(tmp_path / JOURNAL_NAME)
+        handle = types.SimpleNamespace(lease=None, last_beat=0.0,
+                                       worker_id=1)
+        result = {"type": "result", "job_id": 1, "measurement":
+                  Measurement(7, 7, 0.0, "batched").to_json()}
+        supervisor._handle_message(handle, dict(result, sweep_id=1))
+        assert supervisor._unresolved == {1}
+        supervisor._handle_message(handle, dict(result, sweep_id=2))
+        assert supervisor._unresolved == set()
+        supervisor._journal.close()
