@@ -1,62 +1,76 @@
-"""Config-parallel exploration at benchmark scale: the deterministic half.
+"""Control-run sweeps at benchmark scale: the deterministic half.
 
-``explore(config_parallel=True)`` groups frontier points that lower to
-the *same* program (equal family hash) and simulates the group as one
-representative full run plus a width-0 control run per remaining
-member — exact timing with no data movement, outputs shared from the
-representative.  On network-axis sweeps (latency x rate) every point
-shares the lowered program, so an N-point group costs ~one data pass
-instead of N.
+Every ``explore`` sweep measures the machines of one lowered program
+with one full simulation (the data pass) and a width-0 control run per
+remaining machine: exact timing with no data movement.  On a
+network-axis sweep (latency x rate) of a 2-device placement every point
+is its own machine and all share the lowered program, so a 12-point
+sweep costs one data pass instead of twelve.  (On one device no edge
+is remote and the same space collapses to a single machine.)
 
-This test sweeps a 12-point shared-program space both ways and checks
-that the stacked sweep is a pure optimization — identical report
-entries — and that it really took the control-run path (one group,
-every other simulated point a control run).  It reads no clock and
-writes no file; sweep wall time is the ``explore_sweep`` workload of
-``benchmarks/e2e``.
+This test sweeps that space twice, once as ``explore`` does and once
+with every machine forced into a group of its own (a full run each),
+and checks that control runs are a pure optimization — identical
+reports apart from timing and cache provenance — and that the default
+sweep really took the control-run path (one data pass, every other
+machine a control run).  It reads no clock and writes no file; sweep
+wall time is the ``explore_sweep`` workload of ``benchmarks/e2e``.
 """
 
 from repro.explore import ConfigSpace, ResultCache, explore
+from repro.explore import explorer
 from repro.obs import metrics
-from repro.programs import horizontal_diffusion
+from repro.programs import build
 
-SHAPE = (96, 96, 64)
-VECTORIZATION = 8
+SHAPE = (64, 64, 64)
+VECTORIZATION = 4
 
-#: Network-axis sweep: one lowered program, twelve machine variants.
-SPACE = ConfigSpace(vectorizations=(VECTORIZATION,),
+#: Network-axis sweep over a 2-device contiguous placement: one lowered
+#: program, twelve machines (thirteen with the single-device baseline).
+#: Vertical advection, because a contiguous cut of horizontal diffusion
+#: needs more link bandwidth than the platform has at every width.
+SPACE = ConfigSpace(vectorizations=(VECTORIZATION,), device_counts=(2,),
                     network_latencies=(8, 16, 24, 32, 40, 48),
                     network_rates=(1.0, 0.5))
 
 
-def _sweep(program, **kwargs):
+def _sweep(program):
     return explore(program, space=SPACE, strategy="exhaustive",
-                   workers=1, persist=False, cache=ResultCache(),
-                   **kwargs)
+                   workers=1, persist=False, cache=ResultCache())
 
 
-def test_config_parallel_sweep():
-    program = horizontal_diffusion(shape=SHAPE,
-                                   vectorization=VECTORIZATION)
-    plain = _sweep(program)
+def _comparable(report):
+    record = report.to_json()
+    for field in ("wall_seconds", "cache_hits", "lowering_cache_hits",
+                  "relowered_programs"):
+        record.pop(field)
+    for entry in record["entries"] + [record["summary"]["best"]]:
+        entry.pop("wall_seconds")
+        entry.pop("cache_hit")
+    return record
+
+
+def test_config_parallel_sweep(monkeypatch):
+    program = build("vertical_advection", shape=SHAPE,
+                    vectorization=VECTORIZATION)
+    with monkeypatch.context() as patch:
+        patch.setattr(explorer, "_families",
+                      lambda pending: [[[p]] for p in pending])
+        full = _sweep(program)
     old = metrics.set_registry(metrics.MetricsRegistry(enabled=True))
     try:
-        stacked = _sweep(program, config_parallel=True)
+        grouped = _sweep(program)
         counted = metrics.registry()
     finally:
         metrics.set_registry(old)
 
-    assert len(plain.entries) == len(stacked.entries)
-    simulated = 0
-    for a, b in zip(plain.entries, stacked.entries):
-        assert a.point == b.point
-        assert a.simulated == b.simulated
-        assert a.simulated_cycles == b.simulated_cycles
-        assert a.rank == b.rank
-        assert a.pareto == b.pareto
-        simulated += bool(a.simulated)
-    assert simulated >= 8
-
-    assert counted.counter_total("explore.config_parallel_groups") == 1
+    assert _comparable(grouped) == _comparable(full)
+    assert not grouped.failed_points
+    machines = {(e.devices_used, e.point.network_latency,
+                 e.point.network_words_per_cycle)
+                for e in grouped.entries if e.simulated}
+    assert len(machines) == grouped.simulated_points == 13
+    assert all(e.devices_used == 2 for e in grouped.entries
+               if not e.baseline)
     assert counted.counter_total("explore.control_points") \
-        == simulated - 1
+        == len(machines) - 1

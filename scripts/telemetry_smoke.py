@@ -127,6 +127,13 @@ def main() -> int:
                 (workdir / f"metrics-{backend}.json").read_text())
             assert snapshot["schema"] == 1
             totals[backend] = counter_totals(snapshot)
+            if backend == "thread":
+                # Widths 1, 2, 4 of laplace2d are one lowered-program
+                # family: one data pass, then two control runs.
+                controls = sum(rec["value"] for rec in snapshot["counters"]
+                               if rec["name"] == "explore.control_points")
+                assert controls == 2, \
+                    f"expected 2 control runs on threads, got {controls}"
             check_trace(workdir / f"trace-{backend}.json",
                         expect_workers=(backend == "process"))
 

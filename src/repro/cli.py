@@ -207,13 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "heartbeats, crash-loop quarantine); "
                               "'process' degrades to 'thread' when "
                               "workers cannot be spawned")
-    explore.add_argument("--config-parallel", action="store_true",
-                         help="stack frontier points that share one "
-                              "lowered program: one full simulation "
-                              "per group plus a width-0 control run "
-                              "per remaining point (identical cycle "
-                              "counts, ~one data pass per group); "
-                              "thread backend only")
     explore.add_argument("--output", "-o", type=Path,
                          default=Path("explore_report.json"),
                          help="where to write the ranked JSON report")
@@ -652,8 +645,7 @@ def _explore(program: StencilProgram, args) -> int:
                              cache_path=args.cache,
                              deadlock_window=args.deadlock_window,
                              point_timeout=args.point_timeout,
-                             checkpoint_every=args.checkpoint_every,
-                             config_parallel=args.config_parallel)
+                             checkpoint_every=args.checkpoint_every)
     except SweepInterrupted as exc:
         # explore() already wrote a final checkpoint of the result
         # cache on its way out; report the conventional signal exit

@@ -11,10 +11,21 @@ returns a ranked :class:`~repro.explore.report.ExplorationReport`.
 from __future__ import annotations
 
 import os
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+import warnings
+from collections import deque
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -30,6 +41,7 @@ from ..hardware.platform import FPGAPlatform, STRATIX10
 from ..lowering import LoweringConfig, lower
 from ..lowering import default_cache as lowering_cache
 from ..obs import clock, metrics, span
+from ..simulator.control import simulate_control
 from ..simulator.engine import (
     SimulatorConfig,
     resolve_engine_mode,
@@ -90,8 +102,14 @@ def explore(program: StencilProgram,
             checkpoint_every: int = 16,
             backend: str = "thread",
             service=None,
-            config_parallel: bool = False) -> ExplorationReport:
+            config_parallel: Optional[bool] = None) -> ExplorationReport:
     """Sweep ``program``'s design space and rank what survives.
+
+    The frontier is measured one machine at a time, not one point at a
+    time: points that build the same machine share one simulation, and
+    the machines of one lowered program share one full data pass, the
+    rest being timed by width-0 control runs whose cycle counts are
+    bitwise a full run's (:func:`measure`).
 
     Args:
         program: the stencil program (its own vectorization defines the
@@ -104,8 +122,9 @@ def explore(program: StencilProgram,
             :class:`SearchStrategy` instance.
         beam_width: beam size for the greedy strategy.
         seed: input-generation seed (part of the determinism contract).
-        workers: simulator parallelism (``concurrent.futures`` threads;
-            the batched engine spends its time in NumPy).
+        workers: simulator parallelism (threads, one lowered-program
+            family per task; the batched engine spends its time in
+            NumPy).
         cache: simulation-result cache; pass the same instance (or a
             loaded one) across sweeps to make them incremental.
         engine_mode: simulator engine selection per point.
@@ -124,7 +143,8 @@ def explore(program: StencilProgram,
             the simulator default).
         point_timeout: per-point wall budget in seconds; a point that
             blows it is recorded as a failed entry instead of hanging
-            the sweep (``None`` disables the budget).
+            the sweep (``None`` disables the budget).  Each machine of
+            a family is charged from its own start.
         retries: extra attempts for *non-deterministic* per-point
             failures (a crashed worker); deadlocks and model errors
             are deterministic and never retried.
@@ -147,26 +167,20 @@ def explore(program: StencilProgram,
             a private worker pool lives for this call) or a live
             :class:`repro.service.WorkerPool`, borrowed and left
             running so its workers serve the owner's next sweep.
-        config_parallel: group frontier points that share one lowered
-            program and simulate each group as a stack: a full
-            simulation of one representative plus a width-0 control
-            run (:func:`repro.simulator.control.simulate_control`) per
-            remaining point.  Cycle counts are bitwise identical (the
-            control engine replays the exact machine schedule); the
-            data pass — the dominant cost — runs once per group
-            instead of once per point.  A member whose control run
-            fails (deadlock, cycle cap, fault validation) is peeled
-            off to the ordinary per-point path.  Thread backend only.
+        config_parallel: deprecated and ignored (control runs are how
+            every sweep measures).  It stays only while
+            ``benchmarks/e2e/layers.py`` passes it; revision 2 of the
+            benchmark (ROADMAP.md, item 1a) deletes it.
     """
     if backend not in BACKENDS:
         raise DefinitionError(
             f"unknown explore backend {backend!r} "
             f"(expected one of {', '.join(BACKENDS)})")
-    if config_parallel and backend == "process":
-        raise DefinitionError(
-            "config_parallel is not supported on the process backend "
-            "(control-run stacking is an in-process optimization); "
-            "use backend='thread'")
+    if config_parallel is not None:
+        warnings.warn("explore(config_parallel=...) is deprecated and "
+                      "ignored: every sweep times a lowered program's "
+                      "machines with one data pass plus control runs",
+                      DeprecationWarning, stacklevel=2)
     start = clock.now()
     space = space or ConfigSpace.default_for(program, platform)
     cache = cache if cache is not None else ResultCache()
@@ -201,10 +215,8 @@ def explore(program: StencilProgram,
     if base_prediction.feasible and base not in selected:
         selected.append(base)
 
-    # Stage 3: simulate the frontier in parallel. Points that build
-    # identical machines — including transform axes whose lowered
-    # programs coincide — share one simulation through the
-    # (family-hash, machine) cache key.
+    # Stage 3: simulate the frontier in parallel, once per machine the
+    # simulator builds and with one data pass per lowered program.
     if inputs is None:
         inputs = default_inputs(program, seed)
 
@@ -230,8 +242,7 @@ def explore(program: StencilProgram,
                 retries=retries,
                 retry_backoff=retry_backoff,
                 checkpoint_every=checkpoint_every,
-                checkpoint=checkpoint,
-                config_parallel=config_parallel)
+                checkpoint=checkpoint)
     except (KeyboardInterrupt, SweepInterrupted):
         # Die cleanly: a final checkpoint makes the interrupted
         # sweep resumable, then the interrupt keeps propagating (the
@@ -295,8 +306,8 @@ def explore(program: StencilProgram,
 
 
 def _machine_key(prediction: Prediction) -> Tuple:
-    """Full identity of the simulated machine: lowered program family
-    plus machine tunables."""
+    """What a point's outcome is keyed by in one sweep: its lowered
+    program family plus the key its measurement is stored under."""
     return (prediction.family_hash, prediction.simulation_key)
 
 
@@ -323,14 +334,10 @@ def _run_backend(backend, pruner, program, platform, frontier,
                 from dataclasses import replace
                 service = replace(service,
                                   workers=workers or _DEFAULT_WORKERS)
-        # config_parallel is rejected for this backend in explore();
-        # the supervisor does not know the flag.
-        supervised_kwargs = dict(kwargs)
-        supervised_kwargs.pop("config_parallel", None)
         try:
             return simulate_frontier_supervised(
                 program, platform, frontier, inputs, engine_mode,
-                cache, service, **supervised_kwargs)
+                cache, service, **kwargs)
         except ServiceUnavailable as exc:
             if isinstance(service, WorkerPool) and service.closed:
                 raise  # shut down by its owner: nothing to fall back to
@@ -342,81 +349,119 @@ def _run_backend(backend, pruner, program, platform, frontier,
                               cache, workers, **kwargs)
 
 
-class PointFailed(Exception):
-    """Carrier: one frontier point failed terminally."""
+def measure(group: Sequence[Prediction], program: StencilProgram,
+            platform: FPGAPlatform, inputs, engine_mode: str,
+            resolved_engine: str,
+            deadlock_window: Optional[int] = None,
+            retries: int = 1, retry_backoff: float = 0.25
+            ) -> Iterator[Union[Measurement, PointFailure]]:
+    """Measure ``group``, machines of one lowered program family,
+    yielding each member's :class:`Measurement` or
+    :class:`PointFailure` in order as it finishes.  This is the one
+    measurement both sweep backends take: threads measure whole
+    families, process workers groups of one.
 
-    def __init__(self, failure: PointFailure):
-        self.failure = failure
-        super().__init__(failure.message)
+    The first member (the representative) gets a full simulation, the
+    family's one data pass: only it can surface a data-dependent
+    failure (the integer sinks' range and NaN guards).  Every later
+    member gets a width-0 control run
+    (:func:`~repro.simulator.control.simulate_control`), whose timing
+    is bitwise a full run's; its outputs would be the representative's,
+    since streamed values do not depend on the machine configuration.
+    A member whose control run fails is re-run in full ("peeled off"),
+    so it fails exactly as a full run does, forensics included.  A
+    representative whose data pass fails hands the data pass to the
+    next member: no member is timed by a control run before the data
+    pass succeeded.
 
-
-def _sim_config(prediction: Prediction, deadlock_window: Optional[int],
-                **engine) -> SimulatorConfig:
-    """The simulator configuration a frontier point describes."""
-    point = prediction.point
-    return SimulatorConfig(
-        network_words_per_cycle=point.network_words_per_cycle,
-        network_latency=point.network_latency,
-        min_channel_depth=point.min_channel_depth,
-        network_link_rates=dict(prediction.link_rates_resolved)
-        if prediction.link_rates_resolved else None,
-        **engine,
-        **({"deadlock_window": deadlock_window}
-           if deadlock_window is not None else {}))
-
-
-def measure_point(program: StencilProgram, platform: FPGAPlatform,
-                  prediction: Prediction, inputs, engine_mode: str,
-                  resolved_engine: str,
-                  deadlock_window: Optional[int] = None,
-                  retries: int = 1,
-                  retry_backoff: float = 0.25) -> Measurement:
-    """Lower and simulate one frontier point: the one measurement both
-    sweep backends take (the thread pool and the process workers).
-
-    Deadlocks and model errors are deterministic: they raise
-    :class:`PointFailed` at once.  Anything else is a possibly
-    transient crash, retried ``retries`` times with exponential
-    backoff before it fails the point.
+    In a full run, deadlocks and model errors are deterministic and
+    fail the member at once; anything else is a possibly transient
+    crash, retried ``retries`` times with exponential backoff.
     """
-    point = prediction.point
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            lowered = lower(program, LoweringConfig(
-                canonicalize=point.canonicalize, fusion=point.fusion,
-                vectorization=point.vectorization), platform=platform)
-            config = _sim_config(prediction, deadlock_window,
-                                 engine_mode=engine_mode)
-            began = clock.now()
-            with span("explore.point", point=point.label(),
-                      engine=resolved_engine):
-                result = simulate(lowered.program, inputs, config,
-                                  device_of=prediction.device_of)
-            return Measurement(
-                simulated_cycles=result.cycles,
-                sim_expected_cycles=result.expected_cycles,
-                wall_seconds=clock.now() - began,
-                # The same resolution that keys the entry: key and
-                # metadata cannot diverge.
-                engine=resolved_engine)
-        except DeadlockError as exc:
-            # Keep the forensics so the report can explain the point.
-            raise PointFailed(PointFailure(
-                kind="deadlock", message=str(exc), attempts=attempts,
-                detail=(exc.report.to_json()
-                        if exc.report is not None else None)))
-        except StencilFlowError as exc:
-            raise PointFailed(PointFailure(
-                kind="error", message=str(exc), attempts=attempts))
-        except Exception as exc:
-            if attempts > retries:
-                raise PointFailed(PointFailure(
-                    kind="error", message=f"{type(exc).__name__}: {exc}",
-                    attempts=attempts))
-            metrics.counter("explore.retries").inc()
-            time.sleep(retry_backoff * (2 ** (attempts - 1)))
+
+    def run(prediction: Prediction, control: bool) -> Measurement:
+        point = prediction.point
+        lowered = lower(program, LoweringConfig(
+            canonicalize=point.canonicalize, fusion=point.fusion,
+            vectorization=point.vectorization), platform=platform)
+        config = SimulatorConfig(
+            network_words_per_cycle=point.network_words_per_cycle,
+            network_latency=point.network_latency,
+            min_channel_depth=point.min_channel_depth,
+            network_link_rates=dict(prediction.link_rates_resolved)
+            if prediction.link_rates_resolved else None,
+            engine_mode=engine_mode,
+            **({"deadlock_window": deadlock_window}
+               if deadlock_window is not None else {}))
+        began = clock.now()
+        with span("explore.point", point=point.label(),
+                  engine="control" if control else resolved_engine):
+            result = (simulate_control if control else simulate)(
+                lowered.program, inputs, config,
+                device_of=prediction.device_of)
+        return Measurement(
+            simulated_cycles=result.cycles,
+            sim_expected_cycles=result.expected_cycles,
+            wall_seconds=clock.now() - began,
+            # The resolution that keys the entry, for control runs
+            # too: cycle counts are engine-independent, so a control
+            # run's entry is interchangeable with a full run's.
+            engine=resolved_engine)
+
+    def full_run(prediction: Prediction
+                 ) -> Union[Measurement, PointFailure]:
+        attempts = 0
+        while True:
+            attempts += 1
+            try:
+                return run(prediction, control=False)
+            except DeadlockError as exc:
+                # Keep the forensics so the report can explain the point.
+                return PointFailure(
+                    kind="deadlock", message=str(exc), attempts=attempts,
+                    detail=(exc.report.to_json()
+                            if exc.report is not None else None))
+            except StencilFlowError as exc:
+                return PointFailure(kind="error", message=str(exc),
+                                    attempts=attempts)
+            except Exception as exc:
+                if attempts > retries:
+                    return PointFailure(
+                        kind="error",
+                        message=f"{type(exc).__name__}: {exc}",
+                        attempts=attempts)
+                metrics.counter("explore.retries").inc()
+                time.sleep(retry_backoff * (2 ** (attempts - 1)))
+
+    data_passed = False
+    for prediction in group:
+        result = None
+        if data_passed:
+            try:
+                result = run(prediction, control=True)
+                metrics.counter("explore.control_points").inc()
+            except Exception:
+                # Divergent control flow (deadlock, cycle cap, fault
+                # validation) or a crash: peel the member off.
+                result = None
+        if result is None:
+            result = full_run(prediction)
+            data_passed |= isinstance(result, Measurement)
+        yield result
+
+
+def _families(pending: Sequence[Prediction]
+              ) -> List[List[List[Prediction]]]:
+    """Group the points to measure: points that build one machine
+    (:attr:`Prediction.machine_identity`) share its simulation, and the
+    machines of one lowered program family share one data pass.
+    Returns the families, each a list of machines, each the list of
+    points that build it."""
+    families: Dict[str, Dict[Tuple, List[Prediction]]] = {}
+    for prediction in pending:
+        families.setdefault(prediction.family_hash, {}).setdefault(
+            prediction.machine_identity, []).append(prediction)
+    return [list(machines.values()) for machines in families.values()]
 
 
 def _simulate_frontier(pruner: Pruner,
@@ -430,23 +475,20 @@ def _simulate_frontier(pruner: Pruner,
                        retries: int = 1,
                        retry_backoff: float = 0.25,
                        checkpoint_every: int = 16,
-                       checkpoint=None,
-                       config_parallel: bool = False
+                       checkpoint=None
                        ) -> Tuple[Dict[Tuple, Tuple[Measurement, bool]],
                                   Dict[Tuple, PointFailure]]:
     """Measure every distinct machine among ``predictions``.
 
-    Returns ``(outcomes, failures)``, both keyed by machine key:
-    ``outcomes`` maps to ``(measurement, cache_hit)``; ``failures``
-    records points that produced no measurement (deadlock, timeout,
-    exhausted retries) — the sweep always completes.  Duplicate
-    machines (points whose placements coincide, or whose transforms
-    lower to the same program) are simulated once.
+    Returns ``(outcomes, failures)``, both keyed by
+    :func:`_machine_key`: ``outcomes`` maps to ``(measurement,
+    cache_hit)``; ``failures`` records points that produced no
+    measurement (deadlock, timeout, exhausted retries) — the sweep
+    always completes.  Cache hits are answered first; the rest are
+    measured by :func:`_families`, one family per thread task, and each
+    outcome goes to every point it answers, with one cache entry per
+    point's key.
     """
-    distinct: Dict[Tuple, Prediction] = {}
-    for prediction in predictions:
-        distinct.setdefault(_machine_key(prediction), prediction)
-
     # The *resolved* engine is part of the entry key: cycle counts are
     # engine-independent (enforced by the equivalence suite), but the
     # measurement's engine/wall-time metadata is not, and the cache
@@ -454,149 +496,135 @@ def _simulate_frontier(pruner: Pruner,
     # "auto" and its concrete engine sharing one entry.
     resolved_engine = resolve_engine_mode(
         SimulatorConfig(engine_mode=engine_mode))
-
-    def measure(prediction: Prediction) -> Tuple[Measurement, bool]:
-        key = (resolved_engine,) + prediction.simulation_key
-        cached = cache.get(prediction.family_hash, key)
-        if cached is not None:
-            return cached, True
-        measurement = measure_point(
-            pruner.program, pruner.platform, prediction, inputs,
-            engine_mode, resolved_engine, deadlock_window, retries,
-            retry_backoff)
-        cache.put(prediction.family_hash, key, measurement)
-        return measurement, False
-
-    def measure_control(prediction: Prediction
-                        ) -> Tuple[Measurement, bool]:
-        """Re-time a group member with the width-0 control engine.
-
-        Sound because the group shares one lowered program, so the
-        member's outputs are configuration-independent; only the
-        machine schedule — which the control engine replays exactly —
-        differs per point.  Cycle counts are bitwise identical to the
-        member's full simulation."""
-        key = (resolved_engine,) + prediction.simulation_key
-        cached = cache.get(prediction.family_hash, key)
-        if cached is not None:
-            return cached, True
-        from ..simulator.control import simulate_control
-        point = prediction.point
-        began = clock.now()
-        with span("explore.point", point=point.label(),
-                  engine="control"):
-            result = simulate_control(
-                pruner.program_at(point), inputs,
-                _sim_config(prediction, deadlock_window),
-                device_of=prediction.device_of)
-        measurement = Measurement(
-            simulated_cycles=result.cycles,
-            sim_expected_cycles=result.expected_cycles,
-            wall_seconds=clock.now() - began,
-            # Keyed and labelled like the full measurement it stands
-            # in for: cycle counts are engine-independent, so the
-            # cache entry is interchangeable with a full run's.
-            engine=resolved_engine)
-        cache.put(prediction.family_hash, key, measurement)
-        return measurement, False
-
-    # Groups share one lowered program; without config_parallel every
-    # point is a group of one, which measure_group measures plainly.
-    groups: Dict[object, List[Prediction]] = {}
-    for n, prediction in enumerate(distinct.values()):
-        groups.setdefault(prediction.family_hash if config_parallel
-                          else n, []).append(prediction)
     outcomes: Dict[Tuple, Tuple[Measurement, bool]] = {}
     failures: Dict[Tuple, PointFailure] = {}
     completed = 0
 
-    def measure_group(group):
-        """One full simulation (the representative) plus a control run
-        per remaining member; failures peel the point off to the
-        ordinary per-point path.  Returns ``(key, outcome, failure)``
-        rows, one per member."""
-        if len(group) > 1:
-            metrics.counter("explore.config_parallel_groups").inc()
-        rows = []
-        rep_done = False
-        for prediction in group:
-            key = _machine_key(prediction)
-            if not rep_done:
-                # The representative — or, after a failed
-                # representative, the next member promoted to one.
-                try:
-                    rows.append((key, measure(prediction), None))
-                    rep_done = True
-                except PointFailed as exc:
-                    rows.append((key, None, exc.failure))
-                continue
-            try:
-                outcome = measure_control(prediction)
-            except Exception:
-                # Divergent control flow (deadlock, cycle cap, fault
-                # validation) or an unexpected crash: re-run the point
-                # on the per-point path so its failure classification
-                # and retry policy are identical to a plain sweep.
-                try:
-                    rows.append((key, measure(prediction), None))
-                except PointFailed as exc:
-                    rows.append((key, None, exc.failure))
-                continue
-            metrics.counter("explore.control_points").inc()
-            rows.append((key, outcome, None))
-        return rows
+    def entry_key(prediction: Prediction) -> Tuple:
+        return (resolved_engine,) + prediction.simulation_key
 
-    def note_done():
+    def settle(machine: Sequence[Prediction], result, hit=False):
         nonlocal completed
-        completed += 1
-        if checkpoint is not None and checkpoint_every > 0 \
-                and completed % checkpoint_every == 0:
-            checkpoint()
-
-    def record(rows):
-        for key, outcome, failure in rows:
-            if failure is not None:
-                failures[key] = failure
+        for prediction in machine:
+            key = _machine_key(prediction)
+            if isinstance(result, PointFailure):
+                failures[key] = result
             else:
-                outcomes[key] = outcome
-            note_done()
+                outcomes[key] = (result, hit)
+                if not hit:
+                    cache.put(prediction.family_hash,
+                              entry_key(prediction), result)
+            completed += 1
+            if checkpoint is not None and checkpoint_every > 0 \
+                    and completed % checkpoint_every == 0:
+                checkpoint()
 
+    distinct: Dict[Tuple, Prediction] = {}
+    for prediction in predictions:
+        distinct.setdefault(_machine_key(prediction), prediction)
+    pending = []
+    for prediction in distinct.values():
+        cached = cache.get(prediction.family_hash, entry_key(prediction))
+        if cached is None:
+            pending.append(prediction)
+        else:
+            settle([prediction], cached, hit=True)
+
+    def run(family):
+        return measure([machine[0] for machine in family],
+                       pruner.program, pruner.platform, inputs,
+                       engine_mode, resolved_engine, deadlock_window,
+                       retries, retry_backoff)
+
+    families = _families(pending)
     max_workers = workers or _DEFAULT_WORKERS
-    if (max_workers <= 1 and point_timeout is None) or len(groups) < 2:
-        for group in groups.values():
-            record(measure_group(group))
-        return outcomes, failures
-
-    # Threads cannot be killed: a timed-out point's worker keeps
-    # running, so the pool is abandoned (shutdown without join) once
-    # any point times out, and remaining results are still collected
-    # with their own budgets.
-    abandoned = False
-    pool = ThreadPoolExecutor(max_workers=max_workers)
-    try:
-        futures = [(group, pool.submit(measure_group, group))
-                   for group in groups.values()]
-        for group, future in futures:
-            try:
-                rows = future.result(timeout=point_timeout)
-            except FuturesTimeout:
-                future.cancel()
-                abandoned = True
-                metrics.counter("explore.timeouts").inc()
-                for prediction in group:
-                    key = _machine_key(prediction)
-                    if key not in outcomes and key not in failures:
-                        failures[key] = PointFailure(
-                            kind="timeout",
-                            message=f"simulation exceeded the "
-                                    f"per-point budget of "
-                                    f"{point_timeout:g}s")
-                        note_done()
-                continue
-            record(rows)
-    finally:
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
+    if point_timeout is None and (max_workers <= 1 or len(families) < 2):
+        for family in families:
+            for machine, result in zip(family, run(family)):
+                settle(machine, result)
+    else:
+        _run_threaded(families, run, settle, max_workers, point_timeout)
     return outcomes, failures
+
+
+class _Task:
+    """One family in flight on its own thread."""
+
+    def __init__(self, family):
+        self.family = family
+        self.done = 0  # members settled
+        self.started = time.monotonic()  # when the current member began
+        self.abandoned = False
+
+
+def _run_threaded(families, run, settle, max_workers: int,
+                  point_timeout: Optional[float]):
+    """Measure ``families`` on up to ``max_workers`` threads, one family
+    per task, settling each member in this thread as it finishes.
+
+    ``point_timeout`` is charged to each member from its own start, so
+    no family fails for its total.  Threads cannot be killed: a member
+    that overruns is settled as timed out and its thread is abandoned
+    (it stops after that member, and what it yields is dropped); the
+    family's remaining members are queued again as a family of their
+    own, which makes its own data pass.
+    """
+    events = queue.Queue()
+    todo = deque(families)
+    running = set()
+
+    def work(task):
+        try:
+            for result in run(task.family):
+                if task.abandoned:
+                    return
+                task.started = time.monotonic()
+                events.put((task, result))
+        except Exception as exc:
+            events.put((task, exc))
+        else:
+            events.put((task, None))
+
+    try:
+        while todo or running:
+            while todo and len(running) < max_workers:
+                task = _Task(todo.popleft())
+                running.add(task)
+                threading.Thread(target=work, args=(task,),
+                                 daemon=True).start()
+            timeout = None
+            if point_timeout is not None:
+                timeout = max(0.0, point_timeout + min(
+                    t.started for t in running) - time.monotonic())
+            try:
+                task, result = events.get(timeout=timeout)
+            except queue.Empty:
+                now = time.monotonic()
+                for task in [t for t in running
+                             if now - t.started >= point_timeout]:
+                    task.abandoned = True
+                    running.discard(task)
+                    metrics.counter("explore.timeouts").inc()
+                    settle(task.family[task.done], PointFailure(
+                        kind="timeout",
+                        message=f"simulation exceeded the per-point "
+                                f"budget of {point_timeout:g}s"))
+                    if task.done + 1 < len(task.family):
+                        todo.appendleft(task.family[task.done + 1:])
+                continue
+            if task not in running:
+                continue  # abandoned after a timeout
+            if isinstance(result, Exception):
+                raise result
+            if result is None:
+                running.discard(task)
+            else:
+                settle(task.family[task.done], result)
+                task.done += 1
+    finally:
+        # Interrupted or failed: stop every thread after its member.
+        for task in running:
+            task.abandoned = True
 
 
 def _build_entries(predictions: Sequence[Prediction],

@@ -122,6 +122,23 @@ class Prediction:
                 self.point.min_channel_depth,
                 tuple(self.link_rates_resolved or ()))
 
+    @property
+    def machine_identity(self) -> Tuple:
+        """Identity of the machine the simulator actually builds.
+
+        :attr:`simulation_key` plus ``family_hash``, with the link
+        fields (rate, latency) dropped when the placement uses a single
+        device: no edge is remote there, so neither reaches the
+        simulator (``Pruner._machine`` keys them away the same way).
+        A sweep simulates each identity once.  Measurements stay keyed
+        by :attr:`simulation_key`, so a stored measurement still
+        answers only the points whose key it was stored under.
+        """
+        key = self.simulation_key
+        if self.device_of is None:
+            key = key[:2] + key[4:]
+        return (self.family_hash,) + key
+
 
 @dataclass(frozen=True)
 class _Machine:

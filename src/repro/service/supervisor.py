@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ServiceUnavailable
 from ..explore.cache import Measurement, ResultCache
+from ..explore.explorer import _machine_key
 from ..explore.report import PointFailure
 from ..faults.store import RUN_DIRS, read_json_guarded
 from ..obs import journal_spans, metrics, spans, write_chrome_trace
@@ -243,11 +244,6 @@ class WorkerPool:
             len(self._idle) + len(self._busy))
 
 
-def _machine_key(prediction) -> Tuple:
-    """Same identity the thread backend dedups and keys results by."""
-    return (prediction.family_hash, prediction.simulation_key)
-
-
 def _unlink(path: Optional[Path]):
     if path is not None:
         with contextlib.suppress(OSError):
@@ -283,7 +279,8 @@ class Supervisor:
 
         self.resolved_engine = resolve_engine_mode(
             SimulatorConfig(engine_mode=engine_mode))
-        # Dedup identical machines exactly like the thread backend.
+        # One job per outcome key, the thread backend's; leases and
+        # poison counting work per job.
         distinct: Dict[Tuple, object] = {}
         for prediction in predictions:
             distinct.setdefault(_machine_key(prediction), prediction)

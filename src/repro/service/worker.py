@@ -11,8 +11,9 @@ worker:
 * heartbeats from a background thread between ``sweep`` and
   ``sweep_end``, so the supervisor can tell "busy" from "wedged" even
   when NumPy holds the core for seconds, and is silent while idle;
-* measures through :func:`~repro.explore.explorer.measure_point`, the
-  thread backend's own measurement, so both report identical entries;
+* measures each job through :func:`~repro.explore.explorer.measure`
+  on a group of one, the thread backend's own measurement, so both
+  report identical entries;
 * writes every measurement to its own per-sweep shard file (atomic,
   fsync'd) before acknowledging it, so the supervisor can recover a
   result whose worker died before reporting it.
@@ -28,7 +29,8 @@ import os
 import signal
 import threading
 
-from ..explore.explorer import PointFailed, measure_point
+from ..explore.explorer import measure
+from ..explore.report import PointFailure
 from ..faults.store import write_json_atomic
 from ..obs import metrics
 
@@ -105,16 +107,15 @@ def worker_main(conn, worker_id: int, payload: dict):
                     and prediction.point.label() == poison_label:
                 # Chaos hook: die the hard way, mid-job.
                 os.kill(os.getpid(), signal.SIGKILL)
-            try:
-                measurement = measure_point(
-                    sweep["program"], sweep["platform"], prediction,
-                    sweep["inputs"], sweep["engine_mode"],
-                    sweep["resolved_engine"], sweep["deadlock_window"],
-                    sweep["retries"], sweep["retry_backoff"])
-            except PointFailed as exc:
+            [measurement] = measure(
+                [prediction], sweep["program"], sweep["platform"],
+                sweep["inputs"], sweep["engine_mode"],
+                sweep["resolved_engine"], sweep["deadlock_window"],
+                sweep["retries"], sweep["retry_backoff"])
+            if isinstance(measurement, PointFailure):
                 heartbeat.current_job = None
                 send({"type": "failed", "job_id": job["job_id"],
-                      "failure": exc.failure.to_json()})
+                      "failure": measurement.to_json()})
                 continue
             # Shard first, ack second: the measurement is durable
             # before the supervisor hears about it, so a crash in

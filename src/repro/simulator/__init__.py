@@ -17,11 +17,11 @@ Several execution engines share one machine model:
   and, on every later run of the same machine, replays that record and
   computes the outputs in one channel-free pass over whole streams —
   no planning, no per-cycle control (see ``docs/KERNELS.md``);
-* the **control engine** (:class:`ControlSimulator`) is the batched
-  engine over width-0 streams: exact timing with no data movement,
-  which is what lets ``explore(config_parallel=True)`` stack N
-  configurations of one program into ~one data pass
-  (:func:`simulate_stacked`).
+* the **control engine** (:class:`ControlSimulator`,
+  :func:`simulate_control`) is the batched engine over width-0
+  streams: exact timing with no data movement, which is how an
+  exploration sweep times every machine of a lowered program after
+  that program's one full data pass.
 
 Where the stencil arithmetic is large enough to repay a ~0.2 s compile
 and a C compiler (``cc``) is on the path, the batched and kernel
@@ -62,7 +62,7 @@ from .channel import (
     RateLimiter,
 )
 from .compile import ArrayCompiledStencil, CompiledStencil, compile_stencil
-from .control import ControlSimulator, simulate_control, simulate_stacked
+from .control import ControlSimulator, simulate_control
 from .engine import (
     SimulationResult,
     Simulator,
@@ -118,6 +118,5 @@ __all__ = [
     "resolve_link_rates",
     "simulate",
     "simulate_control",
-    "simulate_stacked",
     "simulate_traced",
 ]

@@ -11,20 +11,20 @@ schedules, planner decisions and the window executor are all untouched
 bookkeeping), so every timing observable is bitwise identical to a
 full run — at near-zero data cost.
 
-This is what makes config-parallel exploration sound
-(:func:`simulate_stacked`, used by ``explore(config_parallel=True)``):
-a group of configuration points sharing one lowered program computes
-the data **once** (the representative point's full simulation) and
-re-times every other point with a control run, because outputs are
-configuration-independent.  A point whose control flow diverges into a
-failure (deadlock, cycle-cap, fault validation) raises exactly the
-error its full simulation would have raised — the caller peels it off
-to the ordinary per-point path.
+This is how every exploration sweep measures
+(:func:`repro.explore.explorer.measure`): the machines of one lowered
+program compute the data **once** (the representative's full
+simulation, which is what can surface a data-dependent failure) and
+every other machine is timed by a control run, because outputs are
+configuration-independent.  A machine whose control flow diverges into
+a failure (deadlock, cycle-cap, fault validation) raises exactly the
+error its full simulation would have raised; the explorer re-runs it
+in full so the report carries the full run's failure and forensics.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,45 +136,3 @@ def simulate_control(program: StencilProgram,
     sim = ControlSimulator(artifact.analysis, config,
                            device_of=dict(device_of or {}))
     return sim.run(inputs)
-
-
-def simulate_stacked(program: StencilProgram,
-                     inputs: Mapping[str, np.ndarray],
-                     configs: Sequence[SimulatorConfig],
-                     device_ofs: Optional[Sequence[
-                         Optional[Mapping[str, int]]]] = None,
-                     ) -> List[SimulationResult]:
-    """Simulate one program under N configurations for the cost of
-    ~one data pass: a full simulation of the first (representative)
-    configuration plus a control run per remaining configuration,
-    whose outputs are shared from the representative.
-
-    Failures are per-point: an exception from any member's run
-    propagates (the caller decides whether to peel the point off to an
-    independent full simulation)."""
-    from .engine import simulate
-    if device_ofs is None:
-        device_ofs = [None] * len(configs)
-    if len(device_ofs) != len(configs):
-        raise ValueError("device_ofs and configs length mismatch")
-    results: List[SimulationResult] = []
-    representative: Optional[SimulationResult] = None
-    for config, device_of in zip(configs, device_ofs):
-        if representative is None:
-            representative = simulate(program, inputs, config, device_of)
-            results.append(representative)
-            continue
-        timed = simulate_control(program, inputs, config, device_of)
-        results.append(SimulationResult(
-            outputs=representative.outputs,
-            cycles=timed.cycles,
-            expected_cycles=timed.expected_cycles,
-            stall_cycles=timed.stall_cycles,
-            steady_stall_cycles=timed.steady_stall_cycles,
-            channel_occupancy=timed.channel_occupancy,
-            output_continuous=timed.output_continuous,
-            stencil_continuous=timed.stencil_continuous,
-            fault_report=timed.fault_report,
-            profile=timed.profile,
-        ))
-    return results

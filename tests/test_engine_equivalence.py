@@ -900,29 +900,29 @@ class TestKernelEngine:
 
 
 class TestStackedSimulation:
-    """Control-run stacking: ``simulate_stacked`` runs one program under
-    N configurations for ~one data pass, and every member's timing must
-    be bitwise identical to an independent full simulation."""
+    """One data pass plus control runs: the width-0 control engine times
+    every configuration of a program bitwise like its full simulation,
+    and the full runs' outputs do not depend on the configuration, so
+    the representative's data pass stands in for every member's."""
 
     def _assert_stacked_matches(self, program, inputs, configs,
                                 device_ofs=None):
-        from repro.simulator import simulate_stacked
-        stacked = simulate_stacked(program, inputs, configs, device_ofs)
+        from repro.simulator import simulate_control
         if device_ofs is None:
             device_ofs = [None] * len(configs)
-        assert len(stacked) == len(configs)
-        for config, device_of, member in zip(configs, device_ofs,
-                                             stacked):
+        representative = simulate(program, inputs, configs[0],
+                                  device_ofs[0])
+        for config, device_of in zip(configs, device_ofs):
             full = simulate(program, inputs, config, device_of)
+            timed = simulate_control(program, inputs, config, device_of)
             for field in _EXACT_FIELDS:
                 assert getattr(full, field) == \
-                    getattr(member, field), field
-            assert member.outputs.keys() == full.outputs.keys()
+                    getattr(timed, field), field
+            assert full.outputs.keys() == representative.outputs.keys()
             for name in full.outputs:
                 assert np.array_equal(full.outputs[name],
-                                      member.outputs[name],
+                                      representative.outputs[name],
                                       equal_nan=True), name
-        return stacked
 
     def test_members_match_full_runs(self):
         program = build("laplace2d", shape=(16, 16))
@@ -947,60 +947,188 @@ class TestStackedSimulation:
                                      configs, placements)
 
     def test_member_deadlock_propagates(self):
-        from repro.simulator import simulate_stacked
+        from repro.simulator import simulate_control
         program = diamond_program(long_branch=2)
         inputs = random_inputs(program)
         caps = {k: 2 for k in edge_keys(program)}
-        healthy = SimulatorConfig()
+        simulate(program, inputs, SimulatorConfig())  # healthy member
         doomed = SimulatorConfig(channel_capacities=caps,
                                  deadlock_window=64)
-        with pytest.raises(DeadlockError) as stacked_err:
-            simulate_stacked(program, inputs, [healthy, doomed])
+        with pytest.raises(DeadlockError) as control_err:
+            simulate_control(program, inputs, doomed)
         with pytest.raises(DeadlockError) as full_err:
             simulate(program, inputs, doomed)
-        assert stacked_err.value.cycle == full_err.value.cycle
-        assert stacked_err.value.blocked_units == \
+        assert control_err.value.cycle == full_err.value.cycle
+        assert control_err.value.blocked_units == \
             full_err.value.blocked_units
 
 
 class TestConfigParallelExplore:
-    """``explore(config_parallel=True)`` stacks same-program points
-    behind one representative full run; the report must be identical to
-    the plain per-point sweep."""
+    """Every sweep measures a lowered program with one data pass plus
+    control runs, and points that build one machine share a
+    simulation; the report must match a test-only sweep that runs every
+    point in full, field for field except timing and cache provenance."""
 
-    def _reports(self, workers):
+    SPACE = dict(vectorizations=(1, 2), device_counts=(1, 2),
+                 network_rates=(1.0, 0.5), network_latencies=(8, 24),
+                 fusions=(False, True))
+
+    @staticmethod
+    def _comparable(report):
+        record = report.to_json()
+        for field in ("wall_seconds", "cache_hits",
+                      "lowering_cache_hits", "relowered_programs"):
+            record.pop(field)
+        for entry in record["entries"] + [record["summary"]["best"]]:
+            entry.pop("wall_seconds")
+            entry.pop("cache_hit")
+        return record
+
+    def _sweep(self, program, **kwargs):
         from repro.explore import ConfigSpace, ResultCache, explore
-        program = build("laplace2d", shape=(16, 16))
-        space = ConfigSpace(vectorizations=(4,),
-                            network_latencies=(8, 16, 24, 32),
-                            network_rates=(1.0, 0.5))
-        kwargs = dict(space=space, strategy="exhaustive",
-                      workers=workers, persist=False)
-        plain = explore(program, cache=ResultCache(), **kwargs)
-        stacked = explore(program, cache=ResultCache(),
-                          config_parallel=True, **kwargs)
-        return plain, stacked
+        settings = dict(space=ConfigSpace(**self.SPACE),
+                        strategy="exhaustive", workers=1, persist=False,
+                        cache=ResultCache())
+        settings.update(kwargs)
+        return explore(program, **settings)
+
+    def _all_full(self, monkeypatch, program, **kwargs):
+        """The sweep with every machine its own group: a full run per
+        distinct measurement key, no control runs."""
+        from repro.explore import explorer
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "_families",
+                          lambda pending: [[[p]] for p in pending])
+            return self._sweep(program, **kwargs)
+
+    @staticmethod
+    def _counted(sweep):
+        """Run ``sweep()`` under a private metrics registry."""
+        from repro.obs import metrics
+        old = metrics.set_registry(metrics.MetricsRegistry(enabled=True))
+        try:
+            return sweep(), metrics.registry()
+        finally:
+            metrics.set_registry(old)
 
     @pytest.mark.parametrize("workers", [1, 4],
                              ids=["serial", "pool"])
-    def test_reports_identical(self, workers):
-        plain, stacked = self._reports(workers)
-        assert len(plain.entries) == len(stacked.entries)
-        assert len(plain.entries) >= 8
-        for a, b in zip(plain.entries, stacked.entries):
-            assert a.point == b.point
-            assert a.simulated == b.simulated
-            assert a.simulated_cycles == b.simulated_cycles
-            assert a.rank == b.rank
-            assert a.pareto == b.pareto
+    def test_reports_identical(self, workers, monkeypatch):
+        program = diamond_program(long_branch=2)
+        full, full_counts = self._counted(lambda: self._all_full(
+            monkeypatch, program, workers=workers))
+        grouped, counts = self._counted(
+            lambda: self._sweep(program, workers=workers))
+        assert self._comparable(grouped) == self._comparable(full)
+        assert grouped.simulated_points == len(grouped.entries) == 33
+        assert not grouped.failed_points
+        # Twenty machines in two families (fused or not): two data
+        # passes, eighteen control runs.  The all-full sweep runs each
+        # of its 33 measurement keys in full.
+        assert counts.counter_total("engine.runs") == 20
+        assert counts.counter_total("explore.control_points") == 18
+        assert full_counts.counter_total("engine.runs") == 33
+        assert full_counts.counter_total("explore.control_points") == 0
 
-    def test_process_backend_rejected(self):
-        from repro.errors import DefinitionError
-        from repro.explore import explore
-        program = build("laplace2d", shape=(16, 16))
-        with pytest.raises(DefinitionError, match="config_parallel"):
-            explore(program, config_parallel=True, backend="process",
-                    persist=False)
+    def test_process_backend_rejected(self, tmp_path):
+        """The process backend, a full run per machine, reports what
+        the thread backend's control runs report, entry for entry."""
+        from repro.service import ServiceConfig
+        program = diamond_program(long_branch=2)
+        thread = self._sweep(program, workers=2)
+        process = self._sweep(program, workers=2, backend="process",
+                              service=ServiceConfig(
+                                  run_root=tmp_path / "service",
+                                  heartbeat_interval=0.05, poll=0.01))
+        assert self._comparable(process) == self._comparable(thread)
+
+    def test_control_deadlock_gets_full_run_forensics(self,
+                                                      monkeypatch):
+        """A member that deadlocks under its control run is re-run in
+        full: its failure, forensics ``detail`` included, is the one
+        the all-full sweep reports."""
+        from repro.explore import ConfigSpace
+        from repro.explore import explorer
+        program = diamond_program(long_branch=2)
+        real_config = explorer.SimulatorConfig
+        real_control = explorer.simulate_control
+        controlled = []
+
+        def starved(**kwargs):
+            # Depth 16 stands for an under-provisioned machine (Fig. 4);
+            # depth 8 ranks first, so it is the healthy representative.
+            if kwargs.get("min_channel_depth") == 16:
+                kwargs["channel_capacities"] = {
+                    key: 2 for key in edge_keys(program)}
+            return real_config(**kwargs)
+
+        def control(program, inputs, config, device_of=None):
+            controlled.append(config.min_channel_depth)
+            return real_control(program, inputs, config,
+                                device_of=device_of)
+
+        monkeypatch.setattr(explorer, "SimulatorConfig", starved)
+        monkeypatch.setattr(explorer, "simulate_control", control)
+        kwargs = dict(space=ConfigSpace(channel_depths=(8, 16)),
+                      deadlock_window=64)
+        grouped = self._sweep(program, **kwargs)
+        assert controlled == [16]
+        full = self._all_full(monkeypatch, program, **kwargs)
+        [failed] = grouped.failed_points
+        assert failed.point.min_channel_depth == 16
+        assert failed.failure.kind == "deadlock"
+        assert failed.failure.detail is not None
+        assert self._comparable(grouped) == self._comparable(full)
+
+    def test_failed_representative_hands_over_data_pass(self,
+                                                        monkeypatch):
+        from repro.explore import ConfigSpace
+        from repro.explore import explorer
+        real = explorer.simulate
+        ran = []
+
+        def cursed(program, inputs, config, device_of=None):
+            ran.append(config.network_latency)
+            if len(ran) == 1:
+                raise ValidationError("data-dependent failure")
+            return real(program, inputs, config, device_of=device_of)
+
+        monkeypatch.setattr(explorer, "simulate", cursed)
+        # Four machines of one family, told apart by their latency
+        # (the single-device baseline keeps the default 32).
+        report = self._sweep(diamond_program(long_branch=2),
+                             space=ConfigSpace(device_counts=(2,),
+                                               network_latencies=(8, 16,
+                                                                  24)))
+        [failed] = report.failed_points
+        assert failed.point.network_latency == ran[0]
+        assert failed.failure.message == "data-dependent failure"
+        assert report.simulated_points == 3
+        # The next member made the data pass; the other two were
+        # control runs.
+        assert len(ran) == 2
+
+    def test_single_device_link_aliases_share_a_simulation(self):
+        """On one device no edge is remote, so ``r1`` and ``r0.5`` build
+        one machine: one simulation, stored under both keys, so a
+        later sweep selecting only the alias hits the cache."""
+        from repro.explore import ConfigSpace, ResultCache
+        program = build("laplace2d", shape=(16, 16), vectorization=2)
+        cache = ResultCache()
+        first, counts = self._counted(lambda: self._sweep(
+            program, cache=cache,
+            space=ConfigSpace(network_rates=(1.0, 0.5))))
+        # W1 r1 and W1 r0.5 are one machine, the W2 baseline another
+        # of the same family: one data pass and one control run.
+        assert first.simulated_points == 3
+        assert counts.counter_total("engine.runs") == 2
+        assert counts.counter_total("explore.control_points") == 1
+        again, counts = self._counted(lambda: self._sweep(
+            program, cache=cache, space=ConfigSpace(network_rates=(0.5,))))
+        assert counts.counter_total("engine.runs") == 0
+        [alias] = [e for e in again.entries
+                   if e.point.network_words_per_cycle == 0.5]
+        assert alias.simulated and alias.cache_hit
 
 
 class TestDriftWindows:

@@ -427,6 +427,30 @@ class TestExplorerResilience:
         assert "per-point budget" in \
             report.failed_points[0].failure.message
 
+    def test_point_timeout_is_charged_per_family_member(self, tmp_path,
+                                                        monkeypatch):
+        """Widths 1, 2, 4 are one lowered-program family, measured by
+        one task: each member fits the budget, so none times out,
+        although the family as a whole takes longer than it."""
+        from repro.explore import explorer as explorer_mod
+
+        def slowed(real):
+            def run(program, inputs, config, device_of=None):
+                time.sleep(0.2)
+                return real(program, inputs, config, device_of=device_of)
+            return run
+
+        for name in ("simulate", "simulate_control"):
+            monkeypatch.setattr(explorer_mod, name,
+                                slowed(getattr(explorer_mod, name)))
+        kwargs = _small_sweep_kwargs(tmp_path)
+        kwargs.update(space=ConfigSpace(vectorizations=(1, 2, 4)),
+                      workers=2, persist=False)
+        report = explore(laplace2d(shape=(12, 12)), point_timeout=0.45,
+                         **kwargs)
+        assert report.failed_points == ()
+        assert report.simulated_points == 3
+
     def test_failed_sweep_resumes_to_completion(self, tmp_path,
                                                 monkeypatch):
         from repro.explore import explorer as explorer_mod
