@@ -10,10 +10,11 @@ enabled — and asserts the overhead contract end to end:
 2. **Artifacts**: the instrumented sweep produces a parseable metrics
    snapshot and a Chrome trace-event JSON (Perfetto-loadable shape:
    ``traceEvents`` with ``M`` thread-name metadata and ``X`` complete
-   events); the process-backend trace carries one lane per worker,
-   reconstructed from the run journal.
+   events); the process-backend trace carries one lane per worker the
+   run journal spawned, reconstructed from that journal.
 3. **Totals**: thread- and process-backend snapshots agree on the
-   backend-agnostic counter totals.
+   backend-agnostic counter totals, and both backends time the sweep's
+   one lowered-program family with one data pass plus control runs.
 
 Run from the repo root: ``python scripts/telemetry_smoke.py OUTDIR``.
 Writes ``metrics-<backend>.json`` and ``trace-<backend>.json`` into
@@ -93,8 +94,11 @@ def check_trace(path: Path, expect_workers: bool):
     if expect_workers:
         workers = {name for name in lanes
                    if name.startswith("worker-")}
-        assert len(workers) == 2, \
-            f"expected one lane per worker, got lanes {lanes}"
+        spawned = {event["args"]["worker"] for event in events
+                   if event["ph"] == "X"
+                   and event["name"] == "service.worker"}
+        assert spawned and len(workers) == len(spawned), \
+            f"expected one lane per worker of {spawned}, got {lanes}"
         assert "supervisor" in lanes, lanes
         for name in ("service.run", "service.worker", "service.job"):
             assert name in spans, f"missing {name} in {spans}"
@@ -127,13 +131,12 @@ def main() -> int:
                 (workdir / f"metrics-{backend}.json").read_text())
             assert snapshot["schema"] == 1
             totals[backend] = counter_totals(snapshot)
-            if backend == "thread":
-                # Widths 1, 2, 4 of laplace2d are one lowered-program
-                # family: one data pass, then two control runs.
-                controls = sum(rec["value"] for rec in snapshot["counters"]
-                               if rec["name"] == "explore.control_points")
-                assert controls == 2, \
-                    f"expected 2 control runs on threads, got {controls}"
+            # Widths 1, 2, 4 of laplace2d are one lowered-program
+            # family: one data pass, then two control runs.
+            controls = sum(rec["value"] for rec in snapshot["counters"]
+                           if rec["name"] == "explore.control_points")
+            assert controls == 2, \
+                f"expected 2 control runs on {backend}, got {controls}"
             check_trace(workdir / f"trace-{backend}.json",
                         expect_workers=(backend == "process"))
 

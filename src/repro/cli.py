@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("thread", "process"),
                          help="frontier execution backend: in-process "
                               "threads, or the supervised multiprocess "
-                              "service (leased job batches, worker "
+                              "service (one lease per family, worker "
                               "heartbeats, crash-loop quarantine); "
                               "'process' degrades to 'thread' when "
                               "workers cannot be spawned")

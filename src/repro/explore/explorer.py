@@ -57,8 +57,9 @@ from .report import (
 from .search import GreedySearch, SearchStrategy, get_strategy
 from .space import ConfigPoint, ConfigSpace
 
-#: Default parallelism of the simulation stage.
-_DEFAULT_WORKERS = min(4, os.cpu_count() or 1)
+#: Default parallelism of the simulation stage (threads or worker
+#: processes).
+DEFAULT_WORKERS = min(4, os.cpu_count() or 1)
 
 #: Validation backends the simulation stage offers.
 BACKENDS = ("thread", "process")
@@ -122,9 +123,10 @@ def explore(program: StencilProgram,
             :class:`SearchStrategy` instance.
         beam_width: beam size for the greedy strategy.
         seed: input-generation seed (part of the determinism contract).
-        workers: simulator parallelism (threads, one lowered-program
-            family per task; the batched engine spends its time in
-            NumPy).
+        workers: simulator parallelism: threads, or worker processes
+            when ``service`` does not set its own count; one
+            lowered-program family per task or lease (the batched
+            engine spends its time in NumPy).
         cache: simulation-result cache; pass the same instance (or a
             loaded one) across sweeps to make them incremental.
         engine_mode: simulator engine selection per point.
@@ -155,13 +157,15 @@ def explore(program: StencilProgram,
             resumes from its partial results on the next run.
         backend: ``"thread"`` (in-process pool, the default) or
             ``"process"`` — the supervised multiprocess service
-            (:mod:`repro.service`): leased job batches, worker
-            heartbeats, crash-loop quarantine.  Identical reports on
+            (:mod:`repro.service`): one lease per family, worker
+            heartbeats, crash-loop quarantine.  Either backend only
+            executes families; deduplication, the cache probe and
+            checkpointing happen here, once.  Identical reports on
             fault-free sweeps; the process backend additionally
             survives hard worker crashes (native OOM, segfault,
             SIGKILL) and reclaims timed-out workers.  If worker
-            processes cannot be spawned, the sweep degrades to the
-            thread backend with a warning.
+            processes cannot be spawned, the families it left
+            unsettled run on the thread backend, with a warning.
         service: the process backend's workers: a
             :class:`repro.service.ServiceConfig` (supervision tunables;
             a private worker pool lives for this call) or a live
@@ -222,8 +226,8 @@ def explore(program: StencilProgram,
 
     def checkpoint_save():
         # Timed through the obs clock so checkpoint latency is a
-        # first-class metric on both backends (the supervisor calls
-        # this same closure).
+        # first-class metric on both backends (both settle through
+        # ``_simulate_frontier``).
         began = clock.now()
         cache.save_persistent(cache_path)
         metrics.histogram("explore.checkpoint_seconds").observe(
@@ -234,9 +238,9 @@ def explore(program: StencilProgram,
     try:
         with span("explore.simulate", backend=backend,
                   frontier=len(frontier)):
-            measurements, failures = _run_backend(
-                backend, pruner, program, platform, frontier, inputs,
-                engine_mode, cache, workers, service,
+            measurements, failures = _simulate_frontier(
+                pruner, frontier, inputs, engine_mode, cache, workers,
+                backend=backend, service=service,
                 deadlock_window=deadlock_window,
                 point_timeout=point_timeout,
                 retries=retries,
@@ -311,44 +315,6 @@ def _machine_key(prediction: Prediction) -> Tuple:
     return (prediction.family_hash, prediction.simulation_key)
 
 
-def _run_backend(backend, pruner, program, platform, frontier,
-                 inputs, engine_mode, cache, workers, service,
-                 **kwargs):
-    """Dispatch the simulation stage to the selected backend.
-
-    The process backend degrades gracefully: when worker processes
-    cannot be spawned at all (restricted sandboxes, exhausted pids),
-    the sweep falls back to the in-process thread pool with a
-    warning rather than failing — any measurements the service
-    completed first are already in ``cache`` and are simply reused.
-    """
-    if backend == "process":
-        from ..service.supervisor import (
-            ServiceConfig,
-            WorkerPool,
-            simulate_frontier_supervised,
-        )
-        if not isinstance(service, WorkerPool):
-            service = service or ServiceConfig()
-            if service.workers is None:
-                from dataclasses import replace
-                service = replace(service,
-                                  workers=workers or _DEFAULT_WORKERS)
-        try:
-            return simulate_frontier_supervised(
-                program, platform, frontier, inputs, engine_mode,
-                cache, service, **kwargs)
-        except ServiceUnavailable as exc:
-            if isinstance(service, WorkerPool) and service.closed:
-                raise  # shut down by its owner: nothing to fall back to
-            import sys
-            print(f"warning: process backend unavailable ({exc}); "
-                  f"falling back to the thread backend",
-                  file=sys.stderr)
-    return _simulate_frontier(pruner, frontier, inputs, engine_mode,
-                              cache, workers, **kwargs)
-
-
 def measure(group: Sequence[Prediction], program: StencilProgram,
             platform: FPGAPlatform, inputs, engine_mode: str,
             resolved_engine: str,
@@ -358,8 +324,8 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
     """Measure ``group``, machines of one lowered program family,
     yielding each member's :class:`Measurement` or
     :class:`PointFailure` in order as it finishes.  This is the one
-    measurement both sweep backends take: threads measure whole
-    families, process workers groups of one.
+    measurement both sweep backends take, a thread task or a process
+    worker's lease measuring one family.
 
     The first member (the representative) gets a full simulation, the
     family's one data pass: only it can surface a data-dependent
@@ -470,6 +436,8 @@ def _simulate_frontier(pruner: Pruner,
                        engine_mode: str,
                        cache: ResultCache,
                        workers: Optional[int],
+                       backend: str = "thread",
+                       service=None,
                        deadlock_window: Optional[int] = None,
                        point_timeout: Optional[float] = None,
                        retries: int = 1,
@@ -483,11 +451,14 @@ def _simulate_frontier(pruner: Pruner,
     Returns ``(outcomes, failures)``, both keyed by
     :func:`_machine_key`: ``outcomes`` maps to ``(measurement,
     cache_hit)``; ``failures`` records points that produced no
-    measurement (deadlock, timeout, exhausted retries) — the sweep
-    always completes.  Cache hits are answered first; the rest are
-    measured by :func:`_families`, one family per thread task, and each
-    outcome goes to every point it answers, with one cache entry per
-    point's key.
+    measurement (deadlock, timeout, exhausted retries, poisoned) — the
+    sweep always completes.  Cache hits are answered first; the rest
+    are grouped by :func:`_families` and each outcome goes through
+    ``settle`` to every point it answers, with one cache entry per
+    point's key.  The backends differ only in how they run a family:
+    a thread task each, or a lease on the supervised process pool
+    (:class:`repro.service.Supervisor`).  When worker processes cannot
+    be spawned, the families the pool left unsettled run on threads.
     """
     # The *resolved* engine is part of the entry key: cycle counts are
     # engine-independent (enforced by the equivalence suite), but the
@@ -530,14 +501,38 @@ def _simulate_frontier(pruner: Pruner,
         else:
             settle([prediction], cached, hit=True)
 
+    families = _families(pending)
+    if backend == "process" and families:
+        from ..service.supervisor import ServiceConfig, Supervisor, WorkerPool
+        if not isinstance(service, WorkerPool):
+            service = (service or ServiceConfig()).sized(workers)
+        try:
+            Supervisor(pruner.program, pruner.platform, families, settle,
+                       inputs, engine_mode, resolved_engine, cache,
+                       service, deadlock_window=deadlock_window,
+                       point_timeout=point_timeout, retries=retries,
+                       retry_backoff=retry_backoff).run()
+            return outcomes, failures
+        except ServiceUnavailable as exc:
+            if isinstance(service, WorkerPool) and service.closed:
+                raise  # shut down by its owner: nothing to fall back to
+            import sys
+            print(f"warning: process backend unavailable ({exc}); "
+                  f"falling back to the thread backend",
+                  file=sys.stderr)
+        settled = outcomes.keys() | failures.keys()
+        families = [[machine for machine in family
+                     if _machine_key(machine[0]) not in settled]
+                    for family in families]
+        families = [family for family in families if family]
+
     def run(family):
         return measure([machine[0] for machine in family],
                        pruner.program, pruner.platform, inputs,
                        engine_mode, resolved_engine, deadlock_window,
                        retries, retry_backoff)
 
-    families = _families(pending)
-    max_workers = workers or _DEFAULT_WORKERS
+    max_workers = workers or DEFAULT_WORKERS
     if point_timeout is None and (max_workers <= 1 or len(families) < 2):
         for family in families:
             for machine, result in zip(family, run(family)):

@@ -3,7 +3,7 @@
 A query the index cannot answer becomes a *job*: a bounded
 design-space sweep over the requested (program, shape, hardware)
 triple, executed by :func:`repro.api.explore` on the supervised
-multiprocess service (PR 7 — leased job batches, worker heartbeats,
+multiprocess service (one lease per family, worker heartbeats,
 journal-backed; it degrades to the thread backend when workers cannot
 be spawned).  The HTTP layer returns ``202`` with the job id; when the
 sweep lands, its report joins the store and the index, and the poll
@@ -216,16 +216,12 @@ class JobManager:
     def _borrow_pool(self, service, workers):
         """A free worker pool, else a new one (it spawns at its first
         sweep); the semaphore bounds how many exist."""
-        from dataclasses import replace
-
-        from ..explore.explorer import _DEFAULT_WORKERS
         from ..service import ServiceConfig, WorkerPool
         with self._lock:
             if not self._free_pools:
                 # Journals attribute the pool's sweeps to the service.
                 config = service or ServiceConfig(source="serve")
-                self._pools.append(WorkerPool(replace(config, workers=(
-                    config.workers or workers or _DEFAULT_WORKERS))))
+                self._pools.append(WorkerPool(config.sized(workers)))
                 self._free_pools.append(self._pools[-1])
             return self._free_pools.pop()
 

@@ -1,8 +1,8 @@
 """Supervised multiprocess exploration service (ROADMAP item 1).
 
 Crash-safe *execution* for design-space sweeps, complementing the
-crash-safe *state* of the persistent caches: the explorer's pruned
-frontier is sharded into leased job batches, drained by spawn-based
+crash-safe *state* of the persistent caches: the explorer's families
+are leased, one family's outstanding machines at a time, to spawn-based
 worker processes that heartbeat over a pipe, and supervised by a
 control loop that reaps wedged or dead workers, recovers their
 durable partial results, re-enqueues their leases, and quarantines
@@ -30,12 +30,7 @@ semantics.
 
 from .journal import JobJournal, JournalState, find_run_dirs
 from .lease import Job, Lease, LeaseTable
-from .supervisor import (
-    ServiceConfig,
-    Supervisor,
-    WorkerPool,
-    simulate_frontier_supervised,
-)
+from .supervisor import ServiceConfig, Supervisor, WorkerPool
 from .worker import POISON_ENV
 
 __all__ = [
@@ -49,5 +44,4 @@ __all__ = [
     "Supervisor",
     "WorkerPool",
     "find_run_dirs",
-    "simulate_frontier_supervised",
 ]

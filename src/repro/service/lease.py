@@ -1,8 +1,9 @@
 """Leases over exploration jobs, with crash-loop accounting.
 
 The supervision idiom of cluster schedulers, scaled down to one
-machine: work is handed to a worker as a *lease* — a batch of jobs
-with a deadline that heartbeats push forward.  A worker that stops
+machine: work is handed to a worker as a *lease* — one family's
+outstanding jobs, one per machine, with a deadline that heartbeats
+push forward.  A worker that stops
 heartbeating, blows its deadline, or plain dies forfeits the lease;
 unfinished jobs return to the queue and the job the worker was
 chewing on when it died is charged one *death*.  A job that kills its
@@ -38,7 +39,7 @@ class Job:
 
 @dataclass
 class Lease:
-    """A batch of jobs granted to one worker until ``deadline``."""
+    """One family's jobs granted to one worker until ``deadline``."""
 
     lease_id: int
     worker_id: int

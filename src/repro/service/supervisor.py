@@ -5,8 +5,11 @@ owns the *spawn*-context worker processes (:mod:`repro.service.worker`)
 — spawn, liveness, reaping and shutdown — and keeps clean ones
 resident between sweeps, so an owner that runs many sweeps (``repro
 serve``) pays for spawn and import once.  Each sweep's
-:class:`Supervisor` borrows workers from a pool, shards the pruned
-frontier into leased job batches, and runs a control loop that:
+:class:`Supervisor` borrows workers from a pool and executes the
+explorer's families: one job per machine, one lease per family's
+outstanding machines.  What a sweep measures — deduplication, the
+cache probe, fan-out to points, checkpoints — is the explorer's; each
+resolved job goes back through its ``settle``.  The control loop:
 
 * drains worker pipes — results, failures, heartbeats — dropping any
   message tagged with another sweep's id;
@@ -26,34 +29,31 @@ frontier into leased job batches, and runs a control loop that:
 
 Every transition is journaled (:mod:`repro.service.journal`).  If
 worker processes cannot be spawned at all, :class:`ServiceUnavailable`
-propagates and the explorer degrades to the thread backend with a
-warning — completed measurements are already in the cache, so the
-fallback resumes rather than restarts.
+propagates and the explorer runs the families left unsettled on the
+thread backend, with a warning.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import multiprocessing
 import os
 import shutil
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import connection
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..errors import ServiceUnavailable
 from ..explore.cache import Measurement, ResultCache
-from ..explore.explorer import _machine_key
+from ..explore.explorer import DEFAULT_WORKERS
 from ..explore.report import PointFailure
 from ..faults.store import RUN_DIRS, read_json_guarded
 from ..obs import journal_spans, metrics, spans, write_chrome_trace
-from ..simulator.engine import SimulatorConfig, resolve_engine_mode
 from .journal import JOURNAL_NAME, JobJournal, new_run_dir
 from .lease import Job, LeaseTable
 from .worker import worker_main
@@ -69,11 +69,10 @@ class ServiceConfig:
     """Tunables of the supervised multiprocess backend.
 
     Attributes:
-        workers: worker-process count (``None``: the explorer's
-            default parallelism).
-        batch_size: jobs per lease (``None``: sized so every worker
-            gets several leases — small enough that a lost lease
-            costs little, large enough to amortize the pipe).
+        workers: most worker processes a sweep uses; it uses no more
+            than it has families (``None``: the explorer's
+            ``workers``, else its default parallelism — see
+            :meth:`sized`).
         lease_ttl: seconds a lease stays valid without a heartbeat
             renewing it.
         heartbeat_interval: worker pulse period.
@@ -100,7 +99,6 @@ class ServiceConfig:
     """
 
     workers: Optional[int] = None
-    batch_size: Optional[int] = None
     lease_ttl: float = 60.0
     heartbeat_interval: float = 0.25
     heartbeat_timeout: float = 15.0
@@ -112,6 +110,12 @@ class ServiceConfig:
     poll: float = 0.05
     join_timeout: float = 5.0
     source: str = "explore"
+
+    def sized(self, workers: Optional[int] = None) -> "ServiceConfig":
+        """This config with its worker count resolved: its own, else
+        ``workers``, else the explorer's default parallelism."""
+        return replace(self,
+                       workers=self.workers or workers or DEFAULT_WORKERS)
 
     def resolved_run_root(self) -> Path:
         if self.run_root is not None:
@@ -251,21 +255,32 @@ def _unlink(path: Optional[Path]):
 
 
 class Supervisor:
-    """One supervised sweep over a frontier of predictions, on a
-    private pool (``config`` a :class:`ServiceConfig`, closed when the
-    sweep ends) or a borrowed live :class:`WorkerPool`."""
+    """One supervised sweep over the explorer's families, on a private
+    pool (``config`` a :class:`ServiceConfig`, closed when the sweep
+    ends) or a borrowed live :class:`WorkerPool`.
 
-    def __init__(self, program, platform, predictions, inputs,
-                 engine_mode: str, cache: ResultCache,
+    ``families`` is the explorer's grouping of the machines to measure
+    (each family a list of machines, each machine the points that build
+    it).  Every machine becomes one job, queued family by family; a
+    lease is the run of queued jobs of the front job's family, measured
+    by one :func:`~repro.explore.explorer.measure` call.  Each resolved
+    job is handed to ``settle(machine, measurement_or_failure)``.
+    ``cache`` only receives the compacted worker shards.
+    """
+
+    def __init__(self, program, platform, families: Sequence[Sequence],
+                 settle: Callable, inputs, engine_mode: str,
+                 resolved_engine: str, cache: ResultCache,
                  config: Union[ServiceConfig, WorkerPool],
                  deadlock_window: Optional[int] = None,
                  point_timeout: Optional[float] = None,
-                 retries: int = 1, retry_backoff: float = 0.25,
-                 checkpoint_every: int = 16, checkpoint=None):
+                 retries: int = 1, retry_backoff: float = 0.25):
         self.program = program
         self.platform = platform
+        self.settle = settle
         self.inputs = inputs
         self.engine_mode = engine_mode
+        self.resolved_engine = resolved_engine
         self.cache = cache
         self._owns_pool = not isinstance(config, WorkerPool)
         self.pool = WorkerPool(config) if self._owns_pool else config
@@ -274,56 +289,41 @@ class Supervisor:
         self.point_timeout = point_timeout
         self.retries = retries
         self.retry_backoff = retry_backoff
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint = checkpoint
-
-        self.resolved_engine = resolve_engine_mode(
-            SimulatorConfig(engine_mode=engine_mode))
-        # One job per outcome key, the thread backend's; leases and
-        # poison counting work per job.
-        distinct: Dict[Tuple, object] = {}
-        for prediction in predictions:
-            distinct.setdefault(_machine_key(prediction), prediction)
-        self.distinct = distinct
-
-        self.outcomes: Dict[Tuple, Tuple[Measurement, bool]] = {}
-        self.failures: Dict[Tuple, PointFailure] = {}
-        self._completed = 0
 
         self.sweep_id: Optional[int] = None
+        self._family_count = len(families)
         self._queue: deque = deque()
-        self._workers: Dict[int, _WorkerHandle] = {}
-        self._leases: Optional[LeaseTable] = None
-        self._unresolved: set = set()
+        self._machines: Dict[int, Sequence] = {}
         self._jobs_by_id: Dict[int, Job] = {}
+        for machine in (m for family in families for m in family):
+            first = machine[0]
+            job = Job(job_id=len(self._jobs_by_id) + 1, prediction=first,
+                      entry_key=ResultCache.entry_key(
+                          first.family_hash,
+                          (resolved_engine,) + first.simulation_key))
+            self._jobs_by_id[job.job_id] = job
+            self._machines[job.job_id] = machine
+            self._queue.append(job)
+        self._unresolved = set(self._jobs_by_id)
+        self._workers: Dict[int, _WorkerHandle] = {}
+        self._leases = LeaseTable(ttl=self.cfg.lease_ttl,
+                                  max_point_deaths=self.cfg.max_point_deaths)
         self._restarts_used = 0
         self._spawn_failures = 0
         self._run_dir: Optional[Path] = None
         self._journal: Optional[JobJournal] = None
 
-    @property
-    def _ctx(self):
-        """The pool's multiprocessing context (a test seam)."""
-        return self.pool.ctx
-
-    @_ctx.setter
-    def _ctx(self, ctx):
-        self.pool.ctx = ctx
-
     # -- public entry ---------------------------------------------------------
 
-    def run(self) -> Tuple[Dict[Tuple, Tuple[Measurement, bool]],
-                           Dict[Tuple, PointFailure]]:
-        """Drain the frontier; always returns complete bookkeeping.
-
-        Every distinct machine ends in exactly one of ``outcomes``
-        (measured, possibly from the cache) or ``failures``
-        (deadlocked, errored, timed out, poisoned, or out of restart
-        budget).
+    def run(self):
+        """Drain the queue: every machine is settled exactly once,
+        measured or failed (deadlocked, errored, timed out, poisoned,
+        or out of restart budget).  Raises :class:`ServiceUnavailable`
+        when workers cannot be spawned or the pool is closed; the
+        machines settled by then stay settled.
         """
-        self._probe_cache()
         if not self._queue:
-            return self.outcomes, self.failures
+            return
 
         self.sweep_id = next(self.pool.sweep_ids)
         self._run_dir = new_run_dir(self.cfg.resolved_run_root())
@@ -351,10 +351,7 @@ class Supervisor:
                 while self._unresolved or any(
                         h.lease for h in self._workers.values()):
                     self._pump()
-            self._journal.append(
-                "run_completed",
-                completed=len(self.outcomes) - self._cache_hits,
-                failed=len(self.failures), cache_hits=self._cache_hits)
+            self._journal.append("run_completed")
             clean = True
         except BaseException:
             if self._journal is not None:
@@ -362,42 +359,13 @@ class Supervisor:
             raise
         finally:
             self._teardown(clean)
-        return self.outcomes, self.failures
 
     # -- setup ----------------------------------------------------------------
 
     def _target_workers(self) -> int:
-        want = self.cfg.workers or 1
-        return max(1, min(want, len(self._queue) or 1))
-
-    def _batch_size(self) -> int:
-        if self.cfg.batch_size:
-            return self.cfg.batch_size
-        jobs, workers = len(self._jobs_by_id), self._target_workers()
-        return max(1, min(8, math.ceil(jobs / (2 * workers))))
-
-    def _probe_cache(self):
-        """Resolve cache hits locally; queue the misses as jobs."""
-        self._cache_hits = 0
-        job_id = 0
-        for key, prediction in self.distinct.items():
-            sim_key = (self.resolved_engine,) + prediction.simulation_key
-            cached = self.cache.get(prediction.family_hash, sim_key)
-            if cached is not None:
-                self.outcomes[key] = (cached, True)
-                self._cache_hits += 1
-                self._note_done()
-                continue
-            job_id += 1
-            job = Job(job_id=job_id, prediction=prediction,
-                      entry_key=ResultCache.entry_key(
-                          prediction.family_hash, sim_key))
-            self._jobs_by_id[job_id] = job
-            self._queue.append(job)
-            self._unresolved.add(job_id)
-        self._leases = LeaseTable(
-            ttl=self.cfg.lease_ttl,
-            max_point_deaths=self.cfg.max_point_deaths)
+        """One worker per family, at most the configured count: a
+        family is one lease at a time."""
+        return max(1, min(self.cfg.workers or 1, self._family_count))
 
     def _checkout(self):
         """Borrow resident workers, spawn the rest (outside the restart
@@ -487,10 +455,6 @@ class Supervisor:
             if self._restarts_used < self._max_restarts():
                 self._restarts_used += 1
                 self._spawn_worker()
-                if not self._workers and \
-                        self._spawn_failures >= self.cfg.spawn_attempts:
-                    self._fail_remaining("worker processes cannot be "
-                                         "spawned")
             else:
                 self._fail_remaining("worker restart budget "
                                      "exhausted")
@@ -569,7 +533,7 @@ class Supervisor:
             if lease is not None \
                     and lease.lease_id == message.get("lease_id"):
                 # Defensive: anything the worker skipped goes back.
-                for job in lease.outstanding:
+                for job in reversed(lease.outstanding):
                     self._requeue(job)
                 self._leases.release(lease.lease_id)
                 handle.lease = None
@@ -581,12 +545,6 @@ class Supervisor:
 
     def _resolve_measurement(self, job: Job, measurement: Measurement,
                              recovered: bool = False):
-        key = _machine_key(job.prediction)
-        self.outcomes[key] = (measurement, False)
-        self.cache.put(job.prediction.family_hash,
-                       (self.resolved_engine,)
-                       + job.prediction.simulation_key,
-                       measurement)
         self._unresolved.discard(job.job_id)
         self._journal.append("job_completed", job=job.job_id,
                              cycles=measurement.simulated_cycles,
@@ -594,11 +552,10 @@ class Supervisor:
         metrics.counter("service.jobs_completed").inc()
         if recovered:
             metrics.counter("service.jobs_recovered").inc()
-        self._note_done()
+        self.settle(self._machines[job.job_id], measurement)
 
     def _resolve_failure(self, job: Job, failure: PointFailure,
                          event: str):
-        self.failures[_machine_key(job.prediction)] = failure
         self._unresolved.discard(job.job_id)
         self._journal.append(event, job=job.job_id,
                              kind=failure.kind,
@@ -606,19 +563,13 @@ class Supervisor:
                              attempts=failure.attempts)
         metrics.counter("service.jobs_failed",
                         kind=failure.kind).inc()
-        self._note_done()
+        self.settle(self._machines[job.job_id], failure)
 
     def _requeue(self, job: Job):
         self._queue.appendleft(job)
         self._journal.append("job_requeued", job=job.job_id,
                              deaths=job.deaths)
         metrics.counter("service.jobs_requeued").inc()
-
-    def _note_done(self):
-        self._completed += 1
-        if self.checkpoint is not None and self.checkpoint_every > 0 \
-                and self._completed % self.checkpoint_every == 0:
-            self.checkpoint()
 
     # -- supervision ----------------------------------------------------------
 
@@ -697,14 +648,16 @@ class Supervisor:
             self._spawn_worker()
 
     def _assign(self, now: float):
+        """Lease each idle worker the run of queued jobs that share the
+        front job's family: one data pass, the rest control runs."""
         for handle in list(self._workers.values()):
             if handle.lease is not None or not self._queue:
                 continue
-            batch = [self._queue.popleft()
-                     for _ in range(min(self._batch_size(),
-                                        len(self._queue)))]
-            if not batch:
-                continue
+            family = self._queue[0].prediction.family_hash
+            batch = []
+            while self._queue and \
+                    self._queue[0].prediction.family_hash == family:
+                batch.append(self._queue.popleft())
             lease = self._leases.grant(handle.worker_id, batch, now)
             handle.lease = lease
             metrics.counter("service.leases_granted").inc()
@@ -830,36 +783,3 @@ class Supervisor:
                 snap = read_json_guarded(path, quiet=True)
                 if isinstance(snap, dict):
                     metrics.registry().merge_snapshot(snap)
-
-
-def simulate_frontier_supervised(
-        program, platform, predictions: Sequence, inputs,
-        engine_mode: str, cache: ResultCache,
-        config: Union[ServiceConfig, WorkerPool, None] = None,
-        deadlock_window: Optional[int] = None,
-        point_timeout: Optional[float] = None,
-        retries: int = 1, retry_backoff: float = 0.25,
-        checkpoint_every: int = 16, checkpoint=None
-) -> Tuple[Dict[Tuple, Tuple[Measurement, bool]],
-           Dict[Tuple, PointFailure]]:
-    """Measure a frontier on the supervised multiprocess backend.
-
-    Drop-in sibling of the explorer's thread-pool
-    ``_simulate_frontier``: same return shape, same failure
-    taxonomy, same cache keys — the report built from either backend
-    is identical on a fault-free run.  ``config`` is a
-    :class:`ServiceConfig` (a private pool for this sweep) or a live
-    :class:`WorkerPool` (borrowed, left running).  Raises
-    :class:`~repro.errors.ServiceUnavailable` when worker processes
-    cannot be spawned at all (the explorer then falls back to
-    threads; measurements completed before the failure are already
-    in ``cache``, so nothing is lost).
-    """
-    supervisor = Supervisor(
-        program, platform, predictions, inputs, engine_mode, cache,
-        config or ServiceConfig(),
-        deadlock_window=deadlock_window,
-        point_timeout=point_timeout,
-        retries=retries, retry_backoff=retry_backoff,
-        checkpoint_every=checkpoint_every, checkpoint=checkpoint)
-    return supervisor.run()

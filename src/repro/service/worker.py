@@ -6,14 +6,17 @@ NumPy state, a hard crash kills only this process) and may serve
 many sweeps (:class:`~repro.service.supervisor.WorkerPool`).  The
 worker:
 
-* gets the per-sweep facts in one ``sweep`` message, then leased job
-  batches, and tags all it sends with the sweep's id;
+* gets the per-sweep facts in one ``sweep`` message, then leases —
+  each one family's outstanding machines, one job per machine — and
+  tags all it sends with the sweep's id;
 * heartbeats from a background thread between ``sweep`` and
   ``sweep_end``, so the supervisor can tell "busy" from "wedged" even
   when NumPy holds the core for seconds, and is silent while idle;
-* measures each job through :func:`~repro.explore.explorer.measure`
-  on a group of one, the thread backend's own measurement, so both
-  report identical entries;
+* measures a lease with one :func:`~repro.explore.explorer.measure`
+  call, the thread backend's own measurement (one data pass, control
+  runs for the rest), so both report identical entries; it announces
+  each job before pulling its result, so a death or a timeout is
+  charged to that machine;
 * writes every measurement to its own per-sweep shard file (atomic,
   fsync'd) before acknowledging it, so the supervisor can recover a
   result whose worker died before reporting it.
@@ -99,19 +102,20 @@ def worker_main(conn, worker_id: int, payload: dict):
                 metrics.registry().save(sweep["metrics_path"])
 
     def run_lease(message: dict):
-        for job in message["jobs"]:
-            prediction = job["prediction"]
+        jobs = message["jobs"]
+        results = measure(
+            [job["prediction"] for job in jobs], sweep["program"],
+            sweep["platform"], sweep["inputs"], sweep["engine_mode"],
+            sweep["resolved_engine"], sweep["deadlock_window"],
+            sweep["retries"], sweep["retry_backoff"])
+        for job in jobs:
             heartbeat.current_job = job["job_id"]
             send({"type": "job_started", "job_id": job["job_id"]})
             if poison_label is not None \
-                    and prediction.point.label() == poison_label:
+                    and job["prediction"].point.label() == poison_label:
                 # Chaos hook: die the hard way, mid-job.
                 os.kill(os.getpid(), signal.SIGKILL)
-            [measurement] = measure(
-                [prediction], sweep["program"], sweep["platform"],
-                sweep["inputs"], sweep["engine_mode"],
-                sweep["resolved_engine"], sweep["deadlock_window"],
-                sweep["retries"], sweep["retry_backoff"])
+            measurement = next(results)
             if isinstance(measurement, PointFailure):
                 heartbeat.current_job = None
                 send({"type": "failed", "job_id": job["job_id"],

@@ -1448,9 +1448,8 @@ class BatchedSimulator(Simulator):
                 idle_streak = 0
             else:
                 idle_streak += 1
-                in_flight = sum(len(link) for link in self.links)
                 if idle_streak >= self.config.deadlock_window and \
-                        in_flight == 0:
+                        not self._links_hold_words():
                     raise deadlock_error(self.units, now, simulator=self)
             now += 1
 

@@ -294,6 +294,14 @@ class Simulator:
             cap += plan.total_fault_cycles()
         return cap
 
+    def _links_hold_words(self) -> bool:
+        """The deadlock detector's link test on a zero-progress scalar
+        cycle: it cannot fire while any link holds a word (``len``: in
+        flight or delivered but not yet popped).  The planner's
+        window-level twin is ``links_hold_words`` in
+        :meth:`BatchedSimulator._plan_window`."""
+        return any(len(link) for link in self.links)
+
     def _collect_result(self, cycles: int) -> SimulationResult:
         """Assemble the result record from terminal machine state (shared
         by the scalar, tracing, and batched engines)."""
@@ -412,9 +420,8 @@ class Simulator:
                 idle_streak = 0
             else:
                 idle_streak += 1
-                in_flight = sum(len(link) for link in self.links)
                 if idle_streak >= self.config.deadlock_window and \
-                        in_flight == 0:
+                        not self._links_hold_words():
                     raise deadlock_error(self.units, now, simulator=self)
             now += 1
 

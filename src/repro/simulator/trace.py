@@ -128,9 +128,8 @@ class TracingSimulator(Simulator):
                 idle_streak = 0
             else:
                 idle_streak += 1
-                in_flight = sum(len(link) for link in self.links)
                 if idle_streak >= self.config.deadlock_window \
-                        and in_flight == 0:
+                        and not self._links_hold_words():
                     raise deadlock_error(self.units, now,
                                          prefix="deadlock (traced): ",
                                          simulator=self)

@@ -87,6 +87,17 @@ class TestJournal:
         assert list(find_run_dirs(root)) == [first]
 
 
+def _probe_supervisor(config, settle=lambda machine, result: None):
+    """A hand-built supervisor over one stand-in machine."""
+    prediction = types.SimpleNamespace(
+        family_hash="fam", simulation_key=(1,),
+        point=types.SimpleNamespace(label=lambda: "P"))
+    return Supervisor(
+        types.SimpleNamespace(name="probe"), None, [[[prediction]]],
+        settle, inputs={}, engine_mode="auto", resolved_engine="batched",
+        cache=ResultCache(), config=config)
+
+
 def _jobs(*ids):
     return [Job(job_id=i, prediction=None, entry_key=f"k{i}")
             for i in ids]
@@ -246,34 +257,70 @@ class TestProcessBackend:
         def refuse(*args, **kwargs):
             raise ServiceUnavailable("spawn denied by test")
 
-        monkeypatch.setattr(
-            "repro.service.supervisor.simulate_frontier_supervised",
-            refuse)
+        monkeypatch.setattr(Supervisor, "run", refuse)
         report = _sweep(tmp_path, "process")
         assert report.simulated_points == 2
         assert not report.failed_points
         assert "falling back to the thread backend" in \
             capsys.readouterr().err
 
+    def test_spawn_failure_mid_sweep_settles_each_machine_once(
+            self, tmp_path, monkeypatch):
+        """When respawning fails mid-sweep, what the pool measured stays
+        measured (not a cache hit) and only the machines it left
+        unsettled run on threads, each once."""
+        from repro.explore import explorer
+        from repro.service import WorkerPool
+        # The sweep measures W4, W2, W1 (in predicted rank order): the
+        # worker dies on the third point and cannot be replaced.
+        monkeypatch.setenv(POISON_ENV, "W1 x1c")
+        real_spawn = WorkerPool.spawn
+        spawns = []
+
+        def spawn_once(pool):
+            spawns.append(pool)
+            if len(spawns) > 1:
+                raise OSError("spawn denied by test")
+            return real_spawn(pool)
+
+        in_threads = []
+        for name in ("simulate", "simulate_control"):
+            def counted(program, inputs, config, device_of=None,
+                        _real=getattr(explorer, name)):
+                in_threads.append(program.vectorization)
+                return _real(program, inputs, config, device_of=device_of)
+            monkeypatch.setattr(explorer, name, counted)
+        monkeypatch.setattr(WorkerPool, "spawn", spawn_once)
+
+        report = _sweep(tmp_path, "process", widths=(1, 2, 4),
+                        service=_fast_service(tmp_path, workers=1,
+                                              keep_run_dir=True))
+        assert not report.failed_points
+        assert report.simulated_points == 3
+        assert report.cache_hits == 0
+        assert not any(entry.cache_hit for entry in report.entries)
+        [run_dir] = find_run_dirs(tmp_path / "service")
+        records = JobJournal.read(run_dir / JOURNAL_NAME)
+        label_of = {record["job"]: record["point"] for record in records
+                    if record["event"] == "job_enqueued"}
+        in_pool = [label_of[record["job"]] for record in records
+                   if record["event"] == "job_completed"]
+        assert in_pool == ["W4 x1c", "W2 x1c"]
+        assert in_threads == [1]
+
     def test_unspawnable_workers_raise_service_unavailable(
             self, tmp_path):
         """Below the fallback: the supervisor itself gives up with
         ``ServiceUnavailable`` after ``spawn_attempts`` consecutive
         spawn failures, journaling the abort."""
-        prediction = types.SimpleNamespace(
-            family_hash="fam", simulation_key=(1,),
-            point=types.SimpleNamespace(label=lambda: "P"))
-        program = types.SimpleNamespace(name="probe")
-        supervisor = Supervisor(
-            program, platform=None, predictions=[prediction],
-            inputs={}, engine_mode="auto", cache=ResultCache(),
-            config=_fast_service(tmp_path, spawn_attempts=3))
+        supervisor = _probe_supervisor(
+            _fast_service(tmp_path, spawn_attempts=3))
 
         class NoSpawn:
             def Pipe(self, duplex=True):
                 raise OSError("spawn denied by test")
 
-        supervisor._ctx = NoSpawn()
+        supervisor.pool.ctx = NoSpawn()
         with pytest.raises(ServiceUnavailable,
                            match="could not spawn"):
             supervisor.run()
@@ -395,8 +442,9 @@ class TestWorkerPool:
             spawned = metrics.registry().counter_total(
                 "service.workers_spawned")
             second = _sweep(tmp_path, "process", service=pool)
+            # Widths 1 and 2 are one family: one lease, one worker.
             assert metrics.registry().counter_total(
-                "service.workers_spawned") == spawned == 2
+                "service.workers_spawned") == spawned == 1
         finally:
             metrics.set_registry(old)
             pool.close()
@@ -438,15 +486,16 @@ class TestWorkerPool:
         pool = WorkerPool(_fast_service(tmp_path, workers=2))
         borrowed = []
 
-        def checkpoint():
+        def settle(machine, result):
+            # The explorer's settle checkpoints; this one fails at once.
             borrowed.extend(handle.process
                             for handle in supervisor._workers.values())
             raise RuntimeError("checkpoint failed")
 
         supervisor = Supervisor(
-            program, STRATIX10, predictions, default_inputs(program),
-            "auto", ResultCache(), pool, checkpoint_every=1,
-            checkpoint=checkpoint)
+            program, STRATIX10, [[[p] for p in predictions]], settle,
+            default_inputs(program), "auto", "batched", ResultCache(),
+            pool)
         try:
             with pytest.raises(RuntimeError, match="checkpoint failed"):
                 supervisor.run()
@@ -485,14 +534,10 @@ class TestWorkerPool:
         """Job ids restart at 1 per sweep: a ``result`` tagged with an
         earlier sweep's id must not resolve this sweep's job 1."""
         from repro.explore.cache import Measurement
-        prediction = types.SimpleNamespace(
-            family_hash="fam", simulation_key=(1,),
-            point=types.SimpleNamespace(label=lambda: "P"))
-        supervisor = Supervisor(
-            types.SimpleNamespace(name="probe"), platform=None,
-            predictions=[prediction], inputs={}, engine_mode="auto",
-            cache=ResultCache(), config=_fast_service(tmp_path))
-        supervisor._probe_cache()
+        settled = []
+        supervisor = _probe_supervisor(
+            _fast_service(tmp_path),
+            settle=lambda machine, result: settled.append(result))
         supervisor.sweep_id = 2
         supervisor._journal = JobJournal(tmp_path / JOURNAL_NAME)
         handle = types.SimpleNamespace(lease=None, last_beat=0.0,
@@ -503,4 +548,5 @@ class TestWorkerPool:
         assert supervisor._unresolved == {1}
         supervisor._handle_message(handle, dict(result, sweep_id=2))
         assert supervisor._unresolved == set()
+        assert [m.simulated_cycles for m in settled] == [7]
         supervisor._journal.close()
