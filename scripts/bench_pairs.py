@@ -21,6 +21,11 @@ won, lost and tied — a gain may be claimed when it wins nine tenths of
 the pairs and the medians differ by more than the parent's own
 interquartile range.  ``failed / attempted`` is summed per side.
 
+``--layers NAME[,NAME...]`` (per-layer metric names of ``BENCHMARK.json``,
+e.g. ``run.reference_s,simulator.run_s``) adds one ``--trace 1`` run per
+side after the pairs, with pair 0's seed, and prints those layers side
+by side: the evidence of *where* a change moved the time.
+
 Imports nothing from ``repro`` and writes nothing but the byte-code
 caches and what ``bench.py`` itself leaves in its (ignored) work
 directory.
@@ -36,11 +41,12 @@ from pathlib import Path
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float,
-               env: dict) -> dict:
+               env: dict, trace: int = 0) -> dict:
     """One ``bench.py`` run in ``checkout``: its JSON result line."""
     done = subprocess.run(
         [sys.executable, "benchmarks/e2e/bench.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
     if done.returncode:
         sys.exit(f"bench_pairs: bench.py failed in {checkout} "
@@ -64,6 +70,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--layers", default="",
+                        help="comma-separated per-layer metrics to trace "
+                             "once per side after the pairs")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -73,6 +82,10 @@ def main(argv=None) -> int:
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
                        cwd=checkout, env=env, check=True)
     contract = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    layers = [name for name in args.layers.split(",") if name]
+    unknown = set(layers) - {m["name"] for m in contract["per_layer"]}
+    if unknown:
+        parser.error(f"not per-layer metrics: {', '.join(sorted(unknown))}")
 
     runs = {side: [] for side in sides}
     for pair in range(args.pairs):
@@ -111,6 +124,16 @@ def main(argv=None) -> int:
         failed = sum(run["failed"] for run in runs[side])
         attempted = sum(run["attempted"] for run in runs[side])
         print(f"  {side}: failed {failed} / attempted {attempted}")
+    if layers:
+        traced = {side: bench_once(sides[side], args.workload, args.seed_base,
+                                   args.seconds, env, trace=1)["metrics"]
+                  for side in sides}
+        print(f"\nper layer, one --trace 1 run per side "
+              f"(seed {args.seed_base}):")
+        for name in layers:
+            before, after = (traced[side][name]["value"] for side in sides)
+            print(f"  {name:24} parent {before:.4g}  change {after:.4g} "
+                  f"{traced['change'][name]['unit']}")
     return 0
 
 

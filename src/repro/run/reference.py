@@ -6,6 +6,11 @@ CPU-executed reference graphs the paper uses to verify generated hardware
 kernels. This is the functional ground truth for every other backend in
 the repository.
 
+Each stencil is evaluated over its valid region only, in cache-sized
+blocks of whole outer-axis planes; a field access is a view of its
+producer at the block plus the access offset, copied only where a
+boundary condition substitutes out-of-domain reads or promotes the dtype.
+
 Boundary semantics:
 
 * ``constant`` / ``copy`` inputs: out-of-domain reads are substituted
@@ -23,12 +28,14 @@ through the DAG accordingly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from functools import partial
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from ..core.boundary import BoundaryConditions
+from ..core.boundary import InputBoundary
 from ..core.program import StencilDefinition, StencilProgram
 from ..errors import ValidationError
 from ..expr.analysis import index_vars
@@ -38,6 +45,9 @@ from ..graph.dag import StencilGraph
 
 #: Valid region: per-dimension (lo, hi) half-open bounds.
 Region = Tuple[Tuple[int, int], ...]
+
+#: Cells per evaluation block: 256 KB per float32 operand, L2-sized.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,11 +104,6 @@ class _Executor:
         self.arrays: Dict[str, np.ndarray] = {}
         self.valid: Dict[str, Region] = {}
         self.results: Dict[str, FieldResult] = {}
-        # Index grids cost a domain of int64 per axis: built only when
-        # some stencil reads an iteration index as a value.
-        grids = np.indices(self.domain) if any(
-            index_vars(s.ast) for s in program.stencils) else ()
-        self.index_grids = dict(zip(self.index_names, grids))
 
     # -- input binding -------------------------------------------------------
 
@@ -129,47 +134,33 @@ class _Executor:
 
     def execute(self, stencil: StencilDefinition):
         out_dtype = self.program.field_dtype(stencil.name).numpy
-
-        def resolve(access: FieldAccess) -> np.ndarray:
-            return self._resolve(stencil, access)
-
-        raw = evaluate(stencil.ast, resolve, self.index_grids)
-        result = np.empty(self.domain, dtype=out_dtype)
-        result[...] = raw
         valid = self._valid_region(stencil)
+        result = np.empty(self.domain, dtype=out_dtype)
         fill = np.nan if np.issubdtype(out_dtype, np.floating) else 0
-        # Under shrink this also covers every cell that read out of the
-        # domain: the valid region lies inside each access's shift box.
         for slab in _margin_slabs(self.domain, valid):
             result[slab] = fill
+        reads_indices = bool(index_vars(stencil.ast))
+        for box in _blocks(valid):
+            grids = dict(zip(self.index_names, np.ogrid[_slices(box)])) \
+                if reads_indices else None
+            result[_slices(box)] = evaluate(
+                stencil.ast, partial(self._resolve, stencil, box), grids)
         self.arrays[stencil.name] = result
         self.valid[stencil.name] = valid
         self.results[stencil.name] = FieldResult(stencil.name, result, valid)
 
-    def _resolve(self, stencil: StencilDefinition,
+    def _resolve(self, stencil: StencilDefinition, box: Region,
                  access: FieldAccess) -> np.ndarray:
-        """Shifted view of ``access`` with boundary handling applied."""
+        """``access`` over the block ``box``, boundary handling applied."""
         source = self.arrays[access.field]
-        offsets = self._full_offsets(access)
-        if not any(offsets):
-            return source
-        shifted, box = _shift(source, offsets)
-        if stencil.boundary.shrink:
-            return shifted   # its margin is invalid (see execute)
-        condition = stencil.boundary.for_input(access.field)
-        if condition.kind == "constant":
-            # Promoted like ``np.where(in_bounds, shifted, value)``.
-            shifted = shifted.astype(
-                np.result_type(shifted, condition.value), copy=False)
-            for slab in _margin_slabs(self.domain, box):
-                shifted[slab] = condition.value
-        # copy: the margin already holds the center value.
-        return shifted
-
-    def _full_offsets(self, access: FieldAccess) -> Tuple[int, ...]:
-        """Offsets of an access expanded to the full iteration space."""
         by_dim = dict(zip(access.dims, access.offsets))
-        return tuple(by_dim.get(d, 0) for d in self.index_names)
+        offsets = tuple(by_dim.get(d, 0) for d in self.index_names)
+        if stencil.boundary.shrink or not any(offsets):
+            # Under shrink the valid region, and so every block, lies
+            # inside each access's shift box: no read leaves the domain.
+            return source[_slices(box, offsets)]
+        return _shifted_block(source, box, offsets,
+                              stencil.boundary.for_input(access.field))
 
     def _valid_region(self, stencil: StencilDefinition) -> Region:
         """Propagate valid regions through this stencil's accesses."""
@@ -199,27 +190,71 @@ class _Executor:
         return tuple((l, max(l, h)) for l, h in zip(lo, hi))
 
 
-def _shift(source: np.ndarray, offsets: Tuple[int, ...]
-           ) -> Tuple[np.ndarray, Region]:
-    """Shift ``source`` so out[idx] == source[idx + off].
+def check_output(name: str, got: np.ndarray, expected: FieldResult,
+                 rtol: float, atol: float):
+    """Raise :class:`ValidationError` unless ``got`` matches ``expected``
+    on its valid region by ``np.allclose(..., equal_nan=True)``, naming
+    how many cells deviate, the first one, and the largest deviation in
+    float64 (``inf`` for a NaN against a number)."""
+    deviating, first, worst = 0, None, 0.0
+    for block in map(_slices, _blocks(expected.valid)):
+        ours, theirs = got[block], expected.data[block]
+        bad = ~np.isclose(ours, theirs, rtol=rtol, atol=atol, equal_nan=True)
+        if bad.any():
+            cells = np.argwhere(bad)
+            first = first or tuple(int(i) + s.start
+                                   for i, s in zip(cells[0], block))
+            deviating += len(cells)
+            error = np.abs(ours[bad].astype(np.float64) - theirs[bad])
+            worst = max(worst, np.where(np.isnan(error), np.inf, error).max())
+    if deviating:
+        raise ValidationError(
+            f"output {name!r} deviates from the reference in {deviating} "
+            f"of {expected.valid_view.size} valid cells (first at {first}: "
+            f"got {got[first]}, expected {expected.data[first]}; "
+            f"max abs error {worst:.12g})")
 
-    Returns the shifted array and the destination box the shift is
-    defined on; the margin outside it (the out-of-bounds reads) holds
-    the unshifted value, harmless for any dtype.
-    """
-    domain = source.shape
-    out = np.empty_like(source)
-    src_slices = []
-    box = []
-    for off, extent in zip(offsets, domain):
-        lo = min(max(0, -off), extent)
-        hi = max(lo, extent - max(0, off))
-        src_slices.append(slice(lo + off, hi + off))
-        box.append((lo, hi))
-    out[tuple(slice(lo, hi) for lo, hi in box)] = source[tuple(src_slices)]
-    for slab in _margin_slabs(domain, box):
-        out[slab] = source[slab]
-    return out, tuple(box)
+
+def _blocks(box: Region):
+    """Cut ``box`` along its outer axis into blocks of whole planes of
+    about ``_BLOCK_CELLS`` cells (the last one may be shorter); an empty
+    box has none."""
+    if any(lo >= hi for lo, hi in box):
+        return
+    (lo, hi), inner = box[0], box[1:]
+    step = max(1, _BLOCK_CELLS // math.prod(h - l for l, h in inner))
+    for start in range(lo, hi, step):
+        yield ((start, min(start + step, hi)), *inner)
+
+
+def _slices(box: Region, offsets: Tuple[int, ...] = None
+            ) -> Tuple[slice, ...]:
+    """``box``, shifted by ``offsets`` if given, as a slice tuple."""
+    return tuple(slice(lo + o, hi + o)
+                 for (lo, hi), o in zip(box, offsets or [0] * len(box)))
+
+
+def _shifted_block(source: np.ndarray, box: Region,
+                   offsets: Tuple[int, ...],
+                   condition: InputBoundary) -> np.ndarray:
+    """``out[idx] == source[idx + offsets]`` over the block ``box``, with
+    every read that leaves the domain substituted: by the center value
+    ``source[idx]`` (``copy``) or by the constant (``constant``, promoted
+    like ``np.result_type(source, value)``). A view unless a read leaves."""
+    dtype = source.dtype if condition.kind == "copy" else \
+        np.result_type(source, condition.value)
+    # The part of the block whose reads stay inside the domain.
+    inside = tuple((max(lo, -o), max(lo, -o, min(hi, extent - o)))
+                   for (lo, hi), o, extent in zip(box, offsets, source.shape))
+    if inside == box:
+        return source[_slices(box, offsets)].astype(dtype, copy=False)
+    if condition.kind == "copy":
+        out = source[_slices(box)].copy()
+    else:
+        out = np.full([hi - lo for lo, hi in box], condition.value, dtype)
+    out[_slices(inside, [-lo for lo, _ in box])] = \
+        source[_slices(inside, offsets)]
+    return out
 
 
 def _margin_slabs(domain: Tuple[int, ...], box: Region):

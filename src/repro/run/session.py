@@ -34,7 +34,7 @@ from ..simulator.engine import (
     SimulatorConfig,
     simulate,
 )
-from .reference import FieldResult, run_reference
+from .reference import FieldResult, check_output, run_reference
 
 
 @dataclass
@@ -200,15 +200,8 @@ class Session:
         validated = False
         if validate:
             for name in self.program.outputs:
-                expected = reference[name]
-                got = simulation.outputs[name][expected.valid_slice]
-                if not np.allclose(got, expected.valid_view, rtol=rtol,
-                                   atol=atol, equal_nan=True):
-                    worst = np.nanmax(np.abs(
-                        got - expected.valid_view).astype(np.float64))
-                    raise ValidationError(
-                        f"output {name!r} deviates from the reference "
-                        f"(max abs error {worst:g})")
+                check_output(name, simulation.outputs[name],
+                             reference[name], rtol, atol)
             validated = True
         return RunResult(
             outputs=simulation.outputs,

@@ -1,6 +1,7 @@
 """Unit tests for the NumPy reference executor."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -181,38 +182,86 @@ class TestMarginSlabs:
         assert all(hits[slab].size for slab in slabs)   # none is empty
 
     def test_shift_leaves_the_center_value_in_the_margin(self):
-        from repro.run.reference import _shift
+        from repro.core.boundary import CopyBoundary
+        from repro.run.reference import _shifted_block
         source = np.arange(20.0).reshape(4, 5)
-        shifted, box = _shift(source, (-1, 2))
-        assert box == ((1, 4), (0, 3))
+        whole = ((0, 4), (0, 5))
+        shifted = _shifted_block(source, whole, (-1, 2), CopyBoundary())
         np.testing.assert_array_equal(shifted[1:4, 0:3], source[0:3, 2:5])
         np.testing.assert_array_equal(shifted[0], source[0])
         np.testing.assert_array_equal(shifted[:, 3:], source[:, 3:])
-        _whole, empty = _shift(source, (4, 0))     # shifted right out
-        assert empty == ((0, 0), (0, 5))
-        np.testing.assert_array_equal(_whole, source)
+        out = _shifted_block(source, whole, (4, 0), CopyBoundary())
+        np.testing.assert_array_equal(out, source)   # shifted right out
+        # One block (rows 2-3, columns 1-4) of the same shift.
+        block = _shifted_block(source, ((2, 4), (1, 5)), (-1, 2),
+                               CopyBoundary())
+        np.testing.assert_array_equal(block[:, :2], source[1:3, 3:5])
+        np.testing.assert_array_equal(block[:, 2:], source[2:4, 3:5])
+        # A block none of whose reads leaves the domain is a view.
+        inside = _shifted_block(source, ((1, 4), (0, 3)), (-1, 2),
+                                CopyBoundary())
+        np.testing.assert_array_equal(inside, source[0:3, 2:5])
+        assert np.shares_memory(inside, source)
+
+    def test_constant_block_is_promoted_whether_or_not_it_leaves(self):
+        from repro.core.boundary import ConstantBoundary
+        from repro.run.reference import _shifted_block
+        source = np.arange(20, dtype=np.int32).reshape(4, 5)
+        condition = ConstantBoundary(2.5)
+        leaving = _shifted_block(source, ((0, 2), (0, 5)), (-1, 0),
+                                 condition)
+        assert leaving.dtype == np.float64
+        np.testing.assert_array_equal(leaving[0], 2.5)
+        np.testing.assert_array_equal(leaving[1], source[0])
+        inside = _shifted_block(source, ((1, 4), (0, 5)), (-1, 0),
+                                condition)
+        assert inside.dtype == np.float64
+        np.testing.assert_array_equal(inside, source[0:3])
 
 
 # -- parity with the executor this one replaced -------------------------------
 
 def _parity_programs():
     """The programs whose reference results are pinned, by digest, in
-    ``tests/data/reference_digests.json``.  The file was written by
-    running this module as a script on the commit *before* the executor
-    stopped shifting, masking and filling whole domains, so it is what
-    "results bitwise unchanged" is checked against."""
+    ``tests/data/reference_digests.json``.  The first eight entries were
+    written by running this module as a script on the commit *before*
+    the executor stopped shifting, masking and filling whole domains;
+    the rest on the commit before it started evaluating blockwise
+    through views.  So the file is what "results bitwise unchanged" is
+    checked against."""
     from repro.programs import build
 
     def boundary(name, condition, code="a[i-1,j] + a[i,j+2] - a[i,j]",
-                 dtype="float32"):
+                 dtype="float32", shape=(9, 7)):
         return name, StencilProgram.from_json({
             "name": name,
             "inputs": {"a": {"dtype": dtype, "dims": ["i", "j"]}},
             "outputs": ["t"],
-            "shape": [9, 7],
+            "shape": list(shape),
             "program": {
                 "s": {"code": code, "boundary_condition": condition},
                 "t": {"code": "s[i+1,j-1] * 0.5 + s[i,j]",
+                      "boundary_condition": "shrink"},
+            },
+        })
+
+    def transcendental(dtype):
+        # Strided, broadcast (q: stride 0 on the inner axis) and scalar
+        # operands, over a box that is two blocks at the default size.
+        return f"transcendental_{dtype}", StencilProgram.from_json({
+            "inputs": {"a": {"dtype": dtype, "dims": ["i", "j"]},
+                       "q": {"dtype": dtype, "dims": ["i"]},
+                       "r": {"dtype": dtype, "dims": ["j"]},
+                       "c": {"dtype": dtype, "dims": []}},
+            "outputs": ["t"],
+            "shape": [300, 230],
+            "program": {
+                "s": {"code": "exp(a[i,j+1]) + log(a[i-1,j] + 0.5)"
+                              " * sin(a[i,j-1] * 3.0 + c)"
+                              " - pow(a[i+1,j], 1.7) + tanh(q[i-1] - r[j+1])",
+                      "boundary_condition": "shrink"},
+                "t": {"code": "tanh(s[i,j+1] - s[i,j]) + exp(q[i])"
+                              " * sin(r[j]) + log(s[i+1,j] * s[i,j] + 9.0)",
                       "boundary_condition": "shrink"},
             },
         })
@@ -229,6 +278,17 @@ def _parity_programs():
     yield boundary("copy", {"a": {"type": "copy"}})
     yield boundary("index_reading", "shrink",
                    code="a[i,j-1] * i + (j > 2 ? a[i+1,j] : j)")
+    yield transcendental("float32")
+    yield transcendental("float64")
+    outer = "a[i-2,j] + a[i+3,j-1] * a[i,j]"
+    yield boundary("constant_outer",
+                   {"a": {"type": "constant", "value": -1.5}}, code=outer)
+    yield boundary("copy_outer", {"a": {"type": "copy"}}, code=outer)
+    # 99 valid planes in blocks of 50: a partial last block.
+    yield "jacobi3d_outer_101", build("jacobi3d", shape=(101, 40, 36))
+    yield boundary("index_reading_blocks", "shrink",
+                   code="a[i,j-1] * i + (j > 2 ? a[i+1,j] : j)",
+                   shape=(400, 300))
 
 
 def _digests(program):
@@ -255,6 +315,33 @@ def test_reference_matches_pinned_digests(case):
     with open(_DIGEST_FILE) as handle:
         pinned = json.load(handle)
     assert _digests(_PARITY_CASES[case]) == pinned[case]
+
+
+@pytest.mark.parametrize("planes", [1, 3])
+@pytest.mark.parametrize("case", _PARITY_CASES)
+def test_reference_matches_pinned_digests_in_small_blocks(case, planes,
+                                                          monkeypatch):
+    """The same digests with every stencil cut into many blocks: of one
+    plane each, or of three or more with a partial last one somewhere."""
+    from repro.run import reference
+    program = _PARITY_CASES[case]
+    plane = math.prod(program.shape[1:])
+    monkeypatch.setattr(reference, "_BLOCK_CELLS",
+                        1 if planes == 1 else planes * plane + 1)
+    spans = []
+    blocks = reference._blocks
+    monkeypatch.setattr(reference, "_blocks",
+                        lambda box: spans.append(list(blocks(box)))
+                        or spans[-1])
+    test_reference_matches_pinned_digests(case)
+    assert all(len(span) > 1 for span in spans if span)
+
+    def planes_of(box):
+        return box[0][1] - box[0][0]
+
+    if planes > 1:
+        assert any(planes_of(span[-1]) < planes_of(span[0]) >= planes
+                   for span in spans if span)
 
 
 if __name__ == "__main__":   # regenerate: python tests/test_reference.py

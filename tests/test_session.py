@@ -58,6 +58,43 @@ class TestSession:
         with pytest.raises(ValidationError):
             session.run(lst1_inputs(), rtol=0.0, atol=0.0)
 
+    @pytest.mark.parametrize("dtype, planted, message", [
+        # NaN against a number fails allclose: its error is not 0.
+        ("float32", np.nan, "got nan, expected 1.0; max abs error inf)"),
+        # The int32 difference is taken in float64, not wrapped.
+        ("int32", 2**31 - 1,
+         "got 2147483647, expected -5; max abs error 2147483652)"),
+    ], ids=["nan", "int32"])
+    def test_validation_message_names_the_deviation(self, monkeypatch, dtype,
+                                                    planted, message):
+        from repro.core import StencilProgram
+        from repro.run import reference, session as session_module
+        program = StencilProgram.from_json({
+            "inputs": {"a": {"dtype": dtype, "dims": ["i", "j"]}},
+            "outputs": ["s"],
+            "shape": [5, 4],
+            "program": {"s": {"code": "a[i,j]",
+                              "boundary_condition": "shrink"}},
+        })
+        a = np.ones((5, 4), dtype=dtype)
+        a[3, 2] = -5 if dtype == "int32" else 1
+        simulate = session_module.simulate
+
+        def planting(*args, **kwargs):
+            result = simulate(*args, **kwargs)
+            result.outputs["s"][3, 2] = planted
+            result.outputs["s"][4, 0] = planted
+            return result
+
+        monkeypatch.setattr(session_module, "simulate", planting)
+        # One row per block: the two deviations sit in different blocks.
+        monkeypatch.setattr(reference, "_BLOCK_CELLS", 4)
+        with pytest.raises(ValidationError) as caught:
+            Session(program).run({"a": a})
+        assert str(caught.value) == (
+            f"output 's' deviates from the reference in 2 of 20 valid "
+            f"cells (first at (3, 2): {message}")
+
     def test_distributed_run(self):
         session = Session(lst1_program())
         result = session.run(lst1_inputs(), device_of={
