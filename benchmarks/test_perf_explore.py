@@ -1,20 +1,22 @@
 """Control-run sweeps at benchmark scale: the deterministic half.
 
-Every ``explore`` sweep measures the machines of one lowered program
-with one full simulation (the data pass) and a width-0 control run per
-remaining machine: exact timing with no data movement.  On a
-network-axis sweep (latency x rate) of a 2-device placement every point
-is its own machine and all share the lowered program, so a 12-point
-sweep costs one data pass instead of twelve.  (On one device no edge
-is remote and the same space collapses to a single machine.)
+Every ``explore`` sweep times the machines of one lowered program with
+width-0 control runs (exact timing with no data movement), plus one
+full simulation (the data pass) when the program's data can fail
+(``data_can_fail``).  On a network-axis sweep (latency x rate) of a
+2-device placement every point is its own machine and all share the
+lowered program, so a 12-point float sweep runs no full simulation
+instead of twelve.  (On one device no edge is remote and the same space
+collapses to a single machine.)
 
 This test sweeps that space twice, once as ``explore`` does and once
-with every machine forced into a group of its own (a full run each),
-and checks that control runs are a pure optimization — identical
-reports apart from timing and cache provenance — and that the default
-sweep really took the control-run path (one data pass, every other
-machine a control run).  It reads no clock and writes no file; sweep
-wall time is the ``explore_sweep`` workload of ``benchmarks/e2e``.
+with every machine forced into a group of its own that makes a data
+pass (a full run each), and checks that control runs are a pure
+optimization — identical reports apart from timing and cache
+provenance — and that the default sweep really took the control-run
+path (every machine a control run).  It reads no clock and writes no
+file; sweep wall time is the ``explore_sweep`` workload of
+``benchmarks/e2e``.
 """
 
 from repro.explore import ConfigSpace, ResultCache, explore
@@ -56,6 +58,7 @@ def test_config_parallel_sweep(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(explorer, "_families",
                       lambda pending: [[[p]] for p in pending])
+        patch.setattr(explorer, "data_can_fail", lambda program: True)
         full = _sweep(program)
     old = metrics.set_registry(metrics.MetricsRegistry(enabled=True))
     try:
@@ -73,4 +76,4 @@ def test_config_parallel_sweep(monkeypatch):
     assert all(e.devices_used == 2 for e in grouped.entries
                if not e.baseline)
     assert counted.counter_total("explore.control_points") \
-        == len(machines) - 1
+        == len(machines)

@@ -36,6 +36,10 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 
+#: Phase 2's sweep (and its resume).
+PHASE2_WIDTHS = "1,2,4,8,16,32"
+
+
 def log(message: str):
     print(f"[crash-recovery] {message}", flush=True)
 
@@ -90,7 +94,9 @@ def main():
 
     # -- Phase 2: kill a sweep mid-run, then resume.
     reset_cache_dir()
-    child = subprocess.Popen(sweep_argv(tmp, "r2.json", "1,2,4,8"),
+    # Six widths: every machine is a quick control run, and the kill
+    # must still land while the sweep is running.
+    child = subprocess.Popen(sweep_argv(tmp, "r2.json", PHASE2_WIDTHS),
                              env=env,
                              stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL)
@@ -124,7 +130,7 @@ def main():
     if not partial:
         fail("no partial results survived the kill")
 
-    proc = subprocess.run(sweep_argv(tmp, "r3.json", "1,2,4,8"),
+    proc = subprocess.run(sweep_argv(tmp, "r3.json", PHASE2_WIDTHS),
                           env=env, capture_output=True, text=True,
                           timeout=600)
     if proc.returncode != 0:

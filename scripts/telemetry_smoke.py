@@ -14,7 +14,8 @@ enabled — and asserts the overhead contract end to end:
    run journal spawned, reconstructed from that journal.
 3. **Totals**: thread- and process-backend snapshots agree on the
    backend-agnostic counter totals, and both backends time the sweep's
-   one lowered-program family with one data pass plus control runs.
+   one lowered-program family, whose float data cannot fail, with
+   control runs alone.
 
 Run from the repo root: ``python scripts/telemetry_smoke.py OUTDIR``.
 Writes ``metrics-<backend>.json`` and ``trace-<backend>.json`` into
@@ -132,11 +133,11 @@ def main() -> int:
             assert snapshot["schema"] == 1
             totals[backend] = counter_totals(snapshot)
             # Widths 1, 2, 4 of laplace2d are one lowered-program
-            # family: one data pass, then two control runs.
+            # family whose data cannot fail: three control runs.
             controls = sum(rec["value"] for rec in snapshot["counters"]
                            if rec["name"] == "explore.control_points")
-            assert controls == 2, \
-                f"expected 2 control runs on {backend}, got {controls}"
+            assert controls == 3, \
+                f"expected 3 control runs on {backend}, got {controls}"
             check_trace(workdir / f"trace-{backend}.json",
                         expect_workers=(backend == "process"))
 

@@ -41,7 +41,7 @@ from ..hardware.platform import FPGAPlatform, STRATIX10
 from ..lowering import LoweringConfig, lower
 from ..lowering import default_cache as lowering_cache
 from ..obs import clock, metrics, span
-from ..simulator.control import simulate_control
+from ..simulator.control import data_can_fail, simulate_control
 from ..simulator.engine import (
     SimulatorConfig,
     resolve_engine_mode,
@@ -107,10 +107,10 @@ def explore(program: StencilProgram,
     """Sweep ``program``'s design space and rank what survives.
 
     The frontier is measured one machine at a time, not one point at a
-    time: points that build the same machine share one simulation, and
-    the machines of one lowered program share one full data pass, the
-    rest being timed by width-0 control runs whose cycle counts are
-    bitwise a full run's (:func:`measure`).
+    time: points that build the same machine share one simulation, a
+    width-0 control run whose cycle counts are bitwise a full run's,
+    plus one full data pass per lowered program whose data can fail
+    (:func:`measure`).
 
     Args:
         program: the stencil program (its own vectorization defines the
@@ -148,8 +148,8 @@ def explore(program: StencilProgram,
             the sweep (``None`` disables the budget).  Each machine of
             a family is charged from its own start.
         retries: extra attempts for *non-deterministic* per-point
-            failures (a crashed worker); deadlocks and model errors
-            are deterministic and never retried.
+            failures (a crashed worker); deadlocks, model errors and
+            data guards are deterministic and never retried.
         retry_backoff: base of the exponential backoff between
             retries, in seconds.
         checkpoint_every: with ``persist``, write the result cache to
@@ -182,8 +182,8 @@ def explore(program: StencilProgram,
             f"(expected one of {', '.join(BACKENDS)})")
     if config_parallel is not None:
         warnings.warn("explore(config_parallel=...) is deprecated and "
-                      "ignored: every sweep times a lowered program's "
-                      "machines with one data pass plus control runs",
+                      "ignored: every sweep times machines by control "
+                      "runs, plus a data pass where data can fail",
                       DeprecationWarning, stacklevel=2)
     start = clock.now()
     space = space or ConfigSpace.default_for(program, platform)
@@ -220,7 +220,7 @@ def explore(program: StencilProgram,
         selected.append(base)
 
     # Stage 3: simulate the frontier in parallel, once per machine the
-    # simulator builds and with one data pass per lowered program.
+    # simulator builds, with a data pass only where data can fail.
     if inputs is None:
         inputs = default_inputs(program, seed)
 
@@ -327,29 +327,32 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
     measurement both sweep backends take, a thread task or a process
     worker's lease measuring one family.
 
-    The first member (the representative) gets a full simulation, the
-    family's one data pass: only it can surface a data-dependent
-    failure (the integer sinks' range and NaN guards).  Every later
-    member gets a width-0 control run
-    (:func:`~repro.simulator.control.simulate_control`), whose timing
-    is bitwise a full run's; its outputs would be the representative's,
-    since streamed values do not depend on the machine configuration.
-    A member whose control run fails is re-run in full ("peeled off"),
-    so it fails exactly as a full run does, forensics included.  A
-    representative whose data pass fails hands the data pass to the
-    next member: no member is timed by a control run before the data
-    pass succeeded.
+    Members get width-0 control runs
+    (:func:`~repro.simulator.control.simulate_control`), bitwise a full
+    run's timing; outputs do not depend on the configuration.  A family
+    whose data can fail (:func:`~repro.simulator.control.data_can_fail`)
+    also makes a data pass: its first member gets a full simulation,
+    handed to the next member if it fails, and no member is timed by a
+    control run before one succeeded.  A member whose control run fails
+    is re-run in full ("peeled off"), so it fails exactly as a full run
+    does, forensics included.
 
-    In a full run, deadlocks and model errors are deterministic and
-    fail the member at once; anything else is a possibly transient
-    crash, retried ``retries`` times with exponential backoff.
+    In a full run, deadlocks, model errors and the engines' data guards
+    (``ValueError``/``OverflowError`` from the NaN, infinity and range
+    checks of integer storage) are deterministic and fail the member at
+    once; anything else is a possibly transient crash, retried
+    ``retries`` times with exponential backoff.
     """
+
+    def lowered(prediction: Prediction) -> StencilProgram:
+        point = prediction.point
+        return lower(program, LoweringConfig(
+            canonicalize=point.canonicalize, fusion=point.fusion,
+            vectorization=point.vectorization), platform=platform).program
 
     def run(prediction: Prediction, control: bool) -> Measurement:
         point = prediction.point
-        lowered = lower(program, LoweringConfig(
-            canonicalize=point.canonicalize, fusion=point.fusion,
-            vectorization=point.vectorization), platform=platform)
+        member = lowered(prediction)
         config = SimulatorConfig(
             network_words_per_cycle=point.network_words_per_cycle,
             network_latency=point.network_latency,
@@ -363,8 +366,7 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
         with span("explore.point", point=point.label(),
                   engine="control" if control else resolved_engine):
             result = (simulate_control if control else simulate)(
-                lowered.program, inputs, config,
-                device_of=prediction.device_of)
+                member, inputs, config, device_of=prediction.device_of)
         return Measurement(
             simulated_cycles=result.cycles,
             sim_expected_cycles=result.expected_cycles,
@@ -391,7 +393,8 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
                 return PointFailure(kind="error", message=str(exc),
                                     attempts=attempts)
             except Exception as exc:
-                if attempts > retries:
+                if attempts > retries or isinstance(
+                        exc, (ValueError, OverflowError)):
                     return PointFailure(
                         kind="error",
                         message=f"{type(exc).__name__}: {exc}",
@@ -399,7 +402,7 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
                 metrics.counter("explore.retries").inc()
                 time.sleep(retry_backoff * (2 ** (attempts - 1)))
 
-    data_passed = False
+    data_passed = not data_can_fail(lowered(group[0]))
     for prediction in group:
         result = None
         if data_passed:
@@ -420,7 +423,7 @@ def _families(pending: Sequence[Prediction]
               ) -> List[List[List[Prediction]]]:
     """Group the points to measure: points that build one machine
     (:attr:`Prediction.machine_identity`) share its simulation, and the
-    machines of one lowered program family share one data pass.
+    machines of one lowered program family share at most one data pass.
     Returns the families, each a list of machines, each the list of
     points that build it."""
     families: Dict[str, Dict[Tuple, List[Prediction]]] = {}
@@ -562,7 +565,7 @@ def _run_threaded(families, run, settle, max_workers: int,
     that overruns is settled as timed out and its thread is abandoned
     (it stops after that member, and what it yields is dropped); the
     family's remaining members are queued again as a family of their
-    own, which makes its own data pass.
+    own, which makes its own data pass if its data can fail.
     """
     events = queue.Queue()
     todo = deque(families)

@@ -649,7 +649,7 @@ class Supervisor:
 
     def _assign(self, now: float):
         """Lease each idle worker the run of queued jobs that share the
-        front job's family: one data pass, the rest control runs."""
+        front job's family, measured by one ``measure`` call."""
         for handle in list(self._workers.values()):
             if handle.lease is not None or not self._queue:
                 continue

@@ -13,10 +13,9 @@ worker:
   ``sweep_end``, so the supervisor can tell "busy" from "wedged" even
   when NumPy holds the core for seconds, and is silent while idle;
 * measures a lease with one :func:`~repro.explore.explorer.measure`
-  call, the thread backend's own measurement (one data pass, control
-  runs for the rest), so both report identical entries; it announces
-  each job before pulling its result, so a death or a timeout is
-  charged to that machine;
+  call, the thread backend's own measurement, so both report
+  identical entries; it announces each job before pulling its
+  result, so a death or a timeout is charged to that machine;
 * writes every measurement to its own per-sweep shard file (atomic,
   fsync'd) before acknowledging it, so the supervisor can recover a
   result whose worker died before reporting it.

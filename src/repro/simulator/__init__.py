@@ -20,8 +20,8 @@ Several execution engines share one machine model:
 * the **control engine** (:class:`ControlSimulator`,
   :func:`simulate_control`) is the batched engine over width-0
   streams: exact timing with no data movement, which is how an
-  exploration sweep times every machine of a lowered program after
-  that program's one full data pass.
+  exploration sweep times every machine of a lowered program (plus one
+  full data pass when :func:`~.control.data_can_fail`).
 
 Where the stencil arithmetic is large enough to repay a ~0.2 s compile
 and a C compiler (``cc``) is on the path, the batched and kernel

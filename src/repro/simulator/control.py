@@ -12,14 +12,14 @@ bookkeeping), so every timing observable is bitwise identical to a
 full run — at near-zero data cost.
 
 This is how every exploration sweep measures
-(:func:`repro.explore.explorer.measure`): the machines of one lowered
-program compute the data **once** (the representative's full
-simulation, which is what can surface a data-dependent failure) and
-every other machine is timed by a control run, because outputs are
-configuration-independent.  A machine whose control flow diverges into
-a failure (deadlock, cycle-cap, fault validation) raises exactly the
-error its full simulation would have raised; the explorer re-runs it
-in full so the report carries the full run's failure and forensics.
+(:func:`repro.explore.explorer.measure`): outputs are
+configuration-independent, so a full run adds only the chance of a
+data-dependent failure, and only a program whose data can fail
+(:func:`data_can_fail`) computes the data, **once**.  A machine whose
+control flow diverges into a failure (deadlock, cycle-cap, fault
+validation) raises exactly the error its full simulation would have
+raised; the explorer re-runs it in full so the report carries the
+full run's failure and forensics.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.program import StencilProgram
+from ..expr.ast_nodes import Call, IndexVar, Literal, Ternary
 from ..lowering import LoweringConfig, freeze_placement, lower
 from .batched import (
     BatchedSimulator,
@@ -136,3 +137,38 @@ def simulate_control(program: StencilProgram,
     sim = ControlSimulator(artifact.analysis, config,
                            device_of=dict(device_of or {}))
     return sim.run(inputs)
+
+
+def data_can_fail(program: StencilProgram) -> bool:
+    """Whether a full simulation of ``program`` can raise where its
+    control run cannot, i.e. whether a sweep needs its data pass.
+
+    A value-dependent raise needs integers: an integer-typed field,
+    input or stencil result (``batched.py::BatchedSinkUnit.store_rows``,
+    ``units.py::SinkUnit.step``, the int ``out_dtype`` conversion of
+    ``compile.py::ArrayCompiledStencil.__call__``, the demoted streams
+    of ``batched.py::float_leaky_streams``); ``i``/``j``/``k`` lanes
+    (``compile.py::_check_add``/``_check_sub``/``_check_mul`` raising
+    ``_int_overflow``); an operation on integer literals alone (int64
+    ternary lanes, or unbounded Python ints, as ``floor``/``ceil``/
+    ``round`` make in the scalar engine); or an integer literal beyond
+    2**53, which NumPy may fail to convert.  Bool arithmetic is
+    rejected by ``expr/typecheck.py``.
+    """
+    def int_literal(node) -> bool:
+        return isinstance(node, Literal) and isinstance(node.value, int)
+
+    if any(program.field_dtype(name).is_integer
+           for name in (*program.inputs, *program.stencil_names)):
+        return True
+    for stencil in program.stencils:
+        for node in stencil.ast.walk():
+            operands = ((node.then, node.orelse)
+                        if isinstance(node, Ternary) else node.children())
+            if (isinstance(node, IndexVar)
+                    or (int_literal(node) and abs(node.value) > 2 ** 53)
+                    or (isinstance(node, Call)
+                        and node.func in ("floor", "ceil", "round"))
+                    or (operands and all(map(int_literal, operands)))):
+                return True
+    return False

@@ -15,13 +15,15 @@ from hypothesis import given
 
 from repro.core import StencilProgram
 from repro.errors import DeadlockError, SimulationError, ValidationError
-from repro.programs import build, horizontal_diffusion
+from repro.lowering import LoweringConfig, lower
+from repro.programs import available_programs, build, horizontal_diffusion
 from repro.simulator import (
     BatchedSimulator,
     SimulatorConfig,
     resolve_engine_mode,
     simulate,
 )
+from repro.simulator.control import data_can_fail
 from repro.simulator.engine import make_simulator
 from test_properties import random_dag_program as _random_program
 from test_properties import random_machines
@@ -963,11 +965,81 @@ class TestStackedSimulation:
             full_err.value.blocked_units
 
 
+def _float_program(code):
+    return StencilProgram.from_json({
+        "inputs": {"a": {"dtype": "float64", "dims": ["i"]}},
+        "outputs": ["s"],
+        "shape": [32],
+        "program": {"s": {"code": code, "boundary_condition": "shrink"}},
+    })
+
+
+#: One program per value-dependent raise of a full simulation:
+#: (program, input ``a``, engine, error).
+_DATA_FAILURES = {
+    "int64_product_overflow": (
+        lambda: _int_program("a[i] * a[i]", dtype="int64"),
+        lambda: np.full(32, 1 << 40, dtype=np.int64), "batched",
+        SimulationError),
+    "nan_into_integer_sink": (
+        lambda: _int_program(boundary="shrink"),
+        lambda: np.arange(32, dtype=np.int32), "batched", ValueError),
+    "integer_store_out_of_range": (
+        lambda: _int_program("a[i] * 65536"),
+        lambda: np.full(32, 1 << 16, dtype=np.int32), "batched",
+        OverflowError),
+    "index_product_overflow": (
+        lambda: _float_program(
+            "a[i] + i * 9007199254740992 * 9007199254740992"),
+        lambda: np.ones(32), "batched", SimulationError),
+    "literal_ternary_product_overflow": (
+        lambda: _float_program(
+            "a[i] + (a[i] > 0.5 ? 3037000500 : 1) * 3037000500"),
+        lambda: np.ones(32), "batched", SimulationError),
+    "oversized_literal": (
+        lambda: _float_program("a[i] * 1" + "0" * 400),
+        lambda: np.ones(32), "batched", OverflowError),
+    "scalar_floor_product": (
+        lambda: _float_program("floor(a[i]) * floor(a[i]) * floor(a[i])"),
+        lambda: np.full(32, 1e200), "scalar", OverflowError),
+}
+
+
+class TestDataCanFail:
+    """``data_can_fail`` spares a family its data pass, so it must be
+    sound: a program whose full simulation raises where its control
+    run does not (one per raise site) can fail, and of the catalog only
+    the integer ``image_pipeline`` can."""
+
+    @pytest.mark.parametrize("case", list(_DATA_FAILURES.values()),
+                             ids=list(_DATA_FAILURES))
+    def test_raising_program_can_fail(self, case):
+        from repro.simulator import simulate_control
+        make_program, make_input, engine, error = case
+        program = make_program()
+        inputs = {"a": make_input()}
+        config = SimulatorConfig(engine_mode=engine)
+        simulate_control(program, inputs, config)
+        with pytest.raises(error):
+            simulate(program, inputs, config)
+        assert data_can_fail(program)
+
+    @pytest.mark.parametrize("name", available_programs())
+    def test_only_the_integer_catalog_program_can_fail(self, name):
+        program = build(name)
+        for fusion in (False, True):
+            for canonicalize in (False, True):
+                lowered = lower(program, LoweringConfig(
+                    fusion=fusion, canonicalize=canonicalize)).program
+                assert data_can_fail(lowered) == (name == "image_pipeline")
+
+
 class TestConfigParallelExplore:
-    """Every sweep measures a lowered program with one data pass plus
-    control runs, and points that build one machine share a
-    simulation; the report must match a test-only sweep that runs every
-    point in full, field for field except timing and cache provenance."""
+    """Every sweep times a lowered program's machines with control
+    runs, plus one data pass when its data can fail, and points that
+    build one machine share a simulation; the report must match a
+    test-only sweep that runs every point in full, field for field
+    except timing and cache provenance."""
 
     SPACE = dict(vectorizations=(1, 2), device_counts=(1, 2),
                  network_rates=(1.0, 0.5), network_latencies=(8, 24),
@@ -993,12 +1065,14 @@ class TestConfigParallelExplore:
         return explore(program, **settings)
 
     def _all_full(self, monkeypatch, program, **kwargs):
-        """The sweep with every machine its own group: a full run per
-        distinct measurement key, no control runs."""
+        """The sweep with every machine its own group, each making a
+        data pass: a full run per distinct measurement key, no control
+        runs."""
         from repro.explore import explorer
         with monkeypatch.context() as patch:
             patch.setattr(explorer, "_families",
                           lambda pending: [[[p]] for p in pending])
+            patch.setattr(explorer, "data_can_fail", lambda program: True)
             return self._sweep(program, **kwargs)
 
     @staticmethod
@@ -1033,12 +1107,13 @@ class TestConfigParallelExplore:
         assert self._comparable(grouped) == self._comparable(full)
         assert grouped.simulated_points == len(grouped.entries) == 33
         assert not grouped.failed_points
-        # Twenty machines in two families (fused or not): two data
-        # passes, eighteen control runs, on either backend (a process
-        # sweep merges its workers' counters).  The all-full sweep runs
-        # each of its 33 measurement keys in full.
+        # Twenty machines in two families (fused or not) whose float
+        # data cannot fail: twenty control runs and no full run, on
+        # either backend (a process sweep merges its workers'
+        # counters).  The all-full sweep runs each of its 33
+        # measurement keys in full.
         assert counts.counter_total("engine.runs") == 20
-        assert counts.counter_total("explore.control_points") == 18
+        assert counts.counter_total("explore.control_points") == 20
         assert full_counts.counter_total("engine.runs") == 33
         assert full_counts.counter_total("explore.control_points") == 0
 
@@ -1064,8 +1139,7 @@ class TestConfigParallelExplore:
         controlled = []
 
         def starved(**kwargs):
-            # Depth 16 stands for an under-provisioned machine (Fig. 4);
-            # depth 8 ranks first, so it is the healthy representative.
+            # Depth 16 stands for an under-provisioned machine (Fig. 4).
             if kwargs.get("min_channel_depth") == 16:
                 kwargs["channel_capacities"] = {
                     key: 2 for key in edge_keys(program)}
@@ -1081,7 +1155,8 @@ class TestConfigParallelExplore:
         kwargs = dict(space=ConfigSpace(channel_depths=(8, 16)),
                       deadlock_window=64)
         grouped = self._sweep(program, **kwargs)
-        assert controlled == [16]
+        # No data pass: both machines get a control run.
+        assert controlled == [8, 16]
         full = self._all_full(monkeypatch, program, **kwargs)
         [failed] = grouped.failed_points
         assert failed.point.min_channel_depth == 16
@@ -1103,8 +1178,9 @@ class TestConfigParallelExplore:
             return real(program, inputs, config, device_of=device_of)
 
         monkeypatch.setattr(explorer, "simulate", cursed)
-        # Four machines of one family, told apart by their latency
-        # (the single-device baseline keeps the default 32).
+        monkeypatch.setattr(explorer, "data_can_fail", lambda program: True)
+        # Four machines of one family whose data can fail, told apart by
+        # their latency (the single-device baseline keeps the default 32).
         report = self._sweep(diamond_program(long_branch=2),
                              space=ConfigSpace(device_counts=(2,),
                                                network_latencies=(8, 16,
@@ -1117,6 +1193,30 @@ class TestConfigParallelExplore:
         # control runs.
         assert len(ran) == 2
 
+    def test_integer_family_makes_one_data_pass(self, monkeypatch):
+        """image_pipeline's int64 data can fail: each family makes one
+        data pass and times its other machines by control runs, and the
+        report equals the all-full sweep's."""
+        from repro.explore import explorer
+        program = build("image_pipeline", shape=(16, 16))
+        full = self._all_full(monkeypatch, program)
+        families = []
+        real = explorer._families
+
+        def recorded(pending):
+            found = real(pending)
+            families.extend(found)
+            return found
+
+        monkeypatch.setattr(explorer, "_families", recorded)
+        grouped, counts = self._counted(lambda: self._sweep(program))
+        assert self._comparable(grouped) == self._comparable(full)
+        assert not grouped.failed_points
+        controls = counts.counter_total("explore.control_points")
+        assert controls > 0
+        assert counts.counter_total("engine.runs") - controls \
+            == len(families)
+
     def test_single_device_link_aliases_share_a_simulation(self):
         """On one device no edge is remote, so ``r1`` and ``r0.5`` build
         one machine: one simulation, stored under both keys, so a
@@ -1128,10 +1228,10 @@ class TestConfigParallelExplore:
             program, cache=cache,
             space=ConfigSpace(network_rates=(1.0, 0.5))))
         # W1 r1 and W1 r0.5 are one machine, the W2 baseline another
-        # of the same family: one data pass and one control run.
+        # of the same float family: two control runs, no data pass.
         assert first.simulated_points == 3
         assert counts.counter_total("engine.runs") == 2
-        assert counts.counter_total("explore.control_points") == 1
+        assert counts.counter_total("explore.control_points") == 2
         again, counts = self._counted(lambda: self._sweep(
             program, cache=cache, space=ConfigSpace(network_rates=(0.5,))))
         assert counts.counter_total("engine.runs") == 0

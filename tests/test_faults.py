@@ -349,6 +349,17 @@ def _small_sweep_kwargs(tmp_path):
                 retry_backoff=0.0, checkpoint_every=1)
 
 
+@pytest.fixture
+def data_passes(monkeypatch):
+    """Give laplace2d's families the data pass a family whose data can
+    fail makes: these tests break the full runs it would otherwise
+    skip."""
+    from repro.explore import explorer as explorer_mod
+    monkeypatch.setattr(explorer_mod, "data_can_fail",
+                        lambda program: True)
+
+
+@pytest.mark.usefixtures("data_passes")
 class TestExplorerResilience:
     def test_transient_crash_is_retried(self, tmp_path, monkeypatch):
         from repro.explore import explorer as explorer_mod
@@ -407,6 +418,34 @@ class TestExplorerResilience:
         assert report.failed_points
         assert all(e.failure.attempts == 1
                    for e in report.failed_points)
+
+    def test_data_guard_failures_are_not_retried(self, tmp_path):
+        """The engines' data guards raise ValueError / OverflowError as
+        NumPy's stores do: deterministic, so failed at the first
+        attempt, with no backoff."""
+        from repro.core import StencilProgram
+        from repro.obs import metrics
+        program = StencilProgram.from_json({
+            "name": "int_shrink",
+            "inputs": {"a": {"dtype": "int64", "dims": ["i", "j"]}},
+            "outputs": ["b"],
+            "shape": [8, 8],
+            "program": {"b": {"code": "a[i,j-1] + a[i,j+1]",
+                              "boundary_condition": "shrink"}},
+        })
+        old = metrics.set_registry(metrics.MetricsRegistry(enabled=True))
+        try:
+            report = explore(program, retries=3,
+                             **_small_sweep_kwargs(tmp_path))
+            retried = metrics.registry().counter_total("explore.retries")
+        finally:
+            metrics.set_registry(old)
+        assert report.failed_points and retried == 0
+        for entry in report.failed_points:
+            assert entry.failure.kind == "error"
+            assert entry.failure.attempts == 1
+            assert entry.failure.message == \
+                "ValueError: cannot convert float NaN to integer"
 
     def test_point_timeout_records_failed_points(self, tmp_path,
                                                  monkeypatch):
@@ -504,6 +543,7 @@ class TestFailureRecords:
 
 
 class TestReportRoundTripWithFailures:
+    @pytest.mark.usefixtures("data_passes")
     def test_full_report_round_trip(self, tmp_path, monkeypatch):
         from repro.explore import explorer as explorer_mod
 
