@@ -16,10 +16,14 @@ would otherwise recompile in every benchmark child and read as a
 slower ``setup_s``.
 
 Prints, per end-to-end metric of ``BENCHMARK.json``: each side's median
-and quartiles, the change in the median, and how many pairs the change
-won, lost and tied — a gain may be claimed when it wins nine tenths of
-the pairs and the medians differ by more than the parent's own
-interquartile range.  ``failed / attempted`` is summed per side.
+and quartiles, the change in the median, how many pairs the change
+won, lost and tied, and a verdict (:func:`verdict`): ``claim holds``
+when it wins nine tenths of the pairs and the medians differ by more
+than the parent's own interquartile range; ``unresolved`` when either
+side's interquartile range is wider than the metric's bound (unless
+every change run beats every parent run); ``no worse`` when the
+change's median is within the bound; ``worse`` otherwise.
+``failed / attempted`` is summed per side.
 
 ``--layers NAME[,NAME...]`` (per-layer metric names of ``BENCHMARK.json``,
 e.g. ``run.reference_s,simulator.run_s``) adds one ``--trace 1`` run per
@@ -60,6 +64,27 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def verdict(parent, change, better: str, bound: float) -> str:
+    """The metric's verdict from both sides' runs (pair ``i`` is
+    ``parent[i]``, ``change[i]``), after the choosing-metrics guide:
+    a gain is claimed on nine tenths of the pairs won (ties count for
+    neither) and a median gap beyond the parent's interquartile range;
+    a spread wider than the bound leaves the metric unresolved unless
+    every change run is better than every parent run."""
+    sign = -1.0 if better == "lower" else 1.0
+    (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if wins >= 0.9 * len(parent) and sign * (cmed - pmed) > pq3 - pq1:
+        return "claim holds"
+    spread = max(pq3 - pq1, cq3 - cq1)
+    if spread > bound * abs(pmed) and not (
+            min(sign * c for c in change) > max(sign * p for p in parent)):
+        return "unresolved"
+    if sign * (cmed - pmed) >= -bound * abs(pmed):
+        return "no worse"
+    return "worse"
 
 
 def main(argv=None) -> int:
@@ -119,7 +144,9 @@ def main(argv=None) -> int:
               f"{delta}  change wins {sum(g > 0 for g in gains)}, "
               f"loses {sum(g < 0 for g in gains)}, "
               f"ties {sum(g == 0 for g in gains)}  "
-              f"(parent IQR {pq3 - pq1:.4g})")
+              f"(parent IQR {pq3 - pq1:.4g})  " + verdict(
+                  values["parent"], values["change"], metric["better"],
+                  metric["bound"]))
     for side in sides:
         failed = sum(run["failed"] for run in runs[side])
         attempted = sum(run["attempted"] for run in runs[side])

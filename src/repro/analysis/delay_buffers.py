@@ -178,8 +178,27 @@ def analyze_buffers(
             (Sec. III-B), keyed by ``(src, dst, data)``.
     """
     model = latency_model or LatencyModel()
-    graph = graph or StencilGraph(program)
-    internal = program_internal_buffers(program)
+    compute = {f"stencil:{stencil.name}": critical_path(stencil.ast, model)
+               for stencil in program.stencils}
+    return _size_buffers(program, graph or StencilGraph(program),
+                         program_internal_buffers(program), compute,
+                         model, edge_latency)
+
+
+def with_edge_latency(analysis: BufferingAnalysis,
+                      edge_latency: Dict[Tuple[str, str, str], int]
+                      ) -> BufferingAnalysis:
+    """The analysis of ``analysis.program`` under ``edge_latency``:
+    internal buffers and critical paths do not depend on the placement,
+    so only the delay dynamic program runs again."""
+    return _size_buffers(
+        analysis.program, analysis.graph, analysis.internal,
+        {node: delay.compute_cycles
+         for node, delay in analysis.node_delays.items()},
+        analysis.latency_model, edge_latency)
+
+
+def _size_buffers(program, graph, internal, compute, model, edge_latency):
     width = program.vectorization
     extra = edge_latency or {}
 
@@ -194,14 +213,9 @@ def analyze_buffers(
     edge_effective: Dict[Tuple[str, str, str], Tuple[int, int]] = {}
     for node_id in graph.topological_order():
         node = graph.node(node_id)
-        if node.kind == "stencil":
-            buffering = internal[node.name]
-            init = buffering.max_readahead_words(width)
-            compute = critical_path(node.definition.ast, model)
-        else:
-            buffering = None
-            init = 0
-            compute = 0
+        buffering = internal[node.name] if node.kind == "stencil" \
+            else None
+        init = buffering.max_readahead_words(width) if buffering else 0
         upstream = 0
         for e in graph.in_edges(node_id):
             readahead = (buffering.readahead_words(e.data, width)
@@ -214,8 +228,8 @@ def analyze_buffers(
         node_delays[node_id] = NodeDelay(
             node=node_id,
             init_cycles=init,
-            compute_cycles=compute,
-            accumulated=upstream + compute,
+            compute_cycles=compute.get(node_id, 0),
+            accumulated=upstream + compute.get(node_id, 0),
         )
 
     delay_buffers: Dict[Tuple[str, str, str], DelayBuffer] = {}

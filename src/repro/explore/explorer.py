@@ -125,8 +125,10 @@ def explore(program: StencilProgram,
         seed: input-generation seed (part of the determinism contract).
         workers: simulator parallelism: threads, or worker processes
             when ``service`` does not set its own count; one
-            lowered-program family per task or lease (the batched
-            engine spends its time in NumPy).
+            lowered-program family per task or lease.  Most machines
+            are timed by control runs, whose time is the planner VM:
+            pure Python that holds the GIL, so only processes run them
+            in parallel; threads overlap a family's data pass.
         cache: simulation-result cache; pass the same instance (or a
             loaded one) across sweeps to make them incremental.
         engine_mode: simulator engine selection per point.

@@ -161,12 +161,15 @@ class Pruner:
     prices each *distinct machine* once: lowered program, effective
     placement, effective latency.  What is left per point is the
     placement lookup, Eq. 1, and building its :class:`Prediction`.
+    Every memo lives as long as the Pruner: one sweep.
     """
 
     def __init__(self, program: StencilProgram,
                  platform: FPGAPlatform = STRATIX10):
         self.program = program
         self.platform = platform
+        self._lowered: Dict[LoweringConfig, LoweredProgram] = {}
+        self._placements: Dict[Tuple, Partition] = {}
         self._machines: Dict[Tuple, _Machine] = {}
 
     def lowered_at(self, point) -> LoweredProgram:
@@ -181,7 +184,10 @@ class Pruner:
                                     vectorization=point.vectorization)
         else:
             config = LoweringConfig(vectorization=int(point))
-        return lower(self.program, config, platform=self.platform)
+        if config not in self._lowered:
+            self._lowered[config] = lower(self.program, config,
+                                          platform=self.platform)
+        return self._lowered[config]
 
     def program_at(self, point) -> StencilProgram:
         return self.lowered_at(point).program
@@ -258,6 +264,9 @@ class Pruner:
 
     def _place(self, lowered: LoweredProgram,
                point: ConfigPoint) -> Partition:
+        key = (lowered.program_hash, point.partition, point.devices)
+        if key in self._placements:
+            return self._placements[key]
         program = lowered.program
         if point.partition == "auto":
             # Packed from the single-device machine's analysis and
@@ -265,17 +274,20 @@ class Pruner:
             single = self._machine(lowered, partition_fixed(
                 program, contiguous_device_split(program, 1),
                 lowered.graph), 0)
-            return partition_program(
+            placement = partition_program(
                 program, self.platform, max_devices=point.devices,
                 analysis=single.analysis, resources=single.estimate)
-        return partition_fixed(
-            program, contiguous_device_split(program, point.devices),
-            lowered.graph)
+        else:
+            placement = partition_fixed(
+                program, contiguous_device_split(program, point.devices),
+                lowered.graph)
+        self._placements[key] = placement
+        return placement
 
     def _machine(self, lowered: LoweredProgram, partition: Partition,
                  network_latency: int) -> _Machine:
         """The priced machine ``partition`` makes of ``lowered`` — the
-        Pruner's one memo, keyed by the lowered program plus the
+        Pruner's memo of machines, keyed by the lowered program plus the
         effective placement and latency (which only matter when
         something spans devices)."""
         multi = not partition.is_single_device

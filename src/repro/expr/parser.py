@@ -19,7 +19,7 @@ what keeps stencil code analyzable (Sec. II).
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ParseError
 from . import lexer
@@ -35,6 +35,16 @@ from .ast_nodes import (
     UnaryOp,
 )
 from .lexer import Token
+
+#: Deepest nesting accepted, of the parser's own descent and of the tree
+#: it builds: every later pass recurses over the AST, so deeper input is
+#: a ParseError here instead of a RecursionError there.  The catalog's
+#: deepest lowering nests 15 levels.
+MAX_DEPTH = 64
+
+#: Binary operators by precedence, loosest first; all left-associative.
+_BINARY_LEVELS = (("||",), ("&&",), ("<", ">", "<=", ">=", "==", "!="),
+                  ("+", "-"), ("*", "/"))
 
 
 def parse(source: str,
@@ -71,6 +81,8 @@ class _Parser:
             {k: tuple(v) for k, v in field_dims.items()}
             if field_dims is not None else None)
         self.index_names = index_names
+        self.descent = 0                  # parse_unary frames open
+        self.depths: Dict[int, int] = {}  # id(node) -> its AST depth
 
     # -- token plumbing ----------------------------------------------------
 
@@ -102,69 +114,57 @@ class _Parser:
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.current.position, self.source)
 
+    def check_depth(self, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            raise self.error(f"expression nests deeper than {MAX_DEPTH} "
+                             f"levels")
+        return depth
+
+    def nested(self, node: Expr) -> Expr:
+        """Record the depth of a node just built from parsed children."""
+        self.depths[id(node)] = self.check_depth(1 + max(
+            self.depths.get(id(child), 1) for child in node.children()))
+        return node
+
     # -- grammar -----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         return self.parse_ternary()
 
     def parse_ternary(self) -> Expr:
-        cond = self.parse_or()
+        cond = self.parse_binary()
         if self.match(lexer.QUESTION):
             then = self.parse_expr()
             self.expect(lexer.COLON)
             orelse = self.parse_ternary()
-            return Ternary(cond, then, orelse)
+            return self.nested(Ternary(cond, then, orelse))
         return cond
 
-    def parse_or(self) -> Expr:
-        node = self.parse_and()
-        while self.current.kind == lexer.OP and self.current.text == "||":
-            self.advance()
-            node = BinaryOp("||", node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Expr:
-        node = self.parse_cmp()
-        while self.current.kind == lexer.OP and self.current.text == "&&":
-            self.advance()
-            node = BinaryOp("&&", node, self.parse_cmp())
-        return node
-
-    def parse_cmp(self) -> Expr:
-        node = self.parse_add()
+    def parse_binary(self, level: int = 0) -> Expr:
+        if level == len(_BINARY_LEVELS):
+            return self.parse_unary()
+        node = self.parse_binary(level + 1)
         while (self.current.kind == lexer.OP
-               and self.current.text in ("<", ">", "<=", ">=", "==", "!=")):
+               and self.current.text in _BINARY_LEVELS[level]):
             op = self.advance().text
-            node = BinaryOp(op, node, self.parse_add())
-        return node
-
-    def parse_add(self) -> Expr:
-        node = self.parse_mul()
-        while (self.current.kind == lexer.OP
-               and self.current.text in ("+", "-")):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.parse_mul())
-        return node
-
-    def parse_mul(self) -> Expr:
-        node = self.parse_unary()
-        while (self.current.kind == lexer.OP
-               and self.current.text in ("*", "/")):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.parse_unary())
+            node = self.nested(BinaryOp(op, node,
+                                        self.parse_binary(level + 1)))
         return node
 
     def parse_unary(self) -> Expr:
+        self.descent = self.check_depth(self.descent + 1)
         if self.current.kind == lexer.OP and self.current.text in ("-", "+", "!"):
             op = self.advance().text
-            operand = self.parse_unary()
-            if op == "+":
-                return operand
-            if op == "-" and isinstance(operand, Literal):
+            node = self.parse_unary()
+            if op == "-" and isinstance(node, Literal):
                 # Fold negated literals so `-1` is a constant, not an op.
-                return Literal(-operand.value)
-            return UnaryOp(op, operand)
-        return self.parse_primary()
+                node = Literal(-node.value)
+            elif op != "+":
+                node = self.nested(UnaryOp(op, node))
+        else:
+            node = self.parse_primary()
+        self.descent -= 1
+        return node
 
     def parse_primary(self) -> Expr:
         token = self.current
@@ -201,7 +201,7 @@ class _Parser:
             raise ParseError(
                 f"{name.text} expects {arity} argument(s), got {len(args)}",
                 name.position, self.source)
-        return Call(name.text, tuple(args))
+        return self.nested(Call(name.text, tuple(args)))
 
     def parse_access(self, name: Token) -> Expr:
         self.expect(lexer.LBRACKET)

@@ -18,7 +18,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.delay_buffers import BufferingAnalysis, analyze_buffers
+from ..analysis.delay_buffers import (
+    BufferingAnalysis,
+    analyze_buffers,
+    with_edge_latency,
+)
 from ..core.program import StencilProgram
 from ..errors import ValidationError
 from ..graph.dag import StencilGraph, node_device
@@ -380,6 +384,8 @@ def analysis_for(program: StencilProgram,
     (program, edge-latency) pairs are analyzed once per process.
     Passing a custom ``latency_model`` or a pre-built ``graph``
     bypasses the cache (their identity is not content-addressable).
+    An edge-latency analysis reuses the program's analysis without
+    edge latency (:func:`with_edge_latency`).
     """
     if latency_model is not None or graph is not None:
         return analyze_buffers(program, latency_model=latency_model,
@@ -392,9 +398,12 @@ def analysis_for(program: StencilProgram,
                       _latency_items(edge_latency))
 
     def build():
-        shared_graph = graph_for(program, program_hash, cache)
-        return analyze_buffers(program, graph=shared_graph,
-                               edge_latency=edge_latency)
+        if edge_latency:
+            return with_edge_latency(analysis_for(
+                program, program_hash=program_hash, cache=cache),
+                edge_latency)
+        return analyze_buffers(
+            program, graph=graph_for(program, program_hash, cache))
 
     with span("lowering.buffering", program=program.name):
         return cache.get_or_build(key, build)

@@ -38,6 +38,17 @@ from ..faults.store import (
 )
 
 
+def resolve_request(program: Union[str, Mapping], shape=None):
+    """A request's program: a catalog name or alias, or an inline JSON
+    mapping — never a path, so a query cannot make the server open (or
+    reveal) one of its files."""
+    from .. import api
+    from ..programs import build
+    return api.resolve_program(
+        build(program) if isinstance(program, str) else program,
+        shape=shape)
+
+
 def snapshot_path() -> Path:
     return SERVE_INDEX.path()
 
@@ -244,8 +255,7 @@ class FrontierIndex:
                     self.hits += 1
                     return entry, key
         # Slow path: resolve the program to its family identity.
-        from .. import api
-        resolved = api.resolve_program(program, shape=shape)
+        resolved = resolve_request(program, shape=shape)
         key = (program_fingerprint(resolved),
                tuple(resolved.shape), platform_name)
         with self._lock:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import metrics
-from .index import FrontierIndex, IndexKey
+from .index import FrontierIndex, IndexKey, resolve_request
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -164,7 +164,7 @@ class JobManager:
         try:
             if closed:
                 raise RuntimeError("the server is shutting down")
-            resolved = api.resolve_program(program, shape=shape)
+            resolved = resolve_request(program, shape=shape)
             # explore_kwargs wins field-by-field (tests shrink spaces
             # and budgets through it); persistence stays on by default
             # — a sweep a miss paid for must land in the store.

@@ -69,6 +69,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from itertools import compress
+from operator import sub
 from functools import cached_property
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -81,7 +83,6 @@ from ..expr.analysis import index_vars
 from .channel import (
     ArrayChannel,
     ArrayNetworkLink,
-    RateLimiter,
     _RowRing,
     stage_slab,
 )
@@ -167,15 +168,60 @@ def float_leaky_streams(program: StencilProgram) -> Dict[str, str]:
     return leaky
 
 
+def stream_metas(program: StencilProgram):
+    """``data -> (slab dtype, int-typedness seed)`` of ``program``'s
+    streams: int64 slabs for integer-typed ones, float64 otherwise and
+    for those boundary fills can leak floats into; the seed is True when
+    every non-NaN cell is a Python int (see :func:`float_leaky_streams`)."""
+    leaky = float_leaky_streams(program)
+
+    def meta(data: str):
+        if not program.field_dtype(data).is_integer:
+            return np.float64, None
+        leak = leaky.get(data)
+        if leak is None:
+            return np.int64, True
+        return np.float64, (True if leak == "nan" else None)
+    return meta
+
+
 class CoordSlabs:
     """Iteration geometry of one domain, shared by every stencil unit
-    of a machine: memoized boundary data per distinct offset vector,
-    and per-dimension cell coordinates for the stencils that read an
-    iteration index as a value (sliced per batch)."""
+    of a machine: memoized read schedules per stencil and boundary
+    data per distinct offset vector, and per-dimension cell
+    coordinates for the stencils that read an iteration index as a
+    value (sliced per batch)."""
 
     def __init__(self, domain: Tuple[int, ...]):
         self.domain = tuple(domain)
         self._boundary: Dict[Tuple, Optional[Tuple]] = {}
+        self._schedules: Dict[str, Tuple] = {}
+
+    def schedule(self, program: StencilProgram,
+                 stencil: StencilDefinition) -> Tuple:
+        """``(compiled, schedule)`` of ``stencil``: its array-mode
+        compiled expression and :func:`schedule_reads` over the fields
+        it reads, as the scalar unit derives them — once per machine,
+        for the unit and for the rings of its in-edges."""
+        if stencil.name not in self._schedules:
+            compiled = compiled_stencil(stencil.ast, mode="array",
+                                        code=stencil.canonical_code)
+            self._schedules[stencil.name] = compiled, schedule_reads(
+                program.shape, program.vectorization, program.index_names,
+                compiled.accesses, stencil.accessed_fields)
+        return self._schedules[stencil.name]
+
+    def history_words(self, program: StencilProgram,
+                      stencil: StencilDefinition, field: str) -> int:
+        """Words behind its pop pointer that ``stencil`` still reads
+        from the stream of ``field``: computing word ``w`` happens in
+        the step that pops word ``w + readahead`` and reaches back to
+        cell ``w * W + min(min_flat, 0)`` (the center, for copy
+        boundaries) — the rows the inbound edge buffer must retain."""
+        _info, readahead, _init, _start, min_flat = self.schedule(
+            program, stencil)[1]
+        return readahead[field] - (min(min_flat[field], 0)
+                                   // program.vectorization)
 
     @cached_property
     def coords(self) -> Tuple[np.ndarray, ...]:
@@ -262,8 +308,8 @@ class BatchedStencilUnit(StencilBookkeeping):
     (see ``docs/ARCHITECTURE.md``, "Batched data plane").
 
     ``coord_slabs`` carries the machine-wide :class:`CoordSlabs`
-    shared by every stencil unit, so boundary masks are computed once
-    per distinct offset vector.
+    shared by every stencil unit, so read schedules are derived once
+    per stencil and boundary masks once per distinct offset vector.
     """
 
     def __init__(self, program: StencilProgram,
@@ -288,35 +334,17 @@ class BatchedStencilUnit(StencilBookkeeping):
         self.num_cells = program.num_cells
         self.num_words = self.num_cells // width
 
-        # The identical schedule the scalar unit derives, via the
-        # array-mode compiler (argument order matches by design).
-        self.compiled = compiled_stencil(stencil.ast, mode="array",
-                                         code=stencil.canonical_code)
-        fields = sorted(self.in_channels)
-        (self.access_info, _readahead, self.init_words, self.pop_start,
-         _min_flat) = schedule_reads(
-            domain, width, program.index_names, self.compiled.accesses,
-            fields)
-        self.fields = fields
+        if coord_slabs is None:
+            coord_slabs = CoordSlabs(domain)
+        self.compiled, (self.access_info, _readahead, self.init_words,
+                        self.pop_start, _min_flat) = coord_slabs.schedule(
+            program, stencil)
+        self.fields = fields = sorted(self.in_channels)
 
-        # Slab dtypes mirror the scalar engine's exact Python numbers:
-        # int64 for integer-typed streams, float64 otherwise (and for
-        # integer streams that boundary fills can leak floats into).
-        # The second element of the meta is the int-typedness seed of
-        # the stream's lanes (see float_leaky_streams).  The simulator
-        # passes its machine-wide resolver so the seeds match the edge
-        # buffers exactly.
-        if stream_meta is None:
-            leaky = float_leaky_streams(program)
-
-            def stream_meta(data: str):
-                if not program.field_dtype(data).is_integer:
-                    return np.float64, None
-                leak = leaky.get(data)
-                if leak is None:
-                    return np.int64, True
-                return np.float64, (True if leak == "nan" else None)
-
+        # Slab dtypes mirror the scalar engine's exact Python numbers
+        # (see stream_metas).  The simulator passes its machine-wide
+        # resolver so the seeds match the edge buffers exactly.
+        stream_meta = stream_meta or stream_metas(program)
         self._field_int: Dict[str, Optional[bool]] = {
             field: stream_meta(field)[1] for field in fields}
         self.line_dtype = stream_meta(stencil.name)[0]
@@ -324,8 +352,6 @@ class BatchedStencilUnit(StencilBookkeeping):
         # Machine-wide memoized per-offset boundary data; coordinates
         # only where the expression reads them (an access-free one also
         # takes its batch length from them).
-        if coord_slabs is None:
-            coord_slabs = CoordSlabs(domain)
         self._coords_all = coord_slabs.coords if (
             index_vars(stencil.ast) or not self.compiled.accesses) else ()
         self._access_boundary = [coord_slabs.boundary(full, width)
@@ -350,21 +376,6 @@ class BatchedStencilUnit(StencilBookkeeping):
         self.shrink = boundary.shrink
         self.boundary = boundary
         self.fill_value = math.nan
-
-    @staticmethod
-    def history_words(program: StencilProgram, stencil: StencilDefinition,
-                      field: str) -> int:
-        """Words behind its pop pointer that ``stencil`` still reads
-        from the stream of ``field``: computing word ``w`` happens in
-        the step that pops word ``w + readahead`` and reaches back to
-        cell ``w * W + min(min_flat, 0)`` (the center, for copy
-        boundaries) — the rows the inbound edge buffer must retain."""
-        width = program.vectorization
-        accesses = compiled_stencil(
-            stencil.ast, mode="array", code=stencil.canonical_code).accesses
-        _info, readahead, _init, _start, min_flat = schedule_reads(
-            program.shape, width, program.index_names, accesses, [field])
-        return readahead[field] - (min(min_flat[field], 0) // width)
 
     # -- introspection -------------------------------------------------------
 
@@ -531,7 +542,7 @@ class _WindowEvents:
 
     def __init__(self, drains: List[int]):
         self.pushes: List[int] = []       # source push cycle offsets
-        self.advances = 0                 # stencil words consumed
+        self.advances = 0                 # words a stencil/sink consumed
         self.line_pushes: List[int] = []  # stencil compute offsets
         self.drains = drains              # stencil output-push offsets
         self.arrivals: List[int] = []     # sink arrival offsets
@@ -709,34 +720,16 @@ class BatchedSimulator(Simulator):
         num_words = self.program.num_cells // self.program.vectorization
         return max(1, min(self.config.max_batch_words, num_words))
 
-    def _stream_meta(self, data: str):
-        """``(slab dtype, int-typedness seed)`` of the stream carrying
-        field ``data``: int64 slabs for integer-typed streams, float64
-        otherwise and for integer streams that boundary fills can leak
-        floats into.
-        The seed is True when every non-NaN cell value is a Python int
-        in the scalar engine (see :func:`float_leaky_streams`)."""
-        cache = getattr(self, "_stream_metas", None)
-        if cache is None:
-            cache = self._stream_metas = {}
-            self._float_leaky = float_leaky_streams(self.program)
-        if data not in cache:
-            if self.program.field_dtype(data).is_integer:
-                leak = self._float_leaky.get(data)
-                if leak is None:
-                    cache[data] = (np.int64, True)
-                else:
-                    cache[data] = (np.float64,
-                                   True if leak == "nan" else None)
-            else:
-                cache[data] = (np.float64, None)
-        return cache[data]
+    @cached_property
+    def _stream_meta(self):
+        """The machine's :func:`stream_metas` resolver."""
+        return stream_metas(self.program)
 
-    def _coord_slabs(self):
-        slabs = getattr(self, "_coords", None)
-        if slabs is None:
-            slabs = self._coords = CoordSlabs(self.program.shape)
-        return slabs
+    _COORD_SLABS = CoordSlabs  # the control engine's hold no cells
+
+    @cached_property
+    def _coord_slabs(self) -> CoordSlabs:
+        return self._COORD_SLABS(self.program.shape)
 
     def _stream_width(self) -> int:
         """Lanes per streamed word (the control engine narrows it to 0)."""
@@ -756,7 +749,7 @@ class BatchedSimulator(Simulator):
         history = 0
         kind, _, name = dst.partition(":")
         if kind == "stencil":
-            history = BatchedStencilUnit.history_words(
+            history = self._coord_slabs.history_words(
                 self.program, self.program.stencil(name), data)
         return {"headroom": headroom, "history": history,
                 "dtype": self._stream_meta(data)[0]}
@@ -798,7 +791,7 @@ class BatchedSimulator(Simulator):
     def _make_stencil(self, stencil, ins, outs, latency: int):
         return BatchedStencilUnit(self.program, stencil, ins, outs, latency,
                                   self._batch_cap(),
-                                  coord_slabs=self._coord_slabs(),
+                                  coord_slabs=self._coord_slabs,
                                   stream_meta=self._stream_meta)
 
     def _make_sink(self, name: str, channel, dtype):
@@ -820,27 +813,76 @@ class BatchedSimulator(Simulator):
         super()._build(inputs)
         self._bind_native([unit for unit in self.units
                            if isinstance(unit, BatchedStencilUnit)])
+        # Counter-machine tables of the window planner, built once so a
+        # virtual cycle does no id(), isinstance or by-id dict lookup.
+        # A channel is its slot t in [0, C); per slot: its capacity,
+        # the counter slot of its ready count (t itself on a plain
+        # channel, whose ready count *is* its total; C + j on link j),
+        # its FIFO slot (j for link j's in-flight ring, else -1), its
+        # wire latency, and its producing and consuming unit.  Latency
+        # line s has FIFO slot L + s and counter slot C + L + s.
+        chans = self._chan_list = list(self.channels.values())
+        slot = {id(c): t for t, c in enumerate(chans)}
+        n_chan, n_link = len(chans), len(self.links)
+        ready_of, fifo_of = list(range(n_chan)), [-1] * n_chan
+        for j, link in enumerate(self.links):
+            ready_of[slot[id(link)]] = n_chan + j
+            fifo_of[slot[id(link)]] = j
+        self._vm_links = [slot[id(link)] for link in self.links]
+        producer, consumer = [0] * n_chan, [0] * n_chan
+        self._vm_chans = ([c.capacity for c in chans], ready_of, fifo_of,
+                          [getattr(c, "latency", 0) for c in chans],
+                          producer, consumer)
+        # Per unit: (kind, unit, out slots, schedule phase boundaries,
+        # ...); a sink adds the (None, slot, ready slot) of its pops, a
+        # stencil its in slots, the needed (field, slot, ready slot)s
+        # per pop phase as (end step, triples), its line's FIFO and
+        # counter slots, line capacity, compute latency, init words and
+        # final step.
+        self._vm_units = table = []
+        fifo = n_link
+        for i, unit in enumerate(self.units):
+            outs = tuple(slot[id(c)]
+                         for c in getattr(unit, "out_channels", ()))
+            for t in outs:
+                producer[t] = i
+            for c in getattr(unit, "in_channels", {}).values():
+                consumer[slot[id(c)]] = i
+            if isinstance(unit, BatchedSourceUnit):
+                table.append((_SOURCE, unit, outs, (unit.num_words,)))
+            elif isinstance(unit, BatchedStencilUnit):
+                words, start = unit.num_words, unit.pop_start
+                end = unit.init_words + words
+                ins = {f: slot[id(unit.in_channels[f])]
+                       for f in unit.fields}
+                cuts = sorted({cut for first in start.values()
+                               for cut in (first, first + words)})
+                phases = [(cut, tuple(
+                    (f, t, ready_of[t]) for f, t in ins.items()
+                    if start[f] < cut <= start[f] + words))
+                    for cut in cuts] + [(end, ())]
+                table.append((_STENCIL, unit, outs,
+                              (unit.init_words, end, *cuts),
+                              tuple(ins.values()), phases,
+                              fifo, n_chan + fifo, unit.line_capacity,
+                              unit.compute_latency, unit.init_words, end))
+                fifo += 1
+            else:
+                t = slot[id(unit.in_channel)]
+                consumer[t] = i
+                table.append((_SINK, unit, (), (unit.num_words,),
+                              ((None, t, ready_of[t]),)))
+
         # Topological unit order (producers strictly before consumers),
         # used by the window executor: whole-window slabs are applied
         # unit by unit, so every read must find its rows already
         # written.  Unit order itself is not guaranteed topological
         # (stencils appear in program order).
-        producer_idx: Dict[int, int] = {}
-        consumer_idx: Dict[int, int] = {}
-        for idx, unit in enumerate(self.units):
-            for channel in getattr(unit, "out_channels", []):
-                producer_idx[id(channel)] = idx
-            for channel in getattr(unit, "in_channels", {}).values():
-                consumer_idx[id(channel)] = idx
-            if hasattr(unit, "in_channel"):
-                consumer_idx[id(unit.in_channel)] = idx
-        succ: Dict[int, List[int]] = {i: [] for i in range(len(self.units))}
+        succ: List[List[int]] = [[] for _ in self.units]
         indeg = [0] * len(self.units)
-        for key, prod in producer_idx.items():
-            cons = consumer_idx.get(key)
-            if cons is not None:
-                succ[prod].append(cons)
-                indeg[cons] += 1
+        for prod, cons in zip(producer, consumer):
+            succ[prod].append(cons)
+            indeg[cons] += 1
         heap = [i for i, degree in enumerate(indeg) if degree == 0]
         heapq.heapify(heap)
         order: List[int] = []
@@ -853,57 +895,6 @@ class BatchedSimulator(Simulator):
                     heapq.heappush(heap, j)
         self._topo_units = order if len(order) == len(self.units) \
             else list(range(len(self.units)))
-
-        # Counter-machine tables of the window planner, built once so a
-        # virtual cycle does no id(), isinstance or by-id dict lookup.
-        # A channel is its slot t in [0, C); per slot: its capacity,
-        # the counter slot of its ready count (t itself on a plain
-        # channel, whose ready count *is* its total; C + j on link j),
-        # its FIFO slot (j for link j's in-flight ring, else -1) and
-        # its wire latency.  Latency line s has FIFO slot L + s and
-        # counter slot C + L + s.
-        chans = self._chan_list = list(self.channels.values())
-        slot = {id(c): t for t, c in enumerate(chans)}
-        n_chan, n_link = len(chans), len(self.links)
-        ready_of, fifo_of = list(range(n_chan)), [-1] * n_chan
-        for j, link in enumerate(self.links):
-            ready_of[slot[id(link)]] = n_chan + j
-            fifo_of[slot[id(link)]] = j
-        self._vm_links = [slot[id(link)] for link in self.links]
-        self._vm_chans = ([c.capacity for c in chans], ready_of, fifo_of,
-                          [getattr(c, "latency", 0) for c in chans])
-        # Per unit: (kind, unit, out slots, schedule phase boundaries,
-        # ...); a sink adds its in slot, a stencil its in slots, the
-        # needed (field, slot) pairs per pop phase as (end step,
-        # pairs), its line's FIFO and counter slots, line capacity,
-        # compute latency, init words and final step.
-        self._vm_units = table = []
-        fifo = n_link
-        for unit in self.units:
-            outs = tuple(slot[id(c)]
-                         for c in getattr(unit, "out_channels", ()))
-            if isinstance(unit, BatchedSourceUnit):
-                table.append((_SOURCE, unit, outs, (unit.num_words,)))
-            elif isinstance(unit, BatchedStencilUnit):
-                words, start = unit.num_words, unit.pop_start
-                end = unit.init_words + words
-                ins = {f: slot[id(unit.in_channels[f])]
-                       for f in unit.fields}
-                cuts = sorted({cut for first in start.values()
-                               for cut in (first, first + words)})
-                phases = [(cut, tuple(
-                    (f, t) for f, t in ins.items()
-                    if start[f] < cut <= start[f] + words))
-                    for cut in cuts] + [(end, ())]
-                table.append((_STENCIL, unit, outs,
-                              (unit.init_words, end, *cuts),
-                              tuple(ins.values()), phases,
-                              fifo, n_chan + fifo, unit.line_capacity,
-                              unit.compute_latency, unit.init_words, end))
-                fifo += 1
-            else:
-                table.append((_SINK, unit, (), (unit.num_words,),
-                              slot[id(unit.in_channel)]))
 
     # -- planning ------------------------------------------------------------
     #
@@ -966,7 +957,8 @@ class BatchedSimulator(Simulator):
         plan = _WindowPlan()
         chans, links, units = (self._chan_list, self._vm_links,
                                self._vm_units)
-        capacity, ready_of, fifo_of, latency_of = self._vm_chans
+        (capacity, ready_of, fifo_of, latency_of, producer,
+         consumer) = self._vm_chans
         n_chan, n_link = len(chans), len(links)
 
         # Virtual machine state, seeded from the live machine: channel
@@ -976,21 +968,22 @@ class BatchedSimulator(Simulator):
         # the run completes (steps + latency-line words + words).
         cnt = [len(c) for c in chans]
         fifos: List[Deque[int]] = []
-        limiters: List[RateLimiter] = []
+        # Link credits, refilled and spent as RateLimiter does.
+        rates = [chans[t].words_per_cycle for t in links]
+        credits = [chans[t].credit for t in links]
         # A FIFO whose consultations ever found it empty or its head
         # immature only replays under the strict rule (_fifo_repeats).
-        strict_only: List[bool] = []
+        strict_only = [rate >= 1.0 for rate in rates]
         for t in links:
             link = chans[t]
             cnt.append(cnt[t] - link.in_flight_len)
             fifos.append(deque(link.in_flight_times().tolist()))
-            limiter = RateLimiter(link.words_per_cycle)
-            limiter.credit = link.credit
-            limiters.append(limiter)
-            strict_only.append(limiter.rate >= 1.0)
         pops: List[List[int]] = [[] for _ in range(n_link)]
         pos: List[int] = []
         need: List[Optional[Tuple]] = []
+        # The active set (below) skips units with nothing left to do (a
+        # finished stencil's line is strict_only: empty on every visit).
+        active: List[bool] = []
         events = plan.events
         remaining = 0
         for entry in units:
@@ -1000,7 +993,8 @@ class BatchedSimulator(Simulator):
                 step, phases = unit.local_step, entry[5]
                 line = deque(unit._line_times.snapshot().tolist())
                 fifos.append(line)
-                strict_only.append(False)
+                active.append(step < entry[11] or bool(line))
+                strict_only.append(not active[-1])
                 pops.append(drains)
                 need.append(next((p for p in phases if step < p[0]),
                                  phases[-1]))
@@ -1008,12 +1002,13 @@ class BatchedSimulator(Simulator):
             else:
                 step = unit.next_word if entry[0] == _SOURCE \
                     else unit.received
+                active.append(step < unit.num_words)
                 need.append(None)
                 remaining += max(unit.num_words - step, 0)
             pos.append(step)
             events.append(_WindowEvents(drains))
         start_cnt, start_pos = list(cnt), list(pos)
-        start_credit = [limiter.credit for limiter in limiters]
+        start_credit = list(credits)
         start_fifo = [list(fifo) for fifo in fifos]
         start_remaining = remaining
 
@@ -1038,61 +1033,65 @@ class BatchedSimulator(Simulator):
         over = [big] * (n_chan + len(fifos))
         under = [big] * (n_chan + len(fifos))
 
-        def at_least(i: int, value: int, limit: int) -> bool:
-            if value >= limit:
-                if value - limit < over[i]:
-                    over[i] = value - limit
-                return True
-            if limit - 1 - value < under[i]:
-                under[i] = limit - 1 - value
-            return False
+        # The active set (docs/ARCHITECTURE.md): a unit whose visit
+        # changed nothing sleeps — ``since``: that visit's offset, -1
+        # when awake or finished — until a counter it tests crosses its
+        # threshold or its line head matures (``timers``: a heap of
+        # (offset, unit)).
+        since = [-1] * len(units)
+        timers: List[Tuple[int, int]] = []
 
-        def push_to(t: int, now_v: int):
-            nonlocal traffic
-            cnt[t] = occupancy = cnt[t] + 1
-            if occupancy > peak[t]:
-                peak[t] = occupancy
-            pushed[t] = count = pushed[t] + 1
-            if count > traffic:
-                traffic = count
-            if fifo_of[t] >= 0:
-                fifos[fifo_of[t]].append(now_v + latency_of[t])
+        def sleep(i: int, off: int, line: Sequence[int] = ()):
+            active[i], since[i] = False, off
+            if line and line[0] > now + off:
+                heapq.heappush(timers, (line[0] - now, i))
 
-        def pop_from(t: int):
-            nonlocal traffic
-            cnt[t] -= 1
-            if ready_of[t] != t:
-                cnt[ready_of[t]] -= 1
-            popped[t] = count = popped[t] + 1
-            if count > traffic:
-                traffic = count
+        def wake(i: int, off: int):
+            """Visit sleeping unit ``i`` again on cycle ``off``.  Each
+            visit it skipped saw its counters moved only away from the
+            thresholds it tests, so it decided alike and recorded no
+            new margin (a minimum); it stalled, unless it only waited
+            to drain."""
+            if since[i] >= 0:
+                entry, skipped = units[i], off - 1 - since[i]
+                if entry[0] != _STENCIL or pos[i] < entry[11]:
+                    events[i].stalls += skipped
+                    if entry[0] == _STENCIL and pos[i] >= entry[10]:
+                        events[i].stalls_after_init += skipped
+                active[i], since[i] = True, -1
 
         def run_cycle(off: int) -> bool:
             nonlocal remaining, traffic
             self.virtual_cycles += 1
             now_v = now + off
             progressed = False
-            for j, limiter in enumerate(limiters):
-                limiter.refill()
+            while timers and timers[0][0] <= off:
+                wake(heapq.heappop(timers)[1], off)
+            for j, rate in enumerate(rates):
+                credit = min(credits[j] + rate, max(rate, 1.0))
                 flight = fifos[j]
-                while flight and limiter.credit >= 1.0 \
-                        and flight[0] <= now_v:
+                while flight and credit >= 1.0 and flight[0] <= now_v:
                     flight.popleft()
+                    if not cnt[n_chan + j]:
+                        wake(consumer[links[j]], off)
                     cnt[n_chan + j] += 1
-                    limiter.spend()
+                    credit -= 1.0
                     pops[j].append(off)
                     if len(pops[j]) > traffic:
                         traffic = len(pops[j])
-                if limiter.credit >= 1.0:
+                if credit >= 1.0:
                     # Credit to spare: the ring was empty or its head
                     # still on the wire, so the delivery mask was not
                     # purely credit-driven.
                     strict_only[j] = True
-            for i, entry in enumerate(units):
-                kind = entry[0]
-                ev = events[i]
+                credits[j] = credit
+            for i in compress(range(len(units)), active):
+                entry, ev, step = units[i], events[i], pos[i]
+                kind, outs = entry[0], entry[2]
+                push = False   # a word leaves for the out-channels
+                needed = None  # the (field, slot, ready slot)s a step pops
                 if kind == _STENCIL:
-                    (_, _, outs, _, _, phases, f, slot, line_cap,
+                    (_, _, _, _, _, phases, f, slot, line_cap,
                      latency, init, end) = entry
                     line = fifos[f]
                     if not line or line[0] > now_v:
@@ -1100,72 +1099,116 @@ class BatchedSimulator(Simulator):
                     else:
                         # The short-circuit mirrors the scalar engine.
                         for t in outs:
-                            if at_least(t, cnt[t], capacity[t]):
+                            slack = capacity[t] - 1 - cnt[t]
+                            if slack < 0:
+                                over[t] = min(over[t], -1 - slack)
                                 break
+                            if slack < under[t]:
+                                under[t] = slack
                         else:
                             line.popleft()
-                            for t in outs:
-                                push_to(t, now_v)
                             ev.drains.append(off)
                             remaining -= 1
-                            progressed = True
-                    step = pos[i]
-                    if step >= end:
-                        continue
-                    if step >= need[i][0]:
-                        need[i] = next(p for p in phases if step < p[0])
-                    needed = need[i][1]
-                    empty = None
-                    for field, t in needed:
-                        if not at_least(ready_of[t], cnt[ready_of[t]], 1):
-                            empty = empty or []
-                            empty.append(field)
-                    if empty or at_least(slot, len(line), line_cap):
-                        ev.stalls += 1
-                        if step >= init:
-                            ev.stalls_after_init += 1
-                        ev.block = empty
-                        continue
-                    for _field, t in needed:
-                        pop_from(t)
-                    if step >= init:
-                        line.append(now_v + latency)
-                        ev.line_pushes.append(off)
-                        if len(ev.line_pushes) > traffic:
-                            traffic = len(ev.line_pushes)
-                        if ev.first_compute_local is None:
-                            ev.first_compute_local = step
-                    else:
-                        remaining -= 1
-                    ev.advances += 1
-                    pos[i] = step + 1
-                    progressed = True
+                            push = True
+                    if step < end:
+                        needed = need[i]
+                        if step >= needed[0]:
+                            needed = need[i] = next(p for p in phases
+                                                    if step < p[0])
+                        needed = needed[1]
+                    elif not push and line:
+                        sleep(i, off, line)  # waits to drain
+                    elif not push:
+                        active[i] = False    # finished
+                elif step >= entry[3][0]:
+                    active[i] = False  # a finished source or sink
+                    continue
                 elif kind == _SOURCE:
-                    if pos[i] >= entry[3][0]:
-                        continue
-                    full = [chans[t].name for t in entry[2]
-                            if at_least(t, cnt[t], capacity[t])]
+                    full = []
+                    for t in outs:
+                        slack = capacity[t] - 1 - cnt[t]
+                        if slack < 0:
+                            over[t] = min(over[t], -1 - slack)
+                            full.append(chans[t].name)
+                        elif slack < under[t]:
+                            under[t] = slack
                     if full:
                         ev.stalls += 1
                         ev.block = full
+                        sleep(i, off)
                         continue
-                    for t in entry[2]:
-                        push_to(t, now_v)
                     ev.pushes.append(off)
                     pos[i] += 1
                     remaining -= 1
-                    progressed = True
-                else:  # sink
-                    if pos[i] >= entry[3][0]:
-                        continue
-                    t = entry[4]
-                    if not at_least(ready_of[t], cnt[ready_of[t]], 1):
+                    push = True
+                else:
+                    needed, line = entry[4], ()  # a sink's one input
+                if needed is not None:
+                    # A step pops its words, unless an input is empty
+                    # or (a stencil's) the latency line is full.
+                    empty = None
+                    for field, t, r in needed:
+                        if cnt[r]:
+                            if cnt[r] - 1 < over[r]:
+                                over[r] = cnt[r] - 1
+                        else:
+                            under[r] = 0
+                            empty = empty or []
+                            empty.append(field)
+                    if kind == _STENCIL and not empty:
+                        slack = line_cap - 1 - len(line)
+                        if slack < 0:
+                            over[slot] = min(over[slot], -1 - slack)
+                            empty = ()
+                        elif slack < under[slot]:
+                            under[slot] = slack
+                    if empty is not None:
                         ev.stalls += 1
-                        continue
-                    pop_from(t)
-                    ev.arrivals.append(off)
-                    pos[i] += 1
-                    remaining -= 1
+                        if kind == _STENCIL:
+                            ev.stalls_after_init += step >= init
+                            ev.block = empty or None
+                        if not push:
+                            sleep(i, off, line)
+                    else:
+                        for _field, t, r in needed:
+                            if cnt[t] >= capacity[t] \
+                                    and since[producer[t]] >= 0:
+                                wake(producer[t], off + (producer[t] < i))
+                            cnt[t] -= 1
+                            if r != t:
+                                cnt[r] -= 1
+                            popped[t] = count = popped[t] + 1
+                            if count > traffic:
+                                traffic = count
+                        if kind == _SINK:
+                            ev.arrivals.append(off)
+                            remaining -= 1
+                        elif step >= init:
+                            line.append(now_v + latency)
+                            ev.line_pushes.append(off)
+                            if len(ev.line_pushes) > traffic:
+                                traffic = len(ev.line_pushes)
+                            if ev.first_compute_local is None:
+                                ev.first_compute_local = step
+                        else:
+                            remaining -= 1
+                        ev.advances += 1
+                        pos[i] = step + 1
+                        progressed = True
+                if push:
+                    # A word leaves a source or a latency line.
+                    for t in outs:
+                        if fifo_of[t] >= 0:
+                            fifos[fifo_of[t]].append(
+                                now_v + latency_of[t])
+                        elif not cnt[t] and since[consumer[t]] >= 0:
+                            wake(consumer[t], off + (consumer[t] < i))
+                        cnt[t] = occupancy = cnt[t] + 1
+                        if occupancy > peak[t]:
+                            peak[t] = occupancy
+                        pushed[t] = count = pushed[t] + 1
+                        if count > traffic:
+                            traffic = count
                     progressed = True
             return progressed
 
@@ -1234,7 +1277,7 @@ class BatchedSimulator(Simulator):
         # must return to their start values exactly; every timed FIFO
         # passes the one rule of _fifo_repeats; every counter may end
         # displaced by a constant drift, bounded by its margins.
-        if [limiter.credit for limiter in limiters] != start_credit:
+        if credits != start_credit:
             repeats = 0
         for f, fifo in enumerate(fifos):
             if repeats < 2:
@@ -1289,7 +1332,7 @@ class BatchedSimulator(Simulator):
             mark, moved = start_pos, None
             while plan.period < limit and traffic < cap:
                 if not plan.period % q:
-                    step = [a - b for a, b in zip(pos, mark)]
+                    step = list(map(sub, pos, mark))
                     if step == moved and plan.period >= floor:
                         break
                     mark, moved = list(pos), step
@@ -1299,8 +1342,10 @@ class BatchedSimulator(Simulator):
         # window without progress extends the one it was handed.
         plan.trailing_idle = idle if last >= 0 \
             else idle + (plan.repeats - 1) * q
+        for i in range(len(units)):
+            wake(i, plan.period)
         plan.chan_deliver = [len(offsets) for offsets in pops[:n_link]]
-        plan.end_credit = [limiter.credit for limiter in limiters]
+        plan.end_credit = credits
         return plan
 
     # -- execution -----------------------------------------------------------

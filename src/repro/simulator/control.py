@@ -36,16 +36,18 @@ from .batched import (
     BatchedSinkUnit,
     BatchedSourceUnit,
     BatchedStencilUnit,
+    CoordSlabs,
 )
 from .engine import SimulationResult, SimulatorConfig
 
 
-class _ControlCoords:
-    """Coordinate-slab stand-in: control units never evaluate a
-    stencil, so per-cell geometry and boundary masks are never built."""
+class _ControlCoords(CoordSlabs):
+    """Coordinate slabs without cells: control units never evaluate a
+    stencil, so per-cell geometry and boundary masks are never built
+    (read schedules still are)."""
 
     def __init__(self, domain: Tuple[int, ...]):
-        self.domain = tuple(domain)
+        super().__init__(domain)
         self.coords = tuple(np.empty(0, dtype=np.int64)
                             for _ in domain)
 
@@ -89,11 +91,7 @@ class ControlSimulator(BatchedSimulator):
     """The batched engine over width-0 streams: exact control flow
     (cycles, stalls, occupancy, deadlocks, faults) with no data."""
 
-    def _coord_slabs(self):
-        slabs = getattr(self, "_coords", None)
-        if slabs is None:
-            slabs = self._coords = _ControlCoords(self.program.shape)
-        return slabs
+    _COORD_SLABS = _ControlCoords
 
     def _stream_width(self) -> int:
         return 0
@@ -105,7 +103,7 @@ class ControlSimulator(BatchedSimulator):
     def _make_stencil(self, stencil, ins, outs, latency: int):
         return ControlStencilUnit(self.program, stencil, ins, outs,
                                   latency, self._batch_cap(),
-                                  coord_slabs=self._coord_slabs(),
+                                  coord_slabs=self._coord_slabs,
                                   stream_meta=self._stream_meta)
 
     def _make_sink(self, name: str, channel, dtype):

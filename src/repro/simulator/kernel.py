@@ -560,7 +560,7 @@ class KernelSimulator(BatchedSimulator):
                 units[stencil.name] = BatchedStencilUnit(
                     program, stencil, ins, [], latency,
                     max_batch_words=0,
-                    coord_slabs=self._coord_slabs(),
+                    coord_slabs=self._coord_slabs,
                     stream_meta=self._stream_meta)
             sinks = {out: BatchedSinkUnit(
                 out, None, program.shape, width,

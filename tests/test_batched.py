@@ -582,7 +582,7 @@ class TestZeroCopyDataPlane:
 
     def _unit(self, code, capacity=4, batch=4):
         from repro.core import StencilProgram
-        from repro.simulator.batched import BatchedStencilUnit
+        from repro.simulator.batched import BatchedStencilUnit, CoordSlabs
         program = StencilProgram.from_json({
             "inputs": {"a": {"dtype": "float64", "dims": ["i"]}},
             "outputs": ["s"],
@@ -595,8 +595,8 @@ class TestZeroCopyDataPlane:
         latency = 1
         inbound = ArrayChannel(
             "in", capacity, self.WIDTH, headroom=batch,
-            history=BatchedStencilUnit.history_words(program, stencil,
-                                                     "a"))
+            history=CoordSlabs(program.shape).history_words(
+                program, stencil, "a"))
         outbound = ArrayChannel("out", capacity, self.WIDTH,
                                 headroom=batch + latency + 1)
         unit = BatchedStencilUnit(program, stencil, {"a": inbound},
@@ -761,3 +761,48 @@ class TestZeroCopyDataPlane:
         got_link.append(link.read_rows(len(link)).copy())
         np.testing.assert_array_equal(np.concatenate(got_plain), sent)
         np.testing.assert_array_equal(np.concatenate(got_link), sent)
+
+
+class TestPlannerPins:
+    """The planner's decisions on the two benchmark machine shapes, as
+    counts taken from the engine before the VM's active set: how many
+    plans, how many virtual cycles, which window sizes and how many
+    drifting windows.  A planner change that alters any decision moves
+    one of them; one that only makes the VM cheaper moves none.  The
+    control engine runs the same planner over width-0 streams."""
+
+    RUN_LINKS = (3773, 18, 743, 6, (48, 99, 192, 261, 2607, 48, 6, 48, 66,
+                                    48, 102, 6, 48, 9, 54, 30, 69, 32))
+    EXPLORE_SWEEP = (2566, 13, 416, 4, (48, 43, 48, 64, 16, 48, 2036, 48,
+                                        44, 48, 64, 16, 43))
+
+    @staticmethod
+    def _machines():
+        """The ``run_links`` and ``explore_sweep`` quick machines of
+        ``benchmarks/e2e/workloads.json`` (the sweep's at W = 4)."""
+        from repro.distributed import contiguous_device_split
+        from repro.programs import horizontal_diffusion
+        links = horizontal_diffusion(shape=(24, 24, 16), vectorization=8)
+        yield (links, contiguous_device_split(links, 2),
+               dict(network_latency=16, network_words_per_cycle=1 / 3),
+               TestPlannerPins.RUN_LINKS)
+        sweep = horizontal_diffusion(shape=(24, 24, 16), vectorization=4)
+        yield sweep, None, {}, TestPlannerPins.EXPLORE_SWEEP
+
+    @pytest.mark.parametrize("engine", ["batched", "control"])
+    def test_planner_decisions_are_pinned(self, engine):
+        from repro.simulator import SimulatorConfig, simulate
+        from repro.simulator.control import simulate_control
+        from util import random_inputs
+        for program, placement, network, pins in self._machines():
+            inputs = random_inputs(program)
+            if engine == "batched":
+                result = simulate(program, inputs, SimulatorConfig(
+                    engine_mode="batched", **network), device_of=placement)
+            else:
+                result = simulate_control(program, inputs, SimulatorConfig(
+                    **network), device_of=placement)
+            profile = result.profile
+            assert (result.cycles, profile.plan_count,
+                    profile.virtual_cycles, profile.drift_windows,
+                    profile.window_sizes) == pins

@@ -104,6 +104,17 @@ class TestCLI:
         assert "could not read program" in err
         assert "Traceback" not in err
 
+    def test_too_deep_expression_exits_2(self, tmp_path, capsys):
+        program = tmp_path / "deep.json"
+        program.write_text(json.dumps({
+            "inputs": {"a": {"dtype": "float32", "dims": ["i"]}},
+            "outputs": ["b"], "shape": [8],
+            "program": {"b": {"code": "(" * 110 + "a[i]" + ")" * 110}}}))
+        assert main(["info", str(program)]) == 2
+        err = capsys.readouterr().err
+        assert "nests deeper" in err
+        assert "Traceback" not in err
+
 
 class TestListPrograms:
     def test_lists_catalog_with_aliases(self, capsys):

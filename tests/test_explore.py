@@ -360,6 +360,35 @@ class TestTransformAxes:
         assert all(e.cache_hit for e in second.entries if e.simulated)
         assert second.ranking_signature() == first.ranking_signature()
 
+    def test_cold_sweeps_repeat_their_work(self, monkeypatch):
+        """Two cold sweeps in one process, each after
+        ``reset_default_cache()`` and on an empty cache dir, make the
+        same lowering-cache misses and the same pricing calls: a memo
+        that outlived a cold sweep would make the second one cheaper."""
+        import os
+        import shutil
+        from repro.lowering import default_cache, reset_default_cache
+        priced = []
+        price = Pruner._price
+        monkeypatch.setattr(Pruner, "_price", lambda self, *args: (
+            priced.append(args[1:]), price(self, *args))[1])
+        program = horizontal_diffusion(shape=(16, 16, 8), vectorization=4)
+        space = ConfigSpace(vectorizations=(1, 2, 4), device_counts=(1, 2),
+                            partitions=("contiguous", "auto"),
+                            network_rates=(1.0, 0.5), fusions=(False, True))
+        work = []
+        for _ in range(2):
+            shutil.rmtree(os.environ["REPRO_CACHE_DIR"], ignore_errors=True)
+            reset_default_cache()
+            priced.clear()
+            report = explore(program, space=space, strategy="greedy",
+                             beam_width=4, workers=1, backend="thread")
+            work.append((default_cache().stats(), len(priced),
+                         report.cache_hits, report.simulated_points))
+        assert work[0] == work[1]
+        (_hits, misses), prices, cache_hits, simulated = work[0]
+        assert misses and prices and simulated and not cache_hits
+
 
 class TestLinkRateAxis:
     def test_link_rate_override_slows_only_named_edge(self):

@@ -189,6 +189,45 @@ class TestErrors:
             pytest.fail("expected ParseError")
 
 
+class TestDepthBound:
+    """Nesting beyond MAX_DEPTH is a ParseError with a position, found
+    while parsing — before the parser's own descent or any pass that
+    recurses over the tree can overflow Python's stack."""
+
+    @pytest.mark.parametrize("code", [
+        "(" * 110 + "a[i]" + ")" * 110,     # the parser's own descent
+        " + ".join(["a[i]"] * 500),          # a flat, left-deep chain
+        "+" * 500 + "a[i]",                  # no-op unary operators
+        "-" * 500 + "1",                     # folded negations
+        "a[i] > 0 ? 1 : " * 100 + "a[i]",    # right-nested ternaries
+        "sqrt(" * 100 + "a[i]" + ")" * 100,  # nested calls
+    ])
+    def test_too_deep_is_a_parse_error(self, code):
+        with pytest.raises(ParseError, match="nests deeper") as caught:
+            parse(code)
+        assert caught.value.position >= 0
+
+    def test_bound_is_exact_on_a_chain(self):
+        from repro.expr.parser import MAX_DEPTH
+        chain = " + ".join(["a[i]"] * MAX_DEPTH)
+        assert str(parse(chain)).count("+") == MAX_DEPTH - 1
+        with pytest.raises(ParseError):
+            parse(chain + " + a[i]")
+
+    def test_every_catalog_lowering_still_parses(self):
+        from repro.core import StencilProgram
+        from repro.lowering import LoweringConfig, lower
+        from repro.programs import available_programs, build
+        for name in available_programs():
+            for fusion in (False, True):
+                for canonicalize in (False, True):
+                    program = lower(build(name), LoweringConfig(
+                        fusion=fusion, canonicalize=canonicalize)).program
+                    again = StencilProgram.from_json(program.to_json())
+                    assert [s.ast for s in again.stencils] == \
+                        [s.ast for s in program.stencils]
+
+
 class TestRoundTrip:
     CASES = [
         "a[i, j, k]",

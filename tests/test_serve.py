@@ -478,6 +478,51 @@ class TestLiveServer:
         finally:
             server.close()
 
+    def test_program_paths_are_never_read(self, tmp_path, monkeypatch):
+        """A query's string program comes from the catalog only: a path
+        to a valid program file is a 400, the file is never opened, and
+        the error reads the same whether or not the file exists."""
+        from repro.core import StencilProgram
+        valid = tmp_path / "valid.json"
+        valid.write_text(json.dumps(
+            api.resolve_program("hdiff", shape=SHAPE).to_json()))
+        opened = []
+        monkeypatch.setattr(StencilProgram, "from_json_file", classmethod(
+            lambda cls, path: opened.append(path)))
+        server = make_server()
+        try:
+            for path in (valid, tmp_path / "absent.json"):
+                status, body = get(server, f"/v1/best?program={path}")
+                assert status == 400
+                assert "unknown program" in body["error"]
+                request = urllib.request.Request(
+                    server.url + "/v1/best",
+                    data=json.dumps({"program": str(path)}).encode(),
+                    headers={"Content-Type": "application/json"})
+                with pytest.raises(urllib.error.HTTPError) as caught:
+                    urllib.request.urlopen(request, timeout=30)
+                assert caught.value.code == 400
+        finally:
+            server.close()
+        assert opened == []
+
+    def test_too_deep_inline_program_is_400(self):
+        program = api.resolve_program("laplace2d", shape=(8, 8)).to_json()
+        program["program"]["b"]["code"] = " + ".join(["a[i, j]"] * 500)
+        server = make_server()
+        try:
+            request = urllib.request.Request(
+                server.url + "/v1/best",
+                data=json.dumps({"program": program}).encode(),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=30)
+            assert caught.value.code == 400
+            assert "nests deeper" in json.loads(
+                caught.value.read())["error"]
+        finally:
+            server.close()
+
     def test_query_log_written(self):
         seed_report()
         server = make_server()
