@@ -38,6 +38,7 @@ import numpy as np
 from harness import seeded_inputs
 from repro.core import StencilProgram
 from repro.distributed import contiguous_device_split
+from repro.lowering import reset_default_cache
 from repro.programs import horizontal_diffusion
 from repro.simulator import SimulatorConfig, simulate
 
@@ -161,6 +162,9 @@ def test_engine_throughput(monkeypatch):
     its virtual-cycle ceilings, scalar parity on the reduced domain
     and kernel replay parity."""
     monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    # The planner counts below are the planner's, not a replay of an
+    # earlier test's published schedule.
+    reset_default_cache()
     single = _row("single", _hdiff)
     # One planner covers the whole run: the fill and drain are a few
     # dozen stretched or drifting windows, the steady state one window
@@ -176,6 +180,7 @@ def test_engine_throughput(monkeypatch):
     bound = (22, 2) if shutil.which("cc") else (0, 0)
     assert (single.profile.native_units,
             single.profile.native_fallback_units) == bound
+    reset_default_cache()  # NumPy alone plans alike, not only replays
     with monkeypatch.context() as numpy_only:
         numpy_only.setenv("REPRO_KERNEL_BACKEND", "python")
         unbound = _run(_hdiff(PAPER_DOMAIN), "batched")

@@ -80,22 +80,14 @@ class ArtifactCache:
         kind = self._kind(key)
         with self._lock:
             if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits[kind] = self._hits.get(kind, 0) + 1
-                metrics.counter("artifact_cache.hits",
-                                kind=kind).inc()
-                return self._entries[key]
+                return self._hit(key)
             build_lock = self._building.setdefault(key,
                                                    threading.Lock())
         try:
             with build_lock:
                 with self._lock:
                     if key in self._entries:
-                        self._entries.move_to_end(key)
-                        self._hits[kind] = self._hits.get(kind, 0) + 1
-                        metrics.counter("artifact_cache.hits",
-                                        kind=kind).inc()
-                        return self._entries[key]
+                        return self._hit(key)
                 artifact = build()
                 with self._lock:
                     # Count the miss only once something was actually
@@ -114,6 +106,23 @@ class ArtifactCache:
             with self._lock:
                 self._building.pop(key, None)
         return artifact
+
+    def _hit(self, key: str):
+        """Count a hit on present ``key`` and return its artifact
+        (the caller holds the lock)."""
+        kind = self._kind(key)
+        self._entries.move_to_end(key)
+        self._hits[kind] = self._hits.get(kind, 0) + 1
+        metrics.counter("artifact_cache.hits", kind=kind).inc()
+        return self._entries[key]
+
+    def lookup(self, key: str) -> Optional[object]:
+        """The artifact under ``key``, counted as a hit; None when
+        absent, counting nothing — an artifact only a completed run can
+        build (a window schedule) counts its miss when it is published
+        through :meth:`get_or_build`."""
+        with self._lock:
+            return self._hit(key) if key in self._entries else None
 
     def peek(self, key: str) -> Optional[object]:
         """Non-counting lookup (used by tests and diagnostics)."""

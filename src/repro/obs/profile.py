@@ -31,7 +31,11 @@ class EngineProfile:
     engine: str                       #: "scalar", "batched", or "kernel"
     cycles: int                       #: total simulated cycles
     wall_seconds: float               #: engine wall time (obs clock)
-    plan_count: int = 0               #: planner invocations
+    #: Planner invocations.  A replayed run (``schedule_replayed``)
+    #: reports the recording run's, as it does ``virtual_cycles``; its
+    #: ``window_*`` and ``drift_windows`` are the recording run's too,
+    #: since it executes the same windows.
+    plan_count: int = 0
     scalar_cycles: int = 0            #: cycles stepped one-by-one
     window_count: int = 0             #: windows executed (slab passes)
     window_cycles: int = 0            #: cycles covered by windows
@@ -65,6 +69,9 @@ class EngineProfile:
     #: True when the kernel engine replayed a cached kernel (nothing
     #: was interpreted); False on cold/interpreted runs.
     kernel_cached: bool = False
+    #: True when the batched engine executed the window schedule an
+    #: earlier run of this machine published, instead of planning.
+    schedule_replayed: bool = False
 
     @property
     def batched_cycles(self) -> int:
@@ -116,6 +123,7 @@ class EngineProfile:
             "native_compile_s": self.native_compile_s,
             "kernel_slabs": self.kernel_slabs,
             "kernel_cached": self.kernel_cached,
+            "schedule_replayed": self.schedule_replayed,
             "cycles_per_second": self.cycles_per_second,
         }
 
@@ -145,8 +153,10 @@ class EngineProfile:
                 f"  {self.window_count} windows"
                 + (f" ({', '.join(detail)})" if detail else "")
                 + f" from {self.plan_count} planner calls on "
-                  f"{self.virtual_cycles} virtual cycles, "
-                  f"{self.scalar_cycles} scalar-step cycles "
+                  f"{self.virtual_cycles} virtual cycles"
+                + (" (schedule replayed)" if self.schedule_replayed
+                   else "")
+                + f", {self.scalar_cycles} scalar-step cycles "
                   f"({self.scalar_fraction:.1%})")
             lines.append(
                 f"  {self.stored_words} words stored in "

@@ -143,7 +143,8 @@ class _Handler(BaseHTTPRequestHandler):
         app: ReproServer = self.server.app
         parts = urlsplit(self.path)
         path = parts.path.rstrip("/")
-        params = dict(parse_qsl(parts.query))
+        # Blank values kept: ``shape=`` is refused, not ignored.
+        params = dict(parse_qsl(parts.query, keep_blank_values=True))
         endpoint, arg = _split_endpoint(path)
         metrics.counter("serve.requests",
                         endpoint=endpoint or "other").inc()

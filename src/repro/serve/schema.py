@@ -66,16 +66,29 @@ class QuerySpec:
         return f"{name}@{shape}"
 
 
-def parse_shape(text: str) -> Tuple[int, ...]:
+def _url_extent(part: str):
     try:
-        shape = tuple(int(part) for part in text.split(","))
+        return int(part)
     except ValueError:
+        return part  # refused by parse_shape, by name
+
+
+def parse_shape(shape) -> Tuple[int, ...]:
+    """A shape from URL text (``64,64,32``) or a JSON body list: a
+    non-empty list of integers >= 1 — no floats, no bools, no strings
+    in a JSON list.  Anything else is a 400 naming the bad extent."""
+    extents = shape
+    if isinstance(shape, str):
+        extents = [_url_extent(part) for part in shape.split(",")]
+    if not isinstance(extents, (list, tuple)) or not extents:
         raise ServeRequestError(
-            f"invalid shape {text!r} (expected e.g. 64,64,32)")
-    if not shape or any(extent < 1 for extent in shape):
-        raise ServeRequestError(
-            f"invalid shape {text!r} (extents must be >= 1)")
-    return shape
+            f"invalid shape {shape!r} (expected e.g. 64,64,32)")
+    for extent in extents:
+        if type(extent) is not int or extent < 1:
+            raise ServeRequestError(
+                f"invalid shape {shape!r}: extent {extent!r} is not "
+                f"an integer >= 1")
+    return tuple(extents)
 
 
 def parse_query(params: Mapping[str, str],
@@ -98,15 +111,8 @@ def parse_query(params: Mapping[str, str],
             "missing 'program' (a catalog name or a JSON program "
             "description)")
     shape = merged.get("shape")
-    if isinstance(shape, str):
+    if shape is not None:
         shape = parse_shape(shape)
-    elif shape is not None:
-        try:
-            shape = tuple(int(extent) for extent in shape)
-        except (TypeError, ValueError):
-            raise ServeRequestError(
-                f"invalid shape {shape!r} (expected a list of "
-                f"positive integers)")
     platform = merged.get("platform")
     return QuerySpec(program=program, shape=shape,
                      platform=str(platform) if platform else None)

@@ -87,6 +87,8 @@ from .channel import (
     stage_slab,
 )
 from ..lowering import compiled_stencil
+from ..lowering.cache import content_key, default_cache
+from ..lowering.pipeline import program_content_hash
 from ..obs.profile import MAX_WINDOW_SAMPLES, EngineProfile
 from .engine import SimulationResult, Simulator, deadlock_error
 from .units import SinkUnit, SourceUnit, StencilBookkeeping, schedule_reads
@@ -554,6 +556,15 @@ class _WindowEvents:
         # source, empty field names for a stencil (None: line full).
         self.block: Optional[List[str]] = None
 
+    def freeze(self) -> "_WindowEvents":
+        self.pushes, self.line_pushes = tuple(self.pushes), \
+            tuple(self.line_pushes)
+        self.drains, self.arrivals = tuple(self.drains), \
+            tuple(self.arrivals)
+        if self.block is not None:
+            self.block = tuple(self.block)
+        return self
+
 
 class _WindowPlan:
     """A virtually executed window of ``period`` cycles, proven to
@@ -585,6 +596,16 @@ class _WindowPlan:
     @property
     def cycles(self) -> int:
         return self.period * self.repeats
+
+    def freeze(self) -> "_WindowPlan":
+        """Lists become tuples: a published plan is shared by every
+        later run of its machine (see :meth:`BatchedSimulator.run`)."""
+        self.events = tuple([ev.freeze() for ev in self.events])
+        self.chan_push, self.chan_pop, self.chan_peak = tuple(
+            self.chan_push), tuple(self.chan_pop), tuple(self.chan_peak)
+        self.chan_deliver, self.end_credit = tuple(self.chan_deliver), \
+            tuple(self.end_credit)
+        return self
 
 
 def _window_times(offsets: Sequence[int], base: int, period: int,
@@ -631,6 +652,40 @@ def _fifo_repeats(start: List[int], end: Sequence[int],
     return k
 
 
+def machine_key_parts(sim) -> list:
+    """The machine ``sim`` builds, as content-key parts: the width-
+    normalized program hash and the width, the stage delays, every
+    edge with its capacity, remoteness and link rate, the wire
+    latency, the placement, the deadlock window and the fault plan.
+    Keys the batched engine's window schedule and the kernel engine's
+    recorded outcome (``kernel.py``)."""
+    program = sim.program
+    config = sim.config
+    edges = []
+    for edge in sorted(sim.graph.edges,
+                       key=lambda e: (e.src, e.dst, e.data)):
+        key = (edge.src, edge.dst, edge.data)
+        remote = sim._edge_is_remote(edge.src, edge.dst)
+        edges.append([list(key), sim._capacity(key), remote,
+                      config.link_rate(key) if remote else None])
+    plan = config.fault_plan
+    return [
+        program_content_hash(program, normalize_width=True),
+        program.vectorization,
+        sim.analysis.pipeline_latency,
+        sorted((node, delay.compute_cycles)
+               for node, delay in sim.analysis.node_delays.items()),
+        edges,
+        config.network_latency,
+        sorted(sim.device_of.items()),
+        config.deadlock_window,
+        plan.to_json() if plan is not None and not plan.empty else None,
+    ]
+
+
+#: A step a schedule does not hold: the run loop plans it.
+_UNPLANNED = object()
+
 #: Unit kinds of the window planner's counter-machine tables.
 _SOURCE, _STENCIL, _SINK = range(3)
 
@@ -672,6 +727,10 @@ class BatchedSimulator(Simulator):
     #: cycles, so shorter windows lose more than they save.
     MIN_STRETCH = 48
 
+    #: Whether a completed run records and publishes its window
+    #: schedule (see :meth:`run`).
+    _PUBLISHES_SCHEDULE = True
+
     def __init__(self, analysis, config=None,
                  device_of: Optional[Mapping[str, int]] = None):
         super().__init__(analysis, config, device_of=device_of)
@@ -681,6 +740,8 @@ class BatchedSimulator(Simulator):
         self.window_cycles = 0
         self.drift_window_count = 0
         self.virtual_cycles = 0
+        # True when run() executed a published schedule (see run).
+        self.schedule_replayed = False
         # Current lower bound on a non-repeating window's stretch
         # (cycles): doubled after each window that failed to repeat,
         # reset by one that did (see _plan_window).
@@ -709,7 +770,8 @@ class BatchedSimulator(Simulator):
                              window_cycles=self.window_cycles,
                              window_sizes=tuple(self._window_sizes),
                              drift_windows=self.drift_window_count,
-                             virtual_cycles=self.virtual_cycles)
+                             virtual_cycles=self.virtual_cycles,
+                             schedule_replayed=self.schedule_replayed)
 
     # -- construction --------------------------------------------------------
 
@@ -1390,7 +1452,7 @@ class BatchedSimulator(Simulator):
             unit.next_word += count
         if ev.stalls:
             unit.stall_cycles += ev.stalls * plan.repeats
-            unit._block = f"output full: {ev.block}"
+            unit._block = f"output full: {list(ev.block)}"
 
     def _window_stencil(self, entry, ev: _WindowEvents, plan: _WindowPlan,
                         now: int):
@@ -1419,7 +1481,8 @@ class BatchedSimulator(Simulator):
         if ev.stalls:
             unit.stall_cycles += ev.stalls * k
             unit.stall_after_init += ev.stalls_after_init * k
-            unit._block = (f"waiting on input(s) {ev.block}" if ev.block
+            unit._block = (f"waiting on input(s) {list(ev.block)}"
+                           if ev.block
                            else "output backpressure (latency line full)")
 
     def _window_sink(self, entry, ev: _WindowEvents, plan: _WindowPlan,
@@ -1438,12 +1501,41 @@ class BatchedSimulator(Simulator):
 
     # -- main loop -----------------------------------------------------------
 
+    def _schedule_key(self, max_cycles: int) -> str:
+        """Content address of this machine's window schedule: the
+        machine (:func:`machine_key_parts`) plus every other input of
+        the planner — the batch cap, the horizon, the planner
+        constants."""
+        return content_key("schedule", *machine_key_parts(self),
+                           self.config.max_batch_words, max_cycles,
+                           self.MAX_WINDOW, self.WINDOW_STRETCH,
+                           self.MIN_STRETCH)
+
     def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
-        """Simulate to completion; see :meth:`Simulator.run`."""
+        """Simulate to completion; see :meth:`Simulator.run`.
+
+        The machine is planned once per process: a full run that
+        completes publishes what it did at each ``(now, idle streak)``
+        — the plan it executed, or None for a scalar step — to the
+        lowering cache, and a later run of the same machine executes
+        those plans instead of planning (``docs/ARCHITECTURE.md``,
+        "Planned once per process").  Only the source of each plan
+        changes; a run that raises publishes nothing."""
         self._build(inputs)
         expected = self._expected_cycles()
         max_cycles = self._max_cycles(expected)
         period = self._window_period()
+        plans: dict = {}
+        recorded = None
+        if period:
+            key = self._schedule_key(max_cycles)
+            schedule = default_cache().lookup(key)
+            if schedule is not None:
+                plans, self.plan_count, self.virtual_cycles = schedule
+                self.schedule_replayed = True
+            elif self._PUBLISHES_SCHEDULE:
+                # Plans are frozen as recorded: the empty lists go.
+                recorded = {}
         faults = self._faults
         now = 0
         idle_streak = 0
@@ -1458,6 +1550,9 @@ class BatchedSimulator(Simulator):
             fault_active = faults is not None and faults.any_active(now)
             window = None
             if period and not fault_active:
+                step = (now, idle_streak)
+                window = plans.get(step, _UNPLANNED)
+            if window is _UNPLANNED:
                 # Never plan across a fault boundary: when inactive at
                 # ``now``, the next boundary is a window start strictly
                 # ahead, so the horizon keeps at least one cycle.
@@ -1473,6 +1568,8 @@ class BatchedSimulator(Simulator):
                     # cycle moves at most one word per channel.
                     window = self._plan_window(now, 1, horizon,
                                                idle_streak)
+                if recorded is not None:
+                    recorded[step] = window and window.freeze()
             if window is not None:
                 self._execute_window(window, now)
                 self.window_count += 1
@@ -1498,4 +1595,7 @@ class BatchedSimulator(Simulator):
                     raise deadlock_error(self.units, now, simulator=self)
             now += 1
 
+        if recorded is not None:
+            default_cache().get_or_build(key, lambda: (
+                recorded, self.plan_count, self.virtual_cycles))
         return self._collect_result(now)

@@ -115,6 +115,11 @@ class ControlSimulator(BatchedSimulator):
         import dataclasses
         return dataclasses.replace(profile, engine="control")
 
+    #: A control run only reads schedules: sweeps persist every
+    #: machine's outcome in the ``ResultCache``, so one published here
+    #: would never be read — it would only grow a resident worker.
+    _PUBLISHES_SCHEDULE = False
+
 
 def simulate_control(program: StencilProgram,
                      inputs: Mapping[str, np.ndarray],

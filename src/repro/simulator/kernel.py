@@ -64,13 +64,13 @@ from ..expr.ast_nodes import (
 from ..faults.runtime import FaultReport
 from ..faults.store import KERNELS, read_json_guarded, write_json_atomic
 from ..lowering.cache import content_key, default_cache
-from ..lowering.pipeline import program_content_hash
 from ..obs import clock, metrics, span
 from .batched import (
     BatchedSimulator,
     BatchedSinkUnit,
     BatchedSourceUnit,
     BatchedStencilUnit,
+    machine_key_parts,
 )
 from .channel import _EdgeBuffer
 from .engine import SimulationResult, resolve_input_array
@@ -134,39 +134,12 @@ def _artifact_path(key: str) -> Path:
 
 # -- cache key ---------------------------------------------------------------
 
-def _machine_key_parts(sim) -> list:
-    """Everything the recorded control-flow outcome depends on.
-
+def _kernel_key_for(sim) -> str:
+    """The recorded control outcome depends on the machine alone.
     Deliberately excluded: ``max_cycles`` (enforced at replay against
     the recorded cycle count), ``max_batch_words`` (a planner knob
-    that cannot change observable results), and ``engine_mode`` itself.
-    """
-    program = sim.program
-    config = sim.config
-    edges = []
-    for edge in sorted(sim.graph.edges,
-                       key=lambda e: (e.src, e.dst, e.data)):
-        key = (edge.src, edge.dst, edge.data)
-        remote = sim._edge_is_remote(edge.src, edge.dst)
-        edges.append([list(key), sim._capacity(key), remote,
-                      config.link_rate(key) if remote else None])
-    plan = config.fault_plan
-    return [
-        program_content_hash(program, normalize_width=True),
-        program.vectorization,
-        sim.analysis.pipeline_latency,
-        sorted((node, delay.compute_cycles)
-               for node, delay in sim.analysis.node_delays.items()),
-        edges,
-        config.network_latency,
-        sorted(sim.device_of.items()),
-        config.deadlock_window,
-        plan.to_json() if plan is not None and not plan.empty else None,
-    ]
-
-
-def _kernel_key_for(sim) -> str:
-    return content_key("kernel", *_machine_key_parts(sim))
+    that cannot change observable results), and ``engine_mode``."""
+    return content_key("kernel", *machine_key_parts(sim))
 
 
 def kernel_cache_key(analysis, config=None,

@@ -791,9 +791,12 @@ class TestPlannerPins:
 
     @pytest.mark.parametrize("engine", ["batched", "control"])
     def test_planner_decisions_are_pinned(self, engine):
+        from repro.lowering import reset_default_cache
         from repro.simulator import SimulatorConfig, simulate
         from repro.simulator.control import simulate_control
         from util import random_inputs
+        # Pins the planner, not a replay of an earlier test's schedule.
+        reset_default_cache()
         for program, placement, network, pins in self._machines():
             inputs = random_inputs(program)
             if engine == "batched":
@@ -806,3 +809,243 @@ class TestPlannerPins:
             assert (result.cycles, profile.plan_count,
                     profile.virtual_cycles, profile.drift_windows,
                     profile.window_sizes) == pins
+
+
+class TestScheduleReplay:
+    """A machine is planned once per process: a completed full run
+    publishes its window schedule to the lowering cache, and every
+    later batched run of the same machine executes it instead of
+    planning — with the data path, statistics and errors unchanged."""
+
+    NETWORK = dict(network_latency=16, network_words_per_cycle=1 / 3)
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        from repro.lowering import reset_default_cache
+        reset_default_cache()
+        yield
+        reset_default_cache()
+
+    @staticmethod
+    def _links_machine():
+        """The ``run_links`` quick machine: 2 devices, 1/3-rate wire."""
+        from repro.distributed import contiguous_device_split
+        from repro.programs import horizontal_diffusion
+        program = horizontal_diffusion(shape=(24, 24, 16), vectorization=8)
+        return program, contiguous_device_split(program, 2)
+
+    @staticmethod
+    def _fault_machine():
+        from repro.faults import FaultPlan, LinkFault
+        from util import chain_program
+        plan = FaultPlan(link_faults=(
+            LinkFault("s1", "s2", 100, 220),
+            LinkFault("s1", "s2", 300, 400, rate_scale=0.5)))
+        return (chain_program(3, shape=(8, 8, 8)),
+                {"s0": 0, "s1": 0, "s2": 1}, dict(fault_plan=plan))
+
+    def _machines(self):
+        program, placement = self._links_machine()
+        yield program, placement, self.NETWORK
+        yield self._fault_machine()
+
+    @staticmethod
+    def _run(program, placement, inputs=None, **config):
+        from repro.simulator import SimulatorConfig, simulate
+        from util import random_inputs
+        config.setdefault("engine_mode", "batched")
+        return simulate(program, random_inputs(program)
+                        if inputs is None else inputs,
+                        SimulatorConfig(**config), device_of=placement)
+
+    @staticmethod
+    def _assert_same(first, second):
+        from test_engine_equivalence import assert_same_results
+        assert_same_results(first, second)
+        counts = ("plan_count", "virtual_cycles", "scalar_cycles",
+                  "window_count", "window_cycles", "window_sizes",
+                  "drift_windows", "ring_bytes", "stored_words")
+        assert [getattr(first.profile, name) for name in counts] \
+            == [getattr(second.profile, name) for name in counts]
+
+    @staticmethod
+    def _as_data(schedule):
+        """A schedule as nested tuples, comparable with ``==``."""
+        def plain(obj):
+            if isinstance(obj, (list, tuple)):
+                return tuple(map(plain, obj))
+            if hasattr(obj, "__slots__"):
+                return tuple(plain(getattr(obj, name))
+                             for name in obj.__slots__)
+            return obj
+        plans, plan_count, virtual_cycles = schedule
+        return ({step: plain(plan) for step, plan in plans.items()},
+                plan_count, virtual_cycles)
+
+    def test_second_run_replays_bitwise(self):
+        from repro.lowering import default_cache
+        for program, placement, config in self._machines():
+            first = self._run(program, placement, **config)
+            second = self._run(program, placement, **config)
+            assert not first.profile.schedule_replayed
+            assert second.profile.schedule_replayed
+            assert second.profile.to_json()["schedule_replayed"]
+            assert "(schedule replayed)" in "\n".join(
+                second.profile.summary_lines())
+            self._assert_same(first, second)
+        assert first.fault_report is not None
+        # One miss per published schedule, one hit per replayed run.
+        assert default_cache().stats("schedule") == (2, 2)
+
+    def test_replay_on_new_inputs_equals_a_cold_run(self):
+        from repro.lowering import reset_default_cache
+        from util import random_inputs
+        program, placement = self._links_machine()
+        self._run(program, placement, **self.NETWORK)
+        fresh = random_inputs(program, seed=5)
+        replayed = self._run(program, placement, fresh, **self.NETWORK)
+        assert replayed.profile.schedule_replayed
+        reset_default_cache()
+        planned = self._run(program, placement, fresh, **self.NETWORK)
+        assert not planned.profile.schedule_replayed
+        self._assert_same(planned, replayed)
+
+    def test_control_run_plans_alike_and_publishes_nothing(
+            self, monkeypatch):
+        from repro.lowering import default_cache, reset_default_cache
+        from repro.simulator import SimulatorConfig, simulate_control
+        from repro.simulator.control import ControlSimulator
+        from util import random_inputs
+        program, placement = self._links_machine()
+
+        def control():
+            return simulate_control(program, random_inputs(program),
+                                    SimulatorConfig(**self.NETWORK),
+                                    device_of=placement)
+
+        def published():
+            cache = default_cache()
+            (key,) = [key for key in cache._entries
+                      if key.startswith("schedule:")]
+            return self._as_data(cache.peek(key))
+
+        first = control()
+        assert not first.profile.schedule_replayed
+        assert default_cache().stats("schedule") == (0, 0)
+        full = self._run(program, placement, **self.NETWORK)
+        assert not full.profile.schedule_replayed
+        # A later control run of the machine reads the full run's.
+        again = control()
+        assert again.profile.schedule_replayed
+        assert again.cycles == first.cycles == full.cycles
+        # What a control run would record is what the full run did.
+        recorded = published()
+        reset_default_cache()
+        monkeypatch.setattr(ControlSimulator, "_PUBLISHES_SCHEDULE", True)
+        control()
+        assert published() == recorded
+
+    def test_failed_runs_publish_nothing(self):
+        from repro.errors import DeadlockError
+        from repro.lowering import default_cache
+        from repro.simulator import SimulatorConfig, build_simulator
+        from test_engine_equivalence import _int_program
+        from util import diamond_program, edge_keys, random_inputs
+        wedged = diamond_program(long_branch=2)
+        overflow = _int_program(code="(a[i] * a[i]) > 100 ? 1 : 0",
+                                dtype="int64")
+        failing = [
+            (wedged, random_inputs(wedged), DeadlockError,
+             dict(channel_capacities={k: 2 for k in edge_keys(wedged)},
+                  deadlock_window=64)),
+            (wedged, random_inputs(wedged), SimulationError,
+             dict(max_cycles=100)),
+            (overflow, {"a": np.full(32, 1 << 32, dtype=np.int64)},
+             SimulationError, {}),
+        ]
+        for program, inputs, error, config in failing:
+            raised = []
+            for _ in range(2):
+                simulator = build_simulator(program, SimulatorConfig(
+                    engine_mode="batched", **config))
+                with pytest.raises(error) as info:
+                    simulator.run(inputs)
+                raised.append(str(info.value))
+                assert not simulator.schedule_replayed
+                assert simulator.plan_count > 0
+            assert raised[0] == raised[1]
+            assert default_cache().stats("schedule") == (0, 0)
+
+    def test_every_planner_input_is_in_the_key(self, monkeypatch):
+        import dataclasses
+
+        from repro.distributed import contiguous_device_split
+        from repro.faults import FaultPlan, UnitStall
+        from repro.lowering import graph_for, remote_edges
+        from repro.programs import horizontal_diffusion
+        from repro.simulator import BatchedSimulator, SimulatorConfig
+        program, placement = self._links_machine()
+        link = min(remote_edges(graph_for(program), placement))
+        variants = {
+            "min_channel_depth": 9,
+            "max_cycles": 10 ** 6,
+            "deadlock_window": 300,
+            "channel_capacities": {link: 160},
+            "network_latency": 17,
+            "network_words_per_cycle": 1 / 4,
+            "network_link_rates": {link: 1 / 2},
+            "max_batch_words": 1024,
+            "fault_plan": FaultPlan(unit_stalls=(
+                UnitStall(program.stencils[0].name, 10, 20),)),
+        }
+        assert set(variants) == {
+            field.name for field in dataclasses.fields(SimulatorConfig)
+        } - {"engine_mode"}
+
+        def replayed(program=program, placement=placement, **changes):
+            config = dict(self.NETWORK, **changes)
+            return self._run(program, placement,
+                             **config).profile.schedule_replayed
+
+        assert not replayed()
+        assert replayed() and replayed(engine_mode="auto")
+        for name, value in variants.items():
+            assert not replayed(**{name: value}), name
+        assert not replayed(placement=contiguous_device_split(program, 3))
+        assert not replayed(program=horizontal_diffusion(
+            shape=(24, 24, 16), vectorization=4))
+        for constant in ("MAX_WINDOW", "WINDOW_STRETCH", "MIN_STRETCH"):
+            with monkeypatch.context() as patched:
+                patched.setattr(BatchedSimulator, constant,
+                                getattr(BatchedSimulator, constant) + 1)
+                assert not replayed(), constant
+
+    def test_published_schedule_is_frozen_and_holds_no_simulator(self):
+        import gc
+        import weakref
+
+        from repro.lowering import default_cache
+        from repro.simulator import SimulatorConfig, build_simulator
+        from util import random_inputs
+        program, placement = self._links_machine()
+        simulator = build_simulator(program, SimulatorConfig(
+            engine_mode="batched", **self.NETWORK), placement)
+        simulator.run(random_inputs(program))
+        alive = weakref.ref(simulator)
+        del simulator
+        gc.collect()
+        assert alive() is None
+        cache = default_cache()
+        (key,) = [key for key in cache._entries
+                  if key.startswith("schedule:")]
+
+        def mutable(obj) -> bool:
+            if isinstance(obj, list):
+                return True
+            if isinstance(obj, tuple):
+                return any(map(mutable, obj))
+            return hasattr(obj, "__slots__") and any(
+                mutable(getattr(obj, name)) for name in obj.__slots__)
+
+        plans = cache.peek(key)[0]
+        assert plans and not any(map(mutable, plans.values()))

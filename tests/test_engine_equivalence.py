@@ -566,25 +566,31 @@ def test_differential_machine_fuzz(machine):
     diagnostic, same cycle-cap overrun, or exactly equal results).  The
     example budget is the loaded hypothesis profile's
     (``tests/conftest.py``): derandomized and small in tier-1, long and
-    random in CI's ``fuzz`` job."""
+    random in CI's ``fuzz`` job.  The batched engine runs twice: a
+    completed first run publishes its window schedule, which the second
+    replays (a failed one publishes nothing, so the second plans
+    again) — and must end the same way."""
     program, device_of, config_kwargs = machine
     inputs = random_inputs(program)
     runs = {}
-    for mode in ("scalar", "batched"):
+    for run, mode in (("scalar", "scalar"), ("batched", "batched"),
+                      ("replay", "batched")):
         config = SimulatorConfig(engine_mode=mode, **config_kwargs)
         try:
-            runs[mode] = simulate(program, inputs, config, device_of)
+            runs[run] = simulate(program, inputs, config, device_of)
         except (DeadlockError, SimulationError) as exc:
-            runs[mode] = exc
-    scalar, batched = runs["scalar"], runs["batched"]
-    assert type(scalar) is type(batched)
-    if isinstance(scalar, DeadlockError):
-        assert (scalar.cycle, scalar.blocked_units, str(scalar)) \
-            == (batched.cycle, batched.blocked_units, str(batched))
-    elif isinstance(scalar, SimulationError):
-        assert str(scalar) == str(batched)
-    else:
-        assert_same_results(scalar, batched)
+            runs[run] = exc
+    for expected, got in ((runs["scalar"], runs["batched"]),
+                          (runs["batched"], runs["replay"])):
+        assert type(expected) is type(got)
+        if isinstance(expected, DeadlockError):
+            assert (expected.cycle, expected.blocked_units,
+                    str(expected)) == (got.cycle, got.blocked_units,
+                                       str(got))
+        elif isinstance(expected, SimulationError):
+            assert str(expected) == str(got)
+        else:
+            assert_same_results(expected, got)
 
 
 class TestFaultInjection:
@@ -1373,6 +1379,8 @@ class TestOnePlanner:
         # stepped virtually and never reach the (default) deadlock
         # window; at period 1 a window stretches 64 cycles at most, so
         # the idle streak is handed from window to window.
+        from repro.lowering import reset_default_cache
+        reset_default_cache()  # spy on the planner, not on a replay
         streaks = []
         plan_window = BatchedSimulator._plan_window
 

@@ -99,6 +99,14 @@ class TestSchema:
         with pytest.raises(ServeRequestError):
             parse_query({})
 
+    @pytest.mark.parametrize("shape", [[2.9, 8], [True, 8], [0, 8],
+                                       [-4, 8], [], ["8", 8], 8])
+    def test_body_shape_follows_the_url_rule(self, shape):
+        # A JSON-body shape is held to parse_shape's rule: a non-empty
+        # list of JSON integers >= 1, never truncated or coerced.
+        with pytest.raises(ServeRequestError, match="invalid shape"):
+            parse_query({}, {"program": "laplace2d", "shape": shape})
+
     def test_body_wins_over_params(self):
         spec = parse_query({"program": "a", "shape": "1,2"},
                            {"program": "b", "shape": [3, 4]})
@@ -382,6 +390,32 @@ class TestLiveServer:
             status, body = get(server,
                                "/v1/best?program=hdiff&shape=0,0")
             assert status == 400
+        finally:
+            server.close()
+
+    def test_bad_shapes_are_refused_on_get_and_post(self):
+        server = make_server()
+        try:
+            for shape in ([2.9, 8], [True, 8], [0, 8], [-4, 8], []):
+                text = ",".join(map(str, shape))
+                status, body = get(
+                    server, f"/v1/best?program=laplace2d&shape={text}")
+                assert (status, body["kind"]) == (400, "error"), shape
+                request = urllib.request.Request(
+                    server.url + "/v1/best", data=json.dumps(
+                        {"program": "laplace2d", "shape": shape}).encode(),
+                    headers={"Content-Type": "application/json"})
+                try:
+                    urllib.request.urlopen(request, timeout=30)
+                    pytest.fail(f"POST shape {shape!r} was answered")
+                except urllib.error.HTTPError as exc:
+                    assert exc.code == 400, shape
+                    posted = json.loads(exc.read())
+                for error in (body["error"], posted["error"]):
+                    assert "invalid shape" in error
+                    if shape:  # the bad extent is named
+                        assert f"extent {shape[0]!r}" in error \
+                            or f"extent {str(shape[0])!r}" in error
         finally:
             server.close()
 
