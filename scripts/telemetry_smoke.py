@@ -6,7 +6,8 @@ enabled — and asserts the overhead contract end to end:
 
 1. **Zero perturbation**: per-point simulated cycle counts are
    bitwise-equal between the instrumented and plain sweeps, for both
-   the thread and the supervised process backend.
+   the thread backend (a serial in-process sweep) and the supervised
+   process backend.
 2. **Artifacts**: the instrumented sweep produces a parseable metrics
    snapshot and a Chrome trace-event JSON (Perfetto-loadable shape:
    ``traceEvents`` with ``M`` thread-name metadata and ``X`` complete

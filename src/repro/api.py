@@ -135,7 +135,7 @@ def run(program: ProgramLike,
     """Simulate a program and validate against the reference.
 
     ``inputs`` defaults to seeded random arrays
-    (:func:`repro.explore.default_inputs`).  Remaining keyword
+    (:func:`repro.run.default_inputs`).  Remaining keyword
     arguments go to :meth:`repro.run.Session.run` (``config``,
     ``engine_mode``, ``partition``, ``devices``, ``device_of``,
     ``validate``, tolerances).
@@ -143,7 +143,7 @@ def run(program: ProgramLike,
     from .run import Session
     resolved = resolve_program(program, shape=shape)
     if inputs is None:
-        from .explore import default_inputs
+        from .run import default_inputs
         inputs = default_inputs(resolved, seed)
     session_kwargs = {}
     if lowering is not None:

@@ -198,15 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--seed", type=int, default=0,
                          help="random-input seed")
     explore.add_argument("--workers", type=int, default=None,
-                         help="parallel simulator evaluations")
+                         help="worker processes of the process "
+                              "backend")
     explore.add_argument("--backend", default="thread",
                          choices=("thread", "process"),
-                         help="frontier execution backend: in-process "
-                              "threads, or the supervised multiprocess "
+                         help="frontier execution backend: serial in "
+                              "process, or the supervised multiprocess "
                               "service (one lease per family, worker "
-                              "heartbeats, crash-loop quarantine); "
-                              "'process' degrades to 'thread' when "
-                              "workers cannot be spawned")
+                              "heartbeats, crash-loop quarantine), "
+                              "which degrades to 'thread' when workers "
+                              "cannot be spawned and no budget is set")
     explore.add_argument("--output", "-o", type=Path,
                          default=Path("explore_report.json"),
                          help="where to write the ranked JSON report")
@@ -227,9 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: the simulator's 256)")
     explore.add_argument("--point-timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="per-point wall budget; a point that "
-                              "blows it is recorded as failed "
-                              "instead of hanging the sweep")
+                         help="per-point wall budget (> 0); a point "
+                              "that blows it is recorded as failed. "
+                              "Only a worker can be killed, so a "
+                              "budget means --backend process")
     explore.add_argument("--checkpoint-every", type=int, default=16,
                          metavar="N",
                          help="write the persistent result cache "
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--beam", type=int, default=4,
                        help="beam width of miss-triggered sweeps")
     serve.add_argument("--workers", type=int, default=None,
-                       help="simulator parallelism of miss sweeps")
+                       help="worker processes of miss sweeps")
     serve.add_argument("--max-jobs", type=int, default=1,
                        help="background sweeps allowed at once")
     serve.add_argument("--no-query-log", action="store_true",
@@ -458,7 +460,7 @@ def _codegen(program: StencilProgram, args) -> int:
 
 
 def _run(program: StencilProgram, args) -> int:
-    from .explore import default_inputs
+    from .run import default_inputs
     from .simulator import (
         SimulatorConfig,
         resolve_engine_mode,

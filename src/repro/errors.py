@@ -84,9 +84,9 @@ class ServiceError(StencilFlowError):
 class ServiceUnavailable(ServiceError):
     """The multiprocess backend could not start (spawn kept failing).
 
-    The explorer catches this and degrades to the in-process thread
-    pool with a warning, so a sweep never fails just because worker
-    processes cannot be spawned.
+    Unless the sweep has a per-point budget, which only a killable
+    worker can enforce, the explorer catches this and runs the rest
+    of the sweep in process, serially, with a warning.
     """
 
 

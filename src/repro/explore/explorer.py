@@ -3,19 +3,16 @@ into a loop).
 
 ``explore`` enumerates a configuration space, prices every point with
 the analytic models (pruning what cannot work or cannot win), validates
-the surviving frontier on the batched cycle-level simulator — in
-parallel, with results cached so repeated sweeps are incremental — and
-returns a ranked :class:`~repro.explore.report.ExplorationReport`.
+the surviving frontier on the batched cycle-level simulator — with
+results cached so repeated sweeps are incremental — and returns a
+ranked :class:`~repro.explore.report.ExplorationReport`.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
+import math
 import time
 import warnings
-from collections import deque
 from typing import (
     Dict,
     Iterator,
@@ -41,6 +38,7 @@ from ..hardware.platform import FPGAPlatform, STRATIX10
 from ..lowering import LoweringConfig, lower
 from ..lowering import default_cache as lowering_cache
 from ..obs import clock, metrics, span
+from ..run import default_inputs
 from ..simulator.control import data_can_fail, simulate_control
 from ..simulator.engine import (
     SimulatorConfig,
@@ -57,26 +55,8 @@ from .report import (
 from .search import GreedySearch, SearchStrategy, get_strategy
 from .space import ConfigPoint, ConfigSpace
 
-#: Default parallelism of the simulation stage (threads or worker
-#: processes).
-DEFAULT_WORKERS = min(4, os.cpu_count() or 1)
-
 #: Validation backends the simulation stage offers.
 BACKENDS = ("thread", "process")
-
-
-def default_inputs(program: StencilProgram,
-                   seed: int = 0) -> Dict[str, np.ndarray]:
-    """Deterministic random inputs for ``program`` (the CLI's scheme)."""
-    rng = np.random.default_rng(seed)
-    inputs = {}
-    for name, spec in program.inputs.items():
-        shape = spec.shape(program.shape, program.index_names)
-        if shape:
-            inputs[name] = rng.random(shape).astype(spec.dtype.numpy)
-        else:
-            inputs[name] = spec.dtype.numpy.type(rng.random())
-    return inputs
 
 
 def baseline_point(program: StencilProgram) -> ConfigPoint:
@@ -123,12 +103,11 @@ def explore(program: StencilProgram,
             :class:`SearchStrategy` instance.
         beam_width: beam size for the greedy strategy.
         seed: input-generation seed (part of the determinism contract).
-        workers: simulator parallelism: threads, or worker processes
-            when ``service`` does not set its own count; one
-            lowered-program family per task or lease.  Most machines
-            are timed by control runs, whose time is the planner VM:
-            pure Python that holds the GIL, so only processes run them
-            in parallel; threads overlap a family's data pass.
+        workers: worker processes of the process backend, when
+            ``service`` does not set its own count; one
+            lowered-program family per lease.  An in-process sweep is
+            serial: control runs are planner-VM Python that holds the
+            GIL, so only processes run them in parallel.
         cache: simulation-result cache; pass the same instance (or a
             loaded one) across sweeps to make them incremental.
         engine_mode: simulator engine selection per point.
@@ -145,10 +124,11 @@ def explore(program: StencilProgram,
         deadlock_window: per-point override of
             :attr:`SimulatorConfig.deadlock_window` (``None`` keeps
             the simulator default).
-        point_timeout: per-point wall budget in seconds; a point that
-            blows it is recorded as a failed entry instead of hanging
-            the sweep (``None`` disables the budget).  Each machine of
-            a family is charged from its own start.
+        point_timeout: per-point wall budget in seconds (finite, > 0;
+            ``None``: no budget); a point that blows it is recorded as
+            a failed entry, charged from its own start.  Only a worker
+            process can be killed, so a budget runs the sweep on the
+            process backend, or raises :class:`ServiceUnavailable`.
         retries: extra attempts for *non-deterministic* per-point
             failures (a crashed worker); deadlocks, model errors and
             data guards are deterministic and never retried.
@@ -157,7 +137,7 @@ def explore(program: StencilProgram,
         checkpoint_every: with ``persist``, write the result cache to
             disk every this many completed points, so a killed sweep
             resumes from its partial results on the next run.
-        backend: ``"thread"`` (in-process pool, the default) or
+        backend: ``"thread"`` (in process, serial; the default) or
             ``"process"`` — the supervised multiprocess service
             (:mod:`repro.service`): one lease per family, worker
             heartbeats, crash-loop quarantine.  Either backend only
@@ -165,9 +145,9 @@ def explore(program: StencilProgram,
             checkpointing happen here, once.  Identical reports on
             fault-free sweeps; the process backend additionally
             survives hard worker crashes (native OOM, segfault,
-            SIGKILL) and reclaims timed-out workers.  If worker
-            processes cannot be spawned, the families it left
-            unsettled run on the thread backend, with a warning.
+            SIGKILL) and kills workers that overrun ``point_timeout``.
+            Without a budget, the families a pool that cannot spawn
+            left unsettled run in process, with a warning.
         service: the process backend's workers: a
             :class:`repro.service.ServiceConfig` (supervision tunables;
             a private worker pool lives for this call) or a live
@@ -182,6 +162,13 @@ def explore(program: StencilProgram,
         raise DefinitionError(
             f"unknown explore backend {backend!r} "
             f"(expected one of {', '.join(BACKENDS)})")
+    if point_timeout is not None:
+        if not (math.isfinite(point_timeout) and point_timeout > 0):
+            raise DefinitionError(f"point_timeout must be a finite number "
+                                  f"of seconds > 0, not {point_timeout!r}")
+        backend = "process"  # only a worker process can be killed
+    if workers is not None and workers < 1:
+        raise DefinitionError(f"workers must be at least 1, not {workers!r}")
     if config_parallel is not None:
         warnings.warn("explore(config_parallel=...) is deprecated and "
                       "ignored: every sweep times machines by control "
@@ -221,8 +208,8 @@ def explore(program: StencilProgram,
     if base_prediction.feasible and base not in selected:
         selected.append(base)
 
-    # Stage 3: simulate the frontier in parallel, once per machine the
-    # simulator builds, with a data pass only where data can fail.
+    # Stage 3: simulate the frontier, once per machine the simulator
+    # builds, with a data pass only where data can fail.
     if inputs is None:
         inputs = default_inputs(program, seed)
 
@@ -326,8 +313,8 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
     """Measure ``group``, machines of one lowered program family,
     yielding each member's :class:`Measurement` or
     :class:`PointFailure` in order as it finishes.  This is the one
-    measurement both sweep backends take, a thread task or a process
-    worker's lease measuring one family.
+    measurement both sweep backends take: the in-process loop or a
+    process worker's lease, each measuring one family.
 
     Members get width-0 control runs
     (:func:`~repro.simulator.control.simulate_control`), bitwise a full
@@ -460,10 +447,11 @@ def _simulate_frontier(pruner: Pruner,
     sweep always completes.  Cache hits are answered first; the rest
     are grouped by :func:`_families` and each outcome goes through
     ``settle`` to every point it answers, with one cache entry per
-    point's key.  The backends differ only in how they run a family:
-    a thread task each, or a lease on the supervised process pool
-    (:class:`repro.service.Supervisor`).  When worker processes cannot
-    be spawned, the families the pool left unsettled run on threads.
+    point's key.  The backends differ only in how they run a family: a
+    plain loop in this thread, or a lease on the supervised process
+    pool (:class:`repro.service.Supervisor`).  When worker processes
+    cannot be spawned, the families the pool left unsettled run in the
+    loop, unless a ``point_timeout`` needs a worker to kill.
     """
     # The *resolved* engine is part of the entry key: cycle counts are
     # engine-independent (enforced by the equivalence suite), but the
@@ -519,112 +507,30 @@ def _simulate_frontier(pruner: Pruner,
                        retry_backoff=retry_backoff).run()
             return outcomes, failures
         except ServiceUnavailable as exc:
+            if point_timeout is not None:
+                raise ServiceUnavailable(
+                    f"{exc}; a point_timeout needs worker processes "
+                    f"to kill") from exc
             if isinstance(service, WorkerPool) and service.closed:
                 raise  # shut down by its owner: nothing to fall back to
             import sys
             print(f"warning: process backend unavailable ({exc}); "
-                  f"falling back to the thread backend",
-                  file=sys.stderr)
+                  f"falling back to the thread backend (in process, "
+                  f"serial)", file=sys.stderr)
         settled = outcomes.keys() | failures.keys()
         families = [[machine for machine in family
                      if _machine_key(machine[0]) not in settled]
                     for family in families]
         families = [family for family in families if family]
 
-    def run(family):
-        return measure([machine[0] for machine in family],
-                       pruner.program, pruner.platform, inputs,
-                       engine_mode, resolved_engine, deadlock_window,
-                       retries, retry_backoff)
-
-    max_workers = workers or DEFAULT_WORKERS
-    if point_timeout is None and (max_workers <= 1 or len(families) < 2):
-        for family in families:
-            for machine, result in zip(family, run(family)):
-                settle(machine, result)
-    else:
-        _run_threaded(families, run, settle, max_workers, point_timeout)
+    for family in families:
+        results = measure([machine[0] for machine in family],
+                          pruner.program, pruner.platform, inputs,
+                          engine_mode, resolved_engine, deadlock_window,
+                          retries, retry_backoff)
+        for machine, result in zip(family, results):
+            settle(machine, result)
     return outcomes, failures
-
-
-class _Task:
-    """One family in flight on its own thread."""
-
-    def __init__(self, family):
-        self.family = family
-        self.done = 0  # members settled
-        self.started = time.monotonic()  # when the current member began
-        self.abandoned = False
-
-
-def _run_threaded(families, run, settle, max_workers: int,
-                  point_timeout: Optional[float]):
-    """Measure ``families`` on up to ``max_workers`` threads, one family
-    per task, settling each member in this thread as it finishes.
-
-    ``point_timeout`` is charged to each member from its own start, so
-    no family fails for its total.  Threads cannot be killed: a member
-    that overruns is settled as timed out and its thread is abandoned
-    (it stops after that member, and what it yields is dropped); the
-    family's remaining members are queued again as a family of their
-    own, which makes its own data pass if its data can fail.
-    """
-    events = queue.Queue()
-    todo = deque(families)
-    running = set()
-
-    def work(task):
-        try:
-            for result in run(task.family):
-                if task.abandoned:
-                    return
-                task.started = time.monotonic()
-                events.put((task, result))
-        except Exception as exc:
-            events.put((task, exc))
-        else:
-            events.put((task, None))
-
-    try:
-        while todo or running:
-            while todo and len(running) < max_workers:
-                task = _Task(todo.popleft())
-                running.add(task)
-                threading.Thread(target=work, args=(task,),
-                                 daemon=True).start()
-            timeout = None
-            if point_timeout is not None:
-                timeout = max(0.0, point_timeout + min(
-                    t.started for t in running) - time.monotonic())
-            try:
-                task, result = events.get(timeout=timeout)
-            except queue.Empty:
-                now = time.monotonic()
-                for task in [t for t in running
-                             if now - t.started >= point_timeout]:
-                    task.abandoned = True
-                    running.discard(task)
-                    metrics.counter("explore.timeouts").inc()
-                    settle(task.family[task.done], PointFailure(
-                        kind="timeout",
-                        message=f"simulation exceeded the per-point "
-                                f"budget of {point_timeout:g}s"))
-                    if task.done + 1 < len(task.family):
-                        todo.appendleft(task.family[task.done + 1:])
-                continue
-            if task not in running:
-                continue  # abandoned after a timeout
-            if isinstance(result, Exception):
-                raise result
-            if result is None:
-                running.discard(task)
-            else:
-                settle(task.family[task.done], result)
-                task.done += 1
-    finally:
-        # Interrupted or failed: stop every thread after its member.
-        for task in running:
-            task.abandoned = True
 
 
 def _build_entries(predictions: Sequence[Prediction],

@@ -74,7 +74,7 @@ class ArtifactCache:
 
         Concurrent requests for the same absent key serialize on a
         per-key build lock, so an expensive artifact (a buffering
-        analysis under the explorer's thread pool) is built exactly
+        analysis two ``repro serve`` jobs want) is built exactly
         once; the waiters then hit.  A miss therefore counts *builds*.
         """
         kind = self._kind(key)

@@ -61,11 +61,11 @@ class ServeConfig:
         host/port: bind address (``port=0`` picks an ephemeral port —
             the tests and the smoke gate use that).
         backend: explore backend for miss-triggered sweeps
-            (``"process"``: the PR 7 supervised service, degrading to
-            threads when workers cannot spawn).
+            (``"process"``: the supervised service, degrading to an
+            in-process serial sweep when workers cannot spawn).
         max_devices: device budget of the synthesized sweep space.
         beam_width: greedy-beam width of miss sweeps.
-        workers: simulator parallelism of miss sweeps.
+        workers: worker processes of miss sweeps.
         max_concurrent_jobs: background sweeps allowed at once.
         telemetry: enable the metrics registry so ``/v1/metricsz``
             has content (serve is long-running; the per-request cost

@@ -4,10 +4,10 @@ A query the index cannot answer becomes a *job*: a bounded
 design-space sweep over the requested (program, shape, hardware)
 triple, executed by :func:`repro.api.explore` on the supervised
 multiprocess service (one lease per family, worker heartbeats,
-journal-backed; it degrades to the thread backend when workers cannot
-be spawned).  The HTTP layer returns ``202`` with the job id; when the
-sweep lands, its report joins the store and the index, and the poll
-endpoint starts returning the measured best configuration.
+journal-backed; it degrades to a serial in-process sweep when workers
+cannot be spawned).  The HTTP layer returns ``202`` with the job id;
+when the sweep lands, its report joins the store and the index, and
+the poll endpoint starts returning the measured best configuration.
 
 Jobs dedupe on the index key: two clients asking for the same triple
 share one sweep.  Concurrency is bounded (default: one sweep at a

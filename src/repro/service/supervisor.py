@@ -20,17 +20,17 @@ resolved job goes back through its ``settle``.  The control loop:
 * charges the in-progress job one *death* per crash and quarantines
   it as **poisoned** once it crosses the crash-loop threshold
   (default: two dead workers), instead of retrying forever;
-* respawns workers up to a restart budget, and — unlike the thread
-  backend, whose timed-out workers can only be abandoned — actually
-  reclaims the pool on a per-point timeout by killing the worker;
+* respawns workers up to a restart budget, and enforces the per-point
+  timeout by killing the worker — the only way a sweep can, so a
+  sweep with a budget always runs here;
 * compacts per-worker result shards into the shared cache at the
   end, returns clean workers to the pool, and removes the run
   directory on clean completion.
 
 Every transition is journaled (:mod:`repro.service.journal`).  If
 worker processes cannot be spawned at all, :class:`ServiceUnavailable`
-propagates and the explorer runs the families left unsettled on the
-thread backend, with a warning.
+propagates; without a per-point budget the explorer then runs the
+families left unsettled in process, serially, with a warning.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..errors import ServiceUnavailable
 from ..explore.cache import Measurement, ResultCache
-from ..explore.explorer import DEFAULT_WORKERS
 from ..explore.report import PointFailure
 from ..faults.store import RUN_DIRS, read_json_guarded
 from ..obs import journal_spans, metrics, spans, write_chrome_trace
@@ -63,6 +62,10 @@ from .worker import worker_main
 #: chaos check.
 KEEP_RUNDIR_ENV = "REPRO_SERVICE_KEEP_RUNDIR"
 
+#: Worker processes a sweep uses when neither its config nor the
+#: explorer's ``workers`` sets a count.
+DEFAULT_WORKERS = min(4, os.cpu_count() or 1)
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -71,7 +74,7 @@ class ServiceConfig:
     Attributes:
         workers: most worker processes a sweep uses; it uses no more
             than it has families (``None``: the explorer's
-            ``workers``, else its default parallelism — see
+            ``workers``, else :data:`DEFAULT_WORKERS` — see
             :meth:`sized`).
         lease_ttl: seconds a lease stays valid without a heartbeat
             renewing it.
@@ -113,7 +116,7 @@ class ServiceConfig:
 
     def sized(self, workers: Optional[int] = None) -> "ServiceConfig":
         """This config with its worker count resolved: its own, else
-        ``workers``, else the explorer's default parallelism."""
+        ``workers``, else :data:`DEFAULT_WORKERS`."""
         return replace(self,
                        workers=self.workers or workers or DEFAULT_WORKERS)
 
@@ -777,8 +780,8 @@ class Supervisor:
             metrics.counter("service.shards_adopted").inc(adopted)
         if metrics.enabled():
             # Fold each worker's registry into ours, so a process-
-            # backend sweep reports the same engine/cache totals a
-            # thread-backend sweep would.
+            # backend sweep reports the same engine/cache totals an
+            # in-process sweep would.
             for path in sorted(self._run_dir.glob("metrics-*.json")):
                 snap = read_json_guarded(path, quiet=True)
                 if isinstance(snap, dict):

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +119,21 @@ class TestCLI:
         assert "Traceback" not in err
 
 
+def test_run_imports_no_explorer():
+    """``repro run`` takes its seeded inputs from ``repro.run``, so a
+    run imports neither the explorer nor the service behind it."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                       os.pardir, "src"))
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "from repro.cli import main; "
+              "code = main(['run', 'laplace2d', '--shape', '16,16']); "
+              "print(code, sorted(m for m in sys.modules if m.startswith("
+              "('repro.explore', 'repro.service'))))")
+    out = subprocess.run([sys.executable, "-c", script, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 class TestListPrograms:
     def test_lists_catalog_with_aliases(self, capsys):
         assert main(["list-programs"]) == 0
@@ -178,6 +196,12 @@ class TestExploreCommand:
         report = json.loads(report_path.read_text())
         assert report["summary"]["simulated_points"] == 2
         assert report["summary"]["failed_points"] == 0
+
+    def test_explore_rejects_bad_point_timeout(self, capsys):
+        assert main(["explore", "--program", "laplace2d",
+                     "--point-timeout", "-1"]) == 2
+        assert "error: point_timeout must be a finite number of " \
+            "seconds > 0, not -1.0" in capsys.readouterr().err
 
     def test_explore_rejects_unknown_backend(self, capsys):
         with pytest.raises(SystemExit):

@@ -1098,8 +1098,8 @@ class TestConfigParallelExplore:
                              heartbeat_interval=0.05, poll=0.01)
 
     @pytest.mark.parametrize("workers, backend",
-                             [(1, "thread"), (4, "thread"), (2, "process")],
-                             ids=["serial", "pool", "process"])
+                             [(1, "thread"), (2, "process")],
+                             ids=["serial", "process"])
     def test_reports_identical(self, workers, backend, monkeypatch,
                                tmp_path):
         program = diamond_program(long_branch=2)

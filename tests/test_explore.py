@@ -151,6 +151,21 @@ class TestStrategies:
 
 
 class TestExplorer:
+    @pytest.mark.parametrize("kwargs", [
+        dict(point_timeout=-1.0), dict(point_timeout=0.0),
+        dict(point_timeout=float("nan")), dict(point_timeout=float("inf")),
+        dict(workers=0), dict(workers=-2),
+        dict(workers=-2, backend="process"),
+    ], ids=["timeout-negative", "timeout-zero", "timeout-nan",
+            "timeout-inf", "workers-zero", "workers-negative",
+            "workers-negative-process"])
+    def test_rejects_bad_budget_and_worker_count(self, kwargs):
+        """A budget must be finite and positive, a worker count at
+        least one: neither is reinterpreted, and nothing is swept."""
+        name = next(iter(kwargs))
+        with pytest.raises(DefinitionError, match=f"^{name} must be"):
+            explore(laplace2d(shape=(12, 12)), persist=False, **kwargs)
+
     def test_deterministic_ranked_report(self):
         program = small_chain()
         one = explore(program, strategy="exhaustive", seed=3)

@@ -4,6 +4,7 @@ generation, deadlock forensics, crash-safe storage primitives, cache
 quarantine hardening, and the explorer's failure handling."""
 
 import json
+import multiprocessing
 import time
 
 import pytest
@@ -359,6 +360,19 @@ def data_passes(monkeypatch):
                         lambda program: True)
 
 
+@pytest.fixture
+def fork_pool(tmp_path):
+    """A process-backend pool whose workers fork from this process, so
+    the simulators a test monkeypatches are the ones its workers run."""
+    from repro.service import ServiceConfig, WorkerPool
+    pool = WorkerPool(ServiceConfig(run_root=tmp_path / "service",
+                                    heartbeat_interval=0.05, poll=0.01,
+                                    join_timeout=3.0))
+    pool.ctx = multiprocessing.get_context("fork")
+    yield pool
+    pool.close()
+
+
 @pytest.mark.usefixtures("data_passes")
 class TestExplorerResilience:
     def test_transient_crash_is_retried(self, tmp_path, monkeypatch):
@@ -448,34 +462,47 @@ class TestExplorerResilience:
                 "ValueError: cannot convert float NaN to integer"
 
     def test_point_timeout_records_failed_points(self, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, fork_pool):
+        """A point that blows its budget has its worker killed and is
+        settled as a timeout; no ``backend`` is given, because a budget
+        always runs on the process backend."""
         from repro.explore import explorer as explorer_mod
+        from repro.obs import metrics
 
         def glacial(program, inputs, config, device_of=None):
-            time.sleep(0.4)
+            time.sleep(2.0)
             raise AssertionError("should have timed out first")
 
         monkeypatch.setattr(explorer_mod, "simulate", glacial)
         kwargs = _small_sweep_kwargs(tmp_path)
-        kwargs.update(workers=2, persist=False)
-        report = explore(laplace2d(shape=(12, 12)),
-                         point_timeout=0.05, retries=0, **kwargs)
-        assert report.failed_points
+        kwargs.update(persist=False, service=fork_pool)
+        old = metrics.set_registry(metrics.MetricsRegistry(enabled=True))
+        try:
+            report = explore(laplace2d(shape=(12, 12)),
+                             point_timeout=0.3, retries=0, **kwargs)
+            timeouts = metrics.registry().counter(
+                "explore.points_failed", kind="timeout").value
+        finally:
+            metrics.set_registry(old)
+        assert len(report.failed_points) == 2
         assert all(e.failure.kind == "timeout"
                    for e in report.failed_points)
         assert "per-point budget" in \
             report.failed_points[0].failure.message
+        assert timeouts == 2
 
     def test_point_timeout_is_charged_per_family_member(self, tmp_path,
-                                                        monkeypatch):
-        """Widths 1, 2, 4 are one lowered-program family, measured by
-        one task: each member fits the budget, so none times out,
-        although the family as a whole takes longer than it."""
+                                                        monkeypatch,
+                                                        fork_pool):
+        """Widths 4, 2, 1 are one lowered-program family, measured in
+        that order by one lease.  The budget is charged to each member
+        from its own start: W4 and W2 fit it although together they
+        take longer than it, and only W1, which blows it, times out."""
         from repro.explore import explorer as explorer_mod
 
         def slowed(real):
             def run(program, inputs, config, device_of=None):
-                time.sleep(0.2)
+                time.sleep(2.0 if program.vectorization == 1 else 0.25)
                 return real(program, inputs, config, device_of=device_of)
             return run
 
@@ -484,11 +511,12 @@ class TestExplorerResilience:
                                 slowed(getattr(explorer_mod, name)))
         kwargs = _small_sweep_kwargs(tmp_path)
         kwargs.update(space=ConfigSpace(vectorizations=(1, 2, 4)),
-                      workers=2, persist=False)
+                      persist=False, backend="process", service=fork_pool)
         report = explore(laplace2d(shape=(12, 12)), point_timeout=0.45,
                          **kwargs)
-        assert report.failed_points == ()
-        assert report.simulated_points == 3
+        assert [(e.point.label(), e.failure.kind)
+                for e in report.failed_points] == [("W1 x1c", "timeout")]
+        assert report.simulated_points == 2
 
     def test_failed_sweep_resumes_to_completion(self, tmp_path,
                                                 monkeypatch):

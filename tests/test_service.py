@@ -264,6 +264,23 @@ class TestProcessBackend:
         assert "falling back to the thread backend" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_budget_needs_workers(self, tmp_path, monkeypatch, capsys,
+                                  backend):
+        """A point budget is enforced by killing a worker, so a sweep
+        with one runs on the process pool whatever ``backend`` says,
+        and when the pool refuses it raises instead of falling back to
+        an in-process sweep that could not honour the budget."""
+        def refuse(*args, **kwargs):
+            raise ServiceUnavailable("spawn denied by test")
+
+        monkeypatch.setattr(Supervisor, "run", refuse)
+        with pytest.raises(ServiceUnavailable,
+                           match="spawn denied by test; a point_timeout "
+                                 "needs worker processes"):
+            _sweep(tmp_path, backend, point_timeout=5.0)
+        assert "falling back" not in capsys.readouterr().err
+
     def test_spawn_failure_mid_sweep_settles_each_machine_once(
             self, tmp_path, monkeypatch):
         """When respawning fails mid-sweep, what the pool measured stays
