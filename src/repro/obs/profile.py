@@ -50,6 +50,9 @@ class EngineProfile:
     #: Bytes of the batched engine's stream rings (one per producing
     #: unit, shared by its out-edges), each distinct array counted once.
     ring_bytes: int = 0
+    #: Bytes the data plane copied beyond each word's one store: live
+    #: words moved to the front of their ring (no read copies).
+    ring_copy_bytes: int = 0
     #: Ring rows written by slab stores: streams x words when every
     #: word is stored once (scalar-fallback pushes store one row per
     #: *edge* and show up as the excess).
@@ -117,6 +120,7 @@ class EngineProfile:
             "drift_windows": self.drift_windows,
             "virtual_cycles": self.virtual_cycles,
             "ring_bytes": self.ring_bytes,
+            "ring_copy_bytes": self.ring_copy_bytes,
             "stored_words": self.stored_words,
             "native_units": self.native_units,
             "native_fallback_units": self.native_fallback_units,
@@ -160,5 +164,6 @@ class EngineProfile:
                   f"({self.scalar_fraction:.1%})")
             lines.append(
                 f"  {self.stored_words} words stored in "
-                f"{self.ring_bytes / 2**20:.1f} MiB of stream rings")
+                f"{self.ring_bytes / 2**20:.1f} MiB of stream rings, "
+                f"{self.ring_copy_bytes / 2**20:.1f} MiB copied")
         return tuple(lines)

@@ -17,6 +17,7 @@ Requests arrive as URL query parameters (GET) or a JSON body (POST);
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple, Union
 
@@ -34,6 +35,11 @@ API_PREFIX = "/v1"
 #: The endpoints the server exposes (used for routing and for the
 #: bounded ``endpoint`` metrics label).
 ENDPOINTS = ("best", "pareto", "jobs", "healthz", "metricsz")
+
+#: Largest iteration domain (product of the extents) a query may name:
+#: a miss simulates it, so an unbounded shape is unbounded work.  Well
+#: above the paper's 128 x 128 x 80 hdiff domain (1.3 M cells).
+MAX_QUERY_CELLS = 1 << 24
 
 
 class ServeRequestError(ValidationError):
@@ -76,7 +82,8 @@ def _url_extent(part: str):
 def parse_shape(shape) -> Tuple[int, ...]:
     """A shape from URL text (``64,64,32``) or a JSON body list: a
     non-empty list of integers >= 1 — no floats, no bools, no strings
-    in a JSON list.  Anything else is a 400 naming the bad extent."""
+    in a JSON list — of at most :data:`MAX_QUERY_CELLS` cells.
+    Anything else is a 400 naming the bad extent or the product."""
     extents = shape
     if isinstance(shape, str):
         extents = [_url_extent(part) for part in shape.split(",")]
@@ -88,6 +95,11 @@ def parse_shape(shape) -> Tuple[int, ...]:
             raise ServeRequestError(
                 f"invalid shape {shape!r}: extent {extent!r} is not "
                 f"an integer >= 1")
+    cells = math.prod(extents)
+    if cells > MAX_QUERY_CELLS:
+        raise ServeRequestError(
+            f"invalid shape {shape!r}: {cells} cells exceed the limit "
+            f"of {MAX_QUERY_CELLS}")
     return tuple(extents)
 
 

@@ -84,6 +84,8 @@ from .channel import (
     ArrayChannel,
     ArrayNetworkLink,
     _RowRing,
+    StreamRing,
+    claim_slab,
     stage_slab,
 )
 from ..lowering import compiled_stencil
@@ -408,7 +410,7 @@ class BatchedStencilUnit(StencilBookkeeping):
             self.in_channels[field].pop()
         if self.local_step >= self.init_words:
             self._line_push(
-                self.compute_words(self.local_step - self.init_words, 1),
+                self.local_step - self.init_words, 1,
                 np.asarray([now + self.compute_latency], dtype=np.int64))
         self.local_step += 1
         return True
@@ -428,14 +430,17 @@ class BatchedStencilUnit(StencilBookkeeping):
 
     # -- slab operation (driven by the window executor) ----------------------
 
-    def _line_push(self, rows: np.ndarray, times: np.ndarray):
-        """Enter computed words into the latency line: the one store of
-        each word, into the ring the outbound edges share."""
-        stage_slab(self.out_channels, rows)
+    def _line_push(self, w0: int, b: int, times: np.ndarray):
+        """Compute words ``[w0, w0 + b)`` into the latency line: into
+        rows claimed first (the overflow checks run before any write)
+        in the ring the outbound edges share — each word's one store."""
+        self.compute_words(w0, b, claim_slab(self.out_channels, b))
         self._line_times.push_rows(times)
 
-    def compute_words(self, w0: int, b: int) -> np.ndarray:
-        """Vectorized stencil evaluation of words ``[w0, w0 + b)``.
+    def compute_words(self, w0: int, b: int,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Vectorized stencil evaluation of words ``[w0, w0 + b)``,
+        also stored into ``out`` (``(b, W)`` rows) when given.
 
         Taps are views of the inbound edge buffers (and the result may
         alias one): the caller stores it before anything writes there.
@@ -486,9 +491,11 @@ class BatchedStencilUnit(StencilBookkeeping):
                         lane_int = ~in_bounds
             args.append(values)
             intish.append(lane_int)
-        out = self.compiled(args, coords, intish=intish,
-                            out_dtype=self.line_dtype)
-        return out.reshape(b, width)
+        values = self.compiled(args, coords, intish=intish,
+                               out_dtype=self.line_dtype).reshape(b, width)
+        if out is not None:
+            out[...] = values
+        return values
 
 
 class BatchedSinkUnit(SinkUnit):
@@ -751,7 +758,7 @@ class BatchedSimulator(Simulator):
         # unboundedly (the count/cycle totals above stay exact).
         self._window_sizes: List[int] = []
         # Per producing node: its stream's one ring, its edges' layouts.
-        self._rings: Dict[str, Tuple[np.ndarray, dict]] = {}
+        self._rings: Dict[str, Tuple[StreamRing, dict]] = {}
         # What _bind_native did to this run's stencil units.
         self._native = None
 
@@ -763,6 +770,8 @@ class BatchedSimulator(Simulator):
                              wall_seconds=wall_seconds, **native,
                              ring_bytes=sum({id(c._buf): c._buf.nbytes
                                              for c in chans}.values()),
+                             ring_copy_bytes=sum({id(c._ring): c._ring.copied
+                                                  for c in chans}.values()),
                              stored_words=sum(c.stored for c in chans),
                              plan_count=self.plan_count,
                              scalar_cycles=self.scalar_cycles,
@@ -820,8 +829,9 @@ class BatchedSimulator(Simulator):
         """Storage keywords of edge ``key``: its layout plus ``buf``,
         the ring of the stream its source node produces, shared by all
         that node's out-edges — as many rows as the neediest of them
-        would want alone (``capacity + headroom + history + 1``); see
-        ``docs/ARCHITECTURE.md`` for why a laggard is never overwritten."""
+        would want alone (``capacity + headroom + history + 1``) and a
+        pad (``docs/ARCHITECTURE.md``: why a laggard is never
+        overwritten, why no range wraps)."""
         stream = self._rings.get(key[0])
         if stream is None:
             layouts = {k: self._edge_layout(k) for k in (
@@ -829,10 +839,11 @@ class BatchedSimulator(Simulator):
                 for e in self.graph.out_edges(key[0]))}
             rows = max(self._fifo_capacity(k) + 1 + layout["headroom"]
                        + layout["history"] for k, layout in layouts.items())
-            ring = np.zeros((rows, self._stream_width()),
-                            dtype=layouts[key]["dtype"])
+            pad = max(layout["history"] for layout in layouts.values())
+            ring = StreamRing(rows, self._stream_width(),
+                              layouts[key]["dtype"], pad)
             stream = self._rings[key[0]] = (ring, layouts)
-        return dict(stream[1][key], buf=stream[0])
+        return dict(stream[1][key], ring=stream[0])
 
     def _make_channel(self, key, name: str, capacity: int, data: str):
         return ArrayChannel(name, capacity, self._stream_width(),
@@ -1464,8 +1475,7 @@ class BatchedSimulator(Simulator):
         computed = len(ev.line_pushes) * k
         if computed:
             unit._line_push(
-                unit.compute_words(
-                    ev.first_compute_local - unit.init_words, computed),
+                ev.first_compute_local - unit.init_words, computed,
                 _window_times(ev.line_pushes, now, q, k)
                 + unit.compute_latency)
         drained = len(ev.drains) * k

@@ -33,6 +33,7 @@ sizes its window from those periods and replays the limiter itself —
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
@@ -316,32 +317,13 @@ class NetworkLink:
                 f"in_flight={len(self._in_flight)})")
 
 
-def _ring_slice(buf: np.ndarray, pos: int, n: int) -> np.ndarray:
-    """``n`` entries of ring ``buf`` from ``pos`` — a *view* unless the
-    range wraps (then one concatenate)."""
-    end = pos + n
-    if end <= len(buf):
-        return buf[pos:end]
-    return np.concatenate((buf[pos:], buf[:end - len(buf)]))
-
-
-def _ring_store(buf: np.ndarray, pos: int, values: np.ndarray):
-    """Store ``values`` into ring ``buf`` from ``pos`` (at most two
-    slice copies)."""
-    n = len(values)
-    first = min(n, len(buf) - pos)
-    buf[pos:pos + first] = values[:first]
-    if first < n:
-        buf[:n - first] = values[first:]
-
-
 class _RowRing:
     """A preallocated FIFO of ready-times (in-flight link words,
-    latency-line words).
+    latency-line words), linear like a :class:`StreamRing`: a push that
+    would pass the end first moves the live entries to the front.
 
-    ``pop_rows`` and ``snapshot`` hand out views of the ring when the
-    range does not wrap: every caller consumes them before the next
-    ``push_rows``, after which a view is dead.
+    ``pop_rows`` and ``snapshot`` hand out views: every caller consumes
+    them before the next ``push_rows``, after which a view is dead.
     """
 
     __slots__ = ("_buf", "_head", "_size")
@@ -355,22 +337,23 @@ class _RowRing:
         return self._size
 
     def push_rows(self, rows: np.ndarray):
-        b = len(rows)
+        b, end = len(rows), self._head + self._size
         if self._size + b > len(self._buf):
             raise SimulationError(
                 f"ring overflow: {self._size}+{b} > {len(self._buf)}")
-        _ring_store(self._buf, (self._head + self._size) % len(self._buf),
-                    rows)
+        if end + b > len(self._buf):
+            self._buf[:self._size] = self._buf[self._head:end]
+            self._head, end = 0, self._size
+        self._buf[end:end + b] = rows
         self._size += b
 
     def pop_rows(self, b: int) -> np.ndarray:
         if b > self._size:
             raise SimulationError(
                 f"ring underflow: {b} > {self._size}")
-        out = _ring_slice(self._buf, self._head, b)
-        self._head = (self._head + b) % len(self._buf)
+        self._head += b
         self._size -= b
-        return out
+        return self._buf[self._head - b:self._head]
 
     def peek0(self):
         if not self._size:
@@ -379,30 +362,77 @@ class _RowRing:
 
     def snapshot(self) -> np.ndarray:
         """The live contents, oldest first."""
-        return _ring_slice(self._buf, self._head, self._size)
+        return self._buf[self._head:self._head + self._size]
+
+
+def _inside(pos: int, n: int, size: int) -> int:
+    """``pos``, checked to start a range of ``n`` within ``size``."""
+    if pos < 0 or pos + n > size:
+        raise SimulationError(
+            f"ring range of {n} at {pos} leaves its {size} entries")
+    return pos
+
+
+class StreamRing:
+    """The buffer of one stream, shared by the edges its producer
+    feeds: ``rows + pad`` rows, word ``w`` at row ``w - origin``, so
+    every range of words is one slice.  A store that would come within
+    ``pad`` rows of the end first moves the live words to the front
+    (``copied`` counts the bytes); ``pad`` holds what the taps reach
+    past the stream's end, and ``origin`` starts at minus the largest
+    history, for what they reach before its start."""
+
+    __slots__ = ("buf", "pad", "origin", "edges", "copied")
+
+    def __init__(self, rows: int, width: int, dtype=np.float64,
+                 pad: int = 0):
+        self.buf = np.zeros((rows + pad, width), dtype=dtype)
+        self.pad = pad
+        self.origin = 0
+        self.edges = weakref.WeakSet()
+        self.copied = 0
+
+    def _compact(self, start: int):
+        """Move words ``[oldest live, start)`` to the front."""
+        low = min(edge._rd - edge._history for edge in self.edges)
+        self.buf[:start - low] = self.buf[low - self.origin:
+                                          start - self.origin]
+        self.copied += (start - low) * self.buf.strides[0]
+        self.origin = low
+
+
+def claim_slab(edges, b: int) -> Optional[np.ndarray]:
+    """The ``(b, W)`` rows the stream's next ``b`` words go to, for the
+    caller to fill (None for a stream no edge reads).  Each sibling
+    edge first checks that the words clear its own live range (a
+    laggard's unread words and history): nothing is written before."""
+    if not edges:
+        return None
+    for edge in edges:
+        edge._stage(b)
+    lead = edges[0]
+    ring = lead._ring
+    start = lead._staged - b
+    if lead._staged - ring.origin + ring.pad > len(ring.buf):
+        ring._compact(start)
+    lead.stored += b
+    row = start - ring.origin
+    return ring.buf[row:row + b]
 
 
 def stage_slab(edges, rows: np.ndarray):
     """Store the stream's next ``len(rows)`` words once, in the ring
-    the sibling ``edges`` of one producer share.  Staged in lockstep,
-    the siblings agree on where the slab goes; each checks that it
-    clears its own live range (a laggard's unread words and history)."""
-    if not edges:
-        return
-    lead = edges[0]
-    pos = lead._staged % len(lead._buf)
-    for edge in edges:
-        edge._stage(len(rows))
-    _ring_store(lead._buf, pos, rows)
-    lead.stored += len(rows)
+    the sibling ``edges`` of one producer share."""
+    if edges:
+        claim_slab(edges, len(rows))[...] = rows
 
 
 class _EdgeBuffer:
-    """One edge's cursors over the ring of its stream: each word of the
-    stream is written once, at ``word index mod rows``, and read in
-    place from there by every edge sharing the ring.
+    """One edge's cursors over the :class:`StreamRing` of its stream:
+    each word is written once and read in place by every edge sharing
+    the ring.
 
-    Monotone word counters partition the ring (oldest first):
+    Monotone word counters partition the stream (oldest first):
 
     * ``[_rd - history, _rd)`` — consumed, but still read by the
       consuming stencil's taps (:meth:`cells`);
@@ -412,29 +442,33 @@ class _EdgeBuffer:
       travelling its latency line (:func:`stage_slab`).
 
     Moving a word between regions is a counter advance; the FIFO
-    statistics never see the staged or history rows.  Rows and cells are
-    handed out as *views* unless the range wraps (one concatenate): a
-    view is dead after the next write to its ring.
+    statistics never see the staged or history rows.  Rows and cells
+    are handed out as views (a range outside the ring raises): a view
+    is dead after the next write to its ring.
     """
 
-    __slots__ = ("dtype", "_buf", "_flat", "_history", "_staged", "_wr",
-                 "_ready", "_rd", "stored")
+    __slots__ = ("dtype", "_ring", "_buf", "_flat", "_rows", "base",
+                 "_history", "_staged", "_wr", "_ready", "_rd", "stored",
+                 "__weakref__")
 
-    def __init__(self, buf: np.ndarray, history: int = 0):
-        self._buf = buf
-        self._flat = buf.reshape(-1)
-        self.dtype = buf.dtype
+    def __init__(self, ring: StreamRing, history: int = 0):
+        self._ring, self._buf = ring, ring.buf
+        self._flat = ring.buf.reshape(-1)
+        self._rows = len(ring.buf) - ring.pad
+        self.base = ring.buf.ctypes.data   # for native kernels' addresses
+        self.dtype = ring.buf.dtype
         self._history = history
         self._staged = self._wr = self._ready = self._rd = 0
         self.stored = 0   # rows this edge wrote into the ring
+        ring.edges.add(self)
+        ring.origin = min(ring.origin, -history)
 
     def _stage(self, b: int):
         """Claim the next ``b`` ring rows for staged words."""
-        rows_total = len(self._buf)
-        if self._staged + b - self._rd + self._history > rows_total:
+        if self._staged + b - self._rd + self._history > self._rows:
             raise SimulationError(
                 f"ring overflow: {self._staged - self._rd}+{b}"
-                f"+{self._history} > {rows_total}")
+                f"+{self._history} > {self._rows}")
         self._staged += b
 
     def _commit(self, b: int):
@@ -444,10 +478,17 @@ class _EdgeBuffer:
                 f"ring underflow: {b} > {self._staged - self._wr} staged")
         self._wr += b
 
+    def position(self, start: int, n: int) -> int:
+        """Offset of stream cells ``[start, start + n)`` in the ring's
+        cells (a native kernel adds it to ``base``)."""
+        return _inside(start - self._ring.origin * self._buf.shape[1], n,
+                       self._flat.size)
+
     def cells(self, start: int, n: int) -> np.ndarray:
         """Stream cells ``[start, start + n)``; lanes outside the
         retained range hold arbitrary values (callers mask them)."""
-        return _ring_slice(self._flat, start % self._flat.size, n)
+        pos = self.position(start, n)
+        return self._flat[pos:pos + n]
 
     def skip_rows(self, b: int) -> int:
         """Consume ``b`` poppable words in place (they stay readable
@@ -460,8 +501,9 @@ class _EdgeBuffer:
         return start
 
     def read_rows(self, b: int) -> np.ndarray:
-        return _ring_slice(self._buf, self.skip_rows(b) % len(self._buf),
-                           b)
+        row = _inside(self.skip_rows(b) - self._ring.origin, b,
+                      len(self._buf))
+        return self._buf[row:row + b]
 
 
 class ArrayChannel(_EdgeBuffer):
@@ -471,11 +513,12 @@ class ArrayChannel(_EdgeBuffer):
     transient where a batch writes all ``B`` producer words before the
     consumer's ``B`` pops are applied, plus the producer's latency
     line; ``history`` rows keep consumed words readable for the
-    consumer's taps.  ``buf`` is the stream's ring, shared with the
-    producer's other edges and at least ``capacity + headroom + history
-    + 1`` rows (a stream of one edge may leave it out).  ``dtype``
-    selects the element type: float64 for float-typed streams, int64
-    for integer-typed ones (exact Python-int words up to 2**63).
+    consumer's taps.  ``ring`` is the stream's :class:`StreamRing`,
+    shared with the producer's other edges and of at least ``capacity
+    + headroom + history + 1`` rows (a stream of one edge may leave it
+    out).  ``dtype`` selects the element type of a ring made here:
+    float64 for float-typed streams, int64 for integer-typed ones
+    (exact Python-int words up to 2**63).
     """
 
     __slots__ = ("name", "capacity", "width", "pushes", "pops",
@@ -485,15 +528,15 @@ class ArrayChannel(_EdgeBuffer):
 
     def __init__(self, name: str, capacity: int, width: int,
                  headroom: int = 0, dtype=np.float64, history: int = 0,
-                 buf: Optional[np.ndarray] = None):
+                 ring: Optional[StreamRing] = None):
         if capacity < 1:
             raise SimulationError(
                 f"{self.kind} {name!r}: capacity must be >= 1, "
                 f"got {capacity}")
-        if buf is None:
-            buf = np.zeros((capacity + headroom + history + 1, width),
-                           dtype=dtype)
-        super().__init__(buf, history)
+        if ring is None:
+            ring = StreamRing(capacity + headroom + history + 1, width,
+                              dtype, pad=history)
+        super().__init__(ring, history)
         self.name = name
         self.capacity = capacity
         self.width = width
@@ -540,7 +583,7 @@ class ArrayChannel(_EdgeBuffer):
         if self.empty:
             raise SimulationError(
                 f"peek at empty {self.kind} {self.name!r}")
-        return self._buf[self._rd % len(self._buf)]
+        return self._buf[self._rd - self._ring.origin]
 
     # -- slab protocol (the window executor applies the statistics) ---------
 
@@ -575,9 +618,9 @@ class ArrayNetworkLink(ArrayChannel):
     def __init__(self, name: str, capacity: int, width: int,
                  latency: int = 16, words_per_cycle: float = 1.0,
                  headroom: int = 0, dtype=np.float64, history: int = 0,
-                 buf: Optional[np.ndarray] = None):
+                 ring: Optional[StreamRing] = None):
         super().__init__(name, capacity, width, headroom=headroom,
-                         dtype=dtype, history=history, buf=buf)
+                         dtype=dtype, history=history, ring=ring)
         self.latency = latency
         self._limiter = RateLimiter(words_per_cycle)
         self._now = 0

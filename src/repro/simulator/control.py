@@ -75,7 +75,7 @@ class ControlStencilUnit(BatchedStencilUnit):
     latency line) comes from the parent unchanged; the unit owns no
     data buffers, and its edge buffers are zero lanes wide."""
 
-    def compute_words(self, w0: int, b: int) -> np.ndarray:
+    def compute_words(self, w0: int, b: int, out=None) -> np.ndarray:
         return np.zeros((b, 0), dtype=self.line_dtype)
 
 

@@ -72,7 +72,7 @@ from .batched import (
     BatchedStencilUnit,
     machine_key_parts,
 )
-from .channel import _EdgeBuffer
+from .channel import StreamRing, _EdgeBuffer, claim_slab, stage_slab
 from .engine import SimulationResult, resolve_input_array
 
 #: Words per replay compute chunk.  Keeps each slab compute (its
@@ -192,10 +192,12 @@ class _CheckedBackendFn:
     chunks — and later runs in the process — skip the reference
     computation entirely.
 
-    ``fast(unit, w0, b)`` takes the unit as an argument and the wrapper
-    holds it weakly: the wrapper is stored *on* the unit, and a
+    ``fast(unit, w0, b, out)`` takes the unit as an argument and the
+    wrapper holds it weakly: the wrapper is stored *on* the unit, and a
     reference back would make a cycle that keeps a dead machine's rings
-    alive until a full collection.
+    alive until a full collection.  Only the candidate writes ``out``
+    (the ring rows of the chunk) before the check, so it never compares
+    a result with itself.
     """
 
     def __init__(self, unit, fast, digest: str):
@@ -208,15 +210,16 @@ class _CheckedBackendFn:
     def discarded(self) -> bool:
         return _VALIDATED.get(self.digest) is False
 
-    def __call__(self, w0: int, b: int) -> np.ndarray:
+    def __call__(self, w0: int, b: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
         unit = self._unit()
         verdict = _VALIDATED.get(self.digest)
         if verdict:
-            return self.fast(unit, w0, b)
+            return self.fast(unit, w0, b, out)
         reference = self._reference(unit, w0, b)
         if verdict is None:
             try:
-                candidate = self.fast(unit, w0, b)
+                candidate = self.fast(unit, w0, b, out)
             except Exception:
                 candidate = None
             verdict = _VALIDATED[self.digest] = (
@@ -225,6 +228,8 @@ class _CheckedBackendFn:
             if not verdict and metrics.enabled():
                 metrics.counter("kernel.backend_discarded",
                                 backend="native").inc()
+        if out is not None:
+            out[...] = reference
         return reference
 
 
@@ -353,19 +358,27 @@ def _render_c_expr(unit, tap_names: Dict[Tuple[str, Tuple[int, ...]], str]
 
 # -- the replay pass ---------------------------------------------------------
 
+def _whole_stream(num_words: int, width: int, dtype, pad: int):
+    """A whole stream in the rings' layout, ``pad`` words of taps'
+    reach (masked) before the first and after the last."""
+    return _EdgeBuffer(StreamRing(num_words + pad, width, dtype, pad=pad),
+                       history=pad)
+
+
 def _replay_pass(units: Dict[str, BatchedStencilUnit],
-                 slabs: Dict[str, np.ndarray],
+                 slabs: Dict[str, _EdgeBuffer],
                  sinks: List[Tuple[BatchedSinkUnit, str]],
                  order: List[Tuple[str, List[str]]],
-                 consumers: Mapping[str, int]):
+                 consumers: Mapping[str, int], pad: int):
     """Outputs without a timing model: every stencil of ``order``
     (topological ``(name, input streams)``) over its whole input
     streams, then every ``(sink, stream)`` store.
 
-    Each whole stream is bound as the unit's inbound edge buffer — taps
-    read it in place, nothing is copied — and computed in
-    :data:`CHUNK_WORDS` chunks by the unit's own ``compute_words``.  A
-    stream's slab is dropped once the last of its ``consumers`` ran.
+    Each whole stream (:func:`_whole_stream`) is bound as the unit's
+    inbound edge buffer — taps read it in place, nothing is copied —
+    and filled in :data:`CHUNK_WORDS` chunks by the unit's own
+    ``compute_words``.  A stream is dropped once its last ``consumers``
+    ran.
     """
     live = dict(consumers)
 
@@ -377,17 +390,18 @@ def _replay_pass(units: Dict[str, BatchedStencilUnit],
     for name, fields in order:
         unit = units[name]
         for field in fields:
-            unit.in_channels[field] = _EdgeBuffer(slabs[field])
-        out = np.empty((unit.num_words, unit.width), dtype=unit.line_dtype)
+            unit.in_channels[field] = slabs[field]
+        out = [_whole_stream(unit.num_words, unit.width, unit.line_dtype,
+                             pad)]
         for w0 in range(0, unit.num_words, CHUNK_WORDS):
             b = min(CHUNK_WORDS, unit.num_words - w0)
-            out[w0:w0 + b] = unit.compute_words(w0, b)
-        slabs[name] = out
+            unit.compute_words(w0, b, claim_slab(out, b))
+        slabs[name] = out[0]
         for field in fields:
             unit.in_channels[field] = None
             release(field)
     for sink, stream in sinks:
-        sink.store_rows(slabs[stream])
+        sink.store_rows(slabs[stream].cells(0, sink.flat.size))
         release(stream)
 
 
@@ -499,7 +513,11 @@ class KernelSimulator(BatchedSimulator):
         self._run_began = clock.now()
         program = self.program
         width = program.vectorization
-        slabs: Dict[str, np.ndarray] = {}
+        slabs: Dict[str, _EdgeBuffer] = {}
+        # Words of every tap's reach, either way along a whole stream.
+        pad = max((abs(flat) for stencil in program.stencils
+                   for _access, _full, flat in self._coord_slabs.schedule(
+                       program, stencil)[1][0]), default=0) // width + 1
         with span("kernel.build"):
             # Input validation and source range checks run the shared
             # engine code first, in the shared order, so a run that
@@ -507,13 +525,10 @@ class KernelSimulator(BatchedSimulator):
             for name, spec in program.inputs.items():
                 full = resolve_input_array(program, inputs, name, spec)
                 source = BatchedSourceUnit(name, full, width, ())
-                rows = source.rows
-                dtype = self._stream_meta(name)[0]
-                if rows.dtype != dtype:
-                    # The one whole-input conversion left: the pass
-                    # reads the stream in place, no ring store casts it.
-                    rows = rows.astype(dtype)
-                slabs[name] = rows
+                stream = _whole_stream(len(source.rows), width,
+                                       self._stream_meta(name)[0], pad)
+                stage_slab([stream], source.rows)
+                slabs[name] = stream
             expected = self._expected_cycles()
             cap = self._max_cycles(expected)
             if record["cycles"] > cap:
@@ -544,7 +559,7 @@ class KernelSimulator(BatchedSimulator):
             _replay_pass(units, slabs,
                          [(sinks[out], sink_stream[out])
                           for out in program.outputs],
-                         order, consumers)
+                         order, consumers, pad)
         outputs = {name: sink.data for name, sink in sinks.items()}
         fault = record["fault_report"]
         fault_report = None

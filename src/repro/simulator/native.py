@@ -5,10 +5,12 @@
 (the restricted float64 class of :mod:`.kernel`), compiles them with one
 ``cc`` run, loads the object with ``ctypes`` and puts a first-chunk-
 validated wrapper in each unit's ``compute_words``.  A kernel takes one
-pointer per *access* — the array ``stream.cells(lo + flat, n)`` hands
-the NumPy path — so rings, cursors, the planner and every simulated
-statistic are untouched, and one kernel serves ring windows and the
-replay pass's whole streams.  See ``docs/KERNELS.md``, "Native compute".
+address per *access* — ring base plus ``stream.position(lo + flat,
+n)``, the cells ``stream.cells`` slices for the NumPy path — and writes
+its chunk into the ring rows ``out``, so rings, cursors, the planner
+and every simulated statistic are untouched, and one kernel serves
+ring windows and the replay pass's whole streams.  See
+``docs/KERNELS.md``, "Native compute".
 """
 
 from __future__ import annotations
@@ -69,24 +71,27 @@ class _Kernel:
         fn.argtypes = [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * (
             len(taps) + len(masks) + len(fills) + 1)
 
-    def __call__(self, unit, w0: int, b: int) -> np.ndarray:
+    def __call__(self, unit, w0: int, b: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
         width = unit.width
         lo, n = w0 * width, b * width
-        arrays = [unit.in_channels[field].cells(lo + flat, n)
-                  for field, flat in self.reads]
-        # The pointers' contract, checked where it is cheap: every
-        # window is n float64 cells and the mask slabs cover [lo, lo+n).
-        if lo < 0 or lo + n > unit.num_cells or any(
-                a.size != n or a.dtype.char != "d" for a in arrays):
+        out = np.empty((b, width)) if out is None else out
+        edges = [unit.in_channels[field] for field, _flat in self.reads]
+        # The pointers' contract, checked where it is cheap: n float64
+        # cells per window (``position`` checks they are in the ring)
+        # and in contiguous ``out``, and mask slabs over [lo, lo+n).
+        if lo < 0 or lo + n > unit.num_cells or out.size != n \
+                or not out.flags.c_contiguous or any(
+                    a.dtype.char != "d" for a in (out, *edges)):
             raise SimulationError(
                 f"stencil {unit.name!r}: native kernel handed a window "
                 f"that is not {n} float64 cells at {lo}")
-        out = np.empty(n, dtype=np.float64)
-        pointers = [a.ctypes.data for a in arrays]
+        pointers = [edge.base + 8 * edge.position(lo + flat, n)
+                    for edge, (_field, flat) in zip(edges, self.reads)]
         self.fn(lo, n, *[pointers[i] for i in self.taps],
                 *[base + lo for base in self.mask_bases],
                 *[pointers[i] for i in self.fills], out.ctypes.data)
-        return out.reshape(b, width)
+        return out
 
 
 def _generate(unit, taps, name: str) -> Tuple[str, tuple]:

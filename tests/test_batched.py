@@ -18,6 +18,7 @@ from repro.simulator import (
     RateLimiter,
     compile_stencil,
 )
+from repro.simulator.channel import StreamRing
 
 
 class TestRateLimiter:
@@ -573,9 +574,8 @@ class TestBatchedSourceUnit:
 
 class TestZeroCopyDataPlane:
     """The batched data plane writes each word once and reads it in
-    place: pops and taps are views of the edge buffer whenever the
-    range does not wrap (one concatenate when it does), and a stencil
-    result that *is* such a view survives its source being
+    place: pops and taps are always views of the edge buffer, and a
+    stencil result that *is* such a view survives its source being
     overwritten because the latency line stores it first."""
 
     WIDTH = 2
@@ -610,16 +610,16 @@ class TestZeroCopyDataPlane:
         channel.write_rows(cells.reshape(words, self.WIDTH))
         channel.skip_rows(words)
 
-    def test_pops_are_views_until_the_ring_wraps(self):
+    def test_pops_are_views_on_every_lap(self):
         channel = ArrayChannel("c", 6, width=1, headroom=0)  # 7 rows
-        channel.write_rows(np.arange(5.0).reshape(5, 1))
-        rows = channel.read_rows(5)
-        assert np.shares_memory(rows, channel._buf)
-        assert rows.ravel().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-        channel.write_rows(np.arange(5.0, 10.0).reshape(5, 1))
-        wrapped = channel.read_rows(5)            # rows 5, 6, 0, 1, 2
-        assert not np.shares_memory(wrapped, channel._buf)
-        assert wrapped.ravel().tolist() == [5.0, 6.0, 7.0, 8.0, 9.0]
+        word = 0
+        for _ in range(5):            # 25 words: over three laps of 7
+            channel.write_rows(np.arange(word, word + 5.0).reshape(5, 1))
+            rows = channel.read_rows(5)
+            assert np.shares_memory(rows, channel._buf)
+            assert rows.ravel().tolist() == list(range(word, word + 5))
+            word += 5
+        assert word > 3 * channel._rows
 
     def test_taps_are_views_of_the_inbound_edge_buffer(self):
         unit, inbound, _outbound = self._unit("a[i-1] + a[i+1]")
@@ -640,8 +640,9 @@ class TestZeroCopyDataPlane:
             2.0 * c for c in range(w * self.WIDTH, (w + 2) * self.WIDTH)]
         self._feed(inbound, 0, 4)
         assert unit.compute_words(1, 2).ravel().tolist() == expected(1)
-        # Stream on until the taps of one batch straddle the ring end.
-        rows = len(inbound._buf)
+        # Stream on through several ring-fulls: the live words move to
+        # the front whenever a store would reach the ring's end.
+        rows = inbound._rows
         for first in range(4, 3 * rows, 2):
             self._feed(inbound, first, 2)
             got = unit.compute_words(first - 1, 2)
@@ -652,9 +653,11 @@ class TestZeroCopyDataPlane:
         self._feed(inbound, 0, 2)
         out = unit.compute_words(0, 2)
         assert np.shares_memory(out, inbound._buf)   # the result *is* a view
-        unit._line_push(out, np.asarray([1, 2], dtype=np.int64))
+        # The latency line computes the words straight into the
+        # outbound ring, the one store of each word.
+        unit._line_push(0, 2, np.asarray([1, 2], dtype=np.int64))
         # Stream the source ring all the way round: the view is dead...
-        rows = len(inbound._buf)
+        rows = inbound._rows
         for first in range(2, 2 + rows, 2):
             self._feed(inbound, first, 2)
         assert out.ravel().tolist() != [0.0, 1.0, 2.0, 3.0]
@@ -662,6 +665,19 @@ class TestZeroCopyDataPlane:
         outbound.commit_rows(2)
         assert outbound.read_rows(2).ravel().tolist() \
             == [0.0, 1.0, 2.0, 3.0]
+
+    def test_an_overflowing_line_push_raises_before_any_live_row_changes(
+            self):
+        unit, _inbound, outbound = self._unit("a[i]", capacity=2, batch=2)
+        for word in (0, 2, 4):                # 6 of the ring's 7 rows
+            outbound.write_rows(np.full((2, self.WIDTH), float(word)))
+        before = outbound._buf.copy()
+        computed = []
+        unit.compute_words = lambda *args: computed.append(args)
+        with pytest.raises(SimulationError, match="overflow"):
+            unit._line_push(0, 2, np.asarray([1, 2], dtype=np.int64))
+        assert computed == []
+        np.testing.assert_array_equal(outbound._buf, before)
 
     def test_history_rows_cannot_be_overwritten(self):
         channel = ArrayChannel("c", 2, width=1, headroom=1, history=2)
@@ -711,9 +727,9 @@ class TestZeroCopyDataPlane:
 
     def test_lagging_siblings_history_survives_the_leader_wrapping(self):
         from repro.simulator.channel import stage_slab
-        ring = np.zeros((8, 1))
-        lead = ArrayChannel("lead", 4, 1, headroom=3, buf=ring)
-        lag = ArrayChannel("lag", 4, 1, headroom=1, history=2, buf=ring)
+        ring = StreamRing(8, 1)
+        lead = ArrayChannel("lead", 4, 1, headroom=3, ring=ring)
+        lag = ArrayChannel("lag", 4, 1, headroom=1, history=2, ring=ring)
         word = 0
         for _ in range(9):                 # 18 words: the ring wraps twice
             stage_slab([lead, lag], np.arange(word, word + 2.0)
@@ -737,10 +753,10 @@ class TestZeroCopyDataPlane:
     def test_link_sibling_reads_the_words_its_plain_sibling_read(self):
         from repro.simulator.channel import stage_slab
         latency = 40
-        ring = np.zeros((64, 2))
-        plain = ArrayChannel("plain", 8, 2, headroom=8, buf=ring)
+        ring = StreamRing(64, 2)
+        plain = ArrayChannel("plain", 8, 2, headroom=8, ring=ring)
         link = ArrayNetworkLink("link", 8 + latency, 2, latency=latency,
-                                headroom=8, buf=ring)
+                                headroom=8, ring=ring)
         sent = np.arange(2 * 48, dtype=np.float64).reshape(48, 2)
         got_plain, got_link = [], []
         for first in range(0, 48, 8):
@@ -761,6 +777,58 @@ class TestZeroCopyDataPlane:
         got_link.append(link.read_rows(len(link)).copy())
         np.testing.assert_array_equal(np.concatenate(got_plain), sent)
         np.testing.assert_array_equal(np.concatenate(got_link), sent)
+
+
+class TestRingLayout:
+    """A stream's ring is linear: every tap, pop and store is one
+    contiguous slice, the live words move to the front when a store
+    would reach the end, and a range outside the ring raises."""
+
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_many_laps_equal_the_scalar_engine_bitwise(self, backend,
+                                                       monkeypatch):
+        import shutil
+        from repro.programs import horizontal_diffusion
+        from repro.simulator import (
+            SimulatorConfig,
+            build_simulator,
+            kernel,
+            simulate,
+        )
+        from test_engine_equivalence import assert_same_results
+        from util import random_inputs
+        monkeypatch.setenv(kernel.KERNEL_BACKEND_ENV, backend)
+        monkeypatch.setattr(kernel, "_VALIDATED", {})
+        program = horizontal_diffusion(shape=(12, 12, 8), vectorization=2)
+        inputs = random_inputs(program)
+        scalar = simulate(program, inputs,
+                          SimulatorConfig(engine_mode="scalar"))
+        sim = build_simulator(program, SimulatorConfig(
+            engine_mode="batched", max_batch_words=4))
+        batched = sim.run(inputs)
+        assert_same_results(scalar, batched)
+        native = backend == "native" and shutil.which("cc") is not None
+        assert (batched.profile.native_units > 0) == native
+        assert batched.profile.ring_copy_bytes > 0
+        for channel in sim.channels.values():
+            assert channel._staged >= 3 * channel._rows   # three laps
+            assert channel._ring.origin > 2 * channel._rows
+
+    def test_a_range_outside_the_ring_raises(self):
+        channel = ArrayChannel("c", 3, 2)                # 4 rows
+        channel.write_rows(np.arange(6.0).reshape(3, 2))
+        assert channel.read_rows(3).ravel().tolist() == list(range(6))
+        assert np.shares_memory(channel.cells(0, 8), channel._buf)
+        for start, n in ((0, 9), (-2, 2)):
+            with pytest.raises(SimulationError, match="leaves"):
+                channel.cells(start, n)
+        # The next store moves the live words (none) to the front:
+        # words 0-2 are gone, and reading them raises.
+        channel.write_rows(np.full((3, 2), 7.0))
+        assert channel._ring.origin == 3
+        assert channel.cells(6, 6).tolist() == [7.0] * 6
+        with pytest.raises(SimulationError, match="leaves"):
+            channel.cells(0, 2)
 
 
 class TestPlannerPins:

@@ -9,6 +9,8 @@ vectorization widths, multi-device placements, and failure modes
 (deadlock, cycle-cap overrun).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,6 +25,7 @@ from repro.simulator import (
     resolve_engine_mode,
     simulate,
 )
+from repro.simulator.channel import _EdgeBuffer
 from repro.simulator.control import data_can_fail
 from repro.simulator.engine import make_simulator
 from test_properties import random_dag_program as _random_program
@@ -569,17 +572,33 @@ def test_differential_machine_fuzz(machine):
     random in CI's ``fuzz`` job.  The batched engine runs twice: a
     completed first run publishes its window schedule, which the second
     replays (a failed one publishes nothing, so the second plans
-    again) — and must end the same way."""
+    again) — and must end the same way.  No ring read copies: every
+    tap and pop is a view of its ring (wrap-read bytes are 0)."""
     program, device_of, config_kwargs = machine
     inputs = random_inputs(program)
     runs = {}
-    for run, mode in (("scalar", "scalar"), ("batched", "batched"),
-                      ("replay", "batched")):
-        config = SimulatorConfig(engine_mode=mode, **config_kwargs)
-        try:
-            runs[run] = simulate(program, inputs, config, device_of)
-        except (DeadlockError, SimulationError) as exc:
-            runs[run] = exc
+    copied = []
+
+    def in_place(read):
+        def spy(edge, *args):
+            out = read(edge, *args)
+            if out.nbytes and not np.may_share_memory(out, edge._buf):
+                copied.append(out.nbytes)
+            return out
+        return spy
+
+    with mock.patch.object(_EdgeBuffer, "cells",
+                           in_place(_EdgeBuffer.cells)), \
+            mock.patch.object(_EdgeBuffer, "read_rows",
+                              in_place(_EdgeBuffer.read_rows)):
+        for run, mode in (("scalar", "scalar"), ("batched", "batched"),
+                          ("replay", "batched")):
+            config = SimulatorConfig(engine_mode=mode, **config_kwargs)
+            try:
+                runs[run] = simulate(program, inputs, config, device_of)
+            except (DeadlockError, SimulationError) as exc:
+                runs[run] = exc
+    assert sum(copied) == 0
     for expected, got in ((runs["scalar"], runs["batched"]),
                           (runs["batched"], runs["replay"])):
         assert type(expected) is type(got)

@@ -28,7 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.programs import build, horizontal_diffusion
 from repro.simulator import SimulatorConfig, kernel, native, simulate
 from repro.simulator.batched import BatchedStencilUnit
-from repro.simulator.channel import _EdgeBuffer
+from repro.simulator.channel import StreamRing, _EdgeBuffer
 from repro.simulator.kernel import KERNEL_BACKEND_ENV
 from test_engine_equivalence import assert_same_results
 from test_properties import _expressions
@@ -71,9 +71,9 @@ def _numpy_run(program, inputs, monkeypatch):
 
 _SHAPE = (10, 8)
 _CHUNK_CELLS = 16
-#: Ring cells: one chunk plus the widest tap span (offsets +-2 in both
-#: dimensions), less than the 80-cell stream — so later chunks wrap.
-_RING_CELLS = 56
+#: Words before and after a stream: the widest tap reach (offsets +-2
+#: in both dimensions) at one lane per word.
+_PAD = 2 * _SHAPE[1] + 2
 
 
 def _bits(values: np.ndarray) -> bytes:
@@ -87,20 +87,12 @@ def _one_stencil_unit(code, fields, boundary, width):
                    for f in fields},
         "outputs": ["s"], "shape": list(_SHAPE), "vectorization": width,
         "program": {"s": {"code": code, "boundary_condition": boundary}}})
-    rings = {f: _EdgeBuffer(np.zeros((_RING_CELLS // width, width)))
+    words = program.num_cells // width
+    rings = {f: _EdgeBuffer(StreamRing(words + _PAD, width, pad=_PAD),
+                            history=_PAD)
              for f in fields}
     return BatchedStencilUnit(program, program.stencil("s"), rings, [], 0,
                               max_batch_words=0)
-
-
-def _load_window(unit, streams, lo, n):
-    """Put the stream cells chunk ``[lo, lo + n)`` can read where a
-    ring holds them: cell ``c`` at ``c mod ring cells``."""
-    reach = 2 * _SHAPE[1] + 2
-    cells = np.arange(max(lo - reach, 0),
-                      min(lo + n + reach, unit.num_cells))
-    for field, stream in streams.items():
-        unit.in_channels[field]._flat[cells % _RING_CELLS] = stream[cells]
 
 
 @given(_expressions().filter(kernel._restricted_expr_ok),
@@ -127,9 +119,10 @@ def test_kernel_matches_compute_words_bitwise(node, seed):
     streams = {f: rng.choice([0.0, -0.0, 1.0, -2.5, 3.25, 0.001],
                              size=units[0].num_cells) for f in fields}
     for unit in units:
+        for field, stream in streams.items():
+            unit.in_channels[field].cells(0, unit.num_cells)[...] = stream
         words = _CHUNK_CELLS // unit.width
         for w0 in range(0, unit.num_words, words):
-            _load_window(unit, streams, w0 * unit.width, _CHUNK_CELLS)
             want = BatchedStencilUnit.compute_words(unit, w0, words)
             got = unit.compute_words.fast(unit, w0, words)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -226,6 +219,34 @@ def test_wrong_kernel_is_discarded_for_the_rest_of_the_process(monkeypatch):
     assert discarded == len(program.stencils)
     assert list(kernel._VALIDATED.values()) == \
         [False] * len(program.stencils)
+
+
+def test_first_chunk_check_never_compares_a_candidate_with_itself(
+        monkeypatch):
+    # The kernel writes its chunk into the outbound ring; the reference
+    # must live elsewhere, or the check would compare one array with
+    # itself and pass any kernel.  ``s`` is an identity, whose NumPy
+    # result is a view of its inbound ring.
+    program = StencilProgram.from_json({
+        "inputs": {"a": {"dtype": "float64", "dims": ["i", "j"]}},
+        "outputs": ["t"], "shape": [12, 8], "vectorization": 2,
+        "program": {"s": {"code": "a[i,j]", "boundary_condition": "shrink"},
+                    "t": {"code": "s[i,j] * 2.0 + s[i-1,j]",
+                          "boundary_condition": "shrink"}}})
+    compared = []
+    same_bits = kernel._same_bits
+
+    def spy(candidate, reference):
+        compared.append((candidate, reference))
+        return same_bits(candidate, reference)
+
+    monkeypatch.setattr(kernel, "_same_bits", spy)
+    inputs = random_inputs(program)
+    result = _simulate(program, inputs)
+    assert_same_results(_numpy_run(program, inputs, monkeypatch), result)
+    assert result.profile.native_units == len(compared) == 2
+    assert not any(np.may_share_memory(candidate, reference)
+                   for candidate, reference in compared)
 
 
 def test_kernel_differing_only_in_a_zero_sign_is_discarded(monkeypatch):

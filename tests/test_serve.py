@@ -45,6 +45,7 @@ from repro.serve import (
     snapshot_path,
 )
 from repro.serve.http import MAX_BODY_BYTES, _Handler
+from repro.serve.schema import MAX_QUERY_CELLS
 
 SHAPE = (16, 16, 8)
 SMALL = ConfigSpace(vectorizations=(1,), device_counts=(1,),
@@ -94,6 +95,23 @@ class TestSchema:
             parse_shape("16,zero")
         with pytest.raises(ServeRequestError):
             parse_shape("0,4")
+
+    def test_parse_shape_bounds_the_cell_product(self):
+        assert parse_shape([MAX_QUERY_CELLS, 1]) == (MAX_QUERY_CELLS, 1)
+        with pytest.raises(ServeRequestError,
+                           match=f"{MAX_QUERY_CELLS + 1} cells exceed "
+                                 f"the limit of {MAX_QUERY_CELLS}"):
+            parse_shape([MAX_QUERY_CELLS + 1])
+
+    def test_benchmark_shapes_stay_under_the_cell_limit(self):
+        import math
+        from pathlib import Path
+        spec = json.loads((Path(__file__).resolve().parents[1]
+                           / "benchmarks" / "e2e" / "workloads.json")
+                          .read_text())["workloads"]["serve_mix"]
+        shapes = [shape for _program, shape in spec["fronts"]] \
+            + spec["miss_shapes"] + [spec["duplicate_shape"]]
+        assert all(math.prod(shape) <= MAX_QUERY_CELLS for shape in shapes)
 
     def test_parse_query_requires_program(self):
         with pytest.raises(ServeRequestError):
@@ -416,6 +434,29 @@ class TestLiveServer:
                     if shape:  # the bad extent is named
                         assert f"extent {shape[0]!r}" in error \
                             or f"extent {str(shape[0])!r}" in error
+        finally:
+            server.close()
+
+    def test_oversized_shape_is_refused_on_get_and_post(self):
+        server = make_server()
+        try:
+            status, body = get(
+                server, "/v1/best?program=laplace2d&shape=100000000,8")
+            request = urllib.request.Request(
+                server.url + "/v1/best", data=json.dumps(
+                    {"program": "laplace2d",
+                     "shape": [100000000, 8]}).encode(),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=30)
+            assert (status, caught.value.code) == (400, 400)
+            posted = json.loads(caught.value.read())
+            for error in (body["error"], posted["error"]):
+                assert f"800000000 cells exceed the limit of " \
+                    f"{MAX_QUERY_CELLS}" in error
+            status, health = get(server, "/v1/healthz")
+            assert health["jobs"]["queued"] + \
+                health["jobs"]["running"] == 0
         finally:
             server.close()
 
