@@ -23,7 +23,7 @@ how many cycles it stepped on counter state
 The data plane is gated the same way, as counts: ring rows stored per
 run (``profile.stored_words``), the ``tracemalloc`` peak of one run, and
 which machines bind native compute (``profile.native_units``: decided
-by machine size alone, and never moving a pin).
+by machine size, and never moving a pin).
 
 Nothing here reads a clock or writes a file: wall-clock throughput is
 measured from outside the program by ``benchmarks/e2e`` (see
@@ -88,9 +88,8 @@ RUN_LINKS_DOMAIN = (64, 64, 32)
 RUN_LINKS_CYCLES = 50717
 #: ``tracemalloc`` ceiling of one warm ``simulate`` on that machine.
 RUN_LINKS_PEAK_BYTES = 40 * 2 ** 20
-#: The ``explore_sweep`` workload's domain and its most common width:
-#: like ``run_links``, far below the size from which ``auto`` binds
-#: native compute.
+#: The ``explore_sweep`` workload's domain and its most common width
+#: (its sweep makes control runs only, which bind nothing).
 EXPLORE_SWEEP_DOMAIN = (48, 48, 32)
 EXPLORE_SWEEP_VECTORIZATION = 4
 
@@ -208,10 +207,15 @@ def test_engine_throughput(monkeypatch):
     assert links.profile.scalar_cycles == 0
     assert links.profile.drift_windows > 0
     assert links.profile.virtual_cycles <= RUN_LINKS_VIRTUAL_CYCLES_MAX
-    # Machines this small never spawn a compiler.
-    assert links.profile.native_units == 0
-    assert _run(_hdiff(EXPLORE_SWEEP_DOMAIN), "batched") \
-        .profile.native_units == 0
+    # Machines this size bind too (2.9 M and 1.6 M cell evaluations,
+    # above the 1.4 M floor), and start on kernels: the single row has
+    # loaded hdiff's object, whose source does not depend on the domain
+    # or the device count.
+    assert (links.profile.native_units,
+            links.profile.native_fallback_units) == bound
+    assert links.profile.native_pending_chunks == 0
+    assert (_run(_hdiff(EXPLORE_SWEEP_DOMAIN), "batched").profile
+            .native_units, links.profile.native_compile_s) == (bound[0], 0.0)
     # The sweep's machines are planned as cheaply as they are small.
     sweep = _run(horizontal_diffusion(
         shape=EXPLORE_SWEEP_DOMAIN,

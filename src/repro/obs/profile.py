@@ -57,14 +57,16 @@ class EngineProfile:
     #: word is stored once (scalar-fallback pushes store one row per
     #: *edge* and show up as the excess).
     stored_words: int = 0
-    #: Stencil units whose ``compute_words`` ran a compiled C kernel
-    #: this run, and those of a bound machine that ran NumPy instead
-    #: (outside the restricted class, failed compile, or discarded by
-    #: the first-chunk check); both 0 when the machine was not bound.
+    #: Stencil units that computed a chunk on a compiled C kernel this
+    #: run, and those of a bound machine that ran NumPy only (outside
+    #: the restricted class, failed or unfinished compile, or discarded
+    #: by the first-chunk check); both 0 when the machine was not bound.
     native_units: int = 0
     native_fallback_units: int = 0
-    #: Seconds this run spent in ``cc`` (0.0 when the process had
-    #: already compiled this machine's translation unit).
+    #: Chunks of bound units computed on NumPy while their compile ran.
+    native_pending_chunks: int = 0
+    #: Seconds of a ``cc`` build that landed during this run (it runs on
+    #: a background thread, off the critical path; 0.0 if none did).
     native_compile_s: float = 0.0
     #: Compiled slab passes executed by the kernel engine this run
     #: (0 on a cold run, which interprets while it records).
@@ -124,6 +126,7 @@ class EngineProfile:
             "stored_words": self.stored_words,
             "native_units": self.native_units,
             "native_fallback_units": self.native_fallback_units,
+            "native_pending_chunks": self.native_pending_chunks,
             "native_compile_s": self.native_compile_s,
             "kernel_slabs": self.kernel_slabs,
             "kernel_cached": self.kernel_cached,
@@ -147,6 +150,7 @@ class EngineProfile:
         if bound:
             lines.append(
                 f"  data: native {self.native_units}/{bound} units, "
+                f"{self.native_pending_chunks} pending chunks, "
                 f"compile {self.native_compile_s:.2f} s")
         if self.engine in ("batched", "kernel") and not self.kernel_cached:
             mean = self.mean_batch

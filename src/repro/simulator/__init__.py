@@ -26,7 +26,8 @@ Several execution engines share one machine model:
 Where the stencil arithmetic is large enough to repay a ~0.2 s compile
 and a C compiler (``cc``) is on the path, the batched and kernel
 engines evaluate eligible stencils through **native compute**
-(:mod:`.native`): one C translation unit per machine, bound at
+(:mod:`.native`): one C translation unit per machine, built on a
+background thread while the run computes on NumPy, then bound at
 ``BatchedStencilUnit.compute_words``, each kernel bitwise-validated
 against the NumPy path on its first chunk and falling back to it for
 good on any mismatch (``docs/KERNELS.md``, "Native compute").

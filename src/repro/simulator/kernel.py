@@ -250,8 +250,9 @@ def _restricted_expr_ok(node) -> bool:
     normalization), ``min``/``max`` (Python-min NaN ordering),
     ``sqrt``/``log``/``exp``/``pow`` (guarded-ufunc NaN poisoning),
     division by non-literal or zero/non-finite divisors (signed-zero
-    ``copysign`` semantics), bool and non-finite literals, and integer
-    literals beyond 2**53 (inexact as doubles).
+    ``copysign`` semantics), bool and non-finite literals, integer
+    literals beyond 2**53 (inexact as doubles), and negating or
+    multiplying integer-typed operands (integer zeros have no sign).
     """
     if isinstance(node, Literal):
         value = node.value
@@ -274,12 +275,14 @@ def _restricted_expr_ok(node) -> bool:
             value = float(divisor.value)
             if value == 0.0 or not math.isfinite(value):
                 return False
-        elif node.op not in _SAFE_BINOPS:
+        elif node.op not in _SAFE_BINOPS or node.op == "*" and (
+                _may_be_int(node.left) and _may_be_int(node.right)):
             return False
         return (_restricted_expr_ok(node.left)
                 and _restricted_expr_ok(node.right))
     if isinstance(node, UnaryOp):
-        return (node.op in ("-", "!")
+        return ((node.op == "!" or node.op == "-"
+                 and not _may_be_int(node.operand))
                 and _restricted_expr_ok(node.operand))
     if isinstance(node, Ternary):
         return (_restricted_expr_ok(node.cond)
@@ -290,6 +293,22 @@ def _restricted_expr_ok(node) -> bool:
             return False
         return all(_restricted_expr_ok(a) for a in node.args)
     return False
+
+
+def _may_be_int(node) -> bool:
+    """Whether a lane of ``node`` may be integer-typed in the array
+    compiler (``intish``; the restricted class's fields are float64)."""
+    if isinstance(node, BinaryOp):
+        both = _may_be_int(node.left) and _may_be_int(node.right)
+        return both if node.op in ("+", "-", "*") else node.op != "/"
+    if isinstance(node, Ternary):
+        return _may_be_int(node.then) or _may_be_int(node.orelse)
+    if isinstance(node, UnaryOp):
+        return node.op == "!" or _may_be_int(node.operand)
+    if isinstance(node, Call):          # abs / fabs keep int-ness
+        return _may_be_int(node.args[0])
+    return isinstance(node, IndexVar) or (
+        isinstance(node, Literal) and isinstance(node.value, int))
 
 
 def _unit_restricted(unit) -> bool:

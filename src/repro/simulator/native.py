@@ -4,7 +4,9 @@
 :func:`bind_native` renders one C function per eligible stencil unit
 (the restricted float64 class of :mod:`.kernel`), compiles them with one
 ``cc`` run, loads the object with ``ctypes`` and puts a first-chunk-
-validated wrapper in each unit's ``compute_words``.  A kernel takes one
+validated wrapper in each unit's ``compute_words`` — from the chunk
+after the object loads: ``cc`` runs on a background thread, so no run
+waits for it.  A kernel takes one
 address per *access* — ring base plus ``stream.position(lo + flat,
 n)``, the cells ``stream.cells`` slices for the NumPy path — and writes
 its chunk into the ring rows ``out``, so rings, cursors, the planner
@@ -21,6 +23,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -39,10 +42,11 @@ from .kernel import (
 )
 
 #: ``auto`` binds a machine only from this many cell evaluations
-#: (``num_cells x eligible units``) up: a compile costs ~0.17 s and a
-#: kernel saves 6-8 ns per cell evaluation, so one run breaks even near
-#: 25 M and two runs near half that (paper-domain hdiff is 28.8 M).
-NATIVE_MIN_CELL_EVALS = 20_000_000
+#: (``num_cells x eligible units``) up: where the compile's CPU (it
+#: runs beside the run) is repaid within ten runs.  On a 2-core x86-64
+#: box with gcc, hdiff's compile takes 0.165 s and a kernel saves 8-20
+#: ns per evaluation: 0.165 s / (10 x ~12 ns) = 1.4 M.
+NATIVE_MIN_CELL_EVALS = 1_400_000
 
 #: Never ``-ffast-math`` / ``-Ofast`` and no FMA contraction: every C
 #: operation must be the IEEE double operation NumPy performs.  ``-O2``
@@ -54,6 +58,11 @@ _CC_TIMEOUT_S = 60.0
 #: failed to build), for the life of the process — identical machines
 #: share one compile.  Never written to or read from a cache directory.
 _LIBS: Dict[str, Optional[ctypes.CDLL]] = {}
+#: Builds in flight by digest, and the seconds each finished one took.
+#: A forked child has none of the parent's threads: it forgets them.
+_PENDING: Dict[str, threading.Thread] = {}
+_COMPILE_S: Dict[str, float] = {}
+os.register_at_fork(after_in_child=lambda: _PENDING.clear())
 
 
 class _Kernel:
@@ -150,27 +159,69 @@ def _compile(source: str) -> Optional[ctypes.CDLL]:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def _build(digest: str, text: str, registry) -> None:
+    """A background build: the object (None on any failure) lands in
+    ``_LIBS`` before the digest leaves ``_PENDING``."""
+    began = clock.now()
+    lib = _compile(text)
+    seconds = _COMPILE_S[digest] = clock.now() - began
+    _LIBS[digest] = lib
+    _PENDING.pop(digest, None)
+    if registry.enabled:
+        registry.histogram("kernel.compile_seconds", backend="native") \
+            .observe(seconds)
+
+
+class _Deferred(_CheckedBackendFn):
+    """A unit's checked kernel whose object may still be building:
+    until it is in ``_LIBS`` the unit computes NumPy chunks (counted in
+    ``pending``), and a failed build leaves it on them for good."""
+
+    def __init__(self, unit, build: str, name: str, plan, digest: str):
+        super().__init__(unit, None, digest)
+        self.build, self.name, self.plan, self.pending = build, name, plan, 0
+
+    def landed(self) -> bool:
+        """Whether the kernel is loaded (binding it on first sight)."""
+        lib = _LIBS.get(self.build)
+        if self.fast is None and lib is not None:
+            self.fast = _Kernel(getattr(lib, self.name), *self.plan)
+        return self.fast is not None
+
+    def __call__(self, w0: int, b: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        if self.landed():
+            return super().__call__(w0, b, out)
+        self.pending += self.build not in _LIBS
+        return self._reference(self._unit(), w0, b, out)
+
+
 class NativeBinding:
     """What one :func:`bind_native` call did: stencil units of a bound
-    machine, this call's ``cc`` time (0 when the process had the object
-    already) and the installed wrappers."""
+    machine, the wrappers, and the digest if it was still building."""
 
     def __init__(self):
-        self.considered, self.compile_s, self.wrappers = 0, 0.0, []
+        self.considered, self.wrappers, self.building = 0, [], None
 
     def profile(self) -> dict:
         """The run's ``EngineProfile`` fields, read at end of run: a
-        wrapper discarded by its first chunk counts as a fallback."""
-        units = sum(not w.discarded for w in self.wrappers)
+        unit that ran a kept kernel counts as native; the compile time
+        is that of a build that landed during the run."""
+        units = sum(w.fast is not None and not w.discarded
+                    for w in self.wrappers)
         return {"native_units": units,
                 "native_fallback_units": self.considered - units,
-                "native_compile_s": self.compile_s}
+                "native_pending_chunks": sum(w.pending
+                                             for w in self.wrappers),
+                "native_compile_s": _COMPILE_S[self.building]
+                if self.building in _LIBS else 0.0}
 
 
 def bind_native(units, num_cells: int) -> NativeBinding:
-    """Bind every eligible unit of one machine to its compiled kernel;
-    an ineligible unit, a missing or failing ``cc`` and (later) a failed
-    first chunk each leave that unit's ``compute_words`` on NumPy."""
+    """Bind every eligible unit of one machine to its compiled kernel,
+    built in the background (``native`` mode waits for it); an
+    ineligible unit, a missing or failing ``cc`` and a failed first
+    chunk each leave that unit's ``compute_words`` on NumPy."""
     binding = NativeBinding()
     mode = backend_mode()
     floor = NATIVE_MIN_CELL_EVALS if mode == "auto" else 0
@@ -186,20 +237,18 @@ def bind_native(units, num_cells: int) -> NativeBinding:
     text = "#include <math.h>\n\n" + "\n".join(
         source for source, _plan in kernels)
     digest = hashlib.sha1(text.encode()).hexdigest()
-    if digest not in _LIBS:
-        began = clock.now()
-        _LIBS[digest] = _compile(text)
-        binding.compile_s = clock.now() - began
-        if metrics.enabled():
-            metrics.histogram("kernel.compile_seconds", backend="native") \
-                .observe(binding.compile_s)
-    lib = _LIBS[digest]
-    if lib is None:
-        return binding
+    binding.building = digest if digest not in _LIBS else None
+    if binding.building and digest not in _PENDING:
+        _PENDING[digest] = threading.Thread(
+            target=_build, args=(digest, text, metrics.registry()),
+            daemon=False)
+        _PENDING[digest].start()
+    if mode == "native" and (thread := _PENDING.get(digest)) is not None:
+        thread.join()
     for i, ((unit, _taps), (source, plan)) in enumerate(
             zip(eligible, kernels)):
-        unit.compute_words = _CheckedBackendFn(
-            unit, _Kernel(getattr(lib, f"k{i}"), *plan),
+        unit.compute_words = _Deferred(
+            unit, digest, f"k{i}", plan,
             "native:" + hashlib.sha1(source.encode()).hexdigest())
         binding.wrappers.append(unit.compute_words)
     return binding

@@ -7,10 +7,16 @@ absence themselves.
 """
 
 import gc
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,17 +49,25 @@ from util import (
 
 @pytest.fixture(autouse=True)
 def _fresh_native_state(monkeypatch, tmp_path):
-    """Each test starts with no loaded object and no first-chunk
-    verdict, binds regardless of size, and builds under its own temp
-    dir so leftovers are visible."""
+    """Each test starts with no loaded object, no build in flight and no
+    first-chunk verdict, binds regardless of size (and waits for the
+    build), and builds under its own temp dir so leftovers are
+    visible."""
     monkeypatch.setattr(native, "_LIBS", {})
+    monkeypatch.setattr(native, "_PENDING", {})
     monkeypatch.setattr(kernel, "_VALIDATED", {})
     monkeypatch.setenv(KERNEL_BACKEND_ENV, "native")
     build_dir = tmp_path / "tmp"
     build_dir.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(build_dir))
     yield
+    _join_builds()
     assert not list(build_dir.iterdir())
+
+
+def _join_builds():
+    for thread in list(native._PENDING.values()):
+        thread.join()
 
 
 def _simulate(program, inputs, mode="batched", device_of=None, **config):
@@ -111,7 +125,8 @@ def test_kernel_matches_compute_words_bitwise(node, seed):
     native.bind_native(units, 0)
     # Integer-typed results and the like stay on NumPy: nothing to test.
     units = [unit for unit in units if isinstance(
-        unit.compute_words, kernel._CheckedBackendFn)]
+        unit.compute_words, native._Deferred)
+        and unit.compute_words.landed()]
     assume(units)
     rng = np.random.default_rng(seed)
     # Signed zeros and repeated values among the data, so comparisons
@@ -182,14 +197,53 @@ def test_auto_leaves_small_machines_on_numpy(monkeypatch):
     monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
     compiles = []
     monkeypatch.setattr(native, "_compile", compiles.append)
+    # The floor sits between hdiff at 24x24x16 (0.2 M cell evaluations)
+    # and at the explore_sweep domain with W = 8 (1.6 M).
+    above = horizontal_diffusion(shape=(48, 48, 32), vectorization=8)
+    assert _HDIFF.num_cells * 22 < native.NATIVE_MIN_CELL_EVALS \
+        <= above.num_cells * 22
     profile = _simulate(_HDIFF, random_inputs(_HDIFF)).profile
     assert (profile.native_units, profile.native_fallback_units) == (0, 0)
+    _join_builds()
     assert not compiles
-    # ...and binds one whose cell evaluations clear the threshold.
-    monkeypatch.setattr(native, "NATIVE_MIN_CELL_EVALS",
-                        _HDIFF.num_cells * 22)
-    _simulate(_HDIFF, random_inputs(_HDIFF))
+    # ...and binds one whose cell evaluations clear it.
+    _simulate(above, random_inputs(above))
+    _join_builds()
     assert len(compiles) == 1
+
+
+def test_run_switches_to_kernels_when_the_build_lands(monkeypatch):
+    """The build is held until the machine has computed a few chunks on
+    NumPy; the units take their kernels at their next chunk and the run
+    is the scalar oracle's, bit for bit and cycle for cycle."""
+    monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
+    monkeypatch.setattr(native, "NATIVE_MIN_CELL_EVALS", 0)
+    gate, compile_ = threading.Event(), native._compile
+    monkeypatch.setattr(native, "_compile",
+                        lambda text: gate.wait() and compile_(text))
+    numpy_chunks = []
+    compute_words = BatchedStencilUnit.compute_words
+
+    def counted(unit, w0, b, out=None):
+        numpy_chunks.append(unit.name)
+        if len(numpy_chunks) == 5:
+            gate.set()
+            _join_builds()
+        return compute_words(unit, w0, b, out)
+
+    monkeypatch.setattr(BatchedStencilUnit, "compute_words", counted)
+    program = horizontal_diffusion(shape=(12, 12, 8), vectorization=2)
+    inputs = random_inputs(program)
+    result = _simulate(program, inputs)
+    assert gate.is_set()
+    assert_same_results(_simulate(program, inputs, "scalar"), result)
+    profile = result.profile
+    assert (profile.native_units, profile.native_fallback_units) == (22, 2)
+    assert 0 < profile.native_pending_chunks <= 5
+    assert profile.native_compile_s > 0
+    again = _simulate(program, inputs).profile
+    assert (again.native_units, again.native_pending_chunks,
+            again.native_compile_s) == (22, 0, 0.0)
 
 
 # -- (c) a wrong kernel is discarded by its first chunk ------------------------
@@ -309,6 +363,72 @@ def test_unusable_compiler_leaves_a_correct_numpy_run(failure, monkeypatch,
         assert result.profile.native_units == 0
         assert result.profile.native_fallback_units == len(program.stencils)
     assert list(native._LIBS.values()) == [None]
+
+
+def test_hung_compiler_never_blocks_a_run(monkeypatch, tmp_path):
+    monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
+    monkeypatch.setattr(native, "NATIVE_MIN_CELL_EVALS", 0)
+    monkeypatch.setattr(native, "_CC_TIMEOUT_S", 1.0)
+    cc = _fake_cc(tmp_path, "exec sleep 20")
+    monkeypatch.setattr(native.shutil, "which", lambda name: cc)
+    program = lst1_program()
+    inputs = lst1_inputs()
+    want = _numpy_run(program, inputs, monkeypatch)
+    began = time.perf_counter()
+    result = _simulate(program, inputs)
+    assert time.perf_counter() - began < 0.5
+    assert_same_results(want, result)
+    assert result.profile.native_units == 0
+    assert result.profile.native_fallback_units == len(program.stencils)
+    assert result.profile.native_pending_chunks > 0
+    _join_builds()
+    assert list(native._LIBS.values()) == [None]
+
+
+_EXIT_IN_FLIGHT = """
+import glob, os, tempfile, time
+from repro.simulator import SimulatorConfig, native, simulate
+from util import lst1_inputs, lst1_program
+native.NATIVE_MIN_CELL_EVALS = 0
+simulate(lst1_program(), lst1_inputs(), SimulatorConfig())
+while not glob.glob(os.path.join(tempfile.gettempdir(), "repro-native-*")):
+    time.sleep(0.01)    # the build has made its dir and started cc
+print(len(native._PENDING))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_exit_with_a_build_in_flight_leaves_nothing_behind(tmp_path):
+    """The interpreter's exit waits for the build thread, which removes
+    its temp dir and reaps its ``cc``: no dir and no process survive
+    a process that exits with a compile in flight."""
+    bin_dir, build_dir = tmp_path / "bin", tmp_path / "build"
+    bin_dir.mkdir()
+    build_dir.mkdir()
+    slow_cc = bin_dir / "cc"
+    real_cc = shutil.which("cc")
+    slow_cc.write_text(f"#!/bin/sh\nsleep 0.5\nexec {real_cc} \"$@\"\n")
+    slow_cc.chmod(0o755)
+    root = Path(__file__).resolve().parent
+    env = dict(os.environ, TMPDIR=str(build_dir),
+               PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
+               PYTHONPATH=os.pathsep.join([str(root.parent / "src"),
+                                           str(root)]))
+    env[KERNEL_BACKEND_ENV] = "auto"
+    done = subprocess.run([sys.executable, "-c", _EXIT_IN_FLIGHT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]     # in flight at exit
+    assert not list(build_dir.glob("repro-native-*"))
+    survivors = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+        except OSError:
+            continue
+        if str(tmp_path).encode() in cmdline:
+            survivors.append(cmdline)
+    assert not survivors
 
 
 # -- (e) a dead machine frees its rings without a collection ------------------
