@@ -60,7 +60,7 @@ def main():
     # 64-cycle latency ("auto" selects the batched engine for
     # multi-device runs too).
     config = SimulatorConfig(network_latency=64)
-    engine = resolve_engine_mode(config, placement, program)
+    engine = resolve_engine_mode(config)
     print(f"  engine: {engine} (network latency "
           f"{config.network_latency} cycles)")
 

@@ -1,0 +1,223 @@
+#!/usr/bin/env python
+"""Census of ``src/`` functions that nothing executes.
+
+Runs the repo's inventory — the tier-1 suite, the examples, the smoke
+scripts and the quick end-to-end benchmark — with a recorder on
+``PYTHONPATH``, then prints every function defined under ``src/`` that
+none of them entered.
+
+The recorder is a generated ``sitecustomize`` module, so every Python
+process started with the hook on its path records, spawned workers
+included.  It installs a global trace function (``sys.settrace`` and
+``threading.settrace``) that notes each code object's first call and
+returns ``None``: there is no line tracing.  Each process appends
+``file<TAB>first line`` records to its own file (one per pid, opened
+at its first record; a forked child opens its own), flushed as they are
+found, so a killed process still counts.
+
+Records are matched to the ``ast`` function definitions of ``src/`` by
+first line (the first decorator's line when decorated).  Abstract stubs
+are skipped: ``@abstractmethod``, or a body that is only ``...`` or
+``raise NotImplementedError``.  A function nested in one that was never
+entered is not listed on its own; its lines count in the outer one.
+
+Run: ``python scripts/census.py [--out list.txt]`` (tier-1 runs from
+the repo root, everything else from a temporary directory with its own
+``REPRO_CACHE_DIR``).  Exits 1 when the list is non-empty, 2 when an
+inventory command fails.  Edit no ``src/`` file while it runs: a
+record names a function by its first line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Iterable, List, NamedTuple, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+#: The recorder, written as ``sitecustomize.py`` into the hook directory.
+HOOK = '''\
+import os
+import sys
+import threading
+
+_OUT = {out!r}
+_PREFIX = {prefix!r}
+_seen = set()
+_file = None
+
+
+def _forget_file():
+    global _file
+    _file = None
+
+
+def _tracer(frame, event, arg):
+    global _file
+    code = frame.f_code
+    if code not in _seen:
+        _seen.add(code)
+        filename = os.path.abspath(code.co_filename)
+        if filename.startswith(_PREFIX):
+            if _file is None:
+                _file = open(os.path.join(_OUT, "%d.rec" % os.getpid()), "a")
+            _file.write("%s\\t%d\\n" % (filename, code.co_firstlineno))
+            _file.flush()
+    return None
+
+
+os.register_at_fork(after_in_child=_forget_file)
+sys.settrace(_tracer)
+threading.settrace(_tracer)
+'''
+
+
+def inventory(work: Path) -> List[Tuple[Path, List[str]]]:
+    """The ``(cwd, argv)`` runs whose union of entered functions is the
+    census.  Tier-1 runs from the root; the rest from ``work``, where
+    an example may leave its output files."""
+    py = sys.executable
+    runs = [(ROOT, [py, "-m", "pytest", "-q", "-p", "no:cacheprovider"])]
+    scripts = sorted((ROOT / "examples").glob("*.py")) + [
+        ROOT / "scripts" / name for name in (
+            "crash_recovery_check.py", "serve_smoke.py",
+            "telemetry_smoke.py")]
+    runs += [(work, [py, str(path)]) for path in scripts]
+    bench = str(ROOT / "benchmarks" / "e2e" / "bench.py")
+    runs += [(work, [py, bench, mode, "--quick", "--out", os.devnull])
+             for mode in ("run", "trace")]
+    return runs
+
+
+def write_hook(hook_dir: Path, out_dir: Path, src: Path = SRC):
+    """Write the recorder for files under ``src`` into ``hook_dir``."""
+    prefix = str(src.resolve()) + os.sep
+    (hook_dir / "sitecustomize.py").write_text(
+        HOOK.format(out=str(out_dir), prefix=prefix))
+
+
+def hook_env(hook_dir: Path, src: Path = SRC) -> dict:
+    """``os.environ`` with the hook (then ``src``) first on the path."""
+    path = [str(hook_dir), str(src)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def load_records(out_dir: Path) -> Set[Tuple[str, int]]:
+    """Every (file, first line) any recorded process entered."""
+    entered = set()
+    for path in out_dir.glob("*.rec"):
+        for line in path.read_text().splitlines():
+            filename, _, lineno = line.rpartition("\t")
+            if filename:
+                entered.add((filename, int(lineno)))
+    return entered
+
+
+class Function(NamedTuple):
+    path: Path
+    line: int       # the first decorator's line, else the ``def`` line
+    qualname: str
+    lines: int
+    stub: bool
+
+
+def _is_stub(node) -> bool:
+    for decorator in node.decorator_list:
+        name = decorator.attr if isinstance(decorator, ast.Attribute) \
+            else getattr(decorator, "id", None)
+        if name == "abstractmethod":
+            return True
+    body = node.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]  # docstring
+    if len(body) != 1:
+        return False
+    (stmt,) = body
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+        return stmt.value.value is Ellipsis
+    if isinstance(stmt, ast.Raise) and stmt.exc is not None:
+        exc = stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
+        return getattr(exc, "id", None) == "NotImplementedError"
+    return False
+
+
+def _walk(tree, path: Path, prefix: str
+          ) -> Iterable[Tuple[Function, ast.AST]]:
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _walk(node, path, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            line = min([node.lineno] + [d.lineno
+                                        for d in node.decorator_list])
+            yield Function(path, line, prefix + node.name,
+                           node.end_lineno - line + 1, _is_stub(node)), node
+        else:
+            yield from _walk(node, path, prefix)
+
+
+def never_entered(entered: Set[Tuple[str, int]], src: Path = SRC
+                  ) -> List[Function]:
+    """Functions under ``src`` that no record names, in file order."""
+    found = []
+
+    def visit(tree, path, prefix):
+        for function, node in _walk(tree, path, prefix):
+            if (str(path), function.line) in entered:
+                visit(node, path, f"{function.qualname}.<locals>.")
+            elif not function.stub:
+                found.append(function)
+
+    for path in sorted(src.resolve().rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    return found
+
+
+def report(functions: List[Function], root: Path = ROOT) -> str:
+    """One line per function, then the totals."""
+    lines = [f"{f.path.relative_to(root.resolve())}:{f.line} "
+             f"{f.qualname} ({f.lines} lines)" for f in functions]
+    lines.append(f"{len(functions)} functions, "
+                 f"{sum(f.lines for f in functions)} lines never entered")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", type=Path, default=None,
+                        help="also write the list to this file")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="census-") as tmp:
+        hook_dir, out_dir, work = (Path(tmp, name)
+                                   for name in ("hook", "records", "work"))
+        for path in (hook_dir, out_dir, work):
+            path.mkdir()
+        write_hook(hook_dir, out_dir)
+        # A private cache root: the examples persist reports.
+        env = dict(hook_env(hook_dir), REPRO_CACHE_DIR=str(work / "cache"))
+        for cwd, command in inventory(work):
+            print("[census] " + " ".join(command[1:]), flush=True)
+            if subprocess.run(command, cwd=cwd, env=env).returncode:
+                print("[census] FAIL: inventory command failed",
+                      flush=True)
+                return 2
+        functions = never_entered(load_records(out_dir))
+    text = report(functions)
+    print(text)
+    if args.out is not None:
+        args.out.write_text(text + "\n")
+    return 1 if functions else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

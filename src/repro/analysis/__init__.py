@@ -24,7 +24,6 @@ from .internal_buffers import (
     InternalBuffer,
     StencilBuffering,
     internal_buffers,
-    max_buffer_slices,
     program_internal_buffers,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "certify_analysis",
     "choose_tiling",
     "internal_buffers",
-    "max_buffer_slices",
     "plan_tiling",
     "program_internal_buffers",
     "required_capacities",

@@ -19,11 +19,10 @@ tap points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..core.fields import flatten_offset
 from ..core.program import StencilDefinition, StencilProgram
-from ..errors import AnalysisError
 
 
 @dataclass(frozen=True)
@@ -105,18 +104,6 @@ class StencilBuffering:
         return max((self.readahead_words(f, vector_width)
                     for f in self.readahead), default=0)
 
-    def pop_stagger_words(self, field: str, vector_width: int) -> int:
-        """How many words later than the pipeline start this field's
-        stream begins to be consumed (Sec. IV-A's synchronized fill:
-        smaller buffers start filling after ``max(B) - B_f``
-        iterations). The edge carrying the field must provide this many
-        extra credits so the producer is not blocked meanwhile
-        (the "initialization phase of the node itself" contribution of
-        Sec. IV-B).
-        """
-        return (self.max_readahead_words(vector_width)
-                - self.readahead_words(field, vector_width))
-
 
 def field_domain(program: StencilProgram, field: str) -> Tuple[int, ...]:
     """Extent of a data container, outermost dimension first."""
@@ -188,20 +175,3 @@ def program_internal_buffers(
         program: StencilProgram) -> Dict[str, StencilBuffering]:
     """Internal-buffer analysis for every stencil, keyed by name."""
     return {s.name: internal_buffers(program, s) for s in program.stencils}
-
-
-def max_buffer_slices(program: StencilProgram) -> int:
-    """Sanity bound: buffers must stay within O(1) (D-1)-dim slices.
-
-    Returns the largest buffer size measured in (D-1)-dimensional slices
-    of the iteration space, rounded up. Sec. IV-A guarantees this is a
-    small constant for well-formed stencils.
-    """
-    slice_size = 1
-    for extent in program.shape[1:]:
-        slice_size *= extent
-    worst = 0
-    for buffering in program_internal_buffers(program).values():
-        for buf in buffering.buffers.values():
-            worst = max(worst, -(-buf.size // slice_size))
-    return worst

@@ -21,7 +21,7 @@ are the compatibility contract.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import StencilProgram
 from .errors import ParseError, ValidationError
@@ -255,12 +255,6 @@ def serve(config=None, **overrides):
     return ReproServer(config, **overrides).start()
 
 
-def serve_forever(config=None, **overrides) -> None:
-    """Run the config-query HTTP service in the foreground (CLI)."""
-    from .serve import serve_forever as _serve_forever
-    _serve_forever(config, **overrides)
-
-
 __all__ = [
     "API_VERSION",
     "PLATFORM_ALIASES",
@@ -272,6 +266,5 @@ __all__ = [
     "resolve_program",
     "run",
     "serve",
-    "serve_forever",
     "session",
 ]

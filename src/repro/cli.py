@@ -76,10 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  choices=("auto", "scalar", "batched",
                                           "kernel"),
                                  help="simulator engine (auto picks "
-                                      "the compiled kernel engine "
-                                      "when a cached kernel exists, "
-                                      "the batched NumPy engine "
-                                      "otherwise)")
+                                      "the batched NumPy engine; "
+                                      "kernel only when asked for)")
             command.add_argument("--shape", type=_parse_shape,
                                  default=None, metavar="I,J,K",
                                  help="override the program's iteration "
@@ -511,11 +509,9 @@ def _run(program: StencilProgram, args) -> int:
                              device_of=device_of)
     sim = result.simulation
     devices = 1 + max(device_of.values()) if device_of else 1
-    # The profile names the engine that actually ran: "auto" upgrades
-    # to the kernel engine when a cached kernel exists, which
-    # resolve_engine_mode alone cannot see.
+    # The profile names the engine that actually ran.
     executed = (sim.profile.engine if sim.profile is not None
-                else resolve_engine_mode(config, device_of, program))
+                else resolve_engine_mode(config))
     print(f"engine: {executed} "
           f"({devices} device{'s' if devices != 1 else ''}, "
           f"{args.partition} placement, "

@@ -4,7 +4,6 @@ from .boundary import (
     BoundaryConditions,
     ConstantBoundary,
     CopyBoundary,
-    ShrinkBoundary,
 )
 from .dtypes import (
     DType,
@@ -36,7 +35,6 @@ __all__ = [
     "DType",
     "FieldSpec",
     "INDEX_NAMES",
-    "ShrinkBoundary",
     "StencilDefinition",
     "StencilProgram",
     "all_dtypes",

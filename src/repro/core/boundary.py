@@ -29,9 +29,6 @@ class ConstantBoundary:
     def to_json(self) -> dict:
         return {"type": "constant", "value": self.value}
 
-    def __str__(self) -> str:
-        return f"constant({self.value})"
-
 
 @dataclass(frozen=True)
 class CopyBoundary:
@@ -42,29 +39,8 @@ class CopyBoundary:
     def to_json(self) -> dict:
         return {"type": "copy"}
 
-    def __str__(self) -> str:
-        return "copy"
-
-
-@dataclass(frozen=True)
-class ShrinkBoundary:
-    """Ignore output cells whose computation read out of bounds.
-
-    Unlike the other conditions this applies to the stencil *output*: the
-    written domain shrinks by the stencil's extent.
-    """
-
-    kind = "shrink"
-
-    def to_json(self) -> str:
-        return "shrink"
-
-    def __str__(self) -> str:
-        return "shrink"
-
 
 InputBoundary = Union[ConstantBoundary, CopyBoundary]
-Boundary = Union[ConstantBoundary, CopyBoundary, ShrinkBoundary]
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,6 @@ class Access:
             return self.field
         return f"{self.field}[{', '.join(str(o) for o in self.offsets)}]"
 
-    @property
-    def rank(self) -> int:
-        return len(self.offsets)
-
     def expand(self, field_dims: Sequence[str],
                index_names: Sequence[str]) -> Tuple[Optional[int], ...]:
         """Expand to the full iteration space, with ``None`` for missing dims.

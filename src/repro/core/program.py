@@ -22,7 +22,7 @@ from ..expr import analysis as expr_analysis, cse as expr_cse
 from ..expr.ast_nodes import Expr, unparse
 from ..expr.parser import parse as parse_expr
 from .boundary import BoundaryConditions
-from .dtypes import DType, dtype
+from .dtypes import DType
 from .fields import INDEX_NAMES, FieldSpec
 
 
@@ -200,12 +200,6 @@ class StencilProgram:
             return self._by_name[name]
         except KeyError:
             raise DefinitionError(f"no stencil named {name!r}") from None
-
-    def producers(self) -> Dict[str, str]:
-        """Map each data name to what produces it: 'input' or 'stencil'."""
-        out = {name: "input" for name in self.inputs}
-        out.update({s.name: "stencil" for s in self.stencils})
-        return out
 
     def consumers_of(self, name: str) -> Tuple[str, ...]:
         """Stencils that read data container ``name``."""

@@ -12,7 +12,7 @@ paper's linear chaining of devices through the cluster's optical switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.delay_buffers import BufferingAnalysis
@@ -56,15 +56,6 @@ class Partition:
     @property
     def is_single_device(self) -> bool:
         return self.num_devices == 1
-
-    def network_streams_between(self, src_dev: int,
-                                dst_dev: int) -> int:
-        count = 0
-        for (src, dst, _data) in self.cut_edges:
-            if (self.device_of.get(_strip(src), -1) == src_dev
-                    and self.device_of.get(_strip(dst), -1) == dst_dev):
-                count += 1
-        return count
 
     @property
     def link_element_bytes(self) -> int:

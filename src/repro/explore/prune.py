@@ -189,9 +189,6 @@ class Pruner:
                                           platform=self.platform)
         return self._lowered[config]
 
-    def program_at(self, point) -> StencilProgram:
-        return self.lowered_at(point).program
-
     # -- the verdict ---------------------------------------------------------
 
     def predict(self, point: ConfigPoint) -> Prediction:

@@ -11,13 +11,13 @@ derives a sensible space from the program and platform.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Tuple
 
 from ..core.program import StencilProgram
 from ..errors import DefinitionError
 from ..hardware.platform import FPGAPlatform, STRATIX10
+from ..simulator.channel import is_link_rate
 
 #: Placement strategies a point may request.
 PARTITION_STRATEGIES = ("contiguous", "auto")
@@ -65,8 +65,7 @@ class ConfigPoint:
     link_rates: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        if not all(math.isfinite(rate) and rate > 0
-                   for _, rate in self.link_rates):
+        if not all(is_link_rate(rate) for _, rate in self.link_rates):
             raise DefinitionError(
                 f"link-rate overrides must be finite and > 0, got "
                 f"{self.link_rates}")
@@ -86,9 +85,9 @@ class ConfigPoint:
             raise DefinitionError(
                 f"unknown partition strategy {self.partition!r} "
                 f"(expected one of {', '.join(PARTITION_STRATEGIES)})")
-        if self.network_words_per_cycle <= 0:
+        if not is_link_rate(self.network_words_per_cycle):
             raise DefinitionError(
-                f"network rate must be > 0, got "
+                f"network rate must be finite and > 0, got "
                 f"{self.network_words_per_cycle}")
         if self.network_latency < 0:
             raise DefinitionError(

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .ast_nodes import (
-    ARITH_OPS,
     BinaryOp,
     Call,
     Expr,
@@ -93,11 +92,6 @@ class OpCensus:
         """
         return (self.adds + self.multiplies + self.divides + self.sqrts
                 + self.mins + self.maxs + self.other_calls)
-
-    @property
-    def total_ops(self) -> int:
-        """All operations, including comparisons and branch selects."""
-        return self.flops + self.comparisons + self.branches
 
     def __add__(self, other: "OpCensus") -> "OpCensus":
         return OpCensus(*(getattr(self, f) + getattr(other, f)

@@ -31,9 +31,6 @@ class Token:
     text: str
     position: int
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r}, @{self.position})"
-
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source``, returning a list ending with an EOF token.

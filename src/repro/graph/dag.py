@@ -14,8 +14,8 @@ once — Sec. IV-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Set, Tuple
 
 from ..core.fields import FieldSpec
 from ..core.program import StencilDefinition, StencilProgram
@@ -70,9 +70,6 @@ class Edge:
     src: str
     dst: str
     data: str
-
-    def __str__(self) -> str:
-        return f"{self.src} --{self.data}--> {self.dst}"
 
 
 class StencilGraph:

@@ -132,11 +132,6 @@ class ArtifactCache:
     # -- statistics ----------------------------------------------------------
 
     @property
-    def hits(self) -> int:
-        with self._lock:
-            return sum(self._hits.values())
-
-    @property
     def misses(self) -> int:
         with self._lock:
             return sum(self._misses.values())

@@ -2,7 +2,7 @@
 
 One :func:`lower` call takes a stencil program through the same staged
 flow every entry point used to hand-roll — validate → canonicalize →
-fusion → vectorize/reshape → partition → buffering analysis → SDFG
+fusion → vectorize → partition → buffering analysis → SDFG
 build → simulator compile — with every stage's product stored in the
 content-addressed :class:`~repro.lowering.cache.ArtifactCache`.  The
 Session, the simulation engine, the design-space explorer, and the CLI
@@ -15,7 +15,7 @@ result cache).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.delay_buffers import (
@@ -85,8 +85,8 @@ def program_content_hash(program: StencilProgram,
 class LoweringConfig:
     """What the pipeline should do to a program.
 
-    Transform knobs (``canonicalize``/``fusion``/``shape``/
-    ``vectorization``) change the program itself; mapping knobs
+    Transform knobs (``canonicalize``/``fusion``/``vectorization``)
+    change the program itself; mapping knobs
     (``placement``/``devices``/``device_of``/``network_latency``)
     change how it lands on devices and therefore the buffering
     analysis.  Everything is hashable and JSON-stable: the config is
@@ -95,7 +95,6 @@ class LoweringConfig:
 
     canonicalize: bool = False
     fusion: bool = False
-    shape: Optional[Tuple[int, ...]] = None
     vectorization: Optional[int] = None
     placement: Optional[str] = None
     devices: int = 1
@@ -216,16 +215,6 @@ class ValidatePass(Pass):
         state.chain_key = content_key("source", state.source_hash)
 
 
-class ReshapePass(_TransformPass):
-    name = "reshape"
-
-    def signature(self, config):
-        return list(config.shape) if config.shape is not None else None
-
-    def transform(self, program, state):
-        return program.with_shape(state.config.shape)
-
-
 class CanonicalizePass(_TransformPass):
     """Constant folding (the paper's dataflow cleanup)."""
 
@@ -330,7 +319,7 @@ class PartitionPass(Pass):
 #: :func:`analysis_for` / :class:`LoweredProgram` /
 #: :func:`compiled_stencil`; they share the same cache and keying.
 PIPELINE_STAGES: Tuple[str, ...] = (
-    "validate", "reshape", "canonicalize", "fusion", "vectorize",
+    "validate", "canonicalize", "fusion", "vectorize",
     "fingerprint", "partition", "buffering", "sdfg", "sim-compile")
 
 
@@ -339,7 +328,7 @@ class PassManager:
 
     def __init__(self, passes: Optional[Sequence[Pass]] = None):
         self.passes: Tuple[Pass, ...] = tuple(passes) if passes else (
-            ValidatePass(), ReshapePass(), CanonicalizePass(),
+            ValidatePass(), CanonicalizePass(),
             FusionPass(), VectorizePass(), FingerprintPass(),
             PartitionPass())
 
@@ -486,19 +475,6 @@ class LoweredProgram:
             return self.cache.get_or_build(
                 content_key("sdfg", self.key),
                 lambda: build_sdfg(program, analysis))
-
-    def code_package(self, partition=None) -> Dict[str, str]:
-        """Generated OpenCL/host/SMI/reference sources."""
-        from ..codegen import generate_package
-        return generate_package(self.program, self.analysis,
-                                partition if partition is not None
-                                else self.partition)
-
-    def simulator(self, sim_config=None):
-        """The configured (unrun) simulator over this artifact."""
-        from ..simulator.engine import make_simulator
-        return make_simulator(self.analysis, sim_config,
-                              device_of=self.device_of)
 
 
 def lower(program, config: Optional[LoweringConfig] = None,

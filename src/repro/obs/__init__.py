@@ -41,11 +41,6 @@ def disable() -> None:
     spans.disable()
 
 
-def enabled() -> bool:
-    """True when either metrics or tracing is collecting."""
-    return metrics.enabled() or spans.enabled()
-
-
 __all__ = [
     "EngineProfile",
     "MetricsRegistry",
@@ -56,7 +51,6 @@ __all__ = [
     "clock",
     "disable",
     "enable",
-    "enabled",
     "export",
     "journal_spans",
     "metrics",

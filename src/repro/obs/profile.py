@@ -4,9 +4,7 @@ Every simulation (scalar or batched) attaches an
 :class:`EngineProfile` to ``SimulationResult.profile``.  For the
 batched engine this is the plan-level story — how many windows the
 planner cut the run into, how large they grew, what planning them
-cost, and how many cycles were true scalar steps — which is the cheap
-alternative to per-cycle tracing (``simulate_traced``'s ~60–90x
-slowdown).
+cost, and how many cycles were true scalar steps.
 
 The profile is built **once at end of run** from counters the engine
 already keeps, so it is always on and costs nothing on the hot path;

@@ -48,13 +48,6 @@ class SpanRecord:
     def duration(self) -> float:
         return self.end - self.start
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "span_id": self.span_id,
-                "parent_id": self.parent_id, "start": self.start,
-                "end": self.end, "duration": self.duration,
-                "attrs": dict(self.attrs), "pid": self.pid,
-                "tid": self.tid, "tid_name": self.tid_name}
-
 
 class Tracer:
     """Collects :class:`SpanRecord` objects for one process."""
@@ -98,11 +91,6 @@ class Tracer:
             with self._lock:
                 self._records.append(record)
 
-    def add(self, record: SpanRecord) -> None:
-        """Inject an externally built span (journal reconstruction)."""
-        with self._lock:
-            self._records.append(record)
-
     def extend(self, records) -> None:
         with self._lock:
             self._records.extend(records)
@@ -110,10 +98,6 @@ class Tracer:
     def records(self) -> Tuple[SpanRecord, ...]:
         with self._lock:
             return tuple(self._records)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._records.clear()
 
 
 _default = Tracer(enabled=_env_enabled())

@@ -21,13 +21,12 @@ from .pipeline import (
     model_multi_device,
     model_performance,
 )
-from .roofline import RooflinePoint, required_bandwidth_gbs, roofline_gops
+from .roofline import required_bandwidth_gbs, roofline_gops
 
 __all__ = [
     "OperandTraffic",
     "PerformanceReport",
     "PlatformResult",
-    "RooflinePoint",
     "arithmetic_intensity_ops_per_byte",
     "arithmetic_intensity_ops_per_operand",
     "arithmetic_ops_per_cell",

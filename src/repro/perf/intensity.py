@@ -32,9 +32,6 @@ class OperandTraffic:
     def total_operands(self) -> int:
         return self.read_operands + self.write_operands
 
-    def bytes(self, element_bytes: int = 4) -> int:
-        return self.total_operands * element_bytes
-
 
 def program_census(program: StencilProgram) -> OpCensus:
     """Per-cell operation census summed over all stencils."""

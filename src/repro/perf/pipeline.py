@@ -83,11 +83,6 @@ class PerformanceReport:
         return self.total_ops / self.runtime_seconds / 1e9
 
     @property
-    def ops_per_cycle(self) -> float:
-        """Peak operations per cycle of the laid-out circuit."""
-        return self.ops_per_cell * self.vectorization
-
-    @property
     def latency_fraction(self) -> float:
         """Share of cycles spent initializing (paper: ~0.7% for hdiff)."""
         return self.latency_cycles / self.expected_cycles

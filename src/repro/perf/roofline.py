@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 
 def roofline_gops(intensity_ops_per_byte: float,
@@ -23,24 +22,3 @@ def required_bandwidth_gbs(performance_gops: float,
     254.0
     """
     return performance_gops / intensity_ops_per_byte
-
-
-@dataclass(frozen=True)
-class RooflinePoint:
-    """One platform/kernel point in roofline space."""
-
-    name: str
-    intensity_ops_per_byte: float
-    bandwidth_gbs: float
-    achieved_gops: float
-
-    @property
-    def ceiling_gops(self) -> float:
-        return roofline_gops(self.intensity_ops_per_byte,
-                             self.bandwidth_gbs)
-
-    @property
-    def roof_fraction(self) -> float:
-        """Fraction of the bandwidth roofline achieved (Tab. II %Roof.)."""
-        ceiling = self.ceiling_gops
-        return self.achieved_gops / ceiling if ceiling else 0.0

@@ -8,7 +8,7 @@ memlet-annotated edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..errors import GraphError
 from .descriptors import Array, Scalar, Stream
@@ -84,9 +84,6 @@ class SDFGState:
 
     def tasklets(self) -> List[Tasklet]:
         return [n for n in self.nodes if isinstance(n, Tasklet)]
-
-    def access_nodes(self) -> List[AccessNode]:
-        return [n for n in self.nodes if isinstance(n, AccessNode)]
 
     def topological_nodes(self) -> List[Node]:
         indegree = {id(n): 0 for n in self.nodes}

@@ -10,7 +10,6 @@ semantics and expand into subgraphs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..core.program import StencilDefinition
@@ -29,9 +28,6 @@ class Node:
     def __init__(self, label: str):
         self.node_id = _next_id()
         self.label = label
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.label!r}, #{self.node_id})"
 
 
 class AccessNode(Node):

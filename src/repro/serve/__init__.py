@@ -20,7 +20,7 @@ Entry points::
     api.serve(port=0)                          # background ReproServer
 """
 
-from .http import DEFAULT_HOST, DEFAULT_PORT, ReproServer, ServeConfig, serve_forever
+from .http import DEFAULT_HOST, DEFAULT_PORT, ReproServer, ServeConfig
 from .index import (
     FrontEntry,
     FrontierIndex,
@@ -60,6 +60,5 @@ __all__ = [
     "parse_query",
     "parse_shape",
     "query_log_path",
-    "serve_forever",
     "snapshot_path",
 ]

@@ -217,9 +217,8 @@ class ReproServer:
 
     Construction warm-loads the frontier index from the report store,
     counts the persistent result cache, writes the index snapshot
-    artifact, and binds the socket; :meth:`serve_forever` blocks,
-    :meth:`start` runs the listener on a background thread (tests,
-    smoke script).
+    artifact, and binds the socket; :meth:`start` runs the listener on
+    a background thread and :meth:`wait` blocks on it (the CLI).
     """
 
     def __init__(self, config: Optional[ServeConfig] = None,
@@ -253,10 +252,6 @@ class ReproServer:
     @property
     def address(self) -> Tuple[str, int]:
         return self.httpd.server_address[:2]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
 
     @property
     def url(self) -> str:
@@ -329,15 +324,6 @@ class ReproServer:
         if thread is not None:
             thread.join(timeout)
 
-    def serve_forever(self):
-        """Block, serving until interrupted."""
-        try:
-            self.httpd.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.close()
-
     def close(self, wait_jobs: float = 0.0):
         """Stop listening, give running sweeps up to ``wait_jobs``
         seconds, stop the resident workers (see
@@ -349,16 +335,3 @@ class ReproServer:
             self._thread = None
         self.jobs.close(wait_jobs)
         self.index.save_snapshot()
-
-    def __enter__(self) -> "ReproServer":
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-def serve_forever(config: Optional[ServeConfig] = None,
-                  **overrides) -> None:
-    """Build a server and block on it (the CLI entry point)."""
-    server = ReproServer(config, **overrides)
-    server.serve_forever()

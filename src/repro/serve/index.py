@@ -224,10 +224,6 @@ class FrontierIndex:
 
     # -- lookups -------------------------------------------------------------
 
-    def get(self, key: IndexKey) -> Optional[FrontEntry]:
-        with self._lock:
-            return self._fronts.get(key)
-
     def locate(self, program: Union[str, Mapping],
                shape: Optional[Tuple[int, ...]],
                platform_name: str

@@ -99,10 +99,6 @@ class LeaseTable:
     def __len__(self) -> int:
         return len(self._leases)
 
-    @property
-    def leases(self) -> Tuple[Lease, ...]:
-        return tuple(self._leases.values())
-
     def grant(self, worker_id: int, jobs: Sequence[Job],
               now: Optional[float] = None) -> Lease:
         now = now if now is not None else time.monotonic()

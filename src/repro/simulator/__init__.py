@@ -45,8 +45,7 @@ integer-typed programs (native int64 slabs, exact to 2**63), and
 multi-device placements (a window's deliveries follow its producer's
 slab, so batches are bounded by channel capacity rather than the wire
 latency).  ``SimulatorConfig.engine_mode`` selects ``"scalar"``,
-``"batched"``, ``"kernel"``, or ``"auto"`` (kernel when a cached
-artifact exists, batched otherwise).
+``"batched"``, ``"kernel"``, or ``"auto"`` (the batched engine).
 """
 
 from .batched import (
@@ -77,12 +76,10 @@ from .engine import (
 )
 from .kernel import (
     KernelSimulator,
-    kernel_available,
     kernel_cache_stats,
     kernel_store_dir,
     reset_kernel_cache_stats,
 )
-from .trace import Trace, TracingSimulator, simulate_traced
 from .units import SinkUnit, SourceUnit, StencilUnit
 
 __all__ = [
@@ -105,11 +102,8 @@ __all__ = [
     "SinkUnit",
     "SourceUnit",
     "StencilUnit",
-    "Trace",
-    "TracingSimulator",
     "build_simulator",
     "compile_stencil",
-    "kernel_available",
     "kernel_cache_stats",
     "kernel_store_dir",
     "make_simulator",
@@ -119,5 +113,4 @@ __all__ = [
     "resolve_link_rates",
     "simulate",
     "simulate_control",
-    "simulate_traced",
 ]

@@ -282,9 +282,8 @@ class BatchedSourceUnit(SourceUnit):
     """
 
     def __init__(self, name: str, data: np.ndarray, vector_width: int,
-                 out_channels: Sequence, words_per_cycle: float = 1.0):
-        super().__init__(name, data, vector_width, out_channels,
-                         words_per_cycle)
+                 out_channels: Sequence):
+        super().__init__(name, data, vector_width, out_channels)
         if (self._flat.dtype.kind == "u" and self._flat.size
                 and int(self._flat.max()) > np.iinfo(np.int64).max):
             # Signed widths always fit; only huge uint64 values do not
@@ -716,7 +715,7 @@ class BatchedSimulator(Simulator):
     ``window_cycles`` the cycles those covered, ``virtual_cycles`` the
     cycles the planner stepped on counter state to get there and
     ``scalar_cycles`` the cycles taken as true scalar steps (fault
-    windows, a rate-limited source, the cycle a deadlock is raised on).
+    windows and the cycle a deadlock is raised on).
     """
 
     #: Upper bound on the window period (the LCM of the link delivery
@@ -997,12 +996,7 @@ class BatchedSimulator(Simulator):
         links' delivery periods; 1 without such a link, and when a
         rate has no finite schedule or the LCM exceeds ``MAX_WINDOW``
         (period-1 windows are exact at any rate, they only repeat
-        less).  0 — never plan — with a rate-limited source, whose
-        credit the counter machine does not model: that machine runs
-        on the shared scalar step."""
-        if any(isinstance(unit, BatchedSourceUnit)
-               and unit.words_per_cycle != 1.0 for unit in self.units):
-            return 0
+        less)."""
         q = 1
         for link in self.links:
             g = link.delivery_period()
@@ -1537,15 +1531,14 @@ class BatchedSimulator(Simulator):
         period = self._window_period()
         plans: dict = {}
         recorded = None
-        if period:
-            key = self._schedule_key(max_cycles)
-            schedule = default_cache().lookup(key)
-            if schedule is not None:
-                plans, self.plan_count, self.virtual_cycles = schedule
-                self.schedule_replayed = True
-            elif self._PUBLISHES_SCHEDULE:
-                # Plans are frozen as recorded: the empty lists go.
-                recorded = {}
+        key = self._schedule_key(max_cycles)
+        schedule = default_cache().lookup(key)
+        if schedule is not None:
+            plans, self.plan_count, self.virtual_cycles = schedule
+            self.schedule_replayed = True
+        elif self._PUBLISHES_SCHEDULE:
+            # Plans are frozen as recorded: the empty lists go.
+            recorded = {}
         faults = self._faults
         now = 0
         idle_streak = 0
@@ -1559,7 +1552,7 @@ class BatchedSimulator(Simulator):
             # reference engine by construction.
             fault_active = faults is not None and faults.any_active(now)
             window = None
-            if period and not fault_active:
+            if not fault_active:
                 step = (now, idle_streak)
                 window = plans.get(step, _UNPLANNED)
             if window is _UNPLANNED:
@@ -1593,8 +1586,7 @@ class BatchedSimulator(Simulator):
                 continue
             # Exact scalar step, as the scalar engine's loop takes it:
             # fault windows (whose frozen cycles never count toward the
-            # deadlock detector), a rate-limited source, and the cycle
-            # the detector may fire on.
+            # deadlock detector) and the cycle the detector may fire on.
             self.scalar_cycles += 1
             if self._step_cycle(now) or fault_active:
                 idle_streak = 0

@@ -33,6 +33,7 @@ sizes its window from those periods and replays the limiter itself —
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
@@ -45,6 +46,12 @@ from ..errors import SimulationError
 #: pure function of the rate, so every limiter with the same rate shares
 #: one schedule).
 _CREDIT_SCHEDULES: Dict[float, Optional[Tuple[float, ...]]] = {}
+
+
+def is_link_rate(rate: float) -> bool:
+    """Whether ``rate`` is a usable words-per-cycle rate: finite and
+    > 0 (NaN fails both tests; ``rate <= 0`` alone would pass it)."""
+    return math.isfinite(rate) and rate > 0
 
 
 class RateLimiter:
@@ -73,10 +80,10 @@ class RateLimiter:
     SCAN_LIMIT = 4096
 
     def __init__(self, rate: float):
-        if rate <= 0:
+        if not is_link_rate(rate):
             raise SimulationError(
-                f"rate limiter: words_per_cycle must be positive, "
-                f"got {rate}")
+                f"rate limiter: words_per_cycle must be finite and "
+                f"positive, got {rate}")
         self.rate = float(rate)
         self.credit = 0.0
 
@@ -199,15 +206,6 @@ class Channel:
         self.pops += 1
         return self._queue.popleft()
 
-    def peek(self) -> Any:
-        if not self._queue:
-            raise SimulationError(f"peek at empty channel {self.name!r}")
-        return self._queue[0]
-
-    def __repr__(self) -> str:
-        return (f"Channel({self.name!r}, {len(self._queue)}/"
-                f"{self.capacity})")
-
 
 class NetworkLink:
     """An inter-device stream (SMI remote channel).
@@ -230,9 +228,10 @@ class NetworkLink:
         if capacity < 1:
             raise SimulationError(
                 f"link {name!r}: capacity must be >= 1, got {capacity}")
-        if words_per_cycle <= 0:
+        if not is_link_rate(words_per_cycle):
             raise SimulationError(
-                f"link {name!r}: words_per_cycle must be positive")
+                f"link {name!r}: words_per_cycle must be finite and "
+                f"positive, got {words_per_cycle}")
         self.name = name
         self.capacity = capacity
         self.latency = latency
@@ -243,10 +242,6 @@ class NetworkLink:
         self.max_occupancy = 0
         self._now = 0
         self._limiter = RateLimiter(words_per_cycle)
-
-    @property
-    def words_per_cycle(self) -> float:
-        return self._limiter.rate
 
     def __len__(self) -> int:
         return len(self._in_flight) + len(self._ready)
@@ -277,11 +272,6 @@ class NetworkLink:
         self.pops += 1
         return self._ready.popleft()
 
-    def peek(self) -> Any:
-        if not self._ready:
-            raise SimulationError(f"peek at empty link {self.name!r}")
-        return self._ready[0]
-
     def step(self, now: int):
         """Advance time: deliver in-flight words whose latency elapsed."""
         self._now = now
@@ -311,10 +301,6 @@ class NetworkLink:
             _, word = self._in_flight.popleft()
             self._ready.append(word)
             self._limiter.spend()
-
-    def __repr__(self) -> str:
-        return (f"NetworkLink({self.name!r}, ready={len(self._ready)}, "
-                f"in_flight={len(self._in_flight)})")
 
 
 class _RowRing:
@@ -579,12 +565,6 @@ class ArrayChannel(_EdgeBuffer):
         self.pops += 1
         return self.read_rows(1)[0]
 
-    def peek(self) -> np.ndarray:
-        if self.empty:
-            raise SimulationError(
-                f"peek at empty {self.kind} {self.name!r}")
-        return self._buf[self._rd - self._ring.origin]
-
     # -- slab protocol (the window executor applies the statistics) ---------
 
     def commit_rows(self, b: int):
@@ -595,10 +575,6 @@ class ArrayChannel(_EdgeBuffer):
     def write_rows(self, rows: np.ndarray):
         stage_slab((self,), rows)
         self.commit_rows(len(rows))
-
-    def __repr__(self) -> str:
-        return (f"ArrayChannel({self.name!r}, {len(self)}/"
-                f"{self.capacity})")
 
 
 class ArrayNetworkLink(ArrayChannel):
@@ -700,8 +676,3 @@ class ArrayNetworkLink(ArrayChannel):
     def write_rows(self, rows: np.ndarray, times: np.ndarray):
         stage_slab((self,), rows)
         self.commit_rows(len(rows), np.asarray(times, dtype=np.int64))
-
-    def __repr__(self) -> str:
-        return (f"ArrayNetworkLink({self.name!r}, "
-                f"ready={self._ready - self._rd}, "
-                f"in_flight={len(self._in_times)})")

@@ -62,9 +62,8 @@ class ControlSourceUnit(BatchedSourceUnit):
     range guard), so error parity with a full run is preserved."""
 
     def __init__(self, name: str, data: np.ndarray, vector_width: int,
-                 out_channels: Sequence, words_per_cycle: float = 1.0):
-        super().__init__(name, data, vector_width, out_channels,
-                         words_per_cycle)
+                 out_channels: Sequence):
+        super().__init__(name, data, vector_width, out_channels)
         self.rows = self.rows[:, :0]
 
 

@@ -18,7 +18,6 @@ identical observable behaviour, selected via
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -27,7 +26,6 @@ import numpy as np
 from ..analysis.delay_buffers import BufferingAnalysis
 from ..core.program import StencilProgram
 from ..errors import DeadlockError, SimulationError, ValidationError
-from ..expr.latency import critical_path
 from ..faults.plan import FaultPlan
 from ..faults.runtime import FaultReport, FaultRuntime
 from ..graph.dag import StencilGraph, node_device
@@ -39,7 +37,7 @@ from ..lowering import (
 )
 from ..obs import clock, metrics
 from ..obs.profile import EngineProfile
-from .channel import Channel, NetworkLink
+from .channel import Channel, NetworkLink, is_link_rate
 from .units import SinkUnit, SourceUnit, StencilUnit, Unit
 
 ChannelKey = Tuple[str, str, str]
@@ -368,12 +366,12 @@ class Simulator:
             for size in profile.window_sizes:
                 sizes.observe(float(size))
 
-    def _step_cycle(self, now: int, on_progress=None) -> bool:
+    def _step_cycle(self, now: int) -> bool:
         """Step every link and unit through one cycle, applying the
         fault plan when one is live.  Shared verbatim by the scalar
-        run loop, the tracing engine, and the batched engine's scalar
-        fallback — the single definition is what makes fault semantics
-        engine-identical by construction."""
+        run loop and the batched engine's scalar fallback — the single
+        definition is what makes fault semantics engine-identical by
+        construction."""
         faults = self._faults
         progressed = False
         if faults is None:
@@ -382,8 +380,6 @@ class Simulator:
             for unit in self.units:
                 if unit.step(now):
                     progressed = True
-                    if on_progress is not None:
-                        on_progress(unit)
         else:
             faults.step_links(self.links, now)
             for unit in self.units:
@@ -392,8 +388,6 @@ class Simulator:
                     continue
                 if unit.step(now):
                     progressed = True
-                    if on_progress is not None:
-                        on_progress(unit)
         return progressed
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
@@ -448,8 +442,7 @@ def resolve_input_array(program: StencilProgram,
                       program.index_names)
 
 
-def deadlock_error(units, now: int, prefix: str = None,
-                   simulator=None) -> DeadlockError:
+def deadlock_error(units, now: int, simulator=None) -> DeadlockError:
     """Build the standard deadlock diagnostic from blocked units.
 
     When the wedged ``simulator`` is passed, a structured
@@ -457,36 +450,27 @@ def deadlock_error(units, now: int, prefix: str = None,
     error's ``report`` (the message string stays unchanged)."""
     blocked = [(u.name, u.describe_block()) for u in units if not u.done]
     detail = "; ".join(f"{n}: {r}" for n, r in blocked)
-    if prefix is None:
-        prefix = f"deadlock at cycle {now}: "
     report = None
     if simulator is not None:
         from ..faults.forensics import build_deadlock_report
         report = build_deadlock_report(simulator, now)
-    return DeadlockError(prefix + detail, cycle=now,
+    return DeadlockError(f"deadlock at cycle {now}: {detail}", cycle=now,
                          blocked_units=tuple(n for n, _ in blocked),
                          report=report)
 
 
-def resolve_engine_mode(config: SimulatorConfig,
-                        device_of: Optional[Mapping[str, int]] = None,
-                        program: Optional[StencilProgram] = None
-                        ) -> str:
+def resolve_engine_mode(config: SimulatorConfig) -> str:
     """Resolve ``config.engine_mode`` to a concrete engine name.
 
     ``"auto"`` picks the batched engine for every supported
     configuration: fractional link rates batch through the closed-form
     credit schedule, integer-typed programs stream native int64 slabs
     (bit-exact to 2**63), and multi-device placements batch across the
-    full in-flight ring.  ``device_of`` and ``program`` are accepted
-    for call-site compatibility; selection no longer depends on them.
+    full in-flight ring.
 
-    ``"kernel"`` selects the compiled-kernel engine explicitly
-    (:mod:`repro.simulator.kernel`); ``"auto"`` resolves to
-    ``"batched"`` here, but :func:`make_simulator` upgrades an auto
-    run to the kernel engine when a compiled kernel for the machine is
-    already cached (the upgrade needs machine context this resolver
-    deliberately does not take).
+    ``"kernel"`` selects the compiled-kernel engine, and only an
+    explicit request does (:mod:`repro.simulator.kernel`): no state on
+    disk changes what ``"auto"`` resolves to.
     """
     mode = config.engine_mode
     if mode not in ("auto", "scalar", "batched", "kernel"):
@@ -503,25 +487,11 @@ def make_simulator(analysis, config: SimulatorConfig = None,
                    ) -> Simulator:
     """Construct the simulator selected by ``config.engine_mode``."""
     config = config or SimulatorConfig()
-    program = analysis.program if isinstance(analysis, BufferingAnalysis) \
-        else analysis
-    resolved = resolve_engine_mode(config, device_of, program)
+    resolved = resolve_engine_mode(config)
     if resolved == "kernel":
         from .kernel import KernelSimulator
         return KernelSimulator(analysis, config, device_of=device_of)
     if resolved == "batched":
-        if config.engine_mode == "auto" \
-                and isinstance(analysis, BufferingAnalysis):
-            # Auto prefers the kernel engine when (and only when) a
-            # compiled kernel for this exact machine is already on
-            # disk: a serve miss-job on a warm cache compiles and
-            # interprets nothing.  A cold cache stays on the batched
-            # engine — auto never pays a compile the caller didn't
-            # ask for.
-            from .kernel import KernelSimulator, kernel_available
-            if kernel_available(analysis, config, device_of):
-                return KernelSimulator(analysis, config,
-                                       device_of=device_of)
         from .batched import BatchedSimulator
         return BatchedSimulator(analysis, config, device_of=device_of)
     return Simulator(analysis, config, device_of=device_of)
@@ -585,7 +555,7 @@ def parse_link_rate_spec(text: str) -> Tuple[str, str, Optional[str],
         raise ValidationError(
             f"invalid link rate {rate_text!r} in {text!r} "
             f"(expected a decimal or a p/q fraction)")
-    if not math.isfinite(rate) or rate <= 0:
+    if not is_link_rate(rate):
         raise ValidationError(
             f"link rate must be a finite value > 0, "
             f"got {rate:g} in {text!r}")

@@ -12,7 +12,7 @@ configuration.  The kernel engine exploits both halves:
   unchanged (the *cold* path), then records its control-flow outcome
   (cycles, stalls, occupancy, fault accounting) — plain JSON data,
   content-addressed under the lowered-machine hash
-  (:func:`kernel_cache_key`), both in the in-process
+  (``_kernel_key_for``), both in the in-process
   :class:`~repro.lowering.cache.ArtifactCache` and on disk under
   :func:`kernel_store_dir`.  Nothing read back from disk is ever
   compiled or executed.
@@ -140,29 +140,6 @@ def _kernel_key_for(sim) -> str:
     the recorded cycle count), ``max_batch_words`` (a planner knob
     that cannot change observable results), and ``engine_mode``."""
     return content_key("kernel", *machine_key_parts(sim))
-
-
-def kernel_cache_key(analysis, config=None,
-                     device_of: Optional[Mapping[str, int]] = None) -> str:
-    """Content address of the compiled-kernel artifact for a machine."""
-    sim = BatchedSimulator(analysis, config, device_of=device_of)
-    return _kernel_key_for(sim)
-
-
-def kernel_available(analysis, config=None,
-                     device_of: Optional[Mapping[str, int]] = None) -> bool:
-    """Whether a compiled kernel for this machine exists *on disk*.
-
-    ``engine_mode="auto"`` consults this before upgrading to the kernel
-    engine: disk-only on purpose, so the upgrade decision is stable
-    across processes and test isolation (a per-test cache dir) is never
-    leaked around by in-process state.
-    """
-    try:
-        key = kernel_cache_key(analysis, config, device_of)
-    except Exception:
-        return False
-    return _artifact_path(key).exists()
 
 
 # -- the restricted class and its first-chunk check --------------------------

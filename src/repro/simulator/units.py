@@ -23,11 +23,9 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.boundary import BoundaryConditions
 from ..core.fields import flatten_offset, row_major_strides, unflatten_index
 from ..core.program import StencilDefinition, StencilProgram
 from ..errors import SimulationError
-from .channel import RateLimiter
 from ..lowering import compiled_stencil
 from .compile import CompiledStencil
 
@@ -82,7 +80,7 @@ class Unit:
 
     def describe_block(self) -> str:
         """Human-readable reason the unit did not progress last step."""
-        return "unknown"
+        raise NotImplementedError
 
 
 class SourceUnit(Unit):
@@ -90,12 +88,11 @@ class SourceUnit(Unit):
 
     The field is streamed in iteration order over the *full* domain
     (lower-dimensional fields are broadcast), one vector word per cycle,
-    blocking if any consumer channel is full. ``words_per_cycle`` caps
-    the read rate to model shared memory bandwidth.
+    blocking if any consumer channel is full.
     """
 
     def __init__(self, name: str, data: np.ndarray, vector_width: int,
-                 out_channels: Sequence, words_per_cycle: float = 1.0):
+                 out_channels: Sequence):
         self.name = name
         flat = np.ascontiguousarray(data).ravel()
         if flat.size % vector_width != 0:
@@ -111,19 +108,10 @@ class SourceUnit(Unit):
         self.out_channels = list(out_channels)
         self.next_word = 0
         self.stall_cycles = 0
-        self._limiter = RateLimiter(words_per_cycle)
         self._block = ""
-
-    @property
-    def words_per_cycle(self) -> float:
-        return self._limiter.rate
 
     def step(self, now: int) -> bool:
         if self.done:
-            return False
-        self._limiter.refill()
-        if not self._limiter.ready:
-            self._block = "bandwidth throttled"
             return False
         blocked = [c.name for c in self.out_channels if c.full]
         if blocked:
@@ -134,7 +122,6 @@ class SourceUnit(Unit):
         for channel in self.out_channels:
             channel.push(word)
         self.next_word += 1
-        self._limiter.spend()
         return True
 
     def _materialize_word(self):

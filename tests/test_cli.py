@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -489,6 +491,51 @@ class TestExploreAxes:
             assert main(["run", str(program_file), "--devices", "2",
                          "--network-link-rate", f"b2:b4={bad}"]) == 2
             assert "link rate" in capsys.readouterr().err
+
+    def test_run_rejects_nan_network_rate_at_once(self, capsys):
+        # NaN passes a bare ``rate <= 0`` test; a NaN-rate link never
+        # delivers, so the run would only end at the cycle cap.
+        start = time.perf_counter()
+        assert main(["run", "horizontal_diffusion", "--shape", "8,8,4",
+                     "--devices", "2",
+                     "--network-words-per-cycle=nan"]) == 2
+        assert time.perf_counter() - start < 5
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_sigterm_mid_sweep_checkpoints_and_exits_143(
+            self, tmp_path, monkeypatch, capsys):
+        # Signal code: SIGTERM during a sweep raises SweepInterrupted,
+        # a BaseException no retry or exit-2 handler swallows;
+        # explore() checkpoints the result cache on its way out and
+        # the CLI exits 128 + 15 with its own handlers restored.
+        from repro.explore import ResultCache, explorer
+
+        def interrupted(*args, **kwargs):
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(5)  # the handler raises during the sleep
+            raise AssertionError("SIGTERM was not delivered")
+
+        saves = []
+        save = ResultCache.save_persistent
+        monkeypatch.setattr(explorer, "_simulate_frontier", interrupted)
+        monkeypatch.setattr(ResultCache, "save_persistent",
+                            lambda self, path=None: saves.append(path)
+                            or save(self, path))
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["explore", "--program", "laplace2d", "--shape",
+                     "12,12", "--widths", "1", "--output",
+                     str(tmp_path / "r.json")]) == 128 + signal.SIGTERM
+        assert "interrupted by signal 15" in capsys.readouterr().err
+        assert saves
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert not (tmp_path / "r.json").exists()
+
+    def test_explore_refuses_nan_rate(self, tmp_path, capsys):
+        assert main(["explore", "--program", "laplace2d", "--shape",
+                     "12,12", "--rates", "1.0,nan", "--output",
+                     str(tmp_path / "r.json")]) == 2
+        assert "finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_explore_accepts_resilience_flags(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -148,8 +148,7 @@ def test_integer_program_auto_batches_beyond_2_53():
     # engine for integer-typed programs, bit-exact far beyond float64's
     # 2**53 integer range.
     program = _int_program(dtype="int64")
-    assert resolve_engine_mode(SimulatorConfig(),
-                               program=program) == "batched"
+    assert resolve_engine_mode(SimulatorConfig()) == "batched"
     inputs = {"a": np.full(32, (1 << 60) + 1, dtype=np.int64)}
     scalar, batched = assert_equivalent(program, inputs)
     # Sanity: the values really exceed float64's exact-integer range.
@@ -809,19 +808,15 @@ class TestEngineSelection:
 
     def test_auto_batches_fractional_links(self):
         # Fractional-rate links no longer defeat batching: "auto"
-        # selects the batched engine regardless of rate or placement.
+        # selects the batched engine whatever the rate.
         config = SimulatorConfig(network_words_per_cycle=0.5)
-        assert resolve_engine_mode(config, {"s1": 1}) == "batched"
         assert resolve_engine_mode(config) == "batched"
-        program = chain_program(2)
-        assert resolve_engine_mode(config, {"s0": 0, "s1": 1},
-                                   program) == "batched"
 
     def test_explicit_modes(self):
         assert resolve_engine_mode(
             SimulatorConfig(engine_mode="scalar")) == "scalar"
         assert resolve_engine_mode(
-            SimulatorConfig(engine_mode="batched"), {"s1": 1}) == "batched"
+            SimulatorConfig(engine_mode="batched")) == "batched"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError, match="engine_mode"):
@@ -852,7 +847,7 @@ class TestEngineSelection:
             network_words_per_cycle=float(rng.choice([0.5, 1.0])),
             network_link_rates=rates,
             network_latency=int(rng.choice([1, 8, 32])))
-        assert resolve_engine_mode(config, device_of, program) == "batched"
+        assert resolve_engine_mode(config) == "batched"
         simulator = build_simulator(program, config, device_of)
         assert isinstance(simulator, BatchedSimulator)
         simulator.run(random_inputs(program))
@@ -1528,33 +1523,3 @@ class TestOnePlanner:
         with pytest.raises(SimulationError, match="exceeded 5000000"):
             far.run(random_inputs(program))
         assert (far.plan_count, far.virtual_cycles) == counts
-
-    def test_rate_limited_source_runs_on_scalar_steps(self):
-        # (f) The counter machine does not model a source's memory
-        # bandwidth limiter: such a machine never plans a window.
-        from repro.simulator import Simulator
-        from repro.simulator.batched import BatchedSourceUnit
-        from repro.simulator.units import SourceUnit
-
-        class HalfRateScalar(Simulator):
-            def _make_source(self, name, data, outs):
-                return SourceUnit(name, data, self.program.vectorization,
-                                  outs, words_per_cycle=0.5)
-
-        class HalfRateBatched(BatchedSimulator):
-            def _make_source(self, name, data, outs):
-                return BatchedSourceUnit(name, data,
-                                         self.program.vectorization, outs,
-                                         words_per_cycle=0.5)
-
-        program = lst1_program()
-        device_of = {"b0": 0, "b1": 0, "b2": 0, "b3": 1, "b4": 1}
-        scalar = HalfRateScalar(program, device_of=device_of) \
-            .run(lst1_inputs())
-        simulator = HalfRateBatched(program, device_of=device_of)
-        batched = simulator.run(lst1_inputs())
-        assert_same_results(scalar, batched)
-        words = program.num_cells // program.vectorization
-        assert scalar.cycles >= 2 * words
-        assert simulator.scalar_cycles == batched.cycles
-        assert simulator.plan_count == 0

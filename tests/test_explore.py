@@ -55,6 +55,9 @@ class TestConfigSpace:
             ConfigPoint(partition="scatter")
         with pytest.raises(DefinitionError, match="vectorization"):
             ConfigPoint(vectorization=0)
+        for rate in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(DefinitionError, match="finite and > 0"):
+                ConfigPoint(network_words_per_cycle=rate)
 
     def test_point_json_round_trip(self):
         point = ConfigPoint(vectorization=4, devices=2,

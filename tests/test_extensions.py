@@ -1,7 +1,5 @@
-"""Tests for the extension features: spatial tiling, CSE analysis,
-simulation tracing."""
+"""Tests for the extension features: spatial tiling and CSE analysis."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -10,7 +8,7 @@ from repro.analysis import (
     choose_tiling,
     plan_tiling,
 )
-from repro.errors import AnalysisError, DeadlockError
+from repro.errors import AnalysisError
 from repro.expr import (
     census,
     census_after_cse,
@@ -19,8 +17,6 @@ from repro.expr import (
     shared_subexpressions,
 )
 from repro.programs import chain, horizontal_diffusion
-from repro.simulator import SimulatorConfig, simulate_traced
-from util import chain_program, diamond_program, edge_keys, random_inputs
 
 
 class TestTiling:
@@ -126,54 +122,3 @@ class TestCSE:
         counts = census_after_cse(node)
         assert counts.branches == 1
         assert counts.data_dependent_branches == 1
-
-
-# Tracing forces the scalar engine; the default engine_mode "auto"
-# warns about the downgrade (tests/test_obs.py covers the warning).
-@pytest.mark.filterwarnings("ignore:tracing forces the scalar engine")
-class TestTracing:
-    def test_trace_records_occupancy(self):
-        # The diamond's fast edge holds words while the slow branch
-        # fills, so its occupancy trace is non-trivial (a pure chain
-        # drains every push in the same cycle).
-        program = diamond_program(long_branch=2)
-        result, trace = simulate_traced(program, random_inputs(program),
-                                        sample_every=8)
-        assert result.cycles > 0
-        assert trace.cycles
-        assert trace.occupancy
-        peaks = [trace.peak_occupancy(c) for c in trace.occupancy]
-        assert any(p > 0 for p in peaks)
-
-    def test_trace_matches_untraced_functionally(self):
-        from repro.simulator import simulate
-        program = chain_program(2)
-        inputs = random_inputs(program)
-        plain = simulate(program, inputs)
-        traced, _trace = simulate_traced(program, inputs)
-        out = program.outputs[0]
-        np.testing.assert_allclose(plain.outputs[out],
-                                   traced.outputs[out], rtol=1e-6)
-        assert traced.cycles == plain.cycles
-
-    def test_stalled_fraction(self):
-        program = diamond_program()
-        _result, trace = simulate_traced(program, random_inputs(program),
-                                         sample_every=4)
-        for unit in trace.progress:
-            fraction = trace.stalled_fraction(unit)
-            assert 0.0 <= fraction <= 1.0
-
-    def test_traced_deadlock(self):
-        program = diamond_program(long_branch=2)
-        config = SimulatorConfig(
-            channel_capacities={k: 2 for k in edge_keys(program)},
-            deadlock_window=64)
-        with pytest.raises(DeadlockError, match="traced"):
-            simulate_traced(program, random_inputs(program), config)
-
-    def test_summary_text(self):
-        program = chain_program(2)
-        _result, trace = simulate_traced(program, random_inputs(program))
-        text = trace.summary()
-        assert "peak" in text and "stalled" in text

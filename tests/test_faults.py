@@ -152,12 +152,12 @@ class TestFaultResolution:
 
 
 class TestDeadlockForensics:
-    def _wedge(self):
+    def _wedge(self, fault_plan=None):
         program = diamond_program(long_branch=2)
         config = SimulatorConfig(
             engine_mode="scalar",
             channel_capacities={k: 2 for k in edge_keys(program)},
-            deadlock_window=64)
+            deadlock_window=64, fault_plan=fault_plan)
         with pytest.raises(DeadlockError) as info:
             simulate(program, random_inputs(program), config)
         return info.value
@@ -171,6 +171,15 @@ class TestDeadlockForensics:
         assert report.wait_cycle is not None
         assert report.wait_cycle[0] == min(report.wait_cycle)
         assert report.fault_window is None
+
+    def test_report_names_the_latest_fault_window_begun(self):
+        # Under a fault plan, forensics names the latest-starting
+        # window begun by the wedge as the candidate cause.
+        plan = FaultPlan(unit_stalls=(UnitStall("join", 2, 4),
+                                      UnitStall("join", 6, 9)))
+        report = self._wedge(plan).report
+        assert report.cycle > 9
+        assert report.fault_window == "unit join stall [6, 9)"
 
     def test_explain_is_one_paragraph(self):
         report = self._wedge().report

@@ -1,15 +1,12 @@
 """Tests for the telemetry subsystem (``repro.obs``): metrics
 registry semantics, span capture and Chrome-trace export, journal
-span reconstruction, engine profiles, the per-cycle trace engine's
-sampling, the no-op-when-disabled overhead contract, and thread-vs-
-process sweep metric equivalence."""
+span reconstruction, engine profiles, the no-op-when-disabled
+overhead contract, and thread-vs-process sweep metric equivalence."""
 
 import json
-import warnings
 
 import pytest
 
-from repro.errors import ValidationError
 from repro.explore import ConfigSpace, explore
 from repro.obs import (
     EngineProfile,
@@ -24,7 +21,7 @@ from repro.obs import (
 from repro.obs.export import SUPERVISOR_LANE
 from repro.programs import laplace2d
 from repro.service import ServiceConfig
-from repro.simulator import SimulatorConfig, simulate, simulate_traced
+from repro.simulator import SimulatorConfig, simulate
 from util import lst1_inputs, lst1_program
 
 
@@ -395,55 +392,6 @@ class TestEngineProfile:
         assert enabled.cycles == result.cycles
         for name in ("stall_cycles", "channel_occupancy"):
             assert getattr(enabled, name) == getattr(result, name)
-
-
-class TestTracedSimulation:
-    def test_sampling_cadence_and_series(self, disabled_telemetry):
-        program, inputs = lst1_program((6, 6, 6)), lst1_inputs((6, 6, 6))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result, trace = simulate_traced(program, inputs,
-                                            sample_every=4)
-        assert trace.sample_every == 4
-        assert trace.cycles[0] == 0
-        assert all(b - a == 4 for a, b in zip(trace.cycles,
-                                              trace.cycles[1:]))
-        assert trace.cycles[-1] < result.cycles
-        for series in trace.occupancy.values():
-            assert len(series) == len(trace.cycles)
-        # Peaks can undershoot the true high-water mark (sampling)
-        # but never overshoot it.
-        for channel, peak in result.channel_occupancy.items():
-            assert trace.peak_occupancy(channel) <= peak
-        for unit, series in trace.progress.items():
-            fraction = trace.stalled_fraction(unit)
-            assert 0.0 <= fraction <= 1.0
-            # Progress counters are cumulative, so monotone.
-            assert all(b >= a for a, b in zip(series, series[1:]))
-        assert "stalled" in trace.summary()
-
-    def test_auto_mode_warns_and_forces_scalar(self, disabled_telemetry):
-        program, inputs = lst1_program((6, 6, 6)), lst1_inputs((6, 6, 6))
-        with pytest.warns(UserWarning, match="forces the scalar "
-                                             "engine"):
-            result, _ = simulate_traced(program, inputs)
-        assert result.profile.engine == "scalar"
-
-    def test_explicit_batched_mode_is_rejected(self, disabled_telemetry):
-        program, inputs = lst1_program((6, 6, 6)), lst1_inputs((6, 6, 6))
-        with pytest.raises(ValidationError, match="cannot be traced"):
-            simulate_traced(program, inputs,
-                            SimulatorConfig(engine_mode="batched"))
-
-    def test_scalar_mode_is_accepted_silently(self, disabled_telemetry):
-        program, inputs = lst1_program((6, 6, 6)), lst1_inputs((6, 6, 6))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result, _ = simulate_traced(
-                program, inputs, SimulatorConfig(engine_mode="scalar"))
-        untraced = simulate(program, inputs,
-                            SimulatorConfig(engine_mode="scalar"))
-        assert result.cycles == untraced.cycles
 
 
 def _sweep(tmp_path, backend):

@@ -266,6 +266,20 @@ class TestQueryFacade:
         assert response["kind"] == "pareto"
         assert len(response["pareto"]) >= 1
 
+    def test_default_index_is_warm_loaded_once_until_reset(self):
+        # In-process callers may omit ``index``: the facade warm-loads
+        # one process-wide index and keeps it until reset_query_index
+        # (a new cache directory, a test).
+        api.reset_query_index()
+        try:
+            assert api.query("hdiff", shape=SHAPE) is None
+            seed_report()
+            assert api.query("hdiff", shape=SHAPE) is None  # still held
+            api.reset_query_index()
+            assert api.query("hdiff", shape=SHAPE)["kind"] == "best"
+        finally:
+            api.reset_query_index()
+
 
 class TestLiveServer:
     def test_warm_hit_miss_job_roundtrip(self):
@@ -774,6 +788,16 @@ class TestApiFacade:
             "Arria 10 GX 1150"
         with pytest.raises(Exception):
             api.resolve_platform("tpu")
+
+    def test_lower_facade_resolves_name_and_shape(self):
+        # The facade's lowering verb: a catalog name, a shape and a
+        # platform alias in; the shared, cached artifact out.
+        lowered = api.lower("hdiff", shape=SHAPE, platform="stratix10")
+        assert lowered.program.shape == SHAPE
+        assert lowered.program.name == "horizontal_diffusion"
+        again = api.lower("hdiff", shape=SHAPE)
+        assert again.program_hash == lowered.program_hash
+        assert again.analysis is lowered.analysis
 
     def test_run_facade_validates(self):
         result = api.run("hdiff", shape=(12, 12, 6))

@@ -93,24 +93,6 @@ class TestScalarInputs:
 
 
 class TestSourceThrottling:
-    def test_rate_limited_source(self):
-        channel = Channel("c", 64)
-        data = np.arange(16, dtype=np.float32)
-        source = SourceUnit("a", data, 1, [channel],
-                            words_per_cycle=0.5)
-        pushed = []
-        for now in range(40):
-            source.step(now)
-            while not channel.empty:
-                pushed.append(channel.pop())
-            if source.done:
-                break
-        # 0.5 words/cycle: 16 words need ~32 cycles.
-        assert source.done
-        assert now >= 30
-        # Words are W-tuples; flatten the single-lane stream.
-        np.testing.assert_allclose([w[0] for w in pushed], data)
-
     def test_indivisible_width_rejected(self):
         from repro.errors import SimulationError
         with pytest.raises(SimulationError, match="not divisible"):
