@@ -4,7 +4,9 @@
 Runs the repo's inventory — the tier-1 suite, the examples, the smoke
 scripts and the quick end-to-end benchmark — with a recorder on
 ``PYTHONPATH``, then prints every function defined under ``src/`` that
-none of them entered.
+none of them entered.  A second, informational list follows: the
+functions tier-1 entered and nothing else in the inventory did (code
+only its tests drive).
 
 The recorder is a generated ``sitecustomize`` module, so every Python
 process started with the hook on its path records, spawned workers
@@ -20,12 +22,16 @@ first line (the first decorator's line when decorated).  Abstract stubs
 are skipped: ``@abstractmethod``, or a body that is only ``...`` or
 ``raise NotImplementedError``.  A function nested in one that was never
 entered is not listed on its own; its lines count in the outer one.
+Tier-1 records into a directory of its own, so the second list is the
+first list's rule applied to the rest of the inventory, kept to what
+tier-1 entered.
 
 Run: ``python scripts/census.py [--out list.txt]`` (tier-1 runs from
 the repo root, everything else from a temporary directory with its own
-``REPRO_CACHE_DIR``).  Exits 1 when the list is non-empty, 2 when an
-inventory command fails.  Edit no ``src/`` file while it runs: a
-record names a function by its first line.
+``REPRO_CACHE_DIR``).  Exits 1 when the first list is non-empty, 2 when
+an inventory command fails; the second list never changes the exit
+code.  Edit no ``src/`` file while it runs: a record names a function
+by its first line.
 """
 
 from __future__ import annotations
@@ -79,19 +85,24 @@ threading.settrace(_tracer)
 '''
 
 
-def inventory(work: Path) -> List[Tuple[Path, List[str]]]:
-    """The ``(cwd, argv)`` runs whose union of entered functions is the
-    census.  Tier-1 runs from the root; the rest from ``work``, where
-    an example may leave its output files."""
+#: The record groups: tier-1, and everything else in the inventory.
+TIER1, REST = "tier1", "rest"
+
+
+def inventory(work: Path) -> List[Tuple[str, Path, List[str]]]:
+    """The ``(group, cwd, argv)`` runs whose union of entered functions
+    is the census.  Tier-1 runs from the root; the rest from ``work``,
+    where an example may leave its output files."""
     py = sys.executable
-    runs = [(ROOT, [py, "-m", "pytest", "-q", "-p", "no:cacheprovider"])]
+    runs = [(TIER1, ROOT,
+             [py, "-m", "pytest", "-q", "-p", "no:cacheprovider"])]
     scripts = sorted((ROOT / "examples").glob("*.py")) + [
         ROOT / "scripts" / name for name in (
             "crash_recovery_check.py", "serve_smoke.py",
             "telemetry_smoke.py")]
-    runs += [(work, [py, str(path)]) for path in scripts]
+    runs += [(REST, work, [py, str(path)]) for path in scripts]
     bench = str(ROOT / "benchmarks" / "e2e" / "bench.py")
-    runs += [(work, [py, bench, mode, "--quick", "--out", os.devnull])
+    runs += [(REST, work, [py, bench, mode, "--quick", "--out", os.devnull])
              for mode in ("run", "trace")]
     return runs
 
@@ -183,36 +194,57 @@ def never_entered(entered: Set[Tuple[str, int]], src: Path = SRC
     return found
 
 
-def report(functions: List[Function], root: Path = ROOT) -> str:
+def only_entered_by(entered: Set[Tuple[str, int]],
+                    others: Set[Tuple[str, int]], src: Path = SRC
+                    ) -> List[Function]:
+    """Functions under ``src`` that ``entered`` names and ``others``
+    never entered, nested ones folded as in :func:`never_entered`."""
+    return [f for f in never_entered(others, src)
+            if (str(f.path), f.line) in entered]
+
+
+def report(functions: List[Function], root: Path = ROOT,
+           what: str = "never entered") -> str:
     """One line per function, then the totals."""
     lines = [f"{f.path.relative_to(root.resolve())}:{f.line} "
              f"{f.qualname} ({f.lines} lines)" for f in functions]
     lines.append(f"{len(functions)} functions, "
-                 f"{sum(f.lines for f in functions)} lines never entered")
+                 f"{sum(f.lines for f in functions)} lines {what}")
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path, default=None,
-                        help="also write the list to this file")
+                        help="also write both lists to this file")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-        hook_dir, out_dir, work = (Path(tmp, name)
-                                   for name in ("hook", "records", "work"))
-        for path in (hook_dir, out_dir, work):
-            path.mkdir()
-        write_hook(hook_dir, out_dir)
-        # A private cache root: the examples persist reports.
-        env = dict(hook_env(hook_dir), REPRO_CACHE_DIR=str(work / "cache"))
-        for cwd, command in inventory(work):
+        work = Path(tmp, "work")
+        work.mkdir()
+        envs, records = {}, {}
+        for group in (TIER1, REST):
+            hook_dir, records[group] = (Path(tmp, group, name)
+                                        for name in ("hook", "records"))
+            hook_dir.mkdir(parents=True)
+            records[group].mkdir()
+            write_hook(hook_dir, records[group])
+            # A private cache root: the examples persist reports.
+            envs[group] = dict(hook_env(hook_dir),
+                               REPRO_CACHE_DIR=str(work / "cache"))
+        for group, cwd, command in inventory(work):
             print("[census] " + " ".join(command[1:]), flush=True)
-            if subprocess.run(command, cwd=cwd, env=env).returncode:
+            if subprocess.run(command, cwd=cwd,
+                              env=envs[group]).returncode:
                 print("[census] FAIL: inventory command failed",
                       flush=True)
                 return 2
-        functions = never_entered(load_records(out_dir))
-    text = report(functions)
+        tier1, rest = (load_records(records[group])
+                       for group in (TIER1, REST))
+    functions = never_entered(tier1 | rest)
+    text = "\n".join((
+        report(functions),
+        "[census] entered only by tier-1 (informational):",
+        report(only_entered_by(tier1, rest), what="entered only by tier-1")))
     print(text)
     if args.out is not None:
         args.out.write_text(text + "\n")

@@ -43,10 +43,12 @@ SWEEP = ["--program", "laplace2d", "--shape", "24,24",
 SWEEP_SPANS = {"explore.load", "explore.prune", "explore.select",
                "explore.simulate", "explore.report", "explore.persist"}
 
-#: Counter totals that must not depend on the backend.
+#: Counter totals that must not depend on the backend (the planner's
+#: counts included: a control run reports them like a batched one).
 EQUIVALENT = ("explore.sweeps", "explore.points_priced",
               "explore.points_measured", "engine.runs",
-              "engine.cycles")
+              "engine.cycles", "engine.plans", "engine.windows",
+              "engine.virtual_cycles")
 
 
 def log(message: str):

@@ -120,23 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="consecutive zero-progress "
                                       "cycles before a deadlock is "
                                       "declared")
-            command.add_argument("--link-fault", action="append",
-                                 default=None, dest="link_faults",
-                                 metavar="SRC:DST[:FIELD]@START:END"
-                                         "[*SCALE]",
-                                 help="inject one link fault window "
-                                      "(repeatable): an outage over "
-                                      "[START, END), or a degradation "
-                                      "to SCALE times the link rate "
-                                      "(e.g. b1:b3@100:200*0.5); only "
-                                      "inter-device links can fault")
-            command.add_argument("--unit-stall", action="append",
-                                 default=None, dest="unit_stalls",
-                                 metavar="UNIT@START:END",
-                                 help="inject one transient unit-"
-                                      "stall window (repeatable): the "
-                                      "named unit skips every cycle "
-                                      "in [START, END)")
             command.add_argument("--trace", type=Path, default=None,
                                  metavar="FILE",
                                  help="enable telemetry and write a "
@@ -473,25 +456,12 @@ def _run(program: StencilProgram, args) -> int:
     if args.network_link_rates:
         link_rates = resolve_link_rates(program,
                                         args.network_link_rates)
-    fault_plan = None
-    if args.link_faults or args.unit_stalls:
-        from .faults import (
-            FaultPlan,
-            parse_link_fault_spec,
-            parse_unit_stall_spec,
-        )
-        fault_plan = FaultPlan(
-            link_faults=tuple(parse_link_fault_spec(spec)
-                              for spec in args.link_faults or ()),
-            unit_stalls=tuple(parse_unit_stall_spec(spec)
-                              for spec in args.unit_stalls or ()))
     config = SimulatorConfig(
         engine_mode=args.engine,
         network_words_per_cycle=args.network_words_per_cycle,
         network_latency=args.network_latency,
         network_link_rates=link_rates,
-        deadlock_window=args.deadlock_window,
-        fault_plan=fault_plan)
+        deadlock_window=args.deadlock_window)
 
     if args.trace is not None:
         from . import obs
@@ -531,10 +501,6 @@ def _run(program: StencilProgram, args) -> int:
     print(f"simulated {sim.cycles} cycles "
           f"(Eq. 1 model: {sim.expected_cycles}, "
           f"ratio {sim.model_accuracy:.3f})")
-    if sim.fault_report is not None and sim.fault_report.any_faults:
-        print("injected faults:")
-        for line in sim.fault_report.summary_lines():
-            print(f"  {line}")
     print(f"continuous output: {all(sim.output_continuous.values())}")
     print(f"validated against reference: {result.validated}")
     if args.trace is not None:

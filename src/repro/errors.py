@@ -45,8 +45,7 @@ class DeadlockError(StencilFlowError):
 
     ``report`` carries the structured forensics
     (:class:`~repro.faults.forensics.DeadlockReport`): blocked-unit
-    frontier, channel occupancies, the wait-for cycle, and the fault
-    window that induced the wedge (if any).
+    frontier, channel occupancies and the wait-for cycle.
     """
 
     def __init__(self, message: str, cycle: int = -1,

@@ -399,8 +399,8 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
                 result = run(prediction, control=True)
                 metrics.counter("explore.control_points").inc()
             except Exception:
-                # Divergent control flow (deadlock, cycle cap, fault
-                # validation) or a crash: peel the member off.
+                # Divergent control flow (deadlock, cycle cap) or a
+                # crash: peel the member off.
                 result = None
         if result is None:
             result = full_run(prediction)

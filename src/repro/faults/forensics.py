@@ -6,9 +6,8 @@ both detect deadlocks through the same scalar stepping — and produces
 a :class:`DeadlockReport`: the blocked-unit frontier with per-unit
 reasons, every channel's occupancy at the wedge, the wait-for cycle
 among blocked units (who is waiting on whose words — the Fig. 4
-signature is a cycle through an under-provisioned delay buffer), and,
-when a fault plan is live, the fault window that most plausibly
-induced the wedge.  The report rides on
+signature is a cycle through an under-provisioned delay buffer).  The
+report rides on
 :attr:`repro.errors.DeadlockError.report` and is surfaced by
 ``repro run`` and the explorer's failed-point records.
 """
@@ -32,8 +31,6 @@ class DeadlockReport:
             chain ending at a unit wedged on something external).
         channel_occupancy: ``(channel, occupancy, capacity)`` for
             every channel at the instant of the wedge.
-        fault_window: description of the fault window that induced
-            the wedge, when a fault plan was active.
     """
 
     cycle: int
@@ -41,7 +38,6 @@ class DeadlockReport:
     waits_on: Tuple[Tuple[str, Tuple[str, ...]], ...]
     wait_cycle: Optional[Tuple[str, ...]]
     channel_occupancy: Tuple[Tuple[str, int, int], ...]
-    fault_window: Optional[str] = None
 
     def explain(self) -> str:
         """One-paragraph human diagnostic (the CLI's exit-2 text)."""
@@ -59,9 +55,6 @@ class DeadlockReport:
                 if cap and occ >= cap]
         if full:
             parts.append(f"Full channels: {', '.join(full)}.")
-        if self.fault_window:
-            parts.append(f"Induced by fault window: "
-                         f"{self.fault_window}.")
         return " ".join(parts)
 
     def to_json(self) -> dict:
@@ -75,7 +68,6 @@ class DeadlockReport:
                            if self.wait_cycle else None),
             "channel_occupancy": [[name, occ, cap] for name, occ, cap
                                   in self.channel_occupancy],
-            "fault_window": self.fault_window,
         }
 
 
@@ -171,14 +163,10 @@ def build_deadlock_report(simulator, now: int) -> DeadlockReport:
         (channel.name, len(channel), channel.capacity)
         for channel in simulator.channels.values()))
 
-    faults = getattr(simulator, "_faults", None)
-    window = faults.inducing_window(now) if faults is not None else None
-
     return DeadlockReport(
         cycle=now,
         blocked=blocked,
         waits_on=tuple(sorted(edges.items())),
         wait_cycle=_find_cycle(edges),
         channel_occupancy=occupancy,
-        fault_window=window,
     )

@@ -47,9 +47,8 @@ Every supported configuration runs on this fast path:
   is stepped virtually over a longer stretch and executed once.
 * **Dead time costs one window**: a stall that lasts while links hold
   words passes the same congruence proof and repeats to the horizon
-  (the cycle cap, or the next fault boundary); idle cycles with empty
-  links are stepped virtually with the detector's streak carried in
-  and out of each window.
+  (the cycle cap); idle cycles with empty links are stepped virtually
+  with the detector's streak carried in and out of each window.
 * **Integer-typed streams** ride int64 slabs: exact to 2**63 where the
   former float64 slabs capped exactness at 2**53 (the scalar engine
   computes arbitrary-precision Python ints).  Stores into integer
@@ -662,9 +661,9 @@ def machine_key_parts(sim) -> list:
     """The machine ``sim`` builds, as content-key parts: the width-
     normalized program hash and the width, the stage delays, every
     edge with its capacity, remoteness and link rate, the wire
-    latency, the placement, the deadlock window and the fault plan.
-    Keys the batched engine's window schedule and the kernel engine's
-    recorded outcome (``kernel.py``)."""
+    latency, the placement and the deadlock window.  Keys the batched
+    engine's window schedule and the kernel engine's recorded outcome
+    (``kernel.py``)."""
     program = sim.program
     config = sim.config
     edges = []
@@ -674,7 +673,6 @@ def machine_key_parts(sim) -> list:
         remote = sim._edge_is_remote(edge.src, edge.dst)
         edges.append([list(key), sim._capacity(key), remote,
                       config.link_rate(key) if remote else None])
-    plan = config.fault_plan
     return [
         program_content_hash(program, normalize_width=True),
         program.vectorization,
@@ -685,7 +683,6 @@ def machine_key_parts(sim) -> list:
         config.network_latency,
         sorted(sim.device_of.items()),
         config.deadlock_window,
-        plan.to_json() if plan is not None and not plan.empty else None,
     ]
 
 
@@ -714,8 +711,8 @@ class BatchedSimulator(Simulator):
     ``window_count`` the windows they led to execute,
     ``window_cycles`` the cycles those covered, ``virtual_cycles`` the
     cycles the planner stepped on counter state to get there and
-    ``scalar_cycles`` the cycles taken as true scalar steps (fault
-    windows and the cycle a deadlock is raised on).
+    ``scalar_cycles`` the cycles taken as true scalar steps (those no
+    window could start on, such as the cycle a deadlock is raised on).
     """
 
     #: Upper bound on the window period (the LCM of the link delivery
@@ -1539,7 +1536,6 @@ class BatchedSimulator(Simulator):
         elif self._PUBLISHES_SCHEDULE:
             # Plans are frozen as recorded: the empty lists go.
             recorded = {}
-        faults = self._faults
         now = 0
         idle_streak = 0
         while not all(u.done for u in self.units):
@@ -1547,29 +1543,15 @@ class BatchedSimulator(Simulator):
                 raise SimulationError(
                     f"simulation exceeded {max_cycles} cycles "
                     f"(expected ~{expected})")
-            # Inside a fault window every cycle runs through the shared
-            # scalar step — fault semantics stay identical to the
-            # reference engine by construction.
-            fault_active = faults is not None and faults.any_active(now)
-            window = None
-            if not fault_active:
-                step = (now, idle_streak)
-                window = plans.get(step, _UNPLANNED)
+            step = (now, idle_streak)
+            window = plans.get(step, _UNPLANNED)
             if window is _UNPLANNED:
-                # Never plan across a fault boundary: when inactive at
-                # ``now``, the next boundary is a window start strictly
-                # ahead, so the horizon keeps at least one cycle.
-                horizon = max_cycles
-                if faults is not None:
-                    boundary = faults.next_boundary(now)
-                    if boundary is not None:
-                        horizon = min(horizon, boundary)
-                window = self._plan_window(now, period, horizon,
+                window = self._plan_window(now, period, max_cycles,
                                            idle_streak)
                 if window is None and period > 1:
                     # No room or ring headroom for the LCM window: one
                     # cycle moves at most one word per channel.
-                    window = self._plan_window(now, 1, horizon,
+                    window = self._plan_window(now, 1, max_cycles,
                                                idle_streak)
                 if recorded is not None:
                     recorded[step] = window and window.freeze()
@@ -1584,11 +1566,10 @@ class BatchedSimulator(Simulator):
                 now += window.cycles
                 idle_streak = window.trailing_idle
                 continue
-            # Exact scalar step, as the scalar engine's loop takes it:
-            # fault windows (whose frozen cycles never count toward the
-            # deadlock detector) and the cycle the detector may fire on.
+            # Exact scalar step, as the scalar engine's loop takes it,
+            # on a cycle no window could start on (the detector's).
             self.scalar_cycles += 1
-            if self._step_cycle(now) or fault_active:
+            if self._step_cycle(now):
                 idle_streak = 0
             else:
                 idle_streak += 1

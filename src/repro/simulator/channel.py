@@ -57,10 +57,10 @@ def is_link_rate(rate: float) -> bool:
 class RateLimiter:
     """Fractional-bandwidth credit accounting.
 
-    Shared by :class:`~repro.simulator.units.SourceUnit` (modeling shared
-    memory bandwidth) and :class:`NetworkLink` (modeling the QSFP wire
-    rate): credit accumulates at ``rate`` words per cycle, capped at
-    ``max(rate, 1.0)``, and each transferred word spends 1.0 credit.  A
+    Used by :class:`NetworkLink` and :class:`ArrayNetworkLink` (modeling
+    the QSFP wire rate): credit accumulates at ``rate`` words per cycle,
+    capped at ``max(rate, 1.0)``, and each transferred word spends 1.0
+    credit.  A
     0.5 words/cycle limiter therefore admits one word every other cycle;
     a rate >= 1 admits one word per cycle with no burst accumulation
     beyond the cap.
@@ -99,14 +99,6 @@ class RateLimiter:
     def spend(self):
         """Account one transferred word."""
         self.credit -= 1.0
-
-    def refill_scaled(self, scale: float):
-        """Accrue one *degraded* cycle's credit: a fault window scales
-        the wire rate by ``scale`` in (0, 1); the cap is unchanged, so
-        the sub-unit-rate invariant (spend from exactly 1.0 to exactly
-        0.0) still holds once the window lifts."""
-        self.credit = min(self.credit + self.rate * scale,
-                          max(self.rate, 1.0))
 
     # -- closed-form schedule -------------------------------------------------
 
@@ -278,24 +270,6 @@ class NetworkLink:
         # Fractional rates accumulate credit: a 0.5 words/cycle link
         # delivers one word every other cycle.
         self._limiter.refill()
-        while (self._in_flight and self._limiter.ready
-               and self._in_flight[0][0] <= now):
-            _, word = self._in_flight.popleft()
-            self._ready.append(word)
-            self._limiter.spend()
-
-    def step_frozen(self, now: int):
-        """Advance time through a link *outage*: the wire is down, no
-        credit accrues and nothing is delivered; in-flight words keep
-        their delivery stamps and drain once the window lifts."""
-        self._now = now
-
-    def step_degraded(self, now: int, scale: float):
-        """Advance time through a *degraded* window: credit accrues at
-        ``scale`` times the configured rate, deliveries otherwise as
-        normal."""
-        self._now = now
-        self._limiter.refill_scaled(scale)
         while (self._in_flight and self._limiter.ready
                and self._in_flight[0][0] <= now):
             _, word = self._in_flight.popleft()
@@ -635,21 +609,6 @@ class ArrayNetworkLink(ArrayChannel):
         """Advance time: deliver in-flight words whose latency elapsed."""
         self._now = now
         self._limiter.refill()
-        while (len(self._in_times) and self._limiter.ready
-               and self._in_times.peek0() <= now):
-            self.deliver_rows(1)
-            self._limiter.spend()
-
-    def step_frozen(self, now: int):
-        """Advance time through a link *outage* (see
-        :meth:`NetworkLink.step_frozen`)."""
-        self._now = now
-
-    def step_degraded(self, now: int, scale: float):
-        """Advance time through a *degraded* window (see
-        :meth:`NetworkLink.step_degraded`)."""
-        self._now = now
-        self._limiter.refill_scaled(scale)
         while (len(self._in_times) and self._limiter.ready
                and self._in_times.peek0() <= now):
             self.deliver_rows(1)

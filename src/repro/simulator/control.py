@@ -1,8 +1,8 @@
 """Control-only simulation: exact timing with width-0 data streams.
 
 Simulated *control flow* — cycle counts, stall counters, occupancy
-high-water marks, continuity flags, deadlock behaviour, fault
-accounting — never depends on the streamed values, only on the word
+high-water marks, continuity flags, deadlock behaviour — never
+depends on the streamed values, only on the word
 structure (how many words move where, when).  The control engine
 exploits this: it is the batched engine with every stream narrowed to
 **zero lanes**.  Word counts, channel capacities, latencies, credit
@@ -16,8 +16,7 @@ This is how every exploration sweep measures
 configuration-independent, so a full run adds only the chance of a
 data-dependent failure, and only a program whose data can fail
 (:func:`data_can_fail`) computes the data, **once**.  A machine whose
-control flow diverges into a failure (deadlock, cycle-cap, fault
-validation) raises exactly the error its full simulation would have
+control flow diverges into a failure (deadlock, cycle-cap) raises exactly the error its full simulation would have
 raised; the explorer re-runs it in full so the report carries the
 full run's failure and forensics.
 """
@@ -88,7 +87,7 @@ class ControlSinkUnit(BatchedSinkUnit):
 
 class ControlSimulator(BatchedSimulator):
     """The batched engine over width-0 streams: exact control flow
-    (cycles, stalls, occupancy, deadlocks, faults) with no data."""
+    (cycles, stalls, occupancy, deadlocks) with no data."""
 
     _COORD_SLABS = _ControlCoords
 
@@ -128,8 +127,8 @@ def simulate_control(program: StencilProgram,
     """Run the control engine to completion.
 
     The result's timing fields (``cycles``, ``stall_cycles``,
-    ``steady_stall_cycles``, ``channel_occupancy``, continuity flags,
-    ``fault_report``) are bitwise identical to a full simulation;
+    ``steady_stall_cycles``, ``channel_occupancy``, continuity flags)
+    are bitwise identical to a full simulation;
     ``outputs`` holds empty placeholders the caller replaces with a
     representative full run's data."""
     cfg = config or SimulatorConfig()

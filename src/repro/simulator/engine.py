@@ -26,8 +26,6 @@ import numpy as np
 from ..analysis.delay_buffers import BufferingAnalysis
 from ..core.program import StencilProgram
 from ..errors import DeadlockError, SimulationError, ValidationError
-from ..faults.plan import FaultPlan
-from ..faults.runtime import FaultReport, FaultRuntime
 from ..graph.dag import StencilGraph, node_device
 from ..lowering import (
     LoweringConfig,
@@ -56,9 +54,6 @@ class SimulationResult:
         steady_stall_cycles: per-stencil stalls after its init phase —
             zero for a correctly buffered, source-fed design.
         channel_occupancy: per-channel high-water mark.
-        fault_report: per-link/per-unit fault accounting when a
-            :class:`~repro.faults.plan.FaultPlan` was configured;
-            ``None`` on fault-free runs.
         profile: always-on plan-level engine statistics
             (:class:`~repro.obs.profile.EngineProfile`): which engine
             ran, wall time, and — for the batched engine — planner
@@ -74,7 +69,6 @@ class SimulationResult:
     channel_occupancy: Dict[str, int]
     output_continuous: Dict[str, bool] = field(default_factory=dict)
     stencil_continuous: Dict[str, bool] = field(default_factory=dict)
-    fault_report: Optional[FaultReport] = None
     profile: Optional[EngineProfile] = None
 
     @property
@@ -118,12 +112,6 @@ class SimulatorConfig:
             ``(src, dst, data)``; wins over ``network_words_per_cycle``
             for that link. Overrides naming edges that are not remote
             under the placement are ignored (only links rate-limit).
-        fault_plan: deterministic fault-injection schedule
-            (:class:`~repro.faults.plan.FaultPlan`): link outage /
-            degradation windows and unit stall windows, honoured
-            identically by both engines.  ``None`` (the default) keeps
-            the machine fault-free and bitwise identical to a build
-            without the fault layer.
     """
 
     min_channel_depth: int = 8
@@ -135,7 +123,6 @@ class SimulatorConfig:
     network_link_rates: Optional[Mapping[ChannelKey, float]] = None
     engine_mode: str = "auto"
     max_batch_words: int = 4096
-    fault_plan: Optional[FaultPlan] = None
 
     def link_rate(self, key: ChannelKey) -> float:
         """The words-per-cycle rate of the link on edge ``key``."""
@@ -170,7 +157,6 @@ class Simulator:
         self.units: List[Unit] = []
         self.sinks: Dict[str, SinkUnit] = {}
         self.sources: Dict[str, SourceUnit] = {}
-        self._faults: Optional[FaultRuntime] = None
         self._run_began: Optional[float] = None
 
     # -- machine construction ------------------------------------------------
@@ -228,7 +214,6 @@ class Simulator:
         self._run_began = clock.now()
         program = self.program
         graph = self.graph
-        config = self.config
         for edge in graph.edges:
             key = (edge.src, edge.dst, edge.data)
             name = f"{edge.src}->{edge.dst}:{edge.data}"
@@ -270,11 +255,6 @@ class Simulator:
             self.sinks[out] = sink
             self.units.append(sink)
 
-        plan = config.fault_plan
-        if plan is not None and not plan.empty:
-            self._faults = FaultRuntime(plan, graph, self.channels,
-                                        self.links, self.units)
-
     # -- main loop -----------------------------------------------------------
 
     def _expected_cycles(self) -> int:
@@ -284,13 +264,7 @@ class Simulator:
     def _max_cycles(self, expected: int) -> int:
         if self.config.max_cycles is not None:
             return self.config.max_cycles
-        cap = 64 * expected + 100_000
-        plan = self.config.fault_plan
-        if plan is not None:
-            # Every fault-window cycle can legitimately make zero
-            # progress; widen the livelock cap accordingly.
-            cap += plan.total_fault_cycles()
-        return cap
+        return 64 * expected + 100_000
 
     def _links_hold_words(self) -> bool:
         """The deadlock detector's link test on a zero-progress scalar
@@ -302,7 +276,7 @@ class Simulator:
 
     def _collect_result(self, cycles: int) -> SimulationResult:
         """Assemble the result record from terminal machine state (shared
-        by the scalar, tracing, and batched engines)."""
+        by every engine)."""
         outputs = {name: sink.data for name, sink in self.sinks.items()}
         stalls = {u.name: getattr(u, "stall_cycles", 0) for u in self.units}
         steady = {u.name: u.stall_after_init for u in self.units
@@ -325,8 +299,6 @@ class Simulator:
             stencil_continuous={u.name: u.streamed_continuously
                                 for u in self.units
                                 if hasattr(u, "stall_after_init")},
-            fault_report=(self._faults.report()
-                          if self._faults is not None else None),
             profile=profile,
         )
 
@@ -351,7 +323,7 @@ class Simulator:
             .inc(profile.cycles)
         metrics.histogram("engine.run_seconds", engine=engine) \
             .observe(profile.wall_seconds)
-        if engine in ("batched", "kernel"):
+        if engine != "scalar":
             metrics.counter("engine.plans").inc(profile.plan_count)
             metrics.counter("engine.scalar_fallback_cycles") \
                 .inc(profile.scalar_cycles)
@@ -367,27 +339,15 @@ class Simulator:
                 sizes.observe(float(size))
 
     def _step_cycle(self, now: int) -> bool:
-        """Step every link and unit through one cycle, applying the
-        fault plan when one is live.  Shared verbatim by the scalar
-        run loop and the batched engine's scalar fallback — the single
-        definition is what makes fault semantics engine-identical by
-        construction."""
-        faults = self._faults
+        """Step every link and unit through one cycle.  Shared verbatim
+        by the scalar run loop and the batched engine's scalar steps, so
+        a scalar step means the same in both engines."""
+        for link in self.links:
+            link.step(now)
         progressed = False
-        if faults is None:
-            for link in self.links:
-                link.step(now)
-            for unit in self.units:
-                if unit.step(now):
-                    progressed = True
-        else:
-            faults.step_links(self.links, now)
-            for unit in self.units:
-                if faults.unit_faulted(unit, now):
-                    faults.stall_unit(unit, now)
-                    continue
-                if unit.step(now):
-                    progressed = True
+        for unit in self.units:
+            if unit.step(now):
+                progressed = True
         return progressed
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
@@ -396,7 +356,6 @@ class Simulator:
         self._build(inputs)
         expected = self._expected_cycles()
         max_cycles = self._max_cycles(expected)
-        faults = self._faults
         now = 0
         idle_streak = 0
         while not all(u.done for u in self.units):
@@ -406,11 +365,6 @@ class Simulator:
                     f"(expected ~{expected})")
             progressed = self._step_cycle(now)
             if progressed:
-                idle_streak = 0
-            elif faults is not None and faults.any_active(now):
-                # A fault window legitimately freezes the machine;
-                # those cycles must not count toward the deadlock
-                # detector (both engines apply this identically).
                 idle_streak = 0
             else:
                 idle_streak += 1

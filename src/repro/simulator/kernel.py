@@ -10,7 +10,7 @@ configuration.  The kernel engine exploits both halves:
 
 * The first run of a machine executes through the batched engine
   unchanged (the *cold* path), then records its control-flow outcome
-  (cycles, stalls, occupancy, fault accounting) — plain JSON data,
+  (cycles, stalls, occupancy) — plain JSON data,
   content-addressed under the lowered-machine hash
   (``_kernel_key_for``), both in the in-process
   :class:`~repro.lowering.cache.ArtifactCache` and on disk under
@@ -61,7 +61,6 @@ from ..expr.ast_nodes import (
     Ternary,
     UnaryOp,
 )
-from ..faults.runtime import FaultReport
 from ..faults.store import KERNELS, read_json_guarded, write_json_atomic
 from ..lowering.cache import content_key, default_cache
 from ..obs import clock, metrics, span
@@ -420,8 +419,7 @@ class KernelSimulator(BatchedSimulator):
     _RECORD_DICTS = ("stall_cycles", "steady_stall_cycles",
                      "channel_occupancy", "output_continuous",
                      "stencil_continuous")
-    _RECORD_FIELDS = _RECORD_DICTS + ("cycles", "expected_cycles",
-                                      "fault_report")
+    _RECORD_FIELDS = _RECORD_DICTS + ("cycles", "expected_cycles")
 
     def _load_record(self, key: str) -> Optional[dict]:
         """The machine's timing record, or None.  An artifact is data:
@@ -451,12 +449,10 @@ class KernelSimulator(BatchedSimulator):
         return cache.get_or_build(key, lambda: record)
 
     def _make_record(self, result: SimulationResult) -> dict:
-        fault = result.fault_report
         record = {name: dict(getattr(result, name))
                   for name in self._RECORD_DICTS}
-        record.update(
-            cycles=result.cycles, expected_cycles=result.expected_cycles,
-            fault_report=fault.to_json() if fault is not None else None)
+        record.update(cycles=result.cycles,
+                      expected_cycles=result.expected_cycles)
         return record
 
     def _store_record(self, key: str, result: SimulationResult):
@@ -557,14 +553,6 @@ class KernelSimulator(BatchedSimulator):
                           for out in program.outputs],
                          order, consumers, pad)
         outputs = {name: sink.data for name, sink in sinks.items()}
-        fault = record["fault_report"]
-        fault_report = None
-        if fault:
-            fault_report = FaultReport(
-                link_outage_cycles=dict(fault["link_outage_cycles"]),
-                link_degraded_cycles=dict(
-                    fault["link_degraded_cycles"]),
-                unit_stall_cycles=dict(fault["unit_stall_cycles"]))
         wall = clock.now() - self._run_began
         profile = dataclasses.replace(
             self._make_profile(record["cycles"], wall),
@@ -574,6 +562,5 @@ class KernelSimulator(BatchedSimulator):
             outputs=outputs,
             cycles=record["cycles"],
             expected_cycles=record["expected_cycles"],
-            fault_report=fault_report,
             profile=profile,
             **{name: dict(record[name]) for name in self._RECORD_DICTS})

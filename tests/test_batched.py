@@ -903,19 +903,16 @@ class TestScheduleReplay:
         return program, contiguous_device_split(program, 2)
 
     @staticmethod
-    def _fault_machine():
-        from repro.faults import FaultPlan, LinkFault
+    def _chain_machine():
+        """A 3-stencil chain split over 2 devices at the default link."""
         from util import chain_program
-        plan = FaultPlan(link_faults=(
-            LinkFault("s1", "s2", 100, 220),
-            LinkFault("s1", "s2", 300, 400, rate_scale=0.5)))
         return (chain_program(3, shape=(8, 8, 8)),
-                {"s0": 0, "s1": 0, "s2": 1}, dict(fault_plan=plan))
+                {"s0": 0, "s1": 0, "s2": 1}, {})
 
     def _machines(self):
         program, placement = self._links_machine()
         yield program, placement, self.NETWORK
-        yield self._fault_machine()
+        yield self._chain_machine()
 
     @staticmethod
     def _run(program, placement, inputs=None, **config):
@@ -961,7 +958,6 @@ class TestScheduleReplay:
             assert "(schedule replayed)" in "\n".join(
                 second.profile.summary_lines())
             self._assert_same(first, second)
-        assert first.fault_report is not None
         # One miss per published schedule, one hit per replayed run.
         assert default_cache().stats("schedule") == (2, 2)
 
@@ -1048,7 +1044,6 @@ class TestScheduleReplay:
         import dataclasses
 
         from repro.distributed import contiguous_device_split
-        from repro.faults import FaultPlan, UnitStall
         from repro.lowering import graph_for, remote_edges
         from repro.programs import horizontal_diffusion
         from repro.simulator import BatchedSimulator, SimulatorConfig
@@ -1063,8 +1058,6 @@ class TestScheduleReplay:
             "network_words_per_cycle": 1 / 4,
             "network_link_rates": {link: 1 / 2},
             "max_batch_words": 1024,
-            "fault_plan": FaultPlan(unit_stalls=(
-                UnitStall(program.stencils[0].name, 10, 20),)),
         }
         assert set(variants) == {
             field.name for field in dataclasses.fields(SimulatorConfig)

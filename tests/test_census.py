@@ -49,21 +49,37 @@ def main():
     child.start()
     child.join()
     assert child.exitcode == 0
+
+
+def test_only():
+    return 6
 '''
 
 
-def test_census_lists_exactly_the_functions_nothing_entered(tmp_path):
+def _toy(tmp_path):
     src = tmp_path / "src"
     (src / "toy").mkdir(parents=True)
     (src / "toy" / "__init__.py").write_text("")
     (src / "toy" / "mod.py").write_text(TOY)
-    hook_dir, out_dir = tmp_path / "hook", tmp_path / "records"
-    hook_dir.mkdir()
+    return src
+
+
+def _record(tmp_path, src, group, code):
+    """Run ``code`` under the recorder into the ``group`` records."""
+    hook_dir, out_dir = tmp_path / group / "hook", tmp_path / group / "records"
+    hook_dir.mkdir(parents=True)
     out_dir.mkdir()
     census.write_hook(hook_dir, out_dir, src)
-    subprocess.run([sys.executable, "-c", "import toy.mod; toy.mod.main()"],
-                   cwd=tmp_path, env=census.hook_env(hook_dir, src),
-                   check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                   env=census.hook_env(hook_dir, src), check=True,
+                   timeout=60)
+    return out_dir
+
+
+def test_census_lists_exactly_the_functions_nothing_entered(tmp_path):
+    src = _toy(tmp_path)
+    out_dir = _record(tmp_path, src, "rest",
+                      "import toy.mod; toy.mod.main()")
     # The spawn child records into its own file.
     assert len(list(out_dir.glob("*.rec"))) == 2
 
@@ -71,7 +87,27 @@ def test_census_lists_exactly_the_functions_nothing_entered(tmp_path):
     assert census.report(found, tmp_path) == textwrap.dedent("""\
         src/toy/mod.py:10 uncalled (2 lines)
         src/toy/mod.py:16 decorated.<locals>.nested (2 lines)
-        2 functions, 4 lines never entered""")
+        src/toy/mod.py:43 test_only (2 lines)
+        3 functions, 6 lines never entered""")
+
+
+def test_second_list_is_what_only_tier1_entered(tmp_path):
+    src = _toy(tmp_path)
+    rest = census.load_records(_record(
+        tmp_path, src, "rest", "import toy.mod; toy.mod.main()"))
+    tier1 = census.load_records(_record(
+        tmp_path, src, "tier1",
+        "import toy.mod; toy.mod.called(); toy.mod.test_only()"))
+    only = census.only_entered_by(tier1, rest, src)
+    assert census.report(only, tmp_path, what="entered only by tier-1") \
+        == textwrap.dedent("""\
+        src/toy/mod.py:43 test_only (2 lines)
+        1 functions, 2 lines entered only by tier-1""")
+    # Nothing tier-1 and the rest both entered is on it, nor what
+    # neither entered.
+    assert census.never_entered(tier1 | rest, src) == [
+        f for f in census.never_entered(rest, src)
+        if f.qualname != "test_only"]
 
 
 def test_an_unentered_function_hides_what_it_nests(tmp_path):

@@ -563,53 +563,10 @@ class TestExploreAxes:
         assert report["cache_hits"] > 0
 
 
-class TestFaultFlags:
-    def test_run_with_unit_stall_reports_faults(self, program_file,
-                                                capsys):
-        argv = ["run", str(program_file)]
-        assert main(argv) == 0
-        plain = capsys.readouterr().out
-        assert main(argv + ["--unit-stall", "b2@100:164"]) == 0
-        faulted = capsys.readouterr().out
-        assert "injected faults:" in faulted
-        assert "unit b2: 64 injected stall cycles" in faulted
-        assert "validated against reference: True" in faulted
-
-        def cycles(text):
-            for line in text.splitlines():
-                if line.startswith("simulated "):
-                    return int(line.split()[1])
-            raise AssertionError(text)
-
-        assert cycles(faulted) > cycles(plain)
-
-    def test_run_with_link_fault(self, program_file, capsys):
-        assert main(["run", str(program_file), "--devices", "2",
-                     "--network-latency", "16",
-                     "--link-fault", "b2:b4@50:150"]) == 0
-        out = capsys.readouterr().out
-        assert "injected faults:" in out
-        assert "100 outage cycles" in out
-        assert "validated against reference: True" in out
-
-    def test_run_rejects_bad_fault_specs(self, program_file, capsys):
-        assert main(["run", str(program_file),
-                     "--unit-stall", "b2"]) == 2
-        assert "invalid unit-stall spec" in capsys.readouterr().err
-        assert main(["run", str(program_file),
-                     "--link-fault", "b2:b4@9:3"]) == 2
-        assert "window end must be > start" in capsys.readouterr().err
-        assert main(["run", str(program_file),
-                     "--unit-stall", "nope@10:20"]) == 2
-        assert "names no unit" in capsys.readouterr().err
-
-    def test_run_deadlock_exits_2_with_forensics(self, tmp_path,
-                                                 capsys):
-        # A fault window longer than the deadlock window wedges the
-        # machine unless the detector is fault-aware; shrinking the
-        # window while stalling the only stencil forces a true wedge
-        # never -- so instead check the flag is accepted and a healthy
-        # run still validates under a tight window.
+class TestDeadlockWindowFlag:
+    def test_run_accepts_a_tight_deadlock_window(self, capsys):
+        # A healthy machine never idles for 64 cycles, so a tight
+        # window raises no false deadlock.
         assert main(["run", "laplace2d", "--shape", "12,12",
                      "--deadlock-window", "64"]) == 0
         assert "validated against reference: True" in \

@@ -48,7 +48,6 @@ _EXACT_FIELDS = (
     "channel_occupancy",
     "output_continuous",
     "stencil_continuous",
-    "fault_report",
 )
 
 
@@ -563,7 +562,7 @@ def test_randomized_programs(seed):
 @given(random_machines())
 def test_differential_machine_fuzz(machine):
     """Differential fuzz as a strategy: any drawn machine — placement,
-    link rate, wire latency, starved capacities, fault plan — ends the
+    link rate, wire latency, starved capacities — ends the
     same way on both engines (same deadlock cycle, blocked units and
     diagnostic, same cycle-cap overrun, or exactly equal results).  The
     example budget is the loaded hypothesis profile's
@@ -609,100 +608,6 @@ def test_differential_machine_fuzz(machine):
             assert str(expected) == str(got)
         else:
             assert_same_results(expected, got)
-
-
-class TestFaultInjection:
-    """Seeded fault plans must be engine-equivalent: identical cycles,
-    stalls, outputs, and fault reports (``_EXACT_FIELDS`` includes
-    ``fault_report``, so ``assert_equivalent`` pins all of it)."""
-
-    def test_unit_stall_equivalent(self):
-        from repro.faults import FaultPlan, UnitStall
-        program = chain_program(3)
-        plan = FaultPlan(unit_stalls=(UnitStall("s1", 50, 120),))
-        scalar, _ = assert_equivalent(program, random_inputs(program),
-                                      fault_plan=plan)
-        assert scalar.fault_report is not None
-        assert scalar.fault_report.unit_stall_cycles["s1"] == 70
-
-    def test_link_outage_and_degradation_equivalent(self):
-        from repro.faults import FaultPlan, LinkFault
-        program = chain_program(3, shape=(8, 8, 8))
-        device_of = {"s0": 0, "s1": 0, "s2": 1}
-        plan = FaultPlan(link_faults=(
-            LinkFault("s1", "s2", 100, 220),
-            LinkFault("s1", "s2", 300, 400, rate_scale=0.5),
-        ))
-        scalar, _ = assert_equivalent(program, random_inputs(program),
-                                      device_of=device_of,
-                                      fault_plan=plan)
-        report = scalar.fault_report
-        (outage,) = report.link_outage_cycles.values()
-        (degraded,) = report.link_degraded_cycles.values()
-        assert outage == 120
-        assert degraded == 100
-
-    def test_fault_windows_do_not_trip_deadlock_detector(self):
-        # An outage longer than the deadlock window freezes the
-        # machine without progress; both engines must ride it out.
-        from repro.faults import FaultPlan, LinkFault
-        program = chain_program(2, shape=(4, 4, 8))
-        device_of = {"s0": 0, "s1": 1}
-        plan = FaultPlan(link_faults=(
-            LinkFault("s0", "s1", 40, 400),))
-        assert_equivalent(program, random_inputs(program),
-                          device_of=device_of, fault_plan=plan,
-                          deadlock_window=64)
-
-    def test_faulted_outputs_match_healthy_outputs(self):
-        # Faults delay the machine but never corrupt data: the same
-        # words come out, later.
-        from repro.faults import FaultPlan, UnitStall
-        program = chain_program(3)
-        inputs = random_inputs(program)
-        healthy = simulate(program, inputs, SimulatorConfig())
-        plan = FaultPlan(unit_stalls=(UnitStall("s0", 10, 90),))
-        faulted = simulate(program, inputs,
-                           SimulatorConfig(fault_plan=plan))
-        assert faulted.cycles > healthy.cycles
-        for name in healthy.outputs:
-            assert np.array_equal(healthy.outputs[name],
-                                  faulted.outputs[name], equal_nan=True)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
-    def test_randomized_fault_plans(self, seed):
-        """Seeded fuzz over random programs *and* random fault plans:
-        both engines must agree on every exact field, including the
-        fault report — or fail identically."""
-        from repro.faults import random_fault_plan
-        rng = np.random.default_rng(9000 + seed)
-        program = _random_program(rng)
-        inputs = random_inputs(program)
-        names = program.stencil_names
-        device_of = {name: min(idx, 1)
-                     for idx, name in enumerate(names)}
-        plan = random_fault_plan(program, seed=seed, horizon=600,
-                                 device_of=device_of)
-        if plan.empty:
-            plan = random_fault_plan(program, seed=seed + 100,
-                                     horizon=600, device_of=device_of)
-        outcomes = {}
-        for mode in ("scalar", "batched"):
-            config = SimulatorConfig(engine_mode=mode, fault_plan=plan,
-                                     deadlock_window=128)
-            try:
-                result = simulate(program, inputs, config,
-                                  device_of=device_of)
-                outcomes[mode] = ("done", result.cycles,
-                                  result.fault_report)
-            except DeadlockError as exc:
-                report = exc.report.to_json() if exc.report else None
-                outcomes[mode] = ("deadlock", exc.cycle,
-                                  exc.blocked_units, report)
-        assert outcomes["scalar"] == outcomes["batched"]
-        if outcomes["scalar"][0] == "done":
-            assert_equivalent(program, inputs, device_of=device_of,
-                              fault_plan=plan, deadlock_window=128)
 
 
 def _copy_boundary_program():
@@ -757,16 +662,12 @@ def _identity_program():
     })
 
 
-def _links_with_fault():
-    # 2-device split behind a half-rate link with an outage and a
-    # degraded window: (program, simulate kwargs).
-    from repro.faults import FaultPlan, LinkFault
+def _half_rate_links():
+    # 2-device split behind a half-rate link: (program, simulate
+    # kwargs).
     program = chain_program(3, shape=(4, 8, 8), vectorization=2)
-    plan = FaultPlan(link_faults=(
-        LinkFault("s1", "s2", 40, 90),
-        LinkFault("s1", "s2", 120, 160, rate_scale=0.5)))
     return program, dict(device_of={"s0": 0, "s1": 0, "s2": 1},
-                         fault_plan=plan, network_latency=4,
+                         network_latency=4,
                          network_words_per_cycle=0.5)
 
 
@@ -781,7 +682,7 @@ class TestEdgeBufferWraparound:
         "int64_float_leak": lambda: (_int_leak_program(), {}),
         "fan_out": lambda: (diamond_program(), {}),
         "identity_view": lambda: (_identity_program(), {}),
-        "links_with_fault": _links_with_fault,
+        "half_rate_links": _half_rate_links,
     }
 
     @pytest.mark.parametrize("max_batch_words", [1, 2, 3, 7])
@@ -911,14 +812,6 @@ class TestKernelEngine:
         batched, _kernel = self._assert_kernel_matches(program, inputs)
         assert any(np.abs(arr.astype(np.float64)).max() > 2 ** 53
                    for arr in batched.outputs.values())
-
-    def test_fault_plan_replayed(self):
-        from repro.faults import FaultPlan, UnitStall
-        program = chain_program(3)
-        plan = FaultPlan(unit_stalls=(UnitStall("s1", 50, 120),))
-        batched, _kernel = self._assert_kernel_matches(
-            program, random_inputs(program), fault_plan=plan)
-        assert batched.fault_report is not None
 
 
 class TestStackedSimulation:

@@ -1,7 +1,6 @@
-"""Tests for the fault-injection and resilience subsystem
-(``repro.faults``): plan parsing and validation, seeded plan
-generation, deadlock forensics, crash-safe storage primitives, cache
-quarantine hardening, and the explorer's failure handling."""
+"""Tests for the resilience subsystem (``repro.faults``): deadlock
+forensics, crash-safe storage primitives, cache quarantine hardening,
+and the explorer's failure handling."""
 
 import json
 import multiprocessing
@@ -9,7 +8,7 @@ import time
 
 import pytest
 
-from repro.errors import DeadlockError, ValidationError
+from repro.errors import DeadlockError
 from repro.explore import (
     ConfigSpace,
     ExplorationReport,
@@ -18,146 +17,20 @@ from repro.explore import (
     explore,
 )
 from repro.explore.report import ExplorationEntry
-from repro.faults import (
-    FaultPlan,
-    FileLock,
-    LinkFault,
-    UnitStall,
-    parse_link_fault_spec,
-    parse_unit_stall_spec,
-    quarantine_file,
-    random_fault_plan,
-    read_json_guarded,
-)
+from repro.faults import FileLock, quarantine_file, read_json_guarded
 from repro.lowering.cache import ArtifactCache, content_key
 from repro.programs import laplace2d
 from repro.simulator.engine import SimulatorConfig, simulate
-from util import chain_program, diamond_program, edge_keys, random_inputs
-
-
-class TestFaultPlan:
-    def test_link_fault_spec_round_trip(self):
-        fault = parse_link_fault_spec("s0:s1@100:200")
-        assert fault == LinkFault("s0", "s1", 100, 200)
-        assert fault.is_outage
-        assert "outage" in fault.describe()
-
-        degraded = parse_link_fault_spec("s0:s1:a@64:96*0.5")
-        assert degraded.data == "a"
-        assert degraded.rate_scale == 0.5
-        assert not degraded.is_outage
-        assert "degraded" in degraded.describe()
-
-    def test_unit_stall_spec(self):
-        stall = parse_unit_stall_spec("s1@100:150")
-        assert stall == UnitStall("s1", 100, 150)
-        assert stall.covers(100) and stall.covers(149)
-        assert not stall.covers(150)
-
-    def test_bad_specs_are_rejected(self):
-        with pytest.raises(ValidationError, match="link-fault spec"):
-            parse_link_fault_spec("s0:s1")
-        with pytest.raises(ValidationError, match="link-fault spec"):
-            parse_link_fault_spec("s0@1:2")
-        with pytest.raises(ValidationError, match="fault window"):
-            parse_link_fault_spec("s0:s1@nope")
-        with pytest.raises(ValidationError, match="rate scale"):
-            parse_link_fault_spec("s0:s1@1:2*fast")
-        with pytest.raises(ValidationError, match="unit-stall spec"):
-            parse_unit_stall_spec("s0")
-        with pytest.raises(ValidationError, match="empty unit"):
-            parse_unit_stall_spec("@1:2")
-
-    def test_window_validation(self):
-        with pytest.raises(ValidationError, match="end must be > start"):
-            UnitStall("s0", 9, 3)
-        with pytest.raises(ValidationError, match="start must be >= 0"):
-            UnitStall("s0", -1, 3)
-        with pytest.raises(ValidationError, match="rate_scale"):
-            LinkFault("a", "b", 0, 8, rate_scale=1.0)
-
-    def test_plan_json_round_trip(self):
-        plan = FaultPlan(
-            link_faults=(LinkFault("s0", "s1", 10, 20, rate_scale=0.25,
-                                   data="a"),),
-            unit_stalls=(UnitStall("s1", 5, 9),))
-        assert FaultPlan.from_json(plan.to_json()) == plan
-        assert FaultPlan.from_json(
-            json.loads(json.dumps(plan.to_json()))) == plan
-
-    def test_empty_and_totals(self):
-        assert FaultPlan().empty
-        plan = FaultPlan(unit_stalls=(UnitStall("s0", 0, 10),
-                                      UnitStall("s1", 5, 20)))
-        assert not plan.empty
-        assert plan.total_fault_cycles() == 25
-        assert len(plan.describe_lines()) == 2
-
-    def test_random_plan_is_seed_deterministic(self):
-        program = chain_program(3)
-        device_of = {"s0": 0, "s1": 0, "s2": 1}
-        plans = [random_fault_plan(program, seed=7, horizon=500,
-                                   device_of=device_of)
-                 for _ in range(2)]
-        assert plans[0] == plans[1]
-        distinct = {random_fault_plan(program, seed=s, horizon=500,
-                                      device_of=device_of)
-                    for s in range(8)}
-        assert len(distinct) > 1
-
-    def test_random_plan_faults_only_remote_links(self):
-        program = chain_program(3)
-        # No placement: every edge is local, so no link can fail.
-        for seed in range(6):
-            plan = random_fault_plan(program, seed=seed, horizon=500)
-            assert plan.link_faults == ()
-
-
-class TestFaultResolution:
-    def test_unknown_edge_is_rejected(self):
-        program = chain_program(2)
-        plan = FaultPlan(link_faults=(LinkFault("nope", "s1", 0, 8),))
-        with pytest.raises(ValidationError, match="matches no edge"):
-            simulate(program, random_inputs(program),
-                     SimulatorConfig(fault_plan=plan))
-
-    def test_unknown_unit_is_rejected(self):
-        program = chain_program(2)
-        plan = FaultPlan(unit_stalls=(UnitStall("nope", 0, 8),))
-        with pytest.raises(ValidationError, match="names no unit"):
-            simulate(program, random_inputs(program),
-                     SimulatorConfig(fault_plan=plan))
-
-    def test_report_counts_only_simulated_fault_cycles(self):
-        program = chain_program(2)
-        inputs = random_inputs(program)
-        plan = FaultPlan(unit_stalls=(UnitStall("s0", 50, 60),))
-        result = simulate(program, inputs,
-                          SimulatorConfig(fault_plan=plan))
-        assert result.fault_report is not None
-        assert result.fault_report.unit_stall_cycles == {"s0": 10}
-        assert result.fault_report.any_faults
-        assert any("injected stall" in line for line in
-                   result.fault_report.summary_lines())
-
-    def test_empty_plan_is_inert(self):
-        program = chain_program(2)
-        inputs = random_inputs(program)
-        plain = simulate(program, inputs, SimulatorConfig())
-        empty = simulate(program, inputs,
-                         SimulatorConfig(fault_plan=FaultPlan()))
-        assert plain.fault_report is None
-        assert empty.fault_report is None
-        assert plain.cycles == empty.cycles
+from util import diamond_program, edge_keys, random_inputs
 
 
 class TestDeadlockForensics:
-    def _wedge(self, fault_plan=None):
+    def _wedge(self):
         program = diamond_program(long_branch=2)
         config = SimulatorConfig(
             engine_mode="scalar",
             channel_capacities={k: 2 for k in edge_keys(program)},
-            deadlock_window=64, fault_plan=fault_plan)
+            deadlock_window=64)
         with pytest.raises(DeadlockError) as info:
             simulate(program, random_inputs(program), config)
         return info.value
@@ -170,16 +43,6 @@ class TestDeadlockForensics:
         assert {name for name, _ in report.blocked} >= {"join"}
         assert report.wait_cycle is not None
         assert report.wait_cycle[0] == min(report.wait_cycle)
-        assert report.fault_window is None
-
-    def test_report_names_the_latest_fault_window_begun(self):
-        # Under a fault plan, forensics names the latest-starting
-        # window begun by the wedge as the candidate cause.
-        plan = FaultPlan(unit_stalls=(UnitStall("join", 2, 4),
-                                      UnitStall("join", 6, 9)))
-        report = self._wedge(plan).report
-        assert report.cycle > 9
-        assert report.fault_window == "unit join stall [6, 9)"
 
     def test_explain_is_one_paragraph(self):
         report = self._wedge().report
@@ -194,7 +57,8 @@ class TestDeadlockForensics:
         spec = json.loads(json.dumps(report.to_json()))
         assert spec["cycle"] == report.cycle
         assert spec["wait_cycle"] == list(report.wait_cycle)
-        assert spec["fault_window"] is None
+        assert set(spec) == {"cycle", "blocked", "waits_on",
+                             "wait_cycle", "channel_occupancy"}
         assert len(spec["channel_occupancy"]) == \
             len(report.channel_occupancy)
 

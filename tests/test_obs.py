@@ -340,6 +340,25 @@ class TestEngineProfile:
         assert registry.counter("engine.plans").value \
             == result.profile.plan_count
 
+    def test_control_run_emits_its_planner_counters(self, telemetry):
+        # A control run plans like a batched one, so its planner work
+        # reaches the same counters.
+        from repro.lowering import reset_default_cache
+        from repro.simulator import simulate_control
+        registry, _ = telemetry
+        reset_default_cache()  # plan here, do not replay
+        program, inputs = lst1_program((6, 6, 6)), lst1_inputs((6, 6, 6))
+        profile = simulate_control(program, inputs,
+                                   SimulatorConfig()).profile
+        assert profile.engine == "control"
+        assert profile.plan_count > 0
+        assert registry.counter(
+            "engine.runs", engine="control").value == 1
+        assert registry.counter("engine.plans").value \
+            == profile.plan_count
+        assert registry.counter("engine.windows").value \
+            == profile.window_count
+
     def test_planner_work_emitted_once_per_run(self, telemetry):
         registry, _ = telemetry
         profile = _fractional_two_device_run().profile

@@ -37,7 +37,6 @@ from repro.expr.ast_nodes import (
     Ternary,
     UnaryOp,
 )
-from repro.faults import random_fault_plan
 from repro.graph import StencilGraph
 from repro.graph.dag import node_device
 from repro.run import run_reference
@@ -181,7 +180,7 @@ def random_machines(draw):
     placement over 2-3 devices, a link rate and wire latency, and
     optionally per-link rates (long and unschedulable periods among
     them), a small batch cap, starved per-edge capacities (deadlocking
-    draws included) and a fault plan.  The cycle cap bounds the draws
+    draws included).  The cycle cap bounds the draws
     that wedge with words still on a link, which no deadlock detector
     may call (the longest healthy run is ~4096 words at 1/5
     word/cycle), and the draws whose links are slower than that."""
@@ -214,10 +213,6 @@ def random_machines(draw):
         config["channel_capacities"] = {
             key: draw(st.integers(1, 39)) for key in edge_keys(program)}
         config["deadlock_window"] = 64
-    if draw(st.booleans()):
-        config["fault_plan"] = random_fault_plan(
-            program, seed=draw(st.integers(0, 2 ** 16)), horizon=600,
-            device_of=device_of)
     return program, device_of, config
 
 

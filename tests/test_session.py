@@ -95,6 +95,21 @@ class TestSession:
             f"output 's' deviates from the reference in 2 of 20 valid "
             f"cells (first at (3, 2): {message}")
 
+    def test_unvalidated_run_skips_the_reference(self, monkeypatch):
+        import repro.run.session as session_mod
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(session_mod, "run_reference", spy)
+        result = Session(lst1_program()).run(lst1_inputs(),
+                                             validate=False)
+        assert calls == []
+        assert not result.validated
+        assert result.simulation.cycles > 0
+
     def test_distributed_run(self):
         session = Session(lst1_program())
         result = session.run(lst1_inputs(), device_of={
