@@ -67,7 +67,7 @@ def main():
     rng = np.random.default_rng(0)
     inputs = {"inp": rng.random((8, 16, 16), dtype=np.float32)}
     result = simulate(program, inputs, config, device_of=placement)
-    reference = run_reference(program, inputs)["s5"]
+    reference = run_reference(program, inputs, keep=("s5",))["s5"]
     ok = np.allclose(result.outputs["s5"], reference.data, rtol=1e-5)
     print(f"  simulated {result.cycles} cycles "
           f"(model: {result.expected_cycles}); outputs match "

@@ -197,7 +197,8 @@ class Session:
         simulation = simulate(self.program, inputs, config, device_of)
         validated = False
         if validate:
-            reference = run_reference(self.program, inputs)
+            reference = run_reference(self.program, inputs,
+                                      keep=self.program.outputs)
             for name in self.program.outputs:
                 check_output(name, simulation.outputs[name],
                              reference[name], rtol, atol)

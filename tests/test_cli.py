@@ -571,3 +571,28 @@ class TestDeadlockWindowFlag:
                      "--deadlock-window", "64"]) == 0
         assert "validated against reference: True" in \
             capsys.readouterr().out
+
+
+class TestDeadlockExit:
+    def test_run_deadlock_exits_2_with_the_forensics(self, program_file,
+                                                     monkeypatch, capsys):
+        # `repro run` cannot under-provision a channel, so the run path's
+        # simulation is swapped for one of the Fig. 4 diamond behind
+        # two-slot channels, which wedges for real.
+        import repro.run.session as session_mod
+        from repro.simulator import SimulatorConfig, simulate
+        from util import diamond_program, edge_keys, random_inputs
+        wedged = diamond_program(long_branch=2)
+        config = SimulatorConfig(
+            engine_mode="scalar",
+            channel_capacities={k: 2 for k in edge_keys(wedged)},
+            deadlock_window=64)
+        monkeypatch.setattr(
+            session_mod, "simulate",
+            lambda *args, **kwargs: simulate(
+                wedged, random_inputs(wedged), config))
+        assert main(["run", str(program_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("deadlock at cycle")
+        assert "Wait-for cycle:" in err
+        assert "Traceback" not in err

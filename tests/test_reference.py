@@ -291,10 +291,10 @@ def _parity_programs():
                    shape=(400, 300))
 
 
-def _digests(program):
+def _digests(program, keep=None):
     import hashlib
     from util import random_inputs
-    results = run_reference(program, random_inputs(program))
+    results = run_reference(program, random_inputs(program), keep=keep)
     return {name: {"sha256": hashlib.sha256(
                        np.ascontiguousarray(result.data).tobytes()
                    ).hexdigest(),
@@ -342,6 +342,125 @@ def test_reference_matches_pinned_digests_in_small_blocks(case, planes,
     if planes > 1:
         assert any(planes_of(span[-1]) < planes_of(span[0]) >= planes
                    for span in spans if span)
+
+
+# -- keep: evaluate what is checked, free what is read for the last time ----
+
+@pytest.mark.parametrize("case", _PARITY_CASES)
+def test_keeping_the_outputs_changes_no_result(case):
+    """Only the outputs come back, each bitwise the keep-everything
+    result and its pinned digest, though the fields between them were
+    freed on the way."""
+    from util import random_inputs
+    program = _PARITY_CASES[case]
+    inputs = random_inputs(program)
+    everything = run_reference(program, inputs)
+    kept = run_reference(program, inputs, keep=program.outputs)
+    assert list(kept) == list(program.outputs)
+    for name, result in kept.items():
+        assert result.data.tobytes() == everything[name].data.tobytes()
+        assert result.data.dtype == everything[name].data.dtype
+        assert result.valid == everything[name].valid
+    with open(_DIGEST_FILE) as handle:
+        pinned = json.load(handle)[case]
+    assert _digests(program, keep=program.outputs) == \
+        {name: pinned[name] for name in program.outputs}
+
+
+class TestKeep:
+    @staticmethod
+    def _read_output():
+        """``s`` is an output that ``t``, the other output, also reads."""
+        return StencilProgram.from_json({
+            "inputs": {"a": {"dtype": "float32", "dims": ["i", "j"]}},
+            "outputs": ["s", "t"],
+            "shape": [7, 6],
+            "program": {
+                "r": {"code": "a[i,j+1] * 2.0", "boundary_condition":
+                      "shrink"},
+                "s": {"code": "r[i,j] + a[i-1,j]", "boundary_condition":
+                      "shrink"},
+                "t": {"code": "s[i+1,j] - r[i,j-1]", "boundary_condition":
+                      "shrink"},
+            },
+        })
+
+    @pytest.mark.parametrize("keep", [("s", "t"), ("t", "s"), ("s",)])
+    def test_an_output_another_stencil_reads_is_kept(self, keep):
+        from util import random_inputs
+        program = self._read_output()
+        inputs = random_inputs(program)
+        everything = run_reference(program, inputs)
+        kept = run_reference(program, inputs, keep=keep)
+        assert list(kept) == list(keep)
+        for name, result in kept.items():
+            np.testing.assert_array_equal(result.data,
+                                          everything[name].data)
+            assert result.valid == everything[name].valid
+
+    def test_only_what_the_kept_fields_read_is_evaluated(self, monkeypatch):
+        from repro.run import reference
+        evaluated = []
+        execute = reference._Executor.execute
+        monkeypatch.setattr(reference._Executor, "execute",
+                            lambda self, stencil: evaluated.append(
+                                stencil.name) or execute(self, stencil))
+        run_reference(lst1_program(), lst1_inputs(), keep=("b1",))
+        assert evaluated == ["b0", "b1"]
+
+    def test_post_order_is_depth_first_from_the_outputs(self):
+        from repro.programs import build
+        from repro.run.reference import _post_order
+        program = build("horizontal_diffusion", shape=(8, 8, 4))
+        order = _post_order(program, program.outputs)
+        assert order[:9] == ["lap_u", "flx_u", "fly_u", "s_uv", "t_s",
+                             "smag_u", "raw_u", "u_out", "lap_v"]
+        assert sorted(order) == sorted(program.stencil_names)
+
+    def test_a_long_chain_does_not_recurse(self):
+        from repro.run.reference import _post_order
+        depth = 3000   # well past the default recursion limit
+        chain = {"s0": "a[i] + 1.0"}
+        chain.update({f"s{n}": f"s{n - 1}[i] + 1.0"
+                      for n in range(1, depth)})
+        program = StencilProgram.from_json({
+            "inputs": {"a": {"dtype": "float32", "dims": ["i"]}},
+            "outputs": [f"s{depth - 1}"],
+            "shape": [4],
+            "program": {name: {"code": code, "boundary_condition": "shrink"}
+                        for name, code in chain.items()},
+        })
+        assert _post_order(program, program.outputs) == list(chain)
+
+    @pytest.mark.parametrize("name", ["nope", "a0"])
+    def test_only_stencils_can_be_kept(self, name):
+        with pytest.raises(ValidationError, match=f"cannot keep '{name}'"):
+            run_reference(lst1_program(), lst1_inputs(), keep=("b4", name))
+
+    def test_peak_memory_is_the_live_set(self):
+        """hdiff 64x64x32 keeps at most 7 of its 24 fields live when
+        only its outputs are kept, so the traced peak stays under 8
+        fields plus the expression evaluator's block temporaries; the
+        keep-everything path holds all 24."""
+        import tracemalloc
+        from repro.programs import build
+        from repro.run import reference
+        from util import random_inputs
+        program = build("horizontal_diffusion", shape=(64, 64, 32))
+        inputs = random_inputs(program)
+        field = math.prod(program.shape) * 4
+        temporaries = 4 * reference._BLOCK_CELLS * 4
+        tracemalloc.start()
+        try:
+            run_reference(program, inputs, keep=program.outputs)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            run_reference(program, inputs)
+            everything = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * field + temporaries
+        assert everything > 24 * field
 
 
 if __name__ == "__main__":   # regenerate: python tests/test_reference.py
