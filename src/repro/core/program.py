@@ -382,25 +382,33 @@ def _validate_program(program: StencilProgram):
 
 
 def _check_acyclic(program: StencilProgram):
-    """Reject cyclic dependency structures (the input must be a DAG)."""
+    """Reject cyclic dependency structures (the input must be a DAG).
+
+    An iterative depth-first walk: a chain of any length loads without
+    recursion, and the path is one list, extended and popped in place."""
     produced_by = program._by_name
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in produced_by}
+    GRAY, BLACK = 1, 2
+    color: Dict[str, int] = {}
 
-    def visit(name: str, stack: Tuple[str, ...]):
-        color[name] = GRAY
-        for dep in produced_by[name].accessed_fields:
-            if dep in program.inputs:
-                continue
-            if dep not in produced_by:
-                continue
-            if color[dep] == GRAY:
-                cycle = " -> ".join(stack + (name, dep))
-                raise DefinitionError(f"dependency cycle: {cycle}")
-            if color[dep] == WHITE:
-                visit(dep, stack + (name,))
-        color[name] = BLACK
+    def deps(name: str):
+        return (dep for dep in produced_by[name].accessed_fields
+                if dep not in program.inputs and dep in produced_by)
 
-    for name in produced_by:
-        if color[name] == WHITE:
-            visit(name, ())
+    for root in produced_by:
+        if root in color:
+            continue
+        color[root] = GRAY
+        path, pending = [root], [deps(root)]
+        while pending:
+            for dep in pending[-1]:
+                if color.get(dep) == GRAY:
+                    cycle = " -> ".join(path + [dep])
+                    raise DefinitionError(f"dependency cycle: {cycle}")
+                if dep not in color:
+                    color[dep] = GRAY
+                    path.append(dep)
+                    pending.append(deps(dep))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()

@@ -35,7 +35,10 @@ class EngineProfile:
     #: since it executes the same windows.
     plan_count: int = 0
     scalar_cycles: int = 0            #: cycles stepped one-by-one
-    window_count: int = 0             #: windows executed (slab passes)
+    window_count: int = 0             #: windows executed
+    #: Slab passes that executed them: one per window on a planned
+    #: run, fewer on a replay, which runs consecutive windows together.
+    slab_passes: int = 0
     window_cycles: int = 0            #: cycles covered by windows
     #: Sizes (cycles) of the first executed windows, oldest first.
     window_sizes: Tuple[int, ...] = field(default_factory=tuple)
@@ -88,11 +91,6 @@ class EngineProfile:
         return self.scalar_cycles / self.cycles
 
     @property
-    def slab_passes(self) -> int:
-        """Slab passes executed: one per window."""
-        return self.window_count
-
-    @property
     def mean_batch(self) -> Optional[float]:
         """Average cycles retired per slab pass (batched engine)."""
         if not self.slab_passes:
@@ -115,6 +113,7 @@ class EngineProfile:
             "scalar_fraction": self.scalar_fraction,
             "mean_batch": self.mean_batch,
             "window_count": self.window_count,
+            "slab_passes": self.slab_passes,
             "window_cycles": self.window_cycles,
             "window_sizes": list(self.window_sizes),
             "drift_windows": self.drift_windows,
@@ -157,6 +156,8 @@ class EngineProfile:
                 detail.append(f"{self.drift_windows} drift-congruent")
             lines.append(
                 f"  {self.window_count} windows"
+                + (f" in {self.slab_passes} slab passes"
+                   if self.slab_passes < self.window_count else "")
                 + (f" ({', '.join(detail)})" if detail else "")
                 + f" from {self.plan_count} planner calls on "
                   f"{self.virtual_cycles} virtual cycles"

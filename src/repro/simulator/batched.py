@@ -10,7 +10,7 @@ decision margins on channel occupancy, link ready counts and
 latency-line lengths, by the timed FIFOs' queued entries, by schedule
 phase boundaries, ring headroom and remaining words — and then
 executes all ``k * q`` cycles at once with NumPy slab operations
-(``BatchedSimulator._plan_window`` / ``_execute_window``).
+(``BatchedSimulator._plan_window`` / ``_execute_span``).
 
 The batching invariant: **identical observable machine state at every
 stall point**.  ``cycles``, per-unit ``stall_cycles``, channel
@@ -277,25 +277,24 @@ class BatchedSourceUnit(SourceUnit):
 
     Inherits the scalar stepping (used on scalar-step cycles) and
     overrides only word materialization — channels carry array rows;
-    the window executor slices ``rows`` into the stream's ring.
+    the window executor stores :meth:`words` into the stream's ring,
+    which casts them to the stream's slab dtype (int64 or float64,
+    exact).
     """
 
     def __init__(self, name: str, data: np.ndarray, vector_width: int,
                  out_channels: Sequence):
         super().__init__(name, data, vector_width, out_channels)
-        if (self._flat.dtype.kind == "u" and self._flat.size
-                and int(self._flat.max()) > np.iinfo(np.int64).max):
+        if (data.dtype.kind == "u" and data.size
+                and int(data.max()) > np.iinfo(np.int64).max):
             # Signed widths always fit; only huge uint64 values do not
             # (a wrapped int64 round-trips, so check the values).
             raise SimulationError(
                 f"source {name!r}: integer values exceed int64's exact "
                 f"range (2**63); use engine_mode='scalar'")
-        # A native-dtype view of the input: the ring store casts each
-        # chunk to the stream's slab dtype (int64 or float64, exact).
-        self.rows = self._flat.reshape(self.num_words, vector_width)
 
     def _materialize_word(self):
-        return self.rows[self.next_word]
+        return self.words(self.next_word, 1)[0]
 
 
 class BatchedStencilUnit(StencilBookkeeping):
@@ -577,11 +576,14 @@ class _WindowPlan:
 
     __slots__ = ("period", "repeats", "events", "chan_push", "chan_pop",
                  "chan_deliver", "chan_peak", "end_credit",
-                 "trailing_idle", "drift")
+                 "trailing_idle", "drift", "traffic")
 
     def __init__(self):
         self.period = 0   # cycles stepped so far
         self.repeats = 1
+        # The most words any channel, link or latency line moves in one
+        # window (ring headroom holds ``traffic * repeats`` of them).
+        self.traffic = 0
         # True when the repeats were proven congruent modulo a nonzero
         # counter drift (ramp/drain transient batching).
         self.drift = False
@@ -613,13 +615,15 @@ class _WindowPlan:
         return self
 
 
-def _window_times(offsets: Sequence[int], base: int, period: int,
-                  repeats: int) -> np.ndarray:
-    """Absolute cycles of an event firing at window-relative ``offsets``
-    in each of ``repeats`` consecutive windows starting at ``base``."""
-    offs = np.asarray(offsets, dtype=np.int64)
-    starts = _iota(repeats) * period + base
-    return (starts[:, None] + offs[None, :]).reshape(-1)
+def _span_times(parts) -> np.ndarray:
+    """Absolute cycles of the events of a span, oldest first: ``parts``
+    holds each plan's ``(offsets, now, plan)``, an event firing at the
+    window-relative ``offsets`` in each of ``plan.repeats`` windows of
+    ``plan.period`` cycles from cycle ``now``."""
+    times = [((_iota(plan.repeats) * plan.period + now)[:, None]
+              + np.asarray(offsets, dtype=np.int64)[None, :]).reshape(-1)
+             for offsets, now, plan in parts]
+    return times[0] if len(times) == 1 else np.concatenate(times)
 
 
 def _fifo_repeats(start: List[int], end: Sequence[int],
@@ -740,6 +744,7 @@ class BatchedSimulator(Simulator):
         self.plan_count = 0
         self.scalar_cycles = 0
         self.window_count = 0
+        self.slab_passes = 0
         self.window_cycles = 0
         self.drift_window_count = 0
         self.virtual_cycles = 0
@@ -772,6 +777,7 @@ class BatchedSimulator(Simulator):
                              plan_count=self.plan_count,
                              scalar_cycles=self.scalar_cycles,
                              window_count=self.window_count,
+                             slab_passes=self.slab_passes,
                              window_cycles=self.window_cycles,
                              window_sizes=tuple(self._window_sizes),
                              drift_windows=self.drift_window_count,
@@ -1410,95 +1416,120 @@ class BatchedSimulator(Simulator):
             wake(i, plan.period)
         plan.chan_deliver = [len(offsets) for offsets in pops[:n_link]]
         plan.end_credit = credits
+        plan.traffic = traffic
         return plan
 
     # -- execution -----------------------------------------------------------
 
-    def _execute_window(self, plan: _WindowPlan, now: int):
-        """Apply ``plan.repeats`` windows as one slab pass in
-        topological unit order.  All per-cycle accounting (times,
-        stalls, continuity, occupancy peaks) comes from the virtual
-        window's event offsets, so the terminal state is exactly what
-        ``plan.cycles`` scalar cycles would have produced."""
-        k = plan.repeats
+    def _execute_span(self, span: Sequence[Tuple[_WindowPlan, int]]):
+        """Apply consecutive windows — ``span`` holds ``(plan, now)``,
+        each ``plan.repeats`` windows from cycle ``now`` — as one slab
+        pass in topological unit order: each unit stages, computes and
+        commits the words of all of them at once, at their windows'
+        event times concatenated.  All per-cycle accounting (times,
+        stalls, continuity, occupancy peaks) comes from each plan's
+        virtual window, so the terminal state is exactly what the
+        span's scalar cycles would have produced.  Values do not depend
+        on timing, and the span's summed traffic fits the ring headroom
+        (see :meth:`run`), so every producer's words may all be written
+        before its consumers pop."""
         chans, fifo_of = self._chan_list, self._vm_chans[2]
         for i in self._topo_units:
-            entry, ev = self._vm_units[i], plan.events[i]
-            (self._window_source, self._window_stencil,
-             self._window_sink)[entry[0]](entry, ev, plan, now)
+            entry = self._vm_units[i]
+            (self._span_source, self._span_stencil,
+             self._span_sink)[entry[0]](entry, i, span)
             # Deliveries follow the producer's slab so the in-flight
             # ring holds every row they move; consumers come later in
             # topological order.
             for t in entry[2]:
-                if fifo_of[t] >= 0 and plan.chan_deliver[fifo_of[t]]:
-                    chans[t].deliver_rows(
-                        plan.chan_deliver[fifo_of[t]] * k)
-        for link, credit in zip(self.links, plan.end_credit):
+                if fifo_of[t] >= 0:
+                    delivered = 0
+                    for plan, _now in span:
+                        delivered += (plan.chan_deliver[fifo_of[t]]
+                                      * plan.repeats)
+                    if delivered:
+                        chans[t].deliver_rows(delivered)
+        for link, credit in zip(self.links, span[-1][0].end_credit):
             link.sync_credit(credit)
-        for channel, pushed, popped, peak in zip(
-                chans, plan.chan_push, plan.chan_pop, plan.chan_peak):
-            channel.pushes += pushed * k
-            channel.pops += popped * k
-            if peak > channel.max_occupancy:
-                channel.max_occupancy = peak
+        for plan, _now in span:
+            k = plan.repeats
+            for channel, pushed, popped, peak in zip(
+                    chans, plan.chan_push, plan.chan_pop, plan.chan_peak):
+                channel.pushes += pushed * k
+                channel.pops += popped * k
+                if peak > channel.max_occupancy:
+                    channel.max_occupancy = peak
 
-    def _window_source(self, entry, ev: _WindowEvents, plan: _WindowPlan,
-                       now: int):
-        unit = entry[1]
-        count = len(ev.pushes) * plan.repeats
+    def _span_source(self, entry, i: int, span):
+        unit, count, times = entry[1], 0, []
+        for plan, now in span:
+            ev = plan.events[i]
+            if ev.pushes:
+                count += len(ev.pushes) * plan.repeats
+                times.append((ev.pushes, now, plan))
+            if ev.stalls:
+                unit.stall_cycles += ev.stalls * plan.repeats
+                unit._block = f"output full: {list(ev.block)}"
         if count:
-            stage_slab(unit.out_channels,
-                       unit.rows[unit.next_word:unit.next_word + count])
-            _commit_slab(unit.out_channels, count, lambda: _window_times(
-                ev.pushes, now, plan.period, plan.repeats))
+            stage_slab(unit.out_channels, unit.words(unit.next_word, count))
+            _commit_slab(unit.out_channels, count,
+                         lambda: _span_times(times))
             unit.next_word += count
-        if ev.stalls:
-            unit.stall_cycles += ev.stalls * plan.repeats
-            unit._block = f"output full: {list(ev.block)}"
 
-    def _window_stencil(self, entry, ev: _WindowEvents, plan: _WindowPlan,
-                        now: int):
+    def _span_stencil(self, entry, i: int, span):
         unit = entry[1]
-        q, k = plan.period, plan.repeats
         for t in entry[4]:
-            if plan.chan_pop[t]:
-                self._chan_list[t].skip_rows(plan.chan_pop[t] * k)
-        computed = len(ev.line_pushes) * k
+            popped = 0
+            for plan, _now in span:
+                popped += plan.chan_pop[t] * plan.repeats
+            if popped:
+                self._chan_list[t].skip_rows(popped)
+        computed = drained = 0
+        line, drains = [], []
+        for plan, now in span:
+            ev, q, k = plan.events[i], plan.period, plan.repeats
+            if ev.line_pushes:
+                if not computed:
+                    w0 = ev.first_compute_local - unit.init_words
+                computed += len(ev.line_pushes) * k
+                line.append((ev.line_pushes, now, plan))
+            if ev.drains:
+                drained += len(ev.drains) * k
+                drains.append((ev.drains, now, plan))
+                if unit.first_push_cycle is None:
+                    unit.first_push_cycle = now + ev.drains[0]
+                unit.last_push_cycle = now + (k - 1) * q + ev.drains[-1]
+            unit.local_step += ev.advances * k
+            if ev.stalls:
+                unit.stall_cycles += ev.stalls * k
+                unit.stall_after_init += ev.stalls_after_init * k
+                unit._block = (f"waiting on input(s) {list(ev.block)}"
+                               if ev.block else
+                               "output backpressure (latency line full)")
         if computed:
-            unit._line_push(
-                ev.first_compute_local - unit.init_words, computed,
-                _window_times(ev.line_pushes, now, q, k)
-                + unit.compute_latency)
-        drained = len(ev.drains) * k
+            unit._line_push(w0, computed,
+                            _span_times(line) + unit.compute_latency)
         if drained:
             unit._line_times.pop_rows(drained)
             _commit_slab(unit.out_channels, drained,
-                         lambda: _window_times(ev.drains, now, q, k))
-            if unit.first_push_cycle is None:
-                unit.first_push_cycle = now + ev.drains[0]
-            unit.last_push_cycle = now + (k - 1) * q + ev.drains[-1]
+                         lambda: _span_times(drains))
             unit.words_pushed += drained
-        unit.local_step += ev.advances * k
-        if ev.stalls:
-            unit.stall_cycles += ev.stalls * k
-            unit.stall_after_init += ev.stalls_after_init * k
-            unit._block = (f"waiting on input(s) {list(ev.block)}"
-                           if ev.block
-                           else "output backpressure (latency line full)")
 
-    def _window_sink(self, entry, ev: _WindowEvents, plan: _WindowPlan,
-                     now: int):
-        unit = entry[1]
-        q, k = plan.period, plan.repeats
-        count = len(ev.arrivals) * k
+    def _span_sink(self, entry, i: int, span):
+        unit, count = entry[1], 0
+        for plan, now in span:
+            ev, k = plan.events[i], plan.repeats
+            if ev.arrivals:
+                count += len(ev.arrivals) * k
+                if unit.first_word_cycle is None:
+                    unit.first_word_cycle = now + ev.arrivals[0]
+                unit.last_word_cycle = (now + (k - 1) * plan.period
+                                        + ev.arrivals[-1])
+            if ev.stalls:
+                unit.stall_cycles += ev.stalls * k
+                unit._block = "waiting on producer"
         if count:
             unit.store_rows(unit.in_channel.read_rows(count))
-            if unit.first_word_cycle is None:
-                unit.first_word_cycle = now + ev.arrivals[0]
-            unit.last_word_cycle = now + (k - 1) * q + ev.arrivals[-1]
-        if ev.stalls:
-            unit.stall_cycles += ev.stalls * k
-            unit._block = "waiting on producer"
 
     # -- main loop -----------------------------------------------------------
 
@@ -1526,6 +1557,7 @@ class BatchedSimulator(Simulator):
         expected = self._expected_cycles()
         max_cycles = self._max_cycles(expected)
         period = self._window_period()
+        cap = self._batch_cap()
         plans: dict = {}
         recorded = None
         key = self._schedule_key(max_cycles)
@@ -1556,15 +1588,26 @@ class BatchedSimulator(Simulator):
                 if recorded is not None:
                     recorded[step] = window and window.freeze()
             if window is not None:
-                self._execute_window(window, now)
-                self.window_count += 1
-                self.window_cycles += window.cycles
-                if window.drift:
-                    self.drift_window_count += 1
-                if len(self._window_sizes) < MAX_WINDOW_SAMPLES:
-                    self._window_sizes.append(window.cycles)
-                now += window.cycles
-                idle_streak = window.trailing_idle
+                # A replay runs the recorded windows that follow in
+                # the same pass, up to a scalar step or the batch cap
+                # (a cold run looks up nothing: spans of one).
+                span, load = [], 0
+                while window is not None and (
+                        not span or load + window.traffic
+                        * window.repeats <= cap):
+                    load += window.traffic * window.repeats
+                    span.append((window, now))
+                    self.window_count += 1
+                    self.window_cycles += window.cycles
+                    if window.drift:
+                        self.drift_window_count += 1
+                    if len(self._window_sizes) < MAX_WINDOW_SAMPLES:
+                        self._window_sizes.append(window.cycles)
+                    now += window.cycles
+                    idle_streak = window.trailing_idle
+                    window = plans.get((now, idle_streak))
+                self._execute_span(span)
+                self.slab_passes += 1
                 continue
             # Exact scalar step, as the scalar engine's loop takes it,
             # on a cycle no window could start on (the detector's).

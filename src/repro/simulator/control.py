@@ -23,7 +23,7 @@ full run's failure and forensics.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -60,10 +60,8 @@ class ControlSourceUnit(BatchedSourceUnit):
     The parent constructor still validates the data (the uint64 exact-
     range guard), so error parity with a full run is preserved."""
 
-    def __init__(self, name: str, data: np.ndarray, vector_width: int,
-                 out_channels: Sequence):
-        super().__init__(name, data, vector_width, out_channels)
-        self.rows = self.rows[:, :0]
+    def words(self, w0: int, count: int) -> np.ndarray:
+        return np.empty((count, 0), dtype=self.data.dtype)
 
 
 class ControlStencilUnit(BatchedStencilUnit):

@@ -517,9 +517,9 @@ class KernelSimulator(BatchedSimulator):
             for name, spec in program.inputs.items():
                 full = resolve_input_array(program, inputs, name, spec)
                 source = BatchedSourceUnit(name, full, width, ())
-                stream = _whole_stream(len(source.rows), width,
+                stream = _whole_stream(source.num_words, width,
                                        self._stream_meta(name)[0], pad)
-                stage_slab([stream], source.rows)
+                stage_slab([stream], source.words(0, source.num_words))
                 slabs[name] = stream
             expected = self._expected_cycles()
             cap = self._max_cycles(expected)

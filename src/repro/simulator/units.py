@@ -94,17 +94,17 @@ class SourceUnit(Unit):
     def __init__(self, name: str, data: np.ndarray, vector_width: int,
                  out_channels: Sequence):
         self.name = name
-        flat = np.ascontiguousarray(data).ravel()
-        if flat.size % vector_width != 0:
+        if data.size % vector_width != 0:
             raise SimulationError(
-                f"source {name!r}: size {flat.size} not divisible by "
+                f"source {name!r}: size {data.size} not divisible by "
                 f"W={vector_width}")
-        # Words are sliced lazily from the flat array: materializing a
-        # Python tuple per word up front is O(cells) allocation before
-        # the machine has simulated a single cycle.
-        self._flat = flat
+        # Words are read lazily from ``data``, which may be a broadcast
+        # view of a lower-dimensional input: neither a Python tuple per
+        # word nor a full-domain copy is made before the first cycle.
+        self.data = data
+        self._plane = data[:1].size   # cells per outer-axis plane
         self.width = vector_width
-        self.num_words = flat.size // vector_width
+        self.num_words = data.size // vector_width
         self.out_channels = list(out_channels)
         self.next_word = 0
         self.stall_cycles = 0
@@ -124,11 +124,20 @@ class SourceUnit(Unit):
         self.next_word += 1
         return True
 
+    def words(self, w0: int, count: int) -> np.ndarray:
+        """Words ``[w0, w0 + count)`` as ``(count, W)`` cells, taken
+        from the outer-axis planes of ``data`` that cover them: a view
+        when ``data`` is contiguous, else a copy of those planes only."""
+        lo, n = w0 * self.width, count * self.width
+        first = lo // self._plane
+        cells = self.data[first:-(-(lo + n) // self._plane)].reshape(-1)
+        lo -= first * self._plane
+        return cells[lo:lo + n].reshape(count, self.width)
+
     def _materialize_word(self):
         """The next word in pushable form (hook for the batched engine,
         whose channels carry NumPy rows instead of tuples)."""
-        base = self.next_word * self.width
-        return tuple(self._flat[base:base + self.width].tolist())
+        return tuple(self.words(self.next_word, 1)[0].tolist())
 
     @property
     def done(self) -> bool:

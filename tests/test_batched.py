@@ -543,16 +543,69 @@ class TestBatchedSourceUnit:
         channel = ArrayChannel("c", 64, width=2, headroom=16)
         source = BatchedSourceUnit("a", data, 2, [channel])
         assert source.num_words == 12
-        # What the window executor does with a source's pushes: slice
-        # the native-dtype rows into the stream's ring, commit them.
+        # What the window executor does with a source's pushes: store
+        # the native-dtype words into the stream's ring, commit them.
         for first, count in ((0, 5), (5, 7)):
-            stage_slab([channel], source.rows[first:first + count])
+            stage_slab([channel], source.words(first, count))
             channel.commit_rows(count)
             source.next_word += count
         assert source.done
         slab = channel.read_rows(12)
         np.testing.assert_array_equal(
             slab.ravel(), np.arange(24, dtype=np.float64))
+
+    def test_words_read_the_input_view(self):
+        data = np.arange(6 * 4 * 2, dtype=np.float32).reshape(6, 4, 2)
+        source = BatchedSourceUnit("a", data, 2, [])
+        # Contiguous input: a view, across outer-axis planes too.
+        words = source.words(3, 5)
+        assert np.shares_memory(words, data)
+        np.testing.assert_array_equal(
+            words, data.reshape(-1)[6:16].reshape(5, 2))
+        # A broadcast lower-dimensional input: only the covering
+        # planes are copied; the words are the broadcast array's.
+        column = np.arange(4, dtype=np.float32)[None, :, None]
+        full = np.broadcast_to(column, (6, 4, 2))
+        source = BatchedSourceUnit("c", full, 2, [])
+        assert source.num_words == 24
+        for w0, count in ((0, 24), (3, 5), (7, 1), (23, 1)):
+            np.testing.assert_array_equal(
+                source.words(w0, count),
+                np.ascontiguousarray(full).reshape(24, 2)[w0:w0 + count])
+
+    def test_no_full_domain_copy_per_1d_input(self):
+        # hdiff streams five 1-D inputs broadcast over the domain: a
+        # source reads its words from the broadcast view, so above its
+        # outputs and stream rings a simulation holds less than what
+        # one full-domain copy per 1-D input alone would take.
+        import tracemalloc
+
+        from repro.programs import horizontal_diffusion
+        from repro.simulator import (
+            SimulatorConfig,
+            simulate,
+            simulate_control,
+        )
+        from util import random_inputs
+        program = horizontal_diffusion(shape=(64, 64, 32))
+        inputs = random_inputs(program)
+        flat = [name for name, spec in program.inputs.items()
+                if len(spec.dims) == 1]
+        assert len(flat) == 5
+        field = program.num_cells * 4   # one float32 domain
+        for run in (lambda: simulate(program, inputs, SimulatorConfig(
+                        engine_mode="batched")),
+                    lambda: simulate_control(program, inputs)):
+            run()   # lowering, compiled stencils and kernels cached
+            tracemalloc.start()
+            try:
+                result = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = peak - result.profile.ring_bytes - sum(
+                out.nbytes for out in result.outputs.values())
+            assert held < len(flat) * field, result.profile.engine
 
     def test_scalar_step_parity(self):
         from repro.simulator import SourceUnit
@@ -973,6 +1026,140 @@ class TestScheduleReplay:
         planned = self._run(program, placement, fresh, **self.NETWORK)
         assert not planned.profile.schedule_replayed
         self._assert_same(planned, replayed)
+
+    @staticmethod
+    def _published_plans():
+        """The one published schedule's ``{(now, idle): plan}``."""
+        from repro.lowering import default_cache
+        cache = default_cache()
+        (key,) = [key for key in cache._entries
+                  if key.startswith("schedule:")]
+        return cache.peek(key)[0]
+
+    @staticmethod
+    def _spy_spans(monkeypatch):
+        """Record the ``now`` of every window of every executed span."""
+        from repro.simulator import BatchedSimulator
+        spans = []
+        execute = BatchedSimulator._execute_span
+
+        def spy(self, span):
+            spans.append([now for _plan, now in span])
+            return execute(self, span)
+
+        monkeypatch.setattr(BatchedSimulator, "_execute_span", spy)
+        return spans
+
+    def test_replay_runs_consecutive_windows_in_one_pass(self):
+        from repro.simulator import SimulatorConfig, build_simulator
+        from util import random_inputs
+        program, placement = self._links_machine()
+        inputs = random_inputs(program)
+        runs = []
+        for _ in range(2):
+            simulator = build_simulator(program, SimulatorConfig(
+                engine_mode="batched", **self.NETWORK), placement)
+            runs.append((simulator.run(inputs),
+                         [link.credit for link in simulator.links]))
+        (cold, cold_credit), (replay, replay_credit) = runs
+        # A span closes on its last plan's link credit.
+        assert replay_credit == cold_credit
+        assert cold.profile.slab_passes == cold.profile.window_count
+        assert replay.profile.schedule_replayed
+        assert 0 < replay.profile.slab_passes < replay.profile.window_count
+        assert replay.profile.mean_batch == (
+            replay.cycles / replay.profile.slab_passes)
+        assert (f"{replay.profile.window_count} windows in "
+                f"{replay.profile.slab_passes} slab passes") in "\n".join(
+            replay.profile.summary_lines())
+        self._assert_same(cold, replay)
+        scalar = self._run(program, placement, inputs,
+                           engine_mode="scalar", **self.NETWORK)
+        from test_engine_equivalence import assert_same_results
+        assert_same_results(scalar, replay)
+
+    def test_spans_stay_within_the_batch_cap(self, monkeypatch):
+        from repro.simulator import batched, channel
+        program, placement, config = self._chain_machine()
+        config = dict(config, max_batch_words=16)
+        cold = self._run(program, placement, **config)
+        claims = []
+        claim = channel.claim_slab
+
+        def spy(edges, b):
+            claims.append(b)
+            return claim(edges, b)
+
+        monkeypatch.setattr(channel, "claim_slab", spy)
+        monkeypatch.setattr(batched, "claim_slab", spy)
+        spans = self._spy_spans(monkeypatch)
+        replay = self._run(program, placement, **config)
+        assert replay.profile.schedule_replayed
+        assert claims and max(claims) <= 16
+        # The cap splits the replay into many passes, some of them
+        # still of several windows.
+        assert cold.profile.slab_passes == cold.profile.window_count
+        assert len(spans) == replay.profile.slab_passes > 1
+        assert max(map(len, spans)) > 1
+        assert replay.profile.slab_passes < replay.profile.window_count
+        self._assert_same(cold, replay)
+        scalar = self._run(program, placement, engine_mode="scalar",
+                           **config)
+        from test_engine_equivalence import assert_same_results
+        assert_same_results(scalar, replay)
+
+    def test_a_scalar_step_ends_a_span(self, monkeypatch):
+        from util import random_inputs
+        program, placement = self._links_machine()
+        inputs = random_inputs(program)
+        cold = self._run(program, placement, inputs, **self.NETWORK)
+        plans = self._published_plans()
+        steps = sorted(plans)
+        # A scalar step (None) in the middle of the schedule: the
+        # replay steps that cycle exactly and plans what follows.
+        cut = steps[len(steps) // 2]
+        plans[cut] = None
+        spans = self._spy_spans(monkeypatch)
+        replay = self._run(program, placement, inputs, **self.NETWORK)
+        assert replay.profile.schedule_replayed
+        assert replay.profile.scalar_cycles == 1
+        before = [span for span in spans if span[0] < cut[0]]
+        assert before and all(span[-1] < cut[0] for span in before)
+        assert [now for span in before for now in span] == [
+            now for now, _idle in steps[:steps.index(cut)]]
+        assert len(before[-1]) > 1
+        from test_engine_equivalence import assert_same_results
+        assert_same_results(cold, replay)
+
+    def test_replayed_data_error_is_the_cold_runs(self):
+        from repro.core.program import StencilProgram
+        from repro.lowering import reset_default_cache
+        program = StencilProgram.from_json({
+            "inputs": {"a": {"dtype": "int32", "dims": ["i", "j", "k"]}},
+            "outputs": ["s2"],
+            "shape": [8, 8, 8],
+            "program": {f"s{n}": {
+                "code": f"{prev}[i,j,k] + {prev}[i,j-1,k] * 0 + 1",
+                "boundary_condition": {prev: {"type": "constant",
+                                              "value": 0}}}
+                for n, prev in enumerate(("a", "s0", "s1"))},
+        })
+        placement = {"s0": 0, "s1": 0, "s2": 1}
+        good = {"a": np.ones((8, 8, 8), dtype=np.int32)}
+        bad = {"a": good["a"].copy()}
+        bad["a"][6, 3, 2] = np.iinfo(np.int32).max - 2   # one cell
+        self._run(program, placement, good, **self.NETWORK)
+        replay = self._run(program, placement, good, **self.NETWORK)
+        assert replay.profile.slab_passes < replay.profile.window_count
+        raised = []
+        for cold in (False, True):
+            if cold:
+                reset_default_cache()
+            with pytest.raises(OverflowError) as info:
+                self._run(program, placement, bad, **self.NETWORK)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+        assert "2147483648" in raised[0]
 
     def test_control_run_plans_alike_and_publishes_nothing(
             self, monkeypatch):

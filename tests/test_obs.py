@@ -298,10 +298,13 @@ class TestEngineProfile:
                    for line in profile.summary_lines())
 
     def test_mean_batch_counts_window_passes(self, disabled_telemetry):
-        # Every slab pass is an executed window; ``plan_count`` counts
-        # planner invocations, executed or not, so it can only exceed
-        # the windows (a period-q plan that found no room and was
-        # re-planned at period 1) and is not what a batch is divided by.
+        # On a planned run every slab pass is an executed window;
+        # ``plan_count`` counts planner invocations, executed or not, so
+        # it can only exceed the windows (a period-q plan that found no
+        # room and was re-planned at period 1) and is not what a batch
+        # is divided by.
+        from repro.lowering import reset_default_cache
+        reset_default_cache()  # plan here, do not replay
         profile = _fractional_two_device_run().profile
         assert profile.scalar_cycles == 0
         assert profile.window_count > 0
@@ -318,6 +321,17 @@ class TestEngineProfile:
                 f"{profile.mean_batch:.1f} cycles") in summary
         assert (f"from {profile.plan_count} planner calls on "
                 f"{profile.virtual_cycles} virtual cycles") in summary
+        # A replay runs consecutive windows in one pass: the same
+        # windows, fewer passes, and a batch is cycles per pass.
+        replay = _fractional_two_device_run().profile
+        assert replay.schedule_replayed
+        assert replay.window_count == profile.window_count
+        assert 0 < replay.slab_passes < replay.window_count
+        assert replay.to_json()["slab_passes"] == replay.slab_passes
+        assert replay.mean_batch == replay.cycles / replay.slab_passes
+        assert (f"{replay.window_count} windows in {replay.slab_passes} "
+                f"slab passes (mean batch {replay.mean_batch:.1f} "
+                f"cycles") in "\n".join(replay.summary_lines())
 
     def test_scalar_profile_counts_every_cycle_scalar(
             self, disabled_telemetry):

@@ -113,8 +113,44 @@ class TestValidation:
                 "y": {"code": "x[i] + 1", "boundary_condition": "shrink"},
             },
         }
-        with pytest.raises(DefinitionError, match="cycle"):
+        with pytest.raises(DefinitionError) as info:
             StencilProgram.from_json(spec)
+        assert str(info.value) == "dependency cycle: x -> y -> x"
+
+    def test_cycle_names_the_path_from_its_root(self):
+        spec = {
+            "inputs": {"a": {"dtype": "float32", "dims": ["i"]}},
+            "outputs": ["x"],
+            "shape": [8],
+            "program": {
+                "x": {"code": "a[i] + y[i]", "boundary_condition": "shrink"},
+                "y": {"code": "z[i] + 1", "boundary_condition": "shrink"},
+                "z": {"code": "y[i] + 1", "boundary_condition": "shrink"},
+            },
+        }
+        with pytest.raises(DefinitionError) as info:
+            StencilProgram.from_json(spec)
+        assert str(info.value) == "dependency cycle: x -> y -> z -> y"
+
+    @pytest.mark.parametrize("consumers_first", [False, True],
+                             ids=["producers_first", "consumers_first"])
+    def test_a_long_chain_loads_in_either_order(self, consumers_first):
+        # The acyclicity walk is iterative: a chain deeper than the
+        # recursion limit loads whichever way its stencils are listed.
+        n = 3000
+        assert n > sys.getrecursionlimit() // 2
+        stencils = [(f"s{k}", f"{f's{k - 1}' if k else 'a'}[i] + 1.0")
+                    for k in range(n)]
+        if consumers_first:
+            stencils.reverse()
+        program = StencilProgram.from_json({
+            "inputs": {"a": {"dtype": "float32", "dims": ["i"]}},
+            "outputs": [f"s{n - 1}"],
+            "shape": [8],
+            "program": {name: {"code": code, "boundary_condition": "shrink"}
+                        for name, code in stencils},
+        })
+        assert len(program.stencils) == n
 
     def test_wrong_access_dims(self):
         from repro.errors import StencilFlowError
