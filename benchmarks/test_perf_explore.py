@@ -1,8 +1,8 @@
 """Control-run sweeps at benchmark scale: the deterministic half.
 
 Every ``explore`` sweep times the machines of one lowered program with
-width-0 control runs (exact timing with no data movement), plus one
-full simulation (the data pass) when the program's data can fail
+control runs (the plan alone: exact timing with no data movement),
+plus one full simulation (the data pass) when the program's data can fail
 (``data_can_fail``).  On a network-axis sweep (latency x rate) of a
 2-device placement every point is its own machine and all share the
 lowered program, so a 12-point float sweep runs no full simulation

@@ -63,7 +63,8 @@ def main():
     cache_path = cache_dir / "explore_cache.json"
     env = dict(os.environ,
                REPRO_CACHE_DIR=str(cache_dir),
-               PYTHONPATH=str(SRC))
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
 
     def reset_cache_dir():
         # The root holds directories too (reports/, service/...).

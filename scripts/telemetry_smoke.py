@@ -63,7 +63,8 @@ def run_sweep(workdir: Path, backend: str, tag: str, telemetry: bool):
         argv += ["--metrics", str(workdir / f"metrics-{tag}.json"),
                  "--trace", str(workdir / f"trace-{tag}.json")]
     env = dict(os.environ,
-               PYTHONPATH=str(SRC),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (str(SRC), os.environ.get("PYTHONPATH")))),
                REPRO_CACHE_DIR=str(workdir / f"cache-{tag}"))
     subprocess.run(argv, check=True, cwd=ROOT, env=env)
     return json.loads(report.read_text())

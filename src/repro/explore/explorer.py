@@ -88,9 +88,9 @@ def explore(program: StencilProgram,
 
     The frontier is measured one machine at a time, not one point at a
     time: points that build the same machine share one simulation, a
-    width-0 control run whose cycle counts are bitwise a full run's,
-    plus one full data pass per lowered program whose data can fail
-    (:func:`measure`).
+    control run (the plan alone) whose cycle counts are bitwise a full
+    run's, plus one full data pass per lowered program whose data can
+    fail (:func:`measure`).
 
     Args:
         program: the stencil program (its own vectorization defines the
@@ -316,7 +316,7 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
     measurement both sweep backends take: the in-process loop or a
     process worker's lease, each measuring one family.
 
-    Members get width-0 control runs
+    Members get control runs, the plan alone
     (:func:`~repro.simulator.control.simulate_control`), bitwise a full
     run's timing; outputs do not depend on the configuration.  A family
     whose data can fail (:func:`~repro.simulator.control.data_can_fail`)

@@ -77,9 +77,9 @@ class _Parser:
         self.source = source
         self.tokens: List[Token] = lexer.tokenize(source)
         self.pos = 0
-        self.field_dims = (
-            {k: tuple(v) for k, v in field_dims.items()}
-            if field_dims is not None else None)
+        # The caller's mapping, not a copy: a program parses one
+        # expression per stencil against the same declarations.
+        self.field_dims = field_dims
         self.index_names = index_names
         self.descent = 0                  # parse_unary frames open
         self.depths: Dict[int, int] = {}  # id(node) -> its AST depth
@@ -261,10 +261,11 @@ class _Parser:
         if self.field_dims is None:
             return
         declared = self.field_dims.get(name.text)
-        if declared is not None and declared != dims:
+        if declared is not None and tuple(declared) != dims:
             raise ParseError(
-                f"field {name.text!r} is declared over dims {declared}, "
-                f"accessed with {dims}", name.position, self.source)
+                f"field {name.text!r} is declared over dims "
+                f"{tuple(declared)}, accessed with {dims}",
+                name.position, self.source)
 
     def bare_name(self, token: Token) -> Expr:
         if token.text in self.index_names:
@@ -273,9 +274,9 @@ class _Parser:
             declared = self.field_dims.get(token.text)
             if declared is not None and len(declared) != 0:
                 raise ParseError(
-                    f"field {token.text!r} spans dims {declared} and must "
-                    f"be accessed with a subscript", token.position,
-                    self.source)
+                    f"field {token.text!r} spans dims {tuple(declared)} "
+                    f"and must be accessed with a subscript",
+                    token.position, self.source)
         # A bare name is a scalar (0D) field read.
         return FieldAccess(token.text, (), ())
 

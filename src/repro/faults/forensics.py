@@ -1,15 +1,16 @@
 """Deadlock forensics: structured blame reports for wedged machines.
 
-When the deadlock detector fires, :func:`build_deadlock_report`
-inspects the terminal machine state — identical across engines, since
-both detect deadlocks through the same scalar stepping — and produces
-a :class:`DeadlockReport`: the blocked-unit frontier with per-unit
+When the deadlock detector fires, :func:`build_deadlock_report` turns
+plain records of the terminal machine state — which units are blocked,
+why, and on whom they wait; every channel's occupancy — into a
+:class:`DeadlockReport`: the blocked-unit frontier with per-unit
 reasons, every channel's occupancy at the wedge, the wait-for cycle
 among blocked units (who is waiting on whose words — the Fig. 4
 signature is a cycle through an under-provisioned delay buffer).  The
-report rides on
-:attr:`repro.errors.DeadlockError.report` and is surfaced by
-``repro run`` and the explorer's failed-point records.
+scalar engine reads the records off its units and channels, the
+batched planner off its counters: the same state, so the same report.
+The report rides on :attr:`repro.errors.DeadlockError.report` and is
+surfaced by ``repro run`` and the explorer's failed-point records.
 """
 
 from __future__ import annotations
@@ -71,26 +72,6 @@ class DeadlockReport:
         }
 
 
-def _waits_on(unit, producer_of: Dict[int, str],
-              consumer_of: Dict[int, str]) -> Set[str]:
-    """The units ``unit`` is waiting on, read off its channel state."""
-    ins = getattr(unit, "in_channels", None)
-    if ins is not None:  # stencil: input side first, then output side
-        needed = unit.needed_fields()
-        empty = [f for f in needed if ins[f].empty]
-        if empty:
-            return {producer_of.get(id(ins[f]), "?") for f in empty}
-        outs = list(unit.out_channels)
-        fulls = [c for c in outs if c.full]
-        return {consumer_of.get(id(c), "?") for c in (fulls or outs)}
-    in_channel = getattr(unit, "in_channel", None)
-    if in_channel is not None:  # sink
-        return {producer_of.get(id(in_channel), "?")}
-    outs = list(getattr(unit, "out_channels", ()))  # source
-    fulls = [c for c in outs if c.full]
-    return {consumer_of.get(id(c), "?") for c in (fulls or outs)}
-
-
 def _find_cycle(edges: Dict[str, Tuple[str, ...]]
                 ) -> Optional[Tuple[str, ...]]:
     """One cycle of the wait-for graph, found by deterministic DFS
@@ -125,48 +106,27 @@ def _find_cycle(edges: Dict[str, Tuple[str, ...]]
     return None
 
 
-def build_deadlock_report(simulator, now: int) -> DeadlockReport:
-    """Assemble the blame report from a wedged simulator's state."""
-    units = list(simulator.units)
-    blocked = tuple((u.name, u.describe_block())
-                    for u in units if not u.done)
-    blocked_names = {name for name, _reason in blocked}
-
-    producer_of: Dict[int, str] = {}
-    consumer_of: Dict[int, str] = {}
-    for unit in units:
-        for channel in getattr(unit, "out_channels", ()):
-            producer_of[id(channel)] = unit.name
-        ins = getattr(unit, "in_channels", None)
-        if ins is not None:
-            for channel in ins.values():
-                consumer_of[id(channel)] = unit.name
-        in_channel = getattr(unit, "in_channel", None)
-        if in_channel is not None:
-            consumer_of[id(in_channel)] = unit.name
-
+def build_deadlock_report(cycle: int, blocked, occupancy
+                          ) -> DeadlockReport:
+    """The blame report of a deadlock on ``cycle``: ``blocked`` holds
+    ``(unit, reason, names of the units it waits on)`` for every unit
+    not done, in machine order; ``occupancy`` ``(channel, words,
+    capacity)`` for every channel."""
+    blocked_names = {name for name, _reason, _waits in blocked}
     # Wait-for edges are unioned over same-named units (a sink named
     # after its producing stencil is common), and self-edges — pure
     # name-collision artifacts, since no unit waits on itself — are
     # dropped so they cannot mask the real cycle.
     waits: Dict[str, set] = {}
-    for unit in units:
-        if unit.done or unit.name not in blocked_names:
-            continue
-        targets = _waits_on(unit, producer_of, consumer_of)
-        waits.setdefault(unit.name, set()).update(targets)
+    for name, _reason, targets in blocked:
+        waits.setdefault(name, set()).update(targets)
     edges: Dict[str, Tuple[str, ...]] = {
         name: tuple(sorted((targets & blocked_names) - {name}))
         for name, targets in sorted(waits.items())}
-
-    occupancy = tuple(sorted(
-        (channel.name, len(channel), channel.capacity)
-        for channel in simulator.channels.values()))
-
     return DeadlockReport(
-        cycle=now,
-        blocked=blocked,
+        cycle=cycle,
+        blocked=tuple((name, reason) for name, reason, _ in blocked),
         waits_on=tuple(sorted(edges.items())),
         wait_cycle=_find_cycle(edges),
-        channel_occupancy=occupancy,
+        channel_occupancy=tuple(sorted(occupancy)),
     )

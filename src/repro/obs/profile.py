@@ -4,11 +4,11 @@ Every simulation (scalar or batched) attaches an
 :class:`EngineProfile` to ``SimulationResult.profile``.  For the
 batched engine this is the plan-level story — how many windows the
 planner cut the run into, how large they grew, what planning them
-cost, and how many cycles were true scalar steps.
+cost, and how many slab passes executed them.
 
 The profile is built **once at end of run** from counters the engine
 already keeps, so it is always on and costs nothing on the hot path;
-window sizes are recorded per executed window (never per cycle) and
+window sizes are recorded per planned window (never per cycle) and
 capped at :data:`MAX_WINDOW_SAMPLES` samples.
 """
 
@@ -26,7 +26,7 @@ MAX_WINDOW_SAMPLES = 256
 class EngineProfile:
     """Plan-level statistics for one simulation run."""
 
-    engine: str                       #: "scalar", "batched", or "kernel"
+    engine: str     #: "scalar", "batched", "kernel", or "control"
     cycles: int                       #: total simulated cycles
     wall_seconds: float               #: engine wall time (obs clock)
     #: Planner invocations.  A replayed run (``schedule_replayed``)
@@ -34,10 +34,14 @@ class EngineProfile:
     #: ``window_*`` and ``drift_windows`` are the recording run's too,
     #: since it executes the same windows.
     plan_count: int = 0
-    scalar_cycles: int = 0            #: cycles stepped one-by-one
-    window_count: int = 0             #: windows executed
-    #: Slab passes that executed them: one per window on a planned
-    #: run, fewer on a replay, which runs consecutive windows together.
+    #: Cycles stepped one by one on units and channels: every cycle of
+    #: the scalar engine, none of the others (the batched planner plans
+    #: every cycle, the detector's too).
+    scalar_cycles: int = 0
+    window_count: int = 0             #: windows planned
+    #: Slab passes that executed them (consecutive windows share one up
+    #: to the batch cap, planned or replayed alike; 0 on a control run,
+    #: which executes nothing).
     slab_passes: int = 0
     window_cycles: int = 0            #: cycles covered by windows
     #: Sizes (cycles) of the first executed windows, oldest first.

@@ -1,27 +1,40 @@
-"""The batched NumPy execution engine.
+"""The batched NumPy execution engine: plan, then execute.
 
-Between stall points the simulated machine is *deterministic*: its
-per-cycle behaviour repeats — every unit makes the same decision every
-``q`` cycles while each channel occupancy evolves linearly.  The
-batched engine exploits this with one planner: it steps a window of
-``q`` cycles of the exact scalar semantics on counter state, proves by
-state congruence how many times the window repeats — bounded by
-decision margins on channel occupancy, link ready counts and
-latency-line lengths, by the timed FIFOs' queued entries, by schedule
-phase boundaries, ring headroom and remaining words — and then
-executes all ``k * q`` cycles at once with NumPy slab operations
-(``BatchedSimulator._plan_window`` / ``_execute_span``).
+Simulated control flow — cycles, stalls, occupancy, the Fig. 4
+deadlock — never depends on the streamed values, so the engine runs in
+two stages with a :class:`Schedule` value between them:
+
+1. :meth:`BatchedSimulator.plan` runs the machine on counters alone.
+   Between stall points the machine is *deterministic*: every unit
+   makes the same decision every ``q`` cycles while each channel
+   occupancy evolves linearly.  The planner steps a window of ``q``
+   cycles of the exact scalar semantics on its own counters, FIFO
+   ready-times, link credits and unit positions (seeded once, at cycle
+   0), proves by state congruence how many times the window repeats —
+   bounded by decision margins on channel occupancy, link ready counts
+   and latency-line lengths, by the timed FIFOs' queued entries, by
+   schedule phase boundaries, ring headroom and remaining words — and
+   advances its state over all ``k * q`` cycles
+   (``BatchedSimulator._plan_window``).  The cycle the deadlock
+   detector may fire on is a one-cycle plan, so the deadlock (and the
+   cycle cap) are raised here, from counter state.  The schedule sums
+   every timing observable and groups the windows into slab passes.
+2. :meth:`BatchedSimulator.execute` only moves data: pass by pass, in
+   topological unit order, each unit stages, computes and commits the
+   words the schedule counts for it with NumPy slab operations.  A
+   replay is the same stage over a cached schedule; a control run
+   (:func:`~repro.simulator.control.simulate_control`) is stage 1
+   alone.
 
 The batching invariant: **identical observable machine state at every
 stall point**.  ``cycles``, per-unit ``stall_cycles``, channel
-``max_occupancy`` high-water marks, streaming-continuity flags, and all
-outputs are exactly — bitwise — what the scalar engine produces,
-because every window is accounted from the virtually stepped cycles
-with the scalar engine's own bookkeeping rules.  The cycle on which
-the deadlock detector may fire is a true scalar step, so deadlock
-detection (Fig. 4) and its diagnostics are unchanged.
+``max_occupancy`` high-water marks, streaming-continuity flags, deadlock
+diagnostics and all outputs are exactly — bitwise — what the scalar
+engine produces, because every window is accounted from the virtually
+stepped cycles with the scalar engine's own bookkeeping rules, and the
+values a unit computes do not depend on when it computes them.
 
-The units mirror :mod:`repro.simulator.units` but hold NumPy state:
+The units hold NumPy state:
 
 * :class:`BatchedSourceUnit` slices ``(B, W)`` slabs straight out of
   the input array instead of boxing tuples;
@@ -34,7 +47,7 @@ The units mirror :mod:`repro.simulator.units` but hold NumPy state:
   the result once, into the one ring its outbound edges share;
 * :class:`BatchedSinkUnit` writes slabs directly into the output array.
 
-Every supported configuration runs on this fast path:
+Every supported configuration runs on this path:
 
 * **The window period** ``q`` is the LCM of the delivery periods of
   the fractional-rate links (``words_per_cycle < 1``): credit restarts
@@ -68,49 +81,35 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import sub
-from functools import cached_property
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.fields import row_major_strides
 from ..core.program import StencilDefinition, StencilProgram
-from ..errors import SimulationError
+from ..errors import DeadlockError, SimulationError
 from ..expr.analysis import index_vars
+from ..lowering import compiled_stencil
+from ..lowering.cache import content_key, default_cache
+from ..lowering.pipeline import program_content_hash
+from ..obs import clock
+from ..obs.profile import MAX_WINDOW_SAMPLES, EngineProfile
 from .channel import (
     ArrayChannel,
     ArrayNetworkLink,
-    _RowRing,
+    RateLimiter,
     StreamRing,
     claim_slab,
     stage_slab,
 )
-from ..lowering import compiled_stencil
-from ..lowering.cache import content_key, default_cache
-from ..lowering.pipeline import program_content_hash
-from ..obs.profile import MAX_WINDOW_SAMPLES, EngineProfile
 from .engine import SimulationResult, Simulator, deadlock_error
-from .units import SinkUnit, SourceUnit, StencilBookkeeping, schedule_reads
+from .units import SinkUnit, SourceUnit, schedule_reads
 
 _INF = float("inf")
-
-
-def _pow2_ceil(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
-
-
-_IOTA = np.arange(1, dtype=np.int64)
-
-
-def _iota(n: int) -> np.ndarray:
-    """A shared read-only ``arange(n)`` slice (grown on demand), so
-    per-batch time vectors cost one addition instead of an arange."""
-    global _IOTA
-    if _IOTA.size < n:
-        _IOTA = np.arange(_pow2_ceil(n), dtype=np.int64)
-    return _IOTA[:n]
 
 
 def float_leaky_streams(program: StencilProgram) -> Dict[str, str]:
@@ -258,55 +257,41 @@ class CoordSlabs:
         return entry
 
 
-def _commit_slab(channels, b: int, departures):
-    """Push the ``b`` oldest staged words of sibling ``channels``;
-    ``departures()`` gives the cycle each word leaves on, from which
-    network links compute per-row delivery times."""
-    times = None
-    for channel in channels:
-        if isinstance(channel, ArrayNetworkLink):
-            if times is None:
-                times = departures()
-            channel.commit_rows(b, times + channel.latency)
-        else:
-            channel.commit_rows(b)
+def exact_source(name: str, data: np.ndarray) -> np.ndarray:
+    """``data``, checked to fit the int64 slabs an integer stream rides:
+    signed widths always fit; only huge uint64 values do not (a wrapped
+    int64 round-trips, so check the values)."""
+    if (data.dtype.kind == "u" and data.size
+            and int(data.max()) > np.iinfo(np.int64).max):
+        raise SimulationError(
+            f"source {name!r}: integer values exceed int64's exact "
+            f"range (2**63); use engine_mode='scalar'")
+    return data
 
 
 class BatchedSourceUnit(SourceUnit):
-    """Array-slab variant of :class:`~repro.simulator.units.SourceUnit`.
-
-    Inherits the scalar stepping (used on scalar-step cycles) and
-    overrides only word materialization — channels carry array rows;
-    the window executor stores :meth:`words` into the stream's ring,
-    which casts them to the stream's slab dtype (int64 or float64,
-    exact).
-    """
+    """Array-slab variant of :class:`~repro.simulator.units.SourceUnit`:
+    the executor stores :meth:`words` into the stream's ring, which
+    casts them to the stream's slab dtype (int64 or float64, exact)."""
 
     def __init__(self, name: str, data: np.ndarray, vector_width: int,
                  out_channels: Sequence):
-        super().__init__(name, data, vector_width, out_channels)
-        if (data.dtype.kind == "u" and data.size
-                and int(data.max()) > np.iinfo(np.int64).max):
-            # Signed widths always fit; only huge uint64 values do not
-            # (a wrapped int64 round-trips, so check the values).
-            raise SimulationError(
-                f"source {name!r}: integer values exceed int64's exact "
-                f"range (2**63); use engine_mode='scalar'")
-
-    def _materialize_word(self):
-        return self.words(self.next_word, 1)[0]
+        super().__init__(name, exact_source(name, data), vector_width,
+                         out_channels)
 
 
-class BatchedStencilUnit(StencilBookkeeping):
-    """Vectorized variant of :class:`~repro.simulator.units.StencilUnit`.
+class BatchedStencilUnit:
+    """Vectorized evaluation of one stencil
+    (:class:`~repro.simulator.units.StencilUnit`'s values, not its
+    timing: the schedule carries that).
 
     The unit owns no field data: its sliding windows *are* its inbound
     streams' rings (a pop is a counter advance, the popped words stay
     readable as history), every tap is a contiguous ring slice of
     ``lo + flat_offset`` cells, and computed words are stored once,
     straight into the ring its out-edges share, where they sit staged
-    until the latency line — a ring of ready-times only — drains them
-    (see ``docs/ARCHITECTURE.md``, "Batched data plane").
+    until the schedule commits them (see ``docs/ARCHITECTURE.md``,
+    "Batched data plane").
 
     ``coord_slabs`` carries the machine-wide :class:`CoordSlabs`
     shared by every stencil unit, so read schedules are derived once
@@ -317,8 +302,6 @@ class BatchedStencilUnit(StencilBookkeeping):
                  stencil: StencilDefinition,
                  in_channels: Dict[str, object],
                  out_channels: Sequence,
-                 compute_latency: int,
-                 max_batch_words: int,
                  coord_slabs: Optional[CoordSlabs] = None,
                  stream_meta=None):
         self.name = stencil.name
@@ -326,7 +309,6 @@ class BatchedStencilUnit(StencilBookkeeping):
         self.stencil = stencil
         self.in_channels = dict(in_channels)
         self.out_channels = list(out_channels)
-        self.compute_latency = max(0, compute_latency)
 
         domain = program.shape
         self.domain = domain
@@ -337,8 +319,7 @@ class BatchedStencilUnit(StencilBookkeeping):
 
         if coord_slabs is None:
             coord_slabs = CoordSlabs(domain)
-        self.compiled, (self.access_info, _readahead, self.init_words,
-                        self.pop_start, _min_flat) = coord_slabs.schedule(
+        self.compiled, (self.access_info, *_) = coord_slabs.schedule(
             program, stencil)
         self.fields = fields = sorted(self.in_channels)
 
@@ -359,80 +340,16 @@ class BatchedStencilUnit(StencilBookkeeping):
                                  for _access, full, _flat
                                  in self.access_info]
 
-        # Latency line: a ring of ready-times; the words themselves sit
-        # staged in the outbound stream's ring.
-        self.line_capacity = self.compute_latency + 1
-        self._line_times = _RowRing(self.line_capacity + max_batch_words
-                                    + 1)
-
-        self.local_step = 0
-        self.stall_cycles = 0
-        self.stall_after_init = 0
-        self.first_push_cycle: Optional[int] = None
-        self.last_push_cycle: Optional[int] = None
-        self.words_pushed = 0
-        self._block = ""
-
         boundary = stencil.boundary
         self.shrink = boundary.shrink
         self.boundary = boundary
         self.fill_value = math.nan
 
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def line_head_time(self) -> int:
-        return int(self._line_times.peek0())
-
-    @property
-    def done(self) -> bool:
-        return (self.local_step >= self.init_words + self.num_words
-                and not len(self._line_times))
-
-    # -- scalar step (exact mirror of StencilUnit.step) ----------------------
-
-    def step(self, now: int) -> bool:
-        progressed = self._drain(now)
-        if self.local_step >= self.init_words + self.num_words:
-            return progressed
-        needed = self.needed_fields()
-        empty = [f for f in needed if self.in_channels[f].empty]
-        if empty:
-            self._note_stall(f"waiting on input(s) {empty}")
-            return progressed
-        if len(self._line_times) >= self.line_capacity:
-            self._note_stall("output backpressure (latency line full)")
-            return progressed
-        for field in needed:
-            self.in_channels[field].pop()
-        if self.local_step >= self.init_words:
-            self._line_push(
-                self.local_step - self.init_words, 1,
-                np.asarray([now + self.compute_latency], dtype=np.int64))
-        self.local_step += 1
-        return True
-
-    def _drain(self, now: int) -> bool:
-        if not len(self._line_times):
-            return False
-        if self.line_head_time > now:
-            return False
-        if any(c.full for c in self.out_channels):
-            return False
-        self._line_times.pop_rows(1)
-        for channel in self.out_channels:
-            channel.push_staged()
-        self._mark_pushed(now, 1)
-        return True
-
-    # -- slab operation (driven by the window executor) ----------------------
-
-    def _line_push(self, w0: int, b: int, times: np.ndarray):
-        """Compute words ``[w0, w0 + b)`` into the latency line: into
-        rows claimed first (the overflow checks run before any write)
-        in the ring the outbound edges share — each word's one store."""
+    def store_words(self, w0: int, b: int):
+        """Compute words ``[w0, w0 + b)`` into rows claimed first (the
+        overflow checks run before any write) in the ring the outbound
+        edges share — each word's one store."""
         self.compute_words(w0, b, claim_slab(self.out_channels, b))
-        self._line_times.push_rows(times)
 
     def compute_words(self, w0: int, b: int,
                       out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -496,16 +413,12 @@ class BatchedStencilUnit(StencilBookkeeping):
 
 
 class BatchedSinkUnit(SinkUnit):
-    """Array-slab variant of :class:`~repro.simulator.units.SinkUnit`.
-
-    Inherits the scalar stepping unchanged (an ``ArrayChannel`` pop
-    yields a row, which the per-lane store consumes like a tuple) and
-    adds the slab store.
-    """
+    """Array-slab variant of :class:`~repro.simulator.units.SinkUnit`:
+    the executor hands it slabs of output words."""
 
     def store_rows(self, rows: np.ndarray):
-        """Range-check and store a slab of output words (the window
-        executor accounts their arrival cycles itself)."""
+        """Range-check and store a slab of output words (the schedule
+        accounts their arrival cycles)."""
         values = rows.reshape(-1)
         if self.flat.dtype.kind in "iu" and values.dtype != self.flat.dtype:
             # Mirror the scalar engine's per-lane store errors instead
@@ -538,63 +451,36 @@ class BatchedSinkUnit(SinkUnit):
 
 
 class _WindowEvents:
-    """Per-unit event record over one virtually executed window:
-    which window-relative cycles each action fires on (the per-cycle
-    masks the window executor replays as slabs)."""
+    """Per-unit event record over one virtually executed window: which
+    window-relative cycles each action fires on."""
 
-    __slots__ = ("pushes", "advances", "line_pushes", "drains",
-                 "arrivals", "stalls", "stalls_after_init",
-                 "first_compute_local", "block")
+    __slots__ = ("moves", "drains", "stalls", "stalls_after_init")
 
     def __init__(self, drains: List[int]):
-        self.pushes: List[int] = []       # source push cycle offsets
-        self.advances = 0                 # words a stencil/sink consumed
-        self.line_pushes: List[int] = []  # stencil compute offsets
+        # A source's pushes, a stencil's computes, a sink's arrivals.
+        self.moves: List[int] = []
         self.drains = drains              # stencil output-push offsets
-        self.arrivals: List[int] = []     # sink arrival offsets
         self.stalls = 0
         self.stalls_after_init = 0
-        self.first_compute_local: Optional[int] = None
-        # What blocked the unit on its last stalled cycle, as data (the
-        # executor renders the diagnostic): full channel names for a
-        # source, empty field names for a stencil (None: line full).
-        self.block: Optional[List[str]] = None
-
-    def freeze(self) -> "_WindowEvents":
-        self.pushes, self.line_pushes = tuple(self.pushes), \
-            tuple(self.line_pushes)
-        self.drains, self.arrivals = tuple(self.drains), \
-            tuple(self.arrivals)
-        if self.block is not None:
-            self.block = tuple(self.block)
-        return self
 
 
 class _WindowPlan:
     """A virtually executed window of ``period`` cycles, proven to
-    repeat ``repeats`` times from the live machine state."""
+    repeat ``repeats`` times from the planner VM's state, with the
+    words it moves over all of them (what stage 2 executes)."""
 
-    __slots__ = ("period", "repeats", "events", "chan_push", "chan_pop",
-                 "chan_deliver", "chan_peak", "end_credit",
-                 "trailing_idle", "drift", "traffic")
+    __slots__ = ("period", "repeats", "drift", "traffic", "trailing_idle",
+                 "made", "sent", "popped", "delivered")
 
     def __init__(self):
         self.period = 0   # cycles stepped so far
         self.repeats = 1
-        # The most words any channel, link or latency line moves in one
-        # window (ring headroom holds ``traffic * repeats`` of them).
-        self.traffic = 0
         # True when the repeats were proven congruent modulo a nonzero
         # counter drift (ramp/drain transient batching).
         self.drift = False
-        self.events: List[_WindowEvents] = []   # in unit order
-        # Words moved per window: per channel slot (push, pop, peak
-        # occupancy) and per link (deliveries, closing credit).
-        self.chan_push: List[int] = []
-        self.chan_pop: List[int] = []
-        self.chan_peak: List[int] = []
-        self.chan_deliver: List[int] = []
-        self.end_credit: List[float] = []
+        # The most words any channel, link or latency line moves in one
+        # window (ring headroom holds ``traffic * repeats`` of them).
+        self.traffic = 0
         # The scalar engine's zero-progress streak after the (last)
         # window's final cycle, carried so a following standstill
         # still deadlocks on the same cycle.
@@ -604,26 +490,77 @@ class _WindowPlan:
     def cycles(self) -> int:
         return self.period * self.repeats
 
-    def freeze(self) -> "_WindowPlan":
-        """Lists become tuples: a published plan is shared by every
-        later run of its machine (see :meth:`BatchedSimulator.run`)."""
-        self.events = tuple([ev.freeze() for ev in self.events])
-        self.chan_push, self.chan_pop, self.chan_peak = tuple(
-            self.chan_push), tuple(self.chan_pop), tuple(self.chan_peak)
-        self.chan_deliver, self.end_credit = tuple(self.chan_deliver), \
-            tuple(self.end_credit)
-        return self
+
+class _Counters:
+    """The planner VM's machine state between windows: channel counters
+    (slots as laid out in :attr:`BatchedSimulator._machine`), timed
+    FIFOs, link credits, unit positions (source words pushed, stencil
+    local step, sink words received), each unit's last block and the
+    work left (steps + latency-line words + words) — plus the timing
+    observables summed so far."""
+
+    __slots__ = ("cnt", "fifos", "credits", "pos", "block", "remaining",
+                 "stalls", "steady", "first", "last", "count", "peak")
+
+    def __init__(self, n_chan: int, n_link: int, units):
+        self.cnt = [0] * (n_chan + n_link)
+        self.fifos = [deque() for entry in units if entry[0] == _STENCIL]
+        self.fifos[:0] = [deque() for _ in range(n_link)]
+        self.credits = [0.0] * n_link
+        self.pos = [0] * len(units)
+        self.block = [""] * len(units)
+        self.remaining = sum(entry[-1] if entry[0] == _STENCIL
+                             else entry[3][0] for entry in units)
+        self.stalls = [0] * len(units)
+        self.steady = [0] * len(units)
+        # First and last output cycle and words out, of stencils and
+        # sinks (streaming continuity).
+        self.first: List[Optional[int]] = [None] * len(units)
+        self.last = [0] * len(units)
+        self.count = [0] * len(units)
+        self.peak = [0] * n_chan
+
+    def continuous(self, i: int) -> bool:
+        return self.first[i] is not None \
+            and self.last[i] - self.first[i] == self.count[i] - 1
 
 
-def _span_times(parts) -> np.ndarray:
-    """Absolute cycles of the events of a span, oldest first: ``parts``
-    holds each plan's ``(offsets, now, plan)``, an event firing at the
-    window-relative ``offsets`` in each of ``plan.repeats`` windows of
-    ``plan.period`` cycles from cycle ``now``."""
-    times = [((_iota(plan.repeats) * plan.period + now)[:, None]
-              + np.asarray(offsets, dtype=np.int64)[None, :]).reshape(-1)
-             for offsets, now, plan in parts]
-    return times[0] if len(times) == 1 else np.concatenate(times)
+def _describe(kind: int, block) -> str:
+    """A unit's ``describe_block()`` text from the VM's record of its
+    last stall ("" before any)."""
+    if block == "":
+        return ""
+    if kind == _SOURCE:
+        return f"output full: {list(block)}"
+    if kind == _SINK:
+        return "waiting on producer"
+    return (f"waiting on input(s) {list(block)}" if block
+            else "output backpressure (latency line full)")
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """What stage 1 hands stage 2, and what a machine publishes.
+
+    ``passes`` holds the slab passes, each ``(made, sent, popped,
+    delivered)``: per unit the words it pushes, computes or stores, per
+    unit the words a stencil commits, per channel the words a stencil
+    pops and per link the words delivered.  ``timing`` holds the
+    :class:`~repro.simulator.engine.SimulationResult` timing fields as
+    ``(field, items)`` pairs, the rest the planner's statistics.
+    ``failure`` is the deadlock or cycle-cap error the run ends in
+    after its passes (never set on a published schedule)."""
+
+    passes: Tuple
+    cycles: int
+    timing: Tuple
+    plan_count: int
+    virtual_cycles: int
+    window_count: int
+    window_cycles: int
+    window_sizes: Tuple[int, ...]
+    drift_windows: int
+    failure: Optional[Exception] = None
 
 
 def _fifo_repeats(start: List[int], end: Sequence[int],
@@ -652,13 +589,27 @@ def _fifo_repeats(start: List[int], end: Sequence[int],
         return _INF
     k = len(start) // n
     if k > 1:
-        due = (now + q * _iota(k)[1:, None]
+        due = (now + q * np.arange(1, k, dtype=np.int64)[:, None]
                + np.asarray(pops, dtype=np.int64))
         late = (np.asarray(start[n:k * n], dtype=np.int64)
                 .reshape(k - 1, n) > due).any(axis=1)
         if late.any():
             k = 1 + int(np.argmax(late))
     return k
+
+
+def _replayed_fifo(start: List[int], pushed: List[int], popped: int,
+                   k: int, q: int) -> Deque[int]:
+    """A timed FIFO after ``k`` windows of ``q`` cycles that each pop
+    ``popped`` entries and push window 1's ``pushed`` times shifted by
+    ``q`` a window: ``start`` and the pushes, less the first
+    ``k * popped``."""
+    skip, m = k * popped, len(pushed)
+    fifo = deque(start[skip:])
+    for p in range(max(0, skip - len(start)), k * m):
+        window, r = divmod(p, m)
+        fifo.append(pushed[r] + window * q)
+    return fifo
 
 
 def machine_key_parts(sim) -> list:
@@ -690,19 +641,17 @@ def machine_key_parts(sim) -> list:
     ]
 
 
-#: A step a schedule does not hold: the run loop plans it.
-_UNPLANNED = object()
-
 #: Unit kinds of the window planner's counter-machine tables.
 _SOURCE, _STENCIL, _SINK = range(3)
 
 
 class BatchedSimulator(Simulator):
     """Drop-in :class:`~repro.simulator.engine.Simulator` replacement
-    executing deterministic stretches as NumPy batches, cut by one
-    planner: a virtually stepped window of ``q`` cycles (the LCM of the
-    fractional-rate links' delivery periods, 1 without one) and a
-    congruence proof of how often it repeats.
+    that plans the run on counters (:meth:`plan`: virtually stepped
+    windows of ``q`` cycles — the LCM of the fractional-rate links'
+    delivery periods, 1 without one — and congruence proofs of how
+    often they repeat), then moves the data in NumPy slab passes
+    (:meth:`execute`).
 
     Observable behaviour — outputs (bitwise), cycle count, stall
     counters, occupancy high-water marks, deadlock diagnostics — is
@@ -711,12 +660,11 @@ class BatchedSimulator(Simulator):
     ``tests/test_engine_equivalence.py`` for the enforcement.
 
     Planner statistics are exposed for tests and benchmarks after
-    :meth:`run`: ``plan_count`` planner invocations,
-    ``window_count`` the windows they led to execute,
-    ``window_cycles`` the cycles those covered, ``virtual_cycles`` the
-    cycles the planner stepped on counter state to get there and
-    ``scalar_cycles`` the cycles taken as true scalar steps (those no
-    window could start on, such as the cycle a deadlock is raised on).
+    :meth:`plan`: ``plan_count`` planner invocations,
+    ``window_count`` the windows they led to, ``window_cycles`` the
+    cycles those cover and ``virtual_cycles`` the cycles the planner
+    stepped on counter state to get there (a replay reports the
+    recording run's).
     """
 
     #: Upper bound on the window period (the LCM of the link delivery
@@ -734,55 +682,51 @@ class BatchedSimulator(Simulator):
     #: cycles, so shorter windows lose more than they save.
     MIN_STRETCH = 48
 
-    #: Whether a completed run records and publishes its window
-    #: schedule (see :meth:`run`).
-    _PUBLISHES_SCHEDULE = True
-
     def __init__(self, analysis, config=None,
                  device_of: Optional[Mapping[str, int]] = None):
         super().__init__(analysis, config, device_of=device_of)
         self.plan_count = 0
-        self.scalar_cycles = 0
         self.window_count = 0
-        self.slab_passes = 0
         self.window_cycles = 0
         self.drift_window_count = 0
         self.virtual_cycles = 0
-        # True when run() executed a published schedule (see run).
+        # True when plan() returned a published schedule (see run).
         self.schedule_replayed = False
         # Current lower bound on a non-repeating window's stretch
         # (cycles): doubled after each window that failed to repeat,
         # reset by one that did (see _plan_window).
         self._stretch_floor = self.MIN_STRETCH
-        # Window sizes feed the run profile's histogram; capped so a
-        # pathological sweep of tiny windows cannot grow the list
-        # unboundedly (the count/cycle totals above stay exact).
-        self._window_sizes: List[int] = []
         # Per producing node: its stream's one ring, its edges' layouts.
         self._rings: Dict[str, Tuple[StreamRing, dict]] = {}
         # What _bind_native did to this run's stencil units.
         self._native = None
+        self._vm: Optional[_Counters] = None
 
-    def _make_profile(self, cycles: int,
-                      wall_seconds: float) -> EngineProfile:
-        chans = self.channels.values()
+    def _make_profile(self, cycles: int, wall_seconds: float,
+                      **fields) -> EngineProfile:
         native = self._native.profile() if self._native else {}
-        return EngineProfile(engine="batched", cycles=cycles,
-                             wall_seconds=wall_seconds, **native,
-                             ring_bytes=sum({id(c._buf): c._buf.nbytes
-                                             for c in chans}.values()),
-                             ring_copy_bytes=sum({id(c._ring): c._ring.copied
-                                                  for c in chans}.values()),
-                             stored_words=sum(c.stored for c in chans),
-                             plan_count=self.plan_count,
-                             scalar_cycles=self.scalar_cycles,
-                             window_count=self.window_count,
-                             slab_passes=self.slab_passes,
-                             window_cycles=self.window_cycles,
-                             window_sizes=tuple(self._window_sizes),
-                             drift_windows=self.drift_window_count,
-                             virtual_cycles=self.virtual_cycles,
-                             schedule_replayed=self.schedule_replayed)
+        return EngineProfile(**{"engine": "batched", **native, **fields},
+                             cycles=cycles, wall_seconds=wall_seconds)
+
+    def _result(self, schedule: Schedule, outputs: Dict[str, np.ndarray],
+                **fields) -> SimulationResult:
+        """The run's result: ``outputs``, and the schedule's timing and
+        planner statistics (a control run's ``fields`` name its engine;
+        an executed run's add its data plane's)."""
+        profile = self._make_profile(
+            schedule.cycles, clock.now() - self._run_began,
+            plan_count=schedule.plan_count,
+            virtual_cycles=schedule.virtual_cycles,
+            window_count=schedule.window_count,
+            window_cycles=schedule.window_cycles,
+            window_sizes=schedule.window_sizes,
+            drift_windows=schedule.drift_windows,
+            schedule_replayed=self.schedule_replayed, **fields)
+        self._emit_run_metrics(profile)
+        return SimulationResult(
+            outputs=outputs, cycles=schedule.cycles,
+            expected_cycles=self._expected_cycles(), profile=profile,
+            **{name: dict(values) for name, values in schedule.timing})
 
     # -- construction --------------------------------------------------------
 
@@ -798,15 +742,9 @@ class BatchedSimulator(Simulator):
         """The machine's :func:`stream_metas` resolver."""
         return stream_metas(self.program)
 
-    _COORD_SLABS = CoordSlabs  # the control engine's hold no cells
-
     @cached_property
     def _coord_slabs(self) -> CoordSlabs:
-        return self._COORD_SLABS(self.program.shape)
-
-    def _stream_width(self) -> int:
-        """Lanes per streamed word (the control engine narrows it to 0)."""
-        return self.program.vectorization
+        return CoordSlabs(self.program.shape)
 
     def _edge_layout(self, key) -> dict:
         """Ring rows edge ``key`` needs beyond its FIFO capacity:
@@ -842,30 +780,25 @@ class BatchedSimulator(Simulator):
             rows = max(self._fifo_capacity(k) + 1 + layout["headroom"]
                        + layout["history"] for k, layout in layouts.items())
             pad = max(layout["history"] for layout in layouts.values())
-            ring = StreamRing(rows, self._stream_width(),
+            ring = StreamRing(rows, self.program.vectorization,
                               layouts[key]["dtype"], pad)
             stream = self._rings[key[0]] = (ring, layouts)
         return dict(stream[1][key], ring=stream[0])
 
     def _make_channel(self, key, name: str, capacity: int, data: str):
-        return ArrayChannel(name, capacity, self._stream_width(),
+        return ArrayChannel(name, capacity, self.program.vectorization,
                             **self._edge_storage(key))
 
     def _make_link(self, key, name: str, capacity: int, data: str):
-        config = self.config
-        return ArrayNetworkLink(
-            name, capacity, self._stream_width(),
-            latency=config.network_latency,
-            words_per_cycle=config.link_rate(key),
-            **self._edge_storage(key))
+        return ArrayNetworkLink(name, capacity, self.program.vectorization,
+                                **self._edge_storage(key))
 
     def _make_source(self, name: str, data: np.ndarray, outs):
         return BatchedSourceUnit(name, data, self.program.vectorization,
                                  outs)
 
     def _make_stencil(self, stencil, ins, outs, latency: int):
-        return BatchedStencilUnit(self.program, stencil, ins, outs, latency,
-                                  self._batch_cap(),
+        return BatchedStencilUnit(self.program, stencil, ins, outs,
                                   coord_slabs=self._coord_slabs,
                                   stream_meta=self._stream_meta)
 
@@ -876,85 +809,106 @@ class BatchedSimulator(Simulator):
     def _bind_native(self, stencil_units):
         """Swap each eligible unit's ``compute_words`` for this
         machine's compiled kernel (:mod:`.native`) — the one place the
-        native code is bound, for ring windows and the replay pass.
-        The control engine (zero lanes) computes nothing to bind."""
+        native code is bound, for slab passes and the replay pass."""
         # Deferred: native builds on kernel.py, which imports this module.
         from .native import bind_native
-        if self._stream_width():
-            self._native = bind_native(stencil_units,
-                                       self.program.num_cells)
+        self._native = bind_native(stencil_units, self.program.num_cells)
 
-    def _build(self, inputs):
-        super()._build(inputs)
-        self._bind_native([unit for unit in self.units
-                           if isinstance(unit, BatchedStencilUnit)])
-        # Counter-machine tables of the window planner, built once so a
-        # virtual cycle does no id(), isinstance or by-id dict lookup.
-        # A channel is its slot t in [0, C); per slot: its capacity,
-        # the counter slot of its ready count (t itself on a plain
-        # channel, whose ready count *is* its total; C + j on link j),
-        # its FIFO slot (j for link j's in-flight ring, else -1), its
-        # wire latency, and its producing and consuming unit.  Latency
-        # line s has FIFO slot L + s and counter slot C + L + s.
-        chans = self._chan_list = list(self.channels.values())
-        slot = {id(c): t for t, c in enumerate(chans)}
-        n_chan, n_link = len(chans), len(self.links)
+    @cached_property
+    def _machine(self):
+        """The machine as the counter VM sees it, from the lowered graph
+        alone — no unit or ring is built: ``(chans, links, rates,
+        units, names, order)``.
+
+        A channel is its slot t in [0, C), in ``graph.edges`` order (the
+        order :meth:`_build` makes them in); ``chans`` holds per slot
+        its name, capacity, the counter slot of its ready count (t
+        itself on a plain channel, whose ready count *is* its total;
+        C + j on link j), its FIFO slot (j for link j's in-flight ring,
+        else -1), its wire latency, and its producing and consuming
+        unit.  ``links`` holds each link's slot, ``rates`` its
+        :class:`RateLimiter`.  Latency line s has FIFO slot L + s and
+        counter slot C + L + s.
+
+        ``units`` holds per unit, in build order (sources, stencils,
+        sinks): ``(kind, name, out slots, schedule phase boundaries,
+        ...)``; a sink adds the ``(None, slot, ready slot)`` of its
+        pops, a stencil its in slots, the needed ``(field, slot, ready
+        slot)`` per pop phase as ``(end step, triples)``, its line's
+        FIFO and counter slots, line capacity, compute latency, init
+        words and final step.  ``names`` are the units' names,
+        ``order`` a topological unit order (producers strictly before
+        consumers), the one a slab pass applies units in."""
+        program, graph, config = self.program, self.graph, self.config
+        keys = [(e.src, e.dst, e.data) for e in graph.edges]
+        slot = {key: t for t, key in enumerate(keys)}
+        n_chan = len(keys)
+        names, capacity, latency_of = [], [], []
         ready_of, fifo_of = list(range(n_chan)), [-1] * n_chan
-        for j, link in enumerate(self.links):
-            ready_of[slot[id(link)]] = n_chan + j
-            fifo_of[slot[id(link)]] = j
-        self._vm_links = [slot[id(link)] for link in self.links]
+        links, rates = [], []
+        for t, key in enumerate(keys):
+            name = f"{key[0]}->{key[1]}:{key[2]}"
+            remote = self._edge_is_remote(key[0], key[1])
+            size = self._fifo_capacity(key)
+            if size < 1:
+                raise SimulationError(
+                    f"{'link' if remote else 'channel'} {name!r}: "
+                    f"capacity must be >= 1, got {size}")
+            names.append(name)
+            capacity.append(size)
+            latency_of.append(config.network_latency if remote else 0)
+            if remote:
+                ready_of[t], fifo_of[t] = n_chan + len(links), len(links)
+                links.append(t)
+                rates.append(RateLimiter(config.link_rate(key)))
         producer, consumer = [0] * n_chan, [0] * n_chan
-        self._vm_chans = ([c.capacity for c in chans], ready_of, fifo_of,
-                          [getattr(c, "latency", 0) for c in chans],
-                          producer, consumer)
-        # Per unit: (kind, unit, out slots, schedule phase boundaries,
-        # ...); a sink adds the (None, slot, ready slot) of its pops, a
-        # stencil its in slots, the needed (field, slot, ready slot)s
-        # per pop phase as (end step, triples), its line's FIFO and
-        # counter slots, line capacity, compute latency, init words and
-        # final step.
-        self._vm_units = table = []
-        fifo = n_link
-        for i, unit in enumerate(self.units):
-            outs = tuple(slot[id(c)]
-                         for c in getattr(unit, "out_channels", ()))
-            for t in outs:
-                producer[t] = i
-            for c in getattr(unit, "in_channels", {}).values():
-                consumer[slot[id(c)]] = i
-            if isinstance(unit, BatchedSourceUnit):
-                table.append((_SOURCE, unit, outs, (unit.num_words,)))
-            elif isinstance(unit, BatchedStencilUnit):
-                words, start = unit.num_words, unit.pop_start
-                end = unit.init_words + words
-                ins = {f: slot[id(unit.in_channels[f])]
-                       for f in unit.fields}
-                cuts = sorted({cut for first in start.values()
-                               for cut in (first, first + words)})
-                phases = [(cut, tuple(
-                    (f, t, ready_of[t]) for f, t in ins.items()
-                    if start[f] < cut <= start[f] + words))
-                    for cut in cuts] + [(end, ())]
-                table.append((_STENCIL, unit, outs,
-                              (unit.init_words, end, *cuts),
-                              tuple(ins.values()), phases,
-                              fifo, n_chan + fifo, unit.line_capacity,
-                              unit.compute_latency, unit.init_words, end))
-                fifo += 1
-            else:
-                t = slot[id(unit.in_channel)]
-                consumer[t] = i
-                table.append((_SINK, unit, (), (unit.num_words,),
-                              ((None, t, ready_of[t]),)))
 
-        # Topological unit order (producers strictly before consumers),
-        # used by the window executor: whole-window slabs are applied
-        # unit by unit, so every read must find its rows already
-        # written.  Unit order itself is not guaranteed topological
-        # (stencils appear in program order).
-        succ: List[List[int]] = [[] for _ in self.units]
-        indeg = [0] * len(self.units)
+        def slots(edges):
+            return tuple(slot[(e.src, e.dst, e.data)] for e in edges)
+
+        words = program.num_cells // program.vectorization
+        units, fifo = [], len(links)
+        for name in program.inputs:
+            units.append((_SOURCE, name,
+                          slots(graph.out_edges(f"input:{name}")),
+                          (words,)))
+        for stencil in program.stencils:
+            node = f"stencil:{stencil.name}"
+            ins = {e.data: slot[(e.src, e.dst, e.data)]
+                   for e in graph.in_edges(node)}
+            ins = {field: ins[field] for field in sorted(ins)}
+            _info, _reach, init, start, _flat = self._coord_slabs.schedule(
+                program, stencil)[1]
+            end = init + words
+            cuts = sorted({cut for first in start.values()
+                           for cut in (first, first + words)})
+            phases = [(cut, tuple(
+                (f, t, ready_of[t]) for f, t in ins.items()
+                if start[f] < cut <= start[f] + words))
+                for cut in cuts] + [(end, ())]
+            latency = max(0, self.analysis.node_delays[node].compute_cycles)
+            units.append((_STENCIL, stencil.name,
+                          slots(graph.out_edges(node)),
+                          (init, end, *cuts), tuple(ins.values()), phases,
+                          fifo, n_chan + fifo, latency + 1, latency, init,
+                          end))
+            fifo += 1
+        for out in program.outputs:
+            (t,) = slots(graph.in_edges(f"output:{out}"))
+            units.append((_SINK, out, (), (words,),
+                          ((None, t, ready_of[t]),)))
+        for i, entry in enumerate(units):
+            for t in entry[2]:
+                producer[t] = i
+            for t in (entry[4] if entry[0] == _STENCIL else
+                      (entry[4][0][1],) if entry[0] == _SINK else ()):
+                consumer[t] = i
+
+        # Unit order itself is not guaranteed topological (stencils
+        # appear in program order): a slab pass applies whole units, so
+        # every read must find its rows already written.
+        succ: List[List[int]] = [[] for _ in units]
+        indeg = [0] * len(units)
         for prod, cons in zip(producer, consumer):
             succ[prod].append(cons)
             indeg[cons] += 1
@@ -968,15 +922,18 @@ class BatchedSimulator(Simulator):
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     heapq.heappush(heap, j)
-        self._topo_units = order if len(order) == len(self.units) \
-            else list(range(len(self.units)))
+        if len(order) != len(units):
+            order = list(range(len(units)))
+        return ((names, capacity, ready_of, fifo_of, latency_of, producer,
+                 consumer), links, rates, units,
+                [entry[1] for entry in units], order)
 
     # -- planning ------------------------------------------------------------
     #
     # One planner (see the module docstring): step ``q`` cycles on
     # counter state, recording per-cycle delivery masks and unit
-    # actions; prove how often the window repeats; execute all ``k * q``
-    # cycles as single NumPy slabs per unit.
+    # actions; prove how often the window repeats; advance the VM over
+    # all ``k * q`` cycles.
     #
     # Congruence has two rules (docs/ARCHITECTURE.md, "The planner").
     # Every decision of a cycle is either a threshold test on a counter
@@ -1001,8 +958,8 @@ class BatchedSimulator(Simulator):
         (period-1 windows are exact at any rate, they only repeat
         less)."""
         q = 1
-        for link in self.links:
-            g = link.delivery_period()
+        for limiter in self._machine[2]:
+            g = limiter.delivery_period()
             if g is None:
                 return 1
             q = math.lcm(q, g)
@@ -1012,79 +969,63 @@ class BatchedSimulator(Simulator):
 
     def _plan_window(self, now: int, q: int, horizon: int,
                      idle_in: int) -> Optional[_WindowPlan]:
-        """Virtually execute ``q`` cycles of the machine on counter
+        """Virtually execute ``q`` cycles of the machine from the VM's
         state, mirroring the scalar engine's per-cycle semantics
-        exactly, and prove how often they repeat before ``horizon``.
-        ``idle_in`` is the zero-progress streak the deadlock detector
-        has counted so far; the window ends before a cycle it could
-        fire on.  Returns the window plan, or ``None`` when no window
-        can start here: fewer than ``q`` cycles of room, more slab
-        traffic in ``q`` cycles than a ring has headroom for, or a
-        first cycle the detector may fire on."""
+        exactly, prove how often they repeat before ``horizon`` and
+        advance the VM over all of them.  ``idle_in`` is the
+        zero-progress streak the deadlock detector has counted so far:
+        a window ends before a cycle it could fire on, and that cycle
+        is a one-cycle plan of its own, which raises the
+        :class:`DeadlockError` when the detector fires.  Returns None,
+        leaving the VM as it was, when no window of ``q`` > 1 cycles
+        can start here: fewer than ``q`` cycles of room, or more slab
+        traffic than a ring has headroom for."""
         self.plan_count += 1
         if horizon - now < q:
             return None
         plan = _WindowPlan()
-        chans, links, units = (self._chan_list, self._vm_links,
-                               self._vm_units)
-        (capacity, ready_of, fifo_of, latency_of, producer,
-         consumer) = self._vm_chans
-        n_chan, n_link = len(chans), len(links)
+        vm = self._vm
+        (chans, links, rates, units, _names, _order) = self._machine
+        (chan_names, capacity, ready_of, fifo_of, latency_of, producer,
+         consumer) = chans
+        rates = [limiter.rate for limiter in rates]
+        n_chan, n_link = len(capacity), len(links)
 
-        # Virtual machine state, seeded from the live machine: channel
-        # counters and timed FIFOs (slots as laid out in _build), link
-        # credits, per-unit progress (source words pushed, stencil
-        # local step, sink words received) and the work left before
-        # the run completes (steps + latency-line words + words).
-        cnt = [len(c) for c in chans]
-        fifos: List[Deque[int]] = []
-        # Link credits, refilled and spent as RateLimiter does.
-        rates = [chans[t].words_per_cycle for t in links]
-        credits = [chans[t].credit for t in links]
+        # The window runs on copies of the VM's state, committed once
+        # its repeats are proven.
+        cnt, pos, block = list(vm.cnt), list(vm.pos), list(vm.block)
+        fifos: List[Deque[int]] = [deque(fifo) for fifo in vm.fifos]
+        credits = list(vm.credits)   # refilled and spent as RateLimiter
+        remaining = vm.remaining
         # A FIFO whose consultations ever found it empty or its head
         # immature only replays under the strict rule (_fifo_repeats).
         strict_only = [rate >= 1.0 for rate in rates]
-        for t in links:
-            link = chans[t]
-            cnt.append(cnt[t] - link.in_flight_len)
-            fifos.append(deque(link.in_flight_times().tolist()))
         pops: List[List[int]] = [[] for _ in range(n_link)]
-        pos: List[int] = []
         need: List[Optional[Tuple]] = []
         # The active set (below) skips units with nothing left to do (a
         # finished stencil's line is strict_only: empty on every visit).
         active: List[bool] = []
-        events = plan.events
-        remaining = 0
-        for entry in units:
-            unit = entry[1]
+        events: List[_WindowEvents] = []
+        for entry, step in zip(units, pos):
             drains: List[int] = []
             if entry[0] == _STENCIL:
-                step, phases = unit.local_step, entry[5]
-                line = deque(unit._line_times.snapshot().tolist())
-                fifos.append(line)
-                active.append(step < entry[11] or bool(line))
+                phases = entry[5]
+                active.append(step < entry[11] or bool(fifos[entry[6]]))
                 strict_only.append(not active[-1])
                 pops.append(drains)
                 need.append(next((p for p in phases if step < p[0]),
                                  phases[-1]))
-                remaining += max(entry[11] - step, 0) + len(line)
             else:
-                step = unit.next_word if entry[0] == _SOURCE \
-                    else unit.received
-                active.append(step < unit.num_words)
+                active.append(step < entry[3][0])
                 need.append(None)
-                remaining += max(unit.num_words - step, 0)
-            pos.append(step)
             events.append(_WindowEvents(drains))
-        start_cnt, start_pos = list(cnt), list(pos)
-        start_credit = list(credits)
-        start_fifo = [list(fifo) for fifo in fifos]
+        start_cnt, start_pos, start_credit = vm.cnt, vm.pos, vm.credits
+        start_fifo = [list(fifo) for fifo in vm.fifos]
         start_remaining = remaining
 
-        pushed = plan.chan_push = [0] * n_chan
-        popped = plan.chan_pop = [0] * n_chan
-        peak = plan.chan_peak = [0] * n_chan
+        pushed = [0] * n_chan
+        popped = [0] * n_chan
+        peak = [0] * n_chan
         # Largest per-channel / per-line word count moved so far (ring
         # headroom is sized for one batch cap of slab traffic).
         traffic = 0
@@ -1199,15 +1140,15 @@ class BatchedSimulator(Simulator):
                         slack = capacity[t] - 1 - cnt[t]
                         if slack < 0:
                             over[t] = min(over[t], -1 - slack)
-                            full.append(chans[t].name)
+                            full.append(chan_names[t])
                         elif slack < under[t]:
                             under[t] = slack
                     if full:
                         ev.stalls += 1
-                        ev.block = full
+                        block[i] = full
                         sleep(i, off)
                         continue
-                    ev.pushes.append(off)
+                    ev.moves.append(off)
                     pos[i] += 1
                     remaining -= 1
                     push = True
@@ -1234,9 +1175,9 @@ class BatchedSimulator(Simulator):
                             under[slot] = slack
                     if empty is not None:
                         ev.stalls += 1
+                        block[i] = empty or None
                         if kind == _STENCIL:
                             ev.stalls_after_init += step >= init
-                            ev.block = empty or None
                         if not push:
                             sleep(i, off, line)
                     else:
@@ -1251,18 +1192,15 @@ class BatchedSimulator(Simulator):
                             if count > traffic:
                                 traffic = count
                         if kind == _SINK:
-                            ev.arrivals.append(off)
+                            ev.moves.append(off)
                             remaining -= 1
                         elif step >= init:
                             line.append(now_v + latency)
-                            ev.line_pushes.append(off)
-                            if len(ev.line_pushes) > traffic:
-                                traffic = len(ev.line_pushes)
-                            if ev.first_compute_local is None:
-                                ev.first_compute_local = step
+                            ev.moves.append(off)
+                            if len(ev.moves) > traffic:
+                                traffic = len(ev.moves)
                         else:
                             remaining -= 1
-                        ev.advances += 1
                         pos[i] = step + 1
                         progressed = True
                 if push:
@@ -1296,10 +1234,10 @@ class BatchedSimulator(Simulator):
         # cycles (the scalar loop's ``idle_streak``), which it reads on
         # a zero-progress cycle with empty links.  Link occupancy only
         # changes with unit progress, so links empty before such a
-        # cycle are empty after it: the window ends before a cycle
-        # that could complete the streak, and the main loop takes that
-        # one as a shared scalar step — the raise, its cycle and its
-        # diagnostic stay the oracle's.
+        # cycle are empty after it: a window ends before a cycle that
+        # could complete the streak, and that cycle is a plan of its
+        # own — the raise, its cycle and its diagnostic stay the
+        # oracle's.
         idle = idle_in
         deadline = self.config.deadlock_window - 1
         last = -1        # offset of the latest cycle that made progress
@@ -1321,217 +1259,176 @@ class BatchedSimulator(Simulator):
             plan.period += 1
             return True
 
-        while plan.period < q and advance():
-            pass
-        if not plan.period:
-            return None
-
-        # Ring headroom: a channel's or latency line's slab traffic per
-        # executed stretch must fit the batch headroom (a stall moves
-        # nothing, and is bounded by the horizon alone).
         cap = self._batch_cap()
-        if traffic > cap:
-            return None
-        repeats = (horizon - now) // q
-        if traffic:
-            repeats = min(repeats, cap // traffic)
-        if plan.period < q or frozen:
-            # Cut short, or idle with empty links: the streak such a
-            # window starts its repeats on differs from ``idle_in``, so
-            # it is executed once (and stretched, below).
-            repeats = 1
-
-        # Congruence: window 2 must make window 1's decisions, shifted
-        # by q cycles — then so does every further window, until a
-        # margin, a FIFO entry or a schedule phase runs out.  Credits
-        # must return to their start values exactly; every timed FIFO
-        # passes the one rule of _fifo_repeats; every counter may end
-        # displaced by a constant drift, bounded by its margins.
-        if credits != start_credit:
-            repeats = 0
-        for f, fifo in enumerate(fifos):
-            if repeats < 2:
-                break
-            repeats = min(repeats, _fifo_repeats(
-                start_fifo[f], fifo, pops[f], now, q, strict_only[f]))
-        drift = [end - start for end, start in zip(cnt, start_cnt)] + [
-            len(end) - len(start)
-            for end, start in zip(fifos[n_link:], start_fifo[n_link:])]
-        for i, d in enumerate(drift):
-            if d > 0:
-                repeats = min(repeats, 1 + under[i] // d)
-            elif d < 0:
-                repeats = min(repeats, 1 + over[i] // -d)
-        # Phase bound: repeats 2..k replay window 1's decisions only
-        # while no unit crosses a schedule boundary (pop windows, init
-        # fill, completion), so clamp k strictly below the nearest one
-        # — stall cycles *after* a unit's last word in a window are
-        # only accounted correctly while the unit is not yet done, so
-        # even landing exactly on a boundary at the window end is left
-        # to the next window.  Likewise the run must not complete
-        # inside the repeats (the scalar loop exits there).
-        for entry, step, moved in zip(units, start_pos, pos):
-            moved -= step
-            if moved:
-                for bound in entry[3]:
-                    if bound > step:
-                        repeats = min(repeats,
-                                      (bound - step - 1) // moved)
-        if remaining < start_remaining:
-            repeats = min(repeats, (start_remaining - 1)
-                          // (start_remaining - remaining))
-        if repeats >= 2:
-            plan.repeats = int(repeats)
-            plan.drift = any(drift)
-            # Window 1's recorded peak is the lowest of the repeats on
-            # a filling channel; the true high-water mark lands in the
-            # last repeat.
-            for t in range(n_chan):
-                if drift[t] > 0:
-                    peak[t] += (plan.repeats - 1) * drift[t]
-            self._stretch_floor = self.MIN_STRETCH
+        if idle >= deadline and not links_hold_words():
+            # The detector's cycle: stepped alone, as the scalar loop
+            # steps it, and the deadlock when nothing progresses.
+            if not run_cycle(0):
+                raise self._deadlock_error(now, cnt, pos, fifos, block)
+            plan.period, last, idle = 1, 0, 0
         else:
-            # Transient that does not (yet) repeat: the virtual
-            # schedule is exact for any stretch, so keep extending it
-            # and amortize the slab pass over many periods — until two
-            # consecutive periods moved every unit alike (the next
-            # window will likely repeat), but never below the floor.
-            limit = min(q * self.WINDOW_STRETCH, horizon - now)
-            floor = self._stretch_floor
-            self._stretch_floor = min(2 * floor, q * self.WINDOW_STRETCH)
-            mark, moved = start_pos, None
-            while plan.period < limit and traffic < cap:
-                if not plan.period % q:
-                    step = list(map(sub, pos, mark))
-                    if step == moved and plan.period >= floor:
-                        break
-                    mark, moved = list(pos), step
-                if not advance():
+            while plan.period < q and advance():
+                pass
+            # Ring headroom: a channel's or latency line's slab traffic
+            # per executed stretch must fit the batch headroom (a stall
+            # moves nothing, and is bounded by the horizon alone); one
+            # cycle moves at most one word per channel and line, so
+            # only a multi-word link delivery can exceed it there, and
+            # that moves no row.
+            if traffic > cap and q > 1:
+                return None
+            repeats = (horizon - now) // q
+            if traffic:
+                repeats = min(repeats, cap // traffic)
+            if plan.period < q or frozen:
+                # Cut short, or idle with empty links: the streak such a
+                # window starts its repeats on differs from ``idle_in``,
+                # so it is executed once (and stretched, below).
+                repeats = 1
+
+            # Congruence: window 2 must make window 1's decisions,
+            # shifted by q cycles — then so does every further window,
+            # until a margin, a FIFO entry or a schedule phase runs
+            # out.  Credits must return to their start values exactly;
+            # every timed FIFO passes the one rule of _fifo_repeats;
+            # every counter may end displaced by a constant drift,
+            # bounded by its margins.
+            if credits != start_credit:
+                repeats = 0
+            for f, fifo in enumerate(fifos):
+                if repeats < 2:
                     break
+                repeats = min(repeats, _fifo_repeats(
+                    start_fifo[f], fifo, pops[f], now, q, strict_only[f]))
+            drift = [end - start for end, start in zip(cnt, start_cnt)] + [
+                len(end) - len(start)
+                for end, start in zip(fifos[n_link:], start_fifo[n_link:])]
+            for i, d in enumerate(drift):
+                if d > 0:
+                    repeats = min(repeats, 1 + under[i] // d)
+                elif d < 0:
+                    repeats = min(repeats, 1 + over[i] // -d)
+            # Phase bound: repeats 2..k replay window 1's decisions only
+            # while no unit crosses a schedule boundary (pop windows,
+            # init fill, completion), so clamp k strictly below the
+            # nearest one — stall cycles *after* a unit's last word in a
+            # window are only accounted correctly while the unit is not
+            # yet done, so even landing exactly on a boundary at the
+            # window end is left to the next window.  Likewise the run
+            # must not complete inside the repeats (the scalar loop
+            # exits there).
+            for entry, step, moved in zip(units, start_pos, pos):
+                moved -= step
+                if moved:
+                    for bound in entry[3]:
+                        if bound > step:
+                            repeats = min(repeats,
+                                          (bound - step - 1) // moved)
+            if remaining < start_remaining:
+                repeats = min(repeats, (start_remaining - 1)
+                              // (start_remaining - remaining))
+            if repeats >= 2:
+                plan.repeats = int(repeats)
+                plan.drift = any(drift)
+                # Window 1's recorded peak is the lowest of the repeats
+                # on a filling channel; the true high-water mark lands
+                # in the last repeat.
+                for t in range(n_chan):
+                    if drift[t] > 0:
+                        peak[t] += (plan.repeats - 1) * drift[t]
+                self._stretch_floor = self.MIN_STRETCH
+            else:
+                # Transient that does not (yet) repeat: the virtual
+                # schedule is exact for any stretch, so keep extending
+                # it and amortize the slab pass over many periods —
+                # until two consecutive periods moved every unit alike
+                # (the next window will likely repeat), but never below
+                # the floor.
+                limit = min(q * self.WINDOW_STRETCH, horizon - now)
+                floor = self._stretch_floor
+                self._stretch_floor = min(2 * floor,
+                                          q * self.WINDOW_STRETCH)
+                mark, moved = start_pos, None
+                while plan.period < limit and traffic < cap:
+                    if not plan.period % q:
+                        step = list(map(sub, pos, mark))
+                        if step == moved and plan.period >= floor:
+                            break
+                        mark, moved = list(pos), step
+                    if not advance():
+                        break
         # The streak the scalar loop would hold after the last cycle: a
         # window without progress extends the one it was handed.
-        plan.trailing_idle = idle if last >= 0 \
-            else idle + (plan.repeats - 1) * q
-        for i in range(len(units)):
-            wake(i, plan.period)
-        plan.chan_deliver = [len(offsets) for offsets in pops[:n_link]]
-        plan.end_credit = credits
+        k, period = plan.repeats, plan.period
+        plan.trailing_idle = idle if last >= 0 else idle + (k - 1) * period
         plan.traffic = traffic
+        for i in range(len(units)):
+            wake(i, period)
+
+        # Commit: the words moved over all k windows, the timing they
+        # add, and the VM state after them.
+        plan.made = tuple(len(ev.moves) * k for ev in events)
+        plan.sent = tuple(len(ev.drains) * k for ev in events)
+        plan.popped = tuple(count * k for count in popped)
+        plan.delivered = tuple(len(offsets) * k for offsets in pops[:n_link])
+        for i, (entry, ev) in enumerate(zip(units, events)):
+            vm.stalls[i] += ev.stalls * k
+            vm.steady[i] += ev.stalls_after_init * k
+            out = (ev.drains if entry[0] == _STENCIL else
+                   ev.moves if entry[0] == _SINK else ())
+            if out:
+                if vm.first[i] is None:
+                    vm.first[i] = now + out[0]
+                vm.last[i] = now + (k - 1) * period + out[-1]
+                vm.count[i] += len(out) * k
+        vm.peak = list(map(max, vm.peak, peak))
+        if k > 1:
+            # Every repeat pushes window 1's FIFO times shifted by q.
+            times = [(events[producer[t]].moves
+                      if units[producer[t]][0] == _SOURCE
+                      else events[producer[t]].drains, now + latency_of[t])
+                     for t in links] + [
+                (ev.moves, now + entry[9])
+                for entry, ev in zip(units, events) if entry[0] == _STENCIL]
+            fifos = [_replayed_fifo(start_fifo[f],
+                                    [base + off for off in offsets],
+                                    len(pops[f]), k, period)
+                     for f, (offsets, base) in enumerate(times)]
+            cnt = [c + (k - 1) * d for c, d in zip(cnt, drift)]
+            pos = [p + (k - 1) * (p - s) for p, s in zip(pos, start_pos)]
+            remaining += (k - 1) * (remaining - start_remaining)
+        vm.cnt, vm.fifos, vm.pos, vm.remaining = cnt, fifos, pos, remaining
+        vm.credits, vm.block = credits, block
         return plan
 
-    # -- execution -----------------------------------------------------------
-
-    def _execute_span(self, span: Sequence[Tuple[_WindowPlan, int]]):
-        """Apply consecutive windows — ``span`` holds ``(plan, now)``,
-        each ``plan.repeats`` windows from cycle ``now`` — as one slab
-        pass in topological unit order: each unit stages, computes and
-        commits the words of all of them at once, at their windows'
-        event times concatenated.  All per-cycle accounting (times,
-        stalls, continuity, occupancy peaks) comes from each plan's
-        virtual window, so the terminal state is exactly what the
-        span's scalar cycles would have produced.  Values do not depend
-        on timing, and the span's summed traffic fits the ring headroom
-        (see :meth:`run`), so every producer's words may all be written
-        before its consumers pop."""
-        chans, fifo_of = self._chan_list, self._vm_chans[2]
-        for i in self._topo_units:
-            entry = self._vm_units[i]
-            (self._span_source, self._span_stencil,
-             self._span_sink)[entry[0]](entry, i, span)
-            # Deliveries follow the producer's slab so the in-flight
-            # ring holds every row they move; consumers come later in
-            # topological order.
-            for t in entry[2]:
-                if fifo_of[t] >= 0:
-                    delivered = 0
-                    for plan, _now in span:
-                        delivered += (plan.chan_deliver[fifo_of[t]]
-                                      * plan.repeats)
-                    if delivered:
-                        chans[t].deliver_rows(delivered)
-        for link, credit in zip(self.links, span[-1][0].end_credit):
-            link.sync_credit(credit)
-        for plan, _now in span:
-            k = plan.repeats
-            for channel, pushed, popped, peak in zip(
-                    chans, plan.chan_push, plan.chan_pop, plan.chan_peak):
-                channel.pushes += pushed * k
-                channel.pops += popped * k
-                if peak > channel.max_occupancy:
-                    channel.max_occupancy = peak
-
-    def _span_source(self, entry, i: int, span):
-        unit, count, times = entry[1], 0, []
-        for plan, now in span:
-            ev = plan.events[i]
-            if ev.pushes:
-                count += len(ev.pushes) * plan.repeats
-                times.append((ev.pushes, now, plan))
-            if ev.stalls:
-                unit.stall_cycles += ev.stalls * plan.repeats
-                unit._block = f"output full: {list(ev.block)}"
-        if count:
-            stage_slab(unit.out_channels, unit.words(unit.next_word, count))
-            _commit_slab(unit.out_channels, count,
-                         lambda: _span_times(times))
-            unit.next_word += count
-
-    def _span_stencil(self, entry, i: int, span):
-        unit = entry[1]
-        for t in entry[4]:
-            popped = 0
-            for plan, _now in span:
-                popped += plan.chan_pop[t] * plan.repeats
-            if popped:
-                self._chan_list[t].skip_rows(popped)
-        computed = drained = 0
-        line, drains = [], []
-        for plan, now in span:
-            ev, q, k = plan.events[i], plan.period, plan.repeats
-            if ev.line_pushes:
-                if not computed:
-                    w0 = ev.first_compute_local - unit.init_words
-                computed += len(ev.line_pushes) * k
-                line.append((ev.line_pushes, now, plan))
-            if ev.drains:
-                drained += len(ev.drains) * k
-                drains.append((ev.drains, now, plan))
-                if unit.first_push_cycle is None:
-                    unit.first_push_cycle = now + ev.drains[0]
-                unit.last_push_cycle = now + (k - 1) * q + ev.drains[-1]
-            unit.local_step += ev.advances * k
-            if ev.stalls:
-                unit.stall_cycles += ev.stalls * k
-                unit.stall_after_init += ev.stalls_after_init * k
-                unit._block = (f"waiting on input(s) {list(ev.block)}"
-                               if ev.block else
-                               "output backpressure (latency line full)")
-        if computed:
-            unit._line_push(w0, computed,
-                            _span_times(line) + unit.compute_latency)
-        if drained:
-            unit._line_times.pop_rows(drained)
-            _commit_slab(unit.out_channels, drained,
-                         lambda: _span_times(drains))
-            unit.words_pushed += drained
-
-    def _span_sink(self, entry, i: int, span):
-        unit, count = entry[1], 0
-        for plan, now in span:
-            ev, k = plan.events[i], plan.repeats
-            if ev.arrivals:
-                count += len(ev.arrivals) * k
-                if unit.first_word_cycle is None:
-                    unit.first_word_cycle = now + ev.arrivals[0]
-                unit.last_word_cycle = (now + (k - 1) * plan.period
-                                        + ev.arrivals[-1])
-            if ev.stalls:
-                unit.stall_cycles += ev.stalls * k
-                unit._block = "waiting on producer"
-        if count:
-            unit.store_rows(unit.in_channel.read_rows(count))
-
-    # -- main loop -----------------------------------------------------------
+    def _deadlock_error(self, now: int, cnt, pos, fifos, block):
+        """The detector's error on cycle ``now``, read off the VM's
+        state after it as the scalar engine reads it off its units and
+        channels (``Simulator._deadlock_error``)."""
+        (chans, _links, _rates, units, names, _order) = self._machine
+        chan_names, capacity, _ready, _fifo, _lat, producer, consumer = \
+            chans
+        blocked = []
+        for i, (entry, step) in enumerate(zip(units, pos)):
+            kind = entry[0]
+            if kind == _STENCIL:
+                if step >= entry[11] and not fifos[entry[6]]:
+                    continue
+                needed = next((p for p in entry[5] if step < p[0]),
+                              entry[5][-1])[1]
+                waits = [producer[t] for _f, t, r in needed if not cnt[r]]
+            elif step >= entry[3][0]:
+                continue
+            else:
+                waits = [producer[entry[4][0][1]]] if kind == _SINK else []
+            if not waits:
+                outs = entry[2]
+                waits = [consumer[t] for t in [
+                    t for t in outs if cnt[t] >= capacity[t]] or outs]
+            blocked.append((names[i], _describe(kind, block[i]),
+                            {names[u] for u in waits}))
+        return deadlock_error(now, blocked, [
+            (name, cnt[t], capacity[t]) for t, name in enumerate(chan_names)])
 
     def _schedule_key(self, max_cycles: int) -> str:
         """Content address of this machine's window schedule: the
@@ -1543,85 +1440,161 @@ class BatchedSimulator(Simulator):
                            self.MAX_WINDOW, self.WINDOW_STRETCH,
                            self.MIN_STRETCH)
 
-    def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
-        """Simulate to completion; see :meth:`Simulator.run`.
+    def plan(self) -> Schedule:
+        """Stage 1: the machine's schedule, planned on counters alone.
 
-        The machine is planned once per process: a full run that
-        completes publishes what it did at each ``(now, idle streak)``
-        — the plan it executed, or None for a scalar step — to the
-        lowering cache, and a later run of the same machine executes
-        those plans instead of planning (``docs/ARCHITECTURE.md``,
-        "Planned once per process").  Only the source of each plan
-        changes; a run that raises publishes nothing."""
-        self._build(inputs)
+        A machine is planned once per process: a full run that
+        completes publishes its schedule to the lowering cache, and
+        this returns it (``schedule_replayed``) instead of planning
+        again (``docs/ARCHITECTURE.md``, "Planned once per process").
+        Otherwise the planner VM is seeded at cycle 0 and plans window
+        after window; passes gather consecutive windows while their
+        summed traffic fits the batch cap, the envelope the rings are
+        sized for.  A deadlock or a cycle-cap overrun ends the schedule
+        as its ``failure``."""
+        machine = self._machine
         expected = self._expected_cycles()
         max_cycles = self._max_cycles(expected)
-        period = self._window_period()
-        cap = self._batch_cap()
-        plans: dict = {}
-        recorded = None
-        key = self._schedule_key(max_cycles)
-        schedule = default_cache().lookup(key)
+        schedule = default_cache().lookup(self._schedule_key(max_cycles))
         if schedule is not None:
-            plans, self.plan_count, self.virtual_cycles = schedule
             self.schedule_replayed = True
-        elif self._PUBLISHES_SCHEDULE:
-            # Plans are frozen as recorded: the empty lists go.
-            recorded = {}
-        now = 0
-        idle_streak = 0
-        while not all(u.done for u in self.units):
+            self.plan_count = schedule.plan_count
+            self.virtual_cycles = schedule.virtual_cycles
+            self.window_count = schedule.window_count
+            self.window_cycles = schedule.window_cycles
+            self.drift_window_count = schedule.drift_windows
+            return schedule
+        (chans, links, _rates, units, names, _order) = machine
+        vm = self._vm = _Counters(len(chans[1]), len(links), units)
+        period, cap = self._window_period(), self._batch_cap()
+        passes: List[List[List[int]]] = []
+        sizes: List[int] = []
+        load, failure = 0, None
+        now = idle = 0
+        while vm.remaining:
             if now >= max_cycles:
-                raise SimulationError(
+                failure = SimulationError(
                     f"simulation exceeded {max_cycles} cycles "
                     f"(expected ~{expected})")
-            step = (now, idle_streak)
-            window = plans.get(step, _UNPLANNED)
-            if window is _UNPLANNED:
-                window = self._plan_window(now, period, max_cycles,
-                                           idle_streak)
-                if window is None and period > 1:
+                break
+            try:
+                window = self._plan_window(now, period, max_cycles, idle)
+                if window is None:
                     # No room or ring headroom for the LCM window: one
                     # cycle moves at most one word per channel.
-                    window = self._plan_window(now, 1, max_cycles,
-                                               idle_streak)
-                if recorded is not None:
-                    recorded[step] = window and window.freeze()
-            if window is not None:
-                # A replay runs the recorded windows that follow in
-                # the same pass, up to a scalar step or the batch cap
-                # (a cold run looks up nothing: spans of one).
-                span, load = [], 0
-                while window is not None and (
-                        not span or load + window.traffic
-                        * window.repeats <= cap):
-                    load += window.traffic * window.repeats
-                    span.append((window, now))
-                    self.window_count += 1
-                    self.window_cycles += window.cycles
-                    if window.drift:
-                        self.drift_window_count += 1
-                    if len(self._window_sizes) < MAX_WINDOW_SAMPLES:
-                        self._window_sizes.append(window.cycles)
-                    now += window.cycles
-                    idle_streak = window.trailing_idle
-                    window = plans.get((now, idle_streak))
-                self._execute_span(span)
-                self.slab_passes += 1
-                continue
-            # Exact scalar step, as the scalar engine's loop takes it,
-            # on a cycle no window could start on (the detector's).
-            self.scalar_cycles += 1
-            if self._step_cycle(now):
-                idle_streak = 0
+                    window = self._plan_window(now, 1, max_cycles, idle)
+            except DeadlockError as exc:
+                failure = exc
+                break
+            counts = (window.made, window.sent, window.popped,
+                      window.delivered)
+            weight = window.traffic * window.repeats
+            if passes and load + weight <= cap:
+                for total, add in zip(passes[-1], counts):
+                    total[:] = map(sum, zip(total, add))
+                load += weight
             else:
-                idle_streak += 1
-                if idle_streak >= self.config.deadlock_window and \
-                        not self._links_hold_words():
-                    raise deadlock_error(self.units, now, simulator=self)
-            now += 1
+                passes.append([list(add) for add in counts])
+                load = weight
+            self.window_count += 1
+            self.window_cycles += window.cycles
+            self.drift_window_count += window.drift
+            if len(sizes) < MAX_WINDOW_SAMPLES:
+                sizes.append(window.cycles)
+            now += window.cycles
+            idle = window.trailing_idle
+        stencils = [i for i, entry in enumerate(units)
+                    if entry[0] == _STENCIL]
+        sinks = [i for i, entry in enumerate(units) if entry[0] == _SINK]
+        timing = {
+            "stall_cycles": {names[i]: vm.stalls[i]
+                             for i in range(len(units))},
+            "steady_stall_cycles": {names[i]: vm.steady[i]
+                                    for i in stencils},
+            "channel_occupancy": dict(zip(chans[0], vm.peak)),
+            "output_continuous": {names[i]: vm.continuous(i)
+                                  for i in sinks},
+            "stencil_continuous": {names[i]: vm.continuous(i)
+                                   for i in stencils},
+        }
+        self._vm = None
+        return Schedule(
+            passes=tuple(tuple(map(tuple, counts)) for counts in passes),
+            cycles=now, plan_count=self.plan_count,
+            timing=tuple((name, tuple(values.items()))
+                         for name, values in timing.items()),
+            virtual_cycles=self.virtual_cycles,
+            window_count=self.window_count,
+            window_cycles=self.window_cycles, window_sizes=tuple(sizes),
+            drift_windows=self.drift_window_count, failure=failure)
 
-        if recorded is not None:
-            default_cache().get_or_build(key, lambda: (
-                recorded, self.plan_count, self.virtual_cycles))
-        return self._collect_result(now)
+    # -- execution -----------------------------------------------------------
+
+    def execute(self, schedule: Schedule,
+                inputs: Mapping[str, np.ndarray]) -> SimulationResult:
+        """Stage 2: build the units and rings over ``inputs`` and move
+        the words of ``schedule``'s passes — nothing here decides a
+        cycle.  A pass applies each unit once, in topological order:
+        it stages, computes and commits all of the pass's words of
+        that unit at once.  Values do not depend on timing, and a
+        pass's summed traffic fits the ring headroom, so every
+        producer's words may all be written before its consumers pop.
+        A schedule that ends in a failure raises it once its passes
+        have run: a data error among them still wins."""
+        self._build(inputs)
+        self._bind_native([unit for unit in self.units
+                           if isinstance(unit, BatchedStencilUnit)])
+        chans = list(self.channels.values())
+        (tables, _links, _rates, units, _names, order) = self._machine
+        fifo_of = tables[3]
+        moved = [0] * len(units)   # words each unit has pushed/computed
+        for made, sent, popped, delivered in schedule.passes:
+            for i in order:
+                entry, unit, n = units[i], self.units[i], made[i]
+                if entry[0] == _SOURCE:
+                    if n:
+                        stage_slab(unit.out_channels,
+                                   unit.words(moved[i], n))
+                        for channel in unit.out_channels:
+                            channel.commit_rows(n)
+                elif entry[0] == _STENCIL:
+                    for t in entry[4]:
+                        if popped[t]:
+                            chans[t].skip_rows(popped[t])
+                    if n:
+                        unit.store_words(moved[i], n)
+                    if sent[i]:
+                        for channel in unit.out_channels:
+                            channel.commit_rows(sent[i])
+                elif n:
+                    unit.store_rows(unit.in_channel.read_rows(n))
+                moved[i] += n
+                # Deliveries follow the producer's slab, so the words
+                # they move are committed; consumers come later.
+                for t in entry[2]:
+                    if fifo_of[t] >= 0 and delivered[fifo_of[t]]:
+                        chans[t].deliver_rows(delivered[fifo_of[t]])
+        if schedule.failure is not None:
+            raise schedule.failure
+        return self._result(
+            schedule, {name: sink.data for name, sink in self.sinks.items()},
+            slab_passes=len(schedule.passes),
+            ring_bytes=sum({id(c._buf): c._buf.nbytes
+                            for c in chans}.values()),
+            ring_copy_bytes=sum({id(c._ring): c._ring.copied
+                                 for c in chans}.values()),
+            stored_words=sum(c.stored for c in chans))
+
+    def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
+        """Simulate to completion; see :meth:`Simulator.run`: stage 1
+        (:meth:`plan`), then stage 2 (:meth:`execute`).  A run that
+        completes publishes the schedule it planned; one that raises
+        publishes nothing."""
+        self._run_began = clock.now()
+        schedule = self.plan()
+        result = self.execute(schedule, inputs)
+        if not self.schedule_replayed:
+            default_cache().get_or_build(
+                self._schedule_key(self._max_cycles(result.expected_cycles)),
+                lambda: schedule)
+        return result

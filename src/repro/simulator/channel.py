@@ -17,18 +17,16 @@ Two implementations exist for each:
   written once (:func:`stage_slab`) and read in place
   (:class:`_EdgeBuffer`): an edge's FIFO is a set of counters over the
   ring, which also holds the producer's latency-line words and the
-  consumers' sliding-window history.  They speak the same scalar
-  ``push``/``pop`` protocol (words are 1-D rows) plus a slab protocol
+  consumers' sliding-window history.  They speak a slab protocol
   (``stage_slab``/``commit_rows``/``read_rows``/``deliver_rows``) that
-  moves whole slabs as counter advances.  The slab protocol keeps no
-  statistics: the window executor accounts ``pushes``, ``pops`` and
-  ``max_occupancy`` from the cycles its planner stepped virtually.
+  moves whole slabs as counter advances, and know no time: the batched
+  engine's planner decides every cycle on its own counters and keeps
+  every statistic.
 
 A fractional-rate link's credit restarts from exactly 0.0 after every
 spend, so a saturated link delivers on a strictly periodic mask
 (:meth:`RateLimiter.delivery_period`); the batched engine's planner
-sizes its window from those periods and replays the limiter itself —
-:meth:`ArrayNetworkLink.sync_credit` hands the resulting credit back.
+sizes its window from those periods and replays the limiter itself.
 """
 
 from __future__ import annotations
@@ -277,54 +275,6 @@ class NetworkLink:
             self._limiter.spend()
 
 
-class _RowRing:
-    """A preallocated FIFO of ready-times (in-flight link words,
-    latency-line words), linear like a :class:`StreamRing`: a push that
-    would pass the end first moves the live entries to the front.
-
-    ``pop_rows`` and ``snapshot`` hand out views: every caller consumes
-    them before the next ``push_rows``, after which a view is dead.
-    """
-
-    __slots__ = ("_buf", "_head", "_size")
-
-    def __init__(self, rows: int):
-        self._buf = np.zeros(rows, dtype=np.int64)
-        self._head = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push_rows(self, rows: np.ndarray):
-        b, end = len(rows), self._head + self._size
-        if self._size + b > len(self._buf):
-            raise SimulationError(
-                f"ring overflow: {self._size}+{b} > {len(self._buf)}")
-        if end + b > len(self._buf):
-            self._buf[:self._size] = self._buf[self._head:end]
-            self._head, end = 0, self._size
-        self._buf[end:end + b] = rows
-        self._size += b
-
-    def pop_rows(self, b: int) -> np.ndarray:
-        if b > self._size:
-            raise SimulationError(
-                f"ring underflow: {b} > {self._size}")
-        self._head += b
-        self._size -= b
-        return self._buf[self._head - b:self._head]
-
-    def peek0(self):
-        if not self._size:
-            raise SimulationError("peek at empty ring")
-        return self._buf[self._head]
-
-    def snapshot(self) -> np.ndarray:
-        """The live contents, oldest first."""
-        return self._buf[self._head:self._head + self._size]
-
-
 def _inside(pos: int, n: int, size: int) -> int:
     """``pos``, checked to start a range of ``n`` within ``size``."""
     if pos < 0 or pos + n > size:
@@ -481,18 +431,11 @@ class ArrayChannel(_EdgeBuffer):
     (exact Python-int words up to 2**63).
     """
 
-    __slots__ = ("name", "capacity", "width", "pushes", "pops",
-                 "max_occupancy")
-
-    kind = "channel"
+    __slots__ = ("name", "capacity", "width")
 
     def __init__(self, name: str, capacity: int, width: int,
                  headroom: int = 0, dtype=np.float64, history: int = 0,
                  ring: Optional[StreamRing] = None):
-        if capacity < 1:
-            raise SimulationError(
-                f"{self.kind} {name!r}: capacity must be >= 1, "
-                f"got {capacity}")
         if ring is None:
             ring = StreamRing(capacity + headroom + history + 1, width,
                               dtype, pad=history)
@@ -500,46 +443,9 @@ class ArrayChannel(_EdgeBuffer):
         self.name = name
         self.capacity = capacity
         self.width = width
-        self.pushes = 0
-        self.pops = 0
-        self.max_occupancy = 0
 
     def __len__(self) -> int:
         return self._wr - self._rd
-
-    @property
-    def full(self) -> bool:
-        return self._wr - self._rd >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return self._ready == self._rd
-
-    # -- scalar protocol (used by the batched engine's scalar steps) --------
-
-    def push(self, word):
-        # Every sibling stores its producer's word, to the same row.
-        stage_slab((self,), np.asarray(word, dtype=self.dtype)
-                   .reshape(1, self.width))
-        self.push_staged()
-
-    def push_staged(self):
-        """Push the oldest staged word (a latency-line drain)."""
-        if self.full:
-            raise SimulationError(f"push to full {self.kind} {self.name!r}")
-        self.commit_rows(1)
-        self.pushes += 1
-        if len(self) > self.max_occupancy:
-            self.max_occupancy = len(self)
-
-    def pop(self) -> np.ndarray:
-        if self.empty:
-            raise SimulationError(
-                f"pop from empty {self.kind} {self.name!r}")
-        self.pops += 1
-        return self.read_rows(1)[0]
-
-    # -- slab protocol (the window executor applies the statistics) ---------
 
     def commit_rows(self, b: int):
         """Push the ``b`` oldest staged words (a latency-line drain)."""
@@ -552,86 +458,19 @@ class ArrayChannel(_EdgeBuffer):
 
 
 class ArrayNetworkLink(ArrayChannel):
-    """NumPy edge-buffer variant of :class:`NetworkLink`.
+    """NumPy edge-buffer variant of :class:`NetworkLink`: committed
+    words are in flight until :meth:`deliver_rows` makes them
+    poppable — the planner decides when."""
 
-    In-flight words carry per-row delivery times
-    (:meth:`in_flight_times`); the batched engine's planner replays
-    them and the limiter's credit on counter state, then moves the
-    delivered prefix in one counter advance (:meth:`deliver_rows`) and
-    hands the closing credit back (:meth:`sync_credit`).
-    """
+    __slots__ = ()
 
-    __slots__ = ("latency", "_limiter", "_now", "_in_times")
-
-    kind = "link"
-
-    def __init__(self, name: str, capacity: int, width: int,
-                 latency: int = 16, words_per_cycle: float = 1.0,
-                 headroom: int = 0, dtype=np.float64, history: int = 0,
-                 ring: Optional[StreamRing] = None):
-        super().__init__(name, capacity, width, headroom=headroom,
-                         dtype=dtype, history=history, ring=ring)
-        self.latency = latency
-        self._limiter = RateLimiter(words_per_cycle)
-        self._now = 0
-        self._in_times = _RowRing(capacity + headroom + 1)
-
-    @property
-    def words_per_cycle(self) -> float:
-        return self._limiter.rate
-
-    @property
-    def in_flight_len(self) -> int:
-        return len(self._in_times)
-
-    @property
-    def credit(self) -> float:
-        """The limiter's current credit (the planner seeds a virtual
-        limiter with it; see :meth:`sync_credit`)."""
-        return self._limiter.credit
-
-    def in_flight_times(self) -> np.ndarray:
-        """Delivery times of the in-flight words, oldest first."""
-        return self._in_times.snapshot()
-
-    def delivery_period(self) -> Optional[int]:
-        """Cycles between deliveries on this link when saturated — the
-        per-link period the planner folds into its LCM window (see
-        :meth:`RateLimiter.delivery_period`)."""
-        return self._limiter.delivery_period()
-
-    def sync_credit(self, credit: float):
-        """Overwrite the limiter credit with the value the window
-        planner's virtual limiter closed on."""
-        self._limiter.credit = credit
-
-    def step(self, now: int):
-        """Advance time: deliver in-flight words whose latency elapsed."""
-        self._now = now
-        self._limiter.refill()
-        while (len(self._in_times) and self._limiter.ready
-               and self._in_times.peek0() <= now):
-            self.deliver_rows(1)
-            self._limiter.spend()
-
-    # -- slab protocol ------------------------------------------------------
+    def commit_rows(self, b: int):
+        """Send the ``b`` oldest staged words down the wire."""
+        self._commit(b)
 
     def deliver_rows(self, b: int):
         """The ``b`` oldest in-flight words become poppable."""
-        self._in_times.pop_rows(b)
+        if self._ready + b > self._wr:
+            raise SimulationError(
+                f"ring underflow: {b} > {self._wr - self._ready} in flight")
         self._ready += b
-
-    def commit_rows(self, b: int, times: Optional[np.ndarray] = None):
-        """Send the ``b`` oldest staged words down the wire, arriving
-        at ``times`` (omitted by the scalar protocol's single-word
-        push, which leaves at the link's current cycle)."""
-        self._commit(b)
-        if times is None:
-            times = np.asarray([self._now + self.latency], dtype=np.int64)
-        else:
-            self._now = int(times[-1]) - self.latency
-        self._in_times.push_rows(times)
-
-    def write_rows(self, rows: np.ndarray, times: np.ndarray):
-        stage_slab((self,), rows)
-        self.commit_rows(len(rows), np.asarray(times, dtype=np.int64))

@@ -1,120 +1,36 @@
-"""Control-only simulation: exact timing with width-0 data streams.
+"""Control-only simulation: exact timing, no data.
 
 Simulated *control flow* — cycle counts, stall counters, occupancy
 high-water marks, continuity flags, deadlock behaviour — never
-depends on the streamed values, only on the word
-structure (how many words move where, when).  The control engine
-exploits this: it is the batched engine with every stream narrowed to
-**zero lanes**.  Word counts, channel capacities, latencies, credit
-schedules, planner decisions and the window executor are all untouched
-(a width-0 slab moves through the same rings with the same
-bookkeeping), so every timing observable is bitwise identical to a
-full run — at near-zero data cost.
+depends on the streamed values, only on the word structure (how many
+words move where, when).  So a control run is the batched engine's
+stage 1 alone (:meth:`BatchedSimulator.plan
+<repro.simulator.batched.BatchedSimulator.plan>`): every timing
+observable is bitwise a full run's, and no unit, ring or output array
+is built.
 
 This is how every exploration sweep measures
 (:func:`repro.explore.explorer.measure`): outputs are
 configuration-independent, so a full run adds only the chance of a
 data-dependent failure, and only a program whose data can fail
 (:func:`data_can_fail`) computes the data, **once**.  A machine whose
-control flow diverges into a failure (deadlock, cycle-cap) raises exactly the error its full simulation would have
-raised; the explorer re-runs it in full so the report carries the
-full run's failure and forensics.
+control flow diverges into a failure (deadlock, cycle-cap) raises
+exactly the error its full simulation would have raised, forensics
+included.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 import numpy as np
 
 from ..core.program import StencilProgram
 from ..expr.ast_nodes import Call, IndexVar, Literal, Ternary
 from ..lowering import LoweringConfig, freeze_placement, lower
-from .batched import (
-    BatchedSimulator,
-    BatchedSinkUnit,
-    BatchedSourceUnit,
-    BatchedStencilUnit,
-    CoordSlabs,
-)
-from .engine import SimulationResult, SimulatorConfig
-
-
-class _ControlCoords(CoordSlabs):
-    """Coordinate slabs without cells: control units never evaluate a
-    stencil, so per-cell geometry and boundary masks are never built
-    (read schedules still are)."""
-
-    def __init__(self, domain: Tuple[int, ...]):
-        super().__init__(domain)
-        self.coords = tuple(np.empty(0, dtype=np.int64)
-                            for _ in domain)
-
-    def boundary(self, full, width):
-        return None
-
-
-class ControlSourceUnit(BatchedSourceUnit):
-    """Streams the input's word *structure* with zero-lane rows.
-
-    The parent constructor still validates the data (the uint64 exact-
-    range guard), so error parity with a full run is preserved."""
-
-    def words(self, w0: int, count: int) -> np.ndarray:
-        return np.empty((count, 0), dtype=self.data.dtype)
-
-
-class ControlStencilUnit(BatchedStencilUnit):
-    """A stencil unit that moves words without computing values.
-
-    All scheduling state (``init_words``, ``pop_start``, read-ahead,
-    latency line) comes from the parent unchanged; the unit owns no
-    data buffers, and its edge buffers are zero lanes wide."""
-
-    def compute_words(self, w0: int, b: int, out=None) -> np.ndarray:
-        return np.zeros((b, 0), dtype=self.line_dtype)
-
-
-class ControlSinkUnit(BatchedSinkUnit):
-    """Counts received words; the zero-lane rows carry no values to
-    store (the scalar step's lane loop is naturally empty)."""
-
-    def store_rows(self, rows: np.ndarray):
-        self.received += rows.shape[0]
-
-
-class ControlSimulator(BatchedSimulator):
-    """The batched engine over width-0 streams: exact control flow
-    (cycles, stalls, occupancy, deadlocks) with no data."""
-
-    _COORD_SLABS = _ControlCoords
-
-    def _stream_width(self) -> int:
-        return 0
-
-    def _make_source(self, name: str, data: np.ndarray, outs):
-        return ControlSourceUnit(name, data,
-                                 self.program.vectorization, outs)
-
-    def _make_stencil(self, stencil, ins, outs, latency: int):
-        return ControlStencilUnit(self.program, stencil, ins, outs,
-                                  latency, self._batch_cap(),
-                                  coord_slabs=self._coord_slabs,
-                                  stream_meta=self._stream_meta)
-
-    def _make_sink(self, name: str, channel, dtype):
-        return ControlSinkUnit(name, channel, self.program.shape,
-                               self.program.vectorization, dtype)
-
-    def _make_profile(self, cycles, wall_seconds):
-        profile = super()._make_profile(cycles, wall_seconds)
-        import dataclasses
-        return dataclasses.replace(profile, engine="control")
-
-    #: A control run only reads schedules: sweeps persist every
-    #: machine's outcome in the ``ResultCache``, so one published here
-    #: would never be read — it would only grow a resident worker.
-    _PUBLISHES_SCHEDULE = False
+from ..obs import clock
+from .batched import BatchedSimulator, exact_source
+from .engine import SimulationResult, SimulatorConfig, resolve_input_array
 
 
 def simulate_control(program: StencilProgram,
@@ -122,20 +38,27 @@ def simulate_control(program: StencilProgram,
                      config: SimulatorConfig = None,
                      device_of: Optional[Mapping[str, int]] = None
                      ) -> SimulationResult:
-    """Run the control engine to completion.
+    """The timing of a full simulation, planned and never executed.
 
     The result's timing fields (``cycles``, ``stall_cycles``,
     ``steady_stall_cycles``, ``channel_occupancy``, continuity flags)
-    are bitwise identical to a full simulation;
-    ``outputs`` holds empty placeholders the caller replaces with a
-    representative full run's data."""
+    are bitwise identical to a full simulation's and its ``outputs``
+    are empty; the inputs are checked as a full run checks them.  A
+    machine's published schedule is read, and none is published."""
     cfg = config or SimulatorConfig()
     artifact = lower(program, LoweringConfig(
         device_of=freeze_placement(device_of),
         network_latency=cfg.network_latency))
-    sim = ControlSimulator(artifact.analysis, config,
+    sim = BatchedSimulator(artifact.analysis, config,
                            device_of=dict(device_of or {}))
-    return sim.run(inputs)
+    sim._run_began = clock.now()
+    schedule = sim.plan()
+    for name, spec in sim.program.inputs.items():
+        exact_source(name, resolve_input_array(sim.program, inputs, name,
+                                               spec))
+    if schedule.failure is not None:
+        raise schedule.failure
+    return sim._result(schedule, {}, engine="control")
 
 
 def data_can_fail(program: StencilProgram) -> bool:

@@ -57,8 +57,8 @@ class SimulationResult:
         profile: always-on plan-level engine statistics
             (:class:`~repro.obs.profile.EngineProfile`): which engine
             ran, wall time, and — for the batched engine — planner
-            calls, executed windows, and scalar-step cycles.  The
-            cheap alternative to per-cycle tracing.
+            calls, planned windows and the slab passes that ran them.
+            The cheap alternative to per-cycle tracing.
     """
 
     outputs: Dict[str, np.ndarray]
@@ -209,9 +209,6 @@ class Simulator:
                         self.program.vectorization, dtype)
 
     def _build(self, inputs: Mapping[str, np.ndarray]):
-        # The profile's wall clock starts here: every engine's run()
-        # opens with _build, so the timing rule is engine-independent.
-        self._run_began = clock.now()
         program = self.program
         graph = self.graph
         for edge in graph.edges:
@@ -269,14 +266,12 @@ class Simulator:
     def _links_hold_words(self) -> bool:
         """The deadlock detector's link test on a zero-progress scalar
         cycle: it cannot fire while any link holds a word (``len``: in
-        flight or delivered but not yet popped).  The planner's
-        window-level twin is ``links_hold_words`` in
-        :meth:`BatchedSimulator._plan_window`."""
+        flight or delivered but not yet popped).  The planner's twin is
+        ``links_hold_words`` in :meth:`BatchedSimulator._plan_window`."""
         return any(len(link) for link in self.links)
 
     def _collect_result(self, cycles: int) -> SimulationResult:
-        """Assemble the result record from terminal machine state (shared
-        by every engine)."""
+        """Assemble the result record from terminal machine state."""
         outputs = {name: sink.data for name, sink in self.sinks.items()}
         stalls = {u.name: getattr(u, "stall_cycles", 0) for u in self.units}
         steady = {u.name: u.stall_after_init for u in self.units
@@ -338,21 +333,11 @@ class Simulator:
             for size in profile.window_sizes:
                 sizes.observe(float(size))
 
-    def _step_cycle(self, now: int) -> bool:
-        """Step every link and unit through one cycle.  Shared verbatim
-        by the scalar run loop and the batched engine's scalar steps, so
-        a scalar step means the same in both engines."""
-        for link in self.links:
-            link.step(now)
-        progressed = False
-        for unit in self.units:
-            if unit.step(now):
-                progressed = True
-        return progressed
-
     def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
         """Simulate to completion. Raises :class:`DeadlockError` if the
         machine wedges, :class:`SimulationError` on cycle-cap overrun."""
+        # The profile's wall clock starts here, as every engine's does.
+        self._run_began = clock.now()
         self._build(inputs)
         expected = self._expected_cycles()
         max_cycles = self._max_cycles(expected)
@@ -363,17 +348,55 @@ class Simulator:
                 raise SimulationError(
                     f"simulation exceeded {max_cycles} cycles "
                     f"(expected ~{expected})")
-            progressed = self._step_cycle(now)
+            for link in self.links:
+                link.step(now)
+            progressed = False
+            for unit in self.units:
+                if unit.step(now):
+                    progressed = True
             if progressed:
                 idle_streak = 0
             else:
                 idle_streak += 1
                 if idle_streak >= self.config.deadlock_window and \
                         not self._links_hold_words():
-                    raise deadlock_error(self.units, now, simulator=self)
+                    raise self._deadlock_error(now)
             now += 1
 
         return self._collect_result(now)
+
+    def _deadlock_error(self, now: int) -> DeadlockError:
+        """The detector's error, read off the wedged machine: a blocked
+        stencil waits on the producers of its empty needed inputs, else
+        (like a source) on the consumers of its full outputs — of all
+        of them when none is full; a sink waits on its producer."""
+        producer_of: Dict[int, str] = {}
+        consumer_of: Dict[int, str] = {}
+        for unit in self.units:
+            for channel in getattr(unit, "out_channels", ()):
+                producer_of[id(channel)] = unit.name
+            for channel in getattr(unit, "in_channels", {}).values():
+                consumer_of[id(channel)] = unit.name
+            if hasattr(unit, "in_channel"):
+                consumer_of[id(unit.in_channel)] = unit.name
+        blocked = []
+        for unit in self.units:
+            if unit.done:
+                continue
+            if hasattr(unit, "in_channel"):
+                waits = {producer_of.get(id(unit.in_channel), "?")}
+            else:
+                waits = set()
+                if hasattr(unit, "in_channels"):
+                    waits = {producer_of.get(id(unit.in_channels[f]), "?")
+                             for f in unit.needed_fields()
+                             if unit.in_channels[f].empty}
+                outs = unit.out_channels
+                waits = waits or {consumer_of.get(id(c), "?") for c in (
+                    [c for c in outs if c.full] or outs)}
+            blocked.append((unit.name, unit.describe_block(), waits))
+        return deadlock_error(now, blocked, [
+            (c.name, len(c), c.capacity) for c in self.channels.values()])
 
 
 def resolve_input_array(program: StencilProgram,
@@ -396,21 +419,21 @@ def resolve_input_array(program: StencilProgram,
                       program.index_names)
 
 
-def deadlock_error(units, now: int, simulator=None) -> DeadlockError:
-    """Build the standard deadlock diagnostic from blocked units.
-
-    When the wedged ``simulator`` is passed, a structured
-    :class:`~repro.faults.forensics.DeadlockReport` is attached as the
-    error's ``report`` (the message string stays unchanged)."""
-    blocked = [(u.name, u.describe_block()) for u in units if not u.done]
-    detail = "; ".join(f"{n}: {r}" for n, r in blocked)
-    report = None
-    if simulator is not None:
-        from ..faults.forensics import build_deadlock_report
-        report = build_deadlock_report(simulator, now)
+def deadlock_error(now: int, blocked, occupancy) -> DeadlockError:
+    """The deadlock detector's error on cycle ``now``, from plain
+    records: ``blocked`` holds ``(unit, reason, names of the units it
+    waits on)`` for every unit not done, in machine order, and
+    ``occupancy`` ``(channel, words, capacity)`` for every channel.
+    The scalar engine reads them off its units and channels, the
+    batched planner off its counters; the structured
+    :class:`~repro.faults.forensics.DeadlockReport` rides along as the
+    error's ``report``."""
+    from ..faults.forensics import build_deadlock_report
+    detail = "; ".join(f"{name}: {reason}" for name, reason, _ in blocked)
     return DeadlockError(f"deadlock at cycle {now}: {detail}", cycle=now,
-                         blocked_units=tuple(n for n, _ in blocked),
-                         report=report)
+                         blocked_units=tuple(name for name, *_ in blocked),
+                         report=build_deadlock_report(now, blocked,
+                                                      occupancy))
 
 
 def resolve_engine_mode(config: SimulatorConfig) -> str:

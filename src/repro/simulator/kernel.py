@@ -409,8 +409,8 @@ class KernelSimulator(BatchedSimulator):
     planner, channels, or cycle loop.
     """
 
-    def _make_profile(self, cycles, wall_seconds):
-        profile = super()._make_profile(cycles, wall_seconds)
+    def _make_profile(self, cycles, wall_seconds, **fields):
+        profile = super()._make_profile(cycles, wall_seconds, **fields)
         return dataclasses.replace(profile, engine="kernel")
 
     # -- artifact store ------------------------------------------------------
@@ -530,16 +530,12 @@ class KernelSimulator(BatchedSimulator):
             order, sink_stream, consumers = self._replay_order()
             units: Dict[str, BatchedStencilUnit] = {}
             for stencil in program.stencils:
-                node_id = f"stencil:{stencil.name}"
-                ins = {e.data: None
-                       for e in self.graph.in_edges(node_id)}
-                latency = self.analysis.node_delays[node_id] \
-                    .compute_cycles
                 # The pass binds each whole input stream as the unit's
-                # edge buffer and never touches the latency line.
+                # edge buffer.
+                ins = {e.data: None for e in self.graph.in_edges(
+                    f"stencil:{stencil.name}")}
                 units[stencil.name] = BatchedStencilUnit(
-                    program, stencil, ins, [], latency,
-                    max_batch_words=0,
+                    program, stencil, ins, [],
                     coord_slabs=self._coord_slabs,
                     stream_meta=self._stream_meta)
             sinks = {out: BatchedSinkUnit(
@@ -554,9 +550,9 @@ class KernelSimulator(BatchedSimulator):
                          order, consumers, pad)
         outputs = {name: sink.data for name, sink in sinks.items()}
         wall = clock.now() - self._run_began
-        profile = dataclasses.replace(
-            self._make_profile(record["cycles"], wall),
-            kernel_cached=True, kernel_slabs=len(units))
+        profile = self._make_profile(record["cycles"], wall,
+                                     kernel_cached=True,
+                                     kernel_slabs=len(units))
         self._emit_run_metrics(profile)
         return SimulationResult(
             outputs=outputs,

@@ -37,9 +37,9 @@ def schedule_reads(domain: Tuple[int, ...], width: int,
                    fields: Sequence[str]):
     """Per-access and per-field streaming schedule of a stencil unit.
 
-    Shared by the scalar and batched stencil units — the engines'
-    equivalence invariant depends on both deriving the identical
-    schedule.
+    Shared by the scalar stencil unit and the batched planner's tables
+    — the engines' equivalence invariant depends on both deriving the
+    identical schedule.
 
     Returns ``(access_info, readahead, init_words, pop_start,
     min_flat)`` where ``access_info`` is a list of ``(access,
@@ -118,7 +118,7 @@ class SourceUnit(Unit):
             self.stall_cycles += 1
             self._block = f"output full: {blocked}"
             return False
-        word = self._materialize_word()
+        word = tuple(self.words(self.next_word, 1)[0].tolist())
         for channel in self.out_channels:
             channel.push(word)
         self.next_word += 1
@@ -134,11 +134,6 @@ class SourceUnit(Unit):
         lo -= first * self._plane
         return cells[lo:lo + n].reshape(count, self.width)
 
-    def _materialize_word(self):
-        """The next word in pushable form (hook for the batched engine,
-        whose channels carry NumPy rows instead of tuples)."""
-        return tuple(self.words(self.next_word, 1)[0].tolist())
-
     @property
     def done(self) -> bool:
         return self.next_word >= self.num_words
@@ -147,49 +142,7 @@ class SourceUnit(Unit):
         return self._block
 
 
-class StencilBookkeeping:
-    """Stall and streaming-continuity accounting shared by the scalar
-    and batched stencil units.
-
-    This bookkeeping is load-bearing for the engines' equivalence
-    invariant (stall counters and continuity flags must match exactly),
-    so both unit implementations draw it from here.
-    """
-
-    def _note_stall(self, reason: str):
-        self.stall_cycles += 1
-        if self.local_step >= self.init_words:
-            self.stall_after_init += 1
-        self._block = reason
-
-    def _mark_pushed(self, now: int, count: int):
-        """Record ``count`` consecutive output words leaving, the last
-        at cycle ``now + count - 1``."""
-        if self.first_push_cycle is None:
-            self.first_push_cycle = now
-        self.last_push_cycle = now + count - 1
-        self.words_pushed += count
-
-    @property
-    def streamed_continuously(self) -> bool:
-        """True when every output word left in consecutive cycles —
-        the pipeline never hiccuped once streaming began."""
-        if self.first_push_cycle is None:
-            return False
-        return (self.last_push_cycle - self.first_push_cycle
-                == self.words_pushed - 1)
-
-    def needed_fields(self) -> List[str]:
-        """Fields whose pop window covers the current local step."""
-        return [f for f in self.fields
-                if self.pop_start[f] <= self.local_step
-                < self.pop_start[f] + self.num_words]
-
-    def describe_block(self) -> str:
-        return self._block
-
-
-class StencilUnit(StencilBookkeeping, Unit):
+class StencilUnit(Unit):
     """One pipelined stencil operator."""
 
     def __init__(self, program: StencilProgram,
@@ -279,7 +232,10 @@ class StencilUnit(StencilBookkeeping, Unit):
         self.latency_line.popleft()
         for channel in self.out_channels:
             channel.push(word)
-        self._mark_pushed(now, 1)
+        if self.first_push_cycle is None:
+            self.first_push_cycle = now
+        self.last_push_cycle = now
+        self.words_pushed += 1
         return True
 
     def _compute_word(self, word_index: int) -> Word:
@@ -344,6 +300,30 @@ class StencilUnit(StencilBookkeeping, Unit):
     def done(self) -> bool:
         return (self.local_step >= self.init_words + self.num_words
                 and not self.latency_line)
+
+    def _note_stall(self, reason: str):
+        self.stall_cycles += 1
+        if self.local_step >= self.init_words:
+            self.stall_after_init += 1
+        self._block = reason
+
+    @property
+    def streamed_continuously(self) -> bool:
+        """True when every output word left in consecutive cycles —
+        the pipeline never hiccuped once streaming began."""
+        if self.first_push_cycle is None:
+            return False
+        return (self.last_push_cycle - self.first_push_cycle
+                == self.words_pushed - 1)
+
+    def needed_fields(self) -> List[str]:
+        """Fields whose pop window covers the current local step."""
+        return [f for f in self.fields
+                if self.pop_start[f] <= self.local_step
+                < self.pop_start[f] + self.num_words]
+
+    def describe_block(self) -> str:
+        return self._block
 
 
 class SinkUnit(Unit):

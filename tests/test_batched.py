@@ -2,6 +2,7 @@
 limiter, the NumPy ring channels/links, array-mode stencil compilation,
 and the array-slab units."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.simulator import (
     ArrayChannel,
     ArrayNetworkLink,
     BatchedSourceUnit,
+    BatchedStencilUnit,
     Channel,
     NetworkLink,
     RateLimiter,
@@ -61,34 +63,30 @@ class TestRateLimiter:
             RateLimiter(0.0)
 
 
-def replay(channel, ops):
-    """Apply a push/pop script, returning the observed behaviour."""
-    seen = []
-    for op, value in ops:
-        if op == "push":
-            if channel.full:
-                seen.append(("full",))
-            else:
-                channel.push(value)
-        else:
-            if channel.empty:
-                seen.append(("empty",))
-            else:
-                seen.append(("pop", tuple(np.ravel(channel.pop()))))
-    return (seen, len(channel), channel.pushes, channel.pops,
-            channel.max_occupancy)
-
-
 class TestArrayChannel:
     def test_matches_channel_semantics(self):
+        # The slab protocol moves words as the scalar FIFO does: a
+        # random script of batched pushes and pops, each within the
+        # capacity the planner keeps, sees the same words and lengths.
         rng = np.random.default_rng(7)
-        ops = []
-        for n in range(200):
-            kind = "push" if rng.random() < 0.55 else "pop"
-            ops.append((kind, (float(n), float(-n))))
         scalar = Channel("c", 5)
         batched = ArrayChannel("c", 5, width=2, headroom=8)
-        assert replay(scalar, ops) == replay(batched, ops)
+        word = 0
+        for _ in range(200):
+            if rng.random() < 0.55:
+                b = int(rng.integers(0, 5 - len(scalar) + 1))
+                rows = [(float(n), float(-n)) for n in range(word, word + b)]
+                for row in rows:
+                    scalar.push(row)
+                batched.write_rows(np.asarray(rows).reshape(b, 2))
+                word += b
+            else:
+                b = int(rng.integers(0, len(scalar) + 1))
+                expected = [scalar.pop() for _ in range(b)]
+                assert list(map(tuple, batched.read_rows(b).tolist())) \
+                    == expected
+            assert len(batched) == len(scalar)
+        assert word > 100
 
     def test_slab_roundtrip_with_wraparound(self):
         channel = ArrayChannel("c", 8, width=1, headroom=0)
@@ -102,37 +100,42 @@ class TestArrayChannel:
 
 class TestArrayNetworkLink:
     def test_matches_network_link(self):
+        # The link moves words; when they arrive is the planner's
+        # decision (here the scalar link's).  Committed words stay in
+        # flight until delivered, and arrive in order.
         rng = np.random.default_rng(3)
         for rate in (1.0, 0.5):
             scalar = NetworkLink("l", 12, latency=4, words_per_cycle=rate)
-            batched = ArrayNetworkLink("l", 12, width=1, latency=4,
-                                       words_per_cycle=rate)
+            batched = ArrayNetworkLink("l", 12, width=1, headroom=4)
             log = []
             counter = 0
             for now in range(60):
+                ready = len(scalar._ready)
                 scalar.step(now)
-                batched.step(now)
+                batched.deliver_rows(len(scalar._ready) - ready)
                 if rng.random() < 0.6 and not scalar.full:
                     scalar.push((float(counter),))
-                    batched.push((float(counter),))
+                    batched.write_rows(np.array([[float(counter)]]))
                     counter += 1
-                if rng.random() < 0.5 and not scalar.empty:
-                    a = scalar.pop()
-                    b = batched.pop()
-                    log.append((a[0], float(b[0])))
+                if scalar.empty:
+                    with pytest.raises(SimulationError, match="underflow"):
+                        batched.read_rows(1)
+                elif rng.random() < 0.5:
+                    log.append((scalar.pop()[0],
+                                float(batched.read_rows(1)[0, 0])))
                 assert len(scalar) == len(batched)
-                assert scalar.empty == batched.empty
-                assert scalar.full == batched.full
             assert log and all(a == b for a, b in log)
 
     def test_deliver_rows(self):
-        link = ArrayNetworkLink("l", 64, width=1, latency=1)
-        link.write_rows(np.arange(3, dtype=np.float64).reshape(3, 1),
-                        np.array([1, 2, 3]))
-        assert link.in_flight_len == 3
+        link = ArrayNetworkLink("l", 64, width=1)
+        link.write_rows(np.arange(3, dtype=np.float64).reshape(3, 1))
+        with pytest.raises(SimulationError, match="underflow"):
+            link.read_rows(1)                  # all three in flight
         link.deliver_rows(2)
-        assert link.in_flight_len == 1
         assert link.read_rows(2).ravel().tolist() == [0.0, 1.0]
+        with pytest.raises(SimulationError, match="in flight"):
+            link.deliver_rows(2)
+        assert len(link) == 1
 
     def test_sink_rejects_float_at_int64_edge(self):
         # float(int64 max) rounds up to 2**63: a float lane at exactly
@@ -147,19 +150,17 @@ class TestArrayNetworkLink:
 
     def test_integer_slab_rows(self):
         # Integer streams ride int64 rows bit-exactly beyond 2**53.
-        link = ArrayNetworkLink("l", 8, width=1, latency=0,
-                                dtype=np.int64)
-        link.step(0)
-        link.push(((1 << 60) + 1,))
-        link.step(1)
-        assert int(link.pop()[0]) == (1 << 60) + 1
+        link = ArrayNetworkLink("l", 8, width=1, dtype=np.int64)
+        link.write_rows(np.array([[(1 << 60) + 1]]))
+        link.deliver_rows(1)
+        assert int(link.read_rows(1)[0, 0]) == (1 << 60) + 1
 
 
 class TestCreditSchedule:
-    """The batched link's credit accounting — stepped cycle by cycle,
-    or replayed by the planner on a virtual limiter and handed back
-    through ``sync_credit`` — must reproduce the scalar limiter's
-    refill/spend behaviour exactly."""
+    """The link credit accounting the planner replays on its counters
+    (``BatchedSimulator._plan_window``) — the scalar link's refill and
+    spend — and the closed-form delivery schedule its window period is
+    built from."""
 
     @pytest.mark.parametrize("rate", [0.25, 0.5, 0.75, 0.3, 0.1, 1.0,
                                       1.5, 3.0])
@@ -168,8 +169,7 @@ class TestCreditSchedule:
         # exactly the cycles a reference limiter stepping beside it
         # turns ready on (up to the cap's burst above rate 1), and the
         # credit it carries is bitwise the reference's.
-        link = ArrayNetworkLink("l", 256, width=1, latency=0,
-                                words_per_cycle=rate)
+        link = NetworkLink("l", 256, latency=0, words_per_cycle=rate)
         for n in range(200):
             link.push((float(n),))
         reference = RateLimiter(rate)
@@ -179,45 +179,34 @@ class TestCreditSchedule:
             while reference.ready:
                 reference.spend()
                 expected += 1
-            before = link.in_flight_len
+            before = len(link._in_flight)
             link.step(now)
-            assert before - link.in_flight_len == expected, (rate, now)
-            assert link.credit == reference.credit
+            assert before - len(link._in_flight) == expected, (rate, now)
+            assert link._limiter.credit == reference.credit
 
     @pytest.mark.parametrize("rate", [0.25, 0.5, 0.3])
     def test_advance_credit_matches_scalar_delivery(self, rate):
         # A fractional delivery spends the credit to exactly 0.0.
-        # Advancing a link's credit the way the window executor does —
-        # a virtual limiter seeded from ``credit``, replayed, handed
-        # back through ``sync_credit`` — must land on the same float
-        # state the scalar step loop produces.
+        # The planner's refill and spend, replayed on a plain float,
+        # land on the same float state the scalar link's limiter does.
         scalar = NetworkLink("s", 64, latency=0, words_per_cycle=rate)
-        batched = ArrayNetworkLink("b", 64, width=1, latency=0,
-                                   words_per_cycle=rate)
         for n in range(10):
             scalar.push((float(n),))
-            batched.push((float(n),))
-        now = 0
-        delivered = 0
+        credit, now, delivered = 0.0, 0, 0
         while delivered < 10 and now < 200:
             scalar.step(now)
             got = 0
             while not scalar.empty:
                 scalar.pop()
                 got += 1
-            virtual = RateLimiter(rate)
-            virtual.credit = batched.credit
-            virtual.refill()
-            if virtual.ready:
-                batched.deliver_rows(1)
-                batched.read_rows(1)
-                virtual.spend()
+            credit = min(credit + rate, max(rate, 1.0))
+            if credit >= 1.0:
+                credit -= 1.0
                 assert got == 1
             else:
                 assert got == 0
-            batched.sync_credit(virtual.credit)
+            assert scalar._limiter.credit == credit
             delivered += got
-            assert scalar._limiter.credit == batched.credit
             now += 1
         assert delivered == 10
 
@@ -227,8 +216,7 @@ class TestCreditSchedule:
         # the link has no delivery period (the planner then plans
         # period-1 windows).  The bound itself is still exact.
         assert RateLimiter(1e-18).credit_schedule() is None
-        link = ArrayNetworkLink("l", 8, width=1, words_per_cycle=1e-18)
-        assert link.delivery_period() is None
+        assert RateLimiter(1e-18).delivery_period() is None
         bound = RateLimiter.SCAN_LIMIT
         assert RateLimiter(1.0 / bound).delivery_period() == bound
         assert RateLimiter(0.5 / bound).delivery_period() is None
@@ -237,31 +225,29 @@ class TestCreditSchedule:
         # Once the refill hits its float64 fixpoint below 1.0 the link
         # can never become ready again: it has no delivery period, and
         # stepping it delivers nothing however long.
-        link = ArrayNetworkLink("l", 8, width=1, latency=0,
-                                words_per_cycle=1e-18)
-        assert link.delivery_period() is None
+        link = NetworkLink("l", 8, latency=0, words_per_cycle=1e-18)
+        assert link._limiter.delivery_period() is None
         link.push((1.0,))
         stuck = 1.0 - 1e-16  # one ulp short of the cap
-        link.sync_credit(stuck)
+        link._limiter.credit = stuck
         for now in range(100):
             link.step(now)
-        assert link.credit == stuck
-        assert link.empty and link.in_flight_len == 1
+        assert link._limiter.credit == stuck
+        assert link.empty and len(link._in_flight) == 1
 
     def test_rate_at_least_one_is_memoryless(self):
         # Above rate 1 the refill saturates at the cap every cycle:
         # no schedule to scan, one word per cycle, however long the
         # link idled before.
         assert RateLimiter(1.5).credit_schedule() is None
-        link = ArrayNetworkLink("l", 8, width=1, latency=0,
-                                words_per_cycle=1.5)
-        assert link.delivery_period() == 1
+        link = NetworkLink("l", 8, latency=0, words_per_cycle=1.5)
+        assert link._limiter.delivery_period() == 1
         for now in range(1000):
             link.step(now)
-        assert link.credit == 1.5
+        assert link._limiter.credit == 1.5
         link.push((1.0,))
         link.step(1000)
-        assert not link.empty and link.credit == 0.5
+        assert not link.empty and link._limiter.credit == 0.5
 
     @pytest.mark.parametrize("rate,period", [
         (0.5, 2), (0.25, 4), (0.75, 2), (0.2, 5),
@@ -273,9 +259,16 @@ class TestCreditSchedule:
         (1.0, 1), (1.5, 1), (3.0, 1),
     ])
     def test_delivery_period(self, rate, period):
+        # ... and the planner's window over a link at that rate.
+        from repro.simulator import SimulatorConfig, build_simulator
+        from util import chain_program
         assert RateLimiter(rate).delivery_period() == period
-        link = ArrayNetworkLink("l", 8, width=1, words_per_cycle=rate)
-        assert link.delivery_period() == period
+        simulator = build_simulator(
+            chain_program(2, shape=(1, 2, 2)),
+            SimulatorConfig(engine_mode="batched",
+                            network_words_per_cycle=rate),
+            {"s0": 0, "s1": 1})
+        assert simulator._window_period() == period
 
     @pytest.mark.parametrize("rate", [0.25, 1.0 / 3.0, 3.0 / 7.0,
                                       5.0 / 8.0, 2.0 / 3.0, 5.0 / 9.0,
@@ -287,12 +280,9 @@ class TestCreditSchedule:
         # the scalar limiter stepping cycle by cycle, for irreducible
         # p/q rates with p > 1.
         scalar = NetworkLink("s", 512, latency=0, words_per_cycle=rate)
-        batched = ArrayNetworkLink("b", 512, width=1, latency=0,
-                                   words_per_cycle=rate)
         for n in range(200):
             scalar.push((float(n),))
-            batched.push((float(n),))
-        period = batched.delivery_period()
+        period = RateLimiter(rate).delivery_period()
         assert period is not None
         mask = []
         for now in range(120):
@@ -300,12 +290,7 @@ class TestCreditSchedule:
             scalar.step(now)
             delivered = len(scalar._ready) - before
             assert delivered in (0, 1)
-            in_flight = batched.in_flight_len
-            batched.step(now)
-            assert in_flight - batched.in_flight_len == delivered, \
-                (rate, now)
             mask.append(delivered)
-            assert scalar._limiter.credit == batched.credit
         # The mask is exactly one delivery every `period` cycles, the
         # first after a full refill run-up from zero credit.
         expected = [1 if (now + 1) % period == 0 else 0
@@ -483,7 +468,6 @@ class TestSuperPattern:
             words = simulator.program.num_cells // 4
             assert simulator.plan_count < 64, shape
             assert simulator.plan_count < words // 8, shape
-            assert simulator.scalar_cycles == 0, shape
             assert simulator.window_cycles == result.cycles, shape
             counts[shape] = simulator.plan_count
         # 4x the words (+1 536) add a few transient windows — the drain
@@ -493,13 +477,12 @@ class TestSuperPattern:
     def test_integer_rate_has_no_window(self):
         # No LCM window, that is: rate 1.0 links deliver every cycle,
         # so integer-rate links plan period-1 windows — on the same
-        # planner, over the whole run, with 0 scalar cycles.
+        # planner, over the whole run.
         simulator, inputs = self._build((16, 16, 8), 1.0)
         result = simulator.run(inputs)
         assert simulator._window_period() == 1
         assert simulator.window_count > 0
         assert simulator.window_cycles == result.cycles
-        assert simulator.scalar_cycles == 0
 
     def test_mixed_rate_windows(self):
         # Two links with different sub-unit rates: the window is the
@@ -532,7 +515,7 @@ class TestSuperPattern:
         inputs = {"a": np.arange(512, dtype=np.float64)}
         result = simulator.run(inputs)
         assert simulator.window_count > 0
-        assert simulator.scalar_cycles == 0
+        assert simulator.window_cycles == result.cycles
         assert result.cycles > 2 * 512  # the 0.5-rate link dominates
 
 
@@ -607,23 +590,6 @@ class TestBatchedSourceUnit:
                 out.nbytes for out in result.outputs.values())
             assert held < len(flat) * field, result.profile.engine
 
-    def test_scalar_step_parity(self):
-        from repro.simulator import SourceUnit
-        data = np.arange(8, dtype=np.float32)
-        scalar_channel = Channel("c", 16)
-        array_channel = ArrayChannel("c", 16, width=1, headroom=4)
-        scalar = SourceUnit("a", data, 1, [scalar_channel])
-        batched = BatchedSourceUnit("a", data, 1, [array_channel])
-        for now in range(8):
-            assert scalar.step(now) == batched.step(now)
-        assert scalar.done and batched.done
-        assert scalar_channel.max_occupancy == array_channel.max_occupancy
-        scalar_words = [scalar_channel.pop() for _ in range(8)]
-        batched_words = array_channel.read_rows(8)
-        np.testing.assert_array_equal(
-            np.asarray(scalar_words, dtype=np.float64),
-            batched_words)
-
 
 class TestZeroCopyDataPlane:
     """The batched data plane writes each word once and reads it in
@@ -653,7 +619,7 @@ class TestZeroCopyDataPlane:
         outbound = ArrayChannel("out", capacity, self.WIDTH,
                                 headroom=batch + latency + 1)
         unit = BatchedStencilUnit(program, stencil, {"a": inbound},
-                                  [outbound], latency, batch)
+                                  [outbound])
         return unit, inbound, outbound
 
     def _feed(self, channel, first_word, words):
@@ -706,9 +672,9 @@ class TestZeroCopyDataPlane:
         self._feed(inbound, 0, 2)
         out = unit.compute_words(0, 2)
         assert np.shares_memory(out, inbound._buf)   # the result *is* a view
-        # The latency line computes the words straight into the
-        # outbound ring, the one store of each word.
-        unit._line_push(0, 2, np.asarray([1, 2], dtype=np.int64))
+        # The words are computed straight into the outbound ring, the
+        # one store of each word.
+        unit.store_words(0, 2)
         # Stream the source ring all the way round: the view is dead...
         rows = inbound._rows
         for first in range(2, 2 + rows, 2):
@@ -721,6 +687,7 @@ class TestZeroCopyDataPlane:
 
     def test_an_overflowing_line_push_raises_before_any_live_row_changes(
             self):
+        # A store is claimed before it is computed.
         unit, _inbound, outbound = self._unit("a[i]", capacity=2, batch=2)
         for word in (0, 2, 4):                # 6 of the ring's 7 rows
             outbound.write_rows(np.full((2, self.WIDTH), float(word)))
@@ -728,7 +695,7 @@ class TestZeroCopyDataPlane:
         computed = []
         unit.compute_words = lambda *args: computed.append(args)
         with pytest.raises(SimulationError, match="overflow"):
-            unit._line_push(0, 2, np.asarray([1, 2], dtype=np.int64))
+            unit.store_words(0, 2)
         assert computed == []
         np.testing.assert_array_equal(outbound._buf, before)
 
@@ -808,25 +775,26 @@ class TestZeroCopyDataPlane:
         latency = 40
         ring = StreamRing(64, 2)
         plain = ArrayChannel("plain", 8, 2, headroom=8, ring=ring)
-        link = ArrayNetworkLink("link", 8 + latency, 2, latency=latency,
-                                headroom=8, ring=ring)
+        link = ArrayNetworkLink("link", 8 + latency, 2, headroom=8,
+                                ring=ring)
         sent = np.arange(2 * 48, dtype=np.float64).reshape(48, 2)
         got_plain, got_link = [], []
+        delivered = 0
         for first in range(0, 48, 8):
             stage_slab([plain, link], sent[first:first + 8])
             plain.commit_rows(8)
-            link.commit_rows(8, np.arange(first, first + 8) + latency)
+            link.commit_rows(8)
             got_plain.append(plain.read_rows(8).copy())
-            # Nothing is deliverable until a wire latency has passed:
+            # Word w arrives a wire latency after it left on cycle w:
             # the link trails its sibling by 40 of the ring's 64 rows.
-            due = int(np.searchsorted(link.in_flight_times(), first + 8,
-                                      side="right"))
-            assert bool(due) == (first + 8 >= latency)
+            due = max(0, first + 8 - latency) - delivered
+            assert bool(due) == (first + 8 > latency)
             if due:
                 link.deliver_rows(due)
+                delivered += due
                 got_link.append(link.read_rows(due).copy())
-        assert link.in_flight_len
-        link.deliver_rows(link.in_flight_len)
+        assert delivered < 48
+        link.deliver_rows(48 - delivered)
         got_link.append(link.read_rows(len(link)).copy())
         np.testing.assert_array_equal(np.concatenate(got_plain), sent)
         np.testing.assert_array_equal(np.concatenate(got_link), sent)
@@ -889,8 +857,8 @@ class TestPlannerPins:
     counts taken from the engine before the VM's active set: how many
     plans, how many virtual cycles, which window sizes and how many
     drifting windows.  A planner change that alters any decision moves
-    one of them; one that only makes the VM cheaper moves none.  The
-    control engine runs the same planner over width-0 streams."""
+    one of them; one that only makes the VM cheaper moves none.  A
+    control run is the same planner alone."""
 
     RUN_LINKS = (3773, 18, 743, 6, (48, 99, 192, 261, 2607, 48, 6, 48, 66,
                                     48, 102, 6, 48, 9, 54, 30, 69, 32))
@@ -934,9 +902,10 @@ class TestPlannerPins:
 
 class TestScheduleReplay:
     """A machine is planned once per process: a completed full run
-    publishes its window schedule to the lowering cache, and every
-    later batched run of the same machine executes it instead of
-    planning — with the data path, statistics and errors unchanged."""
+    publishes its schedule to the lowering cache, and every later
+    batched run of the same machine executes it instead of planning —
+    with the data path, statistics and errors unchanged.  A cold run
+    executes the schedule it just planned the same way."""
 
     NETWORK = dict(network_latency=16, network_words_per_cycle=1 / 3)
 
@@ -986,20 +955,6 @@ class TestScheduleReplay:
         assert [getattr(first.profile, name) for name in counts] \
             == [getattr(second.profile, name) for name in counts]
 
-    @staticmethod
-    def _as_data(schedule):
-        """A schedule as nested tuples, comparable with ``==``."""
-        def plain(obj):
-            if isinstance(obj, (list, tuple)):
-                return tuple(map(plain, obj))
-            if hasattr(obj, "__slots__"):
-                return tuple(plain(getattr(obj, name))
-                             for name in obj.__slots__)
-            return obj
-        plans, plan_count, virtual_cycles = schedule
-        return ({step: plain(plan) for step, plan in plans.items()},
-                plan_count, virtual_cycles)
-
     def test_second_run_replays_bitwise(self):
         from repro.lowering import default_cache
         for program, placement, config in self._machines():
@@ -1027,46 +982,20 @@ class TestScheduleReplay:
         assert not planned.profile.schedule_replayed
         self._assert_same(planned, replayed)
 
-    @staticmethod
-    def _published_plans():
-        """The one published schedule's ``{(now, idle): plan}``."""
-        from repro.lowering import default_cache
-        cache = default_cache()
-        (key,) = [key for key in cache._entries
-                  if key.startswith("schedule:")]
-        return cache.peek(key)[0]
-
-    @staticmethod
-    def _spy_spans(monkeypatch):
-        """Record the ``now`` of every window of every executed span."""
-        from repro.simulator import BatchedSimulator
-        spans = []
-        execute = BatchedSimulator._execute_span
-
-        def spy(self, span):
-            spans.append([now for _plan, now in span])
-            return execute(self, span)
-
-        monkeypatch.setattr(BatchedSimulator, "_execute_span", spy)
-        return spans
-
     def test_replay_runs_consecutive_windows_in_one_pass(self):
         from repro.simulator import SimulatorConfig, build_simulator
+        from test_engine_equivalence import assert_same_results
         from util import random_inputs
         program, placement = self._links_machine()
         inputs = random_inputs(program)
-        runs = []
-        for _ in range(2):
-            simulator = build_simulator(program, SimulatorConfig(
-                engine_mode="batched", **self.NETWORK), placement)
-            runs.append((simulator.run(inputs),
-                         [link.credit for link in simulator.links]))
-        (cold, cold_credit), (replay, replay_credit) = runs
-        # A span closes on its last plan's link credit.
-        assert replay_credit == cold_credit
-        assert cold.profile.slab_passes == cold.profile.window_count
+        cold, replay = (build_simulator(program, SimulatorConfig(
+            engine_mode="batched", **self.NETWORK), placement).run(inputs)
+            for _ in range(2))
+        # Planned first, a cold run executes its windows in the
+        # replay's passes.
         assert replay.profile.schedule_replayed
-        assert 0 < replay.profile.slab_passes < replay.profile.window_count
+        assert 0 < cold.profile.slab_passes == replay.profile.slab_passes \
+            < replay.profile.window_count
         assert replay.profile.mean_batch == (
             replay.cycles / replay.profile.slab_passes)
         assert (f"{replay.profile.window_count} windows in "
@@ -1075,14 +1004,13 @@ class TestScheduleReplay:
         self._assert_same(cold, replay)
         scalar = self._run(program, placement, inputs,
                            engine_mode="scalar", **self.NETWORK)
-        from test_engine_equivalence import assert_same_results
         assert_same_results(scalar, replay)
 
     def test_spans_stay_within_the_batch_cap(self, monkeypatch):
         from repro.simulator import batched, channel
+        from test_engine_equivalence import assert_same_results
         program, placement, config = self._chain_machine()
         config = dict(config, max_batch_words=16)
-        cold = self._run(program, placement, **config)
         claims = []
         claim = channel.claim_slab
 
@@ -1092,44 +1020,18 @@ class TestScheduleReplay:
 
         monkeypatch.setattr(channel, "claim_slab", spy)
         monkeypatch.setattr(batched, "claim_slab", spy)
-        spans = self._spy_spans(monkeypatch)
+        cold = self._run(program, placement, **config)
         replay = self._run(program, placement, **config)
         assert replay.profile.schedule_replayed
         assert claims and max(claims) <= 16
-        # The cap splits the replay into many passes, some of them
-        # still of several windows.
-        assert cold.profile.slab_passes == cold.profile.window_count
-        assert len(spans) == replay.profile.slab_passes > 1
-        assert max(map(len, spans)) > 1
-        assert replay.profile.slab_passes < replay.profile.window_count
+        # The cap splits the run into many passes, some of them still
+        # of several windows.
+        assert 1 < cold.profile.slab_passes == replay.profile.slab_passes \
+            < replay.profile.window_count
         self._assert_same(cold, replay)
         scalar = self._run(program, placement, engine_mode="scalar",
                            **config)
-        from test_engine_equivalence import assert_same_results
         assert_same_results(scalar, replay)
-
-    def test_a_scalar_step_ends_a_span(self, monkeypatch):
-        from util import random_inputs
-        program, placement = self._links_machine()
-        inputs = random_inputs(program)
-        cold = self._run(program, placement, inputs, **self.NETWORK)
-        plans = self._published_plans()
-        steps = sorted(plans)
-        # A scalar step (None) in the middle of the schedule: the
-        # replay steps that cycle exactly and plans what follows.
-        cut = steps[len(steps) // 2]
-        plans[cut] = None
-        spans = self._spy_spans(monkeypatch)
-        replay = self._run(program, placement, inputs, **self.NETWORK)
-        assert replay.profile.schedule_replayed
-        assert replay.profile.scalar_cycles == 1
-        before = [span for span in spans if span[0] < cut[0]]
-        assert before and all(span[-1] < cut[0] for span in before)
-        assert [now for span in before for now in span] == [
-            now for now, _idle in steps[:steps.index(cut)]]
-        assert len(before[-1]) > 1
-        from test_engine_equivalence import assert_same_results
-        assert_same_results(cold, replay)
 
     def test_replayed_data_error_is_the_cold_runs(self):
         from repro.core.program import StencilProgram
@@ -1161,40 +1063,62 @@ class TestScheduleReplay:
         assert raised[0] == raised[1]
         assert "2147483648" in raised[0]
 
-    def test_control_run_plans_alike_and_publishes_nothing(
-            self, monkeypatch):
-        from repro.lowering import default_cache, reset_default_cache
-        from repro.simulator import SimulatorConfig, simulate_control
-        from repro.simulator.control import ControlSimulator
-        from util import random_inputs
+    def test_control_run_is_the_plan_alone(self, monkeypatch):
+        # A control run builds no unit, ring or output array, publishes
+        # nothing, reads a published schedule, and ends as the full run
+        # does — a deadlock, report included, too.
+        from repro.errors import DeadlockError
+        from repro.lowering import default_cache
+        from repro.simulator import (
+            SimulatorConfig,
+            channel,
+            simulate,
+            simulate_control,
+            units,
+        )
+        from test_engine_equivalence import _EXACT_FIELDS
+        from util import diamond_program, edge_keys, random_inputs
+        built = []
+        for cls in (units.SourceUnit, units.SinkUnit, channel.StreamRing,
+                    channel._EdgeBuffer, BatchedStencilUnit):
+            init = cls.__init__
+
+            def spy(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", spy)
         program, placement = self._links_machine()
-
-        def control():
-            return simulate_control(program, random_inputs(program),
-                                    SimulatorConfig(**self.NETWORK),
-                                    device_of=placement)
-
-        def published():
-            cache = default_cache()
-            (key,) = [key for key in cache._entries
-                      if key.startswith("schedule:")]
-            return self._as_data(cache.peek(key))
-
-        first = control()
+        inputs = random_inputs(program)
+        config = SimulatorConfig(**self.NETWORK)
+        first = simulate_control(program, inputs, config, placement)
+        assert built == [] and first.outputs == {}
         assert not first.profile.schedule_replayed
+        assert first.profile.engine == "control"
+        assert first.profile.slab_passes == first.profile.ring_bytes == 0
         assert default_cache().stats("schedule") == (0, 0)
-        full = self._run(program, placement, **self.NETWORK)
-        assert not full.profile.schedule_replayed
+        full = simulate(program, inputs, config, placement)
+        assert built
+        for field in _EXACT_FIELDS:
+            assert getattr(first, field) == getattr(full, field), field
         # A later control run of the machine reads the full run's.
-        again = control()
-        assert again.profile.schedule_replayed
-        assert again.cycles == first.cycles == full.cycles
-        # What a control run would record is what the full run did.
-        recorded = published()
-        reset_default_cache()
-        monkeypatch.setattr(ControlSimulator, "_PUBLISHES_SCHEDULE", True)
-        control()
-        assert published() == recorded
+        built.clear()
+        again = simulate_control(program, inputs, config, placement)
+        assert again.profile.schedule_replayed and built == []
+        assert again.cycles == full.cycles
+        wedged = diamond_program(long_branch=2)
+        starved = SimulatorConfig(
+            channel_capacities={k: 2 for k in edge_keys(wedged)},
+            deadlock_window=64)
+        raised = []
+        for run in (simulate_control, simulate):
+            with pytest.raises(DeadlockError) as info:
+                run(wedged, random_inputs(wedged), starved)
+            error = info.value
+            raised.append((str(error), error.cycle, error.blocked_units,
+                           error.report.to_json()))
+        assert raised[0] == raised[1]
+        assert default_cache().stats("schedule") == (1, 1)
 
     def test_failed_runs_publish_nothing(self):
         from repro.errors import DeadlockError
@@ -1274,6 +1198,7 @@ class TestScheduleReplay:
 
         from repro.lowering import default_cache
         from repro.simulator import SimulatorConfig, build_simulator
+        from repro.simulator.batched import Schedule
         from util import random_inputs
         program, placement = self._links_machine()
         simulator = build_simulator(program, SimulatorConfig(
@@ -1288,12 +1213,14 @@ class TestScheduleReplay:
                   if key.startswith("schedule:")]
 
         def mutable(obj) -> bool:
-            if isinstance(obj, list):
+            if isinstance(obj, (list, dict, set)):
                 return True
-            if isinstance(obj, tuple):
-                return any(map(mutable, obj))
-            return hasattr(obj, "__slots__") and any(
-                mutable(getattr(obj, name)) for name in obj.__slots__)
+            return isinstance(obj, tuple) and any(map(mutable, obj))
 
-        plans = cache.peek(key)[0]
-        assert plans and not any(map(mutable, plans.values()))
+        schedule = cache.peek(key)
+        assert isinstance(schedule, Schedule) and schedule.passes
+        assert schedule.failure is None
+        assert not any(mutable(getattr(schedule, field.name))
+                       for field in dataclasses.fields(schedule))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            schedule.cycles = 0

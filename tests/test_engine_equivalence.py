@@ -535,6 +535,44 @@ class TestFailureModes:
                 simulate(program, inputs,
                          SimulatorConfig(engine_mode=mode, max_cycles=100))
 
+    def test_a_data_error_before_the_planned_failure_wins(self):
+        # Stage 1 ends in the failure, stage 2 first moves the words
+        # planned before it: an error in those words is raised, as it
+        # is when a run moves its words cycle by cycle.  The control
+        # run (the plan alone) raises the failure.
+        from repro.simulator import build_simulator, simulate_control
+        program = StencilProgram.from_json({
+            "inputs": {"a": {"dtype": "int64", "dims": ["i", "j", "k"]}},
+            "outputs": ["join"],
+            "shape": [4, 8, 8],
+            "program": {
+                "s0": {"code": "a[i,j,k] * a[i,j,k]"},
+                "slow0": {"code": "s0[i,j-1,k] + s0[i,j+1,k]",
+                          "boundary_condition": {
+                              "s0": {"type": "constant", "value": 0}}},
+                "join": {"code": "s0[i,j,k] + slow0[i,j,k]"},
+            },
+        })
+        good = {"a": np.ones((4, 8, 8), dtype=np.int64)}
+        bad = {"a": good["a"].copy()}
+        bad["a"][0, 0, 0] = 1 << 32       # its square leaves int64
+        starved = dict(channel_capacities={
+            key: 2 for key in edge_keys(program)}, deadlock_window=64)
+        for config, failure in ((starved, DeadlockError),
+                                (dict(max_cycles=100), SimulationError)):
+            config = SimulatorConfig(engine_mode="batched", **config)
+            schedule = build_simulator(program, config).plan()
+            assert type(schedule.failure) is failure and schedule.passes
+            for inputs in (good, bad):
+                with pytest.raises(failure) as planned:
+                    simulate_control(program, inputs, config)
+                assert str(planned.value) == str(schedule.failure)
+            with pytest.raises(failure) as full:
+                simulate(program, good, config)
+            assert str(full.value) == str(schedule.failure)
+            with pytest.raises(SimulationError, match="overflows int64"):
+                simulate(program, bad, config)
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
 def test_randomized_programs(seed):
@@ -563,15 +601,18 @@ def test_randomized_programs(seed):
 def test_differential_machine_fuzz(machine):
     """Differential fuzz as a strategy: any drawn machine — placement,
     link rate, wire latency, starved capacities — ends the
-    same way on both engines (same deadlock cycle, blocked units and
-    diagnostic, same cycle-cap overrun, or exactly equal results).  The
-    example budget is the loaded hypothesis profile's
-    (``tests/conftest.py``): derandomized and small in tier-1, long and
-    random in CI's ``fuzz`` job.  The batched engine runs twice: a
-    completed first run publishes its window schedule, which the second
-    replays (a failed one publishes nothing, so the second plans
-    again) — and must end the same way.  No ring read copies: every
-    tap and pop is a view of its ring (wrap-read bytes are 0)."""
+    same way on every engine (same deadlock cycle, blocked units,
+    diagnostic and forensics report, same cycle-cap overrun, or exactly
+    equal results).  The example budget is the loaded hypothesis
+    profile's (``tests/conftest.py``): derandomized and small in
+    tier-1, long and random in CI's ``fuzz`` job.  The batched engine
+    runs twice: a completed first run publishes its window schedule,
+    which the second replays (a failed one publishes nothing, so the
+    second plans again) — and must end the same way.  The control run
+    (the plan alone) must end as the scalar oracle does, timing
+    included.  No ring read copies: every tap and pop is a view of its
+    ring (wrap-read bytes are 0)."""
+    from repro.simulator import simulate_control
     program, device_of, config_kwargs = machine
     inputs = random_inputs(program)
     runs = {}
@@ -590,22 +631,30 @@ def test_differential_machine_fuzz(machine):
             mock.patch.object(_EdgeBuffer, "read_rows",
                               in_place(_EdgeBuffer.read_rows)):
         for run, mode in (("scalar", "scalar"), ("batched", "batched"),
-                          ("replay", "batched")):
+                          ("replay", "batched"), ("control", "auto")):
             config = SimulatorConfig(engine_mode=mode, **config_kwargs)
             try:
-                runs[run] = simulate(program, inputs, config, device_of)
+                runs[run] = (simulate_control if run == "control"
+                             else simulate)(program, inputs, config,
+                                            device_of)
             except (DeadlockError, SimulationError) as exc:
                 runs[run] = exc
     assert sum(copied) == 0
     for expected, got in ((runs["scalar"], runs["batched"]),
-                          (runs["batched"], runs["replay"])):
+                          (runs["batched"], runs["replay"]),
+                          (runs["scalar"], runs["control"])):
         assert type(expected) is type(got)
         if isinstance(expected, DeadlockError):
-            assert (expected.cycle, expected.blocked_units,
-                    str(expected)) == (got.cycle, got.blocked_units,
-                                       str(got))
+            assert (expected.cycle, expected.blocked_units, str(expected),
+                    expected.report.to_json()) == (
+                got.cycle, got.blocked_units, str(got),
+                got.report.to_json())
         elif isinstance(expected, SimulationError):
             assert str(expected) == str(got)
+        elif got is runs["control"]:
+            for field in _EXACT_FIELDS:
+                assert getattr(expected, field) == getattr(got, field), \
+                    field
         else:
             assert_same_results(expected, got)
 
@@ -734,9 +783,8 @@ class TestEngineSelection:
     def test_auto_never_falls_back_to_scalar_stepping(self, seed):
         # engine_mode="auto" must select the batched engine for every
         # fuzzed healthy config — fractional and mixed link rates
-        # included — and the batched engine must simulate it end to end
-        # without a single scalar-stepped cycle (the fallback is
-        # reserved for true standstills, i.e. deadlock detection).
+        # included — and the batched engine must plan every cycle of it
+        # as a window (none is stepped on the data plane).
         from repro.simulator import build_simulator
         rng = np.random.default_rng(4000 + seed)
         program = chain_program(int(rng.integers(2, 4)), shape=(4, 4, 8))
@@ -751,8 +799,9 @@ class TestEngineSelection:
         assert resolve_engine_mode(config) == "batched"
         simulator = build_simulator(program, config, device_of)
         assert isinstance(simulator, BatchedSimulator)
-        simulator.run(random_inputs(program))
-        assert simulator.scalar_cycles == 0
+        result = simulator.run(random_inputs(program))
+        assert simulator.window_cycles == result.cycles
+        assert result.profile.scalar_cycles == 0
 
 
 class TestKernelEngine:
@@ -815,7 +864,7 @@ class TestKernelEngine:
 
 
 class TestStackedSimulation:
-    """One data pass plus control runs: the width-0 control engine times
+    """One data pass plus control runs: the plan alone times
     every configuration of a program bitwise like its full simulation,
     and the full runs' outputs do not depend on the configuration, so
     the representative's data pass stands in for every member's."""
@@ -1300,7 +1349,6 @@ class TestOnePlanner:
             self._deep_pipeline((1, 1, 4)), {"s0": 0, "s1": 1},
             network_words_per_cycle=rate, network_latency=2)
         assert_same_results(scalar, batched)
-        assert simulator.scalar_cycles == 0
         assert simulator.window_cycles == batched.cycles
         if rate == 1.0:
             assert max(streaks) > 32
@@ -1322,7 +1370,7 @@ class TestOnePlanner:
             network_latency=3, network_link_rates=rates)
         assert_same_results(scalar, batched)
         assert simulator._window_period() == 1
-        assert simulator.scalar_cycles == 0
+        assert simulator.window_cycles == batched.cycles
 
     def test_unschedulable_rate_plans_period_one(self):
         # (b) 2**-13 words/cycle has no delivery period within the
@@ -1336,7 +1384,7 @@ class TestOnePlanner:
         assert_same_results(scalar, batched)
         assert batched.cycles > 4 * 8192
         assert simulator._window_period() == 1
-        assert simulator.scalar_cycles == 0
+        assert simulator.window_cycles == batched.cycles
 
     def test_window_heavier_than_the_rings_replans_at_period_one(self):
         # (c) A 15-cycle LCM window moves up to 15 words per channel,
@@ -1351,43 +1399,75 @@ class TestOnePlanner:
         assert_same_results(scalar, batched)
         assert simulator._window_period() == 15
         assert simulator.plan_count > simulator.window_count
-        assert simulator.scalar_cycles == 0
+        assert simulator.window_cycles == batched.cycles
 
     @pytest.mark.parametrize("deadlock_window", [64, 200])
     def test_deadlock_streak_straddles_windows(self, deadlock_window):
         # (d) The starved diamond idles for the whole deadlock window
         # before it is called: the streak spans several windows (a
         # non-repeating window stretches 64 cycles at most) and the
-        # raising cycle — alone — is a scalar step.
+        # raising cycle is a plan of its own, which raises.
         program = diamond_program(long_branch=2)
         scalar, batched, simulator = self._run_both(
             program, deadlock_window=deadlock_window,
             channel_capacities={k: 2 for k in edge_keys(program)})
         assert isinstance(scalar, DeadlockError)
         self._assert_same_error(scalar, batched)
-        assert simulator.scalar_cycles == 1
+        assert simulator.plan_count == simulator.window_count + 1
         assert simulator.window_cycles == scalar.cycle
         assert simulator.window_count >= 1 + deadlock_window // 64
 
-    def test_idle_streak_one_short_of_the_deadlock_window(self):
+    def test_idle_streak_one_short_of_the_deadlock_window(
+            self, monkeypatch):
         # (d) The deep pipeline idles 64 cycles in its fill and 64 in
         # its drain: a deadlock at any window up to 64, completion from
         # 65 — where each streak ends one cycle short of the window,
-        # on a cycle taken as a scalar step that then progresses.
+        # on a cycle the detector may fire on, planned alone, that then
+        # progresses.
+        from repro.lowering import reset_default_cache
+        reset_default_cache()  # spy on the planner, not on a replay
+        detector_cycles = []
+        plan_window = BatchedSimulator._plan_window
+
+        def spy(self, now, q, horizon, idle_in):
+            if idle_in >= self.config.deadlock_window - 1:
+                detector_cycles.append(now)
+            return plan_window(self, now, q, horizon, idle_in)
+
+        monkeypatch.setattr(BatchedSimulator, "_plan_window", spy)
         program = self._deep_pipeline((1, 1, 4))
         outcomes = {}
         for deadlock_window in range(60, 70):
+            detector_cycles.clear()
             scalar, batched, simulator = self._run_both(
                 program, deadlock_window=deadlock_window)
             if isinstance(scalar, DeadlockError):
                 self._assert_same_error(scalar, batched)
+                assert detector_cycles[-1] == scalar.cycle
             else:
                 assert_same_results(scalar, batched)
             outcomes[deadlock_window] = (type(scalar).__name__,
-                                         simulator.scalar_cycles)
+                                         len(detector_cycles))
         assert outcomes[64] == ("DeadlockError", 1)
         assert outcomes[65] == ("SimulationResult", 2)
         assert outcomes[66] == ("SimulationResult", 0)
+
+    def test_a_detector_cycle_is_planned_not_stepped(self):
+        # At deadlock window 65 both idle streaks of the deep pipeline
+        # end one cycle short, on a cycle the detector may fire on; a
+        # batch cap of one word and a rate-2 link leave no slack: each
+        # such cycle is a one-cycle plan, no cycle is stepped on the
+        # data plane, and the run is the scalar oracle's bitwise.
+        from repro.lowering import reset_default_cache
+        reset_default_cache()  # plan here, do not replay
+        scalar, batched, simulator = self._run_both(
+            self._deep_pipeline((1, 1, 4)), {"s0": 0, "s1": 1},
+            deadlock_window=65, max_batch_words=1,
+            network_words_per_cycle=2.0, network_latency=2)
+        assert_same_results(scalar, batched)
+        assert batched.profile.scalar_cycles == 0
+        assert simulator.window_cycles == batched.cycles
+        assert batched.profile.window_sizes.count(1) >= 2
 
     def test_wedged_with_a_link_word_costs_windows_not_cycles(self):
         # (e) The diamond's join on a second device: the fast link
@@ -1404,7 +1484,6 @@ class TestOnePlanner:
         assert isinstance(scalar, SimulationError)
         assert "exceeded 5000 cycles" in str(scalar)
         self._assert_same_error(scalar, batched)
-        assert simulator.scalar_cycles == 0
         assert simulator.window_cycles == 5_000
         counts = (simulator.plan_count, simulator.virtual_cycles)
         assert counts[0] <= 4 and counts[1] <= 100

@@ -150,6 +150,31 @@ class TestDeclarationChecks:
                            "be accessed"):
             parse("a + 1", self.FIELDS)
 
+    def test_list_valued_dims_still_compare_equal(self):
+        listed = {name: list(dims) for name, dims in self.FIELDS.items()}
+        parse("a[i,j,k] + a2[i,k] + c", listed)
+        with pytest.raises(ParseError,
+                           match=r"declared over dims \('i', 'k'\)"):
+            parse("a2[i,j]", listed)
+        with pytest.raises(ParseError, match=r"spans dims \('i', 'j', "):
+            parse("a + 1", listed)
+
+    def test_the_declarations_are_not_copied(self):
+        # A program parses each stencil against the same mapping; a
+        # copy per expression makes loading quadratic in the stencils.
+        class Declarations(dict):
+            def items(self):
+                raise AssertionError("the parser copied the mapping")
+
+            def __iter__(self):
+                raise AssertionError("the parser copied the mapping")
+
+        fields = Declarations(self.FIELDS)
+        assert parse("a[i,j,k] + a2[i,k] + c", fields) == parse(
+            "a[i,j,k] + a2[i,k] + c", self.FIELDS)
+        with pytest.raises(ParseError, match="declared over dims"):
+            parse("a2[i,j]", fields)
+
     def test_unknown_index_rejected(self):
         with pytest.raises(ParseError, match="not an iteration index"):
             parse("a[x, j, k]")

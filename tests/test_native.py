@@ -105,8 +105,7 @@ def _one_stencil_unit(code, fields, boundary, width):
     rings = {f: _EdgeBuffer(StreamRing(words + _PAD, width, pad=_PAD),
                             history=_PAD)
              for f in fields}
-    return BatchedStencilUnit(program, program.stencil("s"), rings, [], 0,
-                              max_batch_words=0)
+    return BatchedStencilUnit(program, program.stencil("s"), rings, [])
 
 
 @given(_expressions().filter(kernel._restricted_expr_ok),

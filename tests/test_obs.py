@@ -298,11 +298,12 @@ class TestEngineProfile:
                    for line in profile.summary_lines())
 
     def test_mean_batch_counts_window_passes(self, disabled_telemetry):
-        # On a planned run every slab pass is an executed window;
-        # ``plan_count`` counts planner invocations, executed or not, so
-        # it can only exceed the windows (a period-q plan that found no
-        # room and was re-planned at period 1) and is not what a batch
-        # is divided by.
+        # A run executes consecutive windows in one pass, planned or
+        # replayed alike: a batch is cycles per pass.  ``plan_count``
+        # counts planner invocations, executed or not, so it can only
+        # exceed the windows (a period-q plan that found no room and
+        # was re-planned at period 1) and is not what a batch is
+        # divided by.
         from repro.lowering import reset_default_cache
         reset_default_cache()  # plan here, do not replay
         profile = _fractional_two_device_run().profile
@@ -310,28 +311,26 @@ class TestEngineProfile:
         assert profile.window_count > 0
         assert profile.window_cycles == profile.cycles
         assert profile.plan_count >= profile.window_count
-        assert profile.slab_passes == profile.window_count
-        assert profile.mean_batch == profile.cycles / profile.window_count
+        assert 0 < profile.slab_passes < profile.window_count
+        assert profile.mean_batch == profile.cycles / profile.slab_passes
         assert profile.virtual_cycles > 0
         spec = profile.to_json()
         assert spec["mean_batch"] == profile.mean_batch
+        assert spec["slab_passes"] == profile.slab_passes
         assert spec["virtual_cycles"] == profile.virtual_cycles
         summary = "\n".join(profile.summary_lines())
-        assert (f"{profile.window_count} windows (mean batch "
-                f"{profile.mean_batch:.1f} cycles") in summary
+        assert (f"{profile.window_count} windows in {profile.slab_passes} "
+                f"slab passes (mean batch {profile.mean_batch:.1f} "
+                f"cycles") in summary
         assert (f"from {profile.plan_count} planner calls on "
                 f"{profile.virtual_cycles} virtual cycles") in summary
-        # A replay runs consecutive windows in one pass: the same
-        # windows, fewer passes, and a batch is cycles per pass.
+        # A replay executes the same windows in the same passes.
         replay = _fractional_two_device_run().profile
         assert replay.schedule_replayed
-        assert replay.window_count == profile.window_count
-        assert 0 < replay.slab_passes < replay.window_count
-        assert replay.to_json()["slab_passes"] == replay.slab_passes
-        assert replay.mean_batch == replay.cycles / replay.slab_passes
-        assert (f"{replay.window_count} windows in {replay.slab_passes} "
-                f"slab passes (mean batch {replay.mean_batch:.1f} "
-                f"cycles") in "\n".join(replay.summary_lines())
+        assert (replay.window_count, replay.slab_passes, replay.mean_batch) \
+            == (profile.window_count, profile.slab_passes,
+                profile.mean_batch)
+        assert "(schedule replayed)" in "\n".join(replay.summary_lines())
 
     def test_scalar_profile_counts_every_cycle_scalar(
             self, disabled_telemetry):
