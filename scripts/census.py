@@ -2,7 +2,8 @@
 """Census of ``src/`` functions that nothing executes.
 
 Runs the repo's inventory — the tier-1 suite, the examples, the smoke
-scripts and the quick end-to-end benchmark — with a recorder on
+scripts, one two-device ``repro run`` and the quick end-to-end
+benchmark — with a recorder on
 ``PYTHONPATH``, then prints every function defined under ``src/`` that
 none of them entered.  A second, informational list follows: the
 functions tier-1 entered and nothing else in the inventory did (code
@@ -101,6 +102,11 @@ def inventory(work: Path) -> List[Tuple[str, Path, List[str]]]:
             "crash_recovery_check.py", "serve_smoke.py",
             "telemetry_smoke.py")]
     runs += [(REST, work, [py, str(path)]) for path in scripts]
+    runs.append((REST, work, [
+        py, "-m", "repro", "run", "horizontal_diffusion",
+        "--shape", "24,24,16", "--devices", "2",
+        "--network-words-per-cycle", "0.3333333333333333",
+        "--network-latency", "16"]))
     bench = str(ROOT / "benchmarks" / "e2e" / "bench.py")
     runs += [(REST, work, [py, bench, mode, "--quick", "--out", os.devnull])
              for mode in ("run", "trace")]

@@ -10,7 +10,7 @@ from ..lowering import analysis_for
 from ..distributed.partition import Partition
 from .host import generate_host
 from .opencl import MIN_CHANNEL_DEPTH, OpenCLGenerator, generate_opencl
-from .reference_c import C_PRELUDE, generate_reference_c
+from .reference_c import generate_reference_c
 from .smi import (
     SMIPort,
     assign_ports,
@@ -37,7 +37,7 @@ def generate_package(program: StencilProgram,
         files[f"{program.name}_device{device}.cl"] = generate_opencl(
             program, analysis, partition, device)
     files["host.cpp"] = generate_host(program, partition)
-    files["reference.c"] = C_PRELUDE + generate_reference_c(program)
+    files["reference.c"] = generate_reference_c(program)
     if partition is not None and not partition.is_single_device:
         files["smi.h"] = generate_smi_header(partition)
         for device in range(devices):
@@ -47,7 +47,6 @@ def generate_package(program: StencilProgram,
 
 
 __all__ = [
-    "C_PRELUDE",
     "MIN_CHANNEL_DEPTH",
     "OpenCLGenerator",
     "SMIPort",

@@ -23,6 +23,12 @@ def generate_reference_c(program: StencilProgram) -> str:
         "#include <math.h>",
         "#include <stdlib.h>",
         "",
+        "static inline long clamp_idx(long idx, long extent) {",
+        "  if (idx < 0) return 0;",
+        "  if (idx >= extent) return extent - 1;",
+        "  return idx;",
+        "}",
+        "",
     ]
     shape = program.shape
     names = program.index_names
@@ -94,12 +100,3 @@ def _stencil_loops(program: StencilProgram,
         indent = indent[:-2]
         lines.append(f"{indent}}}")
     return lines
-
-
-C_PRELUDE = """\
-static inline long clamp_idx(long idx, long extent) {
-  if (idx < 0) return 0;
-  if (idx >= extent) return extent - 1;
-  return idx;
-}
-"""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.delay_buffers import BufferingAnalysis
-from ..lowering import analysis_for
+from ..lowering import analysis_for, remote_edges
 from ..core.program import StencilProgram
 from ..errors import MappingError
 from ..graph.dag import StencilGraph
@@ -41,6 +41,8 @@ class Partition:
         cut_edges: dataflow edges crossing devices, each carried by a
             network stream.
         replicated_inputs: input name -> devices that need a DRAM copy.
+        remote_edges: every edge the simulator carries by a network
+            link (:func:`repro.lowering.remote_edges`).
     """
 
     program: StencilProgram
@@ -48,6 +50,7 @@ class Partition:
     num_devices: int
     cut_edges: Tuple[EdgeKey, ...]
     replicated_inputs: Dict[str, Tuple[int, ...]]
+    remote_edges: Tuple[EdgeKey, ...]
 
     def stencils_on(self, device: int) -> Tuple[str, ...]:
         return tuple(name for name, dev in self.device_of.items()
@@ -181,6 +184,7 @@ def _finalize(program: StencilProgram, graph: StencilGraph,
         num_devices=num_devices,
         cut_edges=tuple(sorted(cut)),
         replicated_inputs=replicated,
+        remote_edges=remote_edges(graph, device_of),
     )
 
 

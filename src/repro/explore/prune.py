@@ -21,7 +21,6 @@ from ..distributed.partition import (
     check_network_feasible,
     contiguous_device_split,
     partition_fixed,
-    partition_program,
 )
 from ..errors import MappingError, ValidationError
 from ..hardware.platform import FPGAPlatform, ResourceVector, STRATIX10
@@ -34,9 +33,10 @@ from ..lowering import (
     LoweredProgram,
     LoweringConfig,
     analysis_for,
+    content_key,
     lower,
-    remote_edge_latency,
-    remote_edges,
+    placement_for,
+    platform_content_key,
 )
 from ..obs import metrics
 from ..perf.pipeline import model_multi_device, model_performance
@@ -158,19 +158,20 @@ class Pruner:
     expressions is a fact they carry (``docs/ARCHITECTURE.md``,
     "Program facts"), so a sweep over a large space — including
     transform axes — lowers each *distinct lowered program* once and
-    prices each *distinct machine* once: lowered program, effective
-    placement, effective latency.  What is left per point is the
-    placement lookup, Eq. 1, and building its :class:`Prediction`.
-    Every memo lives as long as the Pruner: one sweep.
+    prices each *distinct machine* once per process: platform, lowered
+    program, effective placement, effective latency.  Placements and
+    priced machines are artifacts of the same cache (kinds
+    ``placement``, ``price``), so a resweep prices nothing again.  What
+    is left per point is the lookups, Eq. 1, and its
+    :class:`Prediction`.
     """
 
     def __init__(self, program: StencilProgram,
                  platform: FPGAPlatform = STRATIX10):
         self.program = program
         self.platform = platform
+        self._platform_key = platform_content_key(platform)
         self._lowered: Dict[LoweringConfig, LoweredProgram] = {}
-        self._placements: Dict[Tuple, Partition] = {}
-        self._machines: Dict[Tuple, _Machine] = {}
 
     def lowered_at(self, point) -> LoweredProgram:
         """The point's transform+vectorize lowering (cached artifact).
@@ -234,8 +235,12 @@ class Pruner:
                               reason=f"placement failed: {exc}")
         machine = self._machine(lowered, partition,
                                 point.network_latency)
-        if not machine.verdict["feasible"]:
-            return Prediction(point=point, **machine.verdict)
+        # Machines are shared process-wide: copy the placement out.
+        verdict = dict(machine.verdict)
+        if verdict["device_of"] is not None:
+            verdict["device_of"] = dict(verdict["device_of"])
+        if not verdict["feasible"]:
+            return Prediction(point=point, **verdict)
 
         # Only remote edges become rate-limited links: drop overrides
         # on local edges so machines that coincide (e.g. the same
@@ -244,7 +249,7 @@ class Pruner:
         link_rates = None
         remote = None
         if resolved:
-            remote = remote_edges(lowered.graph, partition.device_of)
+            remote = partition.remote_edges
             remote_set = set(remote)
             link_rates = tuple(sorted(
                 (key, rate) for key, rate in resolved.items()
@@ -255,61 +260,54 @@ class Pruner:
                 prog_w, machine.analysis, point, partition.num_devices,
                 link_rates, remote),
             link_rates_resolved=link_rates,
-            **machine.verdict)
+            **verdict)
 
     # -- helpers -------------------------------------------------------------
 
     def _place(self, lowered: LoweredProgram,
                point: ConfigPoint) -> Partition:
-        key = (lowered.program_hash, point.partition, point.devices)
-        if key in self._placements:
-            return self._placements[key]
         program = lowered.program
-        if point.partition == "auto":
-            # Packed from the single-device machine's analysis and
-            # per-stencil unit costs.
+
+        def unit_costs():
+            # "auto" packs from the single-device machine's analysis
+            # and per-stencil unit costs.
             single = self._machine(lowered, partition_fixed(
                 program, contiguous_device_split(program, 1),
                 lowered.graph), 0)
-            placement = partition_program(
-                program, self.platform, max_devices=point.devices,
-                analysis=single.analysis, resources=single.estimate)
-        else:
-            placement = partition_fixed(
-                program, contiguous_device_split(program, point.devices),
-                lowered.graph)
-        self._placements[key] = placement
-        return placement
+            return single.analysis, single.estimate
+
+        return placement_for(program, point.partition, point.devices,
+                             self.platform, self._platform_key,
+                             lowered.program_hash, lowered.cache,
+                             unit_costs)
 
     def _machine(self, lowered: LoweredProgram, partition: Partition,
                  network_latency: int) -> _Machine:
-        """The priced machine ``partition`` makes of ``lowered`` — the
-        Pruner's memo of machines, keyed by the lowered program plus the
-        effective placement and latency (which only matter when
-        something spans devices)."""
-        multi = not partition.is_single_device
-        key = (lowered.program_hash,
-               tuple(sorted(partition.device_of.items())) if multi
-               else (),
-               network_latency if multi else 0)
-        if key not in self._machines:
-            self._machines[key] = self._price(lowered, partition,
-                                              network_latency)
-        return self._machines[key]
-
-    def _price(self, lowered: LoweredProgram, partition: Partition,
-               network_latency: int) -> _Machine:
-        program = lowered.program
+        """The priced machine ``partition`` makes of ``lowered`` (kind
+        ``price``; placement and latency only matter when something
+        spans devices).  Its analysis is looked up first, so a resweep
+        still counts the analyses it is served."""
         multi = not partition.is_single_device
         # Price what the simulator will build: every remote edge —
-        # input→stencil links included — carries latency (the shared
-        # keying means this *is* the engine's analysis), and the delay
-        # buffers those links stretch cost real M20K.
-        edge_latency = remote_edge_latency(
-            lowered.graph, partition.device_of, network_latency) \
-            if multi else None
-        analysis = analysis_for(program, edge_latency=edge_latency,
-                                program_hash=lowered.program_hash)
+        # input→stencil links included — carries latency.
+        edge_latency = dict.fromkeys(partition.remote_edges,
+                                     network_latency) if multi else None
+        analysis = analysis_for(lowered.program, edge_latency=edge_latency,
+                                program_hash=lowered.program_hash,
+                                cache=lowered.cache)
+        key = content_key(
+            "price", self._platform_key, lowered.program_hash,
+            lowered.family_hash,
+            sorted(partition.device_of.items()) if multi else [],
+            network_latency if multi else 0)
+        return lowered.cache.get_or_build(
+            key, lambda: self._price(lowered, partition, analysis))
+
+    def _price(self, lowered: LoweredProgram, partition: Partition,
+               analysis: BufferingAnalysis) -> _Machine:
+        program = lowered.program
+        multi = not partition.is_single_device
+        # The delay buffers remote links stretch cost real M20K.
         estimate = estimate_resources(program, self.platform, analysis)
         verdict = dict(feasible=False,
                        device_of=dict(partition.device_of),

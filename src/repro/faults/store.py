@@ -54,9 +54,9 @@ def cache_root(root=None) -> Path:
     return Path(root).expanduser()
 
 
-def write_json_atomic(path, data, indent: int = 2,
-                      fsync: bool = True):
-    """Write ``data`` as JSON via write-temp-then-replace.
+def write_json_atomic(path, data, fsync: bool = True):
+    """Write ``data`` as compact JSON (one C-encoder pass: ``json.dump``
+    encodes in Python) via write-temp-then-replace.
 
     The temp name embeds the pid so concurrent writers never collide;
     with ``fsync`` the content is forced to stable storage before the
@@ -66,8 +66,9 @@ def write_json_atomic(path, data, indent: int = 2,
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    text = json.dumps(data)
     with open(tmp, "w") as handle:
-        json.dump(data, handle, indent=indent)
+        handle.write(text)
         if fsync:
             handle.flush()
             os.fsync(handle.fileno())

@@ -22,8 +22,9 @@ from .pipeline import (
     freeze_placement,
     graph_for,
     lower,
+    placement_for,
+    platform_content_key,
     program_content_hash,
-    remote_edge_latency,
     remote_edges,
 )
 
@@ -41,8 +42,9 @@ __all__ = [
     "freeze_placement",
     "graph_for",
     "lower",
+    "placement_for",
+    "platform_content_key",
     "program_content_hash",
-    "remote_edge_latency",
     "remote_edges",
     "reset_default_cache",
 ]

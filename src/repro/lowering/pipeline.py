@@ -15,8 +15,8 @@ result cache).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.delay_buffers import (
     BufferingAnalysis,
@@ -46,26 +46,15 @@ def freeze_placement(device_of: Optional[Mapping[str, int]]
     return tuple(sorted(device_of.items()))
 
 
-def remote_edge_latency(graph: StencilGraph,
-                        device_of: Mapping[str, int],
-                        network_latency: int
-                        ) -> Dict[ChannelKey, int]:
-    """Extra latency for every edge that becomes a network link.
-
-    This is the simulator's rule: *any* edge whose endpoints resolve
-    to different devices — including input→stencil edges when an
-    input's consumers span devices — is carried by a link.  The
-    partition stage and the explorer's pricing both use it, so the
-    priced machine and the simulated machine share one analysis.
-    """
-    return {key: network_latency
-            for key in remote_edges(graph, device_of)}
-
-
 def remote_edges(graph: StencilGraph,
                  device_of: Mapping[str, int]) -> Tuple[ChannelKey, ...]:
     """The edges that become network links under ``device_of`` —
-    the single definition of the simulator's remote-edge rule."""
+    the single definition of the simulator's remote-edge rule: *any*
+    edge whose ends resolve to different devices, input→stencil edges
+    included.  The partition stage and the explorer's pricing both
+    read it, so priced and simulated machines share one analysis."""
+    if not any(device_of.values()):  # everything on device 0
+        return ()
     return tuple(
         (edge.src, edge.dst, edge.data) for edge in graph.edges
         if node_device(graph, edge.src, device_of)
@@ -142,7 +131,6 @@ class _State:
     source_hash: str = ""
     program_hash: str = ""
     device_of: Optional[Dict[str, int]] = None
-    partition: Optional[object] = None
     edge_latency: Optional[Dict[ChannelKey, int]] = None
 
 
@@ -280,38 +268,18 @@ class PartitionPass(Pass):
         return config.placement_signature()
 
     def apply(self, state: _State):
-        from dataclasses import asdict
-        # Key the platform by content, not display name: the "auto"
-        # strategy packs against its resource vectors, and two
-        # platforms may share a name but not a shell.
-        key = content_key("placement", state.program_hash,
-                          self.signature(state.config),
-                          asdict(state.platform))
-        placed = state.cache.get_or_build(
-            key, lambda: self._place(state))
-        state.device_of, state.partition, state.edge_latency = placed
-
-    def _place(self, state: _State):
         config = state.config
-        program = state.program
-        partition = None
         if config.device_of is not None:
             device_of = dict(config.device_of)
-        elif config.placement == "contiguous":
-            from ..distributed.partition import contiguous_device_split
-            device_of = contiguous_device_split(program, config.devices)
-        else:  # "auto"
-            from ..distributed.partition import partition_program
-            partition = partition_program(
-                program, state.platform, max_devices=config.devices,
-                analysis=analysis_for(program, cache=state.cache))
-            device_of = dict(partition.device_of)
-        edge_latency = None
-        if device_of:
-            graph = graph_for(program, state.program_hash, state.cache)
-            edge_latency = remote_edge_latency(
-                graph, device_of, config.network_latency)
-        return device_of, partition, edge_latency
+        else:
+            device_of = dict(placement_for(
+                state.program, config.placement, config.devices,
+                state.platform, platform_content_key(state.platform),
+                state.program_hash, state.cache).device_of)
+        graph = graph_for(state.program, state.program_hash, state.cache)
+        state.device_of = device_of
+        state.edge_latency = dict.fromkeys(
+            remote_edges(graph, device_of), config.network_latency)
 
 
 #: The standard pipeline, in stage order.  ``buffering``, ``sdfg``,
@@ -356,6 +324,42 @@ def graph_for(program: StencilProgram,
     program_hash = program_hash or program.content_hash
     return cache.get_or_build(content_key("graph", program_hash),
                               lambda: StencilGraph(program))
+
+
+def platform_content_key(platform: FPGAPlatform) -> str:
+    """A platform's content address: the ``auto`` strategy packs against
+    its resource vectors, and two platforms may share a name but not a
+    shell."""
+    return content_key("platform", asdict(platform))
+
+
+def placement_for(program: StencilProgram, strategy: str, devices: int,
+                  platform: FPGAPlatform, platform_key: str,
+                  program_hash: str, cache: ArtifactCache,
+                  unit_costs: Optional[Callable[[], tuple]] = None):
+    """The ``strategy`` :class:`~repro.distributed.partition.Partition`
+    of ``program`` over at most ``devices`` devices (kind
+    ``placement``).  ``unit_costs`` returns the single-device
+    ``(analysis, resource estimate)`` the ``auto`` packer reads, when
+    the caller prices that machine anyway."""
+    def build():
+        from ..distributed.partition import (
+            contiguous_device_split,
+            partition_fixed,
+            partition_program,
+        )
+        if strategy == "contiguous":
+            return partition_fixed(
+                program, contiguous_device_split(program, devices),
+                graph_for(program, program_hash, cache))
+        analysis, resources = unit_costs() if unit_costs is not None \
+            else (analysis_for(program, program_hash=program_hash,
+                               cache=cache), None)
+        return partition_program(program, platform, max_devices=devices,
+                                 analysis=analysis, resources=resources)
+
+    return cache.get_or_build(content_key(
+        "placement", platform_key, program_hash, strategy, devices), build)
 
 
 def analysis_for(program: StencilProgram,
@@ -432,7 +436,6 @@ class LoweredProgram:
     source_hash: str
     program_hash: str
     device_of: Optional[Dict[str, int]]
-    partition: Optional[object]
     edge_latency: Optional[Dict[ChannelKey, int]]
     cache: ArtifactCache = field(repr=False, default_factory=default_cache)
 
@@ -497,7 +500,6 @@ def lower(program, config: Optional[LoweringConfig] = None,
         source_hash=state.source_hash,
         program_hash=state.program_hash,
         device_of=state.device_of or None,
-        partition=state.partition,
         edge_latency=state.edge_latency or None,
         cache=cache,
     )

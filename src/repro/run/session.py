@@ -18,11 +18,7 @@ import numpy as np
 from ..analysis.delay_buffers import BufferingAnalysis
 from ..codegen import generate_package
 from ..core.program import StencilProgram
-from ..distributed.partition import (
-    Partition,
-    contiguous_device_split,
-    partition_program,
-)
+from ..distributed.partition import Partition
 from ..errors import ValidationError
 from ..hardware.platform import FPGAPlatform, STRATIX10
 from ..lowering import LoweredProgram, LoweringConfig, lower
@@ -127,27 +123,18 @@ class Session:
         """The program lowered to the data-centric IR."""
         return self._lowered.sdfg()
 
-    def partition(self, max_devices: int = 8) -> Partition:
-        """Resource-driven multi-device partition (Sec. III-B)."""
-        return partition_program(self.program, self.platform,
-                                 max_devices=max_devices,
-                                 analysis=self.analysis)
-
     def placement(self, strategy: str = "contiguous",
                   devices: int = 1) -> Dict[str, int]:
         """A stencil-to-device map built by a named strategy.
 
         ``"contiguous"`` cuts the pipeline into ``devices`` groups in
         program order; ``"auto"`` runs the resource-driven partitioner
-        (Sec. III-B) with ``devices`` as the device budget.
+        (Sec. III-B) with ``devices`` as the device budget.  Placements
+        are lowering-cache artifacts, shared with the explorer's.
         """
-        if strategy == "contiguous":
-            return contiguous_device_split(self.program, devices)
-        if strategy == "auto":
-            return dict(self.partition(max_devices=devices).device_of)
-        raise ValidationError(
-            f"unknown partition strategy {strategy!r} "
-            f"(expected 'contiguous' or 'auto')")
+        return dict(lower(self.program, LoweringConfig(
+            placement=strategy, devices=devices),
+            platform=self.platform).device_of)
 
     def code_package(self, partition: Optional[Partition] = None
                      ) -> Dict[str, str]:

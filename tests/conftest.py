@@ -13,7 +13,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 # Hypothesis budgets, for the settings a property test leaves to the
 # profile (the engine differential fuzz leaves its example count):
 # tier-1 draws a small derandomized sample, so a run is reproducible
-# and bounded; CI's scheduled ``fuzz`` job passes
+# and bounded (the engine fuzz seeds it from a constant instead of its
+# source: ``TIER1_FUZZ_SEED``); CI's scheduled ``fuzz`` job passes
 # ``--hypothesis-profile=fuzz`` for a long random one whose failures
 # are kept in the example database.
 settings.register_profile("tier1", max_examples=200, derandomize=True,

@@ -1,5 +1,8 @@
 """Unit tests for code generation: OpenCL, SMI, host, C reference."""
 
+import shutil
+import subprocess
+
 import pytest
 
 from repro.analysis import analyze_buffers
@@ -16,7 +19,13 @@ from repro.codegen import (
 from repro.codegen.opencl import channel_name
 from repro.distributed import partition_fixed
 from repro.errors import CodeGenError
-from repro.programs import chain, horizontal_diffusion
+from repro.programs import (
+    available_programs,
+    build,
+    chain,
+    horizontal_diffusion,
+)
+from repro.simulator import native
 from util import lst1_program
 
 
@@ -147,6 +156,20 @@ class TestHostAndReference:
         assert "void lst1(" in source
         assert source.count("for (long") >= 15  # 5 stencils x 3 loops
         assert "malloc" in source and "free" in source
+
+    @pytest.mark.skipif(shutil.which("cc") is None,
+                        reason="no C compiler on PATH")
+    @pytest.mark.parametrize("name", available_programs())
+    def test_reference_c_compiles_on_its_own(self, name, tmp_path):
+        # Compilers before GCC 14 only warn about an undeclared
+        # function, so the check names that error.
+        source = tmp_path / "reference.c"
+        source.write_text(generate_reference_c(build(name)))
+        subprocess.run(
+            ["cc", "-c", *native._CFLAGS,
+             "-Werror=implicit-function-declaration",
+             "-o", str(tmp_path / "reference.o"), str(source)],
+            check=True, capture_output=True, text=True)
 
     def test_package_contents(self):
         files = generate_package(lst1_program())

@@ -13,7 +13,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+import hypothesis
+from hypothesis import given, settings
 
 from repro.core import StencilProgram
 from repro.errors import DeadlockError, SimulationError, ValidationError
@@ -597,6 +598,20 @@ def test_randomized_programs(seed):
     assert outcomes["scalar"] == outcomes["batched"]
 
 
+#: The tier-1 profile draws the machine fuzz's sample from this
+#: constant, not from the test's source (``derandomize``), so an edit to
+#: the test body keeps the machines it covers; the ``fuzz`` profile
+#: draws fresh ones.
+TIER1_FUZZ_SEED = 0
+
+
+def _pinned_in_tier1(test):
+    if settings.get_current_profile_name() == "tier1":
+        return hypothesis.seed(TIER1_FUZZ_SEED)(test)
+    return test
+
+
+@_pinned_in_tier1
 @given(random_machines())
 def test_differential_machine_fuzz(machine):
     """Differential fuzz as a strategy: any drawn machine — placement,
@@ -604,8 +619,9 @@ def test_differential_machine_fuzz(machine):
     same way on every engine (same deadlock cycle, blocked units,
     diagnostic and forensics report, same cycle-cap overrun, or exactly
     equal results).  The example budget is the loaded hypothesis
-    profile's (``tests/conftest.py``): derandomized and small in
-    tier-1, long and random in CI's ``fuzz`` job.  The batched engine
+    profile's (``tests/conftest.py``): small and drawn from
+    :data:`TIER1_FUZZ_SEED` in tier-1, long and random in CI's
+    ``fuzz`` job.  The batched engine
     runs twice: a completed first run publishes its window schedule,
     which the second replays (a failed one publishes nothing, so the
     second plans again) — and must end the same way.  The control run

@@ -674,15 +674,72 @@ class TestPricingWork:
         assert 0 < work["census_after_cse"] <= len(stencils)
         assert 0 < work["estimate_resources"] <= len(machines)
 
-        # A second sweep in the same process (a resweep) derives
-        # nothing again: the lowered programs come back out of the
-        # artifact cache carrying their facts.
+        # A second sweep in the same process (a resweep) derives and
+        # prices nothing again: the lowered programs come back out of
+        # the artifact cache carrying their facts, and the priced
+        # machines and placements are artifacts of the same cache.
         for name in work:
             work[name] = 0
         again = Pruner(program)
         assert [again.predict(point) for point in points] == predictions
-        assert work["infer_type"] == work["census_after_cse"] == 0
-        assert work["estimate_resources"] <= len(machines)
+        assert work == dict.fromkeys(work, 0)
+
+    def test_another_platform_prices_as_a_fresh_process(self, work):
+        """Priced machines are cached process-wide, keyed by platform
+        content: pricing on ``ARRIA10`` after ``STRATIX10`` predicts
+        what a fresh process (an emptied cache) predicts."""
+        from repro.hardware.platform import ARRIA10
+        from repro.lowering import reset_default_cache
+        reset_default_cache()
+        program, points = _sweep_points(_SWEEP["quick"]["shape"],
+                                        _SWEEP["space"])
+        stratix = [Pruner(program).predict(point) for point in points]
+        after = [Pruner(program, ARRIA10).predict(point)
+                 for point in points]
+        reset_default_cache()
+        fresh = [Pruner(program, ARRIA10).predict(point)
+                 for point in points]
+        assert after == fresh
+        assert after != stratix
+
+    def test_sources_that_lower_alike_share_machines(self, work):
+        """Two source programs that lower to one lowered program share
+        its priced machines, and each predicts what a fresh process
+        predicts for it."""
+        from repro.lowering import reset_default_cache
+        from repro.transforms.stencil_fusion import aggressive_fusion
+        reset_default_cache()
+        program, points = _sweep_points(_SWEEP["quick"]["shape"],
+                                        _SWEEP["space"])
+        fused = aggressive_fusion(program)
+        points = [point for point in points if point.fusion]
+        assert len({Pruner(source).lowered_at(points[0]).program_hash
+                    for source in (program, fused)}) == 1
+        [Pruner(program).predict(point) for point in points]
+        work["estimate_resources"] = 0
+        shared = [Pruner(fused).predict(point) for point in points]
+        assert work["estimate_resources"] == 0
+        reset_default_cache()
+        assert shared == [Pruner(fused).predict(point)
+                          for point in points]
+
+    def test_mutating_a_prediction_changes_no_later_one(self):
+        """A caller that edits a returned ``device_of`` cannot change
+        what this Pruner, or the next sweep's, predicts."""
+        import copy
+        from repro.lowering import reset_default_cache
+        reset_default_cache()
+        program, points = _sweep_points(_SWEEP["quick"]["shape"],
+                                        _SWEEP["space"])
+        pruner = Pruner(program)
+        predictions = [pruner.predict(point) for point in points]
+        pristine = copy.deepcopy(predictions)
+        placed = [p for p in predictions if p.device_of]
+        assert placed
+        for prediction in placed:
+            prediction.device_of.clear()
+        for sweep in (pruner, Pruner(program)):
+            assert [sweep.predict(point) for point in points] == pristine
 
     def test_cold_sweep_prints_each_expression_once(self, monkeypatch):
         """The canonical text of an expression keys two caches (the

@@ -199,6 +199,26 @@ class TestResultCacheHardening:
             tmp_path / "absent.json") == 0
         assert list(tmp_path.iterdir()) == []
 
+    def test_compact_and_indented_store_files_both_load(self):
+        """Store files are written compact (one C-encoder pass); files
+        written indented by earlier versions load the same."""
+        from repro.faults.store import REPORTS, RESULTS
+        report = explore(laplace2d(shape=(16, 16)),
+                         space=ConfigSpace(vectorizations=(1, 2)),
+                         strategy="exhaustive")
+        results = RESULTS.path()
+        [stored] = REPORTS.members()
+        for path in (results, stored):
+            assert "\n" not in path.read_text()
+        entries = ResultCache().load_persistent(results)
+        assert entries > 0
+        for path in (results, stored):
+            path.write_text(json.dumps(json.loads(path.read_text()),
+                                       indent=2))
+        assert ResultCache().load_persistent(results) == entries
+        assert ExplorationReport.load(stored).ranking_signature() == \
+            report.ranking_signature()
+
 
 class TestArtifactCacheInProcess:
     def test_artifacts_never_reach_disk(self, tmp_path, monkeypatch):
