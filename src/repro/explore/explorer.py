@@ -183,6 +183,7 @@ def explore(program: StencilProgram,
     cache.reset_stats()
     artifacts = lowering_cache()
     lowering_hits0, relowered0 = artifacts.stats("analysis")
+    priced0, _ = artifacts.stats("price")
     if isinstance(strategy, str) and strategy in ("greedy", "beam"):
         strategy = GreedySearch(beam_width=beam_width)
     else:
@@ -264,6 +265,7 @@ def explore(program: StencilProgram,
 
     # Stage 4: assemble, rank, and mark the Pareto frontier.
     lowering_hits1, relowered1 = artifacts.stats("analysis")
+    priced1, _ = artifacts.stats("price")
     with span("explore.report", entries=len(predictions)):
         entries = _build_entries(predictions, measurements, failures,
                                  base)
@@ -277,7 +279,8 @@ def explore(program: StencilProgram,
         entries=entries,
         wall_seconds=clock.now() - start,
         cache_hits=cache.hits,
-        lowering_cache_hits=lowering_hits1 - lowering_hits0,
+        lowering_cache_hits=(lowering_hits1 - lowering_hits0
+                             + priced1 - priced0),
         relowered_programs=relowered1 - relowered0,
         family_hash=program_fingerprint(program),
     )

@@ -19,8 +19,6 @@ from ..core.program import StencilProgram
 from ..distributed.partition import (
     Partition,
     check_network_feasible,
-    contiguous_device_split,
-    partition_fixed,
 )
 from ..errors import MappingError, ValidationError
 from ..hardware.platform import FPGAPlatform, ResourceVector, STRATIX10
@@ -266,48 +264,37 @@ class Pruner:
 
     def _place(self, lowered: LoweredProgram,
                point: ConfigPoint) -> Partition:
-        program = lowered.program
-
-        def unit_costs():
-            # "auto" packs from the single-device machine's analysis
-            # and per-stencil unit costs.
-            single = self._machine(lowered, partition_fixed(
-                program, contiguous_device_split(program, 1),
-                lowered.graph), 0)
-            return single.analysis, single.estimate
-
-        return placement_for(program, point.partition, point.devices,
-                             self.platform, self._platform_key,
-                             lowered.program_hash, lowered.cache,
-                             unit_costs)
+        return placement_for(lowered.program, point.partition,
+                             point.devices, self.platform,
+                             lowered.program_hash, lowered.cache)
 
     def _machine(self, lowered: LoweredProgram, partition: Partition,
                  network_latency: int) -> _Machine:
         """The priced machine ``partition`` makes of ``lowered`` (kind
         ``price``; placement and latency only matter when something
-        spans devices).  Its analysis is looked up first, so a resweep
-        still counts the analyses it is served."""
+        spans devices)."""
         multi = not partition.is_single_device
-        # Price what the simulator will build: every remote edge —
-        # input→stencil links included — carries latency.
-        edge_latency = dict.fromkeys(partition.remote_edges,
-                                     network_latency) if multi else None
-        analysis = analysis_for(lowered.program, edge_latency=edge_latency,
-                                program_hash=lowered.program_hash,
-                                cache=lowered.cache)
         key = content_key(
             "price", self._platform_key, lowered.program_hash,
             lowered.family_hash,
             sorted(partition.device_of.items()) if multi else [],
             network_latency if multi else 0)
         return lowered.cache.get_or_build(
-            key, lambda: self._price(lowered, partition, analysis))
+            key, lambda: self._price(lowered, partition, network_latency))
 
     def _price(self, lowered: LoweredProgram, partition: Partition,
-               analysis: BufferingAnalysis) -> _Machine:
+               network_latency: int) -> _Machine:
         program = lowered.program
         multi = not partition.is_single_device
-        # The delay buffers remote links stretch cost real M20K.
+        # Price what the simulator will build: every remote edge —
+        # input→stencil links included — carries latency (the shared
+        # keying means this *is* the engine's analysis), and the delay
+        # buffers those links stretch cost real M20K.
+        edge_latency = dict.fromkeys(partition.remote_edges,
+                                     network_latency) if multi else None
+        analysis = analysis_for(program, edge_latency=edge_latency,
+                                program_hash=lowered.program_hash,
+                                cache=lowered.cache)
         estimate = estimate_resources(program, self.platform, analysis)
         verdict = dict(feasible=False,
                        device_of=dict(partition.device_of),

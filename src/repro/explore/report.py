@@ -194,8 +194,9 @@ class ExplorationReport:
     entries: Tuple[ExplorationEntry, ...]
     wall_seconds: float = 0.0
     cache_hits: int = 0
-    #: Buffering analyses served from the artifact cache during the
-    #: sweep, and analyses actually (re)built — one per distinct
+    #: Buffering analyses and priced machines served from the artifact
+    #: cache during the sweep (a priced machine is looked up once per
+    #: point), and analyses actually (re)built — one per distinct
     #: (lowered program, edge-latency map), so a multi-device axis
     #: legitimately counts more than one per program.  A repeated
     #: identical sweep in one process reports

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.delay_buffers import (
     BufferingAnalysis,
@@ -271,15 +272,16 @@ class PartitionPass(Pass):
         config = state.config
         if config.device_of is not None:
             device_of = dict(config.device_of)
+            remote = remote_edges(graph_for(
+                state.program, state.program_hash, state.cache), device_of)
         else:
-            device_of = dict(placement_for(
+            partition = placement_for(
                 state.program, config.placement, config.devices,
-                state.platform, platform_content_key(state.platform),
-                state.program_hash, state.cache).device_of)
-        graph = graph_for(state.program, state.program_hash, state.cache)
+                state.platform, state.program_hash, state.cache)
+            device_of = dict(partition.device_of)
+            remote = partition.remote_edges
         state.device_of = device_of
-        state.edge_latency = dict.fromkeys(
-            remote_edges(graph, device_of), config.network_latency)
+        state.edge_latency = dict.fromkeys(remote, config.network_latency)
 
 
 #: The standard pipeline, in stage order.  ``buffering``, ``sdfg``,
@@ -326,22 +328,20 @@ def graph_for(program: StencilProgram,
                               lambda: StencilGraph(program))
 
 
+@lru_cache(maxsize=64)
 def platform_content_key(platform: FPGAPlatform) -> str:
-    """A platform's content address: the ``auto`` strategy packs against
-    its resource vectors, and two platforms may share a name but not a
-    shell."""
+    """A platform's content address, hashed once per distinct platform:
+    the ``auto`` strategy packs against its resource vectors, and two
+    platforms may share a name but not a shell."""
     return content_key("platform", asdict(platform))
 
 
 def placement_for(program: StencilProgram, strategy: str, devices: int,
-                  platform: FPGAPlatform, platform_key: str,
-                  program_hash: str, cache: ArtifactCache,
-                  unit_costs: Optional[Callable[[], tuple]] = None):
+                  platform: FPGAPlatform, program_hash: str,
+                  cache: ArtifactCache):
     """The ``strategy`` :class:`~repro.distributed.partition.Partition`
     of ``program`` over at most ``devices`` devices (kind
-    ``placement``).  ``unit_costs`` returns the single-device
-    ``(analysis, resource estimate)`` the ``auto`` packer reads, when
-    the caller prices that machine anyway."""
+    ``placement``)."""
     def build():
         from ..distributed.partition import (
             contiguous_device_split,
@@ -352,14 +352,14 @@ def placement_for(program: StencilProgram, strategy: str, devices: int,
             return partition_fixed(
                 program, contiguous_device_split(program, devices),
                 graph_for(program, program_hash, cache))
-        analysis, resources = unit_costs() if unit_costs is not None \
-            else (analysis_for(program, program_hash=program_hash,
-                               cache=cache), None)
-        return partition_program(program, platform, max_devices=devices,
-                                 analysis=analysis, resources=resources)
+        return partition_program(
+            program, platform, max_devices=devices,
+            analysis=analysis_for(program, program_hash=program_hash,
+                                  cache=cache))
 
     return cache.get_or_build(content_key(
-        "placement", platform_key, program_hash, strategy, devices), build)
+        "placement", platform_content_key(platform), program_hash,
+        strategy, devices), build)
 
 
 def analysis_for(program: StencilProgram,

@@ -611,7 +611,29 @@ def _pinned_in_tier1(test):
     return test
 
 
+def _starved_diamond(device_of, capacity, **config):
+    """A machine the fuzz must see deadlock on every engine: the Fig. 4
+    diamond with every channel starved to ``capacity`` words, placed by
+    ``device_of``.  The pinned sample may draw no deadlock at all."""
+    program = diamond_program(long_branch=2)
+    return (program, device_of, dict(
+        config, max_cycles=config.get("max_cycles", 40_000),
+        channel_capacities={key: capacity for key in edge_keys(program)},
+        deadlock_window=64))
+
+
 @_pinned_in_tier1
+@hypothesis.example(_starved_diamond(
+    {"s0": 0, "slow0": 1, "slow1": 1, "join": 0}, 2,
+    network_words_per_cycle=1 / 3, network_latency=8))
+@hypothesis.example(_starved_diamond(
+    {"s0": 0, "slow0": 1, "slow1": 2, "join": 0}, 3,
+    network_words_per_cycle=1 / 2, network_latency=2, max_batch_words=7))
+@hypothesis.example(_starved_diamond(
+    {"s0": 0, "slow0": 1, "slow1": 1, "join": 0}, 2,
+    network_words_per_cycle=1 / 3, network_latency=8, max_cycles=12_000,
+    network_link_rates={("stencil:s0", "stencil:slow0", "s0"): 1 / 64,
+                        ("stencil:slow1", "stencil:join", "slow1"): 1 / 3}))
 @given(random_machines())
 def test_differential_machine_fuzz(machine):
     """Differential fuzz as a strategy: any drawn machine — placement,
@@ -621,7 +643,8 @@ def test_differential_machine_fuzz(machine):
     equal results).  The example budget is the loaded hypothesis
     profile's (``tests/conftest.py``): small and drawn from
     :data:`TIER1_FUZZ_SEED` in tier-1, long and random in CI's
-    ``fuzz`` job.  The batched engine
+    ``fuzz`` job; the explicit examples deadlock, so every profile
+    compares deadlocks.  The batched engine
     runs twice: a completed first run publishes its window schedule,
     which the second replays (a failed one publishes nothing, so the
     second plans again) — and must end the same way.  The control run
