@@ -169,7 +169,7 @@ class Pruner:
         self.program = program
         self.platform = platform
         self._platform_key = platform_content_key(platform)
-        self._lowered: Dict[LoweringConfig, LoweredProgram] = {}
+        self._lowered: Dict[Tuple, LoweredProgram] = {}
 
     def lowered_at(self, point) -> LoweredProgram:
         """The point's transform+vectorize lowering (cached artifact).
@@ -178,15 +178,15 @@ class Pruner:
         historical call form, meaning no transforms).
         """
         if isinstance(point, ConfigPoint):
-            config = LoweringConfig(canonicalize=point.canonicalize,
-                                    fusion=point.fusion,
-                                    vectorization=point.vectorization)
+            knobs = (point.canonicalize, point.fusion, point.vectorization)
         else:
-            config = LoweringConfig(vectorization=int(point))
-        if config not in self._lowered:
-            self._lowered[config] = lower(self.program, config,
-                                          platform=self.platform)
-        return self._lowered[config]
+            knobs = (False, False, int(point))
+        if knobs not in self._lowered:
+            canonicalize, fusion, width = knobs
+            self._lowered[knobs] = lower(self.program, LoweringConfig(
+                canonicalize=canonicalize, fusion=fusion,
+                vectorization=width), platform=self.platform)
+        return self._lowered[knobs]
 
     # -- the verdict ---------------------------------------------------------
 

@@ -93,15 +93,17 @@ class ArtifactCache:
                     # Count the miss only once something was actually
                     # built — a raising build is not an artifact.
                     self._misses[kind] = self._misses.get(kind, 0) + 1
-                    metrics.counter("artifact_cache.misses",
-                                    kind=kind).inc()
+                    if metrics.enabled():
+                        metrics.counter("artifact_cache.misses",
+                                        kind=kind).inc()
                     self._entries[key] = artifact
                     self._entries.move_to_end(key)
                     while len(self._entries) > self.max_entries:
                         self._entries.popitem(last=False)
                         self.evictions += 1
-                        metrics.counter(
-                            "artifact_cache.evictions").inc()
+                        if metrics.enabled():
+                            metrics.counter(
+                                "artifact_cache.evictions").inc()
         finally:
             with self._lock:
                 self._building.pop(key, None)
@@ -113,7 +115,8 @@ class ArtifactCache:
         kind = self._kind(key)
         self._entries.move_to_end(key)
         self._hits[kind] = self._hits.get(kind, 0) + 1
-        metrics.counter("artifact_cache.hits", kind=kind).inc()
+        if metrics.enabled():
+            metrics.counter("artifact_cache.hits", kind=kind).inc()
         return self._entries[key]
 
     def lookup(self, key: str) -> Optional[object]:
