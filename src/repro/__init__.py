@@ -2,7 +2,7 @@
 
 A from-scratch Python implementation of *StencilFlow: Mapping Large
 Stencil Programs to Distributed Spatial Computing Systems* (CGO 2021):
-the stencil-program DSL, buffering/deadlock analysis, data-centric IR and
+the stencil-program DSL, buffering/deadlock analysis, program
 transformations, code generation, and a cycle-level spatial-dataflow
 simulator standing in for the paper's FPGA testbed.
 

@@ -5,7 +5,7 @@ One module, five verbs::
     from repro import api
 
     program = api.resolve_program("hdiff", shape=(64, 64, 32))
-    artifact = api.lower(program)                      # analyses, SDFG
+    artifact = api.lower(program)                      # analyses
     result   = api.run("hdiff", seed=0)                # simulate+validate
     report   = api.explore("hdiff", max_devices=2)     # design-space sweep
     answer   = api.query("hdiff")                      # cached-front probe
@@ -21,10 +21,11 @@ are the compatibility contract.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import StencilProgram
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ReproError, ValidationError
 from .hardware import ARRIA10, FPGAPlatform, STRATIX10
 
 #: Version of this facade.  Bumped on breaking signature changes;
@@ -53,15 +54,17 @@ def resolve_program(program: ProgramLike,
 
     Accepts a catalog name or alias (``"hdiff"``), a path to a JSON
     description, an inline JSON mapping, or an already-built program.
-    ``shape`` (when given) overrides the iteration domain.
+    A string that names a file on disk, or looks like a path, is read
+    as a JSON description; any other string goes through the catalog,
+    whose unknown-name errors suggest close matches.  ``shape`` (when
+    given) overrides the iteration domain.
     """
     if isinstance(program, StencilProgram):
         resolved = program
     elif isinstance(program, Mapping):
         resolved = StencilProgram.from_json(program)
     elif isinstance(program, str):
-        from .cli import _load_program
-        resolved = _load_program(program)
+        resolved = _program_from_string(program)
     else:
         raise ParseError(
             f"cannot resolve a program from {type(program).__name__} "
@@ -70,6 +73,22 @@ def resolve_program(program: ProgramLike,
     if shape is not None:
         resolved = resolved.with_shape(tuple(shape))
     return resolved
+
+
+def _program_from_string(spec: str) -> StencilProgram:
+    path = Path(spec)
+    if path.is_file() or spec.endswith(".json") or "/" in spec:
+        try:
+            return StencilProgram.from_json_file(path)
+        except ReproError:
+            raise
+        except Exception as exc:
+            # Missing file, malformed JSON, ...: normalize onto the
+            # library hierarchy so callers (and the CLI's exit-2
+            # diagnostic path) handle it like any other user error.
+            raise ParseError(f"could not read program {spec!r}: {exc}")
+    from .programs import build
+    return build(spec)
 
 
 def resolve_platform(platform: PlatformLike) -> FPGAPlatform:
@@ -103,7 +122,7 @@ def resolve_platform(platform: PlatformLike) -> FPGAPlatform:
 def lower(program: ProgramLike, config=None, *,
           shape: Optional[Sequence[int]] = None,
           platform: PlatformLike = None, **kwargs):
-    """Lower a program: buffering analysis, SDFG, code generation.
+    """Lower a program: transforms, placement, buffering analysis.
 
     Returns the shared :class:`~repro.lowering.LoweredProgram`
     artifact (content-addressed and cached process-wide).

@@ -32,11 +32,10 @@ import signal
 import sys
 from pathlib import Path
 
-from .codegen import generate_package
+from . import api
 from .core import StencilProgram
 from .errors import (
     DeadlockError,
-    ParseError,
     ReproError,
     SweepInterrupted,
 )
@@ -314,7 +313,6 @@ def _parse_float_list(text: str):
 
 def _serve(args) -> int:
     """``repro serve``: block on the config-query HTTP endpoint."""
-    from . import api
     from .serve import DEFAULT_HOST, DEFAULT_PORT, ServeConfig
 
     config = ServeConfig(
@@ -340,27 +338,6 @@ def _serve(args) -> int:
     return 0
 
 
-def _load_program(spec: str) -> StencilProgram:
-    """Resolve a program argument: a JSON file path or a catalog name.
-
-    Anything that exists on disk — or looks like a path — is read as a
-    JSON description; everything else goes through the catalog, whose
-    unknown-name errors suggest close matches.
-    """
-    path = Path(spec)
-    if path.is_file() or spec.endswith(".json") or "/" in spec:
-        try:
-            return StencilProgram.from_json_file(path)
-        except ReproError:
-            raise
-        except Exception as exc:
-            # Missing file, malformed JSON, ...: normalize onto the
-            # library hierarchy so the CLI's exit-2 diagnostic path
-            # handles it like any other user error.
-            raise ParseError(f"could not read program {spec!r}: {exc}")
-    return build(spec)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -370,7 +347,7 @@ def main(argv=None) -> int:
             return _cache(args)
         if args.command == "serve":
             return _serve(args)
-        program = _load_program(args.program)
+        program = api.resolve_program(args.program)
         handler = {
             "info": _info,
             "analyze": _analyze,
@@ -431,6 +408,7 @@ def _analyze(program: StencilProgram, args) -> int:
 
 
 def _codegen(program: StencilProgram, args) -> int:
+    from .codegen import generate_package
     files = generate_package(program)
     args.output.mkdir(parents=True, exist_ok=True)
     for name, source in files.items():
@@ -467,7 +445,6 @@ def _run(program: StencilProgram, args) -> int:
         from . import obs
         obs.enable()
 
-    from . import api
     session = api.session(program)
     device_of = None
     if args.devices > 1 or args.partition != "contiguous":
@@ -565,7 +542,6 @@ def _restore_interrupt_handlers(previous):
 
 
 def _explore(program: StencilProgram, args) -> int:
-    from . import api
     from .explore import ConfigSpace
     from .simulator import parse_link_rate_spec
 

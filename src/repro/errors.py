@@ -65,7 +65,7 @@ class CodeGenError(StencilFlowError):
 
 
 class TransformationError(StencilFlowError):
-    """An SDFG transformation cannot be applied."""
+    """A program transformation cannot be applied."""
 
 
 class SimulationError(StencilFlowError):

@@ -1,6 +1,6 @@
 """Content-addressed artifact cache for the lowering pipeline.
 
-Artifacts (transformed programs, placements, buffering analyses, SDFGs,
+Artifacts (transformed programs, placements, buffering analyses,
 compiled stencils) are keyed by the *content* of their inputs — the
 canonical JSON hash of the program plus the configuration slice the
 producing pass depends on — so any two consumers that request the same
@@ -36,7 +36,7 @@ DEFAULT_MAX_ENTRIES = 8192
 def content_key(kind: str, *parts) -> str:
     """A stable content address: sha1 over canonical JSON.
 
-    ``kind`` namespaces the artifact class (``"analysis"``, ``"sdfg"``,
+    ``kind`` namespaces the artifact class (``"analysis"``, ``"compile"``,
     ...); ``parts`` must be JSON-serializable (tuples become lists,
     which is fine — key construction is the only consumer).
     """

@@ -2,8 +2,8 @@
 
 One :func:`lower` call takes a stencil program through the same staged
 flow every entry point used to hand-roll — validate → canonicalize →
-fusion → vectorize → partition → buffering analysis → SDFG
-build → simulator compile — with every stage's product stored in the
+fusion → vectorize → partition → buffering analysis → simulator
+compile — with every stage's product stored in the
 content-addressed :class:`~repro.lowering.cache.ArtifactCache`.  The
 Session, the simulation engine, the design-space explorer, and the CLI
 all request artifacts here, so identical lowered programs are analyzed
@@ -242,7 +242,7 @@ class VectorizePass(_TransformPass):
 class FingerprintPass(Pass):
     """Rekey the pipeline on the *content* of the transformed program.
 
-    Everything downstream (placement, analysis, SDFG, simulation
+    Everything downstream (placement, analysis, simulation
     measurements) is addressed by what the program *is*, not by which
     transform chain produced it — so a fusion axis whose on/off points
     collapse to the same program shares every later artifact.
@@ -284,13 +284,13 @@ class PartitionPass(Pass):
         state.edge_latency = dict.fromkeys(remote, config.network_latency)
 
 
-#: The standard pipeline, in stage order.  ``buffering``, ``sdfg``,
-#: and ``sim-compile`` are demand-driven stages living on
-#: :func:`analysis_for` / :class:`LoweredProgram` /
-#: :func:`compiled_stencil`; they share the same cache and keying.
+#: The standard pipeline, in stage order.  ``buffering`` and
+#: ``sim-compile`` are demand-driven stages living on
+#: :func:`analysis_for` / :func:`compiled_stencil`; they share the
+#: same cache and keying.
 PIPELINE_STAGES: Tuple[str, ...] = (
     "validate", "canonicalize", "fusion", "vectorize",
-    "fingerprint", "partition", "buffering", "sdfg", "sim-compile")
+    "fingerprint", "partition", "buffering", "sim-compile")
 
 
 class PassManager:
@@ -425,9 +425,9 @@ class LoweredProgram:
     """The pipeline's product: a program plus its mapping artifacts.
 
     Transform and placement stages run eagerly (they are cheap and
-    define the identity); the buffering analysis, deadlock
-    certificate, SDFG, and code package are demand-driven properties
-    that fill through the shared cache on first access.
+    define the identity); the buffering analysis and the deadlock
+    certificate are demand-driven properties that fill through the
+    shared cache on first access.
     """
 
     program: StencilProgram
@@ -468,16 +468,6 @@ class LoweredProgram:
         return self.cache.get_or_build(
             content_key("certificate", self.key),
             lambda: certify_analysis(analysis))
-
-    def sdfg(self):
-        """The program lowered to the data-centric IR (cached)."""
-        from ..sdfg.build import build_sdfg
-        analysis = self.analysis
-        program = self.program
-        with span("lowering.sdfg", program=program.name):
-            return self.cache.get_or_build(
-                content_key("sdfg", self.key),
-                lambda: build_sdfg(program, analysis))
 
 
 def lower(program, config: Optional[LoweringConfig] = None,

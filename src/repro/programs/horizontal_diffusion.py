@@ -3,8 +3,9 @@
 Horizontal diffusion is a 4th-order explicit method on a staggered
 latitude-longitude grid with Smagorinsky diffusion smoothing the wind
 velocity components. The paper extracts it from MeteoSwiss' production
-SDFG; we rebuild it from the published physics structure so that it
-reproduces the paper's exact operation and operand census (Sec. IX-A):
+dataflow graph; we rebuild it from the published physics structure so
+that it reproduces the paper's exact operation and operand census
+(Sec. IX-A):
 
 * 87 additions, 41 multiplications, 2 square roots;
 * 2 minimum and 2 maximum operations;

@@ -2,7 +2,7 @@
 
 A :class:`Session` takes a stencil program through parsing/validation,
 dependency and buffering analysis, optional canonicalization
-(fusion), SDFG generation, code generation, simulated hardware
+(fusion), code generation, simulated hardware
 execution, and validation of results against the sequential reference —
 the same steps the paper's stack performs transparently when running a
 program from its input description (Sec. VII).
@@ -16,14 +16,12 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from ..analysis.delay_buffers import BufferingAnalysis
-from ..codegen import generate_package
 from ..core.program import StencilProgram
 from ..distributed.partition import Partition
 from ..errors import ValidationError
 from ..hardware.platform import FPGAPlatform, STRATIX10
 from ..lowering import LoweredProgram, LoweringConfig, lower
 from ..perf.pipeline import PerformanceReport, model_performance
-from ..sdfg.graph import SDFG
 from ..simulator.engine import (
     SimulationResult,
     Simulator,
@@ -66,7 +64,7 @@ class Session:
             top of it.
 
     All pipeline stages route through :func:`repro.lowering.lower`, so
-    analyses, SDFGs, and compiled stencils are shared with every other
+    analyses and compiled stencils are shared with every other
     consumer (CLI, explorer, direct ``simulate`` calls) through the
     process-wide content-addressed artifact cache.
     """
@@ -78,7 +76,7 @@ class Session:
         config = lowering or LoweringConfig()
         if config.placement is not None or \
                 config.device_of is not None:
-            # The session's artifacts (analysis, SDFG, performance)
+            # The session's artifacts (analysis, performance)
             # would describe a multi-device machine while run() picks
             # its placement per call — reject rather than let the two
             # silently diverge.
@@ -119,10 +117,6 @@ class Session:
             self._certified = True
         return analysis
 
-    def sdfg(self) -> SDFG:
-        """The program lowered to the data-centric IR."""
-        return self._lowered.sdfg()
-
     def placement(self, strategy: str = "contiguous",
                   devices: int = 1) -> Dict[str, int]:
         """A stencil-to-device map built by a named strategy.
@@ -139,6 +133,7 @@ class Session:
     def code_package(self, partition: Optional[Partition] = None
                      ) -> Dict[str, str]:
         """Generated OpenCL/host/SMI/reference sources."""
+        from ..codegen import generate_package
         return generate_package(self.program, self.analysis, partition)
 
     def performance(self, **kwargs) -> PerformanceReport:

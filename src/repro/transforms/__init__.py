@@ -1,8 +1,6 @@
-"""Program and SDFG transformations (Sec. V)."""
+"""Program transformations (Sec. V)."""
 
-from .canonicalize import canonicalize, extract_program, fold_program
-from .map_fission import can_fission, fission
-from .nest_dim import nest_dim
+from .canonicalize import canonicalize, fold_program
 from .shift import shift_expr, substitute_field
 from .stencil_fusion import (
     aggressive_fusion,
@@ -13,15 +11,11 @@ from .stencil_fusion import (
 
 __all__ = [
     "aggressive_fusion",
-    "can_fission",
     "can_fuse",
     "canonicalize",
-    "extract_program",
-    "fission",
     "fold_program",
     "fuse",
     "fusion_candidates",
-    "nest_dim",
     "shift_expr",
     "substitute_field",
 ]

@@ -1,23 +1,16 @@
 """Canonicalization: the dataflow-cleanup pass applied before mapping.
 
 Folds constants in every stencil, then applies aggressive stencil
-fusion (the setting used for the paper's experiments, Sec. V-B). Also
-provides the reverse direction of the workflow in Fig. 13: extracting a
-stencil program back out of an SDFG built with stencil library nodes.
+fusion (the setting used for the paper's experiments, Sec. V-B).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
 
-from ..core.fields import FieldSpec
 from ..core.program import StencilDefinition, StencilProgram
-from ..errors import TransformationError
 from ..expr.ast_nodes import unparse
 from ..expr.folding import fold
-from ..sdfg.graph import SDFG
-from ..sdfg.nodes import StencilLibraryNode
 from .stencil_fusion import aggressive_fusion
 
 
@@ -43,63 +36,3 @@ def canonicalize(program: StencilProgram,
         program = aggressive_fusion(program)
     return program
 
-
-def extract_program(sdfg: SDFG,
-                    name: Optional[str] = None) -> StencilProgram:
-    """Extract a stencil program from an SDFG with stencil library nodes.
-
-    This is the "stencil extraction" arrow of Fig. 13: external dataflow
-    graphs containing ``Stencil`` library nodes (e.g. produced from a
-    production application) are read back into the standard program
-    description for analysis.
-    """
-    libraries = [node for state in sdfg.states
-                 for node in state.library_nodes()
-                 if isinstance(node, StencilLibraryNode)]
-    if not libraries:
-        raise TransformationError(
-            "SDFG contains no stencil library nodes to extract")
-    shape = libraries[0].shape
-    for node in libraries:
-        if node.shape != shape:
-            raise TransformationError(
-                f"stencil {node.definition.name!r} iterates {node.shape}, "
-                f"others iterate {shape}: a stencil program has one "
-                f"iteration space")
-
-    stencil_names = {node.definition.name for node in libraries}
-    inputs: Dict[str, FieldSpec] = {}
-    for node in libraries:
-        dims_of = getattr(node, "field_dims", {})
-        for field in node.definition.accessed_fields:
-            if field in stencil_names or field in inputs:
-                continue
-            dims = dims_of.get(field)
-            if dims is None:
-                dims = node.definition.access_dims[field]
-            dtype = None
-            for desc_name, desc in sdfg.data.items():
-                if desc_name == field:
-                    dtype = desc.dtype
-                    break
-            if dtype is None:
-                raise TransformationError(
-                    f"no container for input field {field!r} in SDFG")
-            inputs[field] = FieldSpec(field, dtype, tuple(dims))
-
-    produced = {node.definition.name for node in libraries}
-    consumed = set()
-    for node in libraries:
-        consumed.update(node.definition.accessed_fields)
-    outputs = tuple(sorted(produced - consumed))
-    if not outputs:
-        raise TransformationError("no sink stencils found")
-
-    return StencilProgram(
-        inputs=inputs,
-        outputs=outputs,
-        shape=shape,
-        stencils=tuple(node.definition for node in libraries),
-        vectorization=libraries[0].vector_width,
-        name=name or sdfg.name,
-    )

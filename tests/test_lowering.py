@@ -48,10 +48,10 @@ class TestArtifactCache:
 
     def test_stats_are_per_kind(self):
         cache = ArtifactCache()
-        cache.get_or_build(content_key("sdfg", 1), lambda: "a")
+        cache.get_or_build(content_key("compile", 1), lambda: "a")
         cache.get_or_build(content_key("analysis", 1), lambda: "b")
         cache.get_or_build(content_key("analysis", 1), lambda: "c")
-        assert cache.stats_by_kind() == {"sdfg": (0, 1),
+        assert cache.stats_by_kind() == {"compile": (0, 1),
                                          "analysis": (1, 1)}
 
     def test_eviction_is_bounded(self):
@@ -282,13 +282,6 @@ class TestEntryPointEquality:
         for name, data in via_session.outputs.items():
             np.testing.assert_array_equal(data,
                                           via_engine.outputs[name])
-
-    def test_sdfg_artifact_cached(self):
-        program = lst1_program()
-        artifact = lower(program)
-        assert artifact.sdfg() is artifact.sdfg()
-        session = Session(program)
-        assert session.sdfg() is artifact.sdfg()
 
 
 class TestSessionMappingKnobs:

@@ -70,9 +70,9 @@ class TestMetricsRegistry:
         registry, _ = telemetry
         registry.counter("hits", kind="analysis").inc()
         registry.counter("hits", kind="analysis").inc(2)
-        registry.counter("hits", kind="sdfg").inc()
+        registry.counter("hits", kind="compile").inc()
         assert registry.counter("hits", kind="analysis").value == 3
-        assert registry.counter("hits", kind="sdfg").value == 1
+        assert registry.counter("hits", kind="compile").value == 1
         assert registry.counter_total("hits") == 4
 
     def test_same_instrument_regardless_of_label_order(self, telemetry):

@@ -16,6 +16,9 @@ on an ephemeral port:
 import http.client
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -214,7 +217,6 @@ class TestFrontierIndex:
         assert stats.reports_skipped == 1
 
     def test_truncated_report_is_quarantined(self, capsys):
-        import os
         from repro.cli import main
         seed_report()
         bad = report_store_dir() / "report-deadbeef00000000.json"
@@ -333,7 +335,6 @@ class TestLiveServer:
         """Everything a miss writes lands under ``REPRO_CACHE_DIR``: a
         restarted server on the same root answers the same query
         warm, and the process backend's kept run dir sits there too."""
-        import os
         from pathlib import Path
         from repro.service import ServiceConfig
         from repro.service.journal import find_run_dirs
@@ -728,7 +729,6 @@ class TestJobManager:
         """Graceful shutdown with a miss in flight: the resident
         workers are gone afterwards, and the job is settled."""
         import dataclasses
-        import os
         from pathlib import Path
         from repro.service import JobJournal, ServiceConfig
         from repro.service.journal import JOURNAL_NAME, find_run_dirs
@@ -779,6 +779,25 @@ class TestApiFacade:
         assert api.resolve_program(by_name) is by_name
         with pytest.raises(ParseError):
             api.resolve_program(42)
+        by_path = tmp_path / "program.json"
+        by_path.write_text(json.dumps(by_name.to_json()))
+        assert api.resolve_program(str(by_path)).name == by_name.name
+        with pytest.raises(ParseError, match="could not read program"):
+            api.resolve_program(str(tmp_path / "missing.json"))
+
+    def test_run_imports_no_cli_or_codegen(self):
+        """The library resolves its own program names: a run imports
+        neither the CLI nor the code generator."""
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "from repro import api; "
+                  "api.run('laplace2d', shape=(16, 16)); "
+                  "print(sorted(m for m in sys.modules if m.startswith("
+                  "('repro.cli', 'repro.codegen'))))")
+        out = subprocess.run([sys.executable, "-c", script, src],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_resolve_platform_forms(self):
         default = api.resolve_platform(None)

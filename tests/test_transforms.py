@@ -1,5 +1,5 @@
-"""Unit tests for the transformations: fusion, fission, nest_dim,
-canonicalization, and extraction."""
+"""Unit tests for the transformations: fusion, shift and
+canonicalization."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,13 @@ from repro.errors import TransformationError
 from repro.expr import parse
 from repro.programs import horizontal_diffusion
 from repro.run import run_reference
-from repro.sdfg import build_sdfg
 from repro.transforms import (
     aggressive_fusion,
-    can_fission,
     can_fuse,
     canonicalize,
-    extract_program,
-    fission,
     fold_program,
     fuse,
     fusion_candidates,
-    nest_dim,
     shift_expr,
     substitute_field,
 )
@@ -160,75 +155,6 @@ class TestFusionSemantics:
             analyze_buffers(program).pipeline_latency
 
 
-class TestFission:
-    def test_roundtrip_with_fusion(self):
-        program = _two_stage("(a[i,j-1] + a[i,j+1]) * (a[i,j] + 1.0)",
-                             "s[i,j] * 2.0")
-        split = fission(program, "s")
-        assert set(split.stencil_names) == {"s__l", "s__r", "s", "t"}
-        inputs = random_inputs(program)
-        before = run_reference(program, inputs)["t"]
-        after = run_reference(split, inputs)["t"]
-        window = _valid_overlap(before, after)
-        np.testing.assert_allclose(before.data[window],
-                                   after.data[window], rtol=1e-5)
-
-    def test_leaf_operands_rejected(self):
-        program = _two_stage("a[i,j-1] + a[i,j+1]", "s[i,j] * 2.0")
-        ok, reason = can_fission(program, "s")
-        assert not ok
-
-    def test_leaf_side_stays_inline(self):
-        program = _two_stage("2.0 * (a[i,j] + a[i,j-1])", "s[i,j] + 0.0")
-        split = fission(program, "s")
-        # Only the compound right side is outlined.
-        assert "s__r" in split.stencil_names
-        assert "s__l" not in split.stencil_names
-
-    def test_boolean_top_rejected(self):
-        program = _two_stage("a[i,j] + 1.0", "s[i,j] > 0 ? 1.0 : 0.0")
-        ok, reason = can_fission(program, "t")
-        assert not ok
-
-
-class TestNestDim:
-    def test_shape_and_rename(self):
-        program = _two_stage("a[i,j-1] + a[i,j+1]", "s[i-1,j] * 2.0")
-        nested = nest_dim(program, 5)
-        assert nested.shape == (5, 8, 8)
-        assert nested.stencil("s").code == "(a[i, j, k-1] + a[i, j, k+1])"
-        assert nested.stencil("t").code == "(s[i, j-1, k] * 2.0)"
-
-    def test_broadcast_inputs_keep_shape(self):
-        program = StencilProgram.from_json({
-            "inputs": {
-                "a": {"dtype": "float32", "dims": ["i", "j"]},
-                "c": {"dtype": "float32", "dims": ["j"]},
-            },
-            "outputs": ["s"],
-            "shape": [8, 8],
-            "program": {"s": {"code": "a[i,j] * c[j]",
-                              "boundary_condition": "shrink"}},
-        })
-        nested = nest_dim(program, 4, broadcast_inputs=["c"])
-        assert nested.inputs["a"].dims == ("i", "j", "k")
-        assert nested.inputs["c"].dims == ("k",)
-
-    def test_semantics_slicewise(self):
-        program = _two_stage("a[i,j-1] + a[i,j+1]", "s[i,j] * 2.0")
-        inputs = random_inputs(program)
-        flat = run_reference(program, inputs)["t"]
-        nested = nest_dim(program, 3)
-        stacked = np.broadcast_to(inputs["a"], (3, 8, 8)).copy()
-        result = run_reference(nested, {"a": stacked})["t"]
-        np.testing.assert_allclose(result.data[1], flat.data,
-                                   rtol=1e-5, equal_nan=True)
-
-    def test_3d_rejected(self):
-        with pytest.raises(TransformationError, match="already"):
-            nest_dim(lst1_program(), 4)
-
-
 class TestCanonicalize:
     def test_fold_program(self):
         program = _two_stage("a[i,j] * (2.0 - 1.0) + 0.0",
@@ -240,18 +166,3 @@ class TestCanonicalize:
         program = _two_stage("a[i,j] + 0.0", "s[i,j] * 1.0")
         canonical = canonicalize(program)
         assert len(canonical.stencils) == 1
-
-    def test_extract_roundtrip(self):
-        program = lst1_program()
-        extracted = extract_program(build_sdfg(program))
-        assert set(extracted.stencil_names) == set(program.stencil_names)
-        assert extracted.shape == program.shape
-        assert set(extracted.inputs) == set(program.inputs)
-        assert set(extracted.outputs) == {"b4"}
-
-    def test_extract_requires_library_nodes(self):
-        from repro.sdfg import SDFG
-        empty = SDFG("empty")
-        empty.add_state("main")
-        with pytest.raises(TransformationError, match="no stencil"):
-            extract_program(empty)
