@@ -26,9 +26,9 @@ from ..lowering import analysis_for
 from ..core.fields import flatten_offset
 from ..core.program import StencilDefinition, StencilProgram
 from ..distributed.partition import Partition
+from ..expr import cexpr
 from ..expr.ast_nodes import FieldAccess
 from ..graph.dag import StencilGraph
-from . import cexpr
 
 #: Minimum hardware FIFO depth added to every computed delay buffer.
 MIN_CHANNEL_DEPTH = 8

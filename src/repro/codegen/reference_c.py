@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.program import StencilDefinition, StencilProgram
+from ..expr import cexpr
 from ..expr.ast_nodes import FieldAccess
 from ..graph.dag import StencilGraph
-from . import cexpr
 
 
 def generate_reference_c(program: StencilProgram) -> str:

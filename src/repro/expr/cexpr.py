@@ -1,11 +1,13 @@
-"""Expression AST to OpenCL C rendering."""
+"""Expression AST to C rendering: the OpenCL kernels and the C
+reference of :mod:`repro.codegen`, and the simulator's native compute
+kernels (:mod:`repro.simulator.native`)."""
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
 from ..errors import CodeGenError
-from ..expr.ast_nodes import (
+from .ast_nodes import (
     BinaryOp,
     Call,
     Expr,

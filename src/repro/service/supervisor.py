@@ -66,6 +66,17 @@ KEEP_RUNDIR_ENV = "REPRO_SERVICE_KEEP_RUNDIR"
 #: explorer's ``workers`` sets a count.
 DEFAULT_WORKERS = min(4, os.cpu_count() or 1)
 
+#: Seconds a lease stays valid without a heartbeat renewing it.
+LEASE_TTL = 60.0
+
+#: Silence after which a worker is presumed wedged and reaped (covers
+#: spawn import time, so comfortably above a cold interpreter start).
+HEARTBEAT_TIMEOUT = 15.0
+
+#: A run's total respawn budget, per worker it targets plus one:
+#: ``2 * workers + 2``.
+RESTARTS_PER_WORKER = 2
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -76,14 +87,7 @@ class ServiceConfig:
             than it has families (``None``: the explorer's
             ``workers``, else :data:`DEFAULT_WORKERS` — see
             :meth:`sized`).
-        lease_ttl: seconds a lease stays valid without a heartbeat
-            renewing it.
         heartbeat_interval: worker pulse period.
-        heartbeat_timeout: silence after which a worker is presumed
-            wedged and reaped (covers spawn import time, so keep it
-            comfortably above a cold interpreter start).
-        max_worker_restarts: total respawn budget across the run
-            (``None``: ``2 * workers + 2``).
         max_point_deaths: worker deaths a single point may cause
             before it is quarantined as poisoned.
         spawn_attempts: consecutive spawn failures tolerated before
@@ -102,10 +106,7 @@ class ServiceConfig:
     """
 
     workers: Optional[int] = None
-    lease_ttl: float = 60.0
     heartbeat_interval: float = 0.25
-    heartbeat_timeout: float = 15.0
-    max_worker_restarts: Optional[int] = None
     max_point_deaths: int = 2
     spawn_attempts: int = 3
     run_root: Optional[Path] = None
@@ -309,8 +310,8 @@ class Supervisor:
             self._queue.append(job)
         self._unresolved = set(self._jobs_by_id)
         self._workers: Dict[int, _WorkerHandle] = {}
-        self._leases = LeaseTable(ttl=self.cfg.lease_ttl,
-                                  max_point_deaths=self.cfg.max_point_deaths)
+        self._leases = LeaseTable(
+            ttl=LEASE_TTL, max_point_deaths=self.cfg.max_point_deaths)
         self._restarts_used = 0
         self._spawn_failures = 0
         self._run_dir: Optional[Path] = None
@@ -464,9 +465,7 @@ class Supervisor:
         self._drain_messages()
 
     def _max_restarts(self) -> int:
-        if self.cfg.max_worker_restarts is not None:
-            return self.cfg.max_worker_restarts
-        return 2 * self._target_workers() + 2
+        return RESTARTS_PER_WORKER * (self._target_workers() + 1)
 
     def _drain_messages(self):
         conns = {handle.conn: handle
@@ -501,7 +500,7 @@ class Supervisor:
                 now - handle.last_beat)
             handle.last_beat = now
             if handle.lease is not None:
-                handle.lease.renew(self.cfg.lease_ttl, now)
+                handle.lease.renew(LEASE_TTL, now)
             return
         if kind == "job_started":
             if handle.lease is not None:
@@ -586,7 +585,7 @@ class Supervisor:
                     self.point_timeout, now):
                 self._reap(handle, "point timeout",
                            timeout_job_id=lease.current_job_id)
-            elif now - handle.last_beat > self.cfg.heartbeat_timeout:
+            elif now - handle.last_beat > HEARTBEAT_TIMEOUT:
                 self._reap(handle, "heartbeat lapsed")
             elif lease is not None and lease.expired(now):
                 self._reap(handle, "lease expired")

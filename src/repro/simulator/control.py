@@ -1,13 +1,9 @@
 """Control-only simulation: exact timing, no data.
 
-Simulated *control flow* — cycle counts, stall counters, occupancy
-high-water marks, continuity flags, deadlock behaviour — never
-depends on the streamed values, only on the word structure (how many
-words move where, when).  So a control run is the batched engine's
-stage 1 alone (:meth:`BatchedSimulator.plan
-<repro.simulator.batched.BatchedSimulator.plan>`): every timing
-observable is bitwise a full run's, and no unit, ring or output array
-is built.
+A control run is the batched engine's stage 1 alone
+(:mod:`repro.simulator.plan`: simulated control flow never depends on
+the streamed values): every timing observable is bitwise a full run's,
+and no executor, unit, ring or output array is built.
 
 This is how every exploration sweep measures
 (:func:`repro.explore.explorer.measure`): outputs are
@@ -21,16 +17,23 @@ included.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Mapping, Optional
 
 import numpy as np
 
 from ..core.program import StencilProgram
 from ..expr.ast_nodes import Call, IndexVar, Literal, Ternary
-from ..lowering import LoweringConfig, freeze_placement, lower
 from ..obs import clock
-from .batched import BatchedSimulator, exact_source
-from .engine import SimulationResult, SimulatorConfig, resolve_input_array
+from ..obs.profile import EngineProfile
+from .batched import exact_source
+from .engine import (
+    SimulationResult,
+    SimulatorConfig,
+    build_simulator,
+    resolve_input_array,
+)
+from .plan import Machine, plan
 
 
 def simulate_control(program: StencilProgram,
@@ -45,20 +48,20 @@ def simulate_control(program: StencilProgram,
     are bitwise identical to a full simulation's and its ``outputs``
     are empty; the inputs are checked as a full run checks them.  A
     machine's published schedule is read, and none is published."""
-    cfg = config or SimulatorConfig()
-    artifact = lower(program, LoweringConfig(
-        device_of=freeze_placement(device_of),
-        network_latency=cfg.network_latency))
-    sim = BatchedSimulator(artifact.analysis, config,
-                           device_of=dict(device_of or {}))
-    sim._run_began = clock.now()
-    schedule = sim.plan()
+    # The machine's description: the scalar engine's class, which
+    # builds nothing until run.
+    sim = build_simulator(program, dataclasses.replace(
+        config or SimulatorConfig(), engine_mode="scalar"), device_of)
+    began = clock.now()
+    schedule = plan(Machine(sim))
     for name, spec in sim.program.inputs.items():
         exact_source(name, resolve_input_array(sim.program, inputs, name,
                                                spec))
     if schedule.failure is not None:
         raise schedule.failure
-    return sim._result(schedule, {}, engine="control")
+    return schedule.result(sim, {}, EngineProfile(
+        engine="control", cycles=schedule.cycles,
+        wall_seconds=clock.now() - began, **schedule.stats()))
 
 
 def data_can_fail(program: StencilProgram) -> bool:

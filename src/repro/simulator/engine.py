@@ -87,14 +87,8 @@ class SimulatorConfig:
         min_channel_depth: capacity added on top of each edge's computed
             delay buffer (hardware FIFOs have a minimum depth; Intel
             channels default to a small number of words).
-        engine_mode: ``"scalar"`` steps the machine cycle by cycle;
-            ``"batched"`` uses the NumPy batched engine
-            (:class:`~repro.simulator.batched.BatchedSimulator`), which
-            produces identical observable state at a fraction of the
-            cost; ``"auto"`` picks the batched engine for every
-            supported configuration — fractional link rates, integer
-            element types, and multi-device placements are all batched
-            natively.
+        engine_mode: ``"scalar"``, ``"batched"``, ``"kernel"`` or
+            ``"auto"`` (see :func:`resolve_engine_mode`).
         max_batch_words: upper bound on how many words the batched
             engine executes per planning step (no effect on results).
             The default keeps a slab and the temporaries computed from
@@ -267,7 +261,7 @@ class Simulator:
         """The deadlock detector's link test on a zero-progress scalar
         cycle: it cannot fire while any link holds a word (``len``: in
         flight or delivered but not yet popped).  The planner's twin is
-        ``links_hold_words`` in :meth:`BatchedSimulator._plan_window`."""
+        ``links_hold_words`` in ``plan.py::_Planner._plan_window``."""
         return any(len(link) for link in self.links)
 
     def _collect_result(self, cycles: int) -> SimulationResult:
@@ -479,9 +473,9 @@ def build_simulator(program: StencilProgram,
                     device_of: Optional[Mapping[str, int]] = None
                     ) -> Simulator:
     """Lower ``program`` (adding remote-edge latencies implied by the
-    placement) and construct the configured simulator, unrun.  Useful
-    when the caller wants to inspect engine internals — e.g. the
-    batched engine's planner counters — after :meth:`Simulator.run`.
+    placement) and construct the configured simulator, unrun: the
+    machine's description, and for the batched engine its tables
+    (``_machine``, which :func:`~repro.simulator.plan.plan` takes).
 
     Routes through :func:`repro.lowering.lower`, so repeated builds of
     the same machine (explore sweeps, repeated runs) share one

@@ -61,6 +61,7 @@ from ..expr.ast_nodes import (
     Ternary,
     UnaryOp,
 )
+from ..expr.cexpr import render
 from ..faults.store import KERNELS, read_json_guarded, write_json_atomic
 from ..lowering.cache import content_key, default_cache
 from ..obs import clock, metrics, span
@@ -69,10 +70,10 @@ from .batched import (
     BatchedSinkUnit,
     BatchedSourceUnit,
     BatchedStencilUnit,
-    machine_key_parts,
 )
 from .channel import StreamRing, _EdgeBuffer, claim_slab, stage_slab
 from .engine import SimulationResult, resolve_input_array
+from .plan import machine_key_parts
 
 #: Words per replay compute chunk.  Keeps each slab compute (its
 #: boundary-fill and expression temporaries) inside cache-friendly
@@ -342,7 +343,6 @@ def _coord_lines(domain) -> List[str]:
 
 def _render_c_expr(unit, tap_names: Dict[Tuple[str, Tuple[int, ...]], str]
                    ) -> str:
-    from ..codegen.cexpr import render
     axis_of = {name: d for d, name in enumerate(unit.program.index_names)}
     return render(
         unit.stencil.ast,

@@ -158,7 +158,7 @@ class TestArrayNetworkLink:
 
 class TestCreditSchedule:
     """The link credit accounting the planner replays on its counters
-    (``BatchedSimulator._plan_window``) — the scalar link's refill and
+    (``plan._Planner._plan_window``) — the scalar link's refill and
     spend — and the closed-form delivery schedule its window period is
     built from."""
 
@@ -261,6 +261,7 @@ class TestCreditSchedule:
     def test_delivery_period(self, rate, period):
         # ... and the planner's window over a link at that rate.
         from repro.simulator import SimulatorConfig, build_simulator
+        from repro.simulator.plan import _window_period
         from util import chain_program
         assert RateLimiter(rate).delivery_period() == period
         simulator = build_simulator(
@@ -268,7 +269,7 @@ class TestCreditSchedule:
             SimulatorConfig(engine_mode="batched",
                             network_words_per_cycle=rate),
             {"s0": 0, "s1": 1})
-        assert simulator._window_period() == period
+        assert _window_period(simulator._machine) == period
 
     @pytest.mark.parametrize("rate", [0.25, 1.0 / 3.0, 3.0 / 7.0,
                                       5.0 / 8.0, 2.0 / 3.0, 5.0 / 9.0,
@@ -464,12 +465,12 @@ class TestSuperPattern:
         counts = {}
         for shape in ((16, 16, 8), (16, 16, 32)):
             simulator, inputs = self._build(shape, self.RATE)
-            result = simulator.run(inputs)
+            profile = simulator.run(inputs).profile
             words = simulator.program.num_cells // 4
-            assert simulator.plan_count < 64, shape
-            assert simulator.plan_count < words // 8, shape
-            assert simulator.window_cycles == result.cycles, shape
-            counts[shape] = simulator.plan_count
+            assert profile.plan_count < 64, shape
+            assert profile.plan_count < words // 8, shape
+            assert profile.window_cycles == profile.cycles, shape
+            counts[shape] = profile.plan_count
         # 4x the words (+1 536) add a few transient windows — the drain
         # crosses more schedule phases — not calls per word.
         assert counts[(16, 16, 32)] - counts[(16, 16, 8)] < 1536 // 50
@@ -478,11 +479,12 @@ class TestSuperPattern:
         # No LCM window, that is: rate 1.0 links deliver every cycle,
         # so integer-rate links plan period-1 windows — on the same
         # planner, over the whole run.
+        from repro.simulator.plan import _window_period
         simulator, inputs = self._build((16, 16, 8), 1.0)
-        result = simulator.run(inputs)
-        assert simulator._window_period() == 1
-        assert simulator.window_count > 0
-        assert simulator.window_cycles == result.cycles
+        profile = simulator.run(inputs).profile
+        assert _window_period(simulator._machine) == 1
+        assert profile.window_count > 0
+        assert profile.window_cycles == profile.cycles
 
     def test_mixed_rate_windows(self):
         # Two links with different sub-unit rates: the window is the
@@ -514,8 +516,8 @@ class TestSuperPattern:
         simulator = build_simulator(program, config, device_of)
         inputs = {"a": np.arange(512, dtype=np.float64)}
         result = simulator.run(inputs)
-        assert simulator.window_count > 0
-        assert simulator.window_cycles == result.cycles
+        assert result.profile.window_count > 0
+        assert result.profile.window_cycles == result.cycles
         assert result.cycles > 2 * 512  # the 0.5-rate link dominates
 
 
@@ -1064,12 +1066,13 @@ class TestScheduleReplay:
         assert "2147483648" in raised[0]
 
     def test_control_run_is_the_plan_alone(self, monkeypatch):
-        # A control run builds no unit, ring or output array, publishes
-        # nothing, reads a published schedule, and ends as the full run
-        # does — a deadlock, report included, too.
+        # A control run builds no executor, unit, ring or output array,
+        # publishes nothing, reads a published schedule, and ends as the
+        # full run does — a deadlock, report included, too.
         from repro.errors import DeadlockError
         from repro.lowering import default_cache
         from repro.simulator import (
+            BatchedSimulator,
             SimulatorConfig,
             channel,
             simulate,
@@ -1080,7 +1083,8 @@ class TestScheduleReplay:
         from util import diamond_program, edge_keys, random_inputs
         built = []
         for cls in (units.SourceUnit, units.SinkUnit, channel.StreamRing,
-                    channel._EdgeBuffer, BatchedStencilUnit):
+                    channel._EdgeBuffer, BatchedStencilUnit,
+                    BatchedSimulator):
             init = cls.__init__
 
             def spy(self, *args, _init=init, **kwargs):
@@ -1098,7 +1102,7 @@ class TestScheduleReplay:
         assert first.profile.slab_passes == first.profile.ring_bytes == 0
         assert default_cache().stats("schedule") == (0, 0)
         full = simulate(program, inputs, config, placement)
-        assert built
+        assert "BatchedSimulator" in built
         for field in _EXACT_FIELDS:
             assert getattr(first, field) == getattr(full, field), field
         # A later control run of the machine reads the full run's.
@@ -1124,6 +1128,7 @@ class TestScheduleReplay:
         from repro.errors import DeadlockError
         from repro.lowering import default_cache
         from repro.simulator import SimulatorConfig, build_simulator
+        from repro.simulator.plan import plan
         from test_engine_equivalence import _int_program
         from util import diamond_program, edge_keys, random_inputs
         wedged = diamond_program(long_branch=2)
@@ -1146,8 +1151,9 @@ class TestScheduleReplay:
                 with pytest.raises(error) as info:
                     simulator.run(inputs)
                 raised.append(str(info.value))
-                assert not simulator.schedule_replayed
-                assert simulator.plan_count > 0
+                # Nothing to replay: the machine plans again.
+                schedule = plan(simulator._machine)
+                assert not schedule.replayed and schedule.plan_count > 0
             assert raised[0] == raised[1]
             assert default_cache().stats("schedule") == (0, 0)
 
@@ -1157,7 +1163,8 @@ class TestScheduleReplay:
         from repro.distributed import contiguous_device_split
         from repro.lowering import graph_for, remote_edges
         from repro.programs import horizontal_diffusion
-        from repro.simulator import BatchedSimulator, SimulatorConfig
+        from repro.simulator import SimulatorConfig
+        from repro.simulator import plan as planner
         program, placement = self._links_machine()
         link = min(remote_edges(graph_for(program), placement))
         variants = {
@@ -1188,8 +1195,8 @@ class TestScheduleReplay:
             shape=(24, 24, 16), vectorization=4))
         for constant in ("MAX_WINDOW", "WINDOW_STRETCH", "MIN_STRETCH"):
             with monkeypatch.context() as patched:
-                patched.setattr(BatchedSimulator, constant,
-                                getattr(BatchedSimulator, constant) + 1)
+                patched.setattr(planner, constant,
+                                getattr(planner, constant) + 1)
                 assert not replayed(), constant
 
     def test_published_schedule_is_frozen_and_holds_no_simulator(self):
@@ -1198,7 +1205,7 @@ class TestScheduleReplay:
 
         from repro.lowering import default_cache
         from repro.simulator import SimulatorConfig, build_simulator
-        from repro.simulator.batched import Schedule
+        from repro.simulator.plan import Schedule
         from util import random_inputs
         program, placement = self._links_machine()
         simulator = build_simulator(program, SimulatorConfig(

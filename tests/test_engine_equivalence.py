@@ -29,6 +29,7 @@ from repro.simulator import (
 from repro.simulator.channel import _EdgeBuffer
 from repro.simulator.control import data_can_fail
 from repro.simulator.engine import make_simulator
+from repro.simulator.plan import MAX_WINDOW, _Planner, _window_period, plan
 from test_properties import random_dag_program as _random_program
 from test_properties import random_machines
 from util import (
@@ -562,7 +563,7 @@ class TestFailureModes:
         for config, failure in ((starved, DeadlockError),
                                 (dict(max_cycles=100), SimulationError)):
             config = SimulatorConfig(engine_mode="batched", **config)
-            schedule = build_simulator(program, config).plan()
+            schedule = plan(build_simulator(program, config)._machine)
             assert type(schedule.failure) is failure and schedule.passes
             for inputs in (good, bad):
                 with pytest.raises(failure) as planned:
@@ -839,7 +840,7 @@ class TestEngineSelection:
         simulator = build_simulator(program, config, device_of)
         assert isinstance(simulator, BatchedSimulator)
         result = simulator.run(random_inputs(program))
-        assert simulator.window_cycles == result.cycles
+        assert result.profile.window_cycles == result.cycles
         assert result.profile.scalar_cycles == 0
 
 
@@ -1377,18 +1378,18 @@ class TestOnePlanner:
         from repro.lowering import reset_default_cache
         reset_default_cache()  # spy on the planner, not on a replay
         streaks = []
-        plan_window = BatchedSimulator._plan_window
+        plan_window = _Planner._plan_window
 
         def spy(self, now, q, horizon, idle_in):
             streaks.append(idle_in)
             return plan_window(self, now, q, horizon, idle_in)
 
-        monkeypatch.setattr(BatchedSimulator, "_plan_window", spy)
-        scalar, batched, simulator = self._run_both(
+        monkeypatch.setattr(_Planner, "_plan_window", spy)
+        scalar, batched, _simulator = self._run_both(
             self._deep_pipeline((1, 1, 4)), {"s0": 0, "s1": 1},
             network_words_per_cycle=rate, network_latency=2)
         assert_same_results(scalar, batched)
-        assert simulator.window_cycles == batched.cycles
+        assert batched.profile.window_cycles == batched.cycles
         if rate == 1.0:
             assert max(streaks) > 32
 
@@ -1403,13 +1404,13 @@ class TestOnePlanner:
         rates = dict(zip(links, (1 / 5, 1 / 9, 1 / 11, 1 / 13)))
         assert math.lcm(*(RateLimiter(rate).delivery_period()
                           for rate in rates.values())) \
-            > BatchedSimulator.MAX_WINDOW
+            > MAX_WINDOW
         scalar, batched, simulator = self._run_both(
             program, {f"s{n}": n for n in range(5)},
             network_latency=3, network_link_rates=rates)
         assert_same_results(scalar, batched)
-        assert simulator._window_period() == 1
-        assert simulator.window_cycles == batched.cycles
+        assert _window_period(simulator._machine) == 1
+        assert batched.profile.window_cycles == batched.cycles
 
     def test_unschedulable_rate_plans_period_one(self):
         # (b) 2**-13 words/cycle has no delivery period within the
@@ -1422,8 +1423,8 @@ class TestOnePlanner:
             max_cycles=100_000)
         assert_same_results(scalar, batched)
         assert batched.cycles > 4 * 8192
-        assert simulator._window_period() == 1
-        assert simulator.window_cycles == batched.cycles
+        assert _window_period(simulator._machine) == 1
+        assert batched.profile.window_cycles == batched.cycles
 
     def test_window_heavier_than_the_rings_replans_at_period_one(self):
         # (c) A 15-cycle LCM window moves up to 15 words per channel,
@@ -1436,9 +1437,10 @@ class TestOnePlanner:
             network_link_rates=dict(zip(links, (1 / 3, 1 / 5))),
             max_batch_words=4)
         assert_same_results(scalar, batched)
-        assert simulator._window_period() == 15
-        assert simulator.plan_count > simulator.window_count
-        assert simulator.window_cycles == batched.cycles
+        assert _window_period(simulator._machine) == 15
+        profile = batched.profile
+        assert profile.plan_count > profile.window_count
+        assert profile.window_cycles == batched.cycles
 
     @pytest.mark.parametrize("deadlock_window", [64, 200])
     def test_deadlock_streak_straddles_windows(self, deadlock_window):
@@ -1452,9 +1454,11 @@ class TestOnePlanner:
             channel_capacities={k: 2 for k in edge_keys(program)})
         assert isinstance(scalar, DeadlockError)
         self._assert_same_error(scalar, batched)
-        assert simulator.plan_count == simulator.window_count + 1
-        assert simulator.window_cycles == scalar.cycle
-        assert simulator.window_count >= 1 + deadlock_window // 64
+        schedule = plan(simulator._machine)  # a failure is not published
+        assert str(schedule.failure) == str(batched)
+        assert schedule.plan_count == schedule.window_count + 1
+        assert schedule.window_cycles == scalar.cycle
+        assert schedule.window_count >= 1 + deadlock_window // 64
 
     def test_idle_streak_one_short_of_the_deadlock_window(
             self, monkeypatch):
@@ -1466,14 +1470,14 @@ class TestOnePlanner:
         from repro.lowering import reset_default_cache
         reset_default_cache()  # spy on the planner, not on a replay
         detector_cycles = []
-        plan_window = BatchedSimulator._plan_window
+        plan_window = _Planner._plan_window
 
         def spy(self, now, q, horizon, idle_in):
-            if idle_in >= self.config.deadlock_window - 1:
+            if idle_in >= self.machine.config.deadlock_window - 1:
                 detector_cycles.append(now)
             return plan_window(self, now, q, horizon, idle_in)
 
-        monkeypatch.setattr(BatchedSimulator, "_plan_window", spy)
+        monkeypatch.setattr(_Planner, "_plan_window", spy)
         program = self._deep_pipeline((1, 1, 4))
         outcomes = {}
         for deadlock_window in range(60, 70):
@@ -1499,13 +1503,13 @@ class TestOnePlanner:
         # data plane, and the run is the scalar oracle's bitwise.
         from repro.lowering import reset_default_cache
         reset_default_cache()  # plan here, do not replay
-        scalar, batched, simulator = self._run_both(
+        scalar, batched, _simulator = self._run_both(
             self._deep_pipeline((1, 1, 4)), {"s0": 0, "s1": 1},
             deadlock_window=65, max_batch_words=1,
             network_words_per_cycle=2.0, network_latency=2)
         assert_same_results(scalar, batched)
         assert batched.profile.scalar_cycles == 0
-        assert simulator.window_cycles == batched.cycles
+        assert batched.profile.window_cycles == batched.cycles
         assert batched.profile.window_sizes.count(1) >= 2
 
     def test_wedged_with_a_link_word_costs_windows_not_cycles(self):
@@ -1523,8 +1527,9 @@ class TestOnePlanner:
         assert isinstance(scalar, SimulationError)
         assert "exceeded 5000 cycles" in str(scalar)
         self._assert_same_error(scalar, batched)
-        assert simulator.window_cycles == 5_000
-        counts = (simulator.plan_count, simulator.virtual_cycles)
+        schedule = plan(simulator._machine)  # a failure is not published
+        assert schedule.window_cycles == 5_000
+        counts = (schedule.plan_count, schedule.virtual_cycles)
         assert counts[0] <= 4 and counts[1] <= 100
         from repro.simulator import build_simulator
         far = build_simulator(
@@ -1533,4 +1538,5 @@ class TestOnePlanner:
             device_of)
         with pytest.raises(SimulationError, match="exceeded 5000000"):
             far.run(random_inputs(program))
-        assert (far.plan_count, far.virtual_cycles) == counts
+        schedule = plan(far._machine)
+        assert (schedule.plan_count, schedule.virtual_cycles) == counts

@@ -17,6 +17,7 @@ import http.client
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -798,6 +799,24 @@ class TestApiFacade:
         out = subprocess.run([sys.executable, "-c", script, src],
                              capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.skipif(shutil.which("cc") is None,
+                        reason="needs a C compiler")
+    def test_native_run_imports_no_codegen(self):
+        """A run whose stencils compute through native kernels renders
+        their C from :mod:`repro.expr.cexpr`, not the code generator."""
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "from repro import api; "
+                  "r = api.run('laplace2d', shape=(32, 32)); "
+                  "print(r.simulation.profile.native_units); "
+                  "print(sorted(m for m in sys.modules "
+                  "if m.startswith('repro.codegen')))")
+        env = dict(os.environ, REPRO_KERNEL_BACKEND="native")
+        out = subprocess.run([sys.executable, "-c", script, src], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-2:] == ["1", "[]"]
 
     def test_resolve_platform_forms(self):
         default = api.resolve_platform(None)
