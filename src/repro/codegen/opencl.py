@@ -19,7 +19,7 @@ simulator, which executes the same machine the code describes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..analysis.delay_buffers import BufferingAnalysis
 from ..lowering import analysis_for

@@ -7,8 +7,9 @@ the hardware kernels, mirroring DaCe's CPU-executed reference graphs.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
+from ..core.dtypes import float32
 from ..core.program import StencilDefinition, StencilProgram
 from ..expr import cexpr
 from ..expr.ast_nodes import FieldAccess
@@ -91,7 +92,8 @@ def _stencil_loops(program: StencilProgram,
                 else clamped
         return f"{node.field}[{index}]"
 
-    body = cexpr.render(stencil.ast, access)
+    single = program.field_dtype(stencil.name) == float32  # float math
+    body = cexpr.render(stencil.ast, access, suffix="f" * single)
     linear = ""
     for dim, extent in zip(names, shape):
         linear = f"({linear} * {extent} + {dim})" if linear else dim

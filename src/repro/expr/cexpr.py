@@ -18,7 +18,8 @@ from .ast_nodes import (
     UnaryOp,
 )
 
-#: Math-function spelling in OpenCL C.
+#: Math-function spelling in OpenCL C, where each is overloaded; C
+#: spells the float variant with an ``f`` suffix (``sqrtf``).
 _OPENCL_FUNCS = {
     "sqrt": "sqrt", "cbrt": "cbrt", "exp": "exp", "log": "log",
     "log2": "log2", "log10": "log10", "sin": "sin", "cos": "cos",
@@ -42,7 +43,8 @@ def _opencl_literal(value) -> str:
 
 def render(node: Expr, access: AccessRenderer,
            index: IndexRenderer = lambda name: name,
-           literal: Optional[LiteralRenderer] = None) -> str:
+           literal: Optional[LiteralRenderer] = None,
+           suffix: str = "") -> str:
     """Render an expression as OpenCL C.
 
     Args:
@@ -54,31 +56,30 @@ def render(node: Expr, access: AccessRenderer,
             default is OpenCL single precision (``1.5f``); callers
             generating double-precision C (the simulator's native
             compute kernels) pass their own renderer.
+        suffix: appended to each math function (``"f"``: C's float
+            variants, where a bare C call computes in double).
     """
-    if literal is None:
-        literal = _opencl_literal
-    if isinstance(node, Literal):
-        return literal(node.value)
-    if isinstance(node, IndexVar):
-        return index(node.name)
-    if isinstance(node, FieldAccess):
-        return access(node)
-    if isinstance(node, BinaryOp):
-        left = render(node.left, access, index, literal)
-        right = render(node.right, access, index, literal)
-        return f"({left} {node.op} {right})"
-    if isinstance(node, UnaryOp):
-        operand = render(node.operand, access, index, literal)
-        return f"({node.op}{operand})"
-    if isinstance(node, Ternary):
-        return (f"({render(node.cond, access, index, literal)} ? "
-                f"{render(node.then, access, index, literal)} : "
-                f"{render(node.orelse, access, index, literal)})")
-    if isinstance(node, Call):
-        func = _OPENCL_FUNCS.get(node.func)
-        if func is None:
-            raise CodeGenError(f"no OpenCL spelling for {node.func!r}")
-        args = ", ".join(render(a, access, index, literal)
-                         for a in node.args)
-        return f"{func}({args})"
-    raise CodeGenError(f"cannot render {type(node).__name__}")
+    literal = literal or _opencl_literal
+
+    def emit(node: Expr) -> str:
+        if isinstance(node, Literal):
+            return literal(node.value)
+        if isinstance(node, IndexVar):
+            return index(node.name)
+        if isinstance(node, FieldAccess):
+            return access(node)
+        if isinstance(node, BinaryOp):
+            return f"({emit(node.left)} {node.op} {emit(node.right)})"
+        if isinstance(node, UnaryOp):
+            return f"({node.op}{emit(node.operand)})"
+        if isinstance(node, Ternary):
+            return (f"({emit(node.cond)} ? {emit(node.then)} : "
+                    f"{emit(node.orelse)})")
+        if isinstance(node, Call):
+            func = _OPENCL_FUNCS.get(node.func)
+            if func is None:
+                raise CodeGenError(f"no OpenCL spelling for {node.func!r}")
+            return f"{func}{suffix}({', '.join(map(emit, node.args))})"
+        raise CodeGenError(f"cannot render {type(node).__name__}")
+
+    return emit(node)

@@ -50,10 +50,10 @@ def freeze_placement(device_of: Optional[Mapping[str, int]]
 def remote_edges(graph: StencilGraph,
                  device_of: Mapping[str, int]) -> Tuple[ChannelKey, ...]:
     """The edges that become network links under ``device_of`` —
-    the single definition of the simulator's remote-edge rule: *any*
-    edge whose ends resolve to different devices, input→stencil edges
-    included.  The partition stage and the explorer's pricing both
-    read it, so priced and simulated machines share one analysis."""
+    the single definition of the remote-edge rule: *any* edge whose
+    ends resolve to different devices, input→stencil edges included.
+    The partition stage, pricing and the simulator's machine
+    description (``describe_machine``) read it: one set of links."""
     if not any(device_of.values()):  # everything on device 0
         return ()
     return tuple(

@@ -1,8 +1,10 @@
 """Cycle-level spatial-dataflow simulator (the FPGA stand-in).
 
-Several execution engines share one machine model
-(``SimulatorConfig.engine_mode`` selects ``"scalar"``, ``"batched"``,
-``"kernel"``, or ``"auto"``, the batched engine):
+Several execution engines read one frozen machine description
+(``engine.MachineSpec``: placement, every edge's FIFO, link rate and
+latency, Eq. 1 and the cycle cap); ``SimulatorConfig.engine_mode``
+selects ``"scalar"``, ``"batched"``, ``"kernel"``, or ``"auto"``, the
+batched engine:
 
 * the **scalar engine** (:class:`Simulator`) steps every unit once per
   cycle — simple, and the semantic reference;
@@ -16,10 +18,10 @@ Several execution engines share one machine model
   run's timing as a content-addressed, data-only artifact and replays
   it on every later run of the machine with one channel-free pass over
   whole streams (``docs/KERNELS.md``);
-* a **control run** (:func:`simulate_control`) is the planner alone:
-  exact timing with no executor, unit, ring or output array — how an
-  exploration sweep times every machine (plus one full data pass when
-  :func:`~.control.data_can_fail`).
+* a **control run** (:func:`simulate_control`) is the planner alone
+  on the machine description: exact timing with no simulator, unit,
+  ring or output array — how an exploration sweep times every machine
+  (plus one full data pass when :func:`~.control.data_can_fail`).
 
 The batched and kernel engines evaluate eligible stencils through
 **native compute** (:mod:`.native`) where a C compiler is on the path

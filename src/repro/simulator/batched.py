@@ -55,7 +55,7 @@ from .channel import (
     claim_slab,
     stage_slab,
 )
-from .engine import SimulationResult, Simulator
+from .engine import EdgeSpec, SimulationResult, Simulator
 from .plan import (
     _SOURCE,
     _STENCIL,
@@ -429,7 +429,7 @@ class BatchedSimulator(Simulator):
         """The machine's tables (:class:`~repro.simulator.plan.Machine`),
         for the planner and the passes; they share the units' read
         schedules."""
-        return Machine(self, self._coord_slabs.schedule)
+        return Machine(self.spec, self._coord_slabs.schedule)
 
     @cached_property
     def _stream_meta(self):
@@ -471,7 +471,7 @@ class BatchedSimulator(Simulator):
             layouts = {k: self._edge_layout(k) for k in (
                 (e.src, e.dst, e.data)
                 for e in self.graph.out_edges(key[0]))}
-            rows = max(self._fifo_capacity(k) + 1 + layout["headroom"]
+            rows = max(self.spec.edges[k].capacity + 1 + layout["headroom"]
                        + layout["history"] for k, layout in layouts.items())
             pad = max(layout["history"] for layout in layouts.values())
             ring = StreamRing(rows, self.program.vectorization,
@@ -479,13 +479,10 @@ class BatchedSimulator(Simulator):
             stream = self._rings[key[0]] = (ring, layouts)
         return dict(stream[1][key], ring=stream[0])
 
-    def _make_channel(self, key, name: str, capacity: int, data: str):
-        return ArrayChannel(name, capacity, self.program.vectorization,
-                            **self._edge_storage(key))
-
-    def _make_link(self, key, name: str, capacity: int, data: str):
-        return ArrayNetworkLink(name, capacity, self.program.vectorization,
-                                **self._edge_storage(key))
+    def _make_channel(self, edge: EdgeSpec):
+        kind = ArrayNetworkLink if edge.remote else ArrayChannel
+        return kind(edge.name, edge.capacity, self.program.vectorization,
+                    **self._edge_storage(edge.key))
 
     def _make_source(self, name: str, data: np.ndarray, outs):
         return BatchedSourceUnit(name, data, self.program.vectorization,
@@ -564,7 +561,7 @@ class BatchedSimulator(Simulator):
                                  for c in chans}.values()),
             stored_words=sum(c.stored for c in chans))
         return schedule.result(
-            self, {name: sink.data for name, sink in self.sinks.items()},
+            self.spec, {name: sink.data for name, sink in self.sinks.items()},
             profile)
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:

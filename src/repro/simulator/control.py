@@ -17,7 +17,6 @@ included.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Mapping, Optional
 
 import numpy as np
@@ -30,7 +29,8 @@ from .batched import exact_source
 from .engine import (
     SimulationResult,
     SimulatorConfig,
-    build_simulator,
+    describe_machine,
+    placed_analysis,
     resolve_input_array,
 )
 from .plan import Machine, plan
@@ -41,25 +41,25 @@ def simulate_control(program: StencilProgram,
                      config: SimulatorConfig = None,
                      device_of: Optional[Mapping[str, int]] = None
                      ) -> SimulationResult:
-    """The timing of a full simulation, planned and never executed.
+    """The timing of a full simulation, planned and never executed: it
+    lowers, describes the machine and plans, and builds no simulator.
 
     The result's timing fields (``cycles``, ``stall_cycles``,
     ``steady_stall_cycles``, ``channel_occupancy``, continuity flags)
     are bitwise identical to a full simulation's and its ``outputs``
     are empty; the inputs are checked as a full run checks them.  A
     machine's published schedule is read, and none is published."""
-    # The machine's description: the scalar engine's class, which
-    # builds nothing until run.
-    sim = build_simulator(program, dataclasses.replace(
-        config or SimulatorConfig(), engine_mode="scalar"), device_of)
+    config = config or SimulatorConfig()
+    spec = describe_machine(placed_analysis(program, config, device_of),
+                            config, device_of)
     began = clock.now()
-    schedule = plan(Machine(sim))
-    for name, spec in sim.program.inputs.items():
-        exact_source(name, resolve_input_array(sim.program, inputs, name,
-                                               spec))
+    schedule = plan(Machine(spec))
+    for name, field in spec.program.inputs.items():
+        exact_source(name, resolve_input_array(spec.program, inputs,
+                                               name, field))
     if schedule.failure is not None:
         raise schedule.failure
-    return schedule.result(sim, {}, EngineProfile(
+    return schedule.result(spec, {}, EngineProfile(
         engine="control", cycles=schedule.cycles,
         wall_seconds=clock.now() - began, **schedule.stats()))
 

@@ -3,7 +3,8 @@
 Builds a dataflow machine from a :class:`BufferingAnalysis` — one source
 unit per input, one pipelined unit per stencil, one sink per program
 output, bounded channels on every edge — and steps it cycle by cycle
-until completion, detecting deadlocks.
+until completion, detecting deadlocks.  Every engine reads the machine
+from one frozen :class:`MachineSpec` (:func:`describe_machine`).
 
 This machine is the reproduction's stand-in for the paper's FPGA: the
 performance model ``C = L + I·N`` (Eq. 1), the deadlock behaviour of
@@ -19,19 +20,20 @@ identical observable behaviour, selected via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.delay_buffers import BufferingAnalysis
 from ..core.program import StencilProgram
 from ..errors import DeadlockError, SimulationError, ValidationError
-from ..graph.dag import StencilGraph, node_device
+from ..graph.dag import StencilGraph
 from ..lowering import (
     LoweringConfig,
     analysis_for,
     freeze_placement,
     lower,
+    remote_edges,
 )
 from ..obs import clock, metrics
 from ..obs.profile import EngineProfile
@@ -118,12 +120,95 @@ class SimulatorConfig:
     engine_mode: str = "auto"
     max_batch_words: int = 4096
 
-    def link_rate(self, key: ChannelKey) -> float:
-        """The words-per-cycle rate of the link on edge ``key``."""
-        overrides = self.network_link_rates
-        if overrides is not None and key in overrides:
-            return overrides[key]
-        return self.network_words_per_cycle
+
+class EdgeSpec(NamedTuple):
+    """One edge of a described machine.  ``capacity`` is its FIFO's:
+    delay buffer plus minimum depth (or the override), plus on a link
+    credits for the wire ``latency``; ``rate`` is a link's words per
+    cycle (None, and ``latency`` 0, off a link)."""
+
+    key: ChannelKey
+    name: str
+    capacity: int
+    remote: bool
+    rate: Optional[float]
+    latency: int
+
+
+@dataclass(frozen=True)
+class MachineSpec:
+    """The one concrete machine a design maps to (Sec. III-B, IV-B):
+    program, graph, analysis, configuration, placement (sorted
+    ``(stencil, device)`` pairs), every edge in ``graph.edges`` order
+    (keyed by edge), the Eq. 1 cycle count ``expected`` and the cycle
+    cap ``max_cycles``.  Every engine, the planner
+    (:class:`~repro.simulator.plan.Machine`) and the content keys read
+    it.  It checks nothing: a capacity below 1 raises when a run builds
+    the machine."""
+
+    program: StencilProgram
+    graph: StencilGraph
+    analysis: BufferingAnalysis
+    config: SimulatorConfig
+    placement: Tuple[Tuple[str, int], ...]
+    edges: Dict[ChannelKey, EdgeSpec]
+    expected: int
+    max_cycles: int
+
+
+def describe_machine(analysis: BufferingAnalysis, config: SimulatorConfig,
+                     device_of: Optional[Mapping[str, int]]
+                     ) -> MachineSpec:
+    """The machine of ``analysis`` under ``config`` and the placement
+    ``device_of``: an edge is a network link exactly when
+    :func:`~repro.lowering.remote_edges` says so."""
+    program, graph = analysis.program, analysis.graph
+    remote = set(remote_edges(graph, device_of or {}))
+    capacities = config.channel_capacities or {}
+    rates = config.network_link_rates or {}
+    edges = {}
+    for edge in graph.edges:
+        key = (edge.src, edge.dst, edge.data)
+        buffer = analysis.delay_buffers.get(key)
+        size = buffer.size if buffer is not None else 0
+        depth = capacities.get(key, size + config.min_channel_depth)
+        link = key in remote
+        latency = config.network_latency if link else 0
+        rate = rates.get(key, config.network_words_per_cycle) if link else None
+        edges[key] = EdgeSpec(key, f"{edge.src}->{edge.dst}:{edge.data}",
+                              depth + latency, link, rate, latency)
+    expected = (analysis.pipeline_latency
+                + program.num_cells // program.vectorization)
+    return MachineSpec(
+        program, graph, analysis, config,
+        freeze_placement(device_of) or (), edges, expected,
+        config.max_cycles if config.max_cycles is not None
+        else 64 * expected + 100_000)
+
+
+def emit_run_metrics(profile: EngineProfile):
+    """One metrics transaction per completed run — never per cycle,
+    so the telemetry overhead contract (no-op when disabled, O(1)
+    per run when enabled) holds for arbitrarily long simulations."""
+    if not metrics.enabled():
+        return
+    engine = profile.engine
+    metrics.counter("engine.runs", engine=engine).inc()
+    metrics.counter("engine.cycles", engine=engine).inc(profile.cycles)
+    metrics.histogram("engine.run_seconds", engine=engine) \
+        .observe(profile.wall_seconds)
+    if engine != "scalar":
+        for name, count in (
+                ("plans", profile.plan_count),
+                ("scalar_fallback_cycles", profile.scalar_cycles),
+                ("windows", profile.window_count),
+                ("window_cycles", profile.window_cycles),
+                ("drift_windows", profile.drift_windows),
+                ("virtual_cycles", profile.virtual_cycles)):
+            metrics.counter(f"engine.{name}").inc(count)
+        sizes = metrics.histogram("engine.window_size_cycles")
+        for size in profile.window_sizes:
+            sizes.observe(float(size))
 
 
 class Simulator:
@@ -141,56 +226,25 @@ class Simulator:
                  device_of: Optional[Mapping[str, int]] = None):
         if isinstance(analysis, StencilProgram):
             analysis = analysis_for(analysis)
-        self.analysis: BufferingAnalysis = analysis
-        self.program = analysis.program
-        self.graph: StencilGraph = analysis.graph
-        self.config = config or SimulatorConfig()
-        self.device_of = dict(device_of or {})
+        self.spec = describe_machine(analysis, config or SimulatorConfig(),
+                                     device_of)
+        self.analysis, self.config = analysis, self.spec.config
+        self.program, self.graph = analysis.program, analysis.graph
         self.channels: Dict[ChannelKey, object] = {}
         self.links: List[NetworkLink] = []
         self.units: List[Unit] = []
         self.sinks: Dict[str, SinkUnit] = {}
-        self.sources: Dict[str, SourceUnit] = {}
         self._run_began: Optional[float] = None
 
-    # -- machine construction ------------------------------------------------
-
-    def _edge_is_remote(self, src: str, dst: str) -> bool:
-        if not self.device_of:
-            return False
-        return (self._device_of_node(src) != self._device_of_node(dst))
-
-    def _device_of_node(self, node_id: str) -> int:
-        return node_device(self.graph, node_id, self.device_of)
-
-    def _capacity(self, key: ChannelKey) -> int:
-        overrides = self.config.channel_capacities
-        if overrides is not None and key in overrides:
-            return overrides[key]
-        buffer = self.analysis.delay_buffers.get(key)
-        size = buffer.size if buffer is not None else 0
-        return size + self.config.min_channel_depth
-
-    def _fifo_capacity(self, key: ChannelKey) -> int:
-        """Capacity of the FIFO on edge ``key``: remote streams need
-        credits covering the wire latency on top of the delay buffer."""
-        remote = self._edge_is_remote(key[0], key[1])
-        return self._capacity(key) + remote * self.config.network_latency
-
     # -- construction hooks (overridden by the batched engine) ---------------
-    # ``data`` names the field the edge carries; the batched engine uses
-    # it to pick the slab dtype (int64 for integer-typed streams).
 
-    def _make_channel(self, key: ChannelKey, name: str, capacity: int,
-                      data: str):
-        return Channel(name, capacity)
-
-    def _make_link(self, key: ChannelKey, name: str, capacity: int,
-                   data: str):
-        config = self.config
-        return NetworkLink(name, capacity,
-                           latency=config.network_latency,
-                           words_per_cycle=config.link_rate(key))
+    def _make_channel(self, edge: EdgeSpec):
+        """The FIFO of ``edge``: a network link when it is remote."""
+        if edge.remote:
+            return NetworkLink(edge.name, edge.capacity,
+                               latency=edge.latency,
+                               words_per_cycle=edge.rate)
+        return Channel(edge.name, edge.capacity)
 
     def _make_source(self, name: str, data: np.ndarray, outs):
         return SourceUnit(name, data, self.program.vectorization, outs)
@@ -205,32 +259,22 @@ class Simulator:
     def _build(self, inputs: Mapping[str, np.ndarray]):
         program = self.program
         graph = self.graph
-        for edge in graph.edges:
-            key = (edge.src, edge.dst, edge.data)
-            name = f"{edge.src}->{edge.dst}:{edge.data}"
-            capacity = self._fifo_capacity(key)
-            if self._edge_is_remote(edge.src, edge.dst):
-                link = self._make_link(key, name, capacity, edge.data)
-                self.channels[key] = link
-                self.links.append(link)
-            else:
-                self.channels[key] = self._make_channel(
-                    key, name, capacity, edge.data)
+        for key, edge in self.spec.edges.items():
+            self.channels[key] = self._make_channel(edge)
+            if edge.remote:
+                self.links.append(self.channels[key])
 
         for name, spec in program.inputs.items():
             node_id = f"input:{name}"
             full = resolve_input_array(program, inputs, name, spec)
             outs = [self.channels[(e.src, e.dst, e.data)]
                     for e in graph.out_edges(node_id)]
-            source = self._make_source(name, full, outs)
-            self.sources[name] = source
-            self.units.append(source)
+            self.units.append(self._make_source(name, full, outs))
 
         for stencil in program.stencils:
             node_id = f"stencil:{stencil.name}"
-            ins = {}
-            for e in graph.in_edges(node_id):
-                ins[e.data] = self.channels[(e.src, e.dst, e.data)]
+            ins = {e.data: self.channels[(e.src, e.dst, e.data)]
+                   for e in graph.in_edges(node_id)}
             outs = [self.channels[(e.src, e.dst, e.data)]
                     for e in graph.out_edges(node_id)]
             latency = self.analysis.node_delays[node_id].compute_cycles
@@ -247,15 +291,6 @@ class Simulator:
             self.units.append(sink)
 
     # -- main loop -----------------------------------------------------------
-
-    def _expected_cycles(self) -> int:
-        return (self.analysis.pipeline_latency
-                + self.program.num_cells // self.program.vectorization)
-
-    def _max_cycles(self, expected: int) -> int:
-        if self.config.max_cycles is not None:
-            return self.config.max_cycles
-        return 64 * expected + 100_000
 
     def _links_hold_words(self) -> bool:
         """The deadlock detector's link test on a zero-progress scalar
@@ -275,11 +310,11 @@ class Simulator:
         wall = (clock.now() - self._run_began
                 if self._run_began is not None else 0.0)
         profile = self._make_profile(cycles, wall)
-        self._emit_run_metrics(profile)
+        emit_run_metrics(profile)
         return SimulationResult(
             outputs=outputs,
             cycles=cycles,
-            expected_cycles=self._expected_cycles(),
+            expected_cycles=self.spec.expected,
             stall_cycles=stalls,
             steady_stall_cycles=steady,
             channel_occupancy=occupancy,
@@ -300,41 +335,13 @@ class Simulator:
                              wall_seconds=wall_seconds,
                              scalar_cycles=cycles)
 
-    def _emit_run_metrics(self, profile: EngineProfile):
-        """One metrics transaction per completed run — never per cycle,
-        so the telemetry overhead contract (no-op when disabled, O(1)
-        per run when enabled) holds for arbitrarily long simulations."""
-        if not metrics.enabled():
-            return
-        engine = profile.engine
-        metrics.counter("engine.runs", engine=engine).inc()
-        metrics.counter("engine.cycles", engine=engine) \
-            .inc(profile.cycles)
-        metrics.histogram("engine.run_seconds", engine=engine) \
-            .observe(profile.wall_seconds)
-        if engine != "scalar":
-            metrics.counter("engine.plans").inc(profile.plan_count)
-            metrics.counter("engine.scalar_fallback_cycles") \
-                .inc(profile.scalar_cycles)
-            metrics.counter("engine.windows").inc(profile.window_count)
-            metrics.counter("engine.window_cycles") \
-                .inc(profile.window_cycles)
-            metrics.counter("engine.drift_windows") \
-                .inc(profile.drift_windows)
-            metrics.counter("engine.virtual_cycles") \
-                .inc(profile.virtual_cycles)
-            sizes = metrics.histogram("engine.window_size_cycles")
-            for size in profile.window_sizes:
-                sizes.observe(float(size))
-
     def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
         """Simulate to completion. Raises :class:`DeadlockError` if the
         machine wedges, :class:`SimulationError` on cycle-cap overrun."""
         # The profile's wall clock starts here, as every engine's does.
         self._run_began = clock.now()
         self._build(inputs)
-        expected = self._expected_cycles()
-        max_cycles = self._max_cycles(expected)
+        expected, max_cycles = self.spec.expected, self.spec.max_cycles
         now = 0
         idle_streak = 0
         while not all(u.done for u in self.units):
@@ -468,24 +475,27 @@ def make_simulator(analysis, config: SimulatorConfig = None,
     return Simulator(analysis, config, device_of=device_of)
 
 
+def placed_analysis(program: StencilProgram, config: SimulatorConfig,
+                    device_of: Optional[Mapping[str, int]]
+                    ) -> BufferingAnalysis:
+    """``program``'s buffering analysis, lowered (through the artifact
+    cache) with the link latencies the placement ``device_of`` adds."""
+    return lower(program, LoweringConfig(
+        device_of=freeze_placement(device_of),
+        network_latency=config.network_latency)).analysis
+
+
 def build_simulator(program: StencilProgram,
                     config: SimulatorConfig = None,
                     device_of: Optional[Mapping[str, int]] = None
                     ) -> Simulator:
-    """Lower ``program`` (adding remote-edge latencies implied by the
-    placement) and construct the configured simulator, unrun: the
-    machine's description, and for the batched engine its tables
-    (``_machine``, which :func:`~repro.simulator.plan.plan` takes).
-
-    Routes through :func:`repro.lowering.lower`, so repeated builds of
-    the same machine (explore sweeps, repeated runs) share one
-    buffering analysis via the content-addressed artifact cache."""
-    cfg = config or SimulatorConfig()
-    artifact = lower(program, LoweringConfig(
-        device_of=freeze_placement(device_of),
-        network_latency=cfg.network_latency))
-    return make_simulator(artifact.analysis, config,
-                          device_of=dict(device_of or {}))
+    """Lower ``program`` (:func:`placed_analysis`) and construct the
+    configured simulator, unrun: the machine's description
+    (``spec``), and for the batched engine its tables (``_machine``,
+    which :func:`~repro.simulator.plan.plan` takes)."""
+    analysis = placed_analysis(program, config or SimulatorConfig(),
+                               device_of)
+    return make_simulator(analysis, config, device_of=device_of)
 
 
 def simulate(program: StencilProgram,

@@ -72,7 +72,7 @@ from .batched import (
     BatchedStencilUnit,
 )
 from .channel import StreamRing, _EdgeBuffer, claim_slab, stage_slab
-from .engine import SimulationResult, resolve_input_array
+from .engine import SimulationResult, emit_run_metrics, resolve_input_array
 from .plan import machine_key_parts
 
 #: Words per replay compute chunk.  Keeps each slab compute (its
@@ -134,12 +134,13 @@ def _artifact_path(key: str) -> Path:
 
 # -- cache key ---------------------------------------------------------------
 
-def _kernel_key_for(sim) -> str:
-    """The recorded control outcome depends on the machine alone.
-    Deliberately excluded: ``max_cycles`` (enforced at replay against
-    the recorded cycle count), ``max_batch_words`` (a planner knob
-    that cannot change observable results), and ``engine_mode``."""
-    return content_key("kernel", *machine_key_parts(sim))
+def _kernel_key_for(spec) -> str:
+    """The recorded control outcome depends on the machine ``spec``
+    describes alone.  Deliberately excluded: ``max_cycles`` (enforced
+    at replay against the recorded cycle count), ``max_batch_words`` (a
+    planner knob that cannot change observable results), and
+    ``engine_mode``."""
+    return content_key("kernel", *machine_key_parts(spec))
 
 
 # -- the restricted class and its first-chunk check --------------------------
@@ -486,7 +487,7 @@ class KernelSimulator(BatchedSimulator):
     # -- execution -----------------------------------------------------------
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
-        key = _kernel_key_for(self)
+        key = _kernel_key_for(self.spec)
         record = self._load_record(key)
         if record is not None:
             _STATS["hits"] += 1
@@ -521,12 +522,10 @@ class KernelSimulator(BatchedSimulator):
                                        self._stream_meta(name)[0], pad)
                 stage_slab([stream], source.words(0, source.num_words))
                 slabs[name] = stream
-            expected = self._expected_cycles()
-            cap = self._max_cycles(expected)
-            if record["cycles"] > cap:
+            if record["cycles"] > self.spec.max_cycles:
                 raise SimulationError(
-                    f"simulation exceeded {cap} cycles "
-                    f"(expected ~{expected})")
+                    f"simulation exceeded {self.spec.max_cycles} cycles "
+                    f"(expected ~{self.spec.expected})")
             order, sink_stream, consumers = self._replay_order()
             units: Dict[str, BatchedStencilUnit] = {}
             for stencil in program.stencils:
@@ -553,7 +552,7 @@ class KernelSimulator(BatchedSimulator):
         profile = self._make_profile(record["cycles"], wall,
                                      kernel_cached=True,
                                      kernel_slabs=len(units))
-        self._emit_run_metrics(profile)
+        emit_run_metrics(profile)
         return SimulationResult(
             outputs=outputs,
             cycles=record["cycles"],

@@ -50,7 +50,12 @@ from ..lowering.cache import content_key, default_cache
 from ..lowering.pipeline import program_content_hash
 from ..obs.profile import MAX_WINDOW_SAMPLES, EngineProfile
 from .channel import RateLimiter
-from .engine import SimulationResult, deadlock_error
+from .engine import (
+    MachineSpec,
+    SimulationResult,
+    deadlock_error,
+    emit_run_metrics,
+)
 from .units import schedule_reads
 
 _INF = float("inf")
@@ -200,13 +205,13 @@ class Schedule:
                     drift_windows=self.drift_windows,
                     schedule_replayed=self.replayed)
 
-    def result(self, sim, outputs, profile: EngineProfile
+    def result(self, spec: MachineSpec, outputs, profile: EngineProfile
                ) -> SimulationResult:
         """``outputs`` with this schedule's timing and ``profile``."""
-        sim._emit_run_metrics(profile)
+        emit_run_metrics(profile)
         return SimulationResult(
             outputs=outputs, cycles=self.cycles,
-            expected_cycles=sim._expected_cycles(), profile=profile,
+            expected_cycles=spec.expected, profile=profile,
             **{name: dict(values) for name, values in self.timing})
 
 
@@ -259,31 +264,24 @@ def _replayed_fifo(start: List[int], pushed: List[int], popped: int,
     return fifo
 
 
-def machine_key_parts(sim) -> list:
-    """The machine ``sim`` builds, as content-key parts: the width-
+def machine_key_parts(spec: MachineSpec) -> list:
+    """The machine ``spec`` describes, as content-key parts: the width-
     normalized program hash and the width, the stage delays, every
-    edge with its capacity, remoteness and link rate, the wire
-    latency, the placement and the deadlock window.  Keys the batched
-    engine's window schedule and the kernel engine's recorded outcome
-    (``kernel.py``)."""
-    program = sim.program
-    config = sim.config
-    edges = []
-    for edge in sorted(sim.graph.edges,
-                       key=lambda e: (e.src, e.dst, e.data)):
-        key = (edge.src, edge.dst, edge.data)
-        remote = sim._edge_is_remote(edge.src, edge.dst)
-        edges.append([list(key), sim._capacity(key), remote,
-                      config.link_rate(key) if remote else None])
+    edge with its capacity less the link credits, remoteness and link
+    rate, the wire latency, the placement and the deadlock window.
+    Keys the batched engine's window schedule and the kernel engine's
+    recorded outcome (``kernel.py``)."""
+    program, config, analysis = spec.program, spec.config, spec.analysis
     return [
         program_content_hash(program, normalize_width=True),
         program.vectorization,
-        sim.analysis.pipeline_latency,
+        analysis.pipeline_latency,
         sorted((node, delay.compute_cycles)
-               for node, delay in sim.analysis.node_delays.items()),
-        edges,
+               for node, delay in analysis.node_delays.items()),
+        [[list(key), edge.capacity - edge.latency, edge.remote, edge.rate]
+         for key, edge in sorted(spec.edges.items())],
         config.network_latency,
-        sorted(sim.device_of.items()),
+        spec.placement,
         config.deadlock_window,
     ]
 
@@ -304,14 +302,13 @@ class Machine:
     """The machine as the counter VM sees it, from the lowered graph
     alone — no unit or ring is built.
 
-    ``sim`` describes it: any :class:`~repro.simulator.engine.Simulator`
-    (it builds nothing until run), read here and not kept.  The
-    executor passes its memo of :func:`read_schedule`, which its units
-    share.  ``key`` addresses the machine's schedule
+    ``spec`` describes it (:class:`~repro.simulator.engine.MachineSpec`).
+    The executor passes its memo of :func:`read_schedule`, which its
+    units share.  ``key`` addresses the machine's schedule
     (:func:`_schedule_key`), ``max_cycles`` caps it.
 
     A channel is its slot t in [0, C), in ``graph.edges`` order (the
-    order ``Simulator._build`` makes them in); ``chans`` holds per slot
+    order of ``spec.edges``); ``chans`` holds per slot
     its name, capacity, the counter slot of its ready count (t itself
     on a plain channel, whose ready count *is* its total; C + j on link
     j), its FIFO slot (j for link j's in-flight ring, else -1), its
@@ -332,33 +329,24 @@ class Machine:
     headroom and window allocations stay proportional to small
     domains."""
 
-    def __init__(self, sim, read_schedule=read_schedule):
-        self.config = sim.config
-        self.expected = sim._expected_cycles()
-        self.max_cycles = sim._max_cycles(self.expected)
-        self.key = _schedule_key(sim, self.max_cycles)
-        program, graph, config = sim.program, sim.graph, sim.config
-        keys = [(e.src, e.dst, e.data) for e in graph.edges]
-        slot = {key: t for t, key in enumerate(keys)}
-        n_chan = len(keys)
-        names, capacity, latency_of = [], [], []
-        ready_of, fifo_of = list(range(n_chan)), [-1] * n_chan
-        links, rates = [], []
-        for t, key in enumerate(keys):
-            name = f"{key[0]}->{key[1]}:{key[2]}"
-            remote = sim._edge_is_remote(key[0], key[1])
-            size = sim._fifo_capacity(key)
-            if size < 1:
+    def __init__(self, spec: MachineSpec, read_schedule=read_schedule):
+        self.config = config = spec.config
+        self.expected, self.max_cycles = spec.expected, spec.max_cycles
+        self.key = _schedule_key(spec)
+        program, graph = spec.program, spec.graph
+        slot = {key: t for t, key in enumerate(spec.edges)}
+        edges, n_chan = list(spec.edges.values()), len(slot)
+        for edge in edges:
+            if edge.capacity < 1:
                 raise SimulationError(
-                    f"{'link' if remote else 'channel'} {name!r}: "
-                    f"capacity must be >= 1, got {size}")
-            names.append(name)
-            capacity.append(size)
-            latency_of.append(config.network_latency if remote else 0)
-            if remote:
-                ready_of[t], fifo_of[t] = n_chan + len(links), len(links)
-                links.append(t)
-                rates.append(RateLimiter(config.link_rate(key)))
+                    f"{'link' if edge.remote else 'channel'} "
+                    f"{edge.name!r}: capacity must be >= 1, "
+                    f"got {edge.capacity}")
+        links = [t for t, edge in enumerate(edges) if edge.remote]
+        rates = [RateLimiter(edges[t].rate) for t in links]
+        ready_of, fifo_of = list(range(n_chan)), [-1] * n_chan
+        for j, t in enumerate(links):
+            ready_of[t], fifo_of[t] = n_chan + j, j
         producer, consumer = [0] * n_chan, [0] * n_chan
 
         def slots(edges):
@@ -384,7 +372,7 @@ class Machine:
                 (f, t, ready_of[t]) for f, t in ins.items()
                 if start[f] < cut <= start[f] + words))
                 for cut in cuts] + [(end, ())]
-            latency = max(0, sim.analysis.node_delays[node].compute_cycles)
+            latency = max(0, spec.analysis.node_delays[node].compute_cycles)
             units.append((_STENCIL, stencil.name,
                           slots(graph.out_edges(node)),
                           (init, end, *cuts), tuple(ins.values()), phases,
@@ -422,8 +410,9 @@ class Machine:
                     heapq.heappush(heap, j)
         if len(order) != len(units):
             order = list(range(len(units)))
-        self.chans = (names, capacity, ready_of, fifo_of, latency_of,
-                      producer, consumer)
+        self.chans = ([edge.name for edge in edges],
+                      [edge.capacity for edge in edges], ready_of, fifo_of,
+                      [edge.latency for edge in edges], producer, consumer)
         self.links, self.rates, self.units = links, rates, units
         self.names, self.order = [entry[1] for entry in units], order
         self.cap = max(1, min(config.max_batch_words, words))
@@ -1009,13 +998,13 @@ class _Planner:
             drift_windows=drift_windows, failure=failure)
 
 
-def _schedule_key(sim, max_cycles: int) -> str:
-    """Content address of the window schedule of the machine ``sim``
+def _schedule_key(spec: MachineSpec) -> str:
+    """Content address of the window schedule of the machine ``spec``
     describes: the machine (:func:`machine_key_parts`) plus every other
     input of the planner — the batch cap, the horizon, the planner
     constants."""
-    return content_key("schedule", *machine_key_parts(sim),
-                       sim.config.max_batch_words, max_cycles,
+    return content_key("schedule", *machine_key_parts(spec),
+                       spec.config.max_batch_words, spec.max_cycles,
                        MAX_WINDOW, WINDOW_STRETCH, MIN_STRETCH)
 
 

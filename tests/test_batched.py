@@ -1066,13 +1066,15 @@ class TestScheduleReplay:
         assert "2147483648" in raised[0]
 
     def test_control_run_is_the_plan_alone(self, monkeypatch):
-        # A control run builds no executor, unit, ring or output array,
-        # publishes nothing, reads a published schedule, and ends as the
-        # full run does — a deadlock, report included, too.
+        # A control run builds no simulator of any engine, executor,
+        # unit, ring or output array, publishes nothing, reads a
+        # published schedule, and ends as the full run does — a
+        # deadlock, report included, too.
         from repro.errors import DeadlockError
         from repro.lowering import default_cache
         from repro.simulator import (
             BatchedSimulator,
+            Simulator,
             SimulatorConfig,
             channel,
             simulate,
@@ -1084,7 +1086,7 @@ class TestScheduleReplay:
         built = []
         for cls in (units.SourceUnit, units.SinkUnit, channel.StreamRing,
                     channel._EdgeBuffer, BatchedStencilUnit,
-                    BatchedSimulator):
+                    BatchedSimulator, Simulator):
             init = cls.__init__
 
             def spy(self, *args, _init=init, **kwargs):
@@ -1123,6 +1125,33 @@ class TestScheduleReplay:
                            error.report.to_json()))
         assert raised[0] == raised[1]
         assert default_cache().stats("schedule") == (1, 1)
+
+    def test_described_links_are_the_lowered_links(self):
+        # The machine description takes its links from the one
+        # remote-edge rule, the rule lowering priced them with.
+        from repro.distributed import contiguous_device_split
+        from repro.lowering import (
+            LoweringConfig,
+            freeze_placement,
+            lower,
+            remote_edges,
+        )
+        from repro.simulator import SimulatorConfig
+        from repro.simulator.engine import describe_machine
+        program, placement = self._links_machine()
+        config = SimulatorConfig(**self.NETWORK)
+        for device_of in (placement,
+                          contiguous_device_split(program, 3)):
+            artifact = lower(program, LoweringConfig(
+                device_of=freeze_placement(device_of),
+                network_latency=config.network_latency))
+            spec = describe_machine(artifact.analysis, config, device_of)
+            described = [key for key, edge in spec.edges.items()
+                         if edge.remote]
+            assert described
+            assert described == list(remote_edges(spec.graph, device_of))
+            assert {key: spec.edges[key].latency for key in described} \
+                == artifact.edge_latency
 
     def test_failed_runs_publish_nothing(self):
         from repro.errors import DeadlockError

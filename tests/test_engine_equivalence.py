@@ -537,6 +537,26 @@ class TestFailureModes:
                 simulate(program, inputs,
                          SimulatorConfig(engine_mode=mode, max_cycles=100))
 
+    def test_an_empty_fifo_raises_when_a_run_builds_it(self):
+        # Describing a machine checks nothing: each engine's run, and a
+        # control run, raises the same capacity error.
+        import re
+
+        from repro.simulator import build_simulator, simulate_control
+        program = chain_program(2)
+        inputs = random_inputs(program)
+        src, dst, data = key = edge_keys(program)[1]
+        empty = {"channel_capacities": {key: 0}}
+        message = re.escape(f"channel '{src}->{dst}:{data}': "
+                            f"capacity must be >= 1, got 0")
+        for mode in ("scalar", "batched", "kernel"):
+            simulator = build_simulator(
+                program, SimulatorConfig(engine_mode=mode, **empty))
+            with pytest.raises(SimulationError, match=message):
+                simulator.run(inputs)
+        with pytest.raises(SimulationError, match=message):
+            simulate_control(program, inputs, SimulatorConfig(**empty))
+
     def test_a_data_error_before_the_planned_failure_wins(self):
         # Stage 1 ends in the failure, stage 2 first moves the words
         # planned before it: an error in those words is raised, as it

@@ -48,3 +48,37 @@ def test_plan_imports_no_ring_or_unit_class():
                 value = getattr(importlib.import_module(module), name)
                 assert not (inspect.isclass(value)
                             and issubclass(value, data_plane)), name
+
+
+def _functions(tree):
+    """``(qualified name, node)`` of every module-level function and
+    method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{node.name}.{method.name}", method
+
+
+def test_plan_reads_a_machine_description_and_no_private_attribute():
+    # The planner takes the machine from its description
+    # (``engine.MachineSpec``), never from a simulator's private state.
+    readers = set()
+    tree = ast.parse(Path(planner.__file__).read_text())
+    for name, function in _functions(tree):
+        for arg in function.args.args:
+            if isinstance(arg.annotation, ast.Name) \
+                    and arg.annotation.id == "MachineSpec":
+                readers.add(name)
+                private = [node.attr for node in ast.walk(function)
+                           if isinstance(node, ast.Attribute)
+                           and isinstance(node.value, ast.Name)
+                           and node.value.id == arg.arg
+                           and node.attr.startswith("_")]
+                assert not private, (name, private)
+    assert {"Machine.__init__", "Schedule.result", "machine_key_parts",
+            "_schedule_key"} <= readers
+    for module, names in _imports():
+        assert "Simulator" not in names, module
