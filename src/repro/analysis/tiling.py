@@ -16,7 +16,7 @@ that fits a memory budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core.program import StencilProgram
 from ..errors import AnalysisError

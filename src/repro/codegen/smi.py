@@ -15,9 +15,8 @@ split factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.program import StencilProgram
 from ..distributed.partition import Partition
 from ..errors import CodeGenError
 

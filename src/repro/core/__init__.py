@@ -23,7 +23,6 @@ from .fields import (
     Access,
     FieldSpec,
     flatten_offset,
-    memory_order_distance,
 )
 from .program import StencilDefinition, StencilProgram
 
@@ -47,6 +46,5 @@ __all__ = [
     "int16",
     "int32",
     "int64",
-    "memory_order_distance",
     "result_type",
 ]

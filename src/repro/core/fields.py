@@ -126,30 +126,6 @@ class Access:
         return tuple(by_dim.get(d) for d in index_names)
 
 
-def memory_order_distance(offsets_a: Sequence[int],
-                          offsets_b: Sequence[int],
-                          domain: Sequence[int]) -> int:
-    """Distance between two access offsets flattened into memory order.
-
-    Memory order is row-major over the iteration domain; the distance
-    between accesses ``a`` and ``b`` is the number of elements streamed
-    between the two points. This is the core quantity behind internal
-    buffer sizing (Sec. IV-A): two accesses ``a[0,1,0]`` and ``a[0,-1,0]``
-    in a {K, J, I} space are ``2*I`` apart.
-
-    >>> memory_order_distance((0, 1, 0), (0, -1, 0), (32, 32, 32))
-    64
-    >>> memory_order_distance((1, 0, 0), (0, 0, 0), (4, 32, 32))
-    1024
-    """
-    if not (len(offsets_a) == len(offsets_b) == len(domain)):
-        raise DefinitionError(
-            f"offset ranks {len(offsets_a)}/{len(offsets_b)} do not match "
-            f"domain rank {len(domain)}")
-    return abs(flatten_offset(offsets_a, domain)
-               - flatten_offset(offsets_b, domain))
-
-
 def row_major_strides(domain: Sequence[int]) -> Tuple[int, ...]:
     """Row-major element strides of an iteration domain.
 

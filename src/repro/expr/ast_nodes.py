@@ -12,7 +12,7 @@ Nodes are immutable; rewriting passes construct new trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 #: Binary arithmetic operators.
 ARITH_OPS = ("+", "-", "*", "/")

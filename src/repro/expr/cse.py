@@ -10,7 +10,7 @@ estimation and op-census consumers can price fused code fairly.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Set
 
 from .analysis import OpCensus, census
 from .ast_nodes import (
@@ -18,7 +18,6 @@ from .ast_nodes import (
     Call,
     Expr,
     FieldAccess,
-    IndexVar,
     Literal,
     Ternary,
     UnaryOp,

@@ -15,7 +15,7 @@ once — Sec. IV-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.fields import FieldSpec
 from ..core.program import StencilDefinition, StencilProgram
@@ -159,18 +159,8 @@ class StencilGraph:
     def predecessors(self, node_id: str) -> Tuple[str, ...]:
         return tuple(e.src for e in self._in_edges[node_id])
 
-    def input_ids(self) -> Tuple[str, ...]:
-        return tuple(i for i, n in self._nodes.items() if n.kind == "input")
-
     def stencil_ids(self) -> Tuple[str, ...]:
         return tuple(i for i, n in self._nodes.items() if n.kind == "stencil")
-
-    def output_ids(self) -> Tuple[str, ...]:
-        return tuple(i for i, n in self._nodes.items() if n.kind == "output")
-
-    def sources(self) -> Tuple[str, ...]:
-        """Nodes without predecessors (inputs, plus constant stencils)."""
-        return tuple(i for i in self._nodes if not self._in_edges[i])
 
     def sinks(self) -> Tuple[str, ...]:
         return tuple(i for i in self._nodes if not self._out_edges[i])
@@ -198,37 +188,6 @@ class StencilGraph:
         """Stencil names only, in topological order."""
         return [self._nodes[i].name for i in self.topological_order()
                 if self._nodes[i].kind == "stencil"]
-
-    def reverse_reachable(self, node_id: str) -> Set[str]:
-        """All nodes from which ``node_id`` is reachable (inclusive)."""
-        seen = {node_id}
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            for edge in self._in_edges[current]:
-                if edge.src not in seen:
-                    seen.add(edge.src)
-                    stack.append(edge.src)
-        return seen
-
-    def all_paths(self, src: str, dst: str) -> Iterator[List[str]]:
-        """Enumerate all simple paths from ``src`` to ``dst``.
-
-        Exponential in the worst case; used only on small graphs and in
-        tests — the buffering analysis itself uses dynamic programming.
-        """
-        path = [src]
-
-        def extend(current: str):
-            if current == dst:
-                yield list(path)
-                return
-            for edge in self._out_edges[current]:
-                path.append(edge.dst)
-                yield from extend(edge.dst)
-                path.pop()
-
-        yield from extend(src)
 
     def longest_path_length(self) -> int:
         """Number of stencil nodes on the deepest path (the DAG depth)."""
@@ -262,28 +221,10 @@ class StencilGraph:
                 reached |= seen_via_this_edge
         return True
 
-    # -- export --------------------------------------------------------------
-
-    def to_dot(self) -> str:
-        """Graphviz dot rendering, for debugging and documentation."""
-        lines = ["digraph stencil_program {", "  rankdir=TB;"]
-        shapes = {"input": "ellipse", "stencil": "box", "output": "ellipse"}
-        styles = {"input": "filled", "stencil": "rounded",
-                  "output": "filled,dashed"}
-        for node_id, node in self._nodes.items():
-            lines.append(
-                f'  "{node_id}" [label="{node.name}", '
-                f'shape={shapes[node.kind]}, style="{styles[node.kind]}"];')
-        for edge in self.edges:
-            lines.append(f'  "{edge.src}" -> "{edge.dst}" '
-                         f'[label="{edge.data}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
-        return (f"StencilGraph({len(self.input_ids())} inputs, "
+        return (f"StencilGraph({len(self.program.inputs)} inputs, "
                 f"{len(self.stencil_ids())} stencils, "
-                f"{len(self.output_ids())} outputs, "
+                f"{len(self.program.outputs)} outputs, "
                 f"{len(self.edges)} edges)")
 
 

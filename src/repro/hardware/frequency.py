@@ -10,7 +10,7 @@ floored for very large designs.
 from __future__ import annotations
 
 from . import calibration as cal
-from .platform import FPGAPlatform, ResourceVector, STRATIX10
+from .platform import FPGAPlatform, STRATIX10
 from .resources import ResourceEstimate
 
 

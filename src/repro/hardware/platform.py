@@ -8,7 +8,7 @@ Tab. II as bandwidth-roofline machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import calibration as cal

@@ -22,7 +22,7 @@ from ..hardware.platform import (
     XEON_12C,
 )
 from . import intensity
-from .pipeline import PerformanceReport, model_performance
+from .pipeline import model_performance
 
 
 @dataclass(frozen=True)

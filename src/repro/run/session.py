@@ -10,7 +10,7 @@ program from its input description (Sec. VII).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -22,12 +22,7 @@ from ..errors import ValidationError
 from ..hardware.platform import FPGAPlatform, STRATIX10
 from ..lowering import LoweredProgram, LoweringConfig, lower
 from ..perf.pipeline import PerformanceReport, model_performance
-from ..simulator.engine import (
-    SimulationResult,
-    Simulator,
-    SimulatorConfig,
-    simulate,
-)
+from ..simulator.engine import SimulationResult, SimulatorConfig, simulate
 from .reference import check_output, run_reference
 
 

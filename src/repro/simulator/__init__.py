@@ -6,14 +6,15 @@ latency, Eq. 1 and the cycle cap); ``SimulatorConfig.engine_mode``
 selects ``"scalar"``, ``"batched"``, ``"kernel"``, or ``"auto"``, the
 batched engine:
 
-* the **scalar engine** (:class:`Simulator`) steps every unit once per
-  cycle — simple, and the semantic reference;
+* the **scalar oracle** (:mod:`.oracle`, :class:`Simulator`) steps
+  every unit once per cycle — simple, and the semantic reference; it
+  shares no class with the other engines;
 * the **batched engine** runs in two stages: the planner
   (:mod:`.plan`) steps windows of cycles on counters alone and proves
   how often each repeats, into a frozen ``Schedule`` of the run's
   timing and slab passes; the executor (:class:`BatchedSimulator`)
   only moves data, in NumPy slab passes with vectorized stencil
-  evaluation;
+  evaluation, over channels and units wired from the planner's tables;
 * the **kernel engine** (:class:`KernelSimulator`) records a batched
   run's timing as a content-addressed, data-only artifact and replays
   it on every later run of the machine with one channel-free pass over
@@ -43,18 +44,11 @@ from .batched import (
     BatchedSourceUnit,
     BatchedStencilUnit,
 )
-from .channel import (
-    ArrayChannel,
-    ArrayNetworkLink,
-    Channel,
-    NetworkLink,
-    RateLimiter,
-)
+from .channel import ArrayChannel, ArrayNetworkLink, RateLimiter
 from .compile import ArrayCompiledStencil, CompiledStencil, compile_stencil
 from .control import simulate_control
 from .engine import (
     SimulationResult,
-    Simulator,
     SimulatorConfig,
     build_simulator,
     make_simulator,
@@ -69,7 +63,14 @@ from .kernel import (
     kernel_store_dir,
     reset_kernel_cache_stats,
 )
-from .units import SinkUnit, SourceUnit, StencilUnit
+from .oracle import (
+    Channel,
+    NetworkLink,
+    Simulator,
+    SinkUnit,
+    SourceUnit,
+    StencilUnit,
+)
 
 __all__ = [
     "ArrayChannel",

@@ -55,7 +55,12 @@ from .channel import (
     claim_slab,
     stage_slab,
 )
-from .engine import EdgeSpec, SimulationResult, Simulator
+from .engine import (
+    SimulationResult,
+    SimulatorConfig,
+    describe_machine,
+    resolve_input_array,
+)
 from .plan import (
     _SOURCE,
     _STENCIL,
@@ -64,7 +69,6 @@ from .plan import (
     plan,
     read_schedule,
 )
-from .units import SinkUnit, SourceUnit
 
 
 def float_leaky_streams(program: StencilProgram) -> Dict[str, str]:
@@ -219,20 +223,36 @@ def exact_source(name: str, data: np.ndarray) -> np.ndarray:
     return data
 
 
-class BatchedSourceUnit(SourceUnit):
-    """Array-slab variant of :class:`~repro.simulator.units.SourceUnit`:
-    the executor stores :meth:`words` into the stream's ring, which
-    casts them to the stream's slab dtype (int64 or float64, exact)."""
+class BatchedSourceUnit:
+    """One input's words, read as ``(B, W)`` slabs straight out of the
+    input array (:meth:`words`); the executor stores them into the
+    stream's ring, which casts them to the stream's slab dtype (int64
+    or float64, exact)."""
 
     def __init__(self, name: str, data: np.ndarray, vector_width: int,
                  out_channels: Sequence):
-        super().__init__(name, exact_source(name, data), vector_width,
-                         out_channels)
+        # ``data`` may be a broadcast view of a lower-dimensional input:
+        # words are read from it lazily, never from a full-domain copy.
+        self.data = exact_source(name, data)
+        self._plane = data[:1].size   # cells per outer-axis plane
+        self.width = vector_width
+        self.num_words = data.size // vector_width
+        self.out_channels = list(out_channels)
+
+    def words(self, w0: int, count: int) -> np.ndarray:
+        """Words ``[w0, w0 + count)`` as ``(count, W)`` cells, taken
+        from the outer-axis planes of ``data`` that cover them: a view
+        when ``data`` is contiguous, else a copy of those planes only."""
+        lo, n = w0 * self.width, count * self.width
+        first = lo // self._plane
+        cells = self.data[first:-(-(lo + n) // self._plane)].reshape(-1)
+        lo -= first * self._plane
+        return cells[lo:lo + n].reshape(count, self.width)
 
 
 class BatchedStencilUnit:
     """Vectorized evaluation of one stencil
-    (:class:`~repro.simulator.units.StencilUnit`'s values, not its
+    (:class:`~repro.simulator.oracle.StencilUnit`'s values, not its
     timing: the schedule carries that).
 
     The unit owns no field data: its sliding windows *are* its inbound
@@ -362,9 +382,20 @@ class BatchedStencilUnit:
         return values
 
 
-class BatchedSinkUnit(SinkUnit):
-    """Array-slab variant of :class:`~repro.simulator.units.SinkUnit`:
-    the executor hands it slabs of output words."""
+class BatchedSinkUnit:
+    """Collects one program output from the slabs of words the executor
+    hands it."""
+
+    def __init__(self, name: str, in_channel, domain: Tuple[int, ...],
+                 vector_width: int, dtype: np.dtype):
+        self.name, self.in_channel = name, in_channel
+        self.domain, self.width = tuple(domain), vector_width
+        self.flat = np.empty(math.prod(self.domain), dtype=dtype)
+        self.received = 0
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.flat.reshape(self.domain)
 
     def store_rows(self, rows: np.ndarray):
         """Range-check and store a slab of output words (the schedule
@@ -400,19 +431,21 @@ class BatchedSinkUnit(SinkUnit):
         self.received += values.size // self.width
 
 
-
-class BatchedSimulator(Simulator):
-    """Drop-in :class:`~repro.simulator.engine.Simulator` replacement:
-    :meth:`run` plans the machine (:func:`~repro.simulator.plan.plan`)
-    and moves the data of that schedule in NumPy slab passes
-    (:meth:`execute`), observably identical to the scalar engine
-    (``tests/test_engine_equivalence.py``)."""
+class BatchedSimulator:
+    """The batched engine: :meth:`run` plans the machine
+    (:func:`~repro.simulator.plan.plan`) and moves the data of that
+    schedule in NumPy slab passes (:meth:`execute`), observably
+    identical to the scalar oracle
+    (``tests/test_engine_equivalence.py``).  Its channels and units are
+    wired from the planner's tables (:class:`~repro.simulator.plan.Machine`):
+    channel t is slot t, unit i is unit i."""
 
     def __init__(self, analysis, config=None,
                  device_of: Optional[Mapping[str, int]] = None):
-        super().__init__(analysis, config, device_of=device_of)
-        # Per producing node: its stream's one ring, its edges' layouts.
-        self._rings: Dict[str, Tuple[StreamRing, dict]] = {}
+        self.spec = describe_machine(analysis, config or SimulatorConfig(),
+                                     device_of)
+        self.analysis, self.program = self.spec.analysis, self.spec.program
+        self.graph = self.spec.graph
         # What _bind_native did to this run's stencil units.
         self._native = None
 
@@ -427,8 +460,8 @@ class BatchedSimulator(Simulator):
     @cached_property
     def _machine(self) -> Machine:
         """The machine's tables (:class:`~repro.simulator.plan.Machine`),
-        for the planner and the passes; they share the units' read
-        schedules."""
+        for the planner, the wiring and the passes; they share the
+        units' read schedules."""
         return Machine(self.spec, self._coord_slabs.schedule)
 
     @cached_property
@@ -459,43 +492,49 @@ class BatchedSimulator(Simulator):
         return {"headroom": headroom, "history": history,
                 "dtype": self._stream_meta(data)[0]}
 
-    def _edge_storage(self, key) -> dict:
-        """Storage keywords of edge ``key``: its layout plus ``buf``,
-        the ring of the stream its source node produces, shared by all
-        that node's out-edges — as many rows as the neediest of them
-        would want alone (``capacity + headroom + history + 1``) and a
-        pad (``docs/ARCHITECTURE.md``: why a laggard is never
-        overwritten, why no range wraps)."""
-        stream = self._rings.get(key[0])
-        if stream is None:
-            layouts = {k: self._edge_layout(k) for k in (
-                (e.src, e.dst, e.data)
-                for e in self.graph.out_edges(key[0]))}
-            rows = max(self.spec.edges[k].capacity + 1 + layout["headroom"]
-                       + layout["history"] for k, layout in layouts.items())
-            pad = max(layout["history"] for layout in layouts.values())
-            ring = StreamRing(rows, self.program.vectorization,
-                              layouts[key]["dtype"], pad)
-            stream = self._rings[key[0]] = (ring, layouts)
-        return dict(stream[1][key], ring=stream[0])
-
-    def _make_channel(self, edge: EdgeSpec):
-        kind = ArrayNetworkLink if edge.remote else ArrayChannel
-        return kind(edge.name, edge.capacity, self.program.vectorization,
-                    **self._edge_storage(edge.key))
-
-    def _make_source(self, name: str, data: np.ndarray, outs):
-        return BatchedSourceUnit(name, data, self.program.vectorization,
-                                 outs)
-
-    def _make_stencil(self, stencil, ins, outs, latency: int):
-        return BatchedStencilUnit(self.program, stencil, ins, outs,
-                                  coord_slabs=self._coord_slabs,
-                                  stream_meta=self._stream_meta)
-
-    def _make_sink(self, name: str, channel, dtype):
-        return BatchedSinkUnit(name, channel, self.program.shape,
-                               self.program.vectorization, dtype)
+    def _build(self, inputs: Mapping[str, np.ndarray]):
+        """The channels and units over ``inputs``, wired from the
+        machine's tables: ``channels`` by edge key (slot order),
+        ``units`` in the machine's unit order, ``sinks`` by output.
+        The edges a unit feeds share one ring, as many rows as the
+        neediest of them would want alone (``capacity + headroom +
+        history + 1``) and a pad (``docs/ARCHITECTURE.md``: why a
+        laggard is never overwritten, why no range wraps)."""
+        program, width = self.program, self.program.vectorization
+        edges = list(self.spec.edges.values())
+        chans = [None] * len(edges)
+        for _kind, _name, outs, *_ in self._machine.units:
+            layouts = [self._edge_layout(edges[t].key) for t in outs]
+            if layouts:
+                ring = StreamRing(max(
+                    edges[t].capacity + 1 + layout["headroom"]
+                    + layout["history"] for t, layout in zip(outs, layouts)),
+                    width, layouts[0]["dtype"],
+                    max(layout["history"] for layout in layouts))
+            for t, layout in zip(outs, layouts):
+                kind = ArrayNetworkLink if edges[t].remote else ArrayChannel
+                chans[t] = kind(edges[t].name, edges[t].capacity, width,
+                                **layout, ring=ring)
+        self.channels = dict(zip(self.spec.edges, chans))
+        self.units, self.sinks = [], {}
+        for kind, name, outs, *entry in self._machine.units:
+            outs = [chans[t] for t in outs]
+            if kind == _SOURCE:
+                self.units.append(BatchedSourceUnit(
+                    name, resolve_input_array(program, inputs, name,
+                                              program.inputs[name]),
+                    width, outs))
+            elif kind == _STENCIL:
+                self.units.append(BatchedStencilUnit(
+                    program, program.stencil(name),
+                    {edges[t].key[2]: chans[t] for t in entry[1]}, outs,
+                    coord_slabs=self._coord_slabs,
+                    stream_meta=self._stream_meta))
+            else:
+                self.sinks[name] = BatchedSinkUnit(
+                    name, chans[entry[1][0][1]], program.shape, width,
+                    program.field_dtype(name).numpy)
+                self.units.append(self.sinks[name])
 
     def _bind_native(self, stencil_units):
         """Swap each eligible unit's ``compute_words`` for this
@@ -565,7 +604,8 @@ class BatchedSimulator(Simulator):
             profile)
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
-        """Simulate to completion; see :meth:`Simulator.run`: stage 1
+        """Simulate to completion, as the scalar oracle's
+        :meth:`~repro.simulator.oracle.Simulator.run` does: stage 1
         (:func:`~repro.simulator.plan.plan`), then stage 2
         (:meth:`execute`).  A run that completes publishes the schedule
         it planned; one that raises publishes nothing."""

@@ -1,27 +1,24 @@
-"""Bounded FIFO channels — the communication substrate of the simulator.
+"""The batched engine's channels: NumPy rings the executor moves words
+through, and the link credit accounting every engine shares.
 
 Channels model the Intel OpenCL channel abstraction the generated code
 targets (Sec. VI-A): compile-time fixed capacity, blocking on full/empty.
 Network links (Sec. VI-B, SMI remote streams) add propagation latency and
-a bounded per-cycle transfer rate.
+a bounded per-cycle transfer rate (:class:`RateLimiter`).  The scalar
+oracle's deque-of-words channels live in :mod:`.oracle`.
 
-Two implementations exist for each:
-
-* :class:`Channel` / :class:`NetworkLink` — deque-of-words, used by the
-  scalar engine, where a word is whatever Python object the producer
-  pushes (a ``W``-tuple of floats in practice).
-* :class:`ArrayChannel` / :class:`ArrayNetworkLink` — one NumPy ring
-  per *stream*, shared by every edge its producer feeds, storing words
-  as rows of an ``(n, W)`` slab (float64 for float-typed streams, int64
-  for integer-typed ones), used by the batched engine.  Each word is
-  written once (:func:`stage_slab`) and read in place
-  (:class:`_EdgeBuffer`): an edge's FIFO is a set of counters over the
-  ring, which also holds the producer's latency-line words and the
-  consumers' sliding-window history.  They speak a slab protocol
-  (``stage_slab``/``commit_rows``/``read_rows``/``deliver_rows``) that
-  moves whole slabs as counter advances, and know no time: the batched
-  engine's planner decides every cycle on its own counters and keeps
-  every statistic.
+:class:`ArrayChannel` / :class:`ArrayNetworkLink` keep one NumPy ring
+per *stream* (:class:`StreamRing`), shared by every edge its producer
+feeds, storing words as rows of an ``(n, W)`` slab (float64 for
+float-typed streams, int64 for integer-typed ones).  Each word is
+written once (:func:`stage_slab`) and read in place
+(:class:`_EdgeBuffer`): an edge's FIFO is a set of counters over the
+ring, which also holds the producer's latency-line words and the
+consumers' sliding-window history.  They speak a slab protocol
+(``stage_slab``/``commit_rows``/``read_rows``/``deliver_rows``) that
+moves whole slabs as counter advances, and know no time: the batched
+engine's planner decides every cycle on its own counters and keeps
+every statistic.
 
 A fractional-rate link's credit restarts from exactly 0.0 after every
 spend, so a saturated link delivers on a strictly periodic mask
@@ -33,8 +30,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,8 +51,8 @@ def is_link_rate(rate: float) -> bool:
 class RateLimiter:
     """Fractional-bandwidth credit accounting.
 
-    Used by :class:`NetworkLink` and :class:`ArrayNetworkLink` (modeling
-    the QSFP wire rate): credit accumulates at ``rate`` words per cycle,
+    Used by the scalar oracle's ``NetworkLink`` and by the planner
+    (modeling the QSFP wire rate): credit accumulates at ``rate`` words per cycle,
     capped at ``max(rate, 1.0)``, and each transferred word spends 1.0
     credit.  A
     0.5 words/cycle limiter therefore admits one word every other cycle;
@@ -147,132 +143,6 @@ class RateLimiter:
             return 1
         schedule = self.credit_schedule()
         return None if schedule is None else len(schedule)
-
-
-class Channel:
-    """A bounded FIFO carrying one stream of vector words.
-
-    Attributes:
-        name: diagnostic identifier (usually ``src->dst:data``).
-        capacity: maximum number of words held.
-    """
-
-    __slots__ = ("name", "capacity", "_queue", "pushes", "pops",
-                 "max_occupancy")
-
-    def __init__(self, name: str, capacity: int):
-        if capacity < 1:
-            raise SimulationError(
-                f"channel {name!r}: capacity must be >= 1, got {capacity}")
-        self.name = name
-        self.capacity = capacity
-        self._queue: Deque[Any] = deque()
-        self.pushes = 0
-        self.pops = 0
-        self.max_occupancy = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._queue
-
-    def push(self, word: Any):
-        if self.full:
-            raise SimulationError(f"push to full channel {self.name!r}")
-        self._queue.append(word)
-        self.pushes += 1
-        if len(self._queue) > self.max_occupancy:
-            self.max_occupancy = len(self._queue)
-
-    def pop(self) -> Any:
-        if not self._queue:
-            raise SimulationError(f"pop from empty channel {self.name!r}")
-        self.pops += 1
-        return self._queue.popleft()
-
-
-class NetworkLink:
-    """An inter-device stream (SMI remote channel).
-
-    Words pushed on the sending side become poppable on the receiving
-    side after ``latency`` cycles, and at most ``words_per_cycle`` words
-    cross per cycle — modeling the 40 Gbit/s QSFP links of the testbed.
-    The link must be :meth:`step`-ped once per simulation cycle.
-
-    The receive buffer is bounded like a normal channel; in-flight words
-    that arrive while it is full wait (backpressure propagates to the
-    sender through ``full``).
-    """
-
-    __slots__ = ("name", "capacity", "latency", "_in_flight", "_ready",
-                 "pushes", "pops", "max_occupancy", "_now", "_limiter")
-
-    def __init__(self, name: str, capacity: int, latency: int = 16,
-                 words_per_cycle: float = 1.0):
-        if capacity < 1:
-            raise SimulationError(
-                f"link {name!r}: capacity must be >= 1, got {capacity}")
-        if not is_link_rate(words_per_cycle):
-            raise SimulationError(
-                f"link {name!r}: words_per_cycle must be finite and "
-                f"positive, got {words_per_cycle}")
-        self.name = name
-        self.capacity = capacity
-        self.latency = latency
-        self._in_flight: Deque[Tuple[int, Any]] = deque()
-        self._ready: Deque[Any] = deque()
-        self.pushes = 0
-        self.pops = 0
-        self.max_occupancy = 0
-        self._now = 0
-        self._limiter = RateLimiter(words_per_cycle)
-
-    def __len__(self) -> int:
-        return len(self._in_flight) + len(self._ready)
-
-    @property
-    def full(self) -> bool:
-        """Sender-side view: no credit available."""
-        return len(self) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        """Receiver-side view: nothing deliverable yet."""
-        return not self._ready
-
-    def push(self, word: Any):
-        if self.full:
-            raise SimulationError(f"push to full link {self.name!r}")
-        # The word is transmitted over the wire: it becomes available
-        # `latency` cycles from now, subject to the per-cycle rate.
-        self._in_flight.append((self._now + self.latency, word))
-        self.pushes += 1
-        if len(self) > self.max_occupancy:
-            self.max_occupancy = len(self)
-
-    def pop(self) -> Any:
-        if not self._ready:
-            raise SimulationError(f"pop from empty link {self.name!r}")
-        self.pops += 1
-        return self._ready.popleft()
-
-    def step(self, now: int):
-        """Advance time: deliver in-flight words whose latency elapsed."""
-        self._now = now
-        # Fractional rates accumulate credit: a 0.5 words/cycle link
-        # delivers one word every other cycle.
-        self._limiter.refill()
-        while (self._in_flight and self._limiter.ready
-               and self._in_flight[0][0] <= now):
-            _, word = self._in_flight.popleft()
-            self._ready.append(word)
-            self._limiter.spend()
 
 
 def _inside(pos: int, n: int, size: int) -> int:
@@ -417,7 +287,8 @@ class _EdgeBuffer:
 
 
 class ArrayChannel(_EdgeBuffer):
-    """NumPy edge-buffer variant of :class:`Channel`.
+    """One edge's bounded FIFO over its stream's ring (the scalar
+    oracle's ``Channel``, as counters).
 
     Words are rows of width ``W``.  ``headroom`` extra rows absorb the
     transient where a batch writes all ``B`` producer words before the
@@ -458,9 +329,10 @@ class ArrayChannel(_EdgeBuffer):
 
 
 class ArrayNetworkLink(ArrayChannel):
-    """NumPy edge-buffer variant of :class:`NetworkLink`: committed
-    words are in flight until :meth:`deliver_rows` makes them
-    poppable — the planner decides when."""
+    """One network link's FIFO over its stream's ring (the scalar
+    oracle's ``NetworkLink``, as counters): committed words are in
+    flight until :meth:`deliver_rows` makes them poppable — the planner
+    decides when."""
 
     __slots__ = ()
 

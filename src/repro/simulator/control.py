@@ -70,7 +70,7 @@ def data_can_fail(program: StencilProgram) -> bool:
 
     A value-dependent raise needs integers: an integer-typed field,
     input or stencil result (``batched.py::BatchedSinkUnit.store_rows``,
-    ``units.py::SinkUnit.step``, the int ``out_dtype`` conversion of
+    ``oracle.py::SinkUnit.step``, the int ``out_dtype`` conversion of
     ``compile.py::ArrayCompiledStencil.__call__``, the demoted streams
     of ``batched.py::float_leaky_streams``); ``i``/``j``/``k`` lanes
     (``compile.py::_check_add``/``_check_sub``/``_check_mul`` raising

@@ -1,32 +1,36 @@
-"""The cycle-level simulation engine.
+"""The machine description and the simulator entry points.
 
-Builds a dataflow machine from a :class:`BufferingAnalysis` — one source
-unit per input, one pipelined unit per stencil, one sink per program
-output, bounded channels on every edge — and steps it cycle by cycle
-until completion, detecting deadlocks.  Every engine reads the machine
-from one frozen :class:`MachineSpec` (:func:`describe_machine`).
+Every engine reads the machine a design maps to from one frozen
+:class:`MachineSpec` (:func:`describe_machine`): one source per input,
+one pipelined stencil unit per stencil, one sink per program output,
+and a bounded FIFO on every edge — a network link where the placement
+cuts it.  :func:`schedule_reads` is each stencil unit's streaming
+schedule, which the scalar oracle and the planner both derive.
 
 This machine is the reproduction's stand-in for the paper's FPGA: the
 performance model ``C = L + I·N`` (Eq. 1), the deadlock behaviour of
 Fig. 4, and the delay-buffer sizing of Sec. IV-B are all observable (and
 tested) against it.
 
-:class:`Simulator` here is the scalar reference engine;
-:mod:`repro.simulator.batched` provides the NumPy batched engine with
-identical observable behaviour, selected via
-:attr:`SimulatorConfig.engine_mode` (the default ``"auto"`` prefers it).
+:attr:`SimulatorConfig.engine_mode` selects the engine
+(:func:`make_simulator`): the scalar oracle
+(:class:`~repro.simulator.oracle.Simulator`), which steps the machine
+cycle by cycle, or the batched engine
+(:mod:`repro.simulator.batched`) with identical observable behaviour,
+which the default ``"auto"`` prefers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.delay_buffers import BufferingAnalysis
+from ..core.fields import flatten_offset
 from ..core.program import StencilProgram
-from ..errors import DeadlockError, SimulationError, ValidationError
+from ..errors import DeadlockError, ValidationError
 from ..graph.dag import StencilGraph
 from ..lowering import (
     LoweringConfig,
@@ -35,10 +39,9 @@ from ..lowering import (
     lower,
     remote_edges,
 )
-from ..obs import clock, metrics
+from ..obs import metrics
 from ..obs.profile import EngineProfile
-from .channel import Channel, NetworkLink, is_link_rate
-from .units import SinkUnit, SourceUnit, StencilUnit, Unit
+from .channel import is_link_rate
 
 ChannelKey = Tuple[str, str, str]
 
@@ -156,12 +159,15 @@ class MachineSpec:
     max_cycles: int
 
 
-def describe_machine(analysis: BufferingAnalysis, config: SimulatorConfig,
+def describe_machine(analysis, config: SimulatorConfig,
                      device_of: Optional[Mapping[str, int]]
                      ) -> MachineSpec:
-    """The machine of ``analysis`` under ``config`` and the placement
-    ``device_of``: an edge is a network link exactly when
-    :func:`~repro.lowering.remote_edges` says so."""
+    """The machine of ``analysis`` (or of a program, analyzed with
+    defaults) under ``config`` and the placement ``device_of``: an edge
+    is a network link exactly when :func:`~repro.lowering.remote_edges`
+    says so."""
+    if isinstance(analysis, StencilProgram):
+        analysis = analysis_for(analysis)
     program, graph = analysis.program, analysis.graph
     remote = set(remote_edges(graph, device_of or {}))
     capacities = config.channel_capacities or {}
@@ -184,6 +190,40 @@ def describe_machine(analysis: BufferingAnalysis, config: SimulatorConfig,
         freeze_placement(device_of) or (), edges, expected,
         config.max_cycles if config.max_cycles is not None
         else 64 * expected + 100_000)
+
+
+def schedule_reads(domain: Tuple[int, ...], width: int,
+                   index_names: Sequence[str], accesses,
+                   fields: Sequence[str]):
+    """Per-access and per-field streaming schedule of a stencil unit.
+
+    Shared by the scalar oracle's stencil unit and the planner's tables
+    — the engines' equivalence invariant depends on both deriving the
+    identical schedule.
+
+    Returns ``(access_info, readahead, init_words, pop_start,
+    min_flat)`` where ``access_info`` is a list of ``(access,
+    full_offset, flat_offset)`` triples, ``readahead`` the per-field
+    forward reach in words, ``init_words`` the unit's fill phase,
+    ``pop_start`` the per-field step at which popping begins, and
+    ``min_flat`` the furthest-back flattened offset per field.
+    """
+    access_info = []
+    for access in accesses:
+        by_dim = dict(zip(access.dims, access.offsets))
+        full = tuple(by_dim.get(d, 0) for d in index_names)
+        access_info.append((access, full, flatten_offset(full, domain)))
+    readahead: Dict[str, int] = {}
+    min_flat: Dict[str, int] = {}
+    for field in fields:
+        flats = [flat for access, _full, flat in access_info
+                 if access.field == field]
+        max_flat = max(flats) if flats else 0
+        readahead[field] = max(0, -(-max(0, max_flat) // width))
+        min_flat[field] = min(flats) if flats else 0
+    init_words = max(readahead.values(), default=0)
+    pop_start = {f: init_words - readahead[f] for f in fields}
+    return access_info, readahead, init_words, pop_start, min_flat
 
 
 def emit_run_metrics(profile: EngineProfile):
@@ -211,201 +251,12 @@ def emit_run_metrics(profile: EngineProfile):
             sizes.observe(float(size))
 
 
-class Simulator:
-    """Cycle-level simulator of one StencilFlow design.
-
-    Args:
-        analysis: buffering analysis of the program (or a program, which
-            will be analyzed with defaults).
-        config: machine tunables.
-        device_of: optional stencil-name → device-id placement; edges
-            crossing devices become network links (Sec. III-B).
-    """
-
-    def __init__(self, analysis, config: SimulatorConfig = None,
-                 device_of: Optional[Mapping[str, int]] = None):
-        if isinstance(analysis, StencilProgram):
-            analysis = analysis_for(analysis)
-        self.spec = describe_machine(analysis, config or SimulatorConfig(),
-                                     device_of)
-        self.analysis, self.config = analysis, self.spec.config
-        self.program, self.graph = analysis.program, analysis.graph
-        self.channels: Dict[ChannelKey, object] = {}
-        self.links: List[NetworkLink] = []
-        self.units: List[Unit] = []
-        self.sinks: Dict[str, SinkUnit] = {}
-        self._run_began: Optional[float] = None
-
-    # -- construction hooks (overridden by the batched engine) ---------------
-
-    def _make_channel(self, edge: EdgeSpec):
-        """The FIFO of ``edge``: a network link when it is remote."""
-        if edge.remote:
-            return NetworkLink(edge.name, edge.capacity,
-                               latency=edge.latency,
-                               words_per_cycle=edge.rate)
-        return Channel(edge.name, edge.capacity)
-
-    def _make_source(self, name: str, data: np.ndarray, outs):
-        return SourceUnit(name, data, self.program.vectorization, outs)
-
-    def _make_stencil(self, stencil, ins, outs, latency: int):
-        return StencilUnit(self.program, stencil, ins, outs, latency)
-
-    def _make_sink(self, name: str, channel, dtype):
-        return SinkUnit(name, channel, self.program.shape,
-                        self.program.vectorization, dtype)
-
-    def _build(self, inputs: Mapping[str, np.ndarray]):
-        program = self.program
-        graph = self.graph
-        for key, edge in self.spec.edges.items():
-            self.channels[key] = self._make_channel(edge)
-            if edge.remote:
-                self.links.append(self.channels[key])
-
-        for name, spec in program.inputs.items():
-            node_id = f"input:{name}"
-            full = resolve_input_array(program, inputs, name, spec)
-            outs = [self.channels[(e.src, e.dst, e.data)]
-                    for e in graph.out_edges(node_id)]
-            self.units.append(self._make_source(name, full, outs))
-
-        for stencil in program.stencils:
-            node_id = f"stencil:{stencil.name}"
-            ins = {e.data: self.channels[(e.src, e.dst, e.data)]
-                   for e in graph.in_edges(node_id)}
-            outs = [self.channels[(e.src, e.dst, e.data)]
-                    for e in graph.out_edges(node_id)]
-            latency = self.analysis.node_delays[node_id].compute_cycles
-            self.units.append(self._make_stencil(stencil, ins, outs,
-                                                 latency))
-
-        for out in program.outputs:
-            node_id = f"output:{out}"
-            (edge,) = graph.in_edges(node_id)
-            channel = self.channels[(edge.src, edge.dst, edge.data)]
-            sink = self._make_sink(out, channel,
-                                   program.field_dtype(out).numpy)
-            self.sinks[out] = sink
-            self.units.append(sink)
-
-    # -- main loop -----------------------------------------------------------
-
-    def _links_hold_words(self) -> bool:
-        """The deadlock detector's link test on a zero-progress scalar
-        cycle: it cannot fire while any link holds a word (``len``: in
-        flight or delivered but not yet popped).  The planner's twin is
-        ``links_hold_words`` in ``plan.py::_Planner._plan_window``."""
-        return any(len(link) for link in self.links)
-
-    def _collect_result(self, cycles: int) -> SimulationResult:
-        """Assemble the result record from terminal machine state."""
-        outputs = {name: sink.data for name, sink in self.sinks.items()}
-        stalls = {u.name: getattr(u, "stall_cycles", 0) for u in self.units}
-        steady = {u.name: u.stall_after_init for u in self.units
-                  if hasattr(u, "stall_after_init")}
-        occupancy = {c.name: c.max_occupancy
-                     for c in self.channels.values()}
-        wall = (clock.now() - self._run_began
-                if self._run_began is not None else 0.0)
-        profile = self._make_profile(cycles, wall)
-        emit_run_metrics(profile)
-        return SimulationResult(
-            outputs=outputs,
-            cycles=cycles,
-            expected_cycles=self.spec.expected,
-            stall_cycles=stalls,
-            steady_stall_cycles=steady,
-            channel_occupancy=occupancy,
-            output_continuous={name: sink.streamed_continuously
-                               for name, sink in self.sinks.items()},
-            stencil_continuous={u.name: u.streamed_continuously
-                                for u in self.units
-                                if hasattr(u, "stall_after_init")},
-            profile=profile,
-        )
-
-    def _make_profile(self, cycles: int,
-                      wall_seconds: float) -> EngineProfile:
-        """Per-run execution profile.  The scalar engine advances one
-        cycle at a time, so every cycle is a scalar cycle; the batched
-        engine overrides this with its plan/window statistics."""
-        return EngineProfile(engine="scalar", cycles=cycles,
-                             wall_seconds=wall_seconds,
-                             scalar_cycles=cycles)
-
-    def run(self, inputs: Mapping[str, np.ndarray]) -> SimulationResult:
-        """Simulate to completion. Raises :class:`DeadlockError` if the
-        machine wedges, :class:`SimulationError` on cycle-cap overrun."""
-        # The profile's wall clock starts here, as every engine's does.
-        self._run_began = clock.now()
-        self._build(inputs)
-        expected, max_cycles = self.spec.expected, self.spec.max_cycles
-        now = 0
-        idle_streak = 0
-        while not all(u.done for u in self.units):
-            if now >= max_cycles:
-                raise SimulationError(
-                    f"simulation exceeded {max_cycles} cycles "
-                    f"(expected ~{expected})")
-            for link in self.links:
-                link.step(now)
-            progressed = False
-            for unit in self.units:
-                if unit.step(now):
-                    progressed = True
-            if progressed:
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak >= self.config.deadlock_window and \
-                        not self._links_hold_words():
-                    raise self._deadlock_error(now)
-            now += 1
-
-        return self._collect_result(now)
-
-    def _deadlock_error(self, now: int) -> DeadlockError:
-        """The detector's error, read off the wedged machine: a blocked
-        stencil waits on the producers of its empty needed inputs, else
-        (like a source) on the consumers of its full outputs — of all
-        of them when none is full; a sink waits on its producer."""
-        producer_of: Dict[int, str] = {}
-        consumer_of: Dict[int, str] = {}
-        for unit in self.units:
-            for channel in getattr(unit, "out_channels", ()):
-                producer_of[id(channel)] = unit.name
-            for channel in getattr(unit, "in_channels", {}).values():
-                consumer_of[id(channel)] = unit.name
-            if hasattr(unit, "in_channel"):
-                consumer_of[id(unit.in_channel)] = unit.name
-        blocked = []
-        for unit in self.units:
-            if unit.done:
-                continue
-            if hasattr(unit, "in_channel"):
-                waits = {producer_of.get(id(unit.in_channel), "?")}
-            else:
-                waits = set()
-                if hasattr(unit, "in_channels"):
-                    waits = {producer_of.get(id(unit.in_channels[f]), "?")
-                             for f in unit.needed_fields()
-                             if unit.in_channels[f].empty}
-                outs = unit.out_channels
-                waits = waits or {consumer_of.get(id(c), "?") for c in (
-                    [c for c in outs if c.full] or outs)}
-            blocked.append((unit.name, unit.describe_block(), waits))
-        return deadlock_error(now, blocked, [
-            (c.name, len(c), c.capacity) for c in self.channels.values()])
-
-
 def resolve_input_array(program: StencilProgram,
                         inputs: Mapping[str, np.ndarray],
                         name: str, spec) -> np.ndarray:
     """Validate and broadcast one input array.
 
-    Shared by every engine's ``_build`` *and* the kernel engine's
+    Shared by every engine's build *and* the kernel engine's
     cache-hit path, so input validation errors are identical whether a
     compiled kernel exists or not."""
     if name not in inputs:
@@ -425,7 +276,7 @@ def deadlock_error(now: int, blocked, occupancy) -> DeadlockError:
     records: ``blocked`` holds ``(unit, reason, names of the units it
     waits on)`` for every unit not done, in machine order, and
     ``occupancy`` ``(channel, words, capacity)`` for every channel.
-    The scalar engine reads them off its units and channels, the
+    The scalar oracle reads them off its units and graph, the
     batched planner off its counters; the structured
     :class:`~repro.faults.forensics.DeadlockReport` rides along as the
     error's ``report``."""
@@ -461,9 +312,10 @@ def resolve_engine_mode(config: SimulatorConfig) -> str:
 
 
 def make_simulator(analysis, config: SimulatorConfig = None,
-                   device_of: Optional[Mapping[str, int]] = None
-                   ) -> Simulator:
-    """Construct the simulator selected by ``config.engine_mode``."""
+                   device_of: Optional[Mapping[str, int]] = None):
+    """Construct the simulator selected by ``config.engine_mode``: the
+    scalar oracle (:class:`~repro.simulator.oracle.Simulator`), the
+    batched or the kernel engine."""
     config = config or SimulatorConfig()
     resolved = resolve_engine_mode(config)
     if resolved == "kernel":
@@ -472,6 +324,7 @@ def make_simulator(analysis, config: SimulatorConfig = None,
     if resolved == "batched":
         from .batched import BatchedSimulator
         return BatchedSimulator(analysis, config, device_of=device_of)
+    from .oracle import Simulator
     return Simulator(analysis, config, device_of=device_of)
 
 
@@ -487,8 +340,7 @@ def placed_analysis(program: StencilProgram, config: SimulatorConfig,
 
 def build_simulator(program: StencilProgram,
                     config: SimulatorConfig = None,
-                    device_of: Optional[Mapping[str, int]] = None
-                    ) -> Simulator:
+                    device_of: Optional[Mapping[str, int]] = None):
     """Lower ``program`` (:func:`placed_analysis`) and construct the
     configured simulator, unrun: the machine's description
     (``spec``), and for the batched engine its tables (``_machine``,

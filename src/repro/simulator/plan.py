@@ -55,8 +55,8 @@ from .engine import (
     SimulationResult,
     deadlock_error,
     emit_run_metrics,
+    schedule_reads,
 )
-from .units import schedule_reads
 
 _INF = float("inf")
 
@@ -155,7 +155,7 @@ class _Counters:
 
 
 def _describe(kind: int, block) -> str:
-    """A unit's ``describe_block()`` text from the VM's record of its
+    """A unit's ``block`` text (``oracle.py``) from the VM's record of its
     last stall ("" before any)."""
     if block == "":
         return ""
@@ -289,7 +289,7 @@ def machine_key_parts(spec: MachineSpec) -> list:
 def read_schedule(program: StencilProgram,
                   stencil: StencilDefinition) -> Tuple:
     """``(compiled, schedule)`` of ``stencil``: its array-mode compiled
-    expression and :func:`~repro.simulator.units.schedule_reads` over
+    expression and :func:`~repro.simulator.engine.schedule_reads` over
     the fields it reads, as the scalar unit derives them."""
     compiled = compiled_stencil(stencil.ast, mode="array",
                                 code=stencil.canonical_code)
@@ -901,7 +901,7 @@ class _Planner:
     def _deadlock_error(self, now: int, cnt, pos, fifos, block):
         """The detector's error on cycle ``now``, read off the VM's
         state after it as the scalar engine reads it off its units and
-        channels (``Simulator._deadlock_error``)."""
+        graph (``oracle.py::Simulator._deadlock_error``)."""
         units, names = self.machine.units, self.machine.names
         chan_names, capacity, _ready, _fifo, _lat, producer, consumer = \
             self.machine.chans

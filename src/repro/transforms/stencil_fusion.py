@@ -22,13 +22,12 @@ replicate the producer's computation.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.boundary import BoundaryConditions
 from ..core.program import StencilDefinition, StencilProgram
 from ..errors import TransformationError
 from ..expr.ast_nodes import unparse
-from ..expr.parser import parse as parse_expr
 from .shift import substitute_field
 
 

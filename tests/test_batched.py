@@ -15,12 +15,11 @@ from repro.simulator import (
     ArrayNetworkLink,
     BatchedSourceUnit,
     BatchedStencilUnit,
-    Channel,
-    NetworkLink,
     RateLimiter,
     compile_stencil,
 )
 from repro.simulator.channel import StreamRing
+from repro.simulator.oracle import Channel, NetworkLink
 
 
 class TestRateLimiter:
@@ -533,8 +532,6 @@ class TestBatchedSourceUnit:
         for first, count in ((0, 5), (5, 7)):
             stage_slab([channel], source.words(first, count))
             channel.commit_rows(count)
-            source.next_word += count
-        assert source.done
         slab = channel.read_rows(12)
         np.testing.assert_array_equal(
             slab.ravel(), np.arange(24, dtype=np.float64))
@@ -1074,19 +1071,21 @@ class TestScheduleReplay:
         from repro.lowering import default_cache
         from repro.simulator import (
             BatchedSimulator,
-            Simulator,
+            BatchedSinkUnit,
             SimulatorConfig,
             channel,
+            oracle,
             simulate,
             simulate_control,
-            units,
         )
         from test_engine_equivalence import _EXACT_FIELDS
         from util import diamond_program, edge_keys, random_inputs
         built = []
-        for cls in (units.SourceUnit, units.SinkUnit, channel.StreamRing,
-                    channel._EdgeBuffer, BatchedStencilUnit,
-                    BatchedSimulator, Simulator):
+        for cls in (oracle.SourceUnit, oracle.StencilUnit, oracle.SinkUnit,
+                    oracle.Channel, oracle.NetworkLink, oracle.Simulator,
+                    BatchedSourceUnit, BatchedStencilUnit, BatchedSinkUnit,
+                    channel.StreamRing, channel._EdgeBuffer,
+                    BatchedSimulator):
             init = cls.__init__
 
             def spy(self, *args, _init=init, **kwargs):

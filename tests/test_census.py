@@ -120,3 +120,31 @@ def test_an_unentered_function_hides_what_it_nests(tmp_path):
     found = census.never_entered(set(), tmp_path)
     assert census.report(found, tmp_path) == (
         "m.py:1 outer (4 lines)\n1 functions, 4 lines never entered")
+
+
+def test_the_oracle_allowlist_names_modules_and_definitions(tmp_path):
+    names = ("run", "runner", "Unit.step", "Unit.step.<locals>.push",
+             "UnitTest.step")
+    functions = [census.Function(tmp_path / "src" / "toy" / "mod.py", 1,
+                                 name, 1, False) for name in names]
+
+    def allowed(allow):
+        return [f.qualname for f in functions
+                if census.allowlisted(f, allow, tmp_path)]
+
+    assert allowed({"src/toy/mod.py": "the whole module"}) == list(names)
+    # A function, or a class with its methods; a name is matched
+    # whole, never as the prefix of another.
+    assert allowed({"src/toy/mod.py:run": "a function"}) == ["run"]
+    assert allowed({"src/toy/mod.py:Unit": "a class"}) == [
+        "Unit.step", "Unit.step.<locals>.push"]
+    assert allowed({"src/toy/other.py": "another module",
+                    "src/toy/mod.py:Uni": "no such name"}) == []
+
+
+def test_every_oracle_entry_names_code_that_exists():
+    functions = census.never_entered(set())
+    for entry, reason in census.ORACLE.items():
+        assert reason
+        assert any(census.allowlisted(f, {entry: reason})
+                   for f in functions), entry

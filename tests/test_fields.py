@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FieldSpec, dtype, flatten_offset, memory_order_distance
+from repro.core import FieldSpec, dtype, flatten_offset
 from repro.core.fields import Access
 from repro.errors import DefinitionError
 
@@ -94,25 +94,3 @@ class TestFlattenOffset:
 
     def test_2d(self):
         assert flatten_offset((1, 1), (10, 20)) == 21
-
-
-class TestMemoryOrderDistance:
-    def test_paper_example_rows(self):
-        # a[0,1,0] and a[0,-1,0] in a {K,J,I} = 32^3 space: two rows.
-        assert memory_order_distance((0, 1, 0), (0, -1, 0),
-                                     (32, 32, 32)) == 64
-
-    def test_paper_example_slices(self):
-        # b[0,0,0] and b[1,0,0]: one 2D slice.
-        assert memory_order_distance((0, 0, 0), (1, 0, 0),
-                                     (32, 32, 32)) == 1024
-
-    def test_symmetric(self):
-        a, b = (0, 1, 0), (1, 0, -1)
-        domain = (8, 8, 8)
-        assert (memory_order_distance(a, b, domain)
-                == memory_order_distance(b, a, domain))
-
-    def test_rank_mismatch(self):
-        with pytest.raises(DefinitionError):
-            memory_order_distance((0, 1), (0, 0, 0), (8, 8, 8))

@@ -6,13 +6,8 @@ import pytest
 from repro.analysis import analyze_buffers
 from repro.errors import DeadlockError, SimulationError
 from repro.run import run_reference
-from repro.simulator import (
-    Channel,
-    NetworkLink,
-    SimulatorConfig,
-    compile_stencil,
-    simulate,
-)
+from repro.simulator import SimulatorConfig, compile_stencil, simulate
+from repro.simulator.oracle import Channel, NetworkLink
 from repro.expr import parse
 from util import (
     chain_program,

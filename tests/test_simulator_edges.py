@@ -7,8 +7,7 @@ import pytest
 from repro.core import StencilProgram
 from repro.run import run_reference
 from repro.simulator import SimulatorConfig, simulate
-from repro.simulator.units import SourceUnit
-from repro.simulator.channel import Channel
+from repro.simulator.oracle import Channel, SourceUnit
 
 
 class Test1DPrograms:
