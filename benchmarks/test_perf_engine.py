@@ -67,21 +67,22 @@ FRACTIONAL_LATENCY = 16
 #: window.  These are at the default ``max_batch_words`` of 4 096: one
 #: window retires at most one cap.
 PAPER_PINS = {
-    "single": (166470, 52, 52),
-    "two_device": (166534, 58, 58),
-    "four_device": (166662, 64, 64),
-    "integer": (163918, 47, 47),
-    "fractional": (499229, 81, 81),
+    "single": (166470, 76, 76),
+    "two_device": (166534, 92, 92),
+    "four_device": (166662, 115, 115),
+    "integer": (163918, 62, 62),
+    "fractional": (499229, 116, 116),
 }
 
 #: Planner work ceilings, in virtual cycles (parent commit of the
-#: timed-FIFO congruence rule: 19 531 and 4 159 on the first two; today
-#: 1 607, 1 481, 455 and 358) and in windows (today 52).
-FRACTIONAL_VIRTUAL_CYCLES_MAX = 2500
-RUN_LINKS_VIRTUAL_CYCLES_MAX = 1600
-SINGLE_VIRTUAL_CYCLES_MAX = 600
-SINGLE_WINDOWS_MAX = 64
-EXPLORE_SWEEP_VIRTUAL_CYCLES_MAX = 500
+#: timed-FIFO congruence rule: 19 531 and 4 159 on the first two; at the
+#: 48-cycle stretch floor 1 607, 1 481, 455 and 358; today, at 6, 1 043,
+#: 926, 252 and 217) and in windows (today 76, cheap plans: 52 at 48).
+FRACTIONAL_VIRTUAL_CYCLES_MAX = 1200
+RUN_LINKS_VIRTUAL_CYCLES_MAX = 1000
+SINGLE_VIRTUAL_CYCLES_MAX = 300
+SINGLE_WINDOWS_MAX = 80
+EXPLORE_SWEEP_VIRTUAL_CYCLES_MAX = 250
 #: The end-to-end benchmark's ``run_links`` machine
 #: (``benchmarks/e2e/workloads.json``): same wire, smaller domain.
 RUN_LINKS_DOMAIN = (64, 64, 32)

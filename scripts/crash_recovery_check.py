@@ -59,6 +59,14 @@ def sweep_argv(tmp: Path, report: str, widths: str) -> list:
 
 def main():
     tmp = Path(tempfile.mkdtemp(prefix="repro-crash-check-"))
+    try:
+        check(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def check(tmp: Path):
+    """The four phases, in the scratch directory ``tmp``."""
     cache_dir = tmp / "cache"
     cache_path = cache_dir / "explore_cache.json"
     env = dict(os.environ,

@@ -52,6 +52,9 @@ class EngineProfile:
     #: Cycles the planner stepped on counter state, over all its
     #: invocations (planner work; not simulated cycles).
     virtual_cycles: int = 0
+    #: Wall seconds of this run's planning (``plan()``, two clock reads
+    #: a run); 0.0 when it replayed a published schedule.
+    plan_seconds: float = 0.0
     #: Bytes of the batched engine's stream rings (one per producing
     #: unit, shared by its out-edges), each distinct array counted once.
     ring_bytes: int = 0
@@ -122,6 +125,7 @@ class EngineProfile:
             "window_sizes": list(self.window_sizes),
             "drift_windows": self.drift_windows,
             "virtual_cycles": self.virtual_cycles,
+            "plan_seconds": self.plan_seconds,
             "ring_bytes": self.ring_bytes,
             "ring_copy_bytes": self.ring_copy_bytes,
             "stored_words": self.stored_words,
@@ -166,7 +170,7 @@ class EngineProfile:
                 + f" from {self.plan_count} planner calls on "
                   f"{self.virtual_cycles} virtual cycles"
                 + (" (schedule replayed)" if self.schedule_replayed
-                   else "")
+                   else f" in {self.plan_seconds * 1e3:.1f} ms")
                 + f", {self.scalar_cycles} scalar-step cycles "
                   f"({self.scalar_fraction:.1%})")
             lines.append(

@@ -35,11 +35,11 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from operator import sub
-from typing import Deque, List, Optional, Sequence, Tuple
+from operator import add, sub
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -65,32 +65,18 @@ _INF = float("inf")
 MAX_WINDOW = 4096
 
 #: How many periods a non-repeating window (ramp/drain transient) may
-#: stretch at most: the virtual schedule stays exact for any length,
-#: so stretching amortizes the slab pass over many periods.
-WINDOW_STRETCH = 64
+#: stretch at most (any length is exact): past 16 a new plan, which may
+#: repeat, costs less than the cycles it would otherwise step.
+WINDOW_STRETCH = 16
 
 #: Fewest cycles a non-repeating window stretches before it may end on
-#: a regular-looking period: an executed window costs a slab pass over
-#: every unit, about as much host time as 25-40 virtual cycles, so
-#: shorter windows lose more than they save.
-MIN_STRETCH = 48
+#: a regular-looking period: a plan's fixed cost (setup, proof, commit)
+#: is about 6 virtual cycles' (0.2 ms against 30 µs on ``run_links``;
+#: docs/ARCHITECTURE.md, "Stretching"), so shorter windows lose.
+MIN_STRETCH = 6
 
 #: Unit kinds of the planner's machine tables.
 _SOURCE, _STENCIL, _SINK = range(3)
-
-
-class _WindowEvents:
-    """Per-unit event record over one virtually executed window: which
-    window-relative cycles each action fires on."""
-
-    __slots__ = ("moves", "drains", "stalls", "stalls_after_init")
-
-    def __init__(self, drains: List[int]):
-        # A source's pushes, a stencil's computes, a sink's arrivals.
-        self.moves: List[int] = []
-        self.drains = drains              # stencil output-push offsets
-        self.stalls = 0
-        self.stalls_after_init = 0
 
 
 class _WindowPlan:
@@ -126,15 +112,22 @@ class _Counters:
     FIFOs, link credits, unit positions (source words pushed, stencil
     local step, sink words received), each unit's last block and the
     work left (steps + latency-line words + words) — plus the timing
-    observables summed so far."""
+    observables summed so far.
 
-    __slots__ = ("cnt", "fifos", "credits", "pos", "block", "remaining",
-                 "stalls", "steady", "first", "last", "count", "peak")
+    A timed FIFO is a list of ready-times less its ``offsets`` entry,
+    live from its ``heads`` entry on (pops move the head, pushes
+    append); ``runs`` records entries proven ``q`` apart."""
+
+    __slots__ = ("cnt", "fifos", "heads", "offsets", "runs", "credits",
+                 "pos", "block", "remaining", "stalls", "steady", "first",
+                 "last", "count", "peak")
 
     def __init__(self, n_chan: int, n_link: int, units):
         self.cnt = [0] * (n_chan + n_link)
-        self.fifos = [deque() for entry in units if entry[0] == _STENCIL]
-        self.fifos[:0] = [deque() for _ in range(n_link)]
+        n_fifo = n_link + sum(entry[0] == _STENCIL for entry in units)
+        self.fifos: List[List[int]] = [[] for _ in range(n_fifo)]
+        self.heads, self.offsets, self.runs = \
+            [0] * n_fifo, [0] * n_fifo, [(0, 0, 0, 0)] * n_fifo
         self.credits = [0.0] * n_link
         self.pos = [0] * len(units)
         self.block = [""] * len(units)
@@ -215,53 +208,60 @@ class Schedule:
             **{name: dict(values) for name, values in self.timing})
 
 
-def _fifo_repeats(start: List[int], end: Sequence[int],
-                  pops: List[int], now: int, q: int,
-                  strict_only: bool) -> float:
+def _fifo_repeats(fifo: List[int], start: int, stop: int, pops: List[int],
+                  now: int, q: int, strict_only: bool,
+                  run: Tuple[int, int, int, int]) -> Tuple[float, bool]:
     """How many consecutive windows a timed FIFO — a link's in-flight
     ring, a stencil's latency line — replays window 1's pops (0: not
-    even congruent), given its ready-times at window ``start`` and
-    ``end`` and the window-relative cycles it popped on.
+    even congruent), and whether it is window 1's shifted by ``q``.
+    ``fifo[start:stop]`` held its ready-times at window start (less its
+    offset, as ``now`` is), window 1 popped ``n`` on the window-relative
+    cycles ``pops`` and pushed ``fifo[stop:]``; ``run`` is ``(first,
+    end, n, q)``: ``fifo[i + n] - fifo[i] == q`` for i in [first, end).
 
-    Strict case: every time shifted by exactly ``q``, so the FIFO is
-    window 1's translated in time and replays indefinitely.  Otherwise
-    the times themselves are checked, provided window 1 never consulted
-    the FIFO and found it empty or its head immature (``strict_only``;
-    also set for links at >= 1 word/cycle): repeats 2..k pop entries
-    ``start[n:k*n]``, all queued before the window (pushes land behind
-    them), each of which must be mature on the very cycle it is popped.
-    """
-    if len(end) == len(start) and all(
-            e == s + q for e, s in zip(end, start)):
-        return _INF
-    if strict_only:
-        return 0
+    Strict case: as many pushes as pops, each entry ``q`` after the one
+    ``n`` before it (checked outside ``run``), so the FIFO is window
+    1's translated in time and replays indefinitely.  Otherwise, if
+    window 1 never found it empty or its head immature (``strict_only``;
+    also set for links at >= 1 word/cycle), repeat w pops entry
+    ``start + w*n + r``, queued before the window, on cycle ``now + w*q
+    + pops[r]``: mature if ``run`` chains it to entry ``start + r``,
+    which window 1 popped mature, else checked."""
     n = len(pops)
+    end = run[1] if run[0] <= start and run[2:] == (n, q) else start
+    if len(fifo) - stop == n:
+        for i in range(max(start, end), stop):
+            if fifo[i + n] - fifo[i] != q:
+                break
+        else:
+            return _INF, True
+    if strict_only:
+        return 0, False
     if not n:
-        return _INF
-    k = len(start) // n
-    if k > 1:
-        due = (now + q * np.arange(1, k, dtype=np.int64)[:, None]
+        return _INF, False
+    k = (stop - start) // n
+    w = max(1, (end - start) // n + 1)
+    if k > w:
+        due = (now + q * np.arange(w, k, dtype=np.int64)[:, None]
                + np.asarray(pops, dtype=np.int64))
-        late = (np.asarray(start[n:k * n], dtype=np.int64)
-                .reshape(k - 1, n) > due).any(axis=1)
+        late = (np.asarray(fifo[start + w * n:start + k * n],
+                           dtype=np.int64).reshape(k - w, n) > due).any(1)
         if late.any():
-            k = 1 + int(np.argmax(late))
-    return k
+            k = w + int(np.argmax(late))
+    return k, False
 
 
-def _replayed_fifo(start: List[int], pushed: List[int], popped: int,
-                   k: int, q: int) -> Deque[int]:
-    """A timed FIFO after ``k`` windows of ``q`` cycles that each pop
-    ``popped`` entries and push window 1's ``pushed`` times shifted by
-    ``q`` a window: ``start`` and the pushes, less the first
-    ``k * popped``."""
-    skip, m = k * popped, len(pushed)
-    fifo = deque(start[skip:])
-    for p in range(max(0, skip - len(start)), k * m):
-        window, r = divmod(p, m)
-        fifo.append(pushed[r] + window * q)
-    return fifo
+def _advance_fifo(fifo: List[int], start: int, head: int, stop: int,
+                  k: int, q: int, shifted: bool) -> Tuple[int, int]:
+    """``(head, offset step)`` of a timed FIFO after ``k`` windows of
+    ``q`` cycles, given window 1's (:func:`_fifo_repeats`): a shifted
+    one only moves its offset by ``(k-1)*q``; otherwise repeats 2..k pop
+    queued entries and push window 1's ``fifo[stop:]``, ``q`` later."""
+    if shifted:
+        return head, (k - 1) * q
+    pushed = fifo[stop:]
+    fifo.extend([time + w * q for w in range(1, k) for time in pushed])
+    return head + (k - 1) * (head - start), 0
 
 
 def machine_key_parts(spec: MachineSpec) -> list:
@@ -455,9 +455,31 @@ class _Planner:
     looks periodic."""
 
     def __init__(self, machine: Machine):
-        self.machine = machine
+        self.machine, units = machine, machine.units
         self.vm = _Counters(len(machine.chans[1]), len(machine.links),
-                            machine.units)
+                            units)
+        self.rates = [limiter.rate for limiter in machine.rates]
+        self.ceilings = [max(rate, 1.0) for rate in self.rates]  # credit cap
+        _names, capacity, _ready, fifo_of, latency_of, _prod, consumer = \
+            machine.chans
+        # Per unit, unpacked once: kind, out slots as ``(slot, capacity
+        # - 1, FIFO, latency, consumer)``, pop phases (a sink's pops),
+        # line FIFO (-1 without) and counter slots, line capacity,
+        # latency, init words and end step (a source's or sink's words,
+        # twice).
+        self.fields = []
+        for kind, _name, outs, bounds, *entry in units:
+            outs = tuple((t, capacity[t] - 1, fifo_of[t], latency_of[t],
+                          consumer[t]) for t in outs)
+            self.fields.append(
+                (kind, outs, *entry[1:]) if kind == _STENCIL else
+                (kind, outs, entry[0] if kind == _SINK else (), -1, 0, 0,
+                 0, *bounds * 2))
+        self.stencils = [i for i, e in enumerate(units) if e[0] == _STENCIL]
+        self.bounds = [sorted(entry[3]) for entry in units]
+        # Each stencil's pop phase, looked up again once its step
+        # reaches the phase end (steps only grow between windows).
+        self.need = [(-1, ())] * len(units)
         # Current lower bound on a non-repeating window's stretch
         # (cycles): doubled after each window that failed to repeat,
         # reset by one that did (see _plan_window).
@@ -482,46 +504,43 @@ class _Planner:
         if horizon - now < q:
             return None
         plan = _WindowPlan()
-        vm, machine = self.vm, self.machine
+        vm, machine, fields = self.vm, self.machine, self.fields
         chans, links, units = machine.chans, machine.links, machine.units
-        (chan_names, capacity, ready_of, fifo_of, latency_of, producer,
-         consumer) = chans
-        rates = [limiter.rate for limiter in machine.rates]
-        n_chan, n_link = len(capacity), len(links)
+        chan_names, capacity, _ready, _fifo, _lat, producer, consumer = chans
+        rates, ceilings, need = self.rates, self.ceilings, self.need
+        n_chan, n_link, n_unit = len(capacity), len(links), len(units)
 
-        # The window runs on copies of the VM's state, committed once
-        # its repeats are proven.
+        # The window runs on copies of the VM's counters, committed once
+        # its repeats are proven, and on its FIFOs in place: pops move
+        # window-local heads, pushes land past ``stop``.
         cnt, pos, block = list(vm.cnt), list(vm.pos), list(vm.block)
-        fifos: List[Deque[int]] = [deque(fifo) for fifo in vm.fifos]
+        fifos, offsets, heads = vm.fifos, vm.offsets, list(vm.heads)
+        stop = [len(fifo) for fifo in fifos]
         credits = list(vm.credits)   # refilled and spent as RateLimiter
         remaining = vm.remaining
-        # A FIFO whose consultations ever found it empty or its head
-        # immature only replays under the strict rule (_fifo_repeats).
-        strict_only = [rate >= 1.0 for rate in rates]
-        pops: List[List[int]] = [[] for _ in range(n_link)]
-        need: List[Optional[Tuple]] = []
-        # The active set (below) skips units with nothing left to do (a
-        # finished stencil's line is strict_only: empty on every visit).
-        active: List[bool] = []
-        events: List[_WindowEvents] = []
-        for entry, step in zip(units, pos):
-            drains: List[int] = []
-            if entry[0] == _STENCIL:
-                phases = entry[5]
-                active.append(step < entry[11] or bool(fifos[entry[6]]))
-                strict_only.append(not active[-1])
-                pops.append(drains)
-                need.append(next((p for p in phases if step < p[0]),
-                                 phases[-1]))
-            else:
-                active.append(step < entry[3][0])
-                need.append(None)
-            events.append(_WindowEvents(drains))
+        # A cycle visits the links that hold words or lack credit (an
+        # idle one only finds credit to spare) and the active set below.
+        busy = [h < end or credit < ceiling for h, end, credit, ceiling
+                in zip(heads, stop, credits, ceilings)]
+        active = [step < fld[8] or (fld[0] == _STENCIL
+                                    and heads[fld[3]] < stop[fld[3]])
+                  for fld, step in zip(fields, pos)]
+        live = list(compress(range(n_unit), active))
+        # A FIFO ever found empty or its head immature (an idle link, a
+        # finished stencil's line) replays under the strict rule only.
+        strict_only = [rate >= 1.0 or not idle for rate, idle
+                       in zip(rates, busy)] + [not active[i]
+                                               for i in self.stencils]
+        # Per unit, the window-relative cycles of its moves (pushes,
+        # computes, arrivals) and drains, its stalls (after init).
+        moves: List[List[int]] = [[] for _ in units]
+        drains = [[] if fld[0] == _STENCIL else () for fld in fields]
+        stalls, steady = [0] * n_unit, [0] * n_unit
+        pops = [[] for _ in range(n_link)] + [drains[i]
+                                              for i in self.stencils]
         start_cnt, start_pos, start_credit = vm.cnt, vm.pos, vm.credits
-        start_fifo = [list(fifo) for fifo in vm.fifos]
-        start_remaining = remaining
+        start_head, start_remaining = vm.heads, remaining
 
-        pushed = [0] * n_chan
         popped = [0] * n_chan
         peak = [0] * n_chan
         # Largest per-channel / per-line word count moved so far (ring
@@ -547,13 +566,15 @@ class _Planner:
         # when awake or finished — until a counter it tests crosses its
         # threshold or its line head matures (``timers``: a heap of
         # (offset, unit)).
-        since = [-1] * len(units)
+        since = [-1] * n_unit
         timers: List[Tuple[int, int]] = []
 
-        def sleep(i: int, off: int, line: Sequence[int] = ()):
+        def sleep(i: int, off: int, f: int = -1):
             active[i], since[i] = False, off
-            if line and line[0] > now + off:
-                heapq.heappush(timers, (line[0] - now, i))
+            ready = fifos[f][heads[f]] + offsets[f] - now \
+                if f >= 0 and heads[f] < len(fifos[f]) else 0
+            if ready > off:
+                heapq.heappush(timers, (ready, i))
 
         def wake(i: int, off: int):
             """Visit sleeping unit ``i`` again on cycle ``off``.  Each
@@ -562,11 +583,11 @@ class _Planner:
             new margin (a minimum); it stalled, unless it only waited
             to drain."""
             if since[i] >= 0:
-                entry, skipped = units[i], off - 1 - since[i]
-                if entry[0] != _STENCIL or pos[i] < entry[11]:
-                    events[i].stalls += skipped
-                    if entry[0] == _STENCIL and pos[i] >= entry[10]:
-                        events[i].stalls_after_init += skipped
+                fld, step = fields[i], pos[i]
+                if step < fld[8]:
+                    stalls[i] += off - 1 - since[i]
+                    if step >= fld[7]:
+                        steady[i] += off - 1 - since[i]
                 active[i], since[i] = True, -1
 
         def run_cycle(off: int) -> bool:
@@ -576,11 +597,16 @@ class _Planner:
             progressed = False
             while timers and timers[0][0] <= off:
                 wake(heapq.heappop(timers)[1], off)
-            for j, rate in enumerate(rates):
-                credit = min(credits[j] + rate, max(rate, 1.0))
-                flight = fifos[j]
-                while flight and credit >= 1.0 and flight[0] <= now_v:
-                    flight.popleft()
+            for j in compress(range(n_link), busy):
+                credit = credits[j] + rates[j]
+                if credit < 1.0:   # no delivery: below every ceiling
+                    credits[j] = credit
+                    continue
+                if credit > ceilings[j]:
+                    credit = ceilings[j]
+                flight, h, due = fifos[j], heads[j], now_v - offsets[j]
+                while credit >= 1.0 and h < len(flight) and flight[h] <= due:
+                    h += 1
                     if not cnt[n_chan + j]:
                         wake(consumer[links[j]], off)
                     cnt[n_chan + j] += 1
@@ -588,96 +614,100 @@ class _Planner:
                     pops[j].append(off)
                     if len(pops[j]) > traffic:
                         traffic = len(pops[j])
+                heads[j] = h
                 if credit >= 1.0:
                     # Credit to spare: the ring was empty or its head
                     # still on the wire, so the delivery mask was not
                     # purely credit-driven.
                     strict_only[j] = True
+                    busy[j] = h < len(flight) or credit < ceilings[j]
                 credits[j] = credit
-            for i in compress(range(len(units)), active):
-                entry, ev, step = units[i], events[i], pos[i]
-                kind, outs = entry[0], entry[2]
-                push = False   # a word leaves for the out-channels
-                needed = None  # the (field, slot, ready slot)s a step pops
+            for i in compress(range(n_unit), active):
+                kind, outs, phases, f, slot, line_cap, latency, init, end = \
+                    fields[i]
+                step = pos[i]
+                pushes = None  # the push cycles, when a word leaves
+                needed = None  # the pops a step makes
                 if kind == _STENCIL:
-                    (_, _, _, _, _, phases, f, slot, line_cap,
-                     latency, init, end) = entry
-                    line = fifos[f]
-                    if not line or line[0] > now_v:
+                    line, h = fifos[f], heads[f]
+                    if h == len(line) or line[h] + offsets[f] > now_v:
                         strict_only[f] = True
                     else:
                         # The short-circuit mirrors the scalar engine.
-                        for t in outs:
-                            slack = capacity[t] - 1 - cnt[t]
-                            if slack < 0:
-                                over[t] = min(over[t], -1 - slack)
-                                break
+                        for t, top, _fifo, _lat, _cons in outs:
+                            slack = top - cnt[t]
                             if slack < under[t]:
+                                if slack < 0:
+                                    over[t] = min(over[t], -1 - slack)
+                                    break
                                 under[t] = slack
                         else:
-                            line.popleft()
-                            ev.drains.append(off)
+                            heads[f] = h = h + 1
+                            pushes = drains[i]
+                            pushes.append(off)
                             remaining -= 1
-                            push = True
                     if step < end:
                         needed = need[i]
                         if step >= needed[0]:
                             needed = need[i] = next(p for p in phases
                                                     if step < p[0])
                         needed = needed[1]
-                    elif not push and line:
-                        sleep(i, off, line)  # waits to drain
-                    elif not push:
+                    elif pushes is None and h < len(line):
+                        sleep(i, off, f)     # waits to drain
+                    elif pushes is None:
                         active[i] = False    # finished
-                elif step >= entry[3][0]:
+                elif step >= end:
                     active[i] = False  # a finished source or sink
                     continue
                 elif kind == _SOURCE:
-                    full = []
-                    for t in outs:
-                        slack = capacity[t] - 1 - cnt[t]
-                        if slack < 0:
+                    full = None
+                    for t, top, _fifo, _lat, _cons in outs:
+                        slack = top - cnt[t]
+                        if slack < under[t]:
+                            if slack >= 0:
+                                under[t] = slack
+                                continue
                             over[t] = min(over[t], -1 - slack)
+                            full = full or []
                             full.append(chan_names[t])
-                        elif slack < under[t]:
-                            under[t] = slack
                     if full:
-                        ev.stalls += 1
+                        stalls[i] += 1
                         block[i] = full
                         sleep(i, off)
                         continue
-                    ev.moves.append(off)
+                    pushes = moves[i]
+                    pushes.append(off)
                     pos[i] += 1
                     remaining -= 1
-                    push = True
                 else:
-                    needed, line = entry[4], ()  # a sink's one input
+                    needed = phases  # a sink's one input
                 if needed is not None:
                     # A step pops its words, unless an input is empty
                     # or (a stencil's) the latency line is full.
                     empty = None
                     for field, t, r in needed:
-                        if cnt[r]:
-                            if cnt[r] - 1 < over[r]:
-                                over[r] = cnt[r] - 1
-                        else:
+                        count = cnt[r]
+                        if count <= over[r]:
+                            if count:
+                                over[r] = count - 1
+                                continue
                             under[r] = 0
                             empty = empty or []
                             empty.append(field)
                     if kind == _STENCIL and not empty:
-                        slack = line_cap - 1 - len(line)
+                        slack = line_cap - 1 - len(line) + h
                         if slack < 0:
                             over[slot] = min(over[slot], -1 - slack)
                             empty = ()
                         elif slack < under[slot]:
                             under[slot] = slack
                     if empty is not None:
-                        ev.stalls += 1
+                        stalls[i] += 1
                         block[i] = empty or None
                         if kind == _STENCIL:
-                            ev.stalls_after_init += step >= init
-                        if not push:
-                            sleep(i, off, line)
+                            steady[i] += step >= init
+                        if pushes is None:
+                            sleep(i, off, f)
                     else:
                         for _field, t, r in needed:
                             if cnt[t] >= capacity[t] \
@@ -690,31 +720,30 @@ class _Planner:
                             if count > traffic:
                                 traffic = count
                         if kind == _SINK:
-                            ev.moves.append(off)
+                            moves[i].append(off)
                             remaining -= 1
                         elif step >= init:
-                            line.append(now_v + latency)
-                            ev.moves.append(off)
-                            if len(ev.moves) > traffic:
-                                traffic = len(ev.moves)
+                            line.append(now_v + latency - offsets[f])
+                            moves[i].append(off)
+                            if len(moves[i]) > traffic:
+                                traffic = len(moves[i])
                         else:
                             remaining -= 1
                         pos[i] = step + 1
                         progressed = True
-                if push:
+                if pushes is not None:
                     # A word leaves a source or a latency line.
-                    for t in outs:
-                        if fifo_of[t] >= 0:
-                            fifos[fifo_of[t]].append(
-                                now_v + latency_of[t])
-                        elif not cnt[t] and since[consumer[t]] >= 0:
-                            wake(consumer[t], off + (consumer[t] < i))
+                    for t, _top, j, lat, cons in outs:
+                        if j >= 0:
+                            fifos[j].append(now_v + lat - offsets[j])
+                            busy[j] = True
+                        elif not cnt[t] and since[cons] >= 0:
+                            wake(cons, off + (cons < i))
                         cnt[t] = occupancy = cnt[t] + 1
                         if occupancy > peak[t]:
                             peak[t] = occupancy
-                        pushed[t] = count = pushed[t] + 1
-                        if count > traffic:
-                            traffic = count
+                    if outs and len(pushes) > traffic:
+                        traffic = len(pushes)
                     progressed = True
             return progressed
 
@@ -762,7 +791,8 @@ class _Planner:
             # The detector's cycle: stepped alone, as the scalar loop
             # steps it, and the deadlock when nothing progresses.
             if not run_cycle(0):
-                raise self._deadlock_error(now, cnt, pos, fifos, block)
+                raise self._deadlock_error(now, cnt, pos, [
+                    len(fifo) - h for fifo, h in zip(fifos, heads)], block)
             plan.period, last, idle = 1, 0, 0
         else:
             while plan.period < q and advance():
@@ -774,6 +804,9 @@ class _Planner:
             # only a multi-word link delivery can exceed it there, and
             # that moves no row.
             if traffic > cap and q > 1:
+                for fifo, end in zip(fifos, stop):
+                    del fifo[end:]
+                self.need = [(-1, ())] * n_unit   # steps went back
                 return None
             repeats = (horizon - now) // q
             if traffic:
@@ -788,24 +821,18 @@ class _Planner:
             # shifted by q cycles — then so does every further window,
             # until a margin, a FIFO entry or a schedule phase runs
             # out.  Credits must return to their start values exactly;
-            # every timed FIFO passes the one rule of _fifo_repeats;
             # every counter may end displaced by a constant drift,
-            # bounded by its margins.
+            # bounded by its margins; every timed FIFO passes the one
+            # rule of _fifo_repeats (tested last, the costliest).
             if credits != start_credit:
                 repeats = 0
-            for f, fifo in enumerate(fifos):
-                if repeats < 2:
-                    break
-                repeats = min(repeats, _fifo_repeats(
-                    start_fifo[f], fifo, pops[f], now, q, strict_only[f]))
             drift = [end - start for end, start in zip(cnt, start_cnt)] + [
-                len(end) - len(start)
-                for end, start in zip(fifos[n_link:], start_fifo[n_link:])]
-            for i, d in enumerate(drift):
-                if d > 0:
-                    repeats = min(repeats, 1 + under[i] // d)
-                elif d < 0:
-                    repeats = min(repeats, 1 + over[i] // -d)
+                len(fifo) - end - len(times) for fifo, end, times
+                in zip(fifos[n_link:], stop[n_link:], pops[n_link:])]
+            for i in compress(range(len(drift)), drift):
+                d = drift[i]
+                repeats = min(repeats, 1 + (under[i] // d if d > 0
+                                            else over[i] // -d))
             # Phase bound: repeats 2..k replay window 1's decisions only
             # while no unit crosses a schedule boundary (pop windows,
             # init fill, completion), so clamp k strictly below the
@@ -815,16 +842,27 @@ class _Planner:
             # window end is left to the next window.  Likewise the run
             # must not complete inside the repeats (the scalar loop
             # exits there).
-            for entry, step, moved in zip(units, start_pos, pos):
-                moved -= step
-                if moved:
-                    for bound in entry[3]:
-                        if bound > step:
-                            repeats = min(repeats,
-                                          (bound - step - 1) // moved)
+            for i in compress(range(n_unit), map(sub, pos, start_pos)):
+                bounds, step = self.bounds[i], start_pos[i]
+                b = bisect_right(bounds, step)
+                if b < len(bounds):
+                    repeats = min(repeats, (bounds[b] - step - 1)
+                                  // (pos[i] - step))
             if remaining < start_remaining:
                 repeats = min(repeats, (start_remaining - 1)
                               // (start_remaining - remaining))
+            shifted = [False] * len(fifos)
+            for f, fifo in enumerate(fifos):
+                if repeats < 2:
+                    break
+                if start_head[f] == len(fifo):   # empty, untouched
+                    continue
+                bound, shifted[f] = _fifo_repeats(
+                    fifo, start_head[f], stop[f], pops[f], now - offsets[f],
+                    q, strict_only[f], vm.runs[f])
+                if shifted[f]:
+                    vm.runs[f] = (start_head[f], stop[f], len(pops[f]), q)
+                repeats = min(repeats, bound)
             if repeats >= 2:
                 plan.repeats = int(repeats)
                 plan.drift = any(drift)
@@ -859,49 +897,50 @@ class _Planner:
         k, period = plan.repeats, plan.period
         plan.trailing_idle = idle if last >= 0 else idle + (k - 1) * period
         plan.traffic = traffic
-        for i in range(len(units)):
+        for i in compress(range(n_unit), [off >= 0 for off in since]):
             wake(i, period)
 
         # Commit: the words moved over all k windows, the timing they
         # add, and the VM state after them.
-        plan.made = tuple(len(ev.moves) * k for ev in events)
-        plan.sent = tuple(len(ev.drains) * k for ev in events)
+        plan.made = tuple(len(times) * k for times in moves)
+        plan.sent = tuple(len(times) * k for times in drains)
         plan.popped = tuple(count * k for count in popped)
-        plan.delivered = tuple(len(offsets) * k for offsets in pops[:n_link])
-        for i, (entry, ev) in enumerate(zip(units, events)):
-            vm.stalls[i] += ev.stalls * k
-            vm.steady[i] += ev.stalls_after_init * k
-            out = (ev.drains if entry[0] == _STENCIL else
-                   ev.moves if entry[0] == _SINK else ())
+        plan.delivered = tuple(len(times) * k for times in pops[:n_link])
+        vm.stalls = [a + b * k for a, b in zip(vm.stalls, stalls)]
+        vm.steady = [a + b * k for a, b in zip(vm.steady, steady)]
+        for i in live:
+            kind = fields[i][0]
+            out = (drains[i] if kind == _STENCIL else
+                   moves[i] if kind == _SINK else ())
             if out:
                 if vm.first[i] is None:
                     vm.first[i] = now + out[0]
                 vm.last[i] = now + (k - 1) * period + out[-1]
                 vm.count[i] += len(out) * k
         vm.peak = list(map(max, vm.peak, peak))
+        for f, fifo in enumerate(fifos):
+            h = heads[f]
+            if k > 1 and (h > start_head[f] or len(fifo) > stop[f]):
+                h, shift = _advance_fifo(fifo, start_head[f], h, stop[f], k,
+                                         period, shifted[f])
+                offsets[f] += shift
+            if h > 64 and 2 * h > len(fifo):   # drop the popped entries
+                del fifo[:h]
+                first, end, n, step = vm.runs[f]
+                vm.runs[f], h = (first - h, end - h, n, step), 0
+            heads[f] = h
         if k > 1:
-            # Every repeat pushes window 1's FIFO times shifted by q.
-            times = [(events[producer[t]].moves
-                      if units[producer[t]][0] == _SOURCE
-                      else events[producer[t]].drains, now + latency_of[t])
-                     for t in links] + [
-                (ev.moves, now + entry[9])
-                for entry, ev in zip(units, events) if entry[0] == _STENCIL]
-            fifos = [_replayed_fifo(start_fifo[f],
-                                    [base + off for off in offsets],
-                                    len(pops[f]), k, period)
-                     for f, (offsets, base) in enumerate(times)]
             cnt = [c + (k - 1) * d for c, d in zip(cnt, drift)]
             pos = [p + (k - 1) * (p - s) for p, s in zip(pos, start_pos)]
             remaining += (k - 1) * (remaining - start_remaining)
-        vm.cnt, vm.fifos, vm.pos, vm.remaining = cnt, fifos, pos, remaining
+        vm.cnt, vm.heads, vm.pos, vm.remaining = cnt, heads, pos, remaining
         vm.credits, vm.block = credits, block
         return plan
 
-    def _deadlock_error(self, now: int, cnt, pos, fifos, block):
+    def _deadlock_error(self, now: int, cnt, pos, held, block):
         """The detector's error on cycle ``now``, read off the VM's
-        state after it as the scalar engine reads it off its units and
-        graph (``oracle.py::Simulator._deadlock_error``)."""
+        state after it (``held``: FIFO lengths) as the scalar engine
+        reads it off its units and graph (``oracle.py::Simulator``)."""
         units, names = self.machine.units, self.machine.names
         chan_names, capacity, _ready, _fifo, _lat, producer, consumer = \
             self.machine.chans
@@ -909,7 +948,7 @@ class _Planner:
         for i, (entry, step) in enumerate(zip(units, pos)):
             kind = entry[0]
             if kind == _STENCIL:
-                if step >= entry[11] and not fifos[entry[6]]:
+                if step >= entry[11] and not held[entry[6]]:
                     continue
                 needed = next((p for p in entry[5] if step < p[0]),
                               entry[5][-1])[1]
@@ -961,11 +1000,11 @@ class _Planner:
                       window.delivered)
             weight = window.traffic * window.repeats
             if passes and load + weight <= cap:
-                for total, add in zip(passes[-1], counts):
-                    total[:] = map(sum, zip(total, add))
+                for total, more in zip(passes[-1], counts):
+                    total[:] = map(add, total, more)
                 load += weight
             else:
-                passes.append([list(add) for add in counts])
+                passes.append([list(more) for more in counts])
                 load = weight
             windows += 1
             window_cycles += window.cycles

@@ -461,18 +461,19 @@ class TestSuperPattern:
         # steady state is a few repeating windows, so only the fill
         # and drain transients add calls.  (Planning per delivery
         # would cost ~2 calls per delivered word — thousands here.)
+        # A transient is cut into windows of MIN_STRETCH cycles and up.
         counts = {}
         for shape in ((16, 16, 8), (16, 16, 32)):
             simulator, inputs = self._build(shape, self.RATE)
             profile = simulator.run(inputs).profile
             words = simulator.program.num_cells // 4
-            assert profile.plan_count < 64, shape
+            assert profile.plan_count < 72, shape
             assert profile.plan_count < words // 8, shape
             assert profile.window_cycles == profile.cycles, shape
             counts[shape] = profile.plan_count
         # 4x the words (+1 536) add a few transient windows — the drain
         # crosses more schedule phases — not calls per word.
-        assert counts[(16, 16, 32)] - counts[(16, 16, 8)] < 1536 // 50
+        assert counts[(16, 16, 32)] - counts[(16, 16, 8)] < 1536 // 32
 
     def test_integer_rate_has_no_window(self):
         # No LCM window, that is: rate 1.0 links deliver every cycle,
@@ -859,10 +860,18 @@ class TestPlannerPins:
     one of them; one that only makes the VM cheaper moves none.  A
     control run is the same planner alone."""
 
-    RUN_LINKS = (3773, 18, 743, 6, (48, 99, 192, 261, 2607, 48, 6, 48, 66,
-                                    48, 102, 6, 48, 9, 54, 30, 69, 32))
-    EXPLORE_SWEEP = (2566, 13, 416, 4, (48, 43, 48, 64, 16, 48, 2036, 48,
-                                        44, 48, 64, 16, 43))
+    RUN_LINKS = (3773, 37, 653, 8, (
+        6, 15, 24, 48, 48, 48, 48, 21, 6, 12, 24, 48, 261, 2598, 9, 15, 6,
+        24, 9, 105, 9, 12, 24, 48, 48, 48, 24, 6, 9, 9, 12, 24, 24, 69, 9,
+        12, 11))
+    EXPLORE_SWEEP = (2566, 31, 193, 11, (
+        6, 12, 73, 6, 12, 16, 16, 16, 62, 6, 12, 16, 16, 2034, 6, 11, 75, 7,
+        13, 6, 6, 7, 10, 12, 67, 6, 6, 6, 16, 6, 3))
+    #: sha256 of each machine's whole ``Schedule``: its slab passes,
+    #: timing and cycles (:meth:`_digest`).
+    DIGESTS = (
+        "60d7e85aa908ad6270e7cbc27c12af639798c0cb51ccf381fc6ad18d27a30343",
+        "0ef40d4326631671cdf854cee830f4584525711f1a79248320b5287e05c44e2d")
 
     @staticmethod
     def _machines():
@@ -876,6 +885,31 @@ class TestPlannerPins:
                TestPlannerPins.RUN_LINKS)
         sweep = horizontal_diffusion(shape=(24, 24, 16), vectorization=4)
         yield sweep, None, {}, TestPlannerPins.EXPLORE_SWEEP
+
+    @staticmethod
+    def _digest(schedule) -> str:
+        import hashlib
+        import json
+        text = json.dumps([schedule.passes, schedule.timing, schedule.cycles])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_schedules_are_pinned(self):
+        """Every decision, not only the counts: the planner's whole
+        schedule of each machine, slab passes and timing included."""
+        from repro.lowering import reset_default_cache
+        from repro.simulator import SimulatorConfig
+        from repro.simulator.engine import describe_machine, placed_analysis
+        from repro.simulator.plan import Machine, plan
+        reset_default_cache()
+        digests = []
+        for program, placement, network, _pins in self._machines():
+            config = SimulatorConfig(**network)
+            schedule = plan(Machine(describe_machine(
+                placed_analysis(program, config, placement), config,
+                placement)))
+            assert not schedule.replayed and schedule.failure is None
+            digests.append(self._digest(schedule))
+        assert tuple(digests) == self.DIGESTS
 
     @pytest.mark.parametrize("engine", ["batched", "control"])
     def test_planner_decisions_are_pinned(self, engine):
@@ -967,6 +1001,31 @@ class TestScheduleReplay:
             self._assert_same(first, second)
         # One miss per published schedule, one hit per replayed run.
         assert default_cache().stats("schedule") == (2, 2)
+
+    def test_plan_seconds_times_only_a_cold_plan(self):
+        from repro.lowering import reset_default_cache
+        from repro.simulator import SimulatorConfig, simulate_control
+        from util import random_inputs
+        program, placement = self._links_machine()
+        cold = self._run(program, placement, **self.NETWORK)
+        replay = self._run(program, placement, **self.NETWORK)
+        control = simulate_control(program, random_inputs(program),
+                                   SimulatorConfig(**self.NETWORK),
+                                   device_of=placement)
+        assert 0.0 < cold.profile.plan_seconds < cold.profile.wall_seconds
+        assert replay.profile.schedule_replayed
+        assert replay.profile.plan_seconds == 0.0
+        assert control.profile.plan_seconds == 0.0   # replayed too
+        assert replay.profile.to_json()["plan_seconds"] == 0.0
+        lines = "\n".join(cold.profile.summary_lines())
+        assert (f"{cold.profile.virtual_cycles} virtual cycles in "
+                f"{cold.profile.plan_seconds * 1e3:.1f} ms") in lines
+        reset_default_cache()
+        control = simulate_control(program, random_inputs(program),
+                                   SimulatorConfig(**self.NETWORK),
+                                   device_of=placement)
+        assert 0.0 < control.profile.plan_seconds \
+            <= control.profile.wall_seconds
 
     def test_replay_on_new_inputs_equals_a_cold_run(self):
         from repro.lowering import reset_default_cache

@@ -9,14 +9,20 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import pkgutil
+from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro
 import repro.simulator.plan as planner
 from repro.simulator import oracle
+from test_engine_equivalence import _pinned_in_tier1
 
 #: Modules of ``repro.simulator`` stage 1 may not import from.
 _EXECUTION = {"batched", "kernel", "native", "compile"}
@@ -181,3 +187,118 @@ def test_the_executor_wires_its_units_in_the_machines_order():
                 sorted(id(chans[t]) for t in entry[1])
         if hasattr(unit, "in_channel"):
             assert unit.in_channel is chans[entry[1][0][1]]
+
+
+# -- timed FIFOs in closed form ---------------------------------------------
+
+
+def _word_by_word_repeats(start, end, pops, now, q, strict_only):
+    """The congruence test on copied ready-times, entry by entry: the
+    reference the closed form (:func:`planner._fifo_repeats`) must
+    match."""
+    if len(end) == len(start) and all(
+            e == s + q for e, s in zip(end, start)):
+        return math.inf
+    if strict_only:
+        return 0
+    n = len(pops)
+    if not n:
+        return math.inf
+    k = len(start) // n
+    if k > 1:
+        due = (now + q * np.arange(1, k, dtype=np.int64)[:, None]
+               + np.asarray(pops, dtype=np.int64))
+        late = (np.asarray(start[n:k * n], dtype=np.int64)
+                .reshape(k - 1, n) > due).any(axis=1)
+        if late.any():
+            k = 1 + int(np.argmax(late))
+    return k
+
+
+def _word_by_word_fifo(start, pushed, popped, k, q):
+    """A timed FIFO after ``k`` windows that each pop ``popped`` entries
+    and push window 1's ``pushed`` shifted by ``q`` a window, rebuilt
+    entry by entry: the reference for :func:`planner._advance_fifo`."""
+    skip, m = k * popped, len(pushed)
+    fifo = deque(start[skip:])
+    for p in range(max(0, skip - len(start)), k * m):
+        window, r = divmod(p, m)
+        fifo.append(pushed[r] + window * q)
+    return list(fifo)
+
+
+@st.composite
+def _fifo_windows(draw):
+    """``(q, now, start, pushed, pops, strict_only)``: a timed FIFO's
+    ready-times at window start (strictly increasing, all pushed before
+    the window), window 1's pushes (distinct cycles of the window plus a
+    latency) and the window-relative cycles it popped on.  A FIFO whose
+    pops never waited on an immature head may be drawn not
+    ``strict_only``."""
+    q = draw(st.integers(1, 6))
+    now = draw(st.integers(0, 40))
+    base = now + draw(st.integers(0, 12))
+    pushed = [base + t for t in sorted(draw(st.sets(
+        st.integers(0, q - 1), max_size=q)))]
+    # A start is an arbitrary head, a periodic middle — window 1's
+    # pushes, or a pattern of their own, repeated back in time — and an
+    # arbitrary tail, each possibly empty.
+    pattern = draw(st.sampled_from([pushed, sorted(draw(st.sets(
+        st.integers(base - 2 * q, base - q - 1), min_size=1,
+        max_size=q))), []]))
+    blocks = draw(st.integers(0, 6)) if pattern else 0
+    middle = [t - q * w for w in range(blocks, 0, -1) for t in pattern]
+    middle = [t - q * (blocks + 1) for t in pattern[len(pattern) - draw(
+        st.integers(0, len(pattern) - 1)) if pattern else 0:]] + middle
+    low = middle[0] if middle else base
+    high = middle[-1] + 1 if middle else base - 40
+    head = sorted(draw(st.sets(st.integers(low - 30, low - 1), max_size=8)))
+    tail = sorted(draw(st.sets(st.integers(high, base - 1), max_size=8))
+                  if high < base else ())
+    start = sorted({*head, *middle, *tail})
+    times = start + pushed
+    n = draw(st.sampled_from(sorted({len(pushed), len(start),
+                                     draw(st.integers(0, len(times)))}
+                                    & set(range(len(times) + 1)))))
+    pops, strict_only = [], draw(st.booleans())
+    for time in times[:n]:
+        off = max(time - now, pops[-1] if pops else 0,
+                  draw(st.integers(0, q - 1)))
+        strict_only |= off >= q   # an immature head made it wait
+        pops.append(min(off, q - 1))
+    return q, now, start, pushed, pops, strict_only
+
+
+@_pinned_in_tier1
+@given(_fifo_windows(), st.integers(0, 3), st.integers(-30, 30),
+       st.data())
+def test_fifo_closed_form_matches_word_by_word(window, dead, offset, data):
+    """The closed form decides the strict and the queued congruence
+    tests and the FIFO after ``k`` repeats as the word-by-word code did,
+    whatever the VM's list holds before the head (``dead`` popped
+    entries), whatever its offset, and with any true record of entries
+    ``q`` apart (``run``)."""
+    q, now, start, pushed, pops, strict_only = window
+    n, first = len(pops), (start + pushed + [now])[0]
+    fifo = [t - offset for t in [first - dead - 1 + j for j in range(dead)]
+            + start + pushed]
+    stop = dead + len(start)
+    # A run covers a stretch of true pairs, here or at any later index.
+    true = [i for i in range(len(fifo) - n) if fifo[i + n] - fifo[i] == q]
+    run = (0, 0, 0, 0)
+    if n and true and data.draw(st.integers(0, 3)):
+        lo = data.draw(st.sampled_from(true))
+        hi = lo
+        while hi in true:
+            hi += 1
+        run = (lo, data.draw(st.integers(lo, hi)), n, q)
+    bound, shifted = planner._fifo_repeats(
+        fifo, dead, stop, pops, now - offset, q, strict_only, run)
+    assert bound == _word_by_word_repeats(
+        start, (start + pushed)[n:], pops, now, q, strict_only)
+    if bound >= 2:
+        k = data.draw(st.integers(2, min(bound, 8)))
+        head, shift = planner._advance_fifo(fifo, dead, dead + n, stop, k,
+                                            q, shifted)
+        assert [t + offset + shift for t in fifo[head:]] == \
+            _word_by_word_fifo(start, pushed, n, k, q)
