@@ -67,22 +67,22 @@ FRACTIONAL_LATENCY = 16
 #: window.  These are at the default ``max_batch_words`` of 4 096: one
 #: window retires at most one cap.
 PAPER_PINS = {
-    "single": (166470, 76, 76),
-    "two_device": (166534, 92, 92),
-    "four_device": (166662, 115, 115),
-    "integer": (163918, 62, 62),
-    "fractional": (499229, 116, 116),
+    "single": (166470, 59, 59),
+    "two_device": (166534, 75, 75),
+    "four_device": (166662, 89, 89),
+    "integer": (163918, 53, 53),
+    "fractional": (499229, 90, 90),
 }
 
 #: Planner work ceilings, in virtual cycles (parent commit of the
-#: timed-FIFO congruence rule: 19 531 and 4 159 on the first two; at the
-#: 48-cycle stretch floor 1 607, 1 481, 455 and 358; today, at 6, 1 043,
-#: 926, 252 and 217) and in windows (today 76, cheap plans: 52 at 48).
-FRACTIONAL_VIRTUAL_CYCLES_MAX = 1200
-RUN_LINKS_VIRTUAL_CYCLES_MAX = 1000
-SINGLE_VIRTUAL_CYCLES_MAX = 300
-SINGLE_WINDOWS_MAX = 80
-EXPLORE_SWEEP_VIRTUAL_CYCLES_MAX = 250
+#: timed-FIFO congruence rule: 19 531 and 4 159 on the first two; at
+#: the 48-cycle stretch floor 1 607, 1 481, 455 and 358; today, at 32,
+#: 1 286, 1 100, 297 and 261) and in windows (today 59).
+FRACTIONAL_VIRTUAL_CYCLES_MAX = 1500
+RUN_LINKS_VIRTUAL_CYCLES_MAX = 1300
+SINGLE_VIRTUAL_CYCLES_MAX = 400
+SINGLE_WINDOWS_MAX = 64
+EXPLORE_SWEEP_VIRTUAL_CYCLES_MAX = 350
 #: The end-to-end benchmark's ``run_links`` machine
 #: (``benchmarks/e2e/workloads.json``): same wire, smaller domain.
 RUN_LINKS_DOMAIN = (64, 64, 32)

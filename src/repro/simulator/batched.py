@@ -593,8 +593,7 @@ class BatchedSimulator:
             raise schedule.failure
         profile = self._make_profile(
             schedule.cycles, clock.now() - self._run_began,
-            **schedule.stats(), plan_seconds=self._plan_seconds,
-            slab_passes=len(schedule.passes),
+            **schedule.stats(), slab_passes=len(schedule.passes),
             ring_bytes=sum({id(c._buf): c._buf.nbytes
                             for c in chans}.values()),
             ring_copy_bytes=sum({id(c._ring): c._ring.copied
@@ -612,8 +611,6 @@ class BatchedSimulator:
         it planned; one that raises publishes nothing."""
         self._run_began = clock.now()
         schedule = plan(self._machine)
-        self._plan_seconds = 0.0 if schedule.replayed \
-            else clock.now() - self._run_began
         result = self.execute(schedule, inputs)
         if not schedule.replayed:
             default_cache().get_or_build(self._machine.key, lambda: schedule)

@@ -54,7 +54,6 @@ def simulate_control(program: StencilProgram,
                             config, device_of)
     began = clock.now()
     schedule = plan(Machine(spec))
-    planned = 0.0 if schedule.replayed else clock.now() - began
     for name, field in spec.program.inputs.items():
         exact_source(name, resolve_input_array(spec.program, inputs,
                                                name, field))
@@ -62,8 +61,7 @@ def simulate_control(program: StencilProgram,
         raise schedule.failure
     return schedule.result(spec, {}, EngineProfile(
         engine="control", cycles=schedule.cycles,
-        wall_seconds=clock.now() - began, plan_seconds=planned,
-        **schedule.stats()))
+        wall_seconds=clock.now() - began, **schedule.stats()))
 
 
 def data_can_fail(program: StencilProgram) -> bool:

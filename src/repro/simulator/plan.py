@@ -48,6 +48,7 @@ from ..errors import DeadlockError, SimulationError
 from ..lowering import compiled_stencil
 from ..lowering.cache import content_key, default_cache
 from ..lowering.pipeline import program_content_hash
+from ..obs import clock
 from ..obs.profile import MAX_WINDOW_SAMPLES, EngineProfile
 from .channel import RateLimiter
 from .engine import (
@@ -65,15 +66,15 @@ _INF = float("inf")
 MAX_WINDOW = 4096
 
 #: How many periods a non-repeating window (ramp/drain transient) may
-#: stretch at most (any length is exact): past 16 a new plan, which may
+#: stretch at most (any length is exact): past 24 a new plan, which may
 #: repeat, costs less than the cycles it would otherwise step.
-WINDOW_STRETCH = 16
+WINDOW_STRETCH = 24
 
 #: Fewest cycles a non-repeating window stretches before it may end on
-#: a regular-looking period: a plan's fixed cost (setup, proof, commit)
-#: is about 6 virtual cycles' (0.2 ms against 30 µs on ``run_links``;
-#: docs/ARCHITECTURE.md, "Stretching"), so shorter windows lose.
-MIN_STRETCH = 6
+#: a regular-looking period.  A plan's fixed cost is about 6 virtual
+#: cycles' (docs/ARCHITECTURE.md, "Stretching"), and floors of 6 to 32
+#: plan equally fast; 32 cuts a transient into the fewest windows.
+MIN_STRETCH = 32
 
 #: Unit kinds of the planner's machine tables.
 _SOURCE, _STENCIL, _SINK = range(3)
@@ -173,7 +174,8 @@ class Schedule:
     only record of them.  ``failure`` is the deadlock or cycle-cap
     error the run ends in after its passes (never set on a published
     schedule); ``replayed`` marks a published schedule read back
-    (:func:`plan`), whose statistics are the recording run's."""
+    (:func:`plan`), whose statistics are the recording run's but for
+    ``plan_seconds``, the wall time :func:`plan` took, 0.0 on a replay."""
 
     passes: Tuple
     cycles: int
@@ -186,6 +188,7 @@ class Schedule:
     drift_windows: int
     failure: Optional[Exception] = None
     replayed: bool = False
+    plan_seconds: float = 0.0
 
     def stats(self) -> dict:
         """The planner statistics, as
@@ -196,7 +199,8 @@ class Schedule:
                     window_cycles=self.window_cycles,
                     window_sizes=self.window_sizes,
                     drift_windows=self.drift_windows,
-                    schedule_replayed=self.replayed)
+                    schedule_replayed=self.replayed,
+                    plan_seconds=0.0 if self.replayed else self.plan_seconds)
 
     def result(self, spec: MachineSpec, outputs, profile: EngineProfile
                ) -> SimulationResult:
@@ -541,8 +545,7 @@ class _Planner:
         start_cnt, start_pos, start_credit = vm.cnt, vm.pos, vm.credits
         start_head, start_remaining = vm.heads, remaining
 
-        popped = [0] * n_chan
-        peak = [0] * n_chan
+        popped, peak = [0] * n_chan, [0] * n_chan
         # Largest per-channel / per-line word count moved so far (ring
         # headroom is sized for one batch cap of slab traffic).
         traffic = 0
@@ -978,9 +981,8 @@ class _Planner:
         period, cap = _window_period(machine), machine.cap
         passes: List[List[List[int]]] = []
         sizes: List[int] = []
-        load, failure = 0, None
-        now = idle = 0
-        windows = window_cycles = drift_windows = 0
+        failure = None
+        now = idle = load = windows = window_cycles = drift_windows = 0
         while vm.remaining:
             if now >= max_cycles:
                 failure = SimulationError(
@@ -1013,19 +1015,16 @@ class _Planner:
                 sizes.append(window.cycles)
             now += window.cycles
             idle = window.trailing_idle
-        stencils = [i for i, entry in enumerate(units)
-                    if entry[0] == _STENCIL]
         sinks = [i for i, entry in enumerate(units) if entry[0] == _SINK]
         timing = {
-            "stall_cycles": {names[i]: vm.stalls[i]
-                             for i in range(len(units))},
+            "stall_cycles": dict(zip(names, vm.stalls)),
             "steady_stall_cycles": {names[i]: vm.steady[i]
-                                    for i in stencils},
+                                    for i in self.stencils},
             "channel_occupancy": dict(zip(machine.chans[0], vm.peak)),
             "output_continuous": {names[i]: vm.continuous(i)
                                   for i in sinks},
             "stencil_continuous": {names[i]: vm.continuous(i)
-                                   for i in stencils},
+                                   for i in self.stencils},
         }
         return Schedule(
             passes=tuple(tuple(map(tuple, counts)) for counts in passes),
@@ -1057,4 +1056,6 @@ def plan(machine: Machine) -> Schedule:
     schedule = default_cache().lookup(machine.key)
     if schedule is not None:
         return dataclasses.replace(schedule, replayed=True)
-    return _Planner(machine).schedule()
+    began = clock.now()
+    schedule = _Planner(machine).schedule()
+    return dataclasses.replace(schedule, plan_seconds=clock.now() - began)

@@ -461,19 +461,18 @@ class TestSuperPattern:
         # steady state is a few repeating windows, so only the fill
         # and drain transients add calls.  (Planning per delivery
         # would cost ~2 calls per delivered word — thousands here.)
-        # A transient is cut into windows of MIN_STRETCH cycles and up.
         counts = {}
         for shape in ((16, 16, 8), (16, 16, 32)):
             simulator, inputs = self._build(shape, self.RATE)
             profile = simulator.run(inputs).profile
             words = simulator.program.num_cells // 4
-            assert profile.plan_count < 72, shape
+            assert profile.plan_count < 64, shape
             assert profile.plan_count < words // 8, shape
             assert profile.window_cycles == profile.cycles, shape
             counts[shape] = profile.plan_count
         # 4x the words (+1 536) add a few transient windows — the drain
         # crosses more schedule phases — not calls per word.
-        assert counts[(16, 16, 32)] - counts[(16, 16, 8)] < 1536 // 32
+        assert counts[(16, 16, 32)] - counts[(16, 16, 8)] < 1536 // 50
 
     def test_integer_rate_has_no_window(self):
         # No LCM window, that is: rate 1.0 links deliver every cycle,
@@ -860,17 +859,16 @@ class TestPlannerPins:
     one of them; one that only makes the VM cheaper moves none.  A
     control run is the same planner alone."""
 
-    RUN_LINKS = (3773, 37, 653, 8, (
-        6, 15, 24, 48, 48, 48, 48, 21, 6, 12, 24, 48, 261, 2598, 9, 15, 6,
-        24, 9, 105, 9, 12, 24, 48, 48, 48, 24, 6, 9, 9, 12, 24, 24, 69, 9,
-        12, 11))
-    EXPLORE_SWEEP = (2566, 31, 193, 11, (
-        6, 12, 73, 6, 12, 16, 16, 16, 62, 6, 12, 16, 16, 2034, 6, 11, 75, 7,
-        13, 6, 6, 7, 10, 12, 67, 6, 6, 6, 16, 6, 3))
+    RUN_LINKS = (3773, 24, 692, 8, (
+        36, 9, 39, 66, 72, 36, 36, 66, 261, 2586, 33, 21, 33, 81, 39, 66, 72,
+        9, 33, 9, 39, 30, 69, 32))
+    EXPLORE_SWEEP = (2566, 19, 257, 7, (
+        24, 67, 24, 24, 24, 56, 24, 24, 2036, 24, 68, 24, 8, 24, 5, 67, 24,
+        10, 9))
     #: sha256 of each machine's whole ``Schedule``: its slab passes,
     #: timing and cycles (:meth:`_digest`).
     DIGESTS = (
-        "60d7e85aa908ad6270e7cbc27c12af639798c0cb51ccf381fc6ad18d27a30343",
+        "dfbe0a717de625b2f55cdbefd54f45719874a69a2bd27cead133d2846ed5878b",
         "0ef40d4326631671cdf854cee830f4584525711f1a79248320b5287e05c44e2d")
 
     @staticmethod
