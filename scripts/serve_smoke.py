@@ -18,12 +18,19 @@ and asserts the serving acceptance criteria end to end:
    ``/v1/metricsz`` is unchanged); both miss latencies are printed.
 4. **Telemetry**: ``/v1/metricsz`` returns the obs registry snapshot
    (schema 1) carrying the serve counters and the lookup histogram.
+5. **Query log**: after ``server.close()`` the query log holds one
+   whole JSON line per answered ``best``/``pareto`` request.
+
+The warm queries share one keep-alive connection, and the client-side
+round-trip p50 is printed next to the probe's ``lookup_seconds`` p50:
+the probe alone does not see what the handler spends around it.
 
 Run from the repo root: ``python scripts/serve_smoke.py [OUTDIR]``.
 Writes ``serve-smoke.json`` (latency percentiles, metrics snapshot)
 into OUTDIR and exits non-zero on any violation.
 """
 
+import http.client
 import json
 import os
 import statistics
@@ -48,7 +55,14 @@ def log(message: str):
     print(f"[serve-smoke] {message}", flush=True)
 
 
+#: Requests to the query endpoints: each is answered with one line
+#: of the query log.
+ANSWERED = []
+
+
 def get(server, path):
+    if path.startswith(("/v1/best", "/v1/pareto")):
+        ANSWERED.append(path)
     try:
         with urllib.request.urlopen(server.url + path, timeout=60) \
                 as response:
@@ -124,15 +138,27 @@ def main() -> int:
         assert status == 200, f"seeded query missed: {body}"
 
         default_cache().reset_stats()
-        lookups = []
-        for _ in range(WARM_QUERIES):
-            status, body = get(server, warm_path)
-            assert status == 200, f"warm query fell cold: {body}"
-            lookups.append(body["lookup_seconds"])
+        lookups, round_trips = [], []
+        conn = http.client.HTTPConnection(*server.address, timeout=60)
+        try:
+            for _ in range(WARM_QUERIES):
+                ANSWERED.append(warm_path)
+                start = time.perf_counter()
+                conn.request("GET", warm_path)
+                response = conn.getresponse()
+                status, body = response.status, json.loads(
+                    response.read())
+                round_trips.append(time.perf_counter() - start)
+                assert status == 200, f"warm query fell cold: {body}"
+                lookups.append(body["lookup_seconds"])
+        finally:
+            conn.close()
         p50 = statistics.median(lookups)
         p99 = sorted(lookups)[int(0.99 * len(lookups))]
+        rtt_p50 = statistics.median(round_trips)
         log(f"warm lookup over {WARM_QUERIES} queries: "
-            f"p50 {p50 * 1e6:.1f}us, p99 {p99 * 1e6:.1f}us")
+            f"p50 {p50 * 1e6:.1f}us, p99 {p99 * 1e6:.1f}us; "
+            f"client round trip p50 {rtt_p50 * 1e6:.0f}us")
         assert p50 < P50_BUDGET_SECONDS, (
             f"warm p50 {p50 * 1e3:.3f}ms blows the "
             f"{P50_BUDGET_SECONDS * 1e3:.0f}ms budget")
@@ -182,6 +208,7 @@ def main() -> int:
                 "warm_queries": WARM_QUERIES,
                 "lookup_p50_seconds": p50,
                 "lookup_p99_seconds": p99,
+                "round_trip_p50_seconds": rtt_p50,
                 "artifact_cache_misses": misses,
                 "job_id": job_id,
                 "miss_seconds": [first_s, second_s],
@@ -190,9 +217,23 @@ def main() -> int:
             log(f"artifacts copied to {outdir}")
     finally:
         server.close()
+        path = server.query_log.path
+        query_log = path.read_text() if path.is_file() else ""
         tmp.cleanup()
+    check_query_log(query_log)
     log("OK")
     return 0
+
+
+def check_query_log(text: str):
+    """One whole JSON line per answered query, each a hit or a miss."""
+    lines = [json.loads(line) for line in text.splitlines()]
+    assert len(lines) == len(ANSWERED), (
+        f"query log holds {len(lines)} lines for {len(ANSWERED)} "
+        f"answered queries")
+    outcomes = {line["outcome"] for line in lines}
+    assert outcomes <= {"hit", "miss"}, outcomes
+    log(f"query log: {len(lines)} lines, one per answered query")
 
 
 if __name__ == "__main__":

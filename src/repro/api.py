@@ -233,9 +233,20 @@ def query(program: ProgramLike, *,
     ``index`` defaults to a process-wide
     :class:`~repro.serve.FrontierIndex` warm-loaded on first use.
     """
+    entry, elapsed, miss = _probe(program, shape, platform, index, jobs)
+    if entry is None:
+        return miss
+    return entry.response("pareto" if pareto else "best", elapsed)
+
+
+def _probe(program: ProgramLike, shape, platform: PlatformLike, index,
+           jobs):
+    """The one query path of :func:`query` and the HTTP handler:
+    ``(front, probe seconds, miss reply)``.  The front is ``None`` on
+    a miss; the miss reply is ``None`` unless a sweep was enqueued on
+    ``jobs``."""
     from .obs import clock, metrics
-    from .serve.schema import best_response, miss_response, \
-        pareto_response
+    from .serve.schema import miss_response
     if index is None:
         index = _get_default_index()
     platform_obj = resolve_platform(platform)
@@ -246,18 +257,13 @@ def query(program: ProgramLike, *,
     metrics.histogram("serve.lookup_seconds").observe(elapsed)
     if entry is not None:
         metrics.counter("serve.query_hits").inc()
-        if pareto:
-            return pareto_response(list(entry.pareto),
-                                   front_meta=entry.meta(),
-                                   lookup_seconds=elapsed)
-        return best_response(entry.best, front_meta=entry.meta(),
-                             lookup_seconds=elapsed)
+        return entry, elapsed, None
     metrics.counter("serve.query_misses").inc()
     if jobs is None or key is None:
-        return None
+        return None, elapsed, None
     job, _created = jobs.enqueue(program, shape_tuple, platform_obj,
                                  key)
-    return miss_response(job)
+    return None, elapsed, miss_response(job)
 
 
 # -- the service --------------------------------------------------------------

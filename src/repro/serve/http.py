@@ -12,8 +12,11 @@ Stdlib-only (:mod:`http.server`), thread-per-request
 * ``GET /v1/healthz``      — liveness + index/job inventory;
 * ``GET /v1/metricsz``     — the obs metrics-registry snapshot.
 
-Both the Python facade (:mod:`repro.api`) and this HTTP surface route
-queries through :func:`repro.api.query`, so the two can never skew.
+Both the Python facade (:func:`repro.api.query`) and this HTTP surface
+probe through one helper (``repro.api._probe``) and build a hit's reply
+from :meth:`~repro.serve.index.FrontEntry.response`, so the two can
+never skew; the handler sends the reply that front encoded on its first
+hit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
 from ..errors import ReproError
@@ -177,8 +180,10 @@ class _Handler(BaseHTTPRequestHandler):
                                  status=status)
         self._send(status, payload)
 
-    def _send(self, status: int, payload: dict, close: bool = False):
-        data = json.dumps(payload).encode()
+    def _send(self, status: int, payload: Union[dict, bytes],
+              close: bool = False):
+        data = payload if isinstance(payload, bytes) \
+            else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -261,22 +266,22 @@ class ReproServer:
     # -- request handlers (called from handler threads) ------------------------
 
     def handle_query(self, endpoint: str, params, body
-                     ) -> Tuple[dict, int]:
+                     ) -> Tuple[Union[dict, bytes], int]:
+        """A ``best`` or ``pareto`` query: a hit's reply comes encoded
+        (:meth:`~repro.serve.index.FrontEntry.encoded`)."""
         from .. import api
         spec = parse_query(params, body)
-        response = api.query(spec.program, shape=spec.shape,
-                             platform=spec.platform,
-                             pareto=(endpoint == "pareto"),
-                             index=self.index, jobs=self.jobs)
-        if response["kind"] == "miss":
+        entry, elapsed, miss = api._probe(spec.program, spec.shape,
+                                          spec.platform, self.index,
+                                          self.jobs)
+        if entry is None:
             self.query_log.record(endpoint, "miss",
                                   query=spec.label(),
-                                  job_id=response["job"]["job_id"])
-            return response, 202
-        self.query_log.record(
-            endpoint, "hit", query=spec.label(),
-            lookup_seconds=response.get("lookup_seconds"))
-        return response, 200
+                                  job_id=miss["job"]["job_id"])
+            return miss, 202
+        self.query_log.record(endpoint, "hit", query=spec.label(),
+                              lookup_seconds=elapsed)
+        return entry.encoded(endpoint, elapsed), 200
 
     def handle_job(self, job_id: Optional[str]) -> Tuple[dict, int]:
         if not job_id:
@@ -327,11 +332,13 @@ class ReproServer:
     def close(self, wait_jobs: float = 0.0):
         """Stop listening, give running sweeps up to ``wait_jobs``
         seconds, stop the resident workers (see
-        :meth:`JobManager.close`), and snapshot the index."""
-        self.httpd.shutdown()
-        self.httpd.server_close()
+        :meth:`JobManager.close`), close the query log, and snapshot
+        the index.  A server never started has no listener to stop."""
         if self._thread is not None:
+            self.httpd.shutdown()
             self._thread.join(5.0)
             self._thread = None
+        self.httpd.server_close()
         self.jobs.close(wait_jobs)
+        self.query_log.close()
         self.index.save_snapshot()

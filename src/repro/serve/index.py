@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -36,6 +37,7 @@ from ..faults.store import (
     read_json_guarded,
     write_json_atomic,
 )
+from .schema import best_response, pareto_response
 
 
 def resolve_request(program: Union[str, Mapping], shape=None):
@@ -69,7 +71,8 @@ class FrontEntry:
     ``best`` and ``pareto`` hold
     :class:`~repro.explore.report.ExplorationEntry` JSON records — the
     same models the report writer emits, embedded verbatim in serve
-    responses.
+    responses.  Each reply kind is encoded once, on its first hit
+    (:meth:`encoded`).
     """
 
     family_hash: str
@@ -84,6 +87,9 @@ class FrontEntry:
     simulated_points: int
     report_path: Optional[str] = None
     updated: float = 0.0
+    #: Reply kind -> the encoded reply up to its ``lookup_seconds``.
+    _heads: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def key(self) -> IndexKey:
@@ -103,6 +109,24 @@ class FrontEntry:
             "report_path": self.report_path,
             "updated": self.updated,
         }
+
+    def response(self, kind: str, lookup_seconds: float) -> dict:
+        """The ``best`` or ``pareto`` hit reply (:mod:`.schema`)."""
+        if kind == "pareto":
+            return pareto_response(self.pareto, front_meta=self.meta(),
+                                   lookup_seconds=lookup_seconds)
+        return best_response(self.best, front_meta=self.meta(),
+                             lookup_seconds=lookup_seconds)
+
+    def encoded(self, kind: str, lookup_seconds: float) -> bytes:
+        """``json.dumps(self.response(kind, lookup_seconds))`` as
+        bytes.  ``lookup_seconds`` is the reply's last member, so all
+        before it is encoded once per kind and kept."""
+        head = self._heads.get(kind)
+        if head is None:
+            text = json.dumps(self.response(kind, 0.0))
+            head = self._heads[kind] = text[:-len("0.0}")].encode()
+        return head + repr(lookup_seconds).encode() + b"}"
 
     def summary(self) -> dict:
         """Compact record for the snapshot file."""
@@ -302,15 +326,21 @@ class FrontierIndex:
 class QueryLog:
     """Append-only JSONL log of every query the server answered.
 
-    Best-effort by design: an unwritable log never fails a request.
-    ``repro cache stats`` surfaces it; ``repro cache prune`` removes
-    it.
+    The file is opened once, on the first record, and every record is
+    one unbuffered write of one whole line, so the line is on disk
+    when :meth:`record` returns.  A record that finds the file removed
+    under the open handle (``repro cache prune`` while the server
+    runs: its link count is 0) opens a new one.  Best-effort by
+    design: an unwritable log never fails a request, it only counts
+    ``dropped``.  ``repro cache stats`` surfaces the log; ``repro
+    cache prune`` removes it.
     """
 
     def __init__(self, enabled: bool = True):
         self.path = query_log_path()
         self.enabled = enabled
         self._lock = threading.Lock()
+        self._handle = None
         self.dropped = 0
 
     def record(self, endpoint: str, outcome: str, *,
@@ -330,13 +360,37 @@ class QueryLog:
             line["status"] = status
         if lookup_seconds is not None:
             line["lookup_seconds"] = lookup_seconds
-        try:
-            with self._lock:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a") as handle:
-                    handle.write(json.dumps(line) + "\n")
-        except OSError:
-            self.dropped += 1
+        data = (json.dumps(line) + "\n").encode()
+        with self._lock:
+            try:
+                self._open().write(data)
+            except OSError:
+                self.dropped += 1
+                self._shut()  # the next record opens afresh
+
+    def _open(self):
+        """The open handle while its file is still linked, else a
+        handle on a new file."""
+        handle = self._handle
+        if handle is not None and os.fstat(handle.fileno()).st_nlink:
+            return handle
+        self._shut()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = open(self.path, "ab", buffering=0)
+        return self._handle
+
+    def _shut(self) -> None:
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass  # nothing buffered: every line is already written
+
+    def close(self) -> None:
+        """Close the handle; a later record opens it again."""
+        with self._lock:
+            self._shut()
 
 
 def _parse_stored(spec: Mapping) -> Tuple[ExplorationReport, bool]:

@@ -547,7 +547,8 @@ class BatchedSimulator:
     # -- execution -----------------------------------------------------------
 
     def execute(self, schedule: Schedule,
-                inputs: Mapping[str, np.ndarray]) -> SimulationResult:
+                inputs: Mapping[str, np.ndarray], *,
+                began: Optional[float] = None) -> SimulationResult:
         """Stage 2: build the units and rings over ``inputs`` and move
         the words of ``schedule``'s passes — nothing here decides a
         cycle.  A pass applies each unit once, in topological order:
@@ -556,7 +557,11 @@ class BatchedSimulator:
         pass's summed traffic fits the ring headroom, so every
         producer's words may all be written before its consumers pop.
         A schedule that ends in a failure raises it once its passes
-        have run: a data error among them still wins."""
+        have run: a data error among them still wins.  The profile's
+        wall time counts from ``began`` (:meth:`run` passes its start,
+        so planning counts), by default from this call."""
+        if began is None:
+            began = clock.now()
         self._build(inputs)
         self._bind_native([unit for unit in self.units
                            if isinstance(unit, BatchedStencilUnit)])
@@ -592,7 +597,7 @@ class BatchedSimulator:
         if schedule.failure is not None:
             raise schedule.failure
         profile = self._make_profile(
-            schedule.cycles, clock.now() - self._run_began,
+            schedule.cycles, clock.now() - began,
             **schedule.stats(), slab_passes=len(schedule.passes),
             ring_bytes=sum({id(c._buf): c._buf.nbytes
                             for c in chans}.values()),
@@ -609,9 +614,9 @@ class BatchedSimulator:
         (:func:`~repro.simulator.plan.plan`), then stage 2
         (:meth:`execute`).  A run that completes publishes the schedule
         it planned; one that raises publishes nothing."""
-        self._run_began = clock.now()
+        began = clock.now()
         schedule = plan(self._machine)
-        result = self.execute(schedule, inputs)
+        result = self.execute(schedule, inputs, began=began)
         if not schedule.replayed:
             default_cache().get_or_build(self._machine.key, lambda: schedule)
         return result

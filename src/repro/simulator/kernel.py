@@ -503,7 +503,7 @@ class KernelSimulator(BatchedSimulator):
 
     def _run_compiled(self, record: dict,
                       inputs: Mapping[str, np.ndarray]) -> SimulationResult:
-        self._run_began = clock.now()
+        began = clock.now()
         program = self.program
         width = program.vectorization
         slabs: Dict[str, _EdgeBuffer] = {}
@@ -548,7 +548,7 @@ class KernelSimulator(BatchedSimulator):
                           for out in program.outputs],
                          order, consumers, pad)
         outputs = {name: sink.data for name, sink in sinks.items()}
-        wall = clock.now() - self._run_began
+        wall = clock.now() - began
         profile = self._make_profile(record["cycles"], wall,
                                      kernel_cached=True,
                                      kernel_slabs=len(units))

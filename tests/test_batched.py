@@ -1000,6 +1000,22 @@ class TestScheduleReplay:
         # One miss per published schedule, one hit per replayed run.
         assert default_cache().stats("schedule") == (2, 2)
 
+    def test_execute_alone_matches_run(self):
+        # plan() and execute() are separately callable stages: execute
+        # called alone times itself and yields run()'s result.
+        from repro.programs import laplace2d
+        from repro.simulator import SimulatorConfig, build_simulator
+        from repro.simulator.plan import plan
+        from util import random_inputs
+        program = laplace2d(shape=(16, 16))
+        inputs = random_inputs(program)
+        config = SimulatorConfig(engine_mode="batched")
+        ran = build_simulator(program, config).run(inputs)
+        sim = build_simulator(program, config)
+        alone = sim.execute(plan(sim._machine), inputs)
+        self._assert_same(ran, alone)
+        assert alone.profile.wall_seconds > 0.0
+
     def test_plan_seconds_times_only_a_cold_plan(self):
         from repro.lowering import reset_default_cache
         from repro.simulator import SimulatorConfig, simulate_control

@@ -39,6 +39,7 @@ from repro.explore import (
 from repro.serve import (
     FrontierIndex,
     JobManager,
+    QueryLog,
     QuerySpec,
     ReproServer,
     ServeConfig,
@@ -626,6 +627,15 @@ class TestLiveServer:
         assert any(line["outcome"] == "hit" and
                    line["endpoint"] == "best" for line in lines)
 
+    def test_close_before_start_returns(self):
+        # No listener thread ever ran serve_forever, so there is no
+        # loop for close() to wait out.
+        server = ReproServer(ServeConfig(port=0, backend="thread"))
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(5.0)
+        assert not closer.is_alive(), "close() before start() hung"
+
     def test_concurrent_queries_during_background_sweep(self):
         """Warm queries stay correct and lock-consistent while a
         miss-triggered sweep mutates the index from its own thread."""
@@ -655,6 +665,125 @@ class TestLiveServer:
             assert not failures
             job = wait_job(server, job_id)
             assert job["state"] == "done", job.get("error")
+        finally:
+            server.close()
+
+
+class TestQueryLog:
+    """One handle per log: a warm hit does no file-system work beyond
+    its one write, and the log keeps every record whole."""
+
+    def test_warm_hits_open_nothing_after_the_first_record(
+            self, monkeypatch):
+        import builtins
+        seed_report()
+        server = make_server()
+        root = os.environ["REPRO_CACHE_DIR"]
+        calls = []
+        real_open, real_mkdir = builtins.open, os.mkdir
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).startswith(root):
+                calls.append(("open", str(file)))
+            return real_open(file, *args, **kwargs)
+
+        def counting_mkdir(path, *args, **kwargs):
+            if str(path).startswith(root):
+                calls.append(("mkdir", str(path)))
+            return real_mkdir(path, *args, **kwargs)
+
+        path = "/v1/best?program=hdiff&shape=16,16,8"
+        try:
+            assert get(server, path)[0] == 200  # the first record
+            with monkeypatch.context() as patch:
+                patch.setattr(builtins, "open", counting_open)
+                patch.setattr(os, "mkdir", counting_mkdir)
+                for _ in range(20):
+                    assert get(server, path)[0] == 200
+        finally:
+            server.close()
+        assert calls == []
+        assert len(query_log_path().read_text().splitlines()) == 21
+
+    def test_record_after_a_prune_lands_in_a_new_file(self):
+        log = QueryLog()
+        log.record("best", "hit", query="hdiff@-")
+        # What `repro cache prune` does: the file, then its directory.
+        log.path.unlink()
+        log.path.parent.rmdir()
+        log.record("pareto", "hit", query="hdiff@-")
+        lines = [json.loads(line)
+                 for line in log.path.read_text().splitlines()]
+        assert [line["endpoint"] for line in lines] == ["pareto"]
+        assert log.dropped == 0
+        log.close()
+
+    def test_concurrent_records_write_whole_lines(self):
+        log = QueryLog()
+        threads, per_thread = 4, 250
+
+        def record(n):
+            for i in range(per_thread):
+                log.record("best", "hit", query=f"t{n}-{i}" + "x" * 200,
+                           lookup_seconds=1e-5)
+
+        workers = [threading.Thread(target=record, args=(n,))
+                   for n in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        log.close()
+        lines = [json.loads(line)
+                 for line in log.path.read_text().splitlines()]
+        assert len(lines) == threads * per_thread
+        assert len({line["query"] for line in lines}) == len(lines)
+
+    def test_unwritable_log_only_counts_drops(self, tmp_path):
+        log = QueryLog()
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        log.path = blocker / "query_log.jsonl"
+        log.record("best", "hit")
+        log.record("best", "miss")
+        assert log.dropped == 2
+        log.close()
+
+    def test_encoded_replies_equal_the_dict_replies(self):
+        seed_report()
+        index, _ = FrontierIndex.warm_load()
+        entry, _key = index.locate("hdiff", SHAPE, api.resolve_platform(
+            None).name)
+        for kind in ("best", "pareto"):
+            for seconds in (0.0, 1.5e-05, 0.000123456789, 2.0):
+                reply = api.query("hdiff", shape=SHAPE,
+                                  pareto=(kind == "pareto"), index=index)
+                reply["lookup_seconds"] = seconds
+                assert entry.encoded(kind, seconds) == \
+                    json.dumps(reply).encode()
+                assert entry.response(kind, seconds) == reply
+
+    def test_http_hit_body_is_the_dict_reply_encoded(self):
+        seed_report()
+        server = make_server()
+        try:
+            for kind in ("best", "pareto"):
+                with urllib.request.urlopen(
+                        f"{server.url}/v1/{kind}?program=hdiff&"
+                        f"shape=16,16,8", timeout=30) as response:
+                    body = response.read()
+                reply = api.query("hdiff", shape=SHAPE,
+                                  pareto=(kind == "pareto"),
+                                  index=server.index)
+                reply["lookup_seconds"] = \
+                    json.loads(body)["lookup_seconds"]
+                assert body == json.dumps(reply).encode()
         finally:
             server.close()
 
