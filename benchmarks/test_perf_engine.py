@@ -162,6 +162,15 @@ def test_engine_throughput(monkeypatch):
     its virtual-cycle ceilings, scalar parity on the reduced domain
     and kernel replay parity."""
     monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    # Build hdiff's native object first, and wait for it: ``native``
+    # binds a machine of any size and joins the ``cc`` build.  The
+    # object's source does not depend on the domain, so the ``auto``
+    # runs below bind it from their first chunk, however long ``cc``
+    # takes; without the wait a unit counts as native only if the
+    # background build lands before the run's last chunk.
+    with monkeypatch.context() as native:
+        native.setenv("REPRO_KERNEL_BACKEND", "native")
+        _run(_hdiff(SCALAR_DOMAIN), "batched")
     # The planner counts below are the planner's, not a replay of an
     # earlier test's published schedule.
     reset_default_cache()
@@ -173,13 +182,15 @@ def test_engine_throughput(monkeypatch):
     assert single.profile.virtual_cycles <= SINGLE_VIRTUAL_CYCLES_MAX
     assert single.profile.window_count <= SINGLE_WINDOWS_MAX
     # Native compute under ``auto``: the paper-domain machine (28.8 M
-    # cell evaluations) binds every unit of the restricted class — all
-    # but the two ``smag_*`` units (min / max / sqrt) — when a C
-    # compiler exists, and the same run on NumPy alone has the same
-    # counts and the same output bits.
-    bound = (22, 2) if shutil.which("cc") else (0, 0)
+    # cell evaluations) considers all 24 units and binds every unit of
+    # the restricted class — all but the two ``smag_*`` units (min /
+    # max / sqrt) — when a C compiler exists, from its first chunk; the
+    # same run on NumPy alone has the same counts and the same output
+    # bits.
+    bound = (22, 2) if shutil.which("cc") else (0, 24)
     assert (single.profile.native_units,
             single.profile.native_fallback_units) == bound
+    assert single.profile.native_pending_chunks == 0
     reset_default_cache()  # NumPy alone plans alike, not only replays
     with monkeypatch.context() as numpy_only:
         numpy_only.setenv("REPRO_KERNEL_BACKEND", "python")
@@ -209,9 +220,8 @@ def test_engine_throughput(monkeypatch):
     assert links.profile.drift_windows > 0
     assert links.profile.virtual_cycles <= RUN_LINKS_VIRTUAL_CYCLES_MAX
     # Machines this size bind too (2.9 M and 1.6 M cell evaluations,
-    # above the 1.4 M floor), and start on kernels: the single row has
-    # loaded hdiff's object, whose source does not depend on the domain
-    # or the device count.
+    # above the 1.4 M floor), and start on kernels: hdiff's object,
+    # built above, does not depend on the domain or the device count.
     assert (links.profile.native_units,
             links.profile.native_fallback_units) == bound
     assert links.profile.native_pending_chunks == 0

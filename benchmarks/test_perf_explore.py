@@ -38,7 +38,7 @@ SPACE = ConfigSpace(vectorizations=(VECTORIZATION,), device_counts=(2,),
 
 def _sweep(program):
     return explore(program, space=SPACE, strategy="exhaustive",
-                   workers=1, persist=False, cache=ResultCache())
+                   persist=False, cache=ResultCache())
 
 
 def _comparable(report):

@@ -10,7 +10,7 @@ functions tier-1 entered and nothing else in the inventory did (code
 only its tests drive).
 
 The recorder is a generated ``sitecustomize`` module, so every Python
-process started with the hook on its path records, spawned workers
+process started with the hook on its path records, child processes
 included.  It installs a global trace function (``sys.settrace`` and
 ``threading.settrace``) that notes each code object's first call and
 returns ``None``: there is no line tracing.  Each process appends

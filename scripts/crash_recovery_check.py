@@ -9,14 +9,6 @@ Exercises the resilience contract end to end (docs/RESILIENCE.md):
 2. **Resume**: a sweep killed mid-run (after at least one
    per-point checkpoint) leaves a valid partial cache behind; the
    next run picks the partial results up as cache hits and completes.
-3. **Supervision**: a process-backend sweep survives one of its
-   worker processes being SIGKILLed mid-run — the lease is
-   reassigned, the sweep completes with zero failed points, and the
-   journal records the death and the recovery.
-4. **Crash-loop quarantine**: a deterministic poison-pill point that
-   SIGKILLs its worker on every attempt is quarantined as
-   ``poisoned`` after exactly two worker deaths; every other point
-   still simulates.
 
 Run from the repo root: ``python scripts/crash_recovery_check.py``.
 Exits non-zero on any violation.
@@ -66,7 +58,7 @@ def main():
 
 
 def check(tmp: Path):
-    """The four phases, in the scratch directory ``tmp``."""
+    """The two phases, in the scratch directory ``tmp``."""
     cache_dir = tmp / "cache"
     cache_path = cache_dir / "explore_cache.json"
     env = dict(os.environ,
@@ -75,7 +67,7 @@ def check(tmp: Path):
                    filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
 
     def reset_cache_dir():
-        # The root holds directories too (reports/, service/...).
+        # The root holds directories too (reports/, serve/...).
         shutil.rmtree(cache_dir, ignore_errors=True)
         cache_dir.mkdir(parents=True)
 
@@ -156,117 +148,6 @@ def check(tmp: Path):
     log(f"phase 2 ok: resumed sweep completed with "
         f"{report['cache_hits']} cache hit(s)")
 
-    # -- Phase 3: SIGKILL one worker of a process-backend sweep.
-    from repro.service.journal import JOURNAL_NAME, JobJournal
-
-    def process_argv(report_name: str, widths: str) -> list:
-        return sweep_argv(tmp, report_name, widths) + \
-            ["--backend", "process", "--workers", "2"]
-
-    def run_dirs():
-        service = cache_dir / "service"
-        if not service.is_dir():
-            return []
-        return sorted(p for p in service.iterdir()
-                      if p.is_dir() and (p / JOURNAL_NAME).exists())
-
-    reset_cache_dir()
-    chaos_env = dict(env, REPRO_SERVICE_KEEP_RUNDIR="1")
-    child = subprocess.Popen(process_argv("r4.json", "1,2,4,8"),
-                             env=chaos_env,
-                             stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
-    victim_killed = False
-    deadline = time.monotonic() + 300
-    import signal
-    while time.monotonic() < deadline and child.poll() is None:
-        pidfiles = [p for d in run_dirs()
-                    for p in d.glob("worker-*.pid")]
-        if pidfiles:
-            try:
-                pid = int(pidfiles[0].read_text().strip())
-                os.kill(pid, signal.SIGKILL)
-                victim_killed = True
-                log(f"phase 3: SIGKILLed worker pid {pid}")
-                break
-            except (OSError, ValueError):
-                pass  # worker already gone; keep polling
-        time.sleep(0.01)
-    try:
-        child.wait(timeout=600)
-    except subprocess.TimeoutExpired:
-        child.kill()
-        fail("chaos sweep hung after the worker was killed")
-    if child.returncode != 0:
-        fail(f"chaos sweep exited {child.returncode}")
-    report = json.loads((tmp / "r4.json").read_text())
-    summary = report["summary"]
-    if summary["failed_points"] != 0:
-        fail(f"chaos sweep lost points: "
-             f"{summary['failed_points']} failed")
-    if summary["simulated_points"] != summary["total_points"]:
-        fail(f"chaos sweep simulated "
-             f"{summary['simulated_points']}/"
-             f"{summary['total_points']} points")
-    if not victim_killed:
-        log("warning: sweep finished before a worker could be "
-            "killed; supervision check degenerates to a clean run")
-    else:
-        dirs = run_dirs()
-        if not dirs:
-            fail("no run directory survived (KEEP_RUNDIR was set)")
-        state = JobJournal.replay(dirs[-1] / JOURNAL_NAME)
-        if state.worker_deaths < 1:
-            fail("journal recorded no worker death after SIGKILL")
-        if not state.completed_run:
-            fail(f"journal says the run did not complete: "
-                 f"{state.summary()}")
-        if state.unresolved():
-            fail(f"journal left unresolved jobs: "
-                 f"{state.unresolved()}")
-        recovered = state.requeues \
-            + state.events.get("job_completed", 0)
-        if recovered < summary["total_points"]:
-            fail("killed worker's lease was neither requeued nor "
-                 "recovered")
-        log(f"phase 3 ok: worker death survived "
-            f"({state.summary()})")
-
-    # -- Phase 4: a poison-pill point is quarantined after exactly
-    # two worker deaths; everything else still simulates.
-    reset_cache_dir()
-    poison_env = dict(chaos_env, REPRO_SERVICE_POISON="W2 x1c")
-    proc = subprocess.run(process_argv("r5.json", "1,2,4"),
-                          env=poison_env, capture_output=True,
-                          text=True, timeout=600)
-    if proc.returncode != 0:
-        fail(f"poison sweep exited {proc.returncode}:\n{proc.stderr}")
-    report = json.loads((tmp / "r5.json").read_text())
-    failed = [e for e in report["entries"] if e["failed"]]
-    if len(failed) != 1:
-        fail(f"expected exactly one poisoned point, got "
-             f"{len(failed)}")
-    failure = failed[0]["failure"]
-    if failure["kind"] != "poisoned":
-        fail(f"poison point failed as {failure['kind']!r}, not "
-             f"'poisoned'")
-    if failure["attempts"] != 2:
-        fail(f"poison point was quarantined after "
-             f"{failure['attempts']} deaths, expected exactly 2")
-    if report["summary"]["simulated_points"] != \
-            report["summary"]["total_points"] - 1:
-        fail("poisoning leaked into other points")
-    dirs = run_dirs()
-    if not dirs:
-        fail("no run directory survived the poison sweep")
-    state = JobJournal.replay(dirs[-1] / JOURNAL_NAME)
-    if state.events.get("job_poisoned") != 1:
-        fail(f"journal poisoned-count != 1: {state.events}")
-    if state.worker_deaths < 2:
-        fail(f"journal shows {state.worker_deaths} worker deaths, "
-             f"expected >= 2")
-    log(f"phase 4 ok: poison point quarantined after exactly 2 "
-        f"worker deaths ({state.summary()})")
     log("all checks passed")
 
 

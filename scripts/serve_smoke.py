@@ -13,9 +13,10 @@ and asserts the serving acceptance criteria end to end:
    the job dedupes with an identical concurrent miss, and the poll
    endpoint converges to a measured best, after which the same query
    is a warm ``200``.
-3. **Workers stay resident**: a second, distinct miss converges
-   without spawning a worker (``service.workers_spawned`` in
-   ``/v1/metricsz`` is unchanged); both miss latencies are printed.
+3. **Hits stay warm during a miss**: a second keep-alive client hits
+   the seeded front while distinct misses sweep; every hit that
+   overlaps a sweep returns ``200``, and their round-trip p50 / p95
+   are printed and written out.
 4. **Telemetry**: ``/v1/metricsz`` returns the obs registry snapshot
    (schema 1) carrying the serve counters and the lookup histogram.
 5. **Query log**: after ``server.close()`` the query log holds one
@@ -36,6 +37,7 @@ import os
 import statistics
 import sys
 import tempfile
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -48,7 +50,8 @@ WARM_QUERIES = 200
 P50_BUDGET_SECONDS = 0.001
 SHAPE = (24, 24)
 COLD_SHAPE = (16, 16)
-SECOND_COLD_SHAPE = (20, 20)
+#: Misses swept one after another while the second client hits.
+DURING_SHAPES = ((20, 20), (28, 28), (36, 36), (44, 44))
 
 
 def log(message: str):
@@ -68,19 +71,36 @@ def get(server, path):
                 as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:
+            return exc.code, json.loads(exc.read())
 
 
-def workers_spawned(server) -> float:
-    _, body = get(server, "/v1/metricsz")
-    return sum(rec["value"] for rec in body["metrics"]["counters"]
-               if rec["name"] == "service.workers_spawned")
+def percentile(values, share: float) -> float:
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, int(share * len(ordered)))]
+
+
+def hit_loop(server, path, stop, hits):
+    """Hit ``path`` on one keep-alive connection until ``stop`` is
+    set, appending ``(start, end, status)`` per request."""
+    conn = http.client.HTTPConnection(*server.address, timeout=60)
+    try:
+        while not stop.is_set():
+            ANSWERED.append(path)
+            start = time.perf_counter()
+            conn.request("GET", path)
+            response = conn.getresponse()
+            response.read()
+            hits.append((start, time.perf_counter(), response.status))
+    finally:
+        conn.close()
 
 
 def miss(server, shape, dedupe: bool):
-    """Cold query -> 202 -> poll -> warm 200; returns (job, seconds)."""
+    """Cold query -> 202 -> poll -> warm 200; returns (job, seconds,
+    the ``perf_counter`` window from the query to the job's end)."""
     path = f"/v1/best?program=laplace2d&shape={','.join(map(str, shape))}"
-    start = time.monotonic()
+    start = time.perf_counter()
     status, body = get(server, path)
     assert status == 202, f"cold query did not 202: {body}"
     job_id = body["job"]["job_id"]
@@ -97,12 +117,13 @@ def miss(server, shape, dedupe: bool):
         if body["job"]["state"] in ("done", "failed"):
             break
         time.sleep(0.02)
+    done = time.perf_counter()
     job = body["job"]
     assert job["state"] == "done", f"job did not converge: {job}"
     assert job["best"]["simulated_cycles"] > 0
     status, body = get(server, path)
     assert status == 200, "converged query still cold"
-    return job, time.monotonic() - start
+    return job, time.perf_counter() - start, (start, done)
 
 
 def main() -> int:
@@ -119,10 +140,10 @@ def main() -> int:
     log(f"seeding the cache: laplace2d @ {SHAPE}")
     space = ConfigSpace(vectorizations=(1, 2, 4))
     report = api.explore("laplace2d", shape=SHAPE, space=space,
-                         strategy="exhaustive", backend="thread")
+                         strategy="exhaustive")
     assert report.best is not None, "seed sweep produced no best"
 
-    config = ServeConfig(port=0, backend="process", max_devices=1,
+    config = ServeConfig(port=0, max_devices=1,
                          beam_width=2,
                          explore_kwargs={"space": space,
                                          "strategy": "exhaustive"})
@@ -169,20 +190,37 @@ def main() -> int:
         log("0 artifact-cache misses across warm queries")
 
         # Cold: 202, dedupe, converge.
-        job, first_s = miss(server, COLD_SHAPE, dedupe=True)
+        job, first_s, _ = miss(server, COLD_SHAPE, dedupe=True)
         job_id = job["job_id"]
         log(f"job done: best {job['best']['simulated_cycles']} cycles, "
             f"miss -> warm in {first_s * 1e3:.0f} ms; converged query "
             f"is warm")
 
-        # A second, distinct miss reuses the resident workers.
-        spawned = workers_spawned(server)
-        assert spawned > 0, "the first miss spawned no worker"
-        _, second_s = miss(server, SECOND_COLD_SHAPE, dedupe=False)
-        assert workers_spawned(server) == spawned, (
-            "the second miss spawned workers instead of reusing them")
-        log(f"second miss -> warm in {second_s * 1e3:.0f} ms with "
-            f"{spawned:g} resident worker(s), none spawned")
+        # Hits on a second connection while distinct misses sweep.
+        stop, hits, windows, miss_s = threading.Event(), [], [], []
+        hitter = threading.Thread(target=hit_loop,
+                                  args=(server, warm_path, stop, hits))
+        hitter.start()
+        try:
+            for shape in DURING_SHAPES:
+                _, seconds, window = miss(server, shape, dedupe=False)
+                miss_s.append(seconds)
+                windows.append(window)
+        finally:
+            stop.set()
+            hitter.join(60)
+        assert all(status == 200 for _, _, status in hits), (
+            f"hits failed during misses: "
+            f"{sorted({status for _, _, status in hits})}")
+        during = [end - start for start, end, _ in hits
+                  if any(start < done and end > began
+                         for began, done in windows)]
+        assert during, "no hit overlapped a miss"
+        during_p50 = statistics.median(during)
+        during_p95 = percentile(during, 0.95)
+        log(f"{len(during)} hits during {len(windows)} misses "
+            f"({', '.join(f'{s * 1e3:.0f}' for s in miss_s)} ms): "
+            f"p50 {during_p50 * 1e3:.2f} ms, p95 {during_p95 * 1e3:.2f} ms")
 
         # Metrics shape.
         status, body = get(server, "/v1/metricsz")
@@ -200,7 +238,8 @@ def main() -> int:
         log(f"metricsz shape ok ({len(counters)} counters)")
 
         status, health = get(server, "/v1/healthz")
-        assert health["ok"] and health["index_entries"] >= 2
+        assert health["ok"] and \
+            health["index_entries"] == 2 + len(DURING_SHAPES)
 
         if outdir is not None:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -211,7 +250,10 @@ def main() -> int:
                 "round_trip_p50_seconds": rtt_p50,
                 "artifact_cache_misses": misses,
                 "job_id": job_id,
-                "miss_seconds": [first_s, second_s],
+                "miss_seconds": [first_s, *miss_s],
+                "hits_during_misses": len(during),
+                "hit_during_miss_p50_seconds": during_p50,
+                "hit_during_miss_p95_seconds": during_p95,
                 "metrics": snapshot,
             }, indent=2))
             log(f"artifacts copied to {outdir}")

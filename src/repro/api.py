@@ -180,7 +180,7 @@ def explore(program: ProgramLike, *,
 
     Delegates to :func:`repro.explore.explore`; keyword arguments are
     that function's (``space``, ``strategy``, ``beam_width``,
-    ``backend``, ``persist``, ...).  With ``persist=True`` (the
+    ``persist``, ...).  With ``persist=True`` (the
     default) the ranked report also lands in the report store that
     feeds :func:`query` and ``repro serve``.
     """
@@ -274,7 +274,7 @@ def serve(config=None, **overrides):
     Returns the running :class:`~repro.serve.ReproServer` (``.url``,
     ``.port``, ``.close()``).  Keyword arguments are
     :class:`~repro.serve.ServeConfig` fields (``host``, ``port``,
-    ``backend``, ``max_concurrent_jobs``, ...).
+    ``max_concurrent_jobs``, ...).
     """
     from .serve import ReproServer
     return ReproServer(config, **overrides).start()

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import shutil
 import signal
 import sys
 from pathlib import Path
@@ -177,17 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "default)")
     explore.add_argument("--seed", type=int, default=0,
                          help="random-input seed")
-    explore.add_argument("--workers", type=int, default=None,
-                         help="worker processes of the process "
-                              "backend")
-    explore.add_argument("--backend", default="thread",
-                         choices=("thread", "process"),
-                         help="frontier execution backend: serial in "
-                              "process, or the supervised multiprocess "
-                              "service (one lease per family, worker "
-                              "heartbeats, crash-loop quarantine), "
-                              "which degrades to 'thread' when workers "
-                              "cannot be spawned and no budget is set")
     explore.add_argument("--output", "-o", type=Path,
                          default=Path("explore_report.json"),
                          help="where to write the ranked JSON report")
@@ -206,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="CYCLES",
                          help="per-point deadlock-detection window "
                               "(default: the simulator's 256)")
-    explore.add_argument("--point-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-point wall budget (> 0); a point "
-                              "that blows it is recorded as failed. "
-                              "Only a worker can be killed, so a "
-                              "budget means --backend process")
     explore.add_argument("--checkpoint-every", type=int, default=16,
                          metavar="N",
                          help="write the persistent result cache "
@@ -226,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--trace", type=Path, default=None,
                          metavar="FILE",
                          help="enable telemetry and write a Chrome "
-                              "trace-event JSON of the sweep's spans "
-                              "(process backend: one lane per worker, "
-                              "reconstructed from the run journal)")
+                              "trace-event JSON of the sweep's spans")
 
     serve = sub.add_parser(
         "serve",
@@ -237,16 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default: loopback)")
     serve.add_argument("--port", type=int, default=None,
                        help="bind port (0 picks an ephemeral port)")
-    serve.add_argument("--backend", default="process",
-                       choices=("thread", "process"),
-                       help="explore backend for cache-miss sweeps "
-                            "(process: the supervised service)")
     serve.add_argument("--max-devices", type=int, default=2,
                        help="device budget of miss-triggered sweeps")
     serve.add_argument("--beam", type=int, default=4,
                        help="beam width of miss-triggered sweeps")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="worker processes of miss sweeps")
     serve.add_argument("--max-jobs", type=int, default=1,
                        help="background sweeps allowed at once")
     serve.add_argument("--no-query-log", action="store_true",
@@ -318,17 +292,14 @@ def _serve(args) -> int:
     config = ServeConfig(
         host=args.host if args.host is not None else DEFAULT_HOST,
         port=args.port if args.port is not None else DEFAULT_PORT,
-        backend=args.backend,
         max_devices=args.max_devices,
         beam_width=args.beam,
-        workers=args.workers,
         max_concurrent_jobs=args.max_jobs,
         telemetry=not args.no_telemetry,
         query_log=not args.no_query_log)
     server = api.serve(config)
     print(f"repro serve listening on {server.url} "
-          f"({len(server.index)} cached front(s), "
-          f"backend {config.backend}; Ctrl-C to stop)")
+          f"({len(server.index)} cached front(s); Ctrl-C to stop)")
     try:
         server.wait()
     except KeyboardInterrupt:
@@ -578,13 +549,10 @@ def _explore(program: StencilProgram, args) -> int:
         report = api.explore(program, space=space,
                              strategy=args.strategy,
                              beam_width=args.beam, seed=args.seed,
-                             workers=args.workers,
-                             backend=args.backend,
                              persist=(args.cache is not None
                                       or not args.no_cache_persist),
                              cache_path=args.cache,
                              deadlock_window=args.deadlock_window,
-                             point_timeout=args.point_timeout,
                              checkpoint_every=args.checkpoint_every)
     except SweepInterrupted as exc:
         # explore() already wrote a final checkpoint of the result
@@ -640,17 +608,12 @@ def _export_explore_telemetry(args):
 def _cache(args) -> int:
     """``repro cache stats|prune``: one pass over the store's kinds."""
     from .faults import store
-    from .service.journal import JOURNAL_NAME, JobJournal, run_dir_live
 
     root = store.cache_root(args.cache_dir)
     if args.cache_command == "stats":
         print(f"cache root: {root}")
         for kind in store.KINDS:
             print(f"  {kind.describe(root)}")
-            if kind is store.RUN_DIRS:
-                for run_dir in kind.members(root):
-                    state = JobJournal.replay(run_dir / JOURNAL_NAME)
-                    print(f"    {run_dir.name}: {state.summary()}")
         # Listed last: reading a corrupt file above quarantined it.
         quarantine = store.quarantined(root)
         print(f"  quarantined files: {len(quarantine)}")
@@ -659,20 +622,14 @@ def _cache(args) -> int:
         return 0
 
     # prune: quarantine leftovers and the derived kinds always, the
-    # primary kinds only with --all; a run dir with a live worker stays.
+    # primary kinds only with --all.
     targets = store.quarantined(root) + [
         path for kind in store.KINDS if kind.derived or args.prune_all
         for path in kind.members(root)]
     removed = 0
     for path in targets:
-        if path.is_dir() and run_dir_live(path):
-            print(f"kept {path} (live worker)")
-            continue
         try:
-            if path.is_dir():
-                shutil.rmtree(path)
-            else:
-                path.unlink()
+            path.unlink()
         except OSError as exc:
             print(f"could not remove {path}: {exc}", file=sys.stderr)
             continue

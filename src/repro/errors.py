@@ -76,27 +76,13 @@ class ValidationError(StencilFlowError):
     """Functional validation between backends failed."""
 
 
-class ServiceError(StencilFlowError):
-    """The supervised exploration service failed or was misused."""
-
-
-class ServiceUnavailable(ServiceError):
-    """The multiprocess backend could not start (spawn kept failing).
-
-    Unless the sweep has a per-point budget, which only a killable
-    worker can enforce, the explorer catches this and runs the rest
-    of the sweep in process, serially, with a warning.
-    """
-
-
 class SweepInterrupted(BaseException):
     """A sweep was interrupted by SIGINT/SIGTERM.
 
     Deliberately *not* a :class:`StencilFlowError` (nor even an
     ``Exception``): the retry machinery and the CLI's exit-2 handler
     must never swallow an interrupt.  The explorer catches it only to
-    write a final cache checkpoint and tear down worker processes,
-    then re-raises; the CLI converts it to the conventional
+    write a final cache checkpoint, then re-raises; the CLI converts it to the conventional
     ``128 + signum`` exit code (130 for SIGINT, 143 for SIGTERM).
     """
 

@@ -12,7 +12,7 @@ a ranked Pareto report::
 """
 
 from .cache import Measurement, ResultCache, program_fingerprint
-from .explorer import BACKENDS, baseline_point, default_inputs, explore
+from .explorer import baseline_point, default_inputs, explore
 from .prune import Prediction, Pruner
 from .report import (
     ExplorationEntry,
@@ -34,7 +34,6 @@ from .search import (
 from .space import ConfigPoint, ConfigSpace
 
 __all__ = [
-    "BACKENDS",
     "ConfigPoint",
     "ConfigSpace",
     "ExhaustiveSearch",

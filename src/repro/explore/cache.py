@@ -149,34 +149,6 @@ class ResultCache:
                     adopted += 1
         return adopted
 
-    def adopt_serialized(self, entries: Mapping[str, Mapping],
-                         fresh: bool = True) -> int:
-        """Adopt already-keyed JSON entries (a worker shard's content).
-
-        The supervised multiprocess backend compacts per-worker
-        ``ResultCache`` shards through this: shard files map entry
-        keys straight to measurement JSON.  Existing entries win;
-        with ``fresh`` the adopted keys count as this process's own
-        when the capped persistent save trims (shard measurements
-        were just paid for).  Unparseable entries are skipped — a
-        half-written shard from a killed worker must not poison the
-        compaction.  Returns the number of entries adopted.
-        """
-        adopted = 0
-        with self._lock:
-            for key, spec in entries.items():
-                if key in self._entries:
-                    continue
-                try:
-                    entry = Measurement.from_json(spec)
-                except Exception:
-                    continue
-                self._entries[key] = entry
-                if fresh:
-                    self._fresh.add(key)
-                adopted += 1
-        return adopted
-
     # -- persistence ---------------------------------------------------------
 
     @classmethod

@@ -10,7 +10,6 @@ ranked :class:`~repro.explore.report.ExplorationReport`.
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from typing import (
@@ -29,8 +28,6 @@ import numpy as np
 from ..core.program import StencilProgram
 from ..errors import (
     DeadlockError,
-    DefinitionError,
-    ServiceUnavailable,
     StencilFlowError,
     SweepInterrupted,
 )
@@ -55,10 +52,6 @@ from .report import (
 from .search import GreedySearch, SearchStrategy, get_strategy
 from .space import ConfigPoint, ConfigSpace
 
-#: Validation backends the simulation stage offers.
-BACKENDS = ("thread", "process")
-
-
 def baseline_point(program: StencilProgram) -> ConfigPoint:
     """The configuration ``repro run`` uses when no flag is given."""
     return ConfigPoint(vectorization=program.vectorization)
@@ -77,12 +70,10 @@ def explore(program: StencilProgram,
             persist: bool = True,
             cache_path=None,
             deadlock_window: Optional[int] = None,
-            point_timeout: Optional[float] = None,
             retries: int = 1,
             retry_backoff: float = 0.25,
             checkpoint_every: int = 16,
-            backend: str = "thread",
-            service=None,
+            backend: Optional[str] = None,
             config_parallel: Optional[bool] = None) -> ExplorationReport:
     """Sweep ``program``'s design space and rank what survives.
 
@@ -103,11 +94,6 @@ def explore(program: StencilProgram,
             :class:`SearchStrategy` instance.
         beam_width: beam size for the greedy strategy.
         seed: input-generation seed (part of the determinism contract).
-        workers: worker processes of the process backend, when
-            ``service`` does not set its own count; one
-            lowered-program family per lease.  An in-process sweep is
-            serial: control runs are planner-VM Python that holds the
-            GIL, so only processes run them in parallel.
         cache: simulation-result cache; pass the same instance (or a
             loaded one) across sweeps to make them incremental.
         engine_mode: simulator engine selection per point.
@@ -124,55 +110,30 @@ def explore(program: StencilProgram,
         deadlock_window: per-point override of
             :attr:`SimulatorConfig.deadlock_window` (``None`` keeps
             the simulator default).
-        point_timeout: per-point wall budget in seconds (finite, > 0;
-            ``None``: no budget); a point that blows it is recorded as
-            a failed entry, charged from its own start.  Only a worker
-            process can be killed, so a budget runs the sweep on the
-            process backend, or raises :class:`ServiceUnavailable`.
-        retries: extra attempts for *non-deterministic* per-point
-            failures (a crashed worker); deadlocks, model errors and
-            data guards are deterministic and never retried.
+        retries: extra attempts for a point whose full run raised
+            anything but a deadlock, a model error or a data guard
+            (those are deterministic and never retried).
         retry_backoff: base of the exponential backoff between
             retries, in seconds.
         checkpoint_every: with ``persist``, write the result cache to
             disk every this many completed points, so a killed sweep
             resumes from its partial results on the next run.
-        backend: ``"thread"`` (in process, serial; the default) or
-            ``"process"`` — the supervised multiprocess service
-            (:mod:`repro.service`): one lease per family, worker
-            heartbeats, crash-loop quarantine.  Either backend only
-            executes families; deduplication, the cache probe and
-            checkpointing happen here, once.  Identical reports on
-            fault-free sweeps; the process backend additionally
-            survives hard worker crashes (native OOM, segfault,
-            SIGKILL) and kills workers that overrun ``point_timeout``.
-            Without a budget, the families a pool that cannot spawn
-            left unsettled run in process, with a warning.
-        service: the process backend's workers: a
-            :class:`repro.service.ServiceConfig` (supervision tunables;
-            a private worker pool lives for this call) or a live
-            :class:`repro.service.WorkerPool`, borrowed and left
-            running so its workers serve the owner's next sweep.
-        config_parallel: deprecated and ignored (control runs are how
-            every sweep measures).  It stays only while
-            ``benchmarks/e2e/layers.py`` passes it; revision 2 of the
-            benchmark (ROADMAP.md, item 1a) deletes it.
+        workers, backend, config_parallel: deprecated and ignored.
+            Every sweep runs in this process, one family after
+            another: control runs are planner-VM Python that holds the
+            GIL, and on a 2-core box worker processes cost more in IPC
+            and bookkeeping than the second core gives back.  They stay
+            only while ``benchmarks/e2e`` passes them; revision 2 of
+            the benchmark (ROADMAP.md, item 1a) deletes them.
     """
-    if backend not in BACKENDS:
-        raise DefinitionError(
-            f"unknown explore backend {backend!r} "
-            f"(expected one of {', '.join(BACKENDS)})")
-    if point_timeout is not None:
-        if not (math.isfinite(point_timeout) and point_timeout > 0):
-            raise DefinitionError(f"point_timeout must be a finite number "
-                                  f"of seconds > 0, not {point_timeout!r}")
-        backend = "process"  # only a worker process can be killed
-    if workers is not None and workers < 1:
-        raise DefinitionError(f"workers must be at least 1, not {workers!r}")
-    if config_parallel is not None:
-        warnings.warn("explore(config_parallel=...) is deprecated and "
-                      "ignored: every sweep times machines by control "
-                      "runs, plus a data pass where data can fail",
+    deprecated = [name for name, value in (
+        ("workers", workers), ("backend", backend),
+        ("config_parallel", config_parallel)) if value is not None]
+    if deprecated:
+        warnings.warn(f"explore({', '.join(deprecated)}) is deprecated "
+                      f"and ignored: every sweep runs in process, "
+                      f"timing machines by control runs, plus a data "
+                      f"pass where data can fail",
                       DeprecationWarning, stacklevel=2)
     start = clock.now()
     space = space or ConfigSpace.default_for(program, platform)
@@ -216,8 +177,7 @@ def explore(program: StencilProgram,
 
     def checkpoint_save():
         # Timed through the obs clock so checkpoint latency is a
-        # first-class metric on both backends (both settle through
-        # ``_simulate_frontier``).
+        # first-class metric.
         began = clock.now()
         cache.save_persistent(cache_path)
         metrics.histogram("explore.checkpoint_seconds").observe(
@@ -226,13 +186,10 @@ def explore(program: StencilProgram,
     checkpoint = checkpoint_save if persist else None
     frontier = [by_point[p] for p in selected]
     try:
-        with span("explore.simulate", backend=backend,
-                  frontier=len(frontier)):
+        with span("explore.simulate", frontier=len(frontier)):
             measurements, failures = _simulate_frontier(
-                pruner, frontier, inputs, engine_mode, cache, workers,
-                backend=backend, service=service,
+                pruner, frontier, inputs, engine_mode, cache,
                 deadlock_window=deadlock_window,
-                point_timeout=point_timeout,
                 retries=retries,
                 retry_backoff=retry_backoff,
                 checkpoint_every=checkpoint_every,
@@ -245,10 +202,7 @@ def explore(program: StencilProgram,
             cache.save_persistent(cache_path)
         raise
 
-    # Backend-agnostic sweep totals: counted here, after the
-    # simulation stage returns, so thread and process sweeps report
-    # equivalent metric totals (the process backend's workers never
-    # need their own registry for these).
+    # Sweep totals, counted once the simulation stage returns.
     if metrics.enabled():
         hits = sum(1 for _, hit in measurements.values() if hit)
         metrics.counter("explore.sweeps").inc()
@@ -315,9 +269,7 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
             ) -> Iterator[Union[Measurement, PointFailure]]:
     """Measure ``group``, machines of one lowered program family,
     yielding each member's :class:`Measurement` or
-    :class:`PointFailure` in order as it finishes.  This is the one
-    measurement both sweep backends take: the in-process loop or a
-    process worker's lease, each measuring one family.
+    :class:`PointFailure` in order as it finishes.
 
     Members get control runs, the plan alone
     (:func:`~repro.simulator.control.simulate_control`), bitwise a full
@@ -332,7 +284,7 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
     In a full run, deadlocks, model errors and the engines' data guards
     (``ValueError``/``OverflowError`` from the NaN, infinity and range
     checks of integer storage) are deterministic and fail the member at
-    once; anything else is a possibly transient crash, retried
+    once; anything else is a possibly transient error, retried
     ``retries`` times with exponential backoff.
     """
 
@@ -430,11 +382,7 @@ def _simulate_frontier(pruner: Pruner,
                        inputs: Mapping[str, np.ndarray],
                        engine_mode: str,
                        cache: ResultCache,
-                       workers: Optional[int],
-                       backend: str = "thread",
-                       service=None,
                        deadlock_window: Optional[int] = None,
-                       point_timeout: Optional[float] = None,
                        retries: int = 1,
                        retry_backoff: float = 0.25,
                        checkpoint_every: int = 16,
@@ -446,15 +394,11 @@ def _simulate_frontier(pruner: Pruner,
     Returns ``(outcomes, failures)``, both keyed by
     :func:`_machine_key`: ``outcomes`` maps to ``(measurement,
     cache_hit)``; ``failures`` records points that produced no
-    measurement (deadlock, timeout, exhausted retries, poisoned) — the
-    sweep always completes.  Cache hits are answered first; the rest
-    are grouped by :func:`_families` and each outcome goes through
-    ``settle`` to every point it answers, with one cache entry per
-    point's key.  The backends differ only in how they run a family: a
-    plain loop in this thread, or a lease on the supervised process
-    pool (:class:`repro.service.Supervisor`).  When worker processes
-    cannot be spawned, the families the pool left unsettled run in the
-    loop, unless a ``point_timeout`` needs a worker to kill.
+    measurement (deadlock, model error, exhausted retries) — the sweep
+    always completes.  Cache hits are answered first; the rest are
+    grouped by :func:`_families`, measured one family after another in
+    this thread, and each outcome goes through ``settle`` to every
+    point it answers, with one cache entry per point's key.
     """
     # The *resolved* engine is part of the entry key: cycle counts are
     # engine-independent (enforced by the equivalence suite), but the
@@ -497,36 +441,7 @@ def _simulate_frontier(pruner: Pruner,
         else:
             settle([prediction], cached, hit=True)
 
-    families = _families(pending)
-    if backend == "process" and families:
-        from ..service.supervisor import ServiceConfig, Supervisor, WorkerPool
-        if not isinstance(service, WorkerPool):
-            service = (service or ServiceConfig()).sized(workers)
-        try:
-            Supervisor(pruner.program, pruner.platform, families, settle,
-                       inputs, engine_mode, resolved_engine, cache,
-                       service, deadlock_window=deadlock_window,
-                       point_timeout=point_timeout, retries=retries,
-                       retry_backoff=retry_backoff).run()
-            return outcomes, failures
-        except ServiceUnavailable as exc:
-            if point_timeout is not None:
-                raise ServiceUnavailable(
-                    f"{exc}; a point_timeout needs worker processes "
-                    f"to kill") from exc
-            if isinstance(service, WorkerPool) and service.closed:
-                raise  # shut down by its owner: nothing to fall back to
-            import sys
-            print(f"warning: process backend unavailable ({exc}); "
-                  f"falling back to the thread backend (in process, "
-                  f"serial)", file=sys.stderr)
-        settled = outcomes.keys() | failures.keys()
-        families = [[machine for machine in family
-                     if _machine_key(machine[0]) not in settled]
-                    for family in families]
-        families = [family for family in families if family]
-
-    for family in families:
+    for family in _families(pending):
         results = measure([machine[0] for machine in family],
                           pruner.program, pruner.platform, inputs,
                           engine_mode, resolved_engine, deadlock_window,

@@ -89,13 +89,11 @@ class PointFailure:
 
     ``kind`` is ``"deadlock"`` (the machine wedged — ``detail``
     carries the structured
-    :class:`~repro.faults.forensics.DeadlockReport` as JSON),
-    ``"timeout"`` (the per-point wall budget elapsed), ``"error"``
-    (the simulation raised), or — process backend only —
-    ``"poisoned"`` (the point killed its worker process
-    ``attempts`` times and was quarantined as a crash loop instead
-    of being retried forever).  ``attempts`` counts tries including
-    retries; for poisoned points it counts worker deaths.
+    :class:`~repro.faults.forensics.DeadlockReport` as JSON) or
+    ``"error"`` (the simulation raised, or ran into the cycle cap).
+    Reports stored by older versions may also carry ``"timeout"`` or
+    ``"poisoned"``; they load as written.  ``attempts`` counts tries
+    including retries.
     """
 
     kind: str
@@ -145,7 +143,7 @@ class ExplorationEntry:
     pareto: bool = False
     baseline: bool = False
     #: The point was selected for simulation but produced no
-    #: measurement (deadlock, timeout, or a crashed worker); the
+    #: measurement (a deadlock or an error); the
     #: sweep completes with a partial report and a re-run retries it.
     failed: bool = False
     failure: Optional[PointFailure] = None
@@ -227,7 +225,7 @@ class ExplorationReport:
     @property
     def failed_points(self) -> Tuple[ExplorationEntry, ...]:
         """Frontier points that produced no measurement (deadlocks,
-        per-point timeouts, crashed workers)."""
+        errors)."""
         return tuple(e for e in self.entries if e.failed)
 
     @property

@@ -198,11 +198,9 @@ class Kind:
 
 def _size(path: Path) -> int:
     try:
-        if path.is_dir():
-            return sum(_size(p) for p in path.iterdir())
         return path.stat().st_size
     except OSError:
-        return 0  # removed while counting (a run finishing, say)
+        return 0  # removed while counting
 
 
 def _json_count(measure: Callable) -> Callable[[Path], Optional[int]]:
@@ -231,12 +229,9 @@ TELEMETRY = Kind("last explore metrics", "telemetry",
                  "last_explore_metrics.json", derived=False,
                  unit="counters",
                  count=_json_count(lambda d: len(d["counters"])))
-RUN_DIRS = Kind("service run dirs", "service", "run-*", derived=True,
-                unit="dir(s)")
 
 #: Every kind, in ``repro cache stats`` order.
-KINDS = (RESULTS, REPORTS, KERNELS, SERVE_INDEX, QUERY_LOG, TELEMETRY,
-         RUN_DIRS)
+KINDS = (RESULTS, REPORTS, KERNELS, SERVE_INDEX, QUERY_LOG, TELEMETRY)
 
 
 def quarantined(root=None) -> List[Path]:

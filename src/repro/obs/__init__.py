@@ -6,8 +6,7 @@ The observability layer every subsystem reports into:
   gauges, and histograms with labels; snapshot-to-JSON.
 * :mod:`repro.obs.spans` — nested wall-time spans with ids/parents,
   collected by a process-wide tracer.
-* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto), and
-  per-worker span reconstruction from the service job journal.
+* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto).
 * :mod:`repro.obs.profile` — always-on plan-level statistics attached
   to every ``SimulationResult``.
 * :mod:`repro.obs.clock` — the single monkeypatchable time source
@@ -24,7 +23,7 @@ catalogs and the overhead contract.
 from __future__ import annotations
 
 from . import clock, export, metrics, spans
-from .export import chrome_trace, journal_spans, write_chrome_trace
+from .export import chrome_trace, write_chrome_trace
 from .metrics import TELEMETRY_ENV, MetricsRegistry
 from .profile import EngineProfile
 from .spans import SpanRecord, Tracer, span
@@ -52,7 +51,6 @@ __all__ = [
     "disable",
     "enable",
     "export",
-    "journal_spans",
     "metrics",
     "span",
     "spans",

@@ -1,13 +1,13 @@
 """The one time source for all wall-time bookkeeping.
 
 Every ``wall_seconds`` field in the tree (explorer measurements,
-service workers, spans, engine profiles) is produced by calling
+spans, engine profiles) is produced by calling
 ``clock.now()`` through this module, so tests can monkeypatch a single
 attribute (``repro.obs.clock.now``) to get deterministic timings
 everywhere at once.
 
 ``now()`` is monotonic (durations); ``wall()`` is epoch seconds
-(journal timestamps, trace anchoring).  Callers must import the module
+(trace anchoring).  Callers must import the module
 and call ``clock.now()`` — binding the function at import time would
 defeat monkeypatching.
 """
@@ -23,5 +23,5 @@ def now() -> float:
 
 
 def wall() -> float:
-    """Epoch seconds, for timestamping events across processes."""
+    """Epoch seconds, for anchoring traces."""
     return time.time()

@@ -14,10 +14,7 @@ Instruments are get-or-create by ``(name, labels)``:
     metrics.counter("artifact_cache.hits", kind="analysis").inc()
     metrics.histogram("explore.checkpoint_seconds").observe(0.12)
 
-``snapshot()`` renders the whole registry as a JSON-serializable dict;
-``merge_snapshot()`` folds one snapshot into another registry (used to
-adopt worker-process totals into the supervisor's registry, so thread
-and process backends report equivalent totals).
+``snapshot()`` renders the whole registry as a JSON-serializable dict.
 
 Enable with ``metrics.enable()``, a CLI telemetry flag, or
 ``REPRO_TELEMETRY=1`` in the environment.
@@ -204,47 +201,6 @@ class MetricsRegistry:
         return {"schema": 1, "enabled": self.enabled, "ops": self.ops,
                 "counters": counters, "gauges": gauges,
                 "histograms": histograms}
-
-    def merge_snapshot(self, snap: Mapping) -> None:
-        """Fold another registry's snapshot into this one.
-
-        Counters add; gauges take the incoming value; histograms add
-        count/sum/buckets and widen min/max.  Used to adopt worker
-        subprocess totals so a process-backend sweep reports the same
-        totals a thread-backend sweep would.
-        """
-        if not self.enabled:
-            return
-        for rec in snap.get("counters", ()):
-            if rec["value"]:
-                self.counter(rec["name"], **rec["labels"]).inc(
-                    rec["value"])
-        for rec in snap.get("gauges", ()):
-            if rec["value"] is not None:
-                self.gauge(rec["name"], **rec["labels"]).set(
-                    rec["value"])
-        for rec in snap.get("histograms", ()):
-            hist = self.histogram(rec["name"], **rec["labels"])
-            if not rec["count"]:
-                continue
-            with self._lock:
-                hist.count += rec["count"]
-                hist.sum += rec["sum"]
-                for low in (rec["min"],):
-                    if low is not None and (hist.min is None
-                                            or low < hist.min):
-                        hist.min = low
-                for high in (rec["max"],):
-                    if high is not None and (hist.max is None
-                                             or high > hist.max):
-                        hist.max = high
-                if list(rec.get("buckets", ())) == list(hist.buckets):
-                    for i, n in enumerate(rec["bucket_counts"]):
-                        hist.bucket_counts[i] += n
-                self._registry_ops_bump()
-
-    def _registry_ops_bump(self) -> None:
-        self.ops += 1
 
     def save(self, path) -> None:
         with open(path, "w") as handle:

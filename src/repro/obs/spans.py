@@ -61,8 +61,8 @@ class Tracer:
             contextvars.ContextVar("repro_obs_span_parent",
                                    default=None)
         # Maps perf_counter() readings onto the epoch so durations
-        # keep monotonic precision but timestamps line up with the
-        # journal's time.time() records in one merged trace.
+        # keep monotonic precision but timestamps are wall-clock
+        # anchored.
         self._epoch_offset = clock.wall() - clock.now()
 
     @contextmanager

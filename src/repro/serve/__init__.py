@@ -7,8 +7,8 @@ family hash, shape, hardware descriptor), and answers
     "best configuration for program P at shape S on hardware H?"
 
 in sub-millisecond time over HTTP.  A miss synthesizes a bounded
-design-space job on the supervised exploration service and returns
-``202`` with a poll handle; once the sweep lands, the answer is warm
+design-space sweep, run on a background thread, and returns ``202``
+with a poll handle; once the sweep lands, the answer is warm
 forever after.
 
 Entry points::

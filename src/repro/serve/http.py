@@ -6,7 +6,7 @@ Stdlib-only (:mod:`http.server`), thread-per-request
 
 * ``GET/POST /v1/best``    — best measured config for (program,
   shape, hardware); ``200`` from the in-memory frontier index,
-  ``202`` + job id on a miss (a bounded supervised sweep is enqueued);
+  ``202`` + job id on a miss (a bounded sweep is enqueued);
 * ``GET/POST /v1/pareto``  — the full non-dominated front;
 * ``GET /v1/jobs/<id>``    — poll a miss-triggered sweep;
 * ``GET /v1/healthz``      — liveness + index/job inventory;
@@ -63,12 +63,8 @@ class ServeConfig:
     Attributes:
         host/port: bind address (``port=0`` picks an ephemeral port —
             the tests and the smoke gate use that).
-        backend: explore backend for miss-triggered sweeps
-            (``"process"``: the supervised service, degrading to an
-            in-process serial sweep when workers cannot spawn).
         max_devices: device budget of the synthesized sweep space.
         beam_width: greedy-beam width of miss sweeps.
-        workers: worker processes of miss sweeps.
         max_concurrent_jobs: background sweeps allowed at once.
         telemetry: enable the metrics registry so ``/v1/metricsz``
             has content (serve is long-running; the per-request cost
@@ -82,10 +78,8 @@ class ServeConfig:
 
     host: str = DEFAULT_HOST
     port: int = DEFAULT_PORT
-    backend: str = "process"
     max_devices: int = 2
     beam_width: int = 4
-    workers: Optional[int] = None
     max_concurrent_jobs: int = 1
     telemetry: bool = True
     query_log: bool = True
@@ -237,10 +231,8 @@ class ReproServer:
         self.query_log = QueryLog(enabled=self.config.query_log)
         self.jobs = JobManager(
             self.index,
-            backend=self.config.backend,
             max_devices=self.config.max_devices,
             beam_width=self.config.beam_width,
-            workers=self.config.workers,
             max_concurrent=self.config.max_concurrent_jobs,
             explore_kwargs=self.config.explore_kwargs,
             on_complete=self._job_completed)
@@ -302,7 +294,6 @@ class ReproServer:
             index_lookups={"hits": self.index.hits,
                            "misses": self.index.misses},
             jobs=self.jobs.counts(),
-            backend=self.config.backend,
             warm=self.warm_stats.to_json(),
         ), 200
 
@@ -331,9 +322,9 @@ class ReproServer:
 
     def close(self, wait_jobs: float = 0.0):
         """Stop listening, give running sweeps up to ``wait_jobs``
-        seconds, stop the resident workers (see
-        :meth:`JobManager.close`), close the query log, and snapshot
-        the index.  A server never started has no listener to stop."""
+        seconds (see :meth:`JobManager.close`), close the query log,
+        and snapshot the index.  A server never started has no
+        listener to stop."""
         if self._thread is not None:
             self.httpd.shutdown()
             self._thread.join(5.0)

@@ -2,18 +2,16 @@
 
 A query the index cannot answer becomes a *job*: a bounded
 design-space sweep over the requested (program, shape, hardware)
-triple, executed by :func:`repro.api.explore` on the supervised
-multiprocess service (one lease per family, worker heartbeats,
-journal-backed; it degrades to a serial in-process sweep when workers
-cannot be spawned).  The HTTP layer returns ``202`` with the job id;
-when the sweep lands, its report joins the store and the index, and
-the poll endpoint starts returning the measured best configuration.
+triple, run by :func:`repro.api.explore` on a background thread of
+the server's own process.  The HTTP layer returns ``202`` with the job
+id; when the sweep lands, its report joins the store and the index,
+and the poll endpoint starts returning the measured best
+configuration.
 
 Jobs dedupe on the index key: two clients asking for the same triple
 share one sweep.  Concurrency is bounded (default: one sweep at a
-time) so a burst of novel queries queues instead of forking a sweep
-per request.  Supervised sweeps borrow resident worker pools, spawned
-at the first miss, so later misses pay no spawn or import.
+time) so a burst of novel queries queues instead of starting a sweep
+per request.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..obs import metrics
 from .index import FrontierIndex, IndexKey, resolve_request
@@ -53,18 +51,14 @@ class JobManager:
     """Dedup, bound, and run miss-triggered sweeps."""
 
     def __init__(self, index: FrontierIndex, *,
-                 backend: str = "process",
                  max_devices: int = 2,
                  beam_width: int = 4,
-                 workers: Optional[int] = None,
                  max_concurrent: int = 1,
                  explore_kwargs: Optional[dict] = None,
                  on_complete=None):
         self.index = index
-        self.backend = backend
         self.max_devices = max_devices
         self.beam_width = beam_width
-        self.workers = workers
         self.explore_kwargs = dict(explore_kwargs or {})
         self.on_complete = on_complete
         self._sema = threading.BoundedSemaphore(max(1, max_concurrent))
@@ -72,8 +66,6 @@ class JobManager:
         self._jobs: Dict[str, JobRecord] = {}
         self._active_by_key: Dict[IndexKey, str] = {}
         self._threads: Dict[str, threading.Thread] = {}
-        self._pools: List = []  # every pool; the free ones below
-        self._free_pools: List = []
         self._closed = False
 
     # -- public API -----------------------------------------------------------
@@ -84,7 +76,7 @@ class JobManager:
 
         Returns ``(job, created)`` — ``created`` is False when an
         active job for the same triple already exists, so a stampede
-        of identical misses funds exactly one supervised sweep.
+        of identical misses funds exactly one sweep.
         """
         with self._lock:
             active = self._active_by_key.get(key)
@@ -132,18 +124,14 @@ class JobManager:
         return True
 
     def close(self, wait: float = 0.0) -> bool:
-        """Wait up to ``wait`` seconds for running sweeps, then close
-        the worker pools: a sweep still running aborts and its job
-        ends ``failed``, within the pools' join timeout.  Queued jobs
-        fail without starting.  Returns whether every job ended."""
-        self.wait_all(wait)
+        """Wait up to ``wait`` seconds for running sweeps; queued jobs
+        then fail without starting.  A sweep still running is left to
+        its daemon thread, which dies with the process.  Returns
+        whether every job ended."""
+        finished = self.wait_all(wait)
         with self._lock:
             self._closed = True
-            pools, self._pools = self._pools, []
-        for pool in pools:
-            pool.close()
-        return self.wait_all(max((pool.config.join_timeout
-                                  for pool in pools), default=0.0))
+        return finished
 
     # -- the sweep ------------------------------------------------------------
 
@@ -160,7 +148,6 @@ class JobManager:
         with self._lock:
             job.state = "running"
             closed = self._closed
-        pool = None
         try:
             if closed:
                 raise RuntimeError("the server is shutting down")
@@ -169,14 +156,9 @@ class JobManager:
             # and budgets through it); persistence stays on by default
             # — a sweep a miss paid for must land in the store.
             kwargs = dict(strategy="greedy", beam_width=self.beam_width,
-                          backend=self.backend, workers=self.workers,
                           persist=True)
             kwargs.update(self.explore_kwargs)
             kwargs.setdefault("space", self._space_for(resolved, platform))
-            if kwargs["backend"] == "process":
-                pool = self._borrow_pool(kwargs.get("service"),
-                                         kwargs["workers"])
-                kwargs["service"] = pool
             report = api.explore(resolved, platform=platform, **kwargs)
         except Exception as exc:
             with self._lock:
@@ -186,10 +168,6 @@ class JobManager:
                 self._active_by_key.pop(job.key, None)
             metrics.counter("serve.jobs_failed").inc()
             return
-        finally:
-            if pool is not None:
-                with self._lock:
-                    self._free_pools.append(pool)
         path = report.store_path()
         key = self.index.insert_report(
             report, report_path=str(path) if path.is_file() else None)
@@ -212,18 +190,6 @@ class JobManager:
                 self.on_complete(job, key)
             except Exception:
                 pass  # snapshot refresh must never kill a job
-
-    def _borrow_pool(self, service, workers):
-        """A free worker pool, else a new one (it spawns at its first
-        sweep); the semaphore bounds how many exist."""
-        from ..service import ServiceConfig, WorkerPool
-        with self._lock:
-            if not self._free_pools:
-                # Journals attribute the pool's sweeps to the service.
-                config = service or ServiceConfig(source="serve")
-                self._pools.append(WorkerPool(config.sized(workers)))
-                self._free_pools.append(self._pools[-1])
-            return self._free_pools.pop()
 
     def _space_for(self, program, platform):
         """The bounded sweep a miss funds.

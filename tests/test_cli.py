@@ -123,14 +123,14 @@ class TestCLI:
 
 def test_run_imports_no_explorer():
     """``repro run`` takes its seeded inputs from ``repro.run``, so a
-    run imports neither the explorer nor the service behind it."""
+    run does not import the explorer."""
     src = os.path.abspath(os.path.join(os.path.dirname(__file__),
                                        os.pardir, "src"))
     script = ("import sys; sys.path.insert(0, sys.argv[1]); "
               "from repro.cli import main; "
               "code = main(['run', 'laplace2d', '--shape', '16,16']); "
               "print(code, sorted(m for m in sys.modules if m.startswith("
-              "('repro.explore', 'repro.service'))))")
+              "'repro.explore')))")
     out = subprocess.run([sys.executable, "-c", script, src],
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "0 []"
@@ -188,28 +188,13 @@ class TestExploreCommand:
                      str(report_path)]) == 0
         assert json.loads(report_path.read_text())["program"] == "lst1"
 
-    def test_explore_process_backend(self, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        assert main(["explore", "--program", "laplace2d",
-                     "--shape", "16,16", "--widths", "1,2",
-                     "--backend", "process", "--workers", "2",
-                     "--output", str(report_path)]) == 0
-        assert "explored laplace2d" in capsys.readouterr().out
-        report = json.loads(report_path.read_text())
-        assert report["summary"]["simulated_points"] == 2
-        assert report["summary"]["failed_points"] == 0
-
-    def test_explore_rejects_bad_point_timeout(self, capsys):
-        assert main(["explore", "--program", "laplace2d",
-                     "--point-timeout", "-1"]) == 2
-        assert "error: point_timeout must be a finite number of " \
-            "seconds > 0, not -1.0" in capsys.readouterr().err
-
     def test_explore_rejects_unknown_backend(self, capsys):
+        """Every sweep runs in process: there is no backend to pick."""
         with pytest.raises(SystemExit):
             main(["explore", "--program", "laplace2d",
-                  "--backend", "smoke-signals"])
-        assert "invalid choice" in capsys.readouterr().err
+                  "--backend", "process"])
+        assert "unrecognized arguments: --backend" in \
+            capsys.readouterr().err
 
 
 class TestCacheCommand:
@@ -219,7 +204,6 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert f"cache root: {tmp_path}" in out
         assert "explore result cache: absent" in out
-        assert "service run dirs: 0" in out
         assert "quarantined files: 0" in out
 
     def test_stats_after_sweep_counts_entries(self, tmp_path,
@@ -238,30 +222,28 @@ class TestCacheCommand:
         assert "explore result cache: explore_cache.json " \
                "(2 entries" in out
 
-    def test_prune_removes_quarantine_and_dead_run_dirs(
-            self, tmp_path, capsys):
-        from repro.service.journal import JOURNAL_NAME, new_run_dir
+    def test_prune_removes_quarantine(self, tmp_path, capsys):
         (tmp_path / "explore_cache.json.corrupt-123").write_text("x")
-        run_dir = new_run_dir(tmp_path / "service")
-        (run_dir / JOURNAL_NAME).write_text("")
-        (run_dir / "worker-1.pid").write_text("999999999")  # dead pid
         assert main(["cache", "prune", "--cache-dir",
                      str(tmp_path)]) == 0
-        assert "pruned 2 path(s)" in capsys.readouterr().out
-        assert not run_dir.exists()
+        assert "pruned 1 path(s)" in capsys.readouterr().out
         assert not any(".corrupt-" in p.name
                        for p in tmp_path.iterdir())
 
-    def test_prune_keeps_live_run_dirs(self, tmp_path, capsys):
-        import os
-        from repro.service.journal import JOURNAL_NAME, new_run_dir
-        run_dir = new_run_dir(tmp_path / "service")
-        (run_dir / JOURNAL_NAME).write_text("")
-        (run_dir / "worker-1.pid").write_text(str(os.getpid()))
-        assert main(["cache", "prune", "--cache-dir",
+    def test_old_service_dir_is_inert(self, tmp_path, capsys):
+        """A ``service/`` run dir that an older version left under the
+        root belongs to no kind: stats and prune pass it by."""
+        run_dir = tmp_path / "service" / "run-1"
+        run_dir.mkdir(parents=True)
+        (run_dir / "journal.jsonl").write_text("")
+        assert main(["cache", "stats", "--cache-dir",
                      str(tmp_path)]) == 0
-        assert "kept" in capsys.readouterr().out
-        assert run_dir.exists()
+        lines = capsys.readouterr().out.splitlines()[1:]  # after the root
+        assert not any("service" in line for line in lines)
+        assert main(["cache", "prune", "--all", "--cache-dir",
+                     str(tmp_path)]) == 0
+        assert "pruned 0 path(s)" in capsys.readouterr().out
+        assert (run_dir / "journal.jsonl").exists()
 
     def test_prune_all_removes_the_cache_itself(self, tmp_path,
                                                 capsys):
@@ -331,7 +313,6 @@ class TestCacheCommand:
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.spans import Tracer
         from repro.serve import ReproServer, ServeConfig
-        from repro.service import ServiceConfig
 
         root = Path(os.environ["REPRO_CACHE_DIR"])
         space = ConfigSpace(vectorizations=(1,))
@@ -343,16 +324,11 @@ class TestCacheCommand:
                          "12,12", "--widths", "1", "--metrics",
                          str(tmp_path / "m.json"), "--output",
                          str(tmp_path / "r.json")]) == 0
-            # A process-backend sweep that keeps its run dir.
-            api.explore("laplace2d", shape=(16, 16), space=space,
-                        strategy="exhaustive", backend="process",
-                        service=ServiceConfig(workers=1,
-                                              keep_run_dir=True))
             # A kernel-engine run.
             api.run("laplace2d", shape=(10, 10), engine_mode="kernel")
             # A server start, one miss, one query-log line.
             server = ReproServer(ServeConfig(
-                port=0, backend="thread", max_devices=1, beam_width=1,
+                port=0, max_devices=1, beam_width=1,
                 explore_kwargs={"space": space,
                                 "strategy": "exhaustive"})).start()
             try:
@@ -542,7 +518,6 @@ class TestExploreAxes:
         assert main(["explore", "--program", "laplace2d",
                      "--shape", "12,12", "--widths", "1,2",
                      "--deadlock-window", "512",
-                     "--point-timeout", "60",
                      "--checkpoint-every", "1",
                      "--output", str(report_path)]) == 0
         report = json.loads(report_path.read_text())

@@ -1081,7 +1081,7 @@ class TestConfigParallelExplore:
     def _sweep(self, program, **kwargs):
         from repro.explore import ConfigSpace, ResultCache, explore
         settings = dict(space=ConfigSpace(**self.SPACE),
-                        strategy="exhaustive", workers=1, persist=False,
+                        strategy="exhaustive", persist=False,
                         cache=ResultCache())
         settings.update(kwargs)
         return explore(program, **settings)
@@ -1107,46 +1107,21 @@ class TestConfigParallelExplore:
         finally:
             metrics.set_registry(old)
 
-    @staticmethod
-    def _service(tmp_path):
-        from repro.service import ServiceConfig
-        return ServiceConfig(run_root=tmp_path / "service",
-                             heartbeat_interval=0.05, poll=0.01)
-
-    @pytest.mark.parametrize("workers, backend",
-                             [(1, "thread"), (2, "process")],
-                             ids=["serial", "process"])
-    def test_reports_identical(self, workers, backend, monkeypatch,
-                               tmp_path):
+    def test_reports_identical(self, monkeypatch):
         program = diamond_program(long_branch=2)
         full, full_counts = self._counted(lambda: self._all_full(
-            monkeypatch, program, workers=workers))
-        extra = {"backend": "process",
-                 "service": self._service(tmp_path)} \
-            if backend == "process" else {}
-        grouped, counts = self._counted(
-            lambda: self._sweep(program, workers=workers, **extra))
+            monkeypatch, program))
+        grouped, counts = self._counted(lambda: self._sweep(program))
         assert self._comparable(grouped) == self._comparable(full)
         assert grouped.simulated_points == len(grouped.entries) == 33
         assert not grouped.failed_points
         # Twenty machines in two families (fused or not) whose float
-        # data cannot fail: twenty control runs and no full run, on
-        # either backend (a process sweep merges its workers'
-        # counters).  The all-full sweep runs each of its 33
-        # measurement keys in full.
+        # data cannot fail: twenty control runs and no full run.  The
+        # all-full sweep runs each of its 33 measurement keys in full.
         assert counts.counter_total("engine.runs") == 20
         assert counts.counter_total("explore.control_points") == 20
         assert full_counts.counter_total("engine.runs") == 33
         assert full_counts.counter_total("explore.control_points") == 0
-
-    def test_process_backend_rejected(self, tmp_path):
-        """The process backend, one lease per family, reports what the
-        thread backend reports, entry for entry."""
-        program = diamond_program(long_branch=2)
-        thread = self._sweep(program, workers=2)
-        process = self._sweep(program, workers=2, backend="process",
-                              service=self._service(tmp_path))
-        assert self._comparable(process) == self._comparable(thread)
 
     def test_control_deadlock_gets_full_run_forensics(self,
                                                       monkeypatch):

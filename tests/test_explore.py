@@ -155,19 +155,23 @@ class TestStrategies:
 
 class TestExplorer:
     @pytest.mark.parametrize("kwargs", [
-        dict(point_timeout=-1.0), dict(point_timeout=0.0),
-        dict(point_timeout=float("nan")), dict(point_timeout=float("inf")),
-        dict(workers=0), dict(workers=-2),
-        dict(workers=-2, backend="process"),
-    ], ids=["timeout-negative", "timeout-zero", "timeout-nan",
-            "timeout-inf", "workers-zero", "workers-negative",
-            "workers-negative-process"])
-    def test_rejects_bad_budget_and_worker_count(self, kwargs):
-        """A budget must be finite and positive, a worker count at
-        least one: neither is reinterpreted, and nothing is swept."""
-        name = next(iter(kwargs))
-        with pytest.raises(DefinitionError, match=f"^{name} must be"):
-            explore(laplace2d(shape=(12, 12)), persist=False, **kwargs)
+        dict(backend="process"), dict(workers=2),
+        dict(config_parallel=True),
+    ], ids=["backend", "workers", "config-parallel"])
+    def test_deprecated_keywords_warn_and_change_nothing(self, kwargs):
+        """``backend``, ``workers`` and ``config_parallel`` are accepted
+        while the benchmark passes them: each warns once and the sweep
+        ranks exactly as a plain one."""
+        program = laplace2d(shape=(12, 12))
+        space = ConfigSpace(vectorizations=(1, 2, 4))
+        plain = explore(program, space=space, persist=False)
+        with pytest.warns(DeprecationWarning,
+                          match=f"{next(iter(kwargs))}.*deprecated") \
+                as caught:
+            report = explore(program, space=space, persist=False,
+                             **kwargs)
+        assert len(caught) == 1
+        assert report.ranking_signature() == plain.ranking_signature()
 
     def test_deterministic_ranked_report(self):
         program = small_chain()
@@ -400,7 +404,7 @@ class TestTransformAxes:
             reset_default_cache()
             priced.clear()
             report = explore(program, space=space, strategy="greedy",
-                             beam_width=4, workers=1, backend="thread")
+                             beam_width=4)
             work.append((default_cache().stats(), len(priced),
                          report.cache_hits, report.simulated_points))
         assert work[0] == work[1]
@@ -769,8 +773,7 @@ class TestPricingWork:
                                in _SWEEP["space"].items()})
         reset_default_cache()
         report = explore(program, inputs=random_inputs(program),
-                         space=space, strategy="greedy", beam_width=8,
-                         workers=1, backend="thread")
+                         space=space, strategy="greedy", beam_width=8)
         assert (report.total_points, report.simulated_points) == (80, 15)
         printed = calls[0]
         pruner = Pruner(program)

@@ -1,7 +1,7 @@
 """Tests for the telemetry subsystem (``repro.obs``): metrics
-registry semantics, span capture and Chrome-trace export, journal
-span reconstruction, engine profiles, the no-op-when-disabled
-overhead contract, and thread-vs-process sweep metric equivalence."""
+registry semantics, span capture and Chrome-trace export, engine
+profiles, the no-op-when-disabled overhead contract, and a sweep's
+metric totals."""
 
 import json
 
@@ -12,15 +12,11 @@ from repro.obs import (
     EngineProfile,
     MetricsRegistry,
     Tracer,
-    chrome_trace,
-    journal_spans,
     metrics,
     spans,
     write_chrome_trace,
 )
-from repro.obs.export import SUPERVISOR_LANE
 from repro.programs import laplace2d
-from repro.service import ServiceConfig
 from repro.simulator import SimulatorConfig, simulate
 from util import lst1_inputs, lst1_program
 
@@ -123,26 +119,6 @@ class TestMetricsRegistry:
         [hist] = snap["histograms"]
         assert hist["count"] == 1 and hist["mean"] == 0.5
 
-    def test_merge_snapshot_adds_totals(self, telemetry):
-        registry, _ = telemetry
-        registry.counter("runs").inc(2)
-        worker = MetricsRegistry(enabled=True)
-        worker.counter("runs").inc(3)
-        worker.counter("cycles", engine="batched").inc(100)
-        worker.gauge("live").set(7)
-        worker.histogram("secs").observe(0.01)
-        worker.histogram("secs").observe(2.0)
-        registry.merge_snapshot(worker.snapshot())
-        assert registry.counter("runs").value == 5
-        assert registry.counter(
-            "cycles", engine="batched").value == 100
-        assert registry.gauge("live").value == 7.0
-        merged = registry.histogram("secs")
-        assert merged.count == 2
-        assert merged.min == pytest.approx(0.01)
-        assert merged.max == pytest.approx(2.0)
-        assert sum(merged.bucket_counts) == 2
-
 
 class TestSpans:
     def test_disabled_span_yields_none_and_records_nothing(
@@ -193,84 +169,6 @@ class TestSpans:
         assert event["dur"] >= 0
         # Lanes are remapped to small ints, not raw thread idents.
         assert event["tid"] == 0
-
-
-def _journal(*records):
-    """Synthetic journal records with auto seq numbers."""
-    return [dict(rec, seq=i + 1) for i, rec in enumerate(records)]
-
-
-class TestJournalSpans:
-    def test_one_lane_per_worker(self):
-        records = _journal(
-            {"event": "run_started", "ts": 10.0, "jobs": 2},
-            {"event": "worker_spawned", "ts": 10.1, "worker": 1,
-             "pid": 100},
-            {"event": "worker_spawned", "ts": 10.1, "worker": 2,
-             "pid": 101},
-            {"event": "job_started", "ts": 10.2, "worker": 1,
-             "job": 1},
-            {"event": "job_completed", "ts": 10.5, "worker": 1,
-             "job": 1},
-            {"event": "job_started", "ts": 10.2, "worker": 2,
-             "job": 2},
-            {"event": "job_failed", "ts": 10.4, "worker": 2,
-             "job": 2},
-            {"event": "worker_dead", "ts": 10.6, "worker": 1,
-             "reason": "clean exit"},
-            {"event": "worker_dead", "ts": 10.6, "worker": 2,
-             "reason": "clean exit"},
-            {"event": "run_completed", "ts": 10.7},
-        )
-        result = journal_spans(records)
-        by_name = {}
-        for span in result:
-            by_name.setdefault(span.name, []).append(span)
-        [run] = by_name["service.run"]
-        assert run.tid == SUPERVISOR_LANE
-        assert run.start == 10.0 and run.end == 10.7
-        assert run.attrs["outcome"] == "run_completed"
-        workers = by_name["service.worker"]
-        # Worker w gets lane w + 1 (the supervisor holds lane 0).
-        assert {w.tid for w in workers} == {2, 3}
-        assert {w.tid_name for w in workers} == {"worker-1", "worker-2"}
-        assert all(w.parent_id == run.span_id for w in workers)
-        jobs = {j.attrs["job"]: j for j in by_name["service.job"]}
-        assert jobs[1].tid == 2 and jobs[2].tid == 3
-        assert jobs[1].attrs["outcome"] == "job_completed"
-        assert jobs[2].attrs["outcome"] == "job_failed"
-        assert jobs[2].end == 10.4
-
-    def test_crashed_journal_closes_open_intervals(self):
-        records = _journal(
-            {"event": "run_started", "ts": 1.0},
-            {"event": "worker_spawned", "ts": 1.1, "worker": 1},
-            {"event": "job_started", "ts": 1.2, "worker": 1,
-             "job": 9},
-        )
-        result = journal_spans(records)
-        by_name = {span.name: span for span in result}
-        assert by_name["service.worker"].end == 1.2
-        assert by_name["service.worker"].attrs["reason"] == \
-            "open-at-end-of-journal"
-        assert by_name["service.job"].attrs["outcome"] == \
-            "open-at-end-of-journal"
-
-    def test_empty_journal_is_empty(self):
-        assert journal_spans([]) == []
-
-    def test_lane_names_survive_chrome_export(self):
-        records = _journal(
-            {"event": "run_started", "ts": 1.0},
-            {"event": "worker_spawned", "ts": 1.1, "worker": 3},
-            {"event": "worker_dead", "ts": 2.0, "worker": 3,
-             "reason": "clean exit"},
-            {"event": "run_completed", "ts": 2.1},
-        )
-        spec = chrome_trace(journal_spans(records))
-        names = {e["args"]["name"] for e in spec["traceEvents"]
-                 if e["ph"] == "M"}
-        assert names == {"supervisor", "worker-3"}
 
 
 class TestEngineProfile:
@@ -426,55 +324,23 @@ class TestEngineProfile:
             assert getattr(enabled, name) == getattr(result, name)
 
 
-def _sweep(tmp_path, backend):
-    program = laplace2d().with_shape((24, 24))
-    kwargs = {}
-    if backend == "process":
-        kwargs["service"] = ServiceConfig(
-            run_root=tmp_path / f"service-{backend}",
-            heartbeat_interval=0.05, poll=0.01, join_timeout=3.0)
-    return explore(program,
-                   space=ConfigSpace(vectorizations=(1, 2)),
-                   strategy="exhaustive", workers=2, persist=False,
-                   backend=backend, **kwargs)
-
-
 class TestSweepTelemetry:
-    #: Counters whose totals must not depend on the backend.
-    EQUIVALENT = ("explore.sweeps", "explore.points_priced",
-                  "explore.points_measured", "explore.cache_hits",
-                  "engine.runs", "engine.cycles")
-
-    def test_thread_and_process_totals_match(self, tmp_path):
-        totals = {}
-        for backend in ("thread", "process"):
-            old_registry = metrics.set_registry(
-                MetricsRegistry(enabled=True))
-            old_tracer = spans.set_tracer(Tracer(enabled=True))
-            try:
-                report = _sweep(tmp_path, backend)
-                assert not report.failed_points
-                totals[backend] = {
-                    name: metrics.registry().counter_total(name)
-                    for name in self.EQUIVALENT}
-                if backend == "process":
-                    process_spans = spans.tracer().records()
-            finally:
-                metrics.set_registry(old_registry)
-                spans.set_tracer(old_tracer)
-        assert totals["thread"] == totals["process"]
-        assert totals["thread"]["explore.points_measured"] == 2
-        assert totals["thread"]["engine.runs"] == 2
-        # The process sweep also reconstructed per-worker lanes from
-        # the journal: every worker gets its own (tid, name) lane.
-        workers = [s for s in process_spans
-                   if s.name == "service.worker"]
-        assert workers
-        assert len({(w.tid, w.tid_name) for w in workers}) \
-            == len(workers)
-        assert all(w.tid_name.startswith("worker-") for w in workers)
-        [run] = [s for s in process_spans if s.name == "service.run"]
-        assert run.tid == SUPERVISOR_LANE
+    def test_sweep_counter_totals(self):
+        old_registry = metrics.set_registry(MetricsRegistry(enabled=True))
+        try:
+            report = explore(laplace2d().with_shape((24, 24)),
+                             space=ConfigSpace(vectorizations=(1, 2)),
+                             strategy="exhaustive", persist=False)
+            assert not report.failed_points
+            totals = {name: metrics.registry().counter_total(name)
+                      for name in ("explore.sweeps",
+                                   "explore.points_measured",
+                                   "explore.cache_hits", "engine.runs")}
+        finally:
+            metrics.set_registry(old_registry)
+        assert totals == {"explore.sweeps": 1,
+                          "explore.points_measured": 2,
+                          "explore.cache_hits": 0, "engine.runs": 2}
 
     def test_sweep_stages_are_spanned_once_each(self, telemetry):
         # Once per sweep, never per point: together the stage spans
@@ -483,7 +349,7 @@ class TestSweepTelemetry:
         _, tracer = telemetry
         program = laplace2d().with_shape((24, 24))
         space = ConfigSpace(vectorizations=(1, 2, 4))
-        explore(program, space=space, strategy="exhaustive", workers=1)
+        explore(program, space=space, strategy="exhaustive")
         names = [record.name for record in tracer.records()
                  if record.name.startswith("explore.")
                  and record.name != "explore.point"]
@@ -494,7 +360,7 @@ class TestSweepTelemetry:
     def test_unpersisted_sweep_opens_no_store_spans(self, telemetry):
         _, tracer = telemetry
         explore(laplace2d().with_shape((24, 24)),
-                space=ConfigSpace(vectorizations=(1,)), workers=1,
+                space=ConfigSpace(vectorizations=(1,)),
                 persist=False)
         names = {record.name for record in tracer.records()}
         assert "explore.prune" in names

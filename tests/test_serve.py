@@ -61,11 +61,11 @@ SMALL = ConfigSpace(vectorizations=(1,), device_counts=(1,),
 def seed_report(shape=SHAPE, program="hdiff"):
     """Run one tiny persisted sweep so the store has a front."""
     return api.explore(program, shape=shape, space=SMALL,
-                       strategy="exhaustive", backend="thread")
+                       strategy="exhaustive")
 
 
 def make_server(**overrides):
-    config = ServeConfig(port=0, backend="thread", max_devices=1,
+    config = ServeConfig(port=0, max_devices=1,
                          beam_width=1,
                          explore_kwargs={"space": SMALL,
                                          "strategy": "exhaustive"},
@@ -79,7 +79,8 @@ def get(server, path):
                 as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:  # an error reply holds its socket until closed
+            return exc.code, json.loads(exc.read())
 
 
 def wait_job(server, job_id, timeout=120):
@@ -166,8 +167,7 @@ class TestReportStore:
 
     def test_unpersisted_sweep_stays_out(self):
         api.explore("hdiff", shape=SHAPE, space=SMALL,
-                    strategy="exhaustive", backend="thread",
-                    persist=False)
+                    strategy="exhaustive", persist=False)
         assert list(iter_stored_reports()) == []
 
 
@@ -336,16 +336,10 @@ class TestLiveServer:
     def test_one_root_across_a_restart(self):
         """Everything a miss writes lands under ``REPRO_CACHE_DIR``: a
         restarted server on the same root answers the same query
-        warm, and the process backend's kept run dir sits there too."""
-        from pathlib import Path
-        from repro.service import ServiceConfig
-        from repro.service.journal import find_run_dirs
-        root = Path(os.environ["REPRO_CACHE_DIR"])
+        warm."""
         config = ServeConfig(
-            port=0, backend="process", max_devices=1, beam_width=1,
-            explore_kwargs={"space": SMALL, "strategy": "exhaustive",
-                            "service": ServiceConfig(
-                                workers=1, keep_run_dir=True)})
+            port=0, max_devices=1, beam_width=1,
+            explore_kwargs={"space": SMALL, "strategy": "exhaustive"})
         query = "/v1/best?program=hdiff&shape=8,8,4"
         server = ReproServer(config).start()
         try:
@@ -364,7 +358,6 @@ class TestLiveServer:
                 job["best"]["simulated_cycles"]
         finally:
             server.close()
-        assert len(list(find_run_dirs(root / "service"))) == 1
 
     def test_post_with_inline_program(self):
         report = seed_report()
@@ -444,8 +437,9 @@ class TestLiveServer:
                     urllib.request.urlopen(request, timeout=30)
                     pytest.fail(f"POST shape {shape!r} was answered")
                 except urllib.error.HTTPError as exc:
-                    assert exc.code == 400, shape
-                    posted = json.loads(exc.read())
+                    with exc:
+                        assert exc.code == 400, shape
+                        posted = json.loads(exc.read())
                 for error in (body["error"], posted["error"]):
                     assert "invalid shape" in error
                     if shape:  # the bad extent is named
@@ -466,8 +460,9 @@ class TestLiveServer:
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as caught:
                 urllib.request.urlopen(request, timeout=30)
-            assert (status, caught.value.code) == (400, 400)
-            posted = json.loads(caught.value.read())
+            with caught.value:
+                assert (status, caught.value.code) == (400, 400)
+                posted = json.loads(caught.value.read())
             for error in (body["error"], posted["error"]):
                 assert f"800000000 cells exceed the limit of " \
                     f"{MAX_QUERY_CELLS}" in error
@@ -593,7 +588,8 @@ class TestLiveServer:
                     headers={"Content-Type": "application/json"})
                 with pytest.raises(urllib.error.HTTPError) as caught:
                     urllib.request.urlopen(request, timeout=30)
-                assert caught.value.code == 400
+                with caught.value:
+                    assert caught.value.code == 400
         finally:
             server.close()
         assert opened == []
@@ -609,9 +605,10 @@ class TestLiveServer:
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as caught:
                 urllib.request.urlopen(request, timeout=30)
-            assert caught.value.code == 400
-            assert "nests deeper" in json.loads(
-                caught.value.read())["error"]
+            with caught.value:
+                assert caught.value.code == 400
+                assert "nests deeper" in json.loads(
+                    caught.value.read())["error"]
         finally:
             server.close()
 
@@ -630,7 +627,7 @@ class TestLiveServer:
     def test_close_before_start_returns(self):
         # No listener thread ever ran serve_forever, so there is no
         # loop for close() to wait out.
-        server = ReproServer(ServeConfig(port=0, backend="thread"))
+        server = ReproServer(ServeConfig(port=0))
         closer = threading.Thread(target=server.close, daemon=True)
         closer.start()
         closer.join(5.0)
@@ -795,7 +792,7 @@ class TestJobManager:
         forking a second sweep."""
         index = FrontierIndex()
         manager = JobManager(
-            index, backend="thread",
+            index,
             explore_kwargs={"space": SMALL,
                             "strategy": "exhaustive"})
         platform = api.resolve_platform(None)
@@ -818,7 +815,7 @@ class TestJobManager:
 
     def test_finished_job_threads_are_dropped(self):
         manager = JobManager(
-            FrontierIndex(), backend="thread",
+            FrontierIndex(),
             explore_kwargs={"space": SMALL, "strategy": "exhaustive"})
         platform = api.resolve_platform(None)
         for shape in ((8, 8, 4), (8, 8, 8), (12, 12, 8)):
@@ -828,72 +825,37 @@ class TestJobManager:
             assert manager.get(job.job_id).state == "done"
         assert len(manager._threads) == 0
 
-    def test_concurrent_misses_share_bounded_pools(self):
-        """Four misses through two job slots: at most two worker pools
-        exist, each spawns its worker once, and every job lands."""
-        from repro.obs import metrics
-        from repro.obs.metrics import MetricsRegistry
-        from repro.service import ServiceConfig
+    def test_concurrent_misses_all_land(self):
+        """Four misses through two job slots: at most two sweeps run at
+        once, and every job lands."""
         manager = JobManager(
-            FrontierIndex(), backend="process", max_concurrent=2,
-            explore_kwargs={"space": SMALL, "strategy": "exhaustive",
-                            "service": ServiceConfig(workers=1)})
+            FrontierIndex(), max_concurrent=2,
+            explore_kwargs={"space": SMALL, "strategy": "exhaustive"})
         platform = api.resolve_platform(None)
-        old = metrics.set_registry(MetricsRegistry(enabled=True))
-        try:
-            jobs = [manager.enqueue("hdiff", shape, platform,
-                                    ("family", shape, platform.name))[0]
-                    for shape in ((8, 8, 4), (8, 8, 8), (12, 12, 8),
-                                  (16, 16, 4))]
-            assert manager.wait_all(300)
-            spawned = metrics.registry().counter_total(
-                "service.workers_spawned")
-        finally:
-            metrics.set_registry(old)
-            assert manager.close(30)
+        running, peak = [0], [0]
+        lock = threading.Lock()
+        sweep = manager._sweep
+
+        def counted(*args):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                sweep(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        manager._sweep = counted
+        jobs = [manager.enqueue("hdiff", shape, platform,
+                                ("family", shape, platform.name))[0]
+                for shape in ((8, 8, 4), (8, 8, 8), (12, 12, 8),
+                              (16, 16, 4))]
+        assert manager.wait_all(300)
+        assert manager.close()
         assert [manager.get(job.job_id).state for job in jobs] == \
             ["done"] * 4
-        assert 1 <= spawned <= 2
-
-    def test_close_stops_a_sweep_in_flight(self):
-        """Graceful shutdown with a miss in flight: the resident
-        workers are gone afterwards, and the job is settled."""
-        import dataclasses
-        from pathlib import Path
-        from repro.service import JobJournal, ServiceConfig
-        from repro.service.journal import JOURNAL_NAME, find_run_dirs
-        root = Path(os.environ["REPRO_CACHE_DIR"]) / "service"
-        config = ServeConfig(
-            port=0, backend="process", max_devices=1, beam_width=1,
-            explore_kwargs={
-                "space": dataclasses.replace(
-                    SMALL, vectorizations=(1, 2, 4, 8)),
-                "strategy": "exhaustive",
-                "service": ServiceConfig(workers=1, keep_run_dir=True)})
-        server = ReproServer(config).start()
-        try:
-            status, body = get(server,
-                               "/v1/best?program=hdiff&shape=64,64,32")
-            assert status == 202
-            job_id = body["job"]["job_id"]
-            deadline = time.monotonic() + 120
-            while time.monotonic() < deadline and not any(
-                    record["event"] == "job_started"
-                    for run_dir in find_run_dirs(root)
-                    for record in JobJournal.read(run_dir
-                                                  / JOURNAL_NAME)):
-                time.sleep(0.01)
-        finally:
-            server.close()
-        assert server.jobs.get(job_id).state in ("done", "failed")
-        [run_dir] = find_run_dirs(root)
-        pids = [record["pid"]
-                for record in JobJournal.read(run_dir / JOURNAL_NAME)
-                if record["event"] == "worker_spawned"]
-        assert pids
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        assert 1 <= peak[0] <= 2
 
 
 class TestApiFacade:
@@ -972,7 +934,7 @@ class TestApiFacade:
 
     def test_serve_facade(self):
         seed_report()
-        server = api.serve(port=0, backend="thread")
+        server = api.serve(port=0)
         try:
             status, body = get(server, "/v1/healthz")
             assert status == 200
