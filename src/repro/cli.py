@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
             command.add_argument("--network-words-per-cycle",
                                  type=float, default=1.0,
                                  metavar="RATE",
-                                 help="per-link transfer rate cap; "
+                                 help="every link's transfer rate cap; "
                                       "fractional rates (e.g. 0.25) "
                                       "model a slower wire and run on "
                                       "the batched engine's credit-"
@@ -105,14 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  default=32, metavar="CYCLES",
                                  help="propagation latency of inter-"
                                       "device links")
-            command.add_argument("--network-link-rate",
-                                 action="append", default=None,
-                                 metavar="SRC:DST[:FIELD]=RATE",
-                                 dest="network_link_rates",
-                                 help="per-link rate override "
-                                      "(repeatable), e.g. b1:b3=1/2; "
-                                      "wins over --network-words-per-"
-                                      "cycle on the named edge")
             command.add_argument("--deadlock-window", type=int,
                                  default=256, metavar="CYCLES",
                                  help="consecutive zero-progress "
@@ -167,13 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "off/on, or sweep both settings (points "
                               "whose transforms produce identical "
                               "programs share every lowered artifact)")
-    explore.add_argument("--link-rate-set", action="append",
-                         default=None, dest="link_rate_sets",
-                         metavar="SRC:DST=R[,SRC:DST=R...]",
-                         help="one per-edge rate-override set to "
-                              "explore (repeatable; each use adds one "
-                              "axis value on top of the no-override "
-                              "default)")
     explore.add_argument("--seed", type=int, default=0,
                          help="random-input seed")
     explore.add_argument("--output", "-o", type=Path,
@@ -391,25 +376,16 @@ def _codegen(program: StencilProgram, args) -> int:
 
 def _run(program: StencilProgram, args) -> int:
     from .run import default_inputs
-    from .simulator import (
-        SimulatorConfig,
-        resolve_engine_mode,
-        resolve_link_rates,
-    )
+    from .simulator import SimulatorConfig, resolve_engine_mode
 
     if args.shape is not None:
         program = program.with_shape(args.shape)
     inputs = default_inputs(program, args.seed)
 
-    link_rates = None
-    if args.network_link_rates:
-        link_rates = resolve_link_rates(program,
-                                        args.network_link_rates)
     config = SimulatorConfig(
         engine_mode=args.engine,
         network_words_per_cycle=args.network_words_per_cycle,
         network_latency=args.network_latency,
-        network_link_rates=link_rates,
         deadlock_window=args.deadlock_window)
 
     if args.trace is not None:
@@ -434,18 +410,6 @@ def _run(program: StencilProgram, args) -> int:
           f"({devices} device{'s' if devices != 1 else ''}, "
           f"{args.partition} placement, "
           f"link rate {args.network_words_per_cycle:g} words/cycle)")
-    if link_rates:
-        from .lowering import graph_for, remote_edges
-        remote = set(remote_edges(graph_for(program),
-                                  device_of or {}))
-        parts = []
-        for (src, dst, data), rate in sorted(link_rates.items()):
-            tag = "" if (src, dst, data) in remote \
-                else " (local edge: no link, inactive)"
-            parts.append(
-                f"{src.split(':', 1)[-1]}->{dst.split(':', 1)[-1]}"
-                f":{data}={rate:g}{tag}")
-        print(f"link-rate overrides: {', '.join(parts)}")
     print(f"simulated {sim.cycles} cycles "
           f"(Eq. 1 model: {sim.expected_cycles}, "
           f"ratio {sim.model_accuracy:.3f})")
@@ -514,20 +478,11 @@ def _restore_interrupt_handlers(previous):
 
 def _explore(program: StencilProgram, args) -> int:
     from .explore import ConfigSpace
-    from .simulator import parse_link_rate_spec
 
     if args.shape is not None:
         program = program.with_shape(args.shape)
     default = ConfigSpace.default_for(program,
                                       max_devices=args.max_devices)
-    link_rate_sets = [()]
-    for entry in args.link_rate_sets or ():
-        overrides = []
-        for spec in entry.split(","):
-            src, dst, data, rate = parse_link_rate_spec(spec)
-            edge = f"{src}:{dst}" + (f":{data}" if data else "")
-            overrides.append((edge, rate))
-        link_rate_sets.append(tuple(overrides))
     telemetry = args.metrics is not None or args.trace is not None
     if telemetry:
         from . import obs
@@ -542,7 +497,6 @@ def _explore(program: StencilProgram, args) -> int:
         channel_depths=tuple(args.depths),
         canonicalizations=_parse_transform_axis(args.canonicalize),
         fusions=_parse_transform_axis(args.fusion),
-        link_rate_sets=tuple(dict.fromkeys(link_rate_sets)),
     )
     previous = _install_interrupt_handlers()
     try:

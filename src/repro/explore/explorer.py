@@ -10,7 +10,6 @@ ranked :class:`~repro.explore.report.ExplorationReport`.
 
 from __future__ import annotations
 
-import time
 import warnings
 from typing import (
     Dict,
@@ -70,8 +69,6 @@ def explore(program: StencilProgram,
             persist: bool = True,
             cache_path=None,
             deadlock_window: Optional[int] = None,
-            retries: int = 1,
-            retry_backoff: float = 0.25,
             checkpoint_every: int = 16,
             backend: Optional[str] = None,
             config_parallel: Optional[bool] = None) -> ExplorationReport:
@@ -110,11 +107,6 @@ def explore(program: StencilProgram,
         deadlock_window: per-point override of
             :attr:`SimulatorConfig.deadlock_window` (``None`` keeps
             the simulator default).
-        retries: extra attempts for a point whose full run raised
-            anything but a deadlock, a model error or a data guard
-            (those are deterministic and never retried).
-        retry_backoff: base of the exponential backoff between
-            retries, in seconds.
         checkpoint_every: with ``persist``, write the result cache to
             disk every this many completed points, so a killed sweep
             resumes from its partial results on the next run.
@@ -190,8 +182,6 @@ def explore(program: StencilProgram,
             measurements, failures = _simulate_frontier(
                 pruner, frontier, inputs, engine_mode, cache,
                 deadlock_window=deadlock_window,
-                retries=retries,
-                retry_backoff=retry_backoff,
                 checkpoint_every=checkpoint_every,
                 checkpoint=checkpoint)
     except (KeyboardInterrupt, SweepInterrupted):
@@ -264,8 +254,7 @@ def _machine_key(prediction: Prediction) -> Tuple:
 def measure(group: Sequence[Prediction], program: StencilProgram,
             platform: FPGAPlatform, inputs, engine_mode: str,
             resolved_engine: str,
-            deadlock_window: Optional[int] = None,
-            retries: int = 1, retry_backoff: float = 0.25
+            deadlock_window: Optional[int] = None
             ) -> Iterator[Union[Measurement, PointFailure]]:
     """Measure ``group``, machines of one lowered program family,
     yielding each member's :class:`Measurement` or
@@ -281,11 +270,8 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
     is re-run in full ("peeled off"), so it fails exactly as a full run
     does, forensics included.
 
-    In a full run, deadlocks, model errors and the engines' data guards
-    (``ValueError``/``OverflowError`` from the NaN, infinity and range
-    checks of integer storage) are deterministic and fail the member at
-    once; anything else is a possibly transient error, retried
-    ``retries`` times with exponential backoff.
+    A full run is deterministic: whatever it raises (a deadlock, a
+    model error, an engine's data guard) fails the member at once.
     """
 
     def lowered(prediction: Prediction) -> StencilProgram:
@@ -301,8 +287,6 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
             network_words_per_cycle=point.network_words_per_cycle,
             network_latency=point.network_latency,
             min_channel_depth=point.min_channel_depth,
-            network_link_rates=dict(prediction.link_rates_resolved)
-            if prediction.link_rates_resolved else None,
             engine_mode=engine_mode,
             **({"deadlock_window": deadlock_window}
                if deadlock_window is not None else {}))
@@ -322,29 +306,19 @@ def measure(group: Sequence[Prediction], program: StencilProgram,
 
     def full_run(prediction: Prediction
                  ) -> Union[Measurement, PointFailure]:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                return run(prediction, control=False)
-            except DeadlockError as exc:
-                # Keep the forensics so the report can explain the point.
-                return PointFailure(
-                    kind="deadlock", message=str(exc), attempts=attempts,
-                    detail=(exc.report.to_json()
-                            if exc.report is not None else None))
-            except StencilFlowError as exc:
-                return PointFailure(kind="error", message=str(exc),
-                                    attempts=attempts)
-            except Exception as exc:
-                if attempts > retries or isinstance(
-                        exc, (ValueError, OverflowError)):
-                    return PointFailure(
-                        kind="error",
-                        message=f"{type(exc).__name__}: {exc}",
-                        attempts=attempts)
-                metrics.counter("explore.retries").inc()
-                time.sleep(retry_backoff * (2 ** (attempts - 1)))
+        try:
+            return run(prediction, control=False)
+        except DeadlockError as exc:
+            # Keep the forensics so the report can explain the point.
+            return PointFailure(
+                kind="deadlock", message=str(exc),
+                detail=(exc.report.to_json()
+                        if exc.report is not None else None))
+        except StencilFlowError as exc:
+            return PointFailure(kind="error", message=str(exc))
+        except Exception as exc:
+            return PointFailure(kind="error",
+                                message=f"{type(exc).__name__}: {exc}")
 
     data_passed = not data_can_fail(lowered(group[0]))
     for prediction in group:
@@ -383,8 +357,6 @@ def _simulate_frontier(pruner: Pruner,
                        engine_mode: str,
                        cache: ResultCache,
                        deadlock_window: Optional[int] = None,
-                       retries: int = 1,
-                       retry_backoff: float = 0.25,
                        checkpoint_every: int = 16,
                        checkpoint=None
                        ) -> Tuple[Dict[Tuple, Tuple[Measurement, bool]],
@@ -394,7 +366,7 @@ def _simulate_frontier(pruner: Pruner,
     Returns ``(outcomes, failures)``, both keyed by
     :func:`_machine_key`: ``outcomes`` maps to ``(measurement,
     cache_hit)``; ``failures`` records points that produced no
-    measurement (deadlock, model error, exhausted retries) — the sweep
+    measurement (deadlock, model error, any other exception) — the sweep
     always completes.  Cache hits are answered first; the rest are
     grouped by :func:`_families`, measured one family after another in
     this thread, and each outcome goes through ``settle`` to every
@@ -444,8 +416,7 @@ def _simulate_frontier(pruner: Pruner,
     for family in _families(pending):
         results = measure([machine[0] for machine in family],
                           pruner.program, pruner.platform, inputs,
-                          engine_mode, resolved_engine, deadlock_window,
-                          retries, retry_backoff)
+                          engine_mode, resolved_engine, deadlock_window)
         for machine, result in zip(family, results):
             settle(machine, result)
     return outcomes, failures

@@ -20,7 +20,7 @@ from ..distributed.partition import (
     Partition,
     check_network_feasible,
 )
-from ..errors import MappingError, ValidationError
+from ..errors import MappingError
 from ..hardware.platform import FPGAPlatform, ResourceVector, STRATIX10
 from ..hardware.resources import (
     ResourceEstimate,
@@ -38,7 +38,6 @@ from ..lowering import (
 )
 from ..obs import metrics
 from ..perf.pipeline import model_multi_device, model_performance
-from ..simulator.engine import resolve_link_rates
 from .space import ConfigPoint
 
 
@@ -86,8 +85,6 @@ class Prediction:
             modulo vectorization — measurement-cache identity, so
             transform axes whose points collapse to the same program
             share simulations.
-        link_rates_resolved: the point's per-edge rate overrides
-            resolved to simulator channel keys.
     """
 
     point: ConfigPoint
@@ -101,7 +98,6 @@ class Prediction:
     utilization: Optional[float] = None
     network_headroom: Optional[float] = None
     family_hash: Optional[str] = None
-    link_rates_resolved: Optional[Tuple] = None
 
     @property
     def simulation_key(self) -> Tuple:
@@ -117,8 +113,7 @@ class Prediction:
         return (self.point.vectorization, placement,
                 self.point.network_words_per_cycle,
                 self.point.network_latency,
-                self.point.min_channel_depth,
-                tuple(self.link_rates_resolved or ()))
+                self.point.min_channel_depth)
 
     @property
     def machine_identity(self) -> Tuple:
@@ -215,16 +210,6 @@ class Pruner:
 
         lowered = self.lowered_at(point)
         prog_w = lowered.program
-        resolved = None
-        if point.link_rates:
-            try:
-                resolved = resolve_link_rates(prog_w, point.link_rates,
-                                              graph=lowered.graph)
-            except ValidationError as exc:
-                return Prediction(
-                    point=point, feasible=False,
-                    family_hash=lowered.family_hash,
-                    reason=str(exc))
         try:
             partition = self._place(lowered, point)
         except MappingError as exc:
@@ -239,25 +224,10 @@ class Pruner:
             verdict["device_of"] = dict(verdict["device_of"])
         if not verdict["feasible"]:
             return Prediction(point=point, **verdict)
-
-        # Only remote edges become rate-limited links: drop overrides
-        # on local edges so machines that coincide (e.g. the same
-        # single-device design with and without an ineffective
-        # override) share one simulation key and one measurement.
-        link_rates = None
-        remote = None
-        if resolved:
-            remote = partition.remote_edges
-            remote_set = set(remote)
-            link_rates = tuple(sorted(
-                (key, rate) for key, rate in resolved.items()
-                if key in remote_set)) or None
         return Prediction(
             point=point,
             predicted_cycles=self._eq1_cycles(
-                prog_w, machine.analysis, point, partition.num_devices,
-                link_rates, remote),
-            link_rates_resolved=link_rates,
+                prog_w, machine.analysis, point, partition.num_devices),
             **verdict)
 
     # -- helpers -------------------------------------------------------------
@@ -379,27 +349,15 @@ class Pruner:
 
     def _eq1_cycles(self, prog_w: StencilProgram,
                     analysis: BufferingAnalysis, point: ConfigPoint,
-                    devices_used: int,
-                    link_rates: Optional[Tuple] = None,
-                    remote: Optional[Tuple] = None) -> int:
+                    devices_used: int) -> int:
         """``C = L + I*N`` against the *simulated* machine.
 
         Fractional link rates stretch the steady state: each cut stream
         delivers at most ``rate`` vector words per cycle, so a rate
-        below one throttles the whole pipeline by ``1/rate``.  With
-        per-edge overrides (:attr:`ConfigPoint.link_rates`) each
-        *remote* edge (``remote``, from the shared
-        :func:`repro.lowering.remote_edges` rule — input→stencil
-        links included) runs at its own effective rate, and the
-        slowest remote edge governs (an override above the global
-        rate un-throttles its edge).
+        below one throttles the whole pipeline by ``1/rate``.
         """
         steady = prog_w.num_cells // prog_w.vectorization
         rate = point.network_words_per_cycle
-        if devices_used > 1:
-            if link_rates and remote:
-                overrides = dict(link_rates)
-                rate = min(overrides.get(key, rate) for key in remote)
-            if rate < 1.0:
-                steady = math.ceil(steady / rate)
+        if devices_used > 1 and rate < 1.0:
+            steady = math.ceil(steady / rate)
         return analysis.pipeline_latency + steady

@@ -92,24 +92,21 @@ class PointFailure:
     :class:`~repro.faults.forensics.DeadlockReport` as JSON) or
     ``"error"`` (the simulation raised, or ran into the cycle cap).
     Reports stored by older versions may also carry ``"timeout"`` or
-    ``"poisoned"``; they load as written.  ``attempts`` counts tries
-    including retries.
+    ``"poisoned"``, and an ``attempts`` count, which is ignored.
     """
 
     kind: str
     message: str
-    attempts: int = 1
     detail: Optional[dict] = None
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "message": self.message,
-                "attempts": self.attempts, "detail": self.detail}
+                "detail": self.detail}
 
     @classmethod
     def from_json(cls, spec: Mapping) -> "PointFailure":
         return cls(kind=str(spec["kind"]),
                    message=str(spec["message"]),
-                   attempts=int(spec.get("attempts", 1)),
                    detail=spec.get("detail"))
 
 
@@ -143,8 +140,9 @@ class ExplorationEntry:
     pareto: bool = False
     baseline: bool = False
     #: The point was selected for simulation but produced no
-    #: measurement (a deadlock or an error); the
-    #: sweep completes with a partial report and a re-run retries it.
+    #: measurement (a deadlock or an error), recorded on its one try;
+    #: the sweep completes with a partial report, and a re-run
+    #: measures the point again and fails the same way.
     failed: bool = False
     failure: Optional[PointFailure] = None
 
@@ -398,7 +396,7 @@ class ExplorationReport:
         if failed:
             lines.append(f"  failed points: {len(failed)} "
                          f"(sweep completed with partial results; "
-                         f"re-run to retry)")
+                         f"a re-run fails them the same way)")
             for entry in failed:
                 failure = entry.failure
                 what = (f"{failure.kind}: {failure.message}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping, Tuple
 
 from ..core.program import StencilProgram
-from ..errors import DefinitionError
+from ..errors import DefinitionError, ValidationError
 from ..hardware.platform import FPGAPlatform, STRATIX10
 from ..simulator.channel import is_link_rate
 
@@ -48,10 +48,6 @@ class ConfigPoint:
             whose transforms produce identical programs share every
             lowered artifact and simulation measurement (the caches key
             on the lowered program's content hash, not the point).
-        link_rates: per-edge rate overrides, as ``(spec, rate)`` pairs
-            where ``spec`` is ``SRC:DST`` or ``SRC:DST:FIELD`` in bare
-            node names (resolved against the program DAG at pricing
-            time; see :func:`repro.simulator.resolve_link_rates`).
     """
 
     vectorization: int = 1
@@ -62,19 +58,8 @@ class ConfigPoint:
     min_channel_depth: int = 8
     canonicalize: bool = False
     fusion: bool = False
-    link_rates: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        if not all(is_link_rate(rate) for _, rate in self.link_rates):
-            raise DefinitionError(
-                f"link-rate overrides must be finite and > 0, got "
-                f"{self.link_rates}")
-        # Normalize the override order so the same set written in a
-        # different order is the same point (one entry in the space,
-        # one prediction, one report row).
-        normalized = tuple(sorted(self.link_rates))
-        if normalized != self.link_rates:
-            object.__setattr__(self, "link_rates", normalized)
         if self.vectorization < 1:
             raise DefinitionError(
                 f"vectorization must be >= 1, got {self.vectorization}")
@@ -99,11 +84,13 @@ class ConfigPoint:
                 f"{self.min_channel_depth}")
 
     def key(self) -> Tuple:
-        """Canonical hashable identity (stable across processes)."""
+        """Canonical hashable identity (stable across processes).  The
+        trailing ``()`` keeps the nine-element shape that the pinned
+        ranking digests hash."""
         return (self.vectorization, self.devices, self.partition,
                 self.network_words_per_cycle, self.network_latency,
                 self.min_channel_depth, self.canonicalize, self.fusion,
-                self.link_rates)
+                ())
 
     def label(self) -> str:
         """Compact human-readable tag used in reports and logs."""
@@ -114,10 +101,6 @@ class ConfigPoint:
             tag += " fu"
         if self.network_words_per_cycle != 1.0:
             tag += f" r{self.network_words_per_cycle:g}"
-        if self.link_rates:
-            tag += " lr(" + ",".join(
-                f"{spec}={rate:g}" for spec, rate in self.link_rates) \
-                + ")"
         if self.network_latency != 32:
             tag += f" L{self.network_latency}"
         if self.min_channel_depth != 8:
@@ -134,20 +117,15 @@ class ConfigPoint:
             "min_channel_depth": self.min_channel_depth,
             "canonicalize": self.canonicalize,
             "fusion": self.fusion,
-            "link_rates": [[spec, rate]
-                           for spec, rate in self.link_rates],
         }
 
     @classmethod
     def from_json(cls, spec: Mapping) -> "ConfigPoint":
+        _refuse_link_rates(spec, "link_rates")
         kwargs = {}
         for f in fields(cls):
             if f.name == "canonicalize" or f.name == "fusion":
                 kwargs[f.name] = bool(spec.get(f.name, False))
-            elif f.name == "link_rates":
-                kwargs[f.name] = tuple(
-                    (str(s), float(r))
-                    for s, r in spec.get("link_rates", ()))
             else:
                 kwargs[f.name] = spec[f.name]
         return cls(**kwargs)
@@ -170,7 +148,6 @@ class ConfigSpace:
     channel_depths: Tuple[int, ...] = (8,)
     canonicalizations: Tuple[bool, ...] = (False,)
     fusions: Tuple[bool, ...] = (False,)
-    link_rate_sets: Tuple[Tuple[Tuple[str, float], ...], ...] = ((),)
 
     @property
     def size(self) -> int:
@@ -178,8 +155,7 @@ class ConfigSpace:
         for axis in (self.vectorizations, self.device_counts,
                      self.partitions, self.network_rates,
                      self.network_latencies, self.channel_depths,
-                     self.canonicalizations, self.fusions,
-                     self.link_rate_sets):
+                     self.canonicalizations, self.fusions):
             n *= len(axis)
         return n
 
@@ -192,14 +168,13 @@ class ConfigSpace:
         product = itertools.product(
             self.vectorizations, self.device_counts, self.partitions,
             self.network_rates, self.network_latencies,
-            self.channel_depths, self.canonicalizations, self.fusions,
-            self.link_rate_sets)
+            self.channel_depths, self.canonicalizations, self.fusions)
         return tuple(dict.fromkeys(
             ConfigPoint(vectorization=w, devices=d, partition=p,
                         network_words_per_cycle=r, network_latency=lat,
                         min_channel_depth=depth, canonicalize=cz,
-                        fusion=fu, link_rates=tuple(lr))
-            for w, d, p, r, lat, depth, cz, fu, lr in product))
+                        fusion=fu)
+            for w, d, p, r, lat, depth, cz, fu in product))
 
     @classmethod
     def default_for(cls, program: StencilProgram,
@@ -241,21 +216,26 @@ class ConfigSpace:
             "channel_depths": list(self.channel_depths),
             "canonicalizations": list(self.canonicalizations),
             "fusions": list(self.fusions),
-            "link_rate_sets": [[[spec, rate] for spec, rate in entry]
-                               for entry in self.link_rate_sets],
         }
 
     @classmethod
     def from_json(cls, spec: Mapping) -> "ConfigSpace":
+        _refuse_link_rates(spec, "link_rate_sets")
         kwargs = {}
         for f in fields(cls):
             if f.name == "canonicalizations" or f.name == "fusions":
                 kwargs[f.name] = tuple(
                     bool(v) for v in spec.get(f.name, (False,)))
-            elif f.name == "link_rate_sets":
-                kwargs[f.name] = tuple(
-                    tuple((str(s), float(r)) for s, r in entry)
-                    for entry in spec.get(f.name, ((),)))
             else:
                 kwargs[f.name] = tuple(spec[f.name])
         return cls(**kwargs)
+
+
+def _refuse_link_rates(spec: Mapping, name: str):
+    """Records from older versions carry per-edge link-rate overrides
+    under ``name``: an empty one loads, a non-empty one names a machine
+    this version cannot build."""
+    if any(spec.get(name) or ()):
+        raise ValidationError(
+            f"per-edge link-rate overrides ({name}) were removed: every "
+            f"link runs at network_words_per_cycle; got {spec[name]!r}")

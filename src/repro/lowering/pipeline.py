@@ -457,10 +457,6 @@ class LoweredProgram:
                             program_hash=self.program_hash,
                             cache=self.cache)
 
-    @property
-    def graph(self) -> StencilGraph:
-        return graph_for(self.program, self.program_hash, self.cache)
-
     def certificate(self):
         """Deadlock-freedom certificate of the analysis (Sec. IV-B)."""
         from ..analysis.deadlock import certify_analysis

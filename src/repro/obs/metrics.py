@@ -10,7 +10,7 @@ contract, see docs/OBSERVABILITY.md).
 Instruments are get-or-create by ``(name, labels)``:
 
     from repro.obs import metrics
-    metrics.counter("explore.retries").inc()
+    metrics.counter("explore.sweeps").inc()
     metrics.counter("artifact_cache.hits", kind="analysis").inc()
     metrics.histogram("explore.checkpoint_seconds").observe(0.12)
 
@@ -205,13 +205,6 @@ class MetricsRegistry:
     def save(self, path) -> None:
         with open(path, "w") as handle:
             json.dump(self.snapshot(), handle, indent=2)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self.ops = 0
 
 
 def _env_enabled() -> bool:

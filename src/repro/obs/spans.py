@@ -91,10 +91,6 @@ class Tracer:
             with self._lock:
                 self._records.append(record)
 
-    def extend(self, records) -> None:
-        with self._lock:
-            self._records.extend(records)
-
     def records(self) -> Tuple[SpanRecord, ...]:
         with self._lock:
             return tuple(self._records)
@@ -120,10 +116,6 @@ def enable() -> None:
 
 def disable() -> None:
     _default.enabled = False
-
-
-def enabled() -> bool:
-    return _default.enabled
 
 
 def span(name: str, **attrs):

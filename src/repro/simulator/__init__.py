@@ -52,9 +52,7 @@ from .engine import (
     SimulatorConfig,
     build_simulator,
     make_simulator,
-    parse_link_rate_spec,
     resolve_engine_mode,
-    resolve_link_rates,
     simulate,
 )
 from .kernel import (
@@ -96,10 +94,8 @@ __all__ = [
     "kernel_cache_stats",
     "kernel_store_dir",
     "make_simulator",
-    "parse_link_rate_spec",
     "reset_kernel_cache_stats",
     "resolve_engine_mode",
-    "resolve_link_rates",
     "simulate",
     "simulate_control",
 ]

@@ -64,7 +64,7 @@ class RateLimiter:
     inter-delivery credit trajectory is the fixed per-rate vector of
     :meth:`credit_schedule` and a saturated link delivers on a strictly
     periodic mask with period :meth:`delivery_period` — the closed form
-    the batched engine's planner builds its LCM window from.
+    the batched engine's planner builds its window from.
     """
 
     __slots__ = ("rate", "credit")

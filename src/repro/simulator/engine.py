@@ -41,7 +41,6 @@ from ..lowering import (
 )
 from ..obs import metrics
 from ..obs.profile import EngineProfile
-from .channel import is_link_rate
 
 ChannelKey = Tuple[str, str, str]
 
@@ -106,11 +105,7 @@ class SimulatorConfig:
             over the analysis. Used to demonstrate deadlocks with
             under-provisioned channels (Fig. 4).
         network_latency: cycles of propagation on inter-device links.
-        network_words_per_cycle: per-link transfer rate cap.
-        network_link_rates: per-edge words-per-cycle overrides keyed by
-            ``(src, dst, data)``; wins over ``network_words_per_cycle``
-            for that link. Overrides naming edges that are not remote
-            under the placement are ignored (only links rate-limit).
+        network_words_per_cycle: every link's transfer rate cap.
     """
 
     min_channel_depth: int = 8
@@ -119,7 +114,6 @@ class SimulatorConfig:
     channel_capacities: Optional[Mapping[ChannelKey, int]] = None
     network_latency: int = 32
     network_words_per_cycle: float = 1.0
-    network_link_rates: Optional[Mapping[ChannelKey, float]] = None
     engine_mode: str = "auto"
     max_batch_words: int = 4096
 
@@ -171,7 +165,6 @@ def describe_machine(analysis, config: SimulatorConfig,
     program, graph = analysis.program, analysis.graph
     remote = set(remote_edges(graph, device_of or {}))
     capacities = config.channel_capacities or {}
-    rates = config.network_link_rates or {}
     edges = {}
     for edge in graph.edges:
         key = (edge.src, edge.dst, edge.data)
@@ -180,7 +173,7 @@ def describe_machine(analysis, config: SimulatorConfig,
         depth = capacities.get(key, size + config.min_channel_depth)
         link = key in remote
         latency = config.network_latency if link else 0
-        rate = rates.get(key, config.network_words_per_cycle) if link else None
+        rate = config.network_words_per_cycle if link else None
         edges[key] = EdgeSpec(key, f"{edge.src}->{edge.dst}:{edge.data}",
                               depth + latency, link, rate, latency)
     expected = (analysis.pipeline_latency
@@ -357,88 +350,6 @@ def simulate(program: StencilProgram,
              ) -> SimulationResult:
     """Analyze and simulate ``program`` over concrete inputs."""
     return build_simulator(program, config, device_of).run(inputs)
-
-
-def parse_link_rate_spec(text: str) -> Tuple[str, str, Optional[str],
-                                             float]:
-    """Parse one ``SRC:DST[:FIELD]=RATE`` per-link rate override.
-
-    ``SRC``/``DST`` are bare stencil/field names (no ``stencil:`` /
-    ``input:`` prefixes); ``RATE`` is a decimal or a ``p/q`` fraction
-    (e.g. ``0.25`` or ``1/3``).  Returns ``(src, dst, field, rate)``
-    with ``field`` ``None`` when the spec does not pin the data name.
-    """
-    if "=" not in text:
-        raise ValidationError(
-            f"invalid link-rate override {text!r} "
-            f"(expected SRC:DST=RATE, e.g. b1:b3=1/2)")
-    edge_text, _, rate_text = text.partition("=")
-    parts = edge_text.split(":")
-    if len(parts) not in (2, 3) or not all(parts):
-        raise ValidationError(
-            f"invalid link-rate override {text!r} "
-            f"(expected SRC:DST=RATE or SRC:DST:FIELD=RATE)")
-    try:
-        if "/" in rate_text:
-            num, _, den = rate_text.partition("/")
-            rate = float(num) / float(den)
-        else:
-            rate = float(rate_text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(
-            f"invalid link rate {rate_text!r} in {text!r} "
-            f"(expected a decimal or a p/q fraction)")
-    if not is_link_rate(rate):
-        raise ValidationError(
-            f"link rate must be a finite value > 0, "
-            f"got {rate:g} in {text!r}")
-    src, dst = parts[0], parts[1]
-    return src, dst, parts[2] if len(parts) == 3 else None, rate
-
-
-def resolve_link_rates(program: StencilProgram,
-                       specs,
-                       graph: Optional[StencilGraph] = None
-                       ) -> Dict[ChannelKey, float]:
-    """Resolve ``SRC:DST[:FIELD]=RATE`` specs to per-edge overrides.
-
-    ``specs`` is an iterable of spec strings or of
-    ``(spec_string, rate)`` pairs (the explorer's axis form).  Names
-    match the bare node names of the program DAG; a spec that matches
-    no edge raises :class:`ValidationError`.  The result keys edges by
-    the simulator's ``(src, dst, data)`` channel identity, suitable
-    for :attr:`SimulatorConfig.network_link_rates`.
-    """
-    if graph is None:
-        from ..lowering import graph_for
-        graph = graph_for(program)
-    resolved: Dict[ChannelKey, float] = {}
-    for item in specs:
-        if isinstance(item, str):
-            src, dst, data, rate = parse_link_rate_spec(item)
-        else:
-            spec, rate = item
-            src, dst, data, _ = parse_link_rate_spec(f"{spec}={rate}")
-        matched = False
-        for edge in graph.edges:
-            bare_src = edge.src.split(":", 1)[-1]
-            bare_dst = edge.dst.split(":", 1)[-1]
-            if bare_src == src and bare_dst == dst and \
-                    (data is None or edge.data == data):
-                key = (edge.src, edge.dst, edge.data)
-                if key in resolved and resolved[key] != rate:
-                    raise ValidationError(
-                        f"conflicting link-rate overrides for edge "
-                        f"{src}:{dst}:{edge.data} "
-                        f"({resolved[key]:g} vs {rate:g})")
-                resolved[key] = rate
-                matched = True
-        if not matched:
-            raise ValidationError(
-                f"link-rate override {src}:{dst}"
-                f"{':' + data if data else ''} matches no edge of "
-                f"{program.name!r}")
-    return resolved
 
 
 def _broadcast(array: np.ndarray, dims, domain, index_names) -> np.ndarray:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
@@ -61,8 +60,8 @@ from .engine import (
 
 _INF = float("inf")
 
-#: Upper bound on the window period (the LCM of the link delivery
-#: periods); machines whose LCM exceeds this plan period-1 windows.
+#: Upper bound on the window period (the links' delivery period); it
+#: equals ``RateLimiter.SCAN_LIMIT``, the longest period a rate can have.
 MAX_WINDOW = 4096
 
 #: How many periods a non-repeating window (ramp/drain transient) may
@@ -423,19 +422,14 @@ class Machine:
 
 
 def _window_period(machine: Machine) -> int:
-    """Cycles per planned window: the LCM of the fractional-rate links'
-    delivery periods; 1 without such a link, and when a rate has no
-    finite schedule or the LCM exceeds ``MAX_WINDOW`` (period-1 windows
-    are exact at any rate, they only repeat less)."""
-    q = 1
-    for limiter in machine.rates:
-        g = limiter.delivery_period()
-        if g is None:
-            return 1
-        q = math.lcm(q, g)
-        if q > MAX_WINDOW:
-            return 1
-    return q
+    """Cycles per planned window: the delivery period of the machine's
+    one link rate; 1 without a link, and when the rate has no finite
+    schedule (period-1 windows are exact at any rate, they only repeat
+    less).  A period never exceeds ``RateLimiter.SCAN_LIMIT``, which
+    equals ``MAX_WINDOW``."""
+    if not machine.rates:
+        return 1
+    return machine.rates[0].delivery_period() or 1
 
 
 class _Planner:
@@ -992,7 +986,7 @@ class _Planner:
             try:
                 window = self._plan_window(now, period, max_cycles, idle)
                 if window is None:
-                    # No room or ring headroom for the LCM window: one
+                    # No room or ring headroom for the period window: one
                     # cycle moves at most one word per channel.
                     window = self._plan_window(now, 1, max_cycles, idle)
             except DeadlockError as exc:

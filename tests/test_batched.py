@@ -431,7 +431,7 @@ class TestArrayCompile:
 
 class TestSuperPattern:
     """End-to-end behaviour of the planner on fractional-rate links:
-    steady state executes as repeating LCM-period windows, with no
+    steady state executes as repeating windows of the link period, with no
     planning per delivery and no scalar step."""
 
     RATE = 1.0 / 3.0
@@ -475,7 +475,7 @@ class TestSuperPattern:
         assert counts[(16, 16, 32)] - counts[(16, 16, 8)] < 1536 // 50
 
     def test_integer_rate_has_no_window(self):
-        # No LCM window, that is: rate 1.0 links deliver every cycle,
+        # No period window, that is: rate 1.0 links deliver every cycle,
         # so integer-rate links plan period-1 windows — on the same
         # planner, over the whole run.
         from repro.simulator.plan import _window_period
@@ -486,8 +486,9 @@ class TestSuperPattern:
         assert profile.window_cycles == profile.cycles
 
     def test_mixed_rate_windows(self):
-        # Two links with different sub-unit rates: the window is the
-        # LCM of both delivery periods and still covers steady state.
+        # Only the cut edge is a link (the input edge stays local):
+        # the window is its delivery period and still covers steady
+        # state.
         from repro.simulator import SimulatorConfig, build_simulator
         from repro.core import StencilProgram
 
@@ -509,10 +510,10 @@ class TestSuperPattern:
                 ("stencil:s", "stencil:t", "s")]
         config = SimulatorConfig(
             engine_mode="batched", network_latency=4,
-            network_link_rates={keys[1]: 0.5},
-            network_words_per_cycle=1.0)
-        # Only the cut edge is a link; give it rate 0.5.
+            network_words_per_cycle=0.5)
         simulator = build_simulator(program, config, device_of)
+        assert [edge.key for edge in simulator.spec.edges.values()
+                if edge.remote] == keys[1:]
         inputs = {"a": np.arange(512, dtype=np.float64)}
         result = simulator.run(inputs)
         assert result.profile.window_count > 0
@@ -1275,7 +1276,6 @@ class TestScheduleReplay:
             "channel_capacities": {link: 160},
             "network_latency": 17,
             "network_words_per_cycle": 1 / 4,
-            "network_link_rates": {link: 1 / 2},
             "max_batch_words": 1024,
         }
         assert set(variants) == {

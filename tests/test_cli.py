@@ -380,43 +380,6 @@ class TestCacheCommand:
         assert list(root.iterdir()) == []
 
 
-class TestLinkRateOverrides:
-    def test_run_with_per_link_rate(self, program_file, capsys):
-        assert main(["run", str(program_file), "--devices", "2",
-                     "--network-latency", "16",
-                     "--network-link-rate", "b2:b4=1/2"]) == 0
-        out = capsys.readouterr().out
-        assert "link-rate overrides: b2->b4:b2=0.5" in out
-        assert "validated against reference: True" in out
-
-    def test_run_link_rate_slows_the_named_edge(self, program_file,
-                                                capsys):
-        argv = ["run", str(program_file), "--devices", "2",
-                "--network-latency", "16"]
-        assert main(argv) == 0
-        plain = capsys.readouterr().out
-        assert main(argv + ["--network-link-rate",
-                            "b2:b4=0.25"]) == 0
-        throttled = capsys.readouterr().out
-
-        def cycles(text):
-            for line in text.splitlines():
-                if line.startswith("simulated "):
-                    return int(line.split()[1])
-            raise AssertionError(text)
-
-        assert cycles(throttled) > cycles(plain)
-
-    def test_run_rejects_bad_link_rate_spec(self, program_file,
-                                            capsys):
-        assert main(["run", str(program_file), "--devices", "2",
-                     "--network-link-rate", "b2=0.5"]) == 2
-        assert "link-rate" in capsys.readouterr().err
-        assert main(["run", str(program_file), "--devices", "2",
-                     "--network-link-rate", "nope:b4=0.5"]) == 2
-        assert "matches no edge" in capsys.readouterr().err
-
-
 class TestExploreAxes:
     def test_explore_transform_axes(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -433,15 +396,6 @@ class TestExploreAxes:
         fused = [e for e in report["entries"]
                  if e["point"]["fusion"] and e["simulated"]]
         assert fused
-
-    def test_explore_link_rate_set_axis(self, program_file, tmp_path):
-        report_path = tmp_path / "report.json"
-        assert main(["explore", "--program", str(program_file),
-                     "--widths", "1", "--strategy", "exhaustive",
-                     "--link-rate-set", "b2:b4=1/2",
-                     "--output", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
-        assert [["b2:b4", 0.5]] in report["space"]["link_rate_sets"]
 
     def test_explore_persists_by_default_and_opt_out(
             self, tmp_path, capsys, monkeypatch):
@@ -463,10 +417,11 @@ class TestExploreAxes:
 
     def test_run_rejects_nonfinite_link_rate(self, program_file,
                                              capsys):
-        for bad in ("nan", "inf", "1/0"):
+        for bad in ("inf", "0", "-1"):
             assert main(["run", str(program_file), "--devices", "2",
-                         "--network-link-rate", f"b2:b4={bad}"]) == 2
-            assert "link rate" in capsys.readouterr().err
+                         f"--network-words-per-cycle={bad}"]) == 2
+            assert "must be finite and positive" in \
+                capsys.readouterr().err
 
     def test_run_rejects_nan_network_rate_at_once(self, capsys):
         # NaN passes a bare ``rate <= 0`` test; a NaN-rate link never

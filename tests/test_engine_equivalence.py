@@ -305,9 +305,10 @@ class TestMultiDevice:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_mixed_rate_fuzz(self, seed):
-        # Different p/q per link in one placement: each link follows its
-        # own credit schedule and the super-pattern window is the LCM
-        # of all of them.
+        # Rates from the whole mix (sub-unit p/q, unit, above unit) on
+        # longer chains: every link of a placement follows the one
+        # credit schedule, each from its own phase, and the window is
+        # its period.
         rng = np.random.default_rng(3000 + seed)
         program = chain_program(int(rng.integers(3, 5)), shape=(4, 4, 8))
         names = program.stencil_names
@@ -317,45 +318,39 @@ class TestMultiDevice:
         device_of = {}
         for idx, name in enumerate(names):
             device_of[name] = sum(idx >= s for s in split)
-        rates = {key: float(rng.choice(self._MIXED_RATES))
-                 for key in edge_keys(program)}
         assert_equivalent(program, random_inputs(program),
                           device_of=device_of,
-                          network_words_per_cycle=0.5,
-                          network_link_rates=rates,
+                          network_words_per_cycle=float(
+                              rng.choice(self._MIXED_RATES)),
                           network_latency=int(rng.choice([1, 8, 32])))
 
     def test_completion_inside_stretched_window(self):
         # Regression: a non-repeating super-pattern stretch used to
         # extend one zero-progress cycle past machine completion,
-        # reporting cycles+1 vs the scalar engine.  Mixed irreducible
-        # rates with tight capacities and a deep wire finish the run
-        # inside a stretched window.
+        # reporting cycles+1 vs the scalar engine.  A 1/3-rate link
+        # with tight capacities and a deep wire finishes the run inside
+        # a stretched window.
         program = chain_program(4, shape=(4, 4, 8))
         keys = edge_keys(program)
-        rates = dict(zip(keys, (1.0 / 3.0, 1.0 / 3.0, 1.0 / 7.0,
-                                1.0 / 3.0, 5.0 / 8.0)))
         capacities = dict(zip(keys, (2, 5, 5, 3, 1)))
         assert_equivalent(program, random_inputs(program),
                           device_of={"s0": 0, "s1": 1, "s2": 1, "s3": 1},
-                          network_link_rates=rates,
+                          network_words_per_cycle=1.0 / 3.0,
                           channel_capacities=capacities,
                           network_latency=64)
 
     def test_mixed_rate_two_cuts_exact(self):
-        # A deterministic mixed-rate machine: two cut edges at 1/3 and
-        # 5/8 words/cycle; the slower link must dominate and both
-        # engines must agree exactly.
+        # A deterministic two-cut machine: both links at 1/3
+        # words/cycle, on one period window from different phases;
+        # the rate must throttle the run and both engines must agree
+        # exactly.
         program = chain_program(3, shape=(4, 4, 8))
-        keys = edge_keys(program)
-        rates = {key: rate for key, rate in zip(keys[1:], (1.0 / 3.0,
-                                                           5.0 / 8.0))}
         scalar, _ = assert_equivalent(
             program, random_inputs(program),
             device_of={"s0": 0, "s1": 1, "s2": 2},
-            network_link_rates=rates)
+            network_words_per_cycle=1.0 / 3.0)
         words = program.num_cells // program.vectorization
-        assert scalar.cycles > 3 * words  # 1/3-rate link dominates
+        assert scalar.cycles > 3 * words  # the 1/3-rate links dominate
 
 
 class TestIntegerPrograms:
@@ -652,9 +647,7 @@ def _starved_diamond(device_of, capacity, **config):
     network_words_per_cycle=1 / 2, network_latency=2, max_batch_words=7))
 @hypothesis.example(_starved_diamond(
     {"s0": 0, "slow0": 1, "slow1": 1, "join": 0}, 2,
-    network_words_per_cycle=1 / 3, network_latency=8, max_cycles=12_000,
-    network_link_rates={("stencil:s0", "stencil:slow0", "s0"): 1 / 64,
-                        ("stencil:slow1", "stencil:join", "slow1"): 1 / 3}))
+    network_words_per_cycle=1 / 64, network_latency=8, max_cycles=12_000))
 @given(random_machines())
 def test_differential_machine_fuzz(machine):
     """Differential fuzz as a strategy: any drawn machine — placement,
@@ -842,19 +835,16 @@ class TestEngineSelection:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_auto_never_falls_back_to_scalar_stepping(self, seed):
         # engine_mode="auto" must select the batched engine for every
-        # fuzzed healthy config — fractional and mixed link rates
-        # included — and the batched engine must plan every cycle of it
+        # fuzzed healthy config — fractional link rates included — and the batched engine must plan every cycle of it
         # as a window (none is stepped on the data plane).
         from repro.simulator import build_simulator
         rng = np.random.default_rng(4000 + seed)
         program = chain_program(int(rng.integers(2, 4)), shape=(4, 4, 8))
         names = program.stencil_names
         device_of = {name: min(idx, 1) for idx, name in enumerate(names)}
-        rates = {key: float(rng.choice([1.0 / 3.0, 0.5, 3.0 / 7.0, 1.0]))
-                 for key in edge_keys(program)}
         config = SimulatorConfig(
-            network_words_per_cycle=float(rng.choice([0.5, 1.0])),
-            network_link_rates=rates,
+            network_words_per_cycle=float(
+                rng.choice([1.0 / 3.0, 0.5, 3.0 / 7.0, 1.0])),
             network_latency=int(rng.choice([1, 8, 32])))
         assert resolve_engine_mode(config) == "batched"
         simulator = build_simulator(program, config, device_of)
@@ -1337,13 +1327,6 @@ class TestOnePlanner:
                 == (batched.cycle, batched.blocked_units, batched.report)
 
     @staticmethod
-    def _stencil_edges(program):
-        """The stencil-to-stencil edges of a chain, in chain order."""
-        return [key for key in edge_keys(program)
-                if key[0].startswith("stencil:")
-                and key[1].startswith("stencil:")]
-
-    @staticmethod
     def _deep_pipeline(shape):
         """Two ~70-cycle pipelines in a row: with fewer words than a
         pipeline is deep, every unit waits on a latency line."""
@@ -1388,30 +1371,14 @@ class TestOnePlanner:
         if rate == 1.0:
             assert max(streaks) > 32
 
-    def test_lcm_beyond_max_window_plans_period_one(self):
-        # (b) Link periods 5, 9, 11 and 14: their LCM is over budget,
-        # so every window is stepped at period 1 — exact at any rate.
-        import math
-
-        from repro.simulator import RateLimiter
-        program = chain_program(5, shape=(2, 4, 4))
-        links = self._stencil_edges(program)
-        rates = dict(zip(links, (1 / 5, 1 / 9, 1 / 11, 1 / 13)))
-        assert math.lcm(*(RateLimiter(rate).delivery_period()
-                          for rate in rates.values())) \
-            > MAX_WINDOW
-        scalar, batched, simulator = self._run_both(
-            program, {f"s{n}": n for n in range(5)},
-            network_latency=3, network_link_rates=rates)
-        assert_same_results(scalar, batched)
-        assert _window_period(simulator._machine) == 1
-        assert batched.profile.window_cycles == batched.cycles
-
     def test_unschedulable_rate_plans_period_one(self):
         # (b) 2**-13 words/cycle has no delivery period within the
         # schedule scan's budget: one word per 8 192 cycles, period-1
         # windows all the way (stalls under a credit that never repeats
-        # are stepped virtually, 64 cycles to the window).
+        # are stepped virtually, 64 cycles to the window).  A rate that
+        # has a period has one within the window budget.
+        from repro.simulator import RateLimiter
+        assert RateLimiter.SCAN_LIMIT == MAX_WINDOW
         scalar, batched, simulator = self._run_both(
             chain_program(2, shape=(1, 2, 2)), {"s0": 0, "s1": 1},
             network_latency=3, network_words_per_cycle=2.0 ** -13,
@@ -1422,14 +1389,13 @@ class TestOnePlanner:
         assert batched.profile.window_cycles == batched.cycles
 
     def test_window_heavier_than_the_rings_replans_at_period_one(self):
-        # (c) A 15-cycle LCM window moves up to 15 words per channel,
-        # the rings have headroom for four: the period-15 plan finds no
-        # room and the same planner runs again at period 1.
-        program = chain_program(3, shape=(2, 4, 8))
-        links = self._stencil_edges(program)
+        # (c) A 15-cycle window (0.0667 words/cycle: 14 refills fall
+        # short of a word) moves up to 15 words per channel, the rings
+        # have headroom for four: the period-15 plan finds no room and
+        # the same planner runs again at period 1.
         scalar, batched, simulator = self._run_both(
-            program, {"s0": 0, "s1": 1, "s2": 2}, network_latency=3,
-            network_link_rates=dict(zip(links, (1 / 3, 1 / 5))),
+            chain_program(3, shape=(2, 4, 8)), {"s0": 0, "s1": 1, "s2": 2},
+            network_latency=3, network_words_per_cycle=0.0667,
             max_batch_words=4)
         assert_same_results(scalar, batched)
         assert _window_period(simulator._machine) == 15

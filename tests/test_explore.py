@@ -1,13 +1,14 @@
 """Tests for the design-space exploration subsystem."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import DefinitionError
+from repro.errors import DefinitionError, ValidationError
 from repro.explore import (
     ConfigPoint,
     ConfigSpace,
@@ -69,6 +70,28 @@ class TestConfigSpace:
     def test_space_json_round_trip(self):
         space = ConfigSpace.default_for(small_chain())
         assert ConfigSpace.from_json(space.to_json()) == space
+
+    def test_older_records_without_overrides_load(self):
+        # Older versions wrote per-edge link-rate overrides: an empty
+        # list is the same point, and the same space.
+        point = ConfigPoint(devices=2, network_words_per_cycle=0.5)
+        assert ConfigPoint.from_json(
+            dict(point.to_json(), link_rates=[])) == point
+        space = ConfigSpace.default_for(small_chain())
+        for empty in ([], [[]]):
+            assert ConfigSpace.from_json(
+                dict(space.to_json(), link_rate_sets=empty)) == space
+
+    def test_older_records_with_overrides_are_refused(self):
+        point = dict(ConfigPoint(devices=2).to_json(),
+                     link_rates=[["s1:s2", 0.5]])
+        with pytest.raises(ValidationError, match="link_rates.*removed"):
+            ConfigPoint.from_json(point)
+        space = dict(ConfigSpace.default_for(small_chain()).to_json(),
+                     link_rate_sets=[[], [["s1:s2", 0.5]]])
+        with pytest.raises(ValidationError,
+                           match="link_rate_sets.*removed"):
+            ConfigSpace.from_json(space)
 
 
 class TestPruning:
@@ -314,8 +337,7 @@ class TestTransformAxes:
 
     def test_point_transform_flags_round_trip(self):
         point = ConfigPoint(vectorization=2, canonicalize=True,
-                            fusion=True,
-                            link_rates=(("s0:s1", 0.5),))
+                            fusion=True)
         assert ConfigPoint.from_json(point.to_json()) == point
         assert "cz" in point.label() and "fu" in point.label()
 
@@ -410,28 +432,6 @@ class TestTransformAxes:
         assert work[0] == work[1]
         (_hits, misses), prices, cache_hits, simulated = work[0]
         assert misses and prices and simulated and not cache_hits
-
-
-class TestLinkRateAxis:
-    def test_link_rate_override_slows_only_named_edge(self):
-        program = small_chain()
-        space = ConfigSpace(vectorizations=(1,), device_counts=(2,),
-                            network_latencies=(16,),
-                            link_rate_sets=((), (("s1:s2", 0.5),)))
-        report = explore(program, space=space, strategy="exhaustive")
-        plain = [e for e in report.entries
-                 if e.simulated and not e.point.link_rates]
-        throttled = [e for e in report.entries
-                     if e.simulated and e.point.link_rates]
-        assert plain and throttled
-        assert throttled[0].simulated_cycles > plain[0].simulated_cycles
-
-    def test_unmatched_override_is_pruned_with_reason(self):
-        pruner = Pruner(small_chain())
-        verdict = pruner.predict(ConfigPoint(
-            devices=2, link_rates=(("nope:s1", 0.5),)))
-        assert not verdict.feasible
-        assert "matches no edge" in verdict.reason
 
 
 class TestPersistentResultCache:
@@ -594,12 +594,39 @@ class TestPricingIsUnchanged:
         pinned = self.PINNED[name]
         assert len(points) == len(pinned)
         for point, want in zip(points, pinned):
+            # The pins predate the removal of per-edge link rates: they
+            # carry none, and every other field must still match.
+            want = dict(want, point=dict(want["point"]))
+            assert want.pop("link_rates_resolved") is None
+            assert want["point"].pop("link_rates") == []
             prediction = pruner.predict(point)
             got = {f.name: getattr(prediction, f.name)
                    for f in dataclasses.fields(prediction)}
             got["point"] = point.to_json()
             # Tuples become lists, as in the pinned file.
             assert json.loads(json.dumps(got)) == want, point.label()
+
+
+class TestSweepAnswers:
+    """The benchmark's ``explore_sweep`` answer, pinned in tier-1 as
+    well: its counts and its ranking digest, by
+    ``benchmarks/e2e/child.py``'s rule (sha256 of the JSON ranking
+    signature, first 16 hex digits).  The digest hashes every point's
+    ``key()``, so it also pins the key's shape."""
+
+    def test_explore_sweep_counts_and_digest(self):
+        program, _ = _sweep_points(_SWEEP["shape"], _SWEEP["space"])
+        space = ConfigSpace(**{axis: tuple(values)
+                               for axis, values in _SWEEP["space"].items()})
+        report = explore(program, space=space,
+                         strategy=_SWEEP["strategy"],
+                         beam_width=_SWEEP["beam_width"], persist=False)
+        assert not report.failed_points
+        assert (report.total_points, report.pruned_points,
+                report.simulated_points) == (80, 65, 15)
+        text = json.dumps(report.ranking_signature())
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+            "7a5bce6ddf7c0dd0"
 
 
 class TestPricingWork:
@@ -783,30 +810,10 @@ class TestPricingWork:
 
 
 class TestLinkRateModel:
-    def test_raising_override_unthrottles_the_prediction(self):
-        # An override *above* the global rate un-throttles its edge;
-        # with every cut edge overridden to full speed, the model must
-        # not apply the global fractional stretch.
-        pruner = Pruner(small_chain())
-        throttled = pruner.predict(ConfigPoint(
-            devices=2, network_words_per_cycle=0.5,
-            network_latency=16))
-        unthrottled = pruner.predict(ConfigPoint(
-            devices=2, network_words_per_cycle=0.5,
-            network_latency=16, link_rates=(("s1:s2", 1.0),)))
-        full_speed = pruner.predict(ConfigPoint(
-            devices=2, network_latency=16))
-        assert throttled.feasible and unthrottled.feasible
-        assert throttled.predicted_cycles > \
-            unthrottled.predicted_cycles
-        assert unthrottled.predicted_cycles == \
-            full_speed.predicted_cycles
-
     def test_model_matches_simulation_with_mixed_rates(self):
         space = ConfigSpace(vectorizations=(1,), device_counts=(2,),
-                            network_rates=(0.5,),
-                            network_latencies=(16,),
-                            link_rate_sets=((), (("s1:s2", 1.0),)))
+                            network_rates=(0.5, 1.0),
+                            network_latencies=(16,))
         report = explore(small_chain(), space=space,
                          strategy="exhaustive", persist=False)
         measured = [e for e in report.entries
@@ -815,11 +822,11 @@ class TestLinkRateModel:
         for entry in measured:
             assert abs(entry.model_error) <= 0.25, entry.point.label()
 
-    def test_input_edge_override_prices_like_the_simulator(self):
+    def test_input_edge_link_prices_like_the_simulator(self):
         # An input consumed on two devices yields a remote
         # input→stencil link the simulator rate-limits; the model must
-        # see an override on it (Eq.1 min over *remote* edges, not
-        # just stencil-stencil cut edges).
+        # throttle it too (every remote edge, not just stencil-stencil
+        # cut edges, runs at the machine's rate).
         from repro.core import StencilProgram
         program = StencilProgram.from_json({
             "name": "shared_input",
@@ -833,43 +840,23 @@ class TestLinkRateModel:
                        "boundary_condition": "shrink"},
             },
         })
-        space = ConfigSpace(vectorizations=(1,),
-                            network_latencies=(8,),
-                            link_rate_sets=((("a:s1", 0.25),),))
-        report = explore(program, space=space, strategy="exhaustive",
-                         inputs={"a": np.ones(64, dtype=np.float32)},
-                         persist=False)
         # Explicit 2-device split: one stencil per device.
         pruner = Pruner(program)
         point = ConfigPoint(devices=2, network_latency=8,
-                            link_rates=(("a:s1", 0.25),))
+                            network_words_per_cycle=0.25)
         verdict = pruner.predict(point)
         assert verdict.feasible
+        from repro.lowering import graph_for, remote_edges
+        assert [key for key in remote_edges(graph_for(program),
+                                            verdict.device_of)
+                if key[0] == "input:a"]
         from repro.simulator import SimulatorConfig, simulate
-        from repro.simulator.engine import resolve_link_rates
-        config = SimulatorConfig(
-            network_latency=8,
-            network_link_rates=resolve_link_rates(
-                program, point.link_rates))
+        config = SimulatorConfig(network_latency=8,
+                                 network_words_per_cycle=0.25)
         result = simulate(program,
                           {"a": np.ones(64, dtype=np.float32)},
                           config, device_of=verdict.device_of)
+        assert result.cycles > 4 * 64
         error = result.cycles / verdict.predicted_cycles - 1.0
         assert abs(error) <= 0.25, (result.cycles,
                                     verdict.predicted_cycles)
-
-    def test_inactive_override_shares_the_machine(self):
-        # An override on an edge that stays local (single device) must
-        # not split the simulation key: both points are one machine.
-        program = laplace2d(shape=(16, 16))
-        space = ConfigSpace(
-            vectorizations=(1,),
-            link_rate_sets=((), (("a:b", 0.5),)))
-        cache = ResultCache()
-        report = explore(program, space=space, strategy="exhaustive",
-                         cache=cache, persist=False)
-        simulated = [e for e in report.entries if e.simulated]
-        assert len(simulated) == 2
-        assert len(cache) == 1
-        cycles = {e.simulated_cycles for e in simulated}
-        assert len(cycles) == 1

@@ -301,7 +301,7 @@ def _small_sweep_kwargs(tmp_path):
     return dict(space=ConfigSpace(vectorizations=(1, 2)),
                 strategy="exhaustive",
                 cache_path=tmp_path / "cache.json",
-                retry_backoff=0.0, checkpoint_every=1)
+                checkpoint_every=1)
 
 
 @pytest.fixture
@@ -316,43 +316,27 @@ def data_passes(monkeypatch):
 
 @pytest.mark.usefixtures("data_passes")
 class TestExplorerResilience:
-    def test_transient_crash_is_retried(self, tmp_path, monkeypatch):
-        from repro.explore import explorer as explorer_mod
-        real = explorer_mod.simulate
-        crashes = {"left": 1}
-
-        def flaky(program, inputs, config, device_of=None):
-            if crashes["left"] > 0:
-                crashes["left"] -= 1
-                raise RuntimeError("transient worker crash")
-            return real(program, inputs, config, device_of=device_of)
-
-        monkeypatch.setattr(explorer_mod, "simulate", flaky)
-        report = explore(laplace2d(shape=(12, 12)), retries=2,
-                         **_small_sweep_kwargs(tmp_path))
-        assert crashes["left"] == 0
-        assert report.failed_points == ()
-        assert all(e.simulated for e in report.entries if e.feasible)
-
     def test_permanent_crash_yields_partial_report(self, tmp_path,
                                                    monkeypatch):
+        # A run is deterministic: a crash is recorded on its one try.
         from repro.explore import explorer as explorer_mod
         real = explorer_mod.simulate
+        crashes = []
 
         def cursed(program, inputs, config, device_of=None):
             if program.vectorization == 2:
+                crashes.append(program.name)
                 raise RuntimeError("cursed machine")
             return real(program, inputs, config, device_of=device_of)
 
         monkeypatch.setattr(explorer_mod, "simulate", cursed)
-        report = explore(laplace2d(shape=(12, 12)), retries=1,
+        report = explore(laplace2d(shape=(12, 12)),
                          **_small_sweep_kwargs(tmp_path))
         failed = report.failed_points
-        assert len(failed) == 1
+        assert len(failed) == 1 and len(crashes) == 1
         failure = failed[0].failure
         assert failure.kind == "error"
-        assert "cursed machine" in failure.message
-        assert failure.attempts == 2  # first try + one retry
+        assert failure.message == "RuntimeError: cursed machine"
         # The healthy point still measured, and the report says so.
         assert any(e.simulated for e in report.entries)
         text = "\n".join(report.summary_lines())
@@ -364,22 +348,25 @@ class TestExplorerResilience:
         from repro.errors import StencilFlowError
         from repro.explore import explorer as explorer_mod
 
+        calls = []
+
         def doomed(program, inputs, config, device_of=None):
+            calls.append(program.vectorization)
             raise StencilFlowError("model violation")
 
         monkeypatch.setattr(explorer_mod, "simulate", doomed)
-        report = explore(laplace2d(shape=(12, 12)), retries=3,
+        report = explore(laplace2d(shape=(12, 12)),
                          **_small_sweep_kwargs(tmp_path))
         assert report.failed_points
-        assert all(e.failure.attempts == 1
+        assert len(calls) == len(report.failed_points)
+        assert all(e.failure.message == "model violation"
                    for e in report.failed_points)
 
     def test_data_guard_failures_are_not_retried(self, tmp_path):
         """The engines' data guards raise ValueError / OverflowError as
         NumPy's stores do: deterministic, so failed at the first
-        attempt, with no backoff."""
+        attempt."""
         from repro.core import StencilProgram
-        from repro.obs import metrics
         program = StencilProgram.from_json({
             "name": "int_shrink",
             "inputs": {"a": {"dtype": "int64", "dims": ["i", "j"]}},
@@ -388,17 +375,10 @@ class TestExplorerResilience:
             "program": {"b": {"code": "a[i,j-1] + a[i,j+1]",
                               "boundary_condition": "shrink"}},
         })
-        old = metrics.set_registry(metrics.MetricsRegistry(enabled=True))
-        try:
-            report = explore(program, retries=3,
-                             **_small_sweep_kwargs(tmp_path))
-            retried = metrics.registry().counter_total("explore.retries")
-        finally:
-            metrics.set_registry(old)
-        assert report.failed_points and retried == 0
+        report = explore(program, **_small_sweep_kwargs(tmp_path))
+        assert report.failed_points
         for entry in report.failed_points:
             assert entry.failure.kind == "error"
-            assert entry.failure.attempts == 1
             assert entry.failure.message == \
                 "ValueError: cannot convert float NaN to integer"
 
@@ -415,14 +395,14 @@ class TestExplorerResilience:
         program = laplace2d(shape=(12, 12))
         kwargs = _small_sweep_kwargs(tmp_path)
         monkeypatch.setattr(explorer_mod, "simulate", cursed)
-        first = explore(program, retries=0, **kwargs)
+        first = explore(program, **kwargs)
         assert len(first.failed_points) == 1
         assert (tmp_path / "cache.json").exists()  # checkpointed
 
         # Next run: the healthy point hits the cache, the failed one
-        # is retried (now healthy) — the sweep completes fully.
+        # is measured again (now healthy) — the sweep completes fully.
         monkeypatch.setattr(explorer_mod, "simulate", real)
-        second = explore(program, retries=0, **kwargs)
+        second = explore(program, **kwargs)
         assert second.failed_points == ()
         assert second.cache_hits >= 1
         assert all(e.simulated for e in second.entries if e.feasible)
@@ -431,8 +411,15 @@ class TestExplorerResilience:
 class TestFailureRecords:
     def test_point_failure_round_trip(self):
         failure = PointFailure(kind="deadlock", message="wedged",
-                               attempts=3, detail={"cycle": 72})
+                               detail={"cycle": 72})
         assert PointFailure.from_json(failure.to_json()) == failure
+
+    def test_point_failure_ignores_old_attempts(self):
+        # Older versions retried a point and counted its tries.
+        spec = {"kind": "error", "message": "boom", "attempts": 3,
+                "detail": None}
+        assert PointFailure.from_json(spec) == PointFailure(
+            kind="error", message="boom")
 
     def test_entry_round_trip_with_failure(self):
         from repro.explore import ConfigPoint
@@ -463,7 +450,7 @@ class TestReportRoundTripWithFailures:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(explorer_mod, "simulate", doomed)
-        report = explore(laplace2d(shape=(12, 12)), retries=0,
+        report = explore(laplace2d(shape=(12, 12)),
                          **_small_sweep_kwargs(tmp_path))
         again = ExplorationReport.from_json(
             json.loads(json.dumps(report.to_json())))

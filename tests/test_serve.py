@@ -235,6 +235,21 @@ class TestFrontierIndex:
         assert "report store: 1 report(s)" in out
         assert "quarantined files: 1" in out
 
+    def test_report_with_link_rate_overrides_is_quarantined(self):
+        # A report from a version that had per-edge link-rate overrides
+        # names machines this one cannot build: never served.
+        seed_report()
+        path = next(iter(iter_stored_reports()))
+        spec = json.loads(path.read_text())
+        spec["entries"][0]["point"]["link_rates"] = [["s0:s1", 0.5]]
+        path.write_text(json.dumps(spec))
+        index, stats = FrontierIndex.warm_load()
+        assert len(index) == 0
+        assert stats.reports_skipped == 1
+        assert not path.exists()
+        assert (path.parent
+                / f"{path.name}.corrupt-{os.getpid()}").exists()
+
     def test_snapshot_roundtrip(self):
         seed_report()
         index, _ = FrontierIndex.warm_load()
